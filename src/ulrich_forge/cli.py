@@ -512,6 +512,8 @@ def main(argv=None):
     }
     envelope = {"version": __version__, "command": args.command, "config": config}
     try:
+        if args.max_trials is not None and args.max_trials < 1:
+            raise ValueError(f"--max-trials must be at least 1, got {args.max_trials}")
         field = FieldSpec.parse(args.field)
         result, ok = args.handler(args, field, config)
     except ExtensionNeeded as exc:

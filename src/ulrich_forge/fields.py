@@ -288,9 +288,14 @@ class FieldSpec:
 
     def _component(self, text):
         if self.kind in (RATIONAL, GAUSSIAN):
-            return Fraction(text)
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
         if "/" in text:
             n, d = text.split("/")
+            if int(d) % self.p == 0:
+                raise ValueError(f"denominator of {text!r} is not invertible over {self}")
             return int(n) * pow(int(d), self.p - 2, self.p) % self.p
         return int(text) % self.p
 

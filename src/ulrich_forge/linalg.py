@@ -1,15 +1,16 @@
 """Exact linear algebra over the scalar fields.
 
-Rank over the rationals goes through fraction-free Bareiss elimination
-on denominator-cleared integer rows, which keeps intermediate entries at
-minor size instead of letting Fraction reduction thrash.  The finite
-fields use ordinary modular elimination on unwrapped integers; the
-generic scalar path covers the Gaussian rationals.  All results are
-exact; nothing here is approximate.
+Rank and determinant over the rationals go through fraction-free
+Bareiss elimination on denominator-cleared integer rows, which keeps
+intermediate entries at minor size instead of letting Fraction
+reduction thrash.  The finite fields use ordinary modular elimination
+on unwrapped integers; the generic scalar path covers the Gaussian
+rationals.  All results are exact; nothing here is approximate.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, RATIONAL
@@ -17,26 +18,38 @@ from .poly import Poly
 
 
 def _as_int_rows(rows):
-    """Clear denominators row by row; rank and row space are unchanged."""
-    out = []
+    """Clear denominators row by row; rank and row space are unchanged.
+
+    Also returns the product of the row scales, the factor by which the
+    determinant of a square matrix grows.
+    """
+    out, total = [], 1
     for row in rows:
         scale = lcm(*(c.a.denominator for c in row)) if row else 1
+        total *= scale
         out.append([int(c.a * scale) for c in row])
-    return out
+    return out, total
 
 
-def _rank_bareiss(rows):
+def _bareiss(rows):
+    """Fraction-free elimination of integer rows: (rank, signed last pivot).
+
+    Each pivot is a leading minor of the row-permuted matrix, so for a
+    square matrix of full rank the second value is its determinant.
+    """
     rows = [row[:] for row in rows]
     m = len(rows)
     n = len(rows[0]) if m else 0
-    rank, prev = 0, 1
+    rank, prev, sign = 0, 1, 1
     for col in range(n):
         if rank == m:
             break
         piv = next((i for i in range(rank, m) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
         p = rows[rank][col]
         top = rows[rank]
         for i in range(rank + 1, m):
@@ -45,7 +58,7 @@ def _rank_bareiss(rows):
             ri[col:] = [(p * a - f * b) // prev for a, b in zip(ri[col:], top[col:])]
         prev = p
         rank += 1
-    return rank
+    return rank, sign * prev
 
 
 def _rank_mod_p(rows, p):
@@ -135,7 +148,7 @@ def rank(rows, field):
         return 0
     kind = field.kind
     if kind == RATIONAL:
-        return _rank_bareiss(_as_int_rows(rows))
+        return _bareiss(_as_int_rows(rows)[0])[0]
     if kind == PRIME:
         return _rank_mod_p([[c.a for c in row] for row in rows], field.p)
     if kind == PRIME_QUADRATIC:
@@ -214,6 +227,10 @@ def det(rows, field):
     if n == 0:
         return field.one
     kind = field.kind
+    if kind == RATIONAL:
+        int_rows, scale = _as_int_rows(rows)
+        full, value = _bareiss(int_rows)
+        return field.scalar(Fraction(value, scale) if full == n else 0)
     if kind == PRIME:
         return field.scalar(_det_mod_p([[c.a for c in row] for row in rows], field.p))
     if kind == PRIME_QUADRATIC:
@@ -335,8 +352,11 @@ def poly_matrix_det(rows):
     """Determinant of a square matrix of polynomials.
 
     Division-free Laplace expansion down the rows, memoized on the set
-    of still-available columns; fine up to a dozen rows, which covers
-    every pencil and resultant matrix the toolkit builds.
+    of still-available columns, so its cost grows like 2**n; fine up to
+    a dozen rows.  It backs the Keem pencil determinant and the
+    multivariate ``sylvester_resultant``.  Transversality certificates
+    use it only in characteristic at most d*d; otherwise they take
+    scalar determinants on the chart z = 1 and interpolate.
     """
     n = len(rows)
     if n == 0:

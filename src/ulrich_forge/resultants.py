@@ -8,6 +8,16 @@ keeps full degree and is squarefree, every intersection point is
 transversal and there are exactly d*d distinct ones.  The change of
 coordinates is retried from a seeded generator, so certificates are
 reproducible.
+
+The certificate works on the chart z = 1 from the start.  Once both
+x^d coefficients are nonzero constants, setting z = 1 commutes with the
+resultant, and a binary form vanishes exactly when its dehomogenization
+does, so the chart polynomial r(y) = Res_x(f, g)(y, 1) decides
+everything.  It has degree at most d*d and is found exactly by
+evaluating the 2d x 2d scalar Sylvester determinant at y = 0, 1, ...,
+d*d and interpolating.  Those nodes are distinct only in characteristic
+zero or above d*d; in a smaller characteristic the certificate falls
+back to the bivariate ``sylvester_resultant`` and then sets z = 1.
 """
 
 from __future__ import annotations
@@ -47,23 +57,74 @@ def sylvester_resultant(f, g, var):
         raise ValueError("resultant needs one common ring")
     fc = _coefficients_in(f, var)
     gc = _coefficients_in(g, var)
-    df, dg = len(fc) - 1, len(gc) - 1
-    if df + dg == 0:
+    if len(fc) == len(gc) == 1:
         raise ValueError(f"neither input involves variable {var}")
+    return poly_matrix_det(_sylvester_rows(fc, gc, Poly.zero(f.field, f.nvars)))
+
+
+def _sylvester_rows(fc, gc, zero):
+    """Sylvester matrix of two dense ascending coefficient lists."""
+    df, dg = len(fc) - 1, len(gc) - 1
     n = df + dg
-    zero = Poly.zero(f.field, f.nvars)
     rows = []
-    for i in range(dg):
-        row = [zero] * n
-        for k, c in enumerate(reversed(fc)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(df):
-        row = [zero] * n
-        for k, c in enumerate(reversed(gc)):
-            row[i + k] = c
-        rows.append(row)
-    return poly_matrix_det(rows)
+    for coeffs, shifts in ((fc, dg), (gc, df)):
+        top_first = coeffs[::-1]
+        for i in range(shifts):
+            row = [zero] * n
+            row[i : i + len(top_first)] = top_first
+            rows.append(row)
+    return rows
+
+
+def _interpolate_consecutive(values, field):
+    """Coefficients of the polynomial of degree < len(values) with r(t) = values[t].
+
+    The nodes are t = 0, 1, ..., n.  The Newton coefficient of
+    y(y-1)...(y-k+1) is the k-th forward difference at 0 divided by k!,
+    so the characteristic must be zero or above n.
+    """
+    n = len(values) - 1
+    newton, diffs = [], list(values)
+    for _ in range(n + 1):
+        newton.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    factorial = field.one
+    for k in range(2, n + 1):
+        factorial = factorial * k
+        newton[k] = newton[k] / factorial
+    coeffs = [newton[n]]
+    for k in range(n - 1, -1, -1):
+        # coeffs <- coeffs * (y - k) + newton[k]
+        shifted = [newton[k]] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] = shifted[i] - c * k
+        coeffs = shifted
+    return coeffs
+
+
+def _chart_resultant(f, g, d):
+    """Dense coefficients of Res_x(f, g)(y, 1), of length d*d + 1.
+
+    Needs both x^d coefficients nonzero, so that every specialization
+    y = t keeps the 2d x 2d Sylvester shape, and a characteristic that
+    is zero or above d*d, so that the nodes t = 0..d*d are distinct.
+    """
+    field = f.field
+    zero = field.zero
+
+    def in_x(h, powers):
+        # coefficients of h(x, t, 1) in x, ascending
+        coeffs = [zero] * (d + 1)
+        for (i, j, _), c in h.terms.items():
+            coeffs[i] = coeffs[i] + c * powers[j]
+        return coeffs
+
+    values = []
+    for t in range(d * d + 1):
+        powers = [field.from_int(t**j) for j in range(d + 1)]
+        rows = _sylvester_rows(in_x(f, powers), in_x(g, powers), zero)
+        values.append(det(rows, field))
+    return _interpolate_consecutive(values, field)
 
 
 def _dense_degree(coeffs):
@@ -98,8 +159,11 @@ def is_squarefree_univariate(f, var=None):
     """
     if f.is_zero:
         raise ValueError("squarefree test on the zero polynomial")
-    field = f.field
-    coeffs = f.univariate_coefficients(var)
+    return _dense_squarefree(f.univariate_coefficients(var), f.field)
+
+
+def _dense_squarefree(coeffs, field):
+    """is_squarefree_univariate on a dense ascending nonzero coefficient list."""
     if _dense_degree(coeffs) < 1:
         return True
     deriv = [coeffs[k] * k for k in range(1, len(coeffs))]
@@ -171,9 +235,14 @@ def certify_transversal(f, g, seed=0, max_trials=8):
     d = f.homogeneous_degree()
     if g.homogeneous_degree() != d:
         raise ValueError("transversality check expects equal degrees")
+    if d < 1:
+        raise ValueError("transversality needs curves of positive degree")
+    if max_trials < 1:
+        raise ValueError(f"max_trials must be at least 1, got {max_trials}")
     field = f.field
     rng = random.Random(seed)
     target = d * d
+    interpolate = field.characteristic == 0 or field.characteristic > target
     reason = "no change of coordinates gave a squarefree full-degree resultant"
     for trial in range(1, max_trials + 1):
         change = None if trial == 1 else _random_change(field, rng)
@@ -182,16 +251,19 @@ def certify_transversal(f, g, seed=0, max_trials=8):
         lead = (d, 0, 0)
         if not fc.coefficient(lead) or not gc.coefficient(lead):
             continue
-        res = sylvester_resultant(fc, gc, 0)
-        if res.is_zero:
+        if interpolate:
+            coeffs = _chart_resultant(fc, gc, d)
+        else:
+            res = sylvester_resultant(fc, gc, 0)
+            coeffs = res.set_variable(2, 1).univariate_coefficients(1)
+        degree = _dense_degree(coeffs)
+        if degree < 0:
             return TransversalityResult(
                 FAILED, reason="curves share a component", trials=trial
             )
-        chart = res.set_variable(2, 1)
-        coeffs = chart.univariate_coefficients(1)
-        if _dense_degree(coeffs) != target:
+        if degree != target:
             continue
-        if is_squarefree_univariate(chart, 1):
+        if _dense_squarefree(coeffs, field):
             return TransversalityResult(
                 TRANSVERSAL, points=target, trials=trial, change=change
             )

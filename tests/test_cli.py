@@ -318,3 +318,44 @@ def test_json_output_is_sorted_and_indented(capsys):
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [("1/13*x^2 + y^2", "fp:13"), ("1/0*x^2", "q")],
+)
+def test_non_invertible_denominator_is_usage_error(capsys, text, field):
+    code, payload = _run(capsys, ["quad", "rank", text, "--field", field])
+    assert code == 2
+    assert payload["ok"] is False
+    assert "denominator" in payload["error"]
+
+
+_EVERY_SUBCOMMAND = [
+    ["quad", "rank", "x*y"],
+    ["quad", "diag", "x*y"],
+    ["quad", "sop", "x*y"],
+    ["quad", "pencil-det", "x*y", "x^2"],
+    ["mf", "build", "x*y"],
+    ["mf", "verify", "x*y", "0", "x", "y", "0"],
+    ["mf", "det-cert", "x*y", "0", "x", "y", "0"],
+    ["ulrich", "pipeline", "x^4 + y^4 + z^4"],
+    ["ulrich", "bounds", "x^4 + y^4 + z^4"],
+    ["ulrich", "normalize", "x^4", "x", "x", "y", "y"],
+    ["hilbert", "value", "x^2", "-e", "2"],
+    ["smooth", "check", "x^2 + y^2 + z^2"],
+    ["cover", "rh", "--h", "1", "--d", "3"],
+    ["cover", "split-check", "x", "y", "x", "y", "z"],
+    ["cover", "transversal", "x^2 - y*z", "y^2 - x*z"],
+    ["cover", "keem-counterexample", "--field", "qi"],
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda a: " ".join(a[:2]))
+def test_max_trials_below_one_is_usage_error(capsys, argv):
+    for trials in ("0", "-3"):
+        code, payload = _run(capsys, argv + ["--max-trials", trials])
+        assert code == 2
+        assert payload["ok"] is False
+        assert "--max-trials" in payload["error"]
+        assert payload["config"]["max_trials"] == int(trials)

@@ -110,6 +110,14 @@ def test_det_against_leibniz_oracle():
         for n in (1, 2, 3, 4):
             m = _random_matrix(field, rng, n, n)
             assert det([list(r) for r in m], field) == _det_permanent_style(m, field)
+        # mostly zero entries: row swaps, zero columns and singular matrices
+        for n in (2, 3, 4, 5):
+            for _ in range(6):
+                m = [
+                    [field.random_scalar(rng) if rng.random() < 0.4 else field.zero for _ in range(n)]
+                    for _ in range(n)
+                ]
+                assert det([list(r) for r in m], field) == _det_permanent_style(m, field)
 
 
 def test_det_is_multiplicative():

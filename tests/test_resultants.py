@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from ulrich_forge import (
     FieldSpec,
+    Poly,
     apply_linear_change,
     certify_transversal,
     is_squarefree_univariate,
@@ -15,7 +18,13 @@ from ulrich_forge import (
     random_homogeneous,
     sylvester_resultant,
 )
-from ulrich_forge.resultants import TRANSVERSAL, _random_change
+from ulrich_forge.resultants import (
+    TRANSVERSAL,
+    _chart_resultant,
+    _dense_squarefree,
+    _interpolate_consecutive,
+    _random_change,
+)
 from ulrich_forge.linalg import mat_mul
 
 
@@ -150,3 +159,158 @@ def test_transversal_random_conic_pairs_never_crash(f101):
         if res.verdict == TRANSVERSAL:
             assert res.points == 4
     assert TRANSVERSAL in verdicts
+
+
+def test_transversal_rejects_trial_counts_below_one(f101):
+    f = parse_poly("x^2 - y*z", f101)
+    g = parse_poly("y^2 - x*z", f101)
+    for trials in (0, -3):
+        with pytest.raises(ValueError):
+            certify_transversal(f, g, max_trials=trials)
+
+
+def test_transversal_rejects_constants(q):
+    one = Poly.constant(q, 3, q.one)
+    with pytest.raises(ValueError):
+        certify_transversal(one, one)
+
+
+# -- the chart route against the bivariate resultant ----------------------
+
+
+def _seeded_pairs(field, d, count, seed):
+    """Pairs of plane forms of degree d with both x^d coefficients nonzero."""
+    rng = random.Random(seed)
+    lead = (d, 0, 0)
+    pairs = []
+    while len(pairs) < count:
+        f = random_homogeneous(field, 3, d, rng, span=3)
+        g = random_homogeneous(field, 3, d, rng, span=3)
+        if f.coefficient(lead) and g.coefficient(lead):
+            pairs.append((f, g))
+    return pairs
+
+
+def _bivariate_chart(f, g, d):
+    """Res_x(f, g)(y, 1) through the Laplace route, padded to d*d + 1."""
+    coeffs = sylvester_resultant(f, g, 0).set_variable(2, 1).univariate_coefficients(1)
+    return coeffs + [f.field.zero] * (d * d + 1 - len(coeffs))
+
+
+@pytest.mark.parametrize(
+    "text, d",
+    [
+        (text, d)
+        for text in ("fp:101", "fp2:13", "q", "qi")
+        for d in (1, 2, 3, 4)
+        # fp2:13 at d = 4 takes the small-characteristic route below
+        if (text, d) != ("fp2:13", 4)
+    ],
+)
+def test_chart_resultant_matches_bivariate_resultant(text, d):
+    field = FieldSpec.parse(text)
+    count = 2 if d == 4 and text in ("q", "qi") else 3
+    for f, g in _seeded_pairs(field, d, count, seed=100 * d + len(text)):
+        assert _chart_resultant(f, g, d) == _bivariate_chart(f, g, d)
+
+
+def _common_factor_pair(field, d, seed):
+    ((a, b),) = _seeded_pairs(field, d - 1, 1, seed)
+    h = Poly.linear_form(field, [1, 2, -3])
+    return a * h, b * h
+
+
+def _tangent_pair(field, d, seed):
+    # f and f + l^2*z^(d-2) meet on f = l = 0, each point with multiplicity >= 2
+    ((f, _),) = _seeded_pairs(field, d, 1, seed)
+    l = parse_poly("y + z", field, nvars=3)
+    return f, f + l * l * parse_poly(f"z^{d - 2}", field, nvars=3)
+
+
+@pytest.mark.parametrize(
+    "text, d",
+    [("fp:101", 3), ("q", 2), ("qi", 2), ("fp2:13", 3), ("fp:7", 3), ("fp:13", 4)],
+)
+def test_shared_component_and_tangency(text, d):
+    field = FieldSpec.parse(text)
+    f, g = _common_factor_pair(field, d, seed=d)
+    assert _bivariate_chart(f, g, d) == [field.zero] * (d * d + 1)
+    res = certify_transversal(f, g)
+    assert not res and res.reason == "curves share a component"
+    res = certify_transversal(*_tangent_pair(field, d, seed=d))
+    assert not res and "repeated root" in res.reason
+
+
+@pytest.mark.parametrize("text, d", [("fp:7", 3), ("fp:13", 4), ("fp2:13", 4)])
+def test_small_characteristic_keeps_the_bivariate_route(text, d):
+    # characteristic <= d*d: the nodes 0..d*d are not distinct, so the
+    # certificate must not interpolate there
+    field = FieldSpec.parse(text)
+    verdicts = set()
+    for k, (f, g) in enumerate(_seeded_pairs(field, d, 4, seed=d)):
+        res = certify_transversal(f, g, seed=k)
+        verdicts.add(res.verdict)
+        if res:
+            assert res.points == d * d
+        if res.trials == 1:
+            coeffs = _bivariate_chart(f, g, d)
+            expect_transversal = coeffs[-1] and _dense_squarefree(coeffs, field)
+            assert bool(res) == bool(expect_transversal)
+    assert TRANSVERSAL in verdicts
+
+
+def test_interpolation_recovers_a_known_polynomial(q, f101):
+    for field in (q, f101):
+        coeffs = [field.from_int(c) for c in (5, -3, 0, 7, 1)]
+        values = [sum((c * t**k for k, c in enumerate(coeffs)), field.zero) for t in range(5)]
+        assert _interpolate_consecutive(values, field) == coeffs
+
+
+def test_transversal_degree_eight_within_budget():
+    field = FieldSpec.prime(32003)
+    ((f, g),) = _seeded_pairs(field, 8, 1, seed=8)
+    start = time.perf_counter()
+    res = certify_transversal(f, g)
+    elapsed = time.perf_counter() - start
+    assert res.verdict == TRANSVERSAL and res.points == 64
+    assert elapsed < 5.0, f"degree-8 certificate took {elapsed:.2f}s"
+
+
+# -- sympy as an independent oracle ----------------------------------------
+
+
+def _sympy_chart(f, g):
+    """Res_x(f, g)(y, 1) from sympy, ascending, over Q or mod p."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    field = f.field
+
+    def expr(h):
+        return sum(
+            sympy.Rational(c.a.numerator, c.a.denominator) * x**i * y**j
+            for (i, j, _), c in h.terms.items()
+        )
+
+    opts = {"domain": "QQ"} if field.kind == "q" else {"modulus": field.p}
+    res = sympy.Poly(expr(f), x, y, **opts).resultant(sympy.Poly(expr(g), x, y, **opts))
+    coeffs = sympy.Poly(res, y, **opts).all_coeffs()[::-1]
+    return [field.scalar(Fraction(int(c.p), int(c.q))) for c in coeffs]
+
+
+@pytest.mark.parametrize("text, d", [("q", 2), ("q", 3), ("fp:101", 4), ("fp:7", 3), ("fp:13", 4)])
+def test_chart_agrees_with_sympy_resultant(text, d):
+    field = FieldSpec.parse(text)
+    for f, g in _seeded_pairs(field, d, 3, seed=31 * d):
+        expected = _sympy_chart(f, g)
+        expected += [field.zero] * (d * d + 1 - len(expected))
+        assert _bivariate_chart(f, g, d) == expected
+        if field.characteristic == 0 or field.characteristic > d * d:
+            assert _chart_resultant(f, g, d) == expected
+
+
+def test_degree_eight_agrees_with_sympy_mod_p():
+    field = FieldSpec.prime(32003)
+    ((f, g),) = _seeded_pairs(field, 8, 1, seed=8)
+    expected = _sympy_chart(f, g)
+    assert _chart_resultant(f, g, 8) == expected
+    assert len(expected) == 65 and _dense_squarefree(expected, field)

@@ -1,8 +1,9 @@
 """Command-line front end emitting deterministic JSON reports.
 
 Exit codes: 0 for a verified success, 1 for a mathematical failure
-(a certificate that fails, a missing witness, a singular form), 2 for
-usage and parse errors.  Reports carry {version, command, config, ok,
+(a certificate that fails, a missing witness, a singular form, an
+internal self-check that fails), 2 for usage and parse errors,
+including a stray division by zero.  Reports carry {version, command, config, ok,
 result|error}; the same argv and seed always produce byte-identical
 output.  ULRICH_FORGE_SEED in the environment overrides --seed.
 """
@@ -521,6 +522,17 @@ def main(argv=None):
         envelope["error"] = f"extension needed: no square root of {exc.element}"
         _emit(envelope, args.output)
         return 1
+    except AssertionError as exc:
+        # an internal self-check (e.g. the Clifford construction's) failed
+        envelope["ok"] = False
+        envelope["error"] = f"internal check failed: {exc}"
+        _emit(envelope, args.output)
+        return 1
+    except ZeroDivisionError as exc:
+        envelope["ok"] = False
+        envelope["error"] = f"division by zero: {exc}"
+        _emit(envelope, args.output)
+        return 2
     except (ValueError, OSError) as exc:
         envelope["ok"] = False
         envelope["error"] = str(exc)

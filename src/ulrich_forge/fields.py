@@ -460,9 +460,6 @@ class Scalar:
 
     # -- text -----------------------------------------------------------
 
-    def _component_str(self, value):
-        return str(value)
-
     def __str__(self):
         kind = self.field.kind
         if kind in (RATIONAL, PRIME):

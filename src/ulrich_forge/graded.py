@@ -13,6 +13,12 @@ with top socle degree (n+1)(D-2), so the Hilbert value at
 (n+1)(D-2)+1 is zero exactly when F is smooth.  Evaluating at that
 degree is a decision, not a heuristic; degree-2 inputs reduce to the
 rank of the Gram matrix because the partials are linear.
+
+The Macaulay-matrix rank is exact in every field, and ``linalg.rank``
+finishes it in a prime field where it can: over q, a smooth F gives a
+full rank modulo a word-size prime, which already is the rational rank,
+so smoothness over q is certified there; only a singular F goes on to
+Bareiss elimination over the integers.
 """
 
 from __future__ import annotations

@@ -1,20 +1,36 @@
 """Exact linear algebra over the scalar fields.
 
-Rank and determinant over the rationals go through fraction-free
-Bareiss elimination on denominator-cleared integer rows, which keeps
-intermediate entries at minor size instead of letting Fraction
-reduction thrash.  The finite fields use ordinary modular elimination
-on unwrapped integers; the generic scalar path covers the Gaussian
-rationals.  All results are exact; nothing here is approximate.
+Rank finishes in a prime field wherever that is exact.  A matrix whose
+entries all lie in the subfield (fp inside fp2, q inside qi) is ranked
+there, because rank does not change under a field extension.  Over q
+the rows are first reduced mod the word-size prime _CHECK_PRIME: a
+nonzero minor mod the prime lifts to a nonzero rational minor, so a
+full rank mod the prime is the rational rank.  Only a rank-deficient
+matrix, or one with a denominator divisible by the prime, goes on to
+fraction-free Bareiss elimination on denominator-cleared integer rows,
+which keeps intermediate entries at minor size instead of letting
+Fraction reduction thrash.  Every mod-p rank runs through one sparse
+kernel, ``_rank_mod_p``: Macaulay matrices are mostly zero, so rows are
+kept as dicts and pivots chosen to limit fill-in.
+
+Determinants over q also use Bareiss; the other determinants, the rank
+of a matrix with genuine fp2 entries, ``solve`` and ``invert`` use
+ordinary dense elimination, on unwrapped integers over the finite
+fields and on scalars over the Gaussian rationals.  All results are
+exact; nothing here is approximate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 
 from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, RATIONAL
 from .poly import Poly
+
+# Word-size prime for the mod-p-first rank over q.
+_CHECK_PRIME = 2**31 - 1
 
 
 def _as_int_rows(rows):
@@ -61,26 +77,53 @@ def _bareiss(rows):
     return rank, sign * prev
 
 
-def _rank_mod_p(rows, p):
-    rows = [row[:] for row in rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+def _rank_mod_p(rows, p, width):
+    """Rank of sparse rows mod p; each row maps column -> nonzero residue.
+
+    Rows are bucketed by leading column and the columns are visited in
+    increasing order from a heap.  Each bucket pivots on its shortest
+    row, which keeps fill-in low, and the other rows of the bucket are
+    reduced by it and moved to the bucket of their new leading column.
+    Stops once the rank reaches ``width``.  The rows are consumed.
+    """
+    buckets = {}
+    for row in rows:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    heap = list(buckets)
+    heapify(heap)
     rank = 0
-    for col in range(n):
-        if rank == m:
-            break
-        piv = next((i for i in range(rank, m) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        inv = pow(top[col], p - 2, p)
-        for i in range(rank + 1, m):
-            ri = rows[i]
-            if ri[col]:
-                f = ri[col] * inv % p
-                ri[col:] = [(a - f * b) % p for a, b in zip(ri[col:], top[col:])]
+    while heap:
+        col = heappop(heap)
+        bucket = buckets.pop(col)
         rank += 1
+        if rank == width:
+            break
+        if len(bucket) == 1:
+            continue
+        pivot = min(bucket, key=len)
+        # the pivot scaled to lead -1, so row + row[col] * pivot clears col
+        inv = pow(pivot[col], p - 2, p)
+        scaled = [(k, (p - v) * inv % p) for k, v in pivot.items()]
+        for row in bucket:
+            if row is pivot:
+                continue
+            f = row[col]
+            get = row.get
+            for k, v in scaled:
+                x = (get(k, 0) + f * v) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            if row:
+                lead = min(row)
+                target = buckets.get(lead)
+                if target is None:
+                    buckets[lead] = [row]
+                    heappush(heap, lead)
+                else:
+                    target.append(row)
     return rank
 
 
@@ -142,15 +185,52 @@ def _rank_generic(rows, field):
     return rank
 
 
+def _sparse_rows(rows, p):
+    """Rows of residues mod p as sparse dicts, or None when p divides a denominator."""
+    out = []
+    inverses = {1: 1}
+    for row in rows:
+        sparse = {}
+        for j, v in enumerate(row):
+            if v:
+                den = v.denominator
+                inv = inverses.get(den)
+                if inv is None:
+                    if den % p == 0:
+                        return None
+                    inv = inverses[den] = pow(den, p - 2, p)
+                x = v.numerator * inv % p
+                if x:
+                    sparse[j] = x
+        out.append(sparse)
+    return out
+
+
 def rank(rows, field):
-    """Rank of a matrix given as a list of scalar rows."""
+    """Rank of a matrix given as a list of scalar rows.
+
+    A matrix whose entries all lie in the subfield (b == 0 over fp2 or
+    qi) is ranked there, since rank does not change under a field
+    extension.  Over q the rank is first taken mod _CHECK_PRIME: it can
+    only drop mod a prime, so a full rank mod the prime is the rational
+    rank; otherwise fraction-free Bareiss decides.
+    """
     if not rows or not rows[0]:
         return 0
     kind = field.kind
-    if kind == RATIONAL:
-        return _bareiss(_as_int_rows(rows)[0])[0]
+    width = len(rows[0])
+    if kind in (PRIME_QUADRATIC, GAUSSIAN) and not any(c.b for row in rows for c in row):
+        kind = PRIME if kind == PRIME_QUADRATIC else RATIONAL
     if kind == PRIME:
-        return _rank_mod_p([[c.a for c in row] for row in rows], field.p)
+        sparse = [{j: c.a for j, c in enumerate(row) if c.a} for row in rows]
+        return _rank_mod_p(sparse, field.p, width)
+    if kind == RATIONAL:
+        sparse = _sparse_rows([[c.a for c in row] for row in rows], _CHECK_PRIME)
+        if sparse is not None:
+            full = min(len(rows), width)
+            if _rank_mod_p(sparse, _CHECK_PRIME, width) == full:
+                return full
+        return _bareiss(_as_int_rows(rows)[0])[0]
     if kind == PRIME_QUADRATIC:
         return _rank_mod_p2(
             [[c.a for c in row] for row in rows],
@@ -355,8 +435,8 @@ def poly_matrix_det(rows):
     of still-available columns, so its cost grows like 2**n; fine up to
     a dozen rows.  It backs the Keem pencil determinant and the
     multivariate ``sylvester_resultant``.  Transversality certificates
-    use it only in characteristic at most d*d; otherwise they take
-    scalar determinants on the chart z = 1 and interpolate.
+    use it only in characteristic at most d; otherwise they take scalar
+    determinants on the chart z = 1 and interpolate.
     """
     n = len(rows)
     if n == 0:

@@ -14,10 +14,13 @@ x^d coefficients are nonzero constants, setting z = 1 commutes with the
 resultant, and a binary form vanishes exactly when its dehomogenization
 does, so the chart polynomial r(y) = Res_x(f, g)(y, 1) decides
 everything.  It has degree at most d*d and is found exactly by
-evaluating the 2d x 2d scalar Sylvester determinant at y = 0, 1, ...,
-d*d and interpolating.  Those nodes are distinct only in characteristic
-zero or above d*d; in a smaller characteristic the certificate falls
-back to the bivariate ``sylvester_resultant`` and then sets z = 1.
+evaluating the 2d x 2d scalar Sylvester determinant at d*d + 1 distinct
+nodes and interpolating: y = 0, 1, ..., d*d in characteristic zero or
+above d*d, else nodes a + b*w of the quadratic extension, which has
+p*p > d*d elements once p > d.  The interpolated coefficients lie in
+the input field either way.  Only in characteristic at most d does the
+certificate fall back to the bivariate ``sylvester_resultant`` and then
+set z = 1.
 """
 
 from __future__ import annotations
@@ -92,12 +95,30 @@ def _interpolate_consecutive(values, field):
     for k in range(2, n + 1):
         factorial = factorial * k
         newton[k] = newton[k] / factorial
-    coeffs = [newton[n]]
-    for k in range(n - 1, -1, -1):
-        # coeffs <- coeffs * (y - k) + newton[k]
+    return _expand_newton(newton, [field.from_int(t) for t in range(n)])
+
+
+def _interpolate(nodes, values):
+    """Coefficients of the polynomial of degree < len(nodes) with r(nodes[i]) = values[i].
+
+    Newton divided differences, for any distinct nodes.
+    """
+    n = len(nodes) - 1
+    newton = list(values)
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / (nodes[i] - nodes[i - k])
+    return _expand_newton(newton, nodes)
+
+
+def _expand_newton(newton, nodes):
+    """Ascending coefficients of sum_k newton[k] * (y - nodes[0])...(y - nodes[k-1])."""
+    coeffs = [newton[-1]]
+    for k in range(len(newton) - 2, -1, -1):
+        # coeffs <- coeffs * (y - nodes[k]) + newton[k]
         shifted = [newton[k]] + coeffs
         for i, c in enumerate(coeffs):
-            shifted[i] = shifted[i] - c * k
+            shifted[i] = shifted[i] - c * nodes[k]
         coeffs = shifted
     return coeffs
 
@@ -106,25 +127,48 @@ def _chart_resultant(f, g, d):
     """Dense coefficients of Res_x(f, g)(y, 1), of length d*d + 1.
 
     Needs both x^d coefficients nonzero, so that every specialization
-    y = t keeps the 2d x 2d Sylvester shape, and a characteristic that
-    is zero or above d*d, so that the nodes t = 0..d*d are distinct.
+    y = t keeps the 2d x 2d Sylvester shape, and a characteristic p that
+    is zero or above d, so that d*d + 1 distinct nodes exist: 0, 1, ...,
+    d*d when p is zero or above d*d, else a + b*w in the quadratic
+    extension, which has p*p > d*d elements.  The coefficients lie in
+    the field of f and g whichever nodes were used.
     """
     field = f.field
-    zero = field.zero
+    count = d * d + 1
+    p = field.characteristic
+    consecutive = p == 0 or p >= count
+    if consecutive:
+        node_field, nodes = field, [field.from_int(t) for t in range(count)]
+    else:
+        node_field = field.extension()
+        nodes = [node_field.scalar(t % p, t // p) for t in range(count)]
+    zero = node_field.zero
+    terms = [
+        [(i, j, node_field.embed(c)) for (i, j, _), c in h.terms.items()] for h in (f, g)
+    ]
 
-    def in_x(h, powers):
+    def in_x(h_terms, powers):
         # coefficients of h(x, t, 1) in x, ascending
         coeffs = [zero] * (d + 1)
-        for (i, j, _), c in h.terms.items():
+        for i, j, c in h_terms:
             coeffs[i] = coeffs[i] + c * powers[j]
         return coeffs
 
     values = []
-    for t in range(d * d + 1):
-        powers = [field.from_int(t**j) for j in range(d + 1)]
-        rows = _sylvester_rows(in_x(f, powers), in_x(g, powers), zero)
-        values.append(det(rows, field))
-    return _interpolate_consecutive(values, field)
+    for t in nodes:
+        powers = [node_field.one]
+        for _ in range(d):
+            powers.append(powers[-1] * t)
+        rows = _sylvester_rows(in_x(terms[0], powers), in_x(terms[1], powers), zero)
+        values.append(det(rows, node_field))
+    if consecutive:
+        return _interpolate_consecutive(values, field)
+    coeffs = _interpolate(nodes, values)
+    if node_field == field:
+        return coeffs
+    if any(c.b for c in coeffs):
+        raise AssertionError("chart resultant left the base field")
+    return [field.scalar(c.a) for c in coeffs]
 
 
 def _dense_degree(coeffs):
@@ -242,7 +286,7 @@ def certify_transversal(f, g, seed=0, max_trials=8):
     field = f.field
     rng = random.Random(seed)
     target = d * d
-    interpolate = field.characteristic == 0 or field.characteristic > target
+    interpolate = field.characteristic == 0 or field.characteristic > d
     reason = "no change of coordinates gave a squarefree full-degree resultant"
     for trial in range(1, max_trials + 1):
         change = None if trial == 1 else _random_change(field, rng)

@@ -359,3 +359,36 @@ def test_max_trials_below_one_is_usage_error(capsys, argv):
         assert payload["ok"] is False
         assert "--max-trials" in payload["error"]
         assert payload["config"]["max_trials"] == int(trials)
+
+
+def test_internal_assertion_is_exit_one_envelope(capsys, monkeypatch):
+    import ulrich_forge.clifford
+
+    def failing_build(sop):
+        raise AssertionError("clifford construction failed its symbolic check")
+
+    monkeypatch.setattr(ulrich_forge.clifford, "build_clifford_factorization", failing_build)
+    code, payload = _run(capsys, ["mf", "build", "x*y", "--field", "q"])
+    assert code == 1
+    assert payload["ok"] is False
+    assert "symbolic check" in payload["error"]
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_stray_zero_division_is_usage_error(capsys, monkeypatch, output):
+    import ulrich_forge.cli
+
+    def dividing(system, e):
+        return 1 // 0
+
+    monkeypatch.setattr(ulrich_forge.cli, "hilbert_value", dividing)
+    argv = ["hilbert", "value", "x^2", "-e", "2", "--field", "q", "--output", output]
+    if output == "json":
+        code, payload = _run(capsys, argv)
+        assert payload["ok"] is False
+        assert "division by zero" in payload["error"]
+    else:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert "ok: false" in captured.out and "Traceback" not in captured.err
+    assert code == 2

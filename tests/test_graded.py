@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from math import comb
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from ulrich_forge import (
     FieldSpec,
     GradedSystem,
+    Poly,
     graded_dimension,
     hilbert_value,
     is_smooth_hypersurface,
@@ -174,3 +176,30 @@ def test_zero_dimensional_deterministic_under_seed(f101):
     b = is_zero_dimensional(system, e_max=4, seed=5)
     assert a.verdict == b.verdict
     assert a.point == b.point
+
+
+def _reduce_mod(form, field):
+    """The image of a form over q in a prime field (no denominator divisible by p)."""
+    p = field.p
+    terms = {}
+    for e, c in form.terms.items():
+        residue = c.a.numerator * pow(c.a.denominator, -1, p) % p
+        if residue:
+            terms[e] = field.scalar(residue)
+    return Poly(field, form.nvars, terms)
+
+
+@pytest.mark.parametrize("degree, seed, budget", [(4, 5, 1.0), (5, 11, 20.0)])
+def test_smooth_surface_over_q_within_budget(q, degree, seed, budget):
+    form = random_homogeneous(q, 4, degree, random.Random(seed))
+    # independent check: the reduction mod 32003 keeps every term and is
+    # smooth, and the Macaulay matrix can only lose rank mod a prime, so
+    # the surface is smooth over Q
+    reduced = _reduce_mod(form, FieldSpec.prime(32003))
+    assert len(reduced.terms) == len(form.terms)
+    assert is_smooth_hypersurface(reduced).verdict == SMOOTH
+    start = time.perf_counter()
+    res = is_smooth_hypersurface(form)
+    elapsed = time.perf_counter() - start
+    assert res.verdict == SMOOTH and res.e_used == 4 * (degree - 2) + 1
+    assert elapsed < budget, f"degree-{degree} surface over q took {elapsed:.2f}s"

@@ -9,7 +9,14 @@ from itertools import permutations
 import pytest
 
 from ulrich_forge import FieldSpec, Poly, parse_poly
+from ulrich_forge import linalg
 from ulrich_forge.linalg import (
+    _as_int_rows,
+    _bareiss,
+    _rank_generic,
+    _rank_mod_p,
+    _rank_mod_p2,
+    _sparse_rows,
     det,
     identity,
     invert,
@@ -214,3 +221,164 @@ def test_poly_matrix_det_commutes_with_evaluation():
         point = tuple(f13.random_scalar(rng) for _ in range(3))
         values = [[e.evaluate(point) for e in row] for row in m]
         assert symbolic.evaluate(point) == det(values, f13)
+
+
+# -- rank in the prime field: mod-p-first over q, subfield descent ---------
+
+P = linalg._CHECK_PRIME
+
+
+def _dense_rank_mod_p(rows, p):
+    """Dense Gaussian elimination mod p, the reference for the sparse kernel."""
+    rows = [[v % p for v in row] for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def _rank_in_extension(rows, field):
+    """Rank by the elimination that works on genuine fp2 or qi entries."""
+    if field.kind == "fp2":
+        a = [[c.a for c in row] for row in rows]
+        b = [[c.b for c in row] for row in rows]
+        return _rank_mod_p2(a, b, field.p, field.nu)
+    return _rank_generic([list(row) for row in rows], field)
+
+
+def _random_fraction(rng, span=9):
+    return Fraction(rng.randint(-span, span), rng.randint(1, span))
+
+
+def _seeded_rational_matrices():
+    rng = random.Random(71)
+    out = []
+    # (m x r)(r x n) products: rank at most r, often deficient
+    for _ in range(60):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        r = rng.randint(0, min(m, n))
+        left = [[_random_fraction(rng, 5) for _ in range(r)] for _ in range(m)]
+        right = [[_random_fraction(rng, 5) for _ in range(n)] for _ in range(r)]
+        out.append(
+            [
+                [sum((left[i][t] * right[t][j] for t in range(r)), Fraction(0)) for j in range(n)]
+                for i in range(m)
+            ]
+        )
+    # sparse rows with zero columns and repeated rows
+    for _ in range(20):
+        m, n = rng.randint(2, 10), rng.randint(2, 10)
+        rows = [
+            [_random_fraction(rng) if rng.random() < 0.3 else Fraction(0) for _ in range(n)]
+            for _ in range(m)
+        ]
+        out.append(rows + rows[: rng.randint(0, m)])
+    return out
+
+
+def test_rank_over_q_matches_bareiss(q):
+    for values in _seeded_rational_matrices():
+        rows = [[q.scalar(v) for v in row] for row in values]
+        assert rank(rows, q) == _bareiss(_as_int_rows(rows)[0])[0]
+
+
+def test_rank_over_q_finishes_mod_p_when_full(q, monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "_bareiss", lambda rows: calls.append(rows) or (0, 0))
+    rng = random.Random(73)
+    rows = [[q.scalar(_random_fraction(rng)) for _ in range(6)] for _ in range(9)]
+    assert rank(rows, q) == 6
+    assert calls == []
+
+
+def test_rank_over_q_falls_back_to_bareiss(q, monkeypatch):
+    # P vanishes mod P, so only Bareiss sees the full rank
+    assert rank([[q.from_int(P), q.zero], [q.zero, q.one]], q) == 2
+    assert rank([[q.from_int(2 * P), q.from_int(P)], [q.from_int(4), q.from_int(2)]], q) == 1
+    # a denominator divisible by P cannot be reduced at all
+    inverse_p = [[q.scalar(Fraction(1, P)), q.zero], [q.zero, q.one]]
+    assert _sparse_rows([[c.a for c in row] for row in inverse_p], P) is None
+    calls = []
+    original = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda rows: calls.append(rows) or original(rows))
+    assert rank(inverse_p, q) == 2
+    assert len(calls) == 1
+
+
+def test_rank_descends_to_the_subfield():
+    rng = random.Random(75)
+    for base, ext in (
+        (FieldSpec.prime(13), FieldSpec.quadratic(13)),
+        (FieldSpec.rationals(), FieldSpec.gaussian_rationals()),
+    ):
+        for _ in range(15):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [
+                [base.random_scalar(rng) if rng.random() < 0.5 else base.zero for _ in range(n)]
+                for _ in range(m)
+            ]
+            rows += rows[:1]
+            embedded = [[ext.embed(c) for c in row] for row in rows]
+            assert rank(embedded, ext) == rank(rows, base) == _rank_in_extension(embedded, ext)
+
+
+def test_rank_of_mixed_extension_matrices_is_unchanged():
+    rng = random.Random(77)
+    for ext in (FieldSpec.quadratic(13), FieldSpec.gaussian_rationals()):
+        # u = w or i, u*u = s: the real parts alone would give other ranks
+        u, s = ext.scalar(0, 1), ext.scalar(0, 1) * ext.scalar(0, 1)
+        assert rank([[u]], ext) == 1
+        assert rank([[ext.one, u], [u, s]], ext) == 1
+        for _ in range(15):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            rows = _random_matrix(ext, rng, m, n)
+            rows[0][0] = ext.scalar(1, 1)
+            assert rank(rows, ext) == _rank_in_extension(rows, ext)
+
+
+def test_rank_against_sympy_domain_matrix(q):
+    pytest.importorskip("sympy")
+    from sympy import GF, QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    for values in _seeded_rational_matrices():
+        rows = [[q.scalar(v) for v in row] for row in values]
+        entries = [[QQ(v.numerator, v.denominator) for v in row] for row in values]
+        shape = (len(values), len(values[0]))
+        assert rank(rows, q) == DomainMatrix(entries, shape, QQ).rank()
+    rng = random.Random(79)
+    for p in (3, 13, 101):
+        field, domain = FieldSpec.prime(p), GF(p)
+        for _ in range(20):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            ints = [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(m)]
+            rows = [[field.from_int(v) for v in row] for row in ints]
+            entries = [[domain(v) for v in row] for row in ints]
+            assert rank(rows, field) == DomainMatrix(entries, (m, n), domain).rank()
+
+
+def test_sparse_kernel_matches_dense_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    matrices = st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3) | st.just(0), min_size=n, max_size=n), min_size=1, max_size=9
+        )
+    )
+
+    @hypothesis.given(st.sampled_from([3, 7, 101, P]), matrices)
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    def check(p, ints):
+        reduced = [[v % p for v in row] for row in ints]
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in reduced]
+        assert _rank_mod_p(sparse, p, len(ints[0])) == _dense_rank_mod_p(reduced, p)
+
+    check()

@@ -22,6 +22,7 @@ from ulrich_forge.resultants import (
     TRANSVERSAL,
     _chart_resultant,
     _dense_squarefree,
+    _interpolate,
     _interpolate_consecutive,
     _random_change,
 )
@@ -203,9 +204,10 @@ def _bivariate_chart(f, g, d):
         (text, d)
         for text in ("fp:101", "fp2:13", "q", "qi")
         for d in (1, 2, 3, 4)
-        # fp2:13 at d = 4 takes the small-characteristic route below
         if (text, d) != ("fp2:13", 4)
-    ],
+    ]
+    # characteristic in (d, d*d]: the nodes run on into the quadratic extension
+    + [("fp2:13", 4), ("fp:7", 3), ("fp:13", 4), ("fp:5", 4)],
 )
 def test_chart_resultant_matches_bivariate_resultant(text, d):
     field = FieldSpec.parse(text)
@@ -241,10 +243,13 @@ def test_shared_component_and_tangency(text, d):
     assert not res and "repeated root" in res.reason
 
 
-@pytest.mark.parametrize("text, d", [("fp:7", 3), ("fp:13", 4), ("fp2:13", 4)])
-def test_small_characteristic_keeps_the_bivariate_route(text, d):
-    # characteristic <= d*d: the nodes 0..d*d are not distinct, so the
-    # certificate must not interpolate there
+@pytest.mark.parametrize(
+    "text, d", [("fp:7", 3), ("fp:13", 4), ("fp2:13", 4), ("fp:5", 4), ("fp2:3", 3)]
+)
+def test_small_characteristic_matches_the_bivariate_route(text, d):
+    # characteristic <= d*d: the nodes 0..d*d are not distinct in the
+    # field, so the certificate takes nodes from the quadratic extension
+    # (d < p) or the bivariate Laplace route (p <= d)
     field = FieldSpec.parse(text)
     verdicts = set()
     for k, (f, g) in enumerate(_seeded_pairs(field, d, 4, seed=d)):
@@ -264,6 +269,15 @@ def test_interpolation_recovers_a_known_polynomial(q, f101):
         coeffs = [field.from_int(c) for c in (5, -3, 0, 7, 1)]
         values = [sum((c * t**k for k, c in enumerate(coeffs)), field.zero) for t in range(5)]
         assert _interpolate_consecutive(values, field) == coeffs
+    f2_3 = FieldSpec.quadratic(3)
+    for field, nodes in (
+        (q, [q.scalar(Fraction(t, 3) - 1) for t in (7, 0, 2, -5, 11)]),
+        # five distinct nodes of fp2:3, two of them outside fp:3
+        (f2_3, [f2_3.scalar(t % 3, t // 3) for t in range(5)]),
+    ):
+        coeffs = [field.from_int(c) for c in (5, -3, 0, 7, 1)]
+        values = [sum((c * t**k for k, c in enumerate(coeffs)), field.zero) for t in nodes]
+        assert _interpolate(nodes, values) == coeffs
 
 
 def test_transversal_degree_eight_within_budget():
@@ -274,6 +288,22 @@ def test_transversal_degree_eight_within_budget():
     elapsed = time.perf_counter() - start
     assert res.verdict == TRANSVERSAL and res.points == 64
     assert elapsed < 5.0, f"degree-8 certificate took {elapsed:.2f}s"
+
+
+def test_small_characteristic_degree_six_within_budget():
+    # 31 <= 36 = d*d: the nodes come from fp2:31; the Laplace route took
+    # seconds here
+    field = FieldSpec.prime(31)
+    ((f, g),) = _seeded_pairs(field, 6, 1, seed=616)
+    start = time.perf_counter()
+    res = certify_transversal(f, g)
+    elapsed = time.perf_counter() - start
+    assert res.verdict == TRANSVERSAL and res.points == 36
+    assert elapsed < 1.0, f"fp:31 degree-6 certificate took {elapsed:.2f}s"
+    if res.change is not None:
+        f, g = apply_linear_change(f, res.change), apply_linear_change(g, res.change)
+    expected = _sympy_chart(f, g)
+    assert len(expected) == 37 and _dense_squarefree(expected, field)
 
 
 # -- sympy as an independent oracle ----------------------------------------
@@ -304,7 +334,7 @@ def test_chart_agrees_with_sympy_resultant(text, d):
         expected = _sympy_chart(f, g)
         expected += [field.zero] * (d * d + 1 - len(expected))
         assert _bivariate_chart(f, g, d) == expected
-        if field.characteristic == 0 or field.characteristic > d * d:
+        if field.characteristic == 0 or field.characteristic > d:
             assert _chart_resultant(f, g, d) == expected
 
 

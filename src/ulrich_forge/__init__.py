@@ -22,7 +22,6 @@ from .cover import (
     check_branch_splitting,
     keem_counterexample_certificate,
     riemann_hurwitz,
-    transversality_check,
 )
 from .fields import ExtensionNeeded, FieldSpec, Scalar, is_square, sqrt_in_field
 from .graded import (

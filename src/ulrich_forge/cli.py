@@ -21,12 +21,12 @@ from .cover import (
     check_branch_splitting,
     keem_counterexample_certificate,
     riemann_hurwitz,
-    transversality_check,
 )
 from .fields import ExtensionNeeded, FieldSpec
 from .graded import SMOOTH, GradedSystem, hilbert_value, is_smooth_hypersurface
 from .poly import infer_nvars, parse_poly
 from .quadform import diagonalize, gram_from_poly, pencil_determinant, sum_of_products
+from .resultants import certify_transversal
 from .veronese import (
     FormDecomposition,
     VeroneseMap,
@@ -326,7 +326,7 @@ def _cmd_cover_transversal(args, field, config):
     trials = args.max_trials if args.max_trials is not None else 8
     config["max_trials"] = trials
     f, g = _parse_all(texts, field, nvars)
-    res = transversality_check(f, g, seed=args.seed, max_trials=trials)
+    res = certify_transversal(f, g, seed=args.seed, max_trials=trials)
     return {
         "verdict": res.verdict,
         "points": res.points,

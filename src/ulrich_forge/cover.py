@@ -18,7 +18,6 @@ from .fields import ExtensionNeeded, sqrt_in_field
 from .linalg import solve
 from .poly import Poly, monomials_of_degree
 from .quadform import gram_from_poly, pencil_determinant
-from .resultants import certify_transversal
 
 
 class CoverProfile:
@@ -125,11 +124,6 @@ def check_branch_splitting(F1, r, l, m, a):
     if witness * F1 != target:
         raise AssertionError("witness failed its defining identity")
     return BranchSplit(F1=F1, r=r, l=l, m=m, a=a, witness=witness)
-
-
-def transversality_check(F2, G2, seed=0, max_trials=8):
-    """Certify that two equal-degree plane curves meet in d^2 distinct points."""
-    return certify_transversal(F2, G2, seed=seed, max_trials=max_trials)
 
 
 @dataclass

@@ -1,36 +1,44 @@
 """Exact linear algebra over the scalar fields.
 
-Rank finishes in a prime field wherever that is exact.  A matrix whose
-entries all lie in the subfield (fp inside fp2, q inside qi) is ranked
-there, because rank does not change under a field extension.  Over q
-the rows are first reduced mod the word-size prime _CHECK_PRIME: a
-nonzero minor mod the prime lifts to a nonzero rational minor, so a
-full rank mod the prime is the rational rank.  Only a rank-deficient
-matrix, or one with a denominator divisible by the prime, goes on to
-fraction-free Bareiss elimination on denominator-cleared integer rows,
-which keeps intermediate entries at minor size instead of letting
-Fraction reduction thrash.  Every mod-p rank runs through one sparse
-kernel, ``_rank_mod_p``: Macaulay matrices are mostly zero, so rows are
-kept as dicts and pivots chosen to limit fill-in.
+Three elimination routines do all the work:
 
-Determinants over q also use Bareiss; the other determinants, the rank
-of a matrix with genuine fp2 entries, ``solve`` and ``invert`` use
-ordinary dense elimination, on unwrapped integers over the finite
-fields and on scalars over the Gaussian rationals.  All results are
-exact; nothing here is approximate.
+- ``_rank_mod_p``, sparse elimination mod a prime, takes every rank it
+  can finish in a prime field: fp matrices, fp2 and qi matrices whose
+  entries lie in the subfield (rank does not change under a field
+  extension), and the first try over q and qi, whose rows are reduced
+  mod the word-size prime _CHECK_PRIME (i goes to a square root of -1
+  there).  A nonzero minor mod the prime lifts, so a full rank mod the
+  prime is the exact rank.  Macaulay matrices are mostly zero, so rows
+  are dicts and pivots are chosen to limit fill-in.
+- ``_bareiss``, fraction-free elimination on denominator-cleared integer
+  rows, gives q determinants and the q ranks the prime cannot settle
+  (rank deficient mod the prime, or a denominator divisible by it); it
+  keeps intermediate entries at minor size instead of letting Fraction
+  reduction thrash.
+- ``_eliminate``, dense Gaussian elimination on raw entries (residues,
+  residue pairs, Fractions or Fraction pairs), does everything else:
+  the determinant over fp, fp2 and qi, the rank of a genuine fp2 matrix
+  and of a qi matrix the prime cannot settle, and ``solve`` and
+  ``invert`` in every field, through Gauss-Jordan.
+
+All results are exact; nothing here is approximate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import lcm
+from typing import NamedTuple
 
-from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, RATIONAL
+from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, RATIONAL, Scalar, sqrt_mod_p
 from .poly import Poly
 
-# Word-size prime for the mod-p-first rank over q.
-_CHECK_PRIME = 2**31 - 1
+# Word-size prime for the mod-p-first rank over q and qi; it is 1 mod 4,
+# so i maps to the square root _I of -1 there.
+_CHECK_PRIME = 2**31 - 19
+_I = sqrt_mod_p(-1, _CHECK_PRIME)
 
 
 def _as_int_rows(rows):
@@ -127,62 +135,129 @@ def _rank_mod_p(rows, p, width):
     return rank
 
 
-def _rank_mod_p2(pairs_a, pairs_b, p, nu):
-    m = len(pairs_a)
-    n = len(pairs_a[0]) if m else 0
-    ra = [row[:] for row in pairs_a]
-    rb = [row[:] for row in pairs_b]
-    rank = 0
-    for col in range(n):
-        if rank == m:
-            break
-        piv = next((i for i in range(rank, m) if ra[i][col] or rb[i][col]), None)
-        if piv is None:
-            continue
-        ra[rank], ra[piv] = ra[piv], ra[rank]
-        rb[rank], rb[piv] = rb[piv], rb[rank]
-        ta, tb = ra[rank], rb[rank]
-        norm_inv = pow((ta[col] * ta[col] - nu * tb[col] * tb[col]) % p, p - 2, p)
-        ia = ta[col] * norm_inv % p
-        ib = -tb[col] * norm_inv % p
-        for i in range(rank + 1, m):
-            xa, xb = ra[i], rb[i]
-            if xa[col] or xb[col]:
-                fa = (xa[col] * ia + nu * xb[col] * ib) % p
-                fb = (xa[col] * ib + xb[col] * ia) % p
-                xa[col:] = [
-                    (u - fa * v - nu * fb * w) % p
-                    for u, v, w in zip(xa[col:], ta[col:], tb[col:])
-                ]
-                xb[col:] = [
-                    (u - fa * w - fb * v) % p
-                    for u, v, w in zip(xb[col:], ta[col:], tb[col:])
-                ]
-        rank += 1
-    return rank
+class _Arith(NamedTuple):
+    """Arithmetic on the raw entries of one field, for ``_eliminate``.
+
+    Raw entries are residues over fp, ``(a, b)`` residue pairs over fp2,
+    Fractions over q and Fraction pairs over qi.  ``sub(x, y, t)`` is the
+    row update x - f*y with f = x[0]*t, which clears x[0] when t is the
+    inverse of y[0]; ``raw`` unwraps a matrix of scalars and ``box``
+    wraps one raw entry back into a scalar.
+    """
+
+    zero: object
+    one: object
+    mul: object
+    inv: object
+    sub: object
+    raw: object
+    box: object
 
 
-def _rank_generic(rows, field):
-    rows = [list(row) for row in rows]
+@lru_cache(maxsize=None)
+def _arith(field):
+    """The arithmetic record of a field, cached: a run meets only a handful of fields."""
+    kind, p, nu = field.kind, field.p, field.nu
+    if kind in (PRIME, RATIONAL):
+
+        def raw(rows):
+            return [[c.a for c in row] for row in rows]
+
+        def box(x):
+            return Scalar(field, x)
+
+        if kind == PRIME:
+
+            def sub(x, y, t):
+                f = x[0] * t % p
+                return [(u - f * v) % p for u, v in zip(x, y)]
+
+            return _Arith(0, 1, lambda x, y: x * y % p, lambda x: pow(x, p - 2, p), sub, raw, box)
+
+        def sub(x, y, t):
+            f = x[0] * t
+            return [u - f * v for u, v in zip(x, y)]
+
+        return _Arith(Fraction(0), Fraction(1), lambda x, y: x * y, lambda x: 1 / x, sub, raw, box)
+
+    def raw(rows):
+        return [[(c.a, c.b) for c in row] for row in rows]
+
+    def box(x):
+        return Scalar(field, *x)
+
+    if kind == PRIME_QUADRATIC:
+
+        def mul(x, y):
+            return (x[0] * y[0] + nu * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
+
+        def inv(x):
+            a, b = x
+            n = pow((a * a - nu * b * b) % p, p - 2, p)
+            return a * n % p, -b * n % p
+
+        def sub(x, y, t):
+            f0, f1 = mul(x[0], t)
+            g1 = nu * f1
+            return [
+                ((u0 - f0 * v0 - g1 * v1) % p, (u1 - f0 * v1 - f1 * v0) % p)
+                for (u0, u1), (v0, v1) in zip(x, y)
+            ]
+
+        return _Arith((0, 0), (1, 0), mul, inv, sub, raw, box)
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def inv(x):
+        a, b = x
+        n = a * a + b * b
+        return a / n, -b / n
+
+    def sub(x, y, t):
+        f0, f1 = mul(x[0], t)
+        return [
+            (u0 - f0 * v0 + f1 * v1, u1 - f0 * v1 - f1 * v0)
+            for (u0, u1), (v0, v1) in zip(x, y)
+        ]
+
+    zero, one = Fraction(0), Fraction(1)
+    return _Arith((zero, zero), (one, zero), mul, inv, sub, raw, box)
+
+
+def _eliminate(rows, ar, ncols, reduced=False):
+    """Dense Gaussian elimination of raw rows in place: (pivot columns, sign).
+
+    Pivots are sought in the first ``ncols`` columns only, so extra
+    columns (right-hand sides, an identity) ride along.  ``sign`` is the
+    sign of the row permutation.  With ``reduced`` each pivot row is
+    scaled to lead with one and cleared above as well as below
+    (Gauss-Jordan), which leaves the reduced row echelon form.
+    """
+    zero, one, mul, inv, sub = ar.zero, ar.one, ar.mul, ar.inv, ar.sub
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        if rank == m:
+    pivots, sign = [], 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == m:
             break
-        piv = next((i for i in range(rank, m) if rows[i][col]), None)
+        piv = next((i for i in range(r, m) if rows[i][col] != zero), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        inv = top[col].inverse()
-        for i in range(rank + 1, m):
-            ri = rows[i]
-            if ri[col]:
-                f = ri[col] * inv
-                ri[col:] = [a - f * b for a, b in zip(ri[col:], top[col:])]
-        rank += 1
-    return rank
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        t = inv(top[col])
+        if reduced:
+            top[col:] = [mul(t, v) for v in top[col:]]
+            t = one
+        tail = top[col:]
+        for x in rows[:r] + rows[r + 1 :] if reduced else rows[r + 1 :]:
+            if x[col] != zero:
+                x[col:] = sub(x[col:], tail, t)
+        pivots.append(col)
+    return pivots, sign
 
 
 def _sparse_rows(rows, p):
@@ -211,9 +286,10 @@ def rank(rows, field):
 
     A matrix whose entries all lie in the subfield (b == 0 over fp2 or
     qi) is ranked there, since rank does not change under a field
-    extension.  Over q the rank is first taken mod _CHECK_PRIME: it can
-    only drop mod a prime, so a full rank mod the prime is the rational
-    rank; otherwise fraction-free Bareiss decides.
+    extension.  Over q and qi the rank is first taken mod _CHECK_PRIME,
+    with i sent to a square root of -1 there: it can only drop mod a
+    prime, so a full rank mod the prime is the exact rank; otherwise
+    Bareiss (q) or dense elimination on Fraction pairs (qi) decides.
     """
     if not rows or not rows[0]:
         return 0
@@ -224,79 +300,23 @@ def rank(rows, field):
     if kind == PRIME:
         sparse = [{j: c.a for j, c in enumerate(row) if c.a} for row in rows]
         return _rank_mod_p(sparse, field.p, width)
-    if kind == RATIONAL:
+    if kind in (RATIONAL, GAUSSIAN):
         sparse = _sparse_rows([[c.a for c in row] for row in rows], _CHECK_PRIME)
-        if sparse is not None:
-            full = min(len(rows), width)
-            if _rank_mod_p(sparse, _CHECK_PRIME, width) == full:
-                return full
-        return _bareiss(_as_int_rows(rows)[0])[0]
-    if kind == PRIME_QUADRATIC:
-        return _rank_mod_p2(
-            [[c.a for c in row] for row in rows],
-            [[c.b for c in row] for row in rows],
-            field.p,
-            field.nu,
-        )
-    return _rank_generic(rows, field)
-
-
-def _det_mod_p(rows, p):
-    rows = [row[:] for row in rows]
-    n = len(rows)
-    sign, acc = 1, 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        top = rows[col]
-        acc = acc * top[col] % p
-        inv = pow(top[col], p - 2, p)
-        for i in range(col + 1, n):
-            ri = rows[i]
-            if ri[col]:
-                f = ri[col] * inv % p
-                ri[col:] = [(a - f * b) % p for a, b in zip(ri[col:], top[col:])]
-    return acc * sign % p
-
-
-def _det_mod_p2(pairs_a, pairs_b, p, nu):
-    n = len(pairs_a)
-    ra = [row[:] for row in pairs_a]
-    rb = [row[:] for row in pairs_b]
-    sign = 1
-    acc_a, acc_b = 1, 0
-    for col in range(n):
-        piv = next((i for i in range(col, n) if ra[i][col] or rb[i][col]), None)
-        if piv is None:
-            return 0, 0
-        if piv != col:
-            ra[col], ra[piv] = ra[piv], ra[col]
-            rb[col], rb[piv] = rb[piv], rb[col]
-            sign = -sign
-        ta, tb = ra[col], rb[col]
-        pa, pb = ta[col], tb[col]
-        acc_a, acc_b = (acc_a * pa + nu * acc_b * pb) % p, (acc_a * pb + acc_b * pa) % p
-        norm_inv = pow((pa * pa - nu * pb * pb) % p, p - 2, p)
-        ia = pa * norm_inv % p
-        ib = -pb * norm_inv % p
-        for i in range(col + 1, n):
-            xa, xb = ra[i], rb[i]
-            if xa[col] or xb[col]:
-                fa = (xa[col] * ia + nu * xb[col] * ib) % p
-                fb = (xa[col] * ib + xb[col] * ia) % p
-                xa[col:] = [
-                    (u - fa * v - nu * fb * w) % p
-                    for u, v, w in zip(xa[col:], ta[col:], tb[col:])
-                ]
-                xb[col:] = [
-                    (u - fa * w - fb * v) % p
-                    for u, v, w in zip(xb[col:], ta[col:], tb[col:])
-                ]
-    return acc_a * sign % p, acc_b * sign % p
+        if kind == GAUSSIAN and sparse is not None:
+            imag = _sparse_rows([[c.b for c in row] for row in rows], _CHECK_PRIME)
+            p = _CHECK_PRIME
+            # a + b*i goes to a + b*_I; only nonzero residues are kept
+            sparse = None if imag is None else [
+                {j: x for j in {*a, *b} if (x := (a.get(j, 0) + _I * b.get(j, 0)) % p)}
+                for a, b in zip(sparse, imag)
+            ]
+        full = min(len(rows), width)
+        if sparse is not None and _rank_mod_p(sparse, _CHECK_PRIME, width) == full:
+            return full
+        if kind == RATIONAL:
+            return _bareiss(_as_int_rows(rows)[0])[0]
+    ar = _arith(field)
+    return len(_eliminate(ar.raw(rows), ar, width)[0])
 
 
 def det(rows, field):
@@ -306,40 +326,20 @@ def det(rows, field):
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return field.one
-    kind = field.kind
-    if kind == RATIONAL:
+    if field.kind == RATIONAL:
         int_rows, scale = _as_int_rows(rows)
         full, value = _bareiss(int_rows)
         return field.scalar(Fraction(value, scale) if full == n else 0)
-    if kind == PRIME:
-        return field.scalar(_det_mod_p([[c.a for c in row] for row in rows], field.p))
-    if kind == PRIME_QUADRATIC:
-        a, b = _det_mod_p2(
-            [[c.a for c in row] for row in rows],
-            [[c.b for c in row] for row in rows],
-            field.p,
-            field.nu,
-        )
-        return field.scalar(a, b)
-    rows = [list(row) for row in rows]
-    sign = 1
-    acc = field.one
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            return field.zero
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        top = rows[col]
-        acc = acc * top[col]
-        inv = top[col].inverse()
-        for i in range(col + 1, n):
-            ri = rows[i]
-            if ri[col]:
-                f = ri[col] * inv
-                ri[col:] = [a - f * b for a, b in zip(ri[col:], top[col:])]
-    return acc if sign == 1 else -acc
+    ar = _arith(field)
+    raw = ar.raw(rows)
+    pivots, sign = _eliminate(raw, ar, n)
+    if len(pivots) < n:
+        return field.zero
+    acc = ar.one
+    for i in range(n):
+        acc = ar.mul(acc, raw[i][i])
+    value = ar.box(acc)
+    return value if sign == 1 else -value
 
 
 def solve(rows, rhs, field):
@@ -347,60 +347,38 @@ def solve(rows, rhs, field):
 
     Free variables are set to zero, so the returned vector is a
     particular solution; full elimination makes the None answer a proof
-    of inconsistency.
+    of inconsistency.  A right-hand side of the wrong length, or ragged
+    rows, raise ValueError.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivots = []
-    rank_ = 0
-    for col in range(n):
-        if rank_ == m:
-            break
-        piv = next((i for i in range(rank_, m) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[rank_], aug[piv] = aug[piv], aug[rank_]
-        top = aug[rank_]
-        inv = top[col].inverse()
-        for i in range(rank_ + 1, m):
-            ri = aug[i]
-            if ri[col]:
-                f = ri[col] * inv
-                ri[col:] = [a - f * b for a, b in zip(ri[col:], top[col:])]
-        pivots.append(col)
-        rank_ += 1
-    for i in range(rank_, m):
-        if aug[i][n]:
-            return None
+    if len(rhs) != m or any(len(row) != n for row in rows):
+        raise ValueError("right-hand side does not match the matrix")
+    ar = _arith(field)
+    aug = ar.raw([list(row) + [b] for row, b in zip(rows, rhs)])
+    pivots, _ = _eliminate(aug, ar, n, reduced=True)
+    if any(row[n] != ar.zero for row in aug[len(pivots):]):
+        return None
     x = [field.zero] * n
-    for i in range(rank_ - 1, -1, -1):
-        col = pivots[i]
-        acc = aug[i][n]
-        for j in range(col + 1, n):
-            if aug[i][j] and x[j]:
-                acc = acc - aug[i][j] * x[j]
-        x[col] = acc / aug[i][col]
+    for row, col in zip(aug, pivots):
+        x[col] = ar.box(row[n])
     return x
 
 
 def invert(rows, field):
-    """Exact inverse of a square matrix; ValueError when singular."""
+    """Exact inverse of a square matrix; ValueError when singular or not square."""
     n = len(rows)
-    aug = [list(rows[i]) + [field.one if j == i else field.zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        top = aug[col]
-        inv = top[col].inverse()
-        aug[col] = top = [v * inv for v in top]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], top)]
-    return [row[n:] for row in aug]
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse of a non-square matrix")
+    ar = _arith(field)
+    aug = [
+        row + [ar.one if j == i else ar.zero for j in range(n)]
+        for i, row in enumerate(ar.raw(rows))
+    ]
+    pivots, _ = _eliminate(aug, ar, n, reduced=True)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [[ar.box(v) for v in row[n:]] for row in aug]
 
 
 def identity(field, n):

@@ -16,7 +16,6 @@ from ulrich_forge import (
     parse_poly,
     random_homogeneous,
     riemann_hurwitz,
-    transversality_check,
 )
 
 
@@ -127,17 +126,6 @@ def test_branch_splitting_degree_guards(q):
             parse_poly("y", q, nvars=4),
             Poly.zero(q, 4),
         )
-
-
-def test_transversality_check_delegates(q, f101):
-    good = transversality_check(
-        parse_poly("x^2 - y*z", f101), parse_poly("y^2 - x*z", f101)
-    )
-    assert bool(good) and good.points == 4
-    f = parse_poly("x^2 - y*z", f101)
-    shared = transversality_check(f, f)
-    assert not bool(shared)
-    assert shared.reason == "curves share a component"
 
 
 def test_keem_certificate_over_gaussian_rationals(qi):

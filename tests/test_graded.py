@@ -189,6 +189,19 @@ def _reduce_mod(form, field):
     return Poly(field, form.nvars, terms)
 
 
+def _reduce_gaussian_mod(form, field):
+    """The image of a form over qi in fp:p, p = 1 mod 4, with i sent to a root of -1."""
+    p = field.p
+    root = next(r for r in range(p) if r * r % p == p - 1)
+    terms = {}
+    for e, c in form.terms.items():
+        a, b = (v.numerator * pow(v.denominator, -1, p) for v in (c.a, c.b))
+        residue = (a + b * root) % p
+        if residue:
+            terms[e] = field.scalar(residue)
+    return Poly(field, form.nvars, terms)
+
+
 @pytest.mark.parametrize("degree, seed, budget", [(4, 5, 1.0), (5, 11, 20.0)])
 def test_smooth_surface_over_q_within_budget(q, degree, seed, budget):
     form = random_homogeneous(q, 4, degree, random.Random(seed))
@@ -203,3 +216,18 @@ def test_smooth_surface_over_q_within_budget(q, degree, seed, budget):
     elapsed = time.perf_counter() - start
     assert res.verdict == SMOOTH and res.e_used == 4 * (degree - 2) + 1
     assert elapsed < budget, f"degree-{degree} surface over q took {elapsed:.2f}s"
+
+
+def test_smooth_surface_over_qi_within_budget(qi):
+    form = random_homogeneous(qi, 4, 4, random.Random(5), span=2)
+    assert any(c.b for c in form.terms.values())
+    # independent check as over q: the reduction mod 32009 = 1 mod 4, with
+    # i sent to a square root of -1, keeps every term and is smooth
+    reduced = _reduce_gaussian_mod(form, FieldSpec.prime(32009))
+    assert len(reduced.terms) == len(form.terms)
+    assert is_smooth_hypersurface(reduced).verdict == SMOOTH
+    start = time.perf_counter()
+    res = is_smooth_hypersurface(form)
+    elapsed = time.perf_counter() - start
+    assert res.verdict == SMOOTH and res.e_used == 9
+    assert elapsed < 2.0, f"quartic surface over qi took {elapsed:.2f}s"

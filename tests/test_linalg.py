@@ -13,9 +13,7 @@ from ulrich_forge import linalg
 from ulrich_forge.linalg import (
     _as_int_rows,
     _bareiss,
-    _rank_generic,
     _rank_mod_p,
-    _rank_mod_p2,
     _sparse_rows,
     det,
     identity,
@@ -194,6 +192,22 @@ def test_invert_singular_raises(q):
         invert([[one, one], [one, one]], q)
 
 
+def test_invert_rejects_non_square(q):
+    rows = [[q.from_int(v) for v in row] for row in ([1, 0, 0], [0, 1, 0])]
+    with pytest.raises(ValueError):
+        invert(rows, q)
+
+
+def test_solve_rejects_extra_right_hand_side_values(q):
+    with pytest.raises(ValueError):
+        solve([[q.one, q.zero]], [q.one, q.one], q)
+
+
+def test_solve_rejects_missing_right_hand_side_values(q):
+    with pytest.raises(ValueError):
+        solve([[q.one], [q.one]], [q.one], q)
+
+
 def test_transpose_and_identity(q):
     a = [[q.from_int(1), q.from_int(2)], [q.from_int(3), q.from_int(4)]]
     assert transpose(a) == [
@@ -246,12 +260,20 @@ def _dense_rank_mod_p(rows, p):
 
 
 def _rank_in_extension(rows, field):
-    """Rank by the elimination that works on genuine fp2 or qi entries."""
-    if field.kind == "fp2":
-        a = [[c.a for c in row] for row in rows]
-        b = [[c.b for c in row] for row in rows]
-        return _rank_mod_p2(a, b, field.p, field.nu)
-    return _rank_generic([list(row) for row in rows], field)
+    """Dense Gaussian elimination on scalars, the reference for fp2 and qi rank."""
+    rows = [list(row) for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inv
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
 
 
 def _random_fraction(rng, span=9):
@@ -344,6 +366,32 @@ def test_rank_of_mixed_extension_matrices_is_unchanged():
             assert rank(rows, ext) == _rank_in_extension(rows, ext)
 
 
+def test_rank_over_qi_finishes_mod_p_when_full(qi, monkeypatch):
+    calls = []
+    original = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *args: calls.append(args) or original(*args))
+    rng = random.Random(81)
+    rows = _random_matrix(qi, rng, 9, 6)
+    assert rank(rows, qi) == 6 == _rank_in_extension(rows, qi)
+    assert calls == []
+
+
+def test_rank_over_qi_falls_back_to_exact_elimination(qi, monkeypatch):
+    s = linalg._I
+    assert s * s % P == P - 1
+    calls = []
+    original = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *args: calls.append(args) or original(*args))
+    # i - s vanishes mod P, so only the exact elimination sees the full rank
+    assert rank([[qi.one, qi.zero], [qi.zero, qi.scalar(-s, 1)]], qi) == 2
+    assert len(calls) == 1
+    # a denominator divisible by P cannot be reduced at all
+    inverse_p = [[qi.scalar(Fraction(1, P), 1), qi.zero], [qi.zero, qi.one]]
+    assert _sparse_rows([[c.a for c in row] for row in inverse_p], P) is None
+    assert rank(inverse_p, qi) == 2
+    assert len(calls) == 2
+
+
 def test_rank_against_sympy_domain_matrix(q):
     pytest.importorskip("sympy")
     from sympy import GF, QQ
@@ -380,5 +428,60 @@ def test_sparse_kernel_matches_dense_reference():
         reduced = [[v % p for v in row] for row in ints]
         sparse = [{j: v for j, v in enumerate(row) if v} for row in reduced]
         assert _rank_mod_p(sparse, p, len(ints[0])) == _dense_rank_mod_p(reduced, p)
+
+    check()
+
+
+@pytest.mark.parametrize("spec", ["q", "qi", "fp:13", "fp2:13"])
+def test_dense_routines_match_oracles(spec):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    field = FieldSpec.parse(spec)
+    if field.kind in ("q", "qi"):
+        part = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    else:
+        part = st.integers(0, field.p - 1)
+    if field.kind in ("q", "fp"):
+        entries = st.just(field.zero) | st.builds(field.scalar, part)
+    else:
+        entries = st.just(field.zero) | st.builds(field.scalar, part, part)
+
+    def dot(u, v):
+        return sum((x * y for x, y in zip(u, v)), field.zero)
+
+    @st.composite
+    def systems(draw):
+        # (n x k)(k x n) products are singular for k < n; a dependent last
+        # row also gives a right-hand side that no x can reach
+        n = draw(st.integers(1, 4))
+        k = draw(st.integers(0, n))
+        left = [[draw(entries) for _ in range(k)] for _ in range(n)]
+        right = [[draw(entries) for _ in range(n)] for _ in range(k)]
+        a = [[dot(row, col) for col in zip(*right)] if k else [field.zero] * n for row in left]
+        dependent = draw(st.booleans())
+        if dependent:
+            coeffs = [draw(entries) for _ in range(n - 1)]
+            a[-1] = [dot(coeffs, col) for col in zip(*a[:-1])] if n > 1 else [field.zero]
+        return a, [draw(entries) for _ in range(n)], dependent
+
+    @hypothesis.given(systems())
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    def check(system):
+        a, x0, dependent = system
+        n = len(a)
+        d = det(a, field)
+        assert d == _det_permanent_style(a, field)
+        assert rank(a, field) == _rank_in_extension(a, field)
+        if d:
+            assert mat_mul(invert(a, field), a, field) == identity(field, n)
+        else:
+            with pytest.raises(ValueError):
+                invert(a, field)
+        b = [dot(row, x0) for row in a]
+        x = solve(a, b, field)
+        assert x is not None and [dot(row, x) for row in a] == b
+        if dependent:
+            b[-1] = b[-1] + field.one
+            assert solve(a, b, field) is None
 
     check()

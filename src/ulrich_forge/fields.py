@@ -6,6 +6,9 @@ extension ``fp2:p`` obtained by adjoining a square root of the smallest
 quadratic nonresidue.  Characteristic 2 is rejected everywhere; the
 quadratic-form machinery divides by 2 freely.
 
+There is one ``FieldSpec`` instance per field, so identity is field
+equality; ``zero`` and ``one`` are built once with the field.
+
 Square roots are canonical and deterministic: the nonnegative root over
 the rationals, the residue in [1, (p-1)/2] over a prime field, and a
 fixed lexicographic choice in the extension field.  When an element has
@@ -37,16 +40,25 @@ class ExtensionNeeded(Exception):
         super().__init__(f"no square root of {element} in {element.field}")
 
 
+# The first 13 primes decide primality by strong-probable-prime tests
+# for every n below psi_13 (Sorenson and Webster, 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin; exact for n < _PRIME_LIMIT."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        d += 2
     return True
 
 
@@ -114,32 +126,38 @@ def _fraction_sqrt(x):
 class FieldSpec:
     """Identifies a coefficient field and owns scalar construction.
 
-    Instances compare by (kind, p, nu).  ``nu`` is the nonresidue whose
-    root generates the quadratic extension (None outside ``fp2``).
+    One instance exists per field, so fields compare and hash by
+    identity.  ``nu`` is the smallest nonresidue, whose root generates
+    the quadratic extension (None outside ``fp2``).
     """
 
-    __slots__ = ("kind", "p", "nu")
+    __slots__ = ("kind", "p", "nu", "zero", "one")
+    _instances = {}
 
-    def __init__(self, kind, p=0, nu=None):
+    def __new__(cls, kind, p=0):
+        field = cls._instances.get((kind, p))
+        if field is not None:
+            return field
         if kind not in _KINDS:
             raise ValueError(f"unknown field kind {kind!r}")
         if kind in (PRIME, PRIME_QUADRATIC):
             if p == 2:
                 raise ValueError("characteristic 2 is not supported")
+            if p >= _PRIME_LIMIT:
+                raise ValueError(f"primality of {p} is certified only below {_PRIME_LIMIT}")
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
-            if kind == PRIME_QUADRATIC:
-                if nu is None:
-                    nu = smallest_nonresidue(p)
-                elif legendre(nu, p) != -1:
-                    raise ValueError(f"{nu} is a square mod {p}")
-            else:
-                nu = None
         else:
-            p, nu = 0, None
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "nu", nu)
+            p = 0
+        nu = smallest_nonresidue(p) if kind == PRIME_QUADRATIC else None
+        field = object.__new__(cls)
+        object.__setattr__(field, "kind", kind)
+        object.__setattr__(field, "p", p)
+        object.__setattr__(field, "nu", nu)
+        object.__setattr__(field, "zero", Scalar(field, 0))
+        object.__setattr__(field, "one", Scalar(field, 1))
+        # q and qi ignore p, so the key may only now match a stored field
+        return cls._instances.setdefault((kind, p), field)
 
     def __setattr__(self, *_):
         raise AttributeError("FieldSpec is immutable")
@@ -157,8 +175,8 @@ class FieldSpec:
         return cls(PRIME, p)
 
     @classmethod
-    def quadratic(cls, p, nu=None):
-        return cls(PRIME_QUADRATIC, p, nu)
+    def quadratic(cls, p):
+        return cls(PRIME_QUADRATIC, p)
 
     @classmethod
     def parse(cls, text):
@@ -178,17 +196,6 @@ class FieldSpec:
     def characteristic(self):
         return self.p
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.kind == other.kind
-            and self.p == other.p
-            and self.nu == other.nu
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.p, self.nu))
-
     def __str__(self):
         if self.kind in (PRIME, PRIME_QUADRATIC):
             return f"{self.kind}:{self.p}"
@@ -201,14 +208,6 @@ class FieldSpec:
 
     def scalar(self, a, b=0):
         return Scalar(self, a, b)
-
-    @property
-    def zero(self):
-        return Scalar(self, 0)
-
-    @property
-    def one(self):
-        return Scalar(self, 1)
 
     def from_int(self, n):
         return Scalar(self, n)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -102,6 +103,28 @@ def test_mf_det_cert(capsys):
     assert result["sign"] == -1
     assert result["tested"] == 12
     assert payload["config"]["max_trials"] == 12
+
+
+def test_mf_det_cert_sign_flip_is_exit_one(capsys):
+    # det = x^2 + x*y - y^2 is +-Q at every point of F_3^2 with Q != 0,
+    # but not with one sign
+    args = ["mf", "det-cert", "x^2+y^2", "x+y", "y", "y", "x", "--field", "fp:3"]
+    code, payload = _run(capsys, args)
+    assert code == 1
+    assert payload["ok"] is False
+    assert payload["result"]["certified"] is False
+    assert payload["result"]["sign"] is None
+    assert payload["result"]["reason"] == "sign flipped between sample points"
+
+
+def test_mf_det_cert_without_a_nonzero_sample_is_exit_one(capsys):
+    args = ["mf", "det-cert", "0", "x", "--field", "fp:101", "--max-trials", "3"]
+    code, payload = _run(capsys, args)
+    assert code == 1
+    result = payload["result"]
+    assert result["certified"] is False
+    assert result["reason"] == "no sample point had q nonzero"
+    assert (result["tested"], result["skipped"]) == (0, 60)
 
 
 def test_mf_entry_count_must_be_square(capsys):
@@ -250,6 +273,23 @@ def test_bad_field_is_usage_error(capsys):
     code, payload = _run(capsys, ["quad", "rank", "x^2", "--field", "fp:2"])
     assert code == 2
     assert payload["ok"] is False
+
+
+def test_large_prime_field_answers_quickly(capsys):
+    start = time.perf_counter()
+    code, payload = _run(capsys, ["quad", "rank", "x^2", "--field", "fp:100000000000000000039"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert payload["ok"] is True
+    assert payload["result"]["rank"] == 1
+
+
+def test_prime_beyond_the_certified_range_is_usage_error(capsys):
+    argv = ["quad", "rank", "x^2", "--field", "fp:3317044064679887385962123"]
+    code, payload = _run(capsys, argv)
+    assert code == 2
+    assert payload["ok"] is False
+    assert "certified only below" in payload["error"]
 
 
 def test_parse_error_is_usage_error(capsys):

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from ulrich_forge import ExtensionNeeded, FieldSpec, is_square, sqrt_in_field
-from ulrich_forge.fields import legendre, smallest_nonresidue, sqrt_mod_p
+from ulrich_forge import fields
+from ulrich_forge.fields import _is_prime, legendre, smallest_nonresidue, sqrt_mod_p
 
 
 def _all_fields():
@@ -40,6 +41,63 @@ def test_field_equality_and_kind():
     assert FieldSpec.parse("fp:13") != FieldSpec.prime(17)
     assert FieldSpec.parse("fp2:13") != FieldSpec.prime(13)
     assert FieldSpec.rationals() != FieldSpec.gaussian_rationals()
+
+
+def test_one_instance_per_field():
+    assert FieldSpec.parse("q") is FieldSpec.rationals()
+    assert FieldSpec.parse("qi") is FieldSpec.gaussian_rationals()
+    assert FieldSpec.parse("fp:13") is FieldSpec.prime(13)
+    assert FieldSpec.parse("fp2:13") is FieldSpec.quadratic(13)
+    for field in _all_fields():
+        assert FieldSpec.parse(str(field)) is field
+        assert field.zero is field.zero and field.one is field.one
+        assert field.zero.field is field and field.one == 1
+    assert FieldSpec.prime(13).extension() is FieldSpec.quadratic(13)
+    assert FieldSpec.rationals().extension() is FieldSpec.gaussian_rationals()
+
+
+def test_field_cache_hit_skips_validation(monkeypatch):
+    fresh = (FieldSpec.prime(13), FieldSpec.quadratic(13))
+
+    def fail(n):
+        raise AssertionError(f"primality of {n} tested again")
+
+    monkeypatch.setattr(fields, "_is_prime", fail)
+    assert (FieldSpec.parse("fp:13"), FieldSpec.parse("fp2:13")) == fresh
+
+
+def test_fields_are_immutable():
+    # every caller shares the one instance, so none may change it
+    with pytest.raises(AttributeError):
+        FieldSpec.prime(13).p = 17
+    with pytest.raises(AttributeError):
+        FieldSpec.prime(13).zero = FieldSpec.prime(13).one
+
+
+def test_is_prime_matches_a_sieve():
+    n = 200_000
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    assert [k for k in range(n) if _is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # a Carmichael number, a strong pseudoprime to bases 2, 3, 5, 7, and
+    # one to every base 2..23
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+    assert _is_prime(100000000000000000039)
+
+
+def test_is_prime_matches_sympy_below_the_limit():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    for _ in range(2000):
+        n = rng.randrange(2**40, fields._PRIME_LIMIT) | 1
+        assert _is_prime(n) == sympy.isprime(n)
 
 
 def test_smallest_nonresidue():

@@ -29,6 +29,7 @@ from ulrich_forge import (
     ulrich_presentation,
     verify_clifford,
 )
+from ulrich_forge.cli import main
 
 
 def test_veronese_map_basis_frozen():
@@ -364,6 +365,31 @@ def test_normalize_exhausted_trials_reports_best_attempt(q):
     out = normalize_plane_decomposition(F, dec, max_trials=1)
     assert out.certificates["failed_certificate"] == "first factor smoothness"
     assert out.certificates["input_smooth"].verdict == "smooth"
+
+
+def test_normalize_reports_the_deepest_attempt(capsys):
+    # alpha = 0 keeps the smooth f1, but the only beta tried, 0, gives the
+    # singular f2 = x*y: the best attempt stops at the second factor
+    f101 = FieldSpec.prime(101)
+    f1 = parse_poly("x^2 + y^2 + z^2", f101)
+    f2 = parse_poly("x*y", f101, nvars=3)
+    rng = random.Random(1)
+    while True:
+        g1, g2 = (random_homogeneous(f101, 3, 2, rng) for _ in range(2))
+        F = f1 * g1 + f2 * g2
+        if is_smooth_hypersurface(F).verdict == "smooth":
+            break
+    dec = FormDecomposition(F, ((f1, g1), (f2, g2)))
+    out = normalize_plane_decomposition(F, dec, max_trials=1)
+    certs = out.certificates
+    assert certs["failed_certificate"] == "second factor smoothness"
+    assert certs["alpha"] == f101.zero
+    assert certs["first_factor_smooth"].verdict == "smooth"
+    (fa, gb), (fb, ga) = out.summands
+    assert fa * gb + fb * ga == F
+    argv = ["ulrich", "normalize", *map(str, (F, f1, g1, f2, g2))]
+    assert main([*argv, "--field", "fp:101", "--max-trials", "1"]) == 1
+    assert '"failed_certificate": "second factor smoothness"' in capsys.readouterr().out
 
 
 def test_normalize_rejects_mismatched_decomposition(q):

@@ -11,6 +11,7 @@ output.  ULRICH_FORGE_SEED in the environment overrides --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -493,9 +494,14 @@ def _emit(payload, output):
         print("\n".join(_render_text(payload)))
 
 
+@functools.cache
+def _parser():
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     env_seed = os.environ.get("ULRICH_FORGE_SEED")
     if env_seed is not None:
         try:

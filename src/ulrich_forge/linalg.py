@@ -14,7 +14,10 @@ Three elimination routines do all the work:
   rows, gives q determinants and the q ranks the prime cannot settle
   (rank deficient mod the prime, or a denominator divisible by it); it
   keeps intermediate entries at minor size instead of letting Fraction
-  reduction thrash.
+  reduction thrash.  It also takes every polynomial determinant, in
+  every field: ``poly_matrix_det`` packs each polynomial entry into one
+  integer by Kronecker substitution and reads the determinant back from
+  the digits of the integer one.
 - ``_eliminate``, dense Gaussian elimination on raw entries (residues,
   residue pairs, Fractions or Fraction pairs), does everything else:
   the determinant over fp, fp2 and qi, the rank of a genuine fp2 matrix
@@ -407,47 +410,105 @@ def transpose(a):
 
 
 def poly_matrix_det(rows):
-    """Determinant of a square matrix of polynomials.
+    """Determinant of a square matrix of polynomials, by Kronecker substitution.
 
-    Division-free Laplace expansion down the rows, memoized on the set
-    of still-available columns, so its cost grows like 2**n; fine up to
-    a dozen rows.  It backs the Keem pencil determinant and the
-    multivariate ``sylvester_resultant``.  Transversality certificates
-    use it only in characteristic at most d; otherwise they take scalar
-    determinants on the chart z = 1 and interpolate.
+    The entries are packed into integers, ``_bareiss`` takes the integer
+    determinant, and its base-2**k digits are read back as coefficients.
+    It backs the Keem pencil determinant and ``sylvester_resultant``,
+    and with it every transversality certificate.  The packing is dense
+    in every variable that occurs, so the integers grow with the product
+    of the degree bounds; over fp2 and qi the generator is one more
+    variable, of degree up to the size of the matrix.
     """
     n = len(rows)
     if n == 0:
         raise ValueError("empty polynomial matrix")
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    sample = rows[0][0]
-    field, nvars = sample.field, sample.nvars
-    one = Poly.constant(field, nvars, 1)
-    zero = Poly.zero(field, nvars)
-    memo = {}
+    field, nvars = rows[0][0].field, rows[0][0].nvars
+    if any(e.field is not field or e.nvars != nvars for row in rows for e in row):
+        raise ValueError("polynomial matrix over mixed rings")
+    p = field.p
+    # Pack: every coefficient a + b*g becomes integer terms, with the
+    # generator g (w over fp2, i over qi) as one more variable, last.
+    # Residues are lifted to (-p/2, p/2]; over q and qi each row is
+    # cleared of denominators, which multiplies the determinant by its
+    # scale.
+    int_rows, scale = [], 1
+    for row in rows:
+        row_scale = 1
+        if not p:
+            row_scale = lcm(
+                *(v.denominator for e in row for c in e.terms.values() for v in (c.a, c.b))
+            )
+            scale *= row_scale
+        int_rows.append(
+            [
+                [
+                    (exps + (t,), (v - p if 2 * v > p else v) if p else int(v * row_scale))
+                    for exps, c in e.terms.items()
+                    for t, v in ((0, c.a), (1, c.b))
+                    if v
+                ]
+                for e in row
+            ]
+        )
+    # det = sum over permutations of +-prod a_{i,sigma(i)}, so its degree
+    # in each variable is at most the sum over rows of the row's largest
+    # degree, and, the L1 norm of coefficients being submultiplicative,
+    # its every coefficient is at most B = prod over rows of the summed
+    # L1 norms of the row's entries.  Both bounds hold for columns too,
+    # as det(A) = det(A^T); the smaller one is taken.  With
+    # x_j -> 2**(k*s_j) for the mixed-radix strides s_j of the degree
+    # bounds and 2**(k-1) > B, distinct monomials land on distinct
+    # base-2**k digits and each balanced digit is one coefficient.
 
-    def expand(row, mask):
-        if row == n:
-            return one
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        acc = zero
-        sign = 1
-        j = 0
-        rest = mask
-        while rest:
-            if rest & 1:
-                entry = rows[row][j]
-                if entry:
-                    sub = expand(row + 1, mask & ~(1 << j))
-                    term = entry * sub
-                    acc = acc + term if sign > 0 else acc - term
-                sign = -sign
-            rest >>= 1
-            j += 1
-        memo[mask] = acc
-        return acc
+    def line_bounds(lines):
+        degrees, bound = [0] * (nvars + 1), 1
+        for line in lines:
+            line_terms = [term for terms in line for term in terms]
+            for j in range(nvars + 1):
+                degrees[j] += max((exps[j] for exps, _ in line_terms), default=0)
+            bound *= sum(abs(c) for _, c in line_terms)
+        return degrees, bound
 
-    return expand(0, (1 << n) - 1)
+    (by_rows, row_bound), (by_cols, col_bound) = map(line_bounds, (int_rows, zip(*int_rows)))
+    degrees, bound = list(map(min, by_rows, by_cols)), min(row_bound, col_bound)
+    if not bound:
+        return Poly.zero(field, nvars)
+    k = bound.bit_length() + 1
+    strides, stride = [], 1
+    for d in degrees:
+        strides.append(stride)
+        stride *= d + 1
+
+    def pack(terms):
+        return sum(c << k * sum(x * s for x, s in zip(exps, strides)) for exps, c in terms)
+
+    full, value = _bareiss([[pack(terms) for terms in row] for row in int_rows])
+    if full < n:
+        return Poly.zero(field, nvars)
+    # Unpack: balanced digits, then g*g = nu over fp2 and i*i = -1 over qi.
+    square = field.nu if field.kind == PRIME_QUADRATIC else -1
+    radix = [(j, strides[j], d + 1) for j, d in enumerate(degrees) if d]
+    acc = {}
+    position, half, base = 0, 1 << (k - 1), 1 << k
+    while value:
+        c = value & (base - 1)
+        if c >= half:
+            c -= base
+        value = (value - c) >> k
+        if c:
+            exps = [0] * (nvars + 1)
+            for j, s, r in radix:
+                exps[j] = position // s % r
+            t = exps.pop()
+            pair = acc.setdefault(tuple(exps), [0, 0])
+            pair[t & 1] += c * square ** (t >> 1)
+        position += 1
+    terms = {}
+    for exps, (a, b) in acc.items():
+        c = Scalar(field, a, b) if p else Scalar(field, Fraction(a, scale), Fraction(b, scale))
+        if c:
+            terms[exps] = c
+    return Poly._make(field, nvars, terms)

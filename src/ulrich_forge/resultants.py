@@ -12,15 +12,10 @@ reproducible.
 The certificate works on the chart z = 1 from the start.  Once both
 x^d coefficients are nonzero constants, setting z = 1 commutes with the
 resultant, and a binary form vanishes exactly when its dehomogenization
-does, so the chart polynomial r(y) = Res_x(f, g)(y, 1) decides
-everything.  It has degree at most d*d and is found exactly by
-evaluating the 2d x 2d scalar Sylvester determinant at d*d + 1 distinct
-nodes and interpolating: y = 0, 1, ..., d*d in characteristic zero or
-above d*d, else nodes a + b*w of the quadratic extension, which has
-p*p > d*d elements once p > d.  The interpolated coefficients lie in
-the input field either way.  Only in characteristic at most d does the
-certificate fall back to the bivariate ``sylvester_resultant`` and then
-set z = 1.
+does, so the chart polynomial r(y) = Res_x(f, g)(y, 1), of degree at
+most d*d, decides everything.  It is the ``sylvester_resultant`` of the
+two chart polynomials, whose 2d x 2d determinant over K[y] is taken by
+``poly_matrix_det`` in every characteristic.
 """
 
 from __future__ import annotations
@@ -77,98 +72,6 @@ def _sylvester_rows(fc, gc, zero):
             row[i : i + len(top_first)] = top_first
             rows.append(row)
     return rows
-
-
-def _interpolate_consecutive(values, field):
-    """Coefficients of the polynomial of degree < len(values) with r(t) = values[t].
-
-    The nodes are t = 0, 1, ..., n.  The Newton coefficient of
-    y(y-1)...(y-k+1) is the k-th forward difference at 0 divided by k!,
-    so the characteristic must be zero or above n.
-    """
-    n = len(values) - 1
-    newton, diffs = [], list(values)
-    for _ in range(n + 1):
-        newton.append(diffs[0])
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    factorial = field.one
-    for k in range(2, n + 1):
-        factorial = factorial * k
-        newton[k] = newton[k] / factorial
-    return _expand_newton(newton, [field.from_int(t) for t in range(n)])
-
-
-def _interpolate(nodes, values):
-    """Coefficients of the polynomial of degree < len(nodes) with r(nodes[i]) = values[i].
-
-    Newton divided differences, for any distinct nodes.
-    """
-    n = len(nodes) - 1
-    newton = list(values)
-    for k in range(1, n + 1):
-        for i in range(n, k - 1, -1):
-            newton[i] = (newton[i] - newton[i - 1]) / (nodes[i] - nodes[i - k])
-    return _expand_newton(newton, nodes)
-
-
-def _expand_newton(newton, nodes):
-    """Ascending coefficients of sum_k newton[k] * (y - nodes[0])...(y - nodes[k-1])."""
-    coeffs = [newton[-1]]
-    for k in range(len(newton) - 2, -1, -1):
-        # coeffs <- coeffs * (y - nodes[k]) + newton[k]
-        shifted = [newton[k]] + coeffs
-        for i, c in enumerate(coeffs):
-            shifted[i] = shifted[i] - c * nodes[k]
-        coeffs = shifted
-    return coeffs
-
-
-def _chart_resultant(f, g, d):
-    """Dense coefficients of Res_x(f, g)(y, 1), of length d*d + 1.
-
-    Needs both x^d coefficients nonzero, so that every specialization
-    y = t keeps the 2d x 2d Sylvester shape, and a characteristic p that
-    is zero or above d, so that d*d + 1 distinct nodes exist: 0, 1, ...,
-    d*d when p is zero or above d*d, else a + b*w in the quadratic
-    extension, which has p*p > d*d elements.  The coefficients lie in
-    the field of f and g whichever nodes were used.
-    """
-    field = f.field
-    count = d * d + 1
-    p = field.characteristic
-    consecutive = p == 0 or p >= count
-    if consecutive:
-        node_field, nodes = field, [field.from_int(t) for t in range(count)]
-    else:
-        node_field = field.extension()
-        nodes = [node_field.scalar(t % p, t // p) for t in range(count)]
-    zero = node_field.zero
-    terms = [
-        [(i, j, node_field.embed(c)) for (i, j, _), c in h.terms.items()] for h in (f, g)
-    ]
-
-    def in_x(h_terms, powers):
-        # coefficients of h(x, t, 1) in x, ascending
-        coeffs = [zero] * (d + 1)
-        for i, j, c in h_terms:
-            coeffs[i] = coeffs[i] + c * powers[j]
-        return coeffs
-
-    values = []
-    for t in nodes:
-        powers = [node_field.one]
-        for _ in range(d):
-            powers.append(powers[-1] * t)
-        rows = _sylvester_rows(in_x(terms[0], powers), in_x(terms[1], powers), zero)
-        values.append(det(rows, node_field))
-    if consecutive:
-        return _interpolate_consecutive(values, field)
-    coeffs = _interpolate(nodes, values)
-    if node_field == field:
-        return coeffs
-    if any(c.b for c in coeffs):
-        raise AssertionError("chart resultant left the base field")
-    return [field.scalar(c.a) for c in coeffs]
 
 
 def _dense_degree(coeffs):
@@ -286,7 +189,6 @@ def certify_transversal(f, g, seed=0, max_trials=8):
     field = f.field
     rng = random.Random(seed)
     target = d * d
-    interpolate = field.characteristic == 0 or field.characteristic > d
     reason = "no change of coordinates gave a squarefree full-degree resultant"
     for trial in range(1, max_trials + 1):
         change = None if trial == 1 else _random_change(field, rng)
@@ -295,11 +197,8 @@ def certify_transversal(f, g, seed=0, max_trials=8):
         lead = (d, 0, 0)
         if not fc.coefficient(lead) or not gc.coefficient(lead):
             continue
-        if interpolate:
-            coeffs = _chart_resultant(fc, gc, d)
-        else:
-            res = sylvester_resultant(fc, gc, 0)
-            coeffs = res.set_variable(2, 1).univariate_coefficients(1)
+        res = sylvester_resultant(fc.set_variable(2, 1), gc.set_variable(2, 1), 0)
+        coeffs = res.univariate_coefficients(1)
         degree = _dense_degree(coeffs)
         if degree < 0:
             return TransversalityResult(

@@ -41,6 +41,8 @@ from ulrich_forge import (
 from ulrich_forge.linalg import det, mat_mul, transpose
 from ulrich_forge.quadform import record_from_gram
 
+from oracles import poly_det_cofactor
+
 _CACHE = {}
 
 
@@ -99,19 +101,6 @@ def _quartic_pipelines():
     return _CACHE["pipelines"]
 
 
-def _poly_det_cofactor(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    field, nvars = rows[0][0].field, rows[0][0].nvars
-    total = Poly.zero(field, nvars)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * _poly_det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def test_criterion_1_clifford_factorizations_by_rank():
     start = time.perf_counter()
     family = _clifford_family()
@@ -166,7 +155,7 @@ def test_criterion_3_pencil_counterexample_certificate():
         ]
         for a in range(4)
     ]
-    oracle = _poly_det_cofactor(rows)
+    oracle = poly_det_cofactor(rows)
     assert str(oracle) == "1/16"
     assert oracle.coefficient((0,)) == qi.scalar(Fraction(1, 16))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 from pathlib import Path
 
@@ -432,3 +433,135 @@ def test_stray_zero_division_is_usage_error(capsys, monkeypatch, output):
         captured = capsys.readouterr()
         assert "ok: false" in captured.out and "Traceback" not in captured.err
     assert code == 2
+
+
+def _call(capsys, argv):
+    """Exit code, stdout and stderr of one in-process call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_built_once_gives_the_same_envelopes(capsys, monkeypatch):
+    import ulrich_forge.cli as cli
+
+    calls = [
+        (["quad", "rank", "x*y - z^2", "--field", "fp:101"], None),
+        (["cover", "transversal", "x^2 - y*z", "y^2 - x*z", "--seed", "4"], "9"),
+        (["quad", "rank", "x^2", "--field", "fp:2"], None),
+        (["quad"], None),
+        (["quad", "pencil-det", "t^2", "x^2 + y^2 + z^2", "--nvars", "4"], "3"),
+        (["quad", "rank", "x*y", "--bogus"], "5"),
+        (["hilbert", "value", "x^2", "-e", "2", "--output", "text"], None),
+        (["quad", "rank", "x*y"], "pi"),
+        (["cover", "rh", "--h", "1", "--d", "3"], "12"),
+        (["mf", "build", "x*y + z*t", "--field", "fp:13"], None),
+    ]
+
+    def run(argv, seed):
+        if seed is None:
+            monkeypatch.delenv("ULRICH_FORGE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ULRICH_FORGE_SEED", seed)
+        return _call(capsys, argv)
+
+    fresh = []
+    for argv, seed in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv, seed))
+    cli._parser.cache_clear()
+    # alternate subcommands, usage errors and seeds, forwards then backwards
+    shared = [run(argv, seed) for argv, seed in calls + calls[::-1]]
+    assert shared == fresh + fresh[::-1]
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 2, 0, 2, 0, 0]
+    assert json.loads(fresh[1][1])["config"]["seed"] == 9
+
+
+def test_pencil_det_of_twenty_variable_quadrics_within_budget(capsys):
+    from ulrich_forge import FieldSpec, gram_from_poly, parse_poly, random_homogeneous
+    from ulrich_forge.linalg import det
+
+    field = FieldSpec.prime(101)
+    rng = random.Random(2020)
+    r, q = (str(random_homogeneous(field, 20, 2, rng)) for _ in range(2))
+    argv = ["quad", "pencil-det", r, q, "--field", "fp:101", "--nvars", "20"]
+    start = time.perf_counter()
+    code, payload = _run(capsys, argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 1.0, f"20-variable pencil determinant took {elapsed:.2f}s"
+    coeffs = [field.parse_scalar(c) for c in payload["result"]["coefficients"]]
+    assert payload["result"]["degree"] == 20
+    # the polynomial agrees with scalar determinants of the pencil members
+    grams = [gram_from_poly(parse_poly(text, field, nvars=20)).gram for text in (r, q)]
+    for a in (0, 1, 7, 100):
+        alpha = field.from_int(a)
+        member = [[x - alpha * y for x, y in zip(*rows)] for rows in zip(*grams)]
+        value = sum((c * alpha**k for k, c in enumerate(coeffs)), field.zero)
+        assert value == det(member, field)
+
+
+def test_pencil_det_and_transversal_always_end_in_an_envelope(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from ulrich_forge.poly import monomials_of_degree
+
+    def monomial(exps):
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip("xyzt", exps) if e]
+        return "*".join(factors) or "1"
+
+    def joined(terms):
+        return " + ".join(c + monomial(e) for c, e in terms).replace("+ -", "- ")
+
+    def sums(coefficients, exponents):
+        return st.lists(st.tuples(coefficients, exponents), min_size=1, max_size=3).map(joined)
+
+    loose = sums(
+        st.sampled_from(["", "-3*", "(1+2i)*", "i*", "1/0*", "1/3*"]),
+        st.tuples(*[st.integers(0, 2)] * 4),
+    )
+    junk = st.text(alphabet="xyzt+-*^()/i. 0", max_size=6)
+
+    @st.composite
+    def argvs(draw):
+        # two forms of one degree in x, y, z over a valid field, with at
+        # most one flaw, so that both the certificates and every usage
+        # check are reached
+        command = draw(st.sampled_from([["quad", "pencil-det"], ["cover", "transversal"]]))
+        d = 2 if command[0] == "quad" else draw(st.integers(1, 3))
+        field = draw(st.sampled_from(["q", "qi", "fp:3", "fp:5", "fp:101", "fp2:3", "fp2:13"]))
+        form = sums(
+            st.sampled_from(["", "2*", "-3*", "1/2*"]), st.sampled_from(monomials_of_degree(3, d))
+        )
+        polys = [draw(form), draw(form)]
+        extra = []
+        flaws = [None, None, None, "field", "trials", "nvars", "text", "count"]
+        flaw = draw(st.sampled_from(flaws))
+        if flaw == "field":
+            field = draw(st.sampled_from(["fp:2", "fp:9", "fp2:1", "r", ""]))
+        elif flaw == "trials":
+            extra = ["--max-trials", draw(st.sampled_from(["0", "-1", "1", "2"]))]
+        elif flaw == "nvars":
+            extra = ["--nvars", draw(st.sampled_from(["0", "1", "2", "4"]))]
+        elif flaw == "text":
+            polys[draw(st.integers(0, 1))] = draw(loose | junk)
+        elif flaw == "count":
+            polys = (polys + [draw(form)])[: draw(st.sampled_from([0, 1, 3]))]
+        # "--" keeps texts that start with "-" positional
+        return [*command, "--field", field, *extra, "--", *polys]
+
+    @hypothesis.given(argvs())
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    def check(argv):
+        code, out, err = _call(capsys, argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        payload = json.loads(out)
+        jsonschema.validate(payload, SCHEMA)
+        assert payload["command"] == " ".join(argv[:2])
+        assert payload["ok"] == (code == 0)
+
+    check()

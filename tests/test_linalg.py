@@ -25,6 +25,8 @@ from ulrich_forge.linalg import (
     transpose,
 )
 
+from oracles import poly_det_cofactor
+
 
 def _det_permanent_style(rows, field):
     """Leibniz expansion; factorially slow but independent."""
@@ -222,6 +224,11 @@ def test_poly_matrix_det_frozen(q):
     z, t = (Poly.variable(q, 4, i) for i in (2, 3))
     d = poly_matrix_det([[x, y], [z, t]])
     assert d == parse_poly("x*t - y*z", q)
+    # empty, not square, two fields, two arities
+    other_field, other_arity = Poly.variable(FieldSpec.prime(13), 4, 1), Poly.zero(q, 3)
+    for rows in ([], [[x, y]], [[x, other_field], [z, t]], [[x, y], [z, other_arity]]):
+        with pytest.raises(ValueError):
+            poly_matrix_det(rows)
 
 
 def test_poly_matrix_det_commutes_with_evaluation():
@@ -235,6 +242,57 @@ def test_poly_matrix_det_commutes_with_evaluation():
         point = tuple(f13.random_scalar(rng) for _ in range(3))
         values = [[e.evaluate(point) for e in row] for row in m]
         assert symbolic.evaluate(point) == det(values, f13)
+
+
+@pytest.mark.parametrize("spec", ["fp:3", "fp:101", "fp:2147483629", "fp2:3", "fp2:7", "q", "qi"])
+def test_poly_matrix_det_matches_cofactor_expansion(spec):
+    # Kronecker substitution into Bareiss against the cofactor expansion:
+    # residues near p/2 and negative coefficients exercise the balanced
+    # digits, large denominators over q the row scales, zero and
+    # dependent rows the singular exit
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    field = FieldSpec.parse(spec)
+    if field.characteristic:
+        p = field.p
+        part = st.sampled_from([0, 1, -1, p // 2, p // 2 + 1]) | st.integers(-p, p)
+    elif field.kind == "q":
+        part = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**9))
+    else:
+        part = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12))
+    extension = field.kind in ("fp2", "qi")
+    scalars = st.builds(field.scalar, part, part if extension else st.just(0))
+
+    @st.composite
+    def matrices(draw):
+        n, nvars = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        exponents = st.tuples(*[st.integers(0, 2)] * nvars)
+
+        def polys(size):
+            return st.builds(
+                lambda terms: Poly(field, nvars, terms),
+                st.dictionaries(exponents, scalars, max_size=size),
+            )
+
+        rows = [[draw(polys(2)) for _ in range(n)] for _ in range(n)]
+        shape = draw(st.sampled_from(["free", "zero row", "dependent"]))
+        if shape == "zero row":
+            rows[draw(st.integers(0, n - 1))] = [Poly.zero(field, nvars)] * n
+        elif shape == "dependent":
+            # the last row is a K[x]-combination of the others
+            last = [Poly.zero(field, nvars)] * n
+            for row in rows[:-1]:
+                h = draw(polys(1))
+                last = [a + h * b for a, b in zip(last, row)]
+            rows[-1] = last
+        return rows
+
+    @hypothesis.given(matrices())
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    def check(rows):
+        assert poly_matrix_det(rows) == poly_det_cofactor(rows)
+
+    check()
 
 
 # -- rank in the prime field: mod-p-first over q, subfield descent ---------

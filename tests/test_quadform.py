@@ -20,7 +20,9 @@ from ulrich_forge import (
     record_from_gram,
     sum_of_products,
 )
-from ulrich_forge.linalg import mat_mul, poly_matrix_det, transpose
+from ulrich_forge.linalg import mat_mul, transpose
+
+from oracles import poly_det_cofactor
 
 
 def _random_record(field, nvars, rng):
@@ -28,20 +30,6 @@ def _random_record(field, nvars, rng):
         p = random_homogeneous(field, nvars, 2, rng)
         if not p.is_zero:
             return gram_from_poly(p)
-
-
-def _poly_det_cofactor(rows):
-    """Recursive cofactor expansion over the polynomial ring."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    field, nvars = rows[0][0].field, rows[0][0].nvars
-    total = Poly.zero(field, nvars)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * _poly_det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
 
 
 def test_gram_frozen(q):
@@ -185,7 +173,7 @@ def test_pencil_determinant_matches_cofactor_oracle(f13):
         ]
         for i in range(3)
     ]
-    assert pd == _poly_det_cofactor(rows)
+    assert pd == poly_det_cofactor(rows)
 
 
 def test_pencil_determinant_rejects_mismatched_sizes(q):

@@ -20,13 +20,11 @@ from ulrich_forge import (
 )
 from ulrich_forge.resultants import (
     TRANSVERSAL,
-    _chart_resultant,
     _dense_squarefree,
-    _interpolate,
-    _interpolate_consecutive,
     _random_change,
+    _sylvester_rows,
 )
-from ulrich_forge.linalg import mat_mul
+from ulrich_forge.linalg import det, mat_mul
 
 
 def test_resultant_detects_common_factor(q):
@@ -176,7 +174,7 @@ def test_transversal_rejects_constants(q):
         certify_transversal(one, one)
 
 
-# -- the chart route against the bivariate resultant ----------------------
+# -- the chart resultant against independent oracles ----------------------
 
 
 def _seeded_pairs(field, d, count, seed):
@@ -192,10 +190,42 @@ def _seeded_pairs(field, d, count, seed):
     return pairs
 
 
+def _padded(coeffs, d, field):
+    return coeffs + [field.zero] * (d * d + 1 - len(coeffs))
+
+
+def _chart(f, g, d):
+    """Res_x(f, g)(y, 1) as the certificate takes it: z = 1 first, padded to d*d + 1."""
+    res = sylvester_resultant(f.set_variable(2, 1), g.set_variable(2, 1), 0)
+    return _padded(res.univariate_coefficients(1), d, f.field)
+
+
 def _bivariate_chart(f, g, d):
-    """Res_x(f, g)(y, 1) through the Laplace route, padded to d*d + 1."""
-    coeffs = sylvester_resultant(f, g, 0).set_variable(2, 1).univariate_coefficients(1)
-    return coeffs + [f.field.zero] * (d * d + 1 - len(coeffs))
+    """Res_x(f, g)(y, 1) from the resultant of the forms, padded to d*d + 1."""
+    res = sylvester_resultant(f, g, 0).set_variable(2, 1)
+    return _padded(res.univariate_coefficients(1), d, f.field)
+
+
+def _specialized_sylvester_det(f, g, d, t):
+    """Res_x(f, g)(t, 1) as a scalar determinant: y = t, z = 1 before elimination."""
+    field = f.field
+    powers = [t**j for j in range(d + 1)]
+
+    def in_x(h):
+        coeffs = [field.zero] * (d + 1)
+        for (i, j, _), c in h.terms.items():
+            coeffs[i] = coeffs[i] + c * powers[j]
+        return coeffs
+
+    return det(_sylvester_rows(in_x(f), in_x(g), field.zero), field)
+
+
+def _nodes(field, count):
+    """count distinct scalars, genuine extension elements among them over fp2 and qi."""
+    if field.characteristic:
+        p = field.p
+        return [field.scalar(k % p, k // p) for k in range(count)]
+    return [field.scalar(Fraction(k, 2), k % 3) for k in range(count)]
 
 
 @pytest.mark.parametrize(
@@ -206,14 +236,24 @@ def _bivariate_chart(f, g, d):
         for d in (1, 2, 3, 4)
         if (text, d) != ("fp2:13", 4)
     ]
-    # characteristic in (d, d*d]: the nodes run on into the quadratic extension
-    + [("fp2:13", 4), ("fp:7", 3), ("fp:13", 4), ("fp:5", 4)],
+    # characteristic in (d, d*d] or at most d; fp2:3 has nine elements
+    + [("fp2:13", 4), ("fp:7", 3), ("fp:13", 4), ("fp:5", 4), ("fp2:3", 2), ("fp2:5", 3)],
 )
 def test_chart_resultant_matches_bivariate_resultant(text, d):
+    # Over fp and q sympy's resultant of the two chart polynomials is the
+    # oracle.  sympy has no fp2 or qi, so there r(y), of degree at most
+    # d*d, must agree with the scalar 2d x 2d Sylvester determinants
+    # (dense elimination, no packing) at d*d + 1 distinct nodes.
     field = FieldSpec.parse(text)
     count = 2 if d == 4 and text in ("q", "qi") else 3
     for f, g in _seeded_pairs(field, d, count, seed=100 * d + len(text)):
-        assert _chart_resultant(f, g, d) == _bivariate_chart(f, g, d)
+        coeffs = _chart(f, g, d)
+        if field.kind in ("fp", "q"):
+            assert coeffs == _padded(_sympy_chart(f, g), d, field)
+            continue
+        for t in _nodes(field, d * d + 1):
+            value = sum((c * t**k for k, c in enumerate(coeffs)), field.zero)
+            assert value == _specialized_sylvester_det(f, g, d, t)
 
 
 def _common_factor_pair(field, d, seed):
@@ -247,9 +287,8 @@ def test_shared_component_and_tangency(text, d):
     "text, d", [("fp:7", 3), ("fp:13", 4), ("fp2:13", 4), ("fp:5", 4), ("fp2:3", 3)]
 )
 def test_small_characteristic_matches_the_bivariate_route(text, d):
-    # characteristic <= d*d: the nodes 0..d*d are not distinct in the
-    # field, so the certificate takes nodes from the quadratic extension
-    # (d < p) or the bivariate Laplace route (p <= d)
+    # characteristic <= d*d, where the deleted evaluation route lacked
+    # distinct nodes: the verdicts match the resultant of the forms
     field = FieldSpec.parse(text)
     verdicts = set()
     for k, (f, g) in enumerate(_seeded_pairs(field, d, 4, seed=d)):
@@ -264,22 +303,6 @@ def test_small_characteristic_matches_the_bivariate_route(text, d):
     assert TRANSVERSAL in verdicts
 
 
-def test_interpolation_recovers_a_known_polynomial(q, f101):
-    for field in (q, f101):
-        coeffs = [field.from_int(c) for c in (5, -3, 0, 7, 1)]
-        values = [sum((c * t**k for k, c in enumerate(coeffs)), field.zero) for t in range(5)]
-        assert _interpolate_consecutive(values, field) == coeffs
-    f2_3 = FieldSpec.quadratic(3)
-    for field, nodes in (
-        (q, [q.scalar(Fraction(t, 3) - 1) for t in (7, 0, 2, -5, 11)]),
-        # five distinct nodes of fp2:3, two of them outside fp:3
-        (f2_3, [f2_3.scalar(t % 3, t // 3) for t in range(5)]),
-    ):
-        coeffs = [field.from_int(c) for c in (5, -3, 0, 7, 1)]
-        values = [sum((c * t**k for k, c in enumerate(coeffs)), field.zero) for t in nodes]
-        assert _interpolate(nodes, values) == coeffs
-
-
 def test_transversal_degree_eight_within_budget():
     field = FieldSpec.prime(32003)
     ((f, g),) = _seeded_pairs(field, 8, 1, seed=8)
@@ -291,19 +314,21 @@ def test_transversal_degree_eight_within_budget():
 
 
 def test_small_characteristic_degree_six_within_budget():
-    # 31 <= 36 = d*d: the nodes come from fp2:31; the Laplace route took
-    # seconds here
-    field = FieldSpec.prime(31)
-    ((f, g),) = _seeded_pairs(field, 6, 1, seed=616)
-    start = time.perf_counter()
-    res = certify_transversal(f, g)
-    elapsed = time.perf_counter() - start
-    assert res.verdict == TRANSVERSAL and res.points == 36
-    assert elapsed < 1.0, f"fp:31 degree-6 certificate took {elapsed:.2f}s"
-    if res.change is not None:
-        f, g = apply_linear_change(f, res.change), apply_linear_change(g, res.change)
-    expected = _sympy_chart(f, g)
-    assert len(expected) == 37 and _dense_squarefree(expected, field)
+    # 31 <= 36 = d*d leaves too few nodes in fp:31 for evaluation and
+    # interpolation, and 5 <= d too few in fp2:5 as well; the Laplace
+    # expansion took 1 to 2 s on each
+    for p, seed in ((31, 616), (5, 6)):
+        field = FieldSpec.prime(p)
+        ((f, g),) = _seeded_pairs(field, 6, 1, seed=seed)
+        start = time.perf_counter()
+        res = certify_transversal(f, g)
+        elapsed = time.perf_counter() - start
+        assert res.verdict == TRANSVERSAL and res.points == 36
+        assert elapsed < 1.0, f"fp:{p} degree-6 certificate took {elapsed:.2f}s"
+        if res.change is not None:
+            f, g = apply_linear_change(f, res.change), apply_linear_change(g, res.change)
+        expected = _sympy_chart(f, g)
+        assert len(expected) == 37 and _dense_squarefree(expected, field)
 
 
 # -- sympy as an independent oracle ----------------------------------------
@@ -329,18 +354,15 @@ def _sympy_chart(f, g):
 
 @pytest.mark.parametrize("text, d", [("q", 2), ("q", 3), ("fp:101", 4), ("fp:7", 3), ("fp:13", 4)])
 def test_chart_agrees_with_sympy_resultant(text, d):
+    # the resultant of the forms, then z = 1, against sympy
     field = FieldSpec.parse(text)
     for f, g in _seeded_pairs(field, d, 3, seed=31 * d):
-        expected = _sympy_chart(f, g)
-        expected += [field.zero] * (d * d + 1 - len(expected))
-        assert _bivariate_chart(f, g, d) == expected
-        if field.characteristic == 0 or field.characteristic > d:
-            assert _chart_resultant(f, g, d) == expected
+        assert _bivariate_chart(f, g, d) == _padded(_sympy_chart(f, g), d, field)
 
 
 def test_degree_eight_agrees_with_sympy_mod_p():
     field = FieldSpec.prime(32003)
     ((f, g),) = _seeded_pairs(field, 8, 1, seed=8)
     expected = _sympy_chart(f, g)
-    assert _chart_resultant(f, g, 8) == expected
+    assert _chart(f, g, 8) == expected
     assert len(expected) == 65 and _dense_squarefree(expected, field)

@@ -500,8 +500,48 @@ def _parser():
     return build_parser()
 
 
+def _subcommands(parser):
+    """The subcommand parsers of ``parser`` by name; empty for a leaf."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _mark_texts(argv):
+    """argv with each polynomial text that starts with "-" kept positional.
+
+    argparse takes any token that starts with "-" for an option, so
+    ``quad rank -x^2`` would be a usage error.  A token is a polynomial
+    text when it starts with a single "-" and is neither an option
+    string of its subcommand, nor a short option with its value attached
+    (``-e2``), nor the value of an option.  It gets a leading space,
+    which argparse reads as positional and the polynomial parser skips.
+    Everything after "--" is positional already.
+    """
+    parser, out, previous = _parser(), [], None
+    for k, token in enumerate(argv):
+        if token == "--":
+            return out + argv[k:]
+        options, subcommands = parser._option_string_actions, _subcommands(parser)
+        if token in subcommands:
+            parser = subcommands[token]
+        elif (
+            token.startswith("-")
+            and not token.startswith("--")
+            and len(token) > 1
+            and token[:2] not in options
+            and not (previous in options and options[previous].nargs is None)
+        ):
+            token = " " + token
+        out.append(token)
+        previous = token
+    return out
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser().parse_args(_mark_texts(argv))
     env_seed = os.environ.get("ULRICH_FORGE_SEED")
     if env_seed is not None:
         try:

@@ -7,10 +7,19 @@ and assembles matrices of linear forms recursively:
     A_{k+1} = [[A_k, l_{k+1} * I], [m_{k+1} * I, -A_k]],
 
 so s pairs give a 2^s by 2^s matrix presenting a sheaf of rank 2^(s-1)
-on the quadric.  Verification multiplies the matrix out symbolically
-and is run on every build; the determinant certificate additionally
-samples random points and checks det A = sign * q^(2^(s-1)) with one
-consistent sign.
+on the quadric.  The matrix is kept as a linear pencil A = sum_j x_j A_j
+of scalar matrices, one per variable, whose entries are the raw values
+of ``linalg._Arith``; the build runs the recursion on each A_j, one
+coefficient at a time.  Since
+
+    A * A = sum_j x_j^2 A_j^2 + sum_{i<j} x_i x_j (A_i A_j + A_j A_i),
+
+A * A = q * Id holds exactly when the Clifford relations A_j^2 = q_jj * I
+and A_i A_j + A_j A_i = q_ij * I hold, q_ij being the coefficient of
+x_i x_j in q (Buchweitz-Eisenbud-Herzog 1987).  Verification checks
+these relations and is run on every build; the determinant certificate
+additionally samples random points and checks det A = sign *
+q^(2^(s-1)) with one consistent sign.
 """
 
 from __future__ import annotations
@@ -18,14 +27,36 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .linalg import det
+from .linalg import _arith, _det_raw
 from .poly import Poly
 
 
-class MatrixFactorization:
-    """A square matrix of linear forms with its target quadric."""
+def _raw_terms(poly, ar):
+    """The terms of a polynomial as {exponents: raw coefficient}."""
+    (values,) = ar.raw([list(poly.terms.values())])
+    return dict(zip(poly.terms, values))
 
-    __slots__ = ("field", "nvars", "size", "entries", "quadric", "source")
+
+def _items(row):
+    """The (column, value) pairs of a sparse row (c_0, v_0, c_1, v_1, ...)."""
+    it = iter(row)
+    return zip(it, it)
+
+
+class MatrixFactorization:
+    """A square matrix of polynomials, normally linear forms, with its target quadric.
+
+    ``pencil`` maps each monomial (an exponent tuple) to its coefficient
+    matrix A_m, so that the matrix is sum_m x^m A_m.  Each A_m is a tuple
+    of sparse rows, a row being the flat tuple (c_0, v_0, c_1, v_1, ...)
+    of its columns and nonzero raw values, which keeps a pencil small.
+    A matrix of linear forms has one A_m per variable that occurs; other
+    monomials come only from matrices read as text, which
+    ``verify_clifford`` rejects.  ``entries`` gives the matrix back as
+    polynomials, computed on each read.
+    """
+
+    __slots__ = ("field", "nvars", "size", "pencil", "quadric", "source")
 
     def __init__(self, entries, quadric, source=None):
         size = len(entries)
@@ -36,15 +67,46 @@ class MatrixFactorization:
             for e in row:
                 if e.field != field or e.nvars != nvars:
                     raise ValueError("entry from the wrong ring")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nvars", nvars)
+        ar = _arith(field)
+        pencil = {}
+        for i, row in enumerate(entries):
+            for j, e in enumerate(row):
+                for exps, v in _raw_terms(e, ar).items():
+                    rows = pencil.get(exps)
+                    if rows is None:
+                        rows = pencil[exps] = [[] for _ in range(size)]
+                    rows[i] += (j, v)
+        pencil = {exps: tuple(map(tuple, rows)) for exps, rows in pencil.items()}
+        self._set(size, pencil, quadric, source)
+
+    @classmethod
+    def _from_pencil(cls, size, pencil, quadric, source):
+        self = object.__new__(cls)
+        self._set(size, pencil, quadric, source)
+        return self
+
+    def _set(self, size, pencil, quadric, source):
+        object.__setattr__(self, "field", quadric.field)
+        object.__setattr__(self, "nvars", quadric.nvars)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in entries))
+        object.__setattr__(self, "pencil", pencil)
         object.__setattr__(self, "quadric", quadric)
         object.__setattr__(self, "source", source)
 
     def __setattr__(self, *_):
         raise AttributeError("MatrixFactorization is immutable")
+
+    @property
+    def entries(self):
+        """The matrix as rows of polynomials."""
+        field, nvars, size = self.field, self.nvars, self.size
+        box = _arith(field).box
+        terms = [[{} for _ in range(size)] for _ in range(size)]
+        for exps, rows in self.pencil.items():
+            for i, row in enumerate(rows):
+                for j, v in _items(row):
+                    terms[i][j][exps] = box(v)
+        return tuple(tuple(Poly._make(field, nvars, t) for t in row) for row in terms)
 
     @property
     def ulrich_rank(self):
@@ -54,8 +116,18 @@ class MatrixFactorization:
         return f"MatrixFactorization({self.size}x{self.size} over {self.field})"
 
 
+def _shifted(row, n):
+    """A sparse row moved n columns to the right."""
+    return tuple(x for j, v in _items(row) for x in (j + n, v))
+
+
+def _entry(j, v):
+    """The sparse row holding v in column j, empty when v is None."""
+    return () if v is None else (j, v)
+
+
 def build_clifford_factorization(sop):
-    """Build and symbolically verify the factorization of sop.quadric.
+    """Build and verify the factorization of sop.quadric.
 
     Every pair must consist of nonzero linear forms; the result is a
     2^s sized matrix whose square is the quadric times the identity.
@@ -63,72 +135,82 @@ def build_clifford_factorization(sop):
     pairs = list(sop.pairs)
     if not pairs:
         raise ValueError("need at least one pair of linear forms")
-    field = sop.quadric.field
-    nvars = sop.quadric.nvars
-    zero = Poly.zero(field, nvars)
     for l, m in pairs:
         for h in (l, m):
             if h.is_zero or not h.is_homogeneous() or h.homogeneous_degree() != 1:
                 raise ValueError("pair entries must be nonzero linear forms")
-    l1, m1 = pairs[0]
-    block = [[zero, l1], [m1, zero]]
-    # negation cache keeps blocks sharing Poly objects, which later lets
-    # verification and point evaluation memoize on object identity
-    neg_cache = {id(zero): zero}
-    for l, m in pairs[1:]:
-        size = len(block)
-        neg = []
-        for row in block:
-            out = []
-            for e in row:
-                v = neg_cache.get(id(e))
-                if v is None:
-                    v = -e
-                    neg_cache[id(e)] = v
-                    neg_cache[id(v)] = e
-                out.append(v)
-            neg.append(out)
-        top = [block[i] + [l if j == i else zero for j in range(size)] for i in range(size)]
-        bottom = [
-            [m if j == i else zero for j in range(size)] + neg[i] for i in range(size)
-        ]
-        block = top + bottom
-    mf = MatrixFactorization(block, sop.quadric, source=sop)
+    ar = _arith(sop.quadric.field)
+    raw_pairs = [(_raw_terms(l, ar), _raw_terms(m, ar)) for l, m in pairs]
+    pencil = {}
+    for exps in sorted({e for l, m in raw_pairs for e in (*l, *m)}, reverse=True):
+        # the recursion on the x^exps coefficients from A_0 = (0), with
+        # -A carried along, so that no coefficient is negated twice
+        plus = minus = [()]
+        for l, m in raw_pairs:
+            n = len(plus)
+            lv, mv = l.get(exps), m.get(exps)
+            nl = None if lv is None else ar.neg(lv)
+            nm = None if mv is None else ar.neg(mv)
+            plus, minus = (
+                [row + _entry(n + i, lv) for i, row in enumerate(plus)]
+                + [_entry(i, mv) + _shifted(row, n) for i, row in enumerate(minus)],
+                [row + _entry(n + i, nl) for i, row in enumerate(minus)]
+                + [_entry(i, nm) + _shifted(row, n) for i, row in enumerate(plus)],
+            )
+        pencil[exps] = tuple(plus)
+    mf = MatrixFactorization._from_pencil(2 ** len(pairs), pencil, sop.quadric, sop)
     if not verify_clifford(mf):
         raise AssertionError("clifford construction failed its symbolic check")
     return mf
 
 
-def verify_clifford(mf):
-    """Full symbolic check that A * A equals quadric * Id entry by entry.
+def _anticommutator_is(a, b, c, ar):
+    """Whether a * b + b * a (a * a when a is b) equals c times the identity.
 
-    Also insists every entry is zero or homogeneous linear, so a matrix
-    read back from JSON is validated structurally before the product.
+    The matrices are given as lists of rows of (column, value) pairs.
     """
-    for row in mf.entries:
-        for e in row:
-            if e and (not e.is_homogeneous() or e.homogeneous_degree() != 1):
-                return False
-    n = mf.size
-    zero = Poly.zero(mf.field, mf.nvars)
-    support = [[k for k, e in enumerate(row) if e] for row in mf.entries]
-    products = {}
-    for i in range(n):
+    add, mul, zero = ar.add, ar.mul, ar.zero
+    products = ((a, a),) if a is b else ((a, b), (b, a))
+    for i in range(len(a)):
         acc = {}
-        for k in support[i]:
-            a = mf.entries[i][k]
-            for j in support[k]:
-                b = mf.entries[k][j]
-                key = (id(a), id(b))
-                prod = products.get(key)
-                if prod is None:
-                    prod = a * b
-                    products[key] = prod
-                cur = acc.get(j)
-                acc[j] = prod if cur is None else cur + prod
-        for j in range(n):
-            expected = mf.quadric if i == j else zero
-            if acc.get(j, zero) != expected:
+        for x, y in products:
+            for k, v in x[i]:
+                for j, w in y[k]:
+                    u = mul(v, w)
+                    acc[j] = add(acc[j], u) if j in acc else u
+        if acc.pop(i, zero) != c or any(v != zero for v in acc.values()):
+            return False
+    return True
+
+
+def verify_clifford(mf):
+    """Exact check that A * A equals quadric * Id, by the Clifford relations.
+
+    The relations A_j^2 = q_jj * I and A_i A_j + A_j A_i = q_ij * I say,
+    coefficient by coefficient, what the symbolic product says.  Every
+    entry must be zero or homogeneous linear and the quadric a quadratic
+    form, so a matrix read back from text is validated structurally
+    first.
+    """
+    ar = _arith(mf.field)
+    coefficients = {}
+    for exps, rows in mf.pencil.items():
+        if sum(exps) != 1:
+            return False
+        coefficients[exps.index(1)] = [tuple(_items(row)) for row in rows]
+    targets = {}
+    for exps, v in _raw_terms(mf.quadric, ar).items():
+        if sum(exps) != 2:
+            return False
+        used = [j for j, e in enumerate(exps) if e]
+        targets[used[0], used[-1]] = v
+    if any(i not in coefficients or j not in coefficients for i, j in targets):
+        return False
+    variables = sorted(coefficients)
+    for k, i in enumerate(variables):
+        for j in variables[k:]:
+            c = targets.get((i, j), ar.zero)
+            if not _anticommutator_is(coefficients[i], coefficients[j], c, ar):
                 return False
     return True
 
@@ -142,16 +224,65 @@ class DeterminantCertificate:
     reason: str | None = None
 
 
+def _power(x, e, ar):
+    """x^e on raw values, by repeated squaring."""
+    acc = ar.one
+    while e:
+        if e & 1:
+            acc = ar.mul(acc, x)
+        x = ar.mul(x, x)
+        e >>= 1
+    return acc
+
+
+def _monomial_value(coords, factors, ar):
+    """The raw value at coords of the monomial with (variable, exponent) factors."""
+    if len(factors) == 1 and factors[0][1] == 1:
+        return coords[factors[0][0]]
+    value = ar.one
+    for k, e in factors:
+        value = ar.mul(value, _power(coords[k], e, ar))
+    return value
+
+
+def _distinct_entries(pencil, neg):
+    """The nonzero entries of a pencil's matrix, each listed once up to sign.
+
+    Each is (form, plus, minus): the form as (monomial index, coefficient)
+    pairs, the positions that hold it and those that hold its negative.
+    """
+    at = {}
+    for index, rows in enumerate(pencil.values()):
+        for i, row in enumerate(rows):
+            for j, v in _items(row):
+                at.setdefault((i, j), []).append((index, v))
+    forms = {}
+    for position, form in at.items():
+        form = tuple(form)
+        negated = tuple((index, neg(v)) for index, v in form)
+        if negated in forms:
+            forms[negated][1].append(position)
+        else:
+            forms.setdefault(form, ([], []))[0].append(position)
+    return [(form, plus, minus) for form, (plus, minus) in forms.items()]
+
+
 def determinant_certificate(mf, trials=50, seed=0):
     """Sample-point check that det A = sign * quadric^(size/2).
 
     Points with q = 0 are skipped (the determinant vanishes there by
     design and certifies nothing).  The sign must be the same +1 or -1
-    at every sampled point; any mismatch fails the certificate.
+    at every sampled point; any mismatch fails the certificate.  Each
+    distinct entry of A is evaluated once per point, on raw values.
     """
     field = mf.field
+    ar = _arith(field)
+    add, neg, mul, zero = ar.add, ar.neg, ar.mul, ar.zero
+    size = mf.size
+    factors = [tuple((k, e) for k, e in enumerate(exps) if e) for exps in mf.pencil]
+    forms = _distinct_entries(mf.pencil, neg)
     rng = random.Random(seed)
-    half = mf.size // 2
+    half = size // 2
     sign = None
     tested = skipped = 0
     budget = 20 * trials
@@ -162,23 +293,24 @@ def determinant_certificate(mf, trials=50, seed=0):
         if not qv:
             skipped += 1
             continue
-        cache = {}
-        numeric = []
-        for row in mf.entries:
-            out = []
-            for e in row:
-                key = id(e)
-                v = cache.get(key)
-                if v is None:
-                    v = e.evaluate(point)
-                    cache[key] = v
-                out.append(v)
-            numeric.append(out)
-        dv = det(numeric, field)
-        expected = qv**half
+        (coords, (qv,)) = ar.raw([point, [qv]])
+        values = [_monomial_value(coords, f, ar) for f in factors]
+        numeric = [[zero] * size for _ in range(size)]
+        for form, plus, minus in forms:
+            value = zero
+            for index, c in form:
+                value = add(value, mul(c, values[index]))
+            for i, j in plus:
+                numeric[i][j] = value
+            if minus:
+                value = neg(value)
+                for i, j in minus:
+                    numeric[i][j] = value
+        dv = _det_raw(numeric, ar)
+        expected = _power(qv, half, ar)
         if dv == expected:
             point_sign = 1
-        elif dv == -expected:
+        elif dv == neg(expected):
             point_sign = -1
         else:
             return DeterminantCertificate(

@@ -139,7 +139,8 @@ def _rank_mod_p(rows, p, width):
 
 
 class _Arith(NamedTuple):
-    """Arithmetic on the raw entries of one field, for ``_eliminate``.
+    """Arithmetic on the raw entries of one field, for ``_eliminate`` and
+    the linear pencils of ``clifford``.
 
     Raw entries are residues over fp, ``(a, b)`` residue pairs over fp2,
     Fractions over q and Fraction pairs over qi.  ``sub(x, y, t)`` is the
@@ -150,6 +151,8 @@ class _Arith(NamedTuple):
 
     zero: object
     one: object
+    add: object
+    neg: object
     mul: object
     inv: object
     sub: object
@@ -175,13 +178,33 @@ def _arith(field):
                 f = x[0] * t % p
                 return [(u - f * v) % p for u, v in zip(x, y)]
 
-            return _Arith(0, 1, lambda x, y: x * y % p, lambda x: pow(x, p - 2, p), sub, raw, box)
+            return _Arith(
+                0,
+                1,
+                lambda x, y: (x + y) % p,
+                lambda x: -x % p,
+                lambda x, y: x * y % p,
+                lambda x: pow(x, p - 2, p),
+                sub,
+                raw,
+                box,
+            )
 
         def sub(x, y, t):
             f = x[0] * t
             return [u - f * v for u, v in zip(x, y)]
 
-        return _Arith(Fraction(0), Fraction(1), lambda x, y: x * y, lambda x: 1 / x, sub, raw, box)
+        return _Arith(
+            Fraction(0),
+            Fraction(1),
+            lambda x, y: x + y,
+            lambda x: -x,
+            lambda x, y: x * y,
+            lambda x: 1 / x,
+            sub,
+            raw,
+            box,
+        )
 
     def raw(rows):
         return [[(c.a, c.b) for c in row] for row in rows]
@@ -190,6 +213,12 @@ def _arith(field):
         return Scalar(field, *x)
 
     if kind == PRIME_QUADRATIC:
+
+        def add(x, y):
+            return (x[0] + y[0]) % p, (x[1] + y[1]) % p
+
+        def neg(x):
+            return -x[0] % p, -x[1] % p
 
         def mul(x, y):
             return (x[0] * y[0] + nu * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
@@ -207,7 +236,13 @@ def _arith(field):
                 for (u0, u1), (v0, v1) in zip(x, y)
             ]
 
-        return _Arith((0, 0), (1, 0), mul, inv, sub, raw, box)
+        return _Arith((0, 0), (1, 0), add, neg, mul, inv, sub, raw, box)
+
+    def add(x, y):
+        return x[0] + y[0], x[1] + y[1]
+
+    def neg(x):
+        return -x[0], -x[1]
 
     def mul(x, y):
         return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
@@ -225,7 +260,7 @@ def _arith(field):
         ]
 
     zero, one = Fraction(0), Fraction(1)
-    return _Arith((zero, zero), (one, zero), mul, inv, sub, raw, box)
+    return _Arith((zero, zero), (one, zero), add, neg, mul, inv, sub, raw, box)
 
 
 def _eliminate(rows, ar, ncols, reduced=False):
@@ -334,15 +369,19 @@ def det(rows, field):
         full, value = _bareiss(int_rows)
         return field.scalar(Fraction(value, scale) if full == n else 0)
     ar = _arith(field)
-    raw = ar.raw(rows)
-    pivots, sign = _eliminate(raw, ar, n)
+    return ar.box(_det_raw(ar.raw(rows), ar))
+
+
+def _det_raw(rows, ar):
+    """Determinant of a square matrix of raw entries by ``_eliminate``; the rows are consumed."""
+    n = len(rows)
+    pivots, sign = _eliminate(rows, ar, n)
     if len(pivots) < n:
-        return field.zero
+        return ar.zero
     acc = ar.one
     for i in range(n):
-        acc = ar.mul(acc, raw[i][i])
-    value = ar.box(acc)
-    return value if sign == 1 else -value
+        acc = ar.mul(acc, rows[i][i])
+    return acc if sign == 1 else ar.neg(acc)
 
 
 def solve(rows, rhs, field):

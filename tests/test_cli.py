@@ -77,6 +77,37 @@ def test_mf_build_then_verify_round_trip(capsys, tmp_path):
     assert payload["result"]["verified"] is True
 
 
+def test_mf_build_entries_pass_back_positionally(capsys):
+    code, payload = _run(capsys, ["mf", "build", "x*y + z*t", "--field", "q"])
+    built = payload["result"]
+    texts = [built["quadric"]] + [e for row in built["entries"] for e in row]
+    assert "-x" in texts
+    code, payload = _run(capsys, ["mf", "verify", *texts, "--field", "q"])
+    assert code == 0
+    assert payload["result"] == {"size": 4, "verified": True}
+
+
+@pytest.mark.parametrize(
+    "command, texts",
+    [(["quad", "rank"], ["-x^2"]), (["mf", "verify"], ["-x*y", "0", "x", "-y", "0"])],
+    ids=["quad rank", "mf verify"],
+)
+def test_texts_starting_with_a_minus_are_polynomials(capsys, command, texts):
+    dashed = _call(capsys, [*command, "--field", "q", "--", *texts])
+    assert dashed[0] == 0 and dashed[2] == ""
+    assert _call(capsys, [*command, *texts, "--field", "q"]) == dashed
+    assert _call(capsys, [*command, "--field=q", *texts]) == dashed
+    code, out, _ = _call(capsys, [*command, "-h"])
+    assert code == 0 and out.startswith("usage:")
+
+
+def test_option_values_and_attached_short_options_stay_options(capsys):
+    code, payload = _run(capsys, ["quad", "rank", "--seed", "-3", "-x^2"])
+    assert code == 0 and payload["config"]["seed"] == -3
+    code, payload = _run(capsys, ["hilbert", "value", "-x^2", "-e2"])
+    assert code == 0 and payload["result"]["degree"] == 2
+
+
 def test_mf_verify_rejects_tampering(capsys):
     args = ["mf", "verify", "x*y", "0", "x", "x", "0", "--field", "q"]
     code, payload = _run(capsys, args)
@@ -553,6 +584,61 @@ def test_pencil_det_and_transversal_always_end_in_an_envelope(capsys):
             polys = (polys + [draw(form)])[: draw(st.sampled_from([0, 1, 3]))]
         # "--" keeps texts that start with "-" positional
         return [*command, "--field", field, *extra, "--", *polys]
+
+    @hypothesis.given(argvs())
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    def check(argv):
+        code, out, err = _call(capsys, argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        payload = json.loads(out)
+        jsonschema.validate(payload, SCHEMA)
+        assert payload["command"] == " ".join(argv[:2])
+        assert payload["ok"] == (code == 0)
+
+    check()
+
+
+def test_mf_commands_always_end_in_an_envelope(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def joined(terms):
+        return " + ".join(c + m for c, m in terms).replace("+ -", "- ")
+
+    def sums(monomials, min_size=1):
+        coefficient = st.sampled_from(["", "-", "2*", "-3*", "1/2*", "(1+2i)*"])
+        pieces = st.lists(st.tuples(coefficient, monomials), min_size=min_size, max_size=3)
+        return pieces.map(lambda terms: joined(terms) or "0")
+
+    linear = sums(st.sampled_from(["x", "y", "z"]), min_size=0)
+    quadratic = sums(st.sampled_from(["x^2", "x*y", "y^2", "x*z", "z^2"]))
+    nonlinear = sums(st.sampled_from(["x^2", "x*y*z", "1", "y^3"]))
+    junk = st.text(alphabet="xyzt+-*^()/i. 0", min_size=1, max_size=6)
+
+    @st.composite
+    def argvs(draw):
+        # a quadric and, for verify and det-cert, a square of entries, with
+        # at most one flaw; texts that start with "-" are passed with and
+        # without a "--" before them
+        verb = draw(st.sampled_from(["build", "verify", "det-cert"]))
+        field = draw(st.sampled_from(["q", "qi", "fp:3", "fp:13", "fp:101", "fp2:3", "fp2:13"]))
+        side = draw(st.integers(1, 3)) if verb != "build" else 0
+        texts = [draw(quadratic)] + [draw(linear) for _ in range(side * side)]
+        extra = []
+        flaw = draw(st.sampled_from([None, None, None, "field", "trials", "count", "entry", "text"]))
+        if flaw == "field":
+            field = draw(st.sampled_from(["fp:2", "fp:9", "fp2:1", "r", ""]))
+        elif flaw == "trials":
+            extra = ["--max-trials", draw(st.sampled_from(["0", "-1", "1", "3"]))]
+        elif flaw == "count":
+            texts = texts[: draw(st.sampled_from([0, 1, 3, len(texts) - 1]))]
+        elif flaw == "entry":
+            texts[draw(st.integers(0, len(texts) - 1))] = draw(nonlinear)
+        elif flaw == "text":
+            texts[draw(st.integers(0, len(texts) - 1))] = draw(junk)
+        if draw(st.booleans()) or any(t.startswith("--") for t in texts):
+            texts = ["--", *texts]
+        return ["mf", verb, "--field", field, "--max-trials", "4", *extra, *texts]
 
     @hypothesis.given(argvs())
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)

@@ -15,11 +15,14 @@ from ulrich_forge import (
     determinant_certificate,
     gram_from_poly,
     parse_poly,
+    random_homogeneous,
     sum_of_products,
     verify_clifford,
 )
 from ulrich_forge.linalg import invert, mat_mul, transpose
 from ulrich_forge.quadform import record_from_gram
+
+from oracles import clifford_entries, clifford_square, determinant_certificate_by_evaluation
 
 
 def _entry_strings(mf):
@@ -197,3 +200,128 @@ def test_random_ranks_build_verify_and_size():
         assert mf.ulrich_rank == mf.size // 2
         cert = determinant_certificate(mf, trials=10, seed=rng.randint(0, 99))
         assert cert.ok
+
+
+def _random_sop(field, nvars, pairs, rng):
+    """A sum of products of random nonzero linear forms, quadric included."""
+
+    def linear():
+        while True:
+            coeffs = [field.random_scalar(rng, span=3) for _ in range(nvars)]
+            if any(coeffs):
+                return Poly.linear_form(field, coeffs)
+
+    chosen = tuple((linear(), linear()) for _ in range(pairs))
+    quadric = Poly.zero(field, nvars)
+    for l, m in chosen:
+        quadric = quadric + l * m
+    return SumOfProducts(chosen, False, quadric)
+
+
+def test_entries_match_the_polynomial_block_recursion():
+    rng = random.Random(29)
+    for spec in ("q", "qi", "fp:13", "fp2:13", "fp:101"):
+        field = FieldSpec.parse(spec)
+        for nvars, pairs in ((1, 1), (3, 2), (5, 3), (7, 4)):
+            sop = _random_sop(field, nvars, pairs, rng)
+            assert build_clifford_factorization(sop).entries == clifford_entries(sop)
+
+
+_SHAPES = [
+    "built",
+    "changed coefficient",
+    "flipped sign",
+    "swapped entries",
+    "square entry",
+    "mixed entry",
+    "constant entry",
+    "zero quadric",
+    "other quadric",
+    "cubic quadric",
+    "linear quadric",
+    "constant quadric",
+    "zero matrix",
+]
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_pencil_verification_and_certificate_match_the_symbolic_oracles(shape):
+    # verify_clifford against the symbolic product, determinant_certificate
+    # against Poly.evaluate of every entry and linalg.det, on built
+    # factorizations, tampered ones and malformed matrices and quadrics
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def factorizations(draw):
+        field = FieldSpec.parse(draw(st.sampled_from(["q", "qi", "fp:13", "fp2:13"])))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        nvars = draw(st.integers(1, 4))
+        zero = Poly.zero(field, nvars)
+        if shape == "zero matrix":
+            size = draw(st.integers(1, 4))
+            quadric = zero if draw(st.booleans()) else random_homogeneous(field, nvars, 2, rng, 3)
+            return MatrixFactorization([[zero] * size for _ in range(size)], quadric)
+        mf = build_clifford_factorization(_random_sop(field, nvars, draw(st.integers(1, 3)), rng))
+        if shape == "built":
+            return mf
+        quadric, rows, size = mf.quadric, [list(row) for row in mf.entries], mf.size
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        k, l = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        x = Poly.variable(field, nvars, draw(st.integers(0, nvars - 1)))
+        c = Poly.constant(field, nvars, field.random_nonzero_scalar(rng, span=3))
+        if shape == "changed coefficient":
+            rows[i][j] = rows[i][j] + c * x
+        elif shape == "flipped sign":
+            rows[i][j] = -rows[i][j]
+        elif shape == "swapped entries":
+            rows[i][j], rows[k][l] = rows[k][l], rows[i][j]
+        elif shape == "square entry":
+            rows[i][j] = x * x
+        elif shape == "mixed entry":
+            rows[i][j] = rows[i][j] + x * x
+        elif shape == "constant entry":
+            rows[i][j] = c
+        elif shape == "zero quadric":
+            quadric = zero
+        elif shape == "other quadric":
+            quadric = random_homogeneous(field, nvars, 2, rng, 3)
+        elif shape == "cubic quadric":
+            quadric = quadric + x * x * x
+        elif shape == "linear quadric":
+            quadric = quadric + x
+        else:
+            quadric = quadric + c
+        return MatrixFactorization(rows, quadric)
+
+    @hypothesis.given(factorizations(), st.integers(0, 99))
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+    def check(mf, seed):
+        assert verify_clifford(mf) == clifford_square(mf)
+        assert determinant_certificate(mf, trials=6, seed=seed) == (
+            determinant_certificate_by_evaluation(mf, trials=6, seed=seed)
+        )
+
+    check()
+
+
+def test_certificate_matches_the_oracle_on_sign_flips_and_high_powers():
+    # det = x^2 + x*y - y^2 is +-(x^2 + y^2) on F_3^2 with both signs; the
+    # other matrices have entries of degree up to 9 and a constant
+    cases = [
+        ("fp:3", "x^2 + y^2", ["x + y", "y", "y", "x"]),
+        ("fp:13", "x*y", ["x^9 + 2", "y^4", "x*y^3", "-y"]),
+        ("fp2:13", "x^2", ["(1+w)*x^5*y^2", "3", "x", "y^9"]),
+        ("qi", "x^2 - y^2", ["i*x^3", "1/2*y", "y^5", "x"]),
+    ]
+    reasons = set()
+    for spec, quadric, entries in cases:
+        field = FieldSpec.parse(spec)
+        quadric = parse_poly(quadric, field, nvars=2)
+        rows = [[parse_poly(t, field, nvars=2) for t in entries[k : k + 2]] for k in (0, 2)]
+        mf = MatrixFactorization(rows, quadric)
+        for seed in range(4):
+            cert = determinant_certificate(mf, trials=8, seed=seed)
+            assert cert == determinant_certificate_by_evaluation(mf, trials=8, seed=seed)
+            reasons.add(cert.reason)
+    assert "sign flipped between sample points" in reasons

@@ -68,6 +68,34 @@ def test_parse_str_round_trip_random():
                 assert parse_poly(str(p), field, nvars=nvars) == p
 
 
+@pytest.mark.parametrize("spec", ["q", "qi", "fp:13", "fp:2147483629", "fp2:13"])
+def test_parse_of_printed_polynomial_is_the_polynomial(spec):
+    # any polynomial, not only forms: mixed degrees, constants, signs,
+    # zero, and more variables than the aliases x y z t w cover
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    field = FieldSpec.parse(spec)
+    if field.characteristic:
+        part = st.integers(-field.p, field.p)
+    else:
+        part = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+    extension = field.kind in ("fp2", "qi")
+    scalars = st.builds(field.scalar, part, part if extension else st.just(0))
+
+    @st.composite
+    def polys(draw):
+        nvars = draw(st.integers(1, 7))
+        exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+        return Poly(field, nvars, draw(st.dictionaries(exponents, scalars, max_size=5)))
+
+    @hypothesis.given(polys())
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    def check(p):
+        assert parse_poly(str(p), field, nvars=p.nvars) == p
+
+    check()
+
+
 def test_variable_aliases():
     q = FieldSpec.rationals()
     p = parse_poly("x + y + z + t + w", q)

@@ -8,9 +8,9 @@ and assembles matrices of linear forms recursively:
 
 so s pairs give a 2^s by 2^s matrix presenting a sheaf of rank 2^(s-1)
 on the quadric.  The matrix is kept as a linear pencil A = sum_j x_j A_j
-of scalar matrices, one per variable, whose entries are the raw values
-of ``linalg._Arith``; the build runs the recursion on each A_j, one
-coefficient at a time.  Since
+of scalar matrices, one per variable, whose entries are raw values
+(see ``fields``); the build runs the recursion on each A_j through the
+field's ``Arith`` record, one coefficient at a time.  Since
 
     A * A = sum_j x_j^2 A_j^2 + sum_{i<j} x_i x_j (A_i A_j + A_j A_i),
 
@@ -19,7 +19,7 @@ and A_i A_j + A_j A_i = q_ij * I hold, q_ij being the coefficient of
 x_i x_j in q (Buchweitz-Eisenbud-Herzog 1987).  Verification checks
 these relations and is run on every build; the determinant certificate
 additionally samples random points and checks det A = sign *
-q^(2^(s-1)) with one consistent sign.
+q^(2^(s-1)) with one consistent sign, evaluating A and q on raw values.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .linalg import _arith, _det_raw
+from .linalg import _det_raw
 from .poly import Poly
 
 
-def _raw_terms(poly, ar):
+def _raw_terms(poly):
     """The terms of a polynomial as {exponents: raw coefficient}."""
-    (values,) = ar.raw([list(poly.terms.values())])
-    return dict(zip(poly.terms, values))
+    return dict(zip(poly.terms, poly.field.arith.raw(poly.terms.values())))
 
 
 def _items(row):
@@ -67,11 +66,10 @@ class MatrixFactorization:
             for e in row:
                 if e.field != field or e.nvars != nvars:
                     raise ValueError("entry from the wrong ring")
-        ar = _arith(field)
         pencil = {}
         for i, row in enumerate(entries):
             for j, e in enumerate(row):
-                for exps, v in _raw_terms(e, ar).items():
+                for exps, v in _raw_terms(e).items():
                     rows = pencil.get(exps)
                     if rows is None:
                         rows = pencil[exps] = [[] for _ in range(size)]
@@ -100,7 +98,7 @@ class MatrixFactorization:
     def entries(self):
         """The matrix as rows of polynomials."""
         field, nvars, size = self.field, self.nvars, self.size
-        box = _arith(field).box
+        box = field.arith.box
         terms = [[{} for _ in range(size)] for _ in range(size)]
         for exps, rows in self.pencil.items():
             for i, row in enumerate(rows):
@@ -139,8 +137,8 @@ def build_clifford_factorization(sop):
         for h in (l, m):
             if h.is_zero or not h.is_homogeneous() or h.homogeneous_degree() != 1:
                 raise ValueError("pair entries must be nonzero linear forms")
-    ar = _arith(sop.quadric.field)
-    raw_pairs = [(_raw_terms(l, ar), _raw_terms(m, ar)) for l, m in pairs]
+    ar = sop.quadric.field.arith
+    raw_pairs = [(_raw_terms(l), _raw_terms(m)) for l, m in pairs]
     pencil = {}
     for exps in sorted({e for l, m in raw_pairs for e in (*l, *m)}, reverse=True):
         # the recursion on the x^exps coefficients from A_0 = (0), with
@@ -192,14 +190,14 @@ def verify_clifford(mf):
     form, so a matrix read back from text is validated structurally
     first.
     """
-    ar = _arith(mf.field)
+    ar = mf.field.arith
     coefficients = {}
     for exps, rows in mf.pencil.items():
         if sum(exps) != 1:
             return False
         coefficients[exps.index(1)] = [tuple(_items(row)) for row in rows]
     targets = {}
-    for exps, v in _raw_terms(mf.quadric, ar).items():
+    for exps, v in _raw_terms(mf.quadric).items():
         if sum(exps) != 2:
             return False
         used = [j for j, e in enumerate(exps) if e]
@@ -224,25 +222,18 @@ class DeterminantCertificate:
     reason: str | None = None
 
 
-def _power(x, e, ar):
-    """x^e on raw values, by repeated squaring."""
-    acc = ar.one
-    while e:
-        if e & 1:
-            acc = ar.mul(acc, x)
-        x = ar.mul(x, x)
-        e >>= 1
-    return acc
+def _factors(exps):
+    """The (variable, exponent) factors of a monomial."""
+    return tuple((k, e) for k, e in enumerate(exps) if e)
 
 
 def _monomial_value(coords, factors, ar):
     """The raw value at coords of the monomial with (variable, exponent) factors."""
-    if len(factors) == 1 and factors[0][1] == 1:
-        return coords[factors[0][0]]
-    value = ar.one
+    value = None
     for k, e in factors:
-        value = ar.mul(value, _power(coords[k], e, ar))
-    return value
+        x = coords[k] if e == 1 else ar.pow(coords[k], e)
+        value = x if value is None else ar.mul(value, x)
+    return ar.one if value is None else value
 
 
 def _distinct_entries(pencil, neg):
@@ -270,17 +261,23 @@ def _distinct_entries(pencil, neg):
 def determinant_certificate(mf, trials=50, seed=0):
     """Sample-point check that det A = sign * quadric^(size/2).
 
-    Points with q = 0 are skipped (the determinant vanishes there by
-    design and certifies nothing).  The sign must be the same +1 or -1
-    at every sampled point; any mismatch fails the certificate.  Each
-    distinct entry of A is evaluated once per point, on raw values.
+    Only an even size is certified: for an odd one the certificate
+    fails before any point is drawn.  Points with q = 0 are skipped (the
+    determinant vanishes there by design and certifies nothing).  The
+    sign must be the same +1 or -1 at every sampled point; any mismatch
+    fails the certificate.  Each distinct entry of A, and q, is
+    evaluated once per point on raw values.
     """
-    field = mf.field
-    ar = _arith(field)
-    add, neg, mul, zero = ar.add, ar.neg, ar.mul, ar.zero
     size = mf.size
-    factors = [tuple((k, e) for k, e in enumerate(exps) if e) for exps in mf.pencil]
+    if size % 2:
+        reason = f"odd size {size}: det A = sign*q^(size/2) needs an even size"
+        return DeterminantCertificate(False, None, 0, 0, reason=reason)
+    field = mf.field
+    ar = field.arith
+    add, neg, mul, zero = ar.add, ar.neg, ar.mul, ar.zero
+    factors = [_factors(exps) for exps in mf.pencil]
     forms = _distinct_entries(mf.pencil, neg)
+    quadric = [(_factors(exps), c) for exps, c in _raw_terms(mf.quadric).items()]
     rng = random.Random(seed)
     half = size // 2
     sign = None
@@ -288,12 +285,13 @@ def determinant_certificate(mf, trials=50, seed=0):
     budget = 20 * trials
     while tested < trials and budget:
         budget -= 1
-        point = [field.random_scalar(rng) for _ in range(mf.nvars)]
-        qv = mf.quadric.evaluate(point)
-        if not qv:
+        coords = ar.raw([field.random_scalar(rng) for _ in range(mf.nvars)])
+        qv = zero
+        for f, c in quadric:
+            qv = add(qv, mul(c, _monomial_value(coords, f, ar)))
+        if qv == zero:
             skipped += 1
             continue
-        (coords, (qv,)) = ar.raw([point, [qv]])
         values = [_monomial_value(coords, f, ar) for f in factors]
         numeric = [[zero] * size for _ in range(size)]
         for form, plus, minus in forms:
@@ -307,7 +305,7 @@ def determinant_certificate(mf, trials=50, seed=0):
                 for i, j in minus:
                     numeric[i][j] = value
         dv = _det_raw(numeric, ar)
-        expected = _power(qv, half, ar)
+        expected = ar.pow(qv, half)
         if dv == expected:
             point_sign = 1
         elif dv == neg(expected):

@@ -7,7 +7,17 @@ quadratic nonresidue.  Characteristic 2 is rejected everywhere; the
 quadratic-form machinery divides by 2 freely.
 
 There is one ``FieldSpec`` instance per field, so identity is field
-equality; ``zero`` and ``one`` are built once with the field.
+equality; ``zero``, ``one`` and the arithmetic record ``arith`` are
+built once with the field.
+
+A raw value is the unboxed form of a field element: an ``int`` residue
+over fp, an ``(a, b)`` residue pair over fp2, a ``Fraction`` over q and
+a Fraction pair over qi.  ``field.arith``, an ``Arith`` record, holds
+the arithmetic on raw values: dense elimination in ``linalg``,
+``Poly.evaluate``, ``Scalar`` powers and the linear pencils of
+``clifford`` all compute through it.  ``Scalar`` is the boxed form at
+the public boundary; its +, -, * and ``inverse`` work on the boxed
+components directly.
 
 Square roots are canonical and deterministic: the nonnegative root over
 the rationals, the residue in [1, (p-1)/2] over a prime field, and a
@@ -18,8 +28,10 @@ no square root in its own field, ``sqrt_in_field`` raises
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 RATIONAL = "q"
 GAUSSIAN = "qi"
@@ -128,10 +140,11 @@ class FieldSpec:
 
     One instance exists per field, so fields compare and hash by
     identity.  ``nu`` is the smallest nonresidue, whose root generates
-    the quadratic extension (None outside ``fp2``).
+    the quadratic extension (None outside ``fp2``); ``arith`` is the
+    field's ``Arith`` record.
     """
 
-    __slots__ = ("kind", "p", "nu", "zero", "one")
+    __slots__ = ("kind", "p", "nu", "zero", "one", "arith")
     _instances = {}
 
     def __new__(cls, kind, p=0):
@@ -156,6 +169,7 @@ class FieldSpec:
         object.__setattr__(field, "nu", nu)
         object.__setattr__(field, "zero", Scalar(field, 0))
         object.__setattr__(field, "one", Scalar(field, 1))
+        object.__setattr__(field, "arith", _build_arith(field))
         # q and qi ignore p, so the key may only now match a stored field
         return cls._instances.setdefault((kind, p), field)
 
@@ -297,6 +311,150 @@ class FieldSpec:
                 raise ValueError(f"denominator of {text!r} is not invertible over {self}")
             return int(n) * pow(int(d), self.p - 2, self.p) % self.p
         return int(text) % self.p
+
+
+class Arith(NamedTuple):
+    """Arithmetic on the raw values of one field.
+
+    ``add``, ``neg``, ``mul`` and ``inv`` are the field operations and
+    ``pow(x, e)`` is x^e for e >= 0.  ``sub(x, y, t)`` is the row update
+    x - f*y with f = x[0]*t, which clears x[0] when t is the inverse of
+    y[0].  ``raw`` unwraps an iterable of scalars into a list of raw
+    values and ``box`` wraps one raw value back into a ``Scalar``.
+    """
+
+    zero: object
+    one: object
+    add: object
+    neg: object
+    mul: object
+    inv: object
+    pow: object
+    sub: object
+    raw: object
+    box: object
+
+
+def _power(mul, one):
+    """x^e for e >= 0 by square-and-multiply, never squaring past the top bit."""
+
+    def power(x, e):
+        if not e:
+            return one
+        while not e & 1:
+            x = mul(x, x)
+            e >>= 1
+        acc = x
+        e >>= 1
+        while e:
+            x = mul(x, x)
+            if e & 1:
+                acc = mul(acc, x)
+            e >>= 1
+        return acc
+
+    return power
+
+
+def _build_arith(field):
+    """Build the ``Arith`` record of a field; ``FieldSpec`` calls it once per field."""
+    kind, p, nu = field.kind, field.p, field.nu
+    if kind in (PRIME, RATIONAL):
+
+        def raw(values):
+            return [c.a for c in values]
+
+        def box(x):
+            return Scalar(field, x)
+
+    else:
+
+        def raw(values):
+            return [(c.a, c.b) for c in values]
+
+        def box(x):
+            return Scalar(field, *x)
+
+    if kind == PRIME:
+        zero, one = 0, 1
+
+        def add(x, y):
+            return (x + y) % p
+
+        def neg(x):
+            return -x % p
+
+        def mul(x, y):
+            return x * y % p
+
+        def inv(x):
+            return pow(x, p - 2, p)
+
+        def sub(x, y, t):
+            f = x[0] * t % p
+            return [(u - f * v) % p for u, v in zip(x, y)]
+
+    elif kind == RATIONAL:
+        zero, one = Fraction(0), Fraction(1)
+        add, neg, mul = operator.add, operator.neg, operator.mul
+
+        def inv(x):
+            return 1 / x
+
+        def sub(x, y, t):
+            f = x[0] * t
+            return [u - f * v for u, v in zip(x, y)]
+
+    elif kind == PRIME_QUADRATIC:
+        zero, one = (0, 0), (1, 0)
+
+        def add(x, y):
+            return (x[0] + y[0]) % p, (x[1] + y[1]) % p
+
+        def neg(x):
+            return -x[0] % p, -x[1] % p
+
+        def mul(x, y):
+            return (x[0] * y[0] + nu * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
+
+        def inv(x):
+            a, b = x
+            n = pow((a * a - nu * b * b) % p, p - 2, p)
+            return a * n % p, -b * n % p
+
+        def sub(x, y, t):
+            f0, f1 = mul(x[0], t)
+            g1 = nu * f1
+            return [
+                ((u0 - f0 * v0 - g1 * v1) % p, (u1 - f0 * v1 - f1 * v0) % p)
+                for (u0, u1), (v0, v1) in zip(x, y)
+            ]
+
+    else:
+        zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+
+        def add(x, y):
+            return x[0] + y[0], x[1] + y[1]
+
+        def neg(x):
+            return -x[0], -x[1]
+
+        def mul(x, y):
+            return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+        def inv(x):
+            a, b = x
+            n = a * a + b * b
+            return a / n, -b / n
+
+        def sub(x, y, t):
+            f0, f1 = mul(x[0], t)
+            return [
+                (u0 - f0 * v0 + f1 * v1, u1 - f0 * v1 - f1 * v0)
+                for (u0, u1), (v0, v1) in zip(x, y)
+            ]
+
+    return Arith(zero, one, add, neg, mul, inv, _power(mul, one), sub, raw, box)
 
 
 class Scalar:
@@ -446,16 +604,9 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        base = self.inverse() if n < 0 else self
+        ar = self.field.arith
+        return ar.box(ar.pow(ar.raw((base,))[0], abs(n)))
 
     # -- text -----------------------------------------------------------
 

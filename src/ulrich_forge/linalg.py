@@ -22,7 +22,8 @@ Three elimination routines do all the work:
   residue pairs, Fractions or Fraction pairs), does everything else:
   the determinant over fp, fp2 and qi, the rank of a genuine fp2 matrix
   and of a qi matrix the prime cannot settle, and ``solve`` and
-  ``invert`` in every field, through Gauss-Jordan.
+  ``invert`` in every field, through Gauss-Jordan.  It computes through
+  the field's ``Arith`` record, ``field.arith``, which ``fields`` owns.
 
 All results are exact; nothing here is approximate.
 """
@@ -30,10 +31,8 @@ All results are exact; nothing here is approximate.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import lcm
-from typing import NamedTuple
 
 from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, RATIONAL, Scalar, sqrt_mod_p
 from .poly import Poly
@@ -138,136 +137,12 @@ def _rank_mod_p(rows, p, width):
     return rank
 
 
-class _Arith(NamedTuple):
-    """Arithmetic on the raw entries of one field, for ``_eliminate`` and
-    the linear pencils of ``clifford``.
-
-    Raw entries are residues over fp, ``(a, b)`` residue pairs over fp2,
-    Fractions over q and Fraction pairs over qi.  ``sub(x, y, t)`` is the
-    row update x - f*y with f = x[0]*t, which clears x[0] when t is the
-    inverse of y[0]; ``raw`` unwraps a matrix of scalars and ``box``
-    wraps one raw entry back into a scalar.
-    """
-
-    zero: object
-    one: object
-    add: object
-    neg: object
-    mul: object
-    inv: object
-    sub: object
-    raw: object
-    box: object
-
-
-@lru_cache(maxsize=None)
-def _arith(field):
-    """The arithmetic record of a field, cached: a run meets only a handful of fields."""
-    kind, p, nu = field.kind, field.p, field.nu
-    if kind in (PRIME, RATIONAL):
-
-        def raw(rows):
-            return [[c.a for c in row] for row in rows]
-
-        def box(x):
-            return Scalar(field, x)
-
-        if kind == PRIME:
-
-            def sub(x, y, t):
-                f = x[0] * t % p
-                return [(u - f * v) % p for u, v in zip(x, y)]
-
-            return _Arith(
-                0,
-                1,
-                lambda x, y: (x + y) % p,
-                lambda x: -x % p,
-                lambda x, y: x * y % p,
-                lambda x: pow(x, p - 2, p),
-                sub,
-                raw,
-                box,
-            )
-
-        def sub(x, y, t):
-            f = x[0] * t
-            return [u - f * v for u, v in zip(x, y)]
-
-        return _Arith(
-            Fraction(0),
-            Fraction(1),
-            lambda x, y: x + y,
-            lambda x: -x,
-            lambda x, y: x * y,
-            lambda x: 1 / x,
-            sub,
-            raw,
-            box,
-        )
-
-    def raw(rows):
-        return [[(c.a, c.b) for c in row] for row in rows]
-
-    def box(x):
-        return Scalar(field, *x)
-
-    if kind == PRIME_QUADRATIC:
-
-        def add(x, y):
-            return (x[0] + y[0]) % p, (x[1] + y[1]) % p
-
-        def neg(x):
-            return -x[0] % p, -x[1] % p
-
-        def mul(x, y):
-            return (x[0] * y[0] + nu * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
-
-        def inv(x):
-            a, b = x
-            n = pow((a * a - nu * b * b) % p, p - 2, p)
-            return a * n % p, -b * n % p
-
-        def sub(x, y, t):
-            f0, f1 = mul(x[0], t)
-            g1 = nu * f1
-            return [
-                ((u0 - f0 * v0 - g1 * v1) % p, (u1 - f0 * v1 - f1 * v0) % p)
-                for (u0, u1), (v0, v1) in zip(x, y)
-            ]
-
-        return _Arith((0, 0), (1, 0), add, neg, mul, inv, sub, raw, box)
-
-    def add(x, y):
-        return x[0] + y[0], x[1] + y[1]
-
-    def neg(x):
-        return -x[0], -x[1]
-
-    def mul(x, y):
-        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-    def inv(x):
-        a, b = x
-        n = a * a + b * b
-        return a / n, -b / n
-
-    def sub(x, y, t):
-        f0, f1 = mul(x[0], t)
-        return [
-            (u0 - f0 * v0 + f1 * v1, u1 - f0 * v1 - f1 * v0)
-            for (u0, u1), (v0, v1) in zip(x, y)
-        ]
-
-    zero, one = Fraction(0), Fraction(1)
-    return _Arith((zero, zero), (one, zero), add, neg, mul, inv, sub, raw, box)
-
-
 def _eliminate(rows, ar, ncols, reduced=False):
     """Dense Gaussian elimination of raw rows in place: (pivot columns, sign).
 
-    Pivots are sought in the first ``ncols`` columns only, so extra
-    columns (right-hand sides, an identity) ride along.  ``sign`` is the
+    ``ar`` is the field's ``Arith`` record (``field.arith``).  Pivots are
+    sought in the first ``ncols`` columns only, so extra columns
+    (right-hand sides, an identity) ride along.  ``sign`` is the
     sign of the row permutation.  With ``reduced`` each pivot row is
     scaled to lead with one and cleared above as well as below
     (Gauss-Jordan), which leaves the reduced row echelon form.
@@ -353,8 +228,8 @@ def rank(rows, field):
             return full
         if kind == RATIONAL:
             return _bareiss(_as_int_rows(rows)[0])[0]
-    ar = _arith(field)
-    return len(_eliminate(ar.raw(rows), ar, width)[0])
+    ar = field.arith
+    return len(_eliminate(list(map(ar.raw, rows)), ar, width)[0])
 
 
 def det(rows, field):
@@ -368,8 +243,8 @@ def det(rows, field):
         int_rows, scale = _as_int_rows(rows)
         full, value = _bareiss(int_rows)
         return field.scalar(Fraction(value, scale) if full == n else 0)
-    ar = _arith(field)
-    return ar.box(_det_raw(ar.raw(rows), ar))
+    ar = field.arith
+    return ar.box(_det_raw(list(map(ar.raw, rows)), ar))
 
 
 def _det_raw(rows, ar):
@@ -396,8 +271,8 @@ def solve(rows, rhs, field):
     n = len(rows[0]) if m else 0
     if len(rhs) != m or any(len(row) != n for row in rows):
         raise ValueError("right-hand side does not match the matrix")
-    ar = _arith(field)
-    aug = ar.raw([list(row) + [b] for row, b in zip(rows, rhs)])
+    ar = field.arith
+    aug = [ar.raw([*row, b]) for row, b in zip(rows, rhs)]
     pivots, _ = _eliminate(aug, ar, n, reduced=True)
     if any(row[n] != ar.zero for row in aug[len(pivots):]):
         return None
@@ -412,10 +287,10 @@ def invert(rows, field):
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("inverse of a non-square matrix")
-    ar = _arith(field)
+    ar = field.arith
     aug = [
-        row + [ar.one if j == i else ar.zero for j in range(n)]
-        for i, row in enumerate(ar.raw(rows))
+        ar.raw(row) + [ar.one if j == i else ar.zero for j in range(n)]
+        for i, row in enumerate(rows)
     ]
     pivots, _ = _eliminate(aug, ar, n, reduced=True)
     if len(pivots) < n:

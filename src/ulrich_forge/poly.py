@@ -5,6 +5,10 @@ zero polynomial has an empty map and degree ``NEG_INF``.  The canonical
 term order is graded lexicographic, largest first, which fixes printing
 and every report layout.
 
+``evaluate`` takes one route in every field: it unwraps the point and
+the coefficients into raw values once, sums the terms through the
+field's ``Arith`` record (``field.arith``) and boxes the result once.
+
 Text grammar (used by the CLI and the tests): terms joined by + or -,
 each term a '*'-separated product of an optional coefficient and
 variable powers like ``x0^2`` or ``y``.  Variables are ``x0..xk`` or,
@@ -16,7 +20,7 @@ field components must be parenthesized, e.g. ``(1+2i)*x*y``; a bare
 from __future__ import annotations
 
 import re
-from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, FieldSpec, Scalar
+from .fields import GAUSSIAN, Scalar
 
 NEG_INF = float("-inf")
 
@@ -43,42 +47,6 @@ def monomial_mul(e1, e2):
 def term_key(exps):
     """Sort key putting graded-lex largest terms first under reverse=True."""
     return (sum(exps), exps)
-
-
-def _eval_mod_p(terms, coords, p):
-    total = 0
-    for exps, coeff in terms.items():
-        v = coeff.a
-        for x, e in zip(coords, exps):
-            if e:
-                v = v * (x if e == 1 else pow(x, e, p)) % p
-        total += v
-    return total % p
-
-
-def _pow_pair_mod_p2(xa, xb, e, p, nu):
-    ra, rb = 1, 0
-    while e:
-        if e & 1:
-            ra, rb = (ra * xa + nu * rb * xb) % p, (ra * xb + rb * xa) % p
-        xa, xb = (xa * xa + nu * xb * xb) % p, 2 * xa * xb % p
-        e >>= 1
-    return ra, rb
-
-
-def _eval_mod_p2(terms, ca, cb, p, nu):
-    total_a = total_b = 0
-    for exps, coeff in terms.items():
-        va, vb = coeff.a, coeff.b
-        for i, e in enumerate(exps):
-            if e:
-                xa, xb = ca[i], cb[i]
-                if e > 1:
-                    xa, xb = _pow_pair_mod_p2(xa, xb, e, p, nu)
-                va, vb = (va * xa + nu * vb * xb) % p, (va * xb + vb * xa) % p
-        total_a += va
-        total_b += vb
-    return total_a % p, total_b % p
 
 
 class Poly:
@@ -315,6 +283,7 @@ class Poly:
         return [self.partial_derivative(i) for i in range(self.nvars)]
 
     def evaluate(self, point):
+        """The value at a point of scalars or ints, summed on raw values."""
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
         field = self.field
@@ -326,35 +295,20 @@ class Poly:
                 coerced.append(v)
             else:
                 coerced.append(field.scalar(v))
-        point = coerced
-        # Prime-field points reduce to machine-int arithmetic; build one
-        # scalar at the end instead of one per intermediate product.
-        kind = field.kind
-        if kind == PRIME:
-            return field.scalar(_eval_mod_p(self.terms, [v.a for v in point], field.p))
-        if kind == PRIME_QUADRATIC:
-            a, b = _eval_mod_p2(
-                self.terms,
-                [v.a for v in point],
-                [v.b for v in point],
-                field.p,
-                field.nu,
-            )
-            return field.scalar(a, b)
-        caches = [{} for _ in range(self.nvars)]
-        total = field.zero
-        for exps, coeff in self.terms.items():
-            v = coeff
-            for i, e in enumerate(exps):
+        ar = field.arith
+        add, mul, power = ar.add, ar.mul, ar.pow
+        # powers[i] maps each exponent met so far to x_i^e
+        powers = [{1: x} for x in ar.raw(coerced)]
+        total = ar.zero
+        for exps, c in zip(self.terms, ar.raw(self.terms.values())):
+            for known, e in zip(powers, exps):
                 if e:
-                    cache = caches[i]
-                    pe = cache.get(e)
-                    if pe is None:
-                        pe = point[i] ** e
-                        cache[e] = pe
-                    v = v * pe
-            total = total + v
-        return total
+                    xe = known.get(e)
+                    if xe is None:
+                        xe = known[e] = power(known[1], e)
+                    c = mul(c, xe)
+            total = add(total, c)
+        return ar.box(total)
 
     def set_variable(self, index, value):
         """Substitute a scalar for one variable (stays in the same ring)."""

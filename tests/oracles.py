@@ -58,6 +58,10 @@ def clifford_square(mf):
 
 def determinant_certificate_by_evaluation(mf, trials=50, seed=0):
     """``determinant_certificate`` through ``Poly.evaluate`` of every entry and ``linalg.det``."""
+    if mf.size % 2:
+        # det A = sign * q^(size/2) has no meaning for an odd size
+        reason = f"odd size {mf.size}: det A = sign*q^(size/2) needs an even size"
+        return DeterminantCertificate(False, None, 0, 0, reason=reason)
     field = mf.field
     rng = random.Random(seed)
     half = mf.size // 2

@@ -150,13 +150,28 @@ def test_mf_det_cert_sign_flip_is_exit_one(capsys):
 
 
 def test_mf_det_cert_without_a_nonzero_sample_is_exit_one(capsys):
-    args = ["mf", "det-cert", "0", "x", "--field", "fp:101", "--max-trials", "3"]
+    # the 2x2 matrix x*Id with q = 0; a 1x1 matrix is refused for its odd size
+    args = ["mf", "det-cert", "0", "x", "0", "0", "x", "--field", "fp:101", "--max-trials", "3"]
     code, payload = _run(capsys, args)
     assert code == 1
     result = payload["result"]
     assert result["certified"] is False
     assert result["reason"] == "no sample point had q nonzero"
     assert (result["tested"], result["skipped"]) == (0, 60)
+
+
+def test_mf_det_cert_of_an_odd_size_is_exit_one(capsys):
+    # det [x] = x is +-1 = q^0 at every nonzero point of F_3, but an odd
+    # size has no det A = sign * q^(size/2) to certify
+    args = ["mf", "det-cert", "x^2", "x", "--field", "fp:3", "--max-trials", "3"]
+    code, payload = _run(capsys, args)
+    assert code == 1
+    assert payload["ok"] is False
+    result = payload["result"]
+    assert result["certified"] is False
+    assert result["sign"] is None
+    assert (result["tested"], result["skipped"]) == (0, 0)
+    assert result["reason"] == "odd size 1: det A = sign*q^(size/2) needs an even size"
 
 
 def test_mf_entry_count_must_be_square(capsys):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from ulrich_forge import (
+    DeterminantCertificate,
     FieldSpec,
     MatrixFactorization,
     Poly,
@@ -176,6 +177,19 @@ def test_determinant_certificate_rejects_wrong_quadric(f13):
     cert = determinant_certificate(wrong, trials=20, seed=4)
     assert not cert.ok
     assert cert.reason is not None
+
+
+def test_determinant_certificate_refuses_odd_sizes(q):
+    # [x] squares to x^2 and det [x] = x, which is no power q^(1/2)
+    x = parse_poly("x", q)
+    cert = determinant_certificate(MatrixFactorization([[x]], parse_poly("x^2", q)))
+    assert cert == DeterminantCertificate(
+        False, None, 0, 0, reason="odd size 1: det A = sign*q^(size/2) needs an even size"
+    )
+    rows = [[x if i == j else Poly.zero(q, 1) for j in range(3)] for i in range(3)]
+    three = determinant_certificate(MatrixFactorization(rows, x * x))
+    assert (three.ok, three.tested, three.skipped) == (False, 0, 0)
+    assert three.reason.startswith("odd size 3:")
 
 
 def test_determinant_certificate_deterministic(f13):

@@ -134,6 +134,114 @@ def test_arithmetic_axioms_random():
                 assert b * b.inverse() == field.one
 
 
+def _reference_arithmetic(field, sympy):
+    """(to_ref, from_ref): raw values to and from arithmetic that shares no code with fields.
+
+    sympy's QQ, QQ_I and GF(p) serve q, qi and fp.  fp2 is written out
+    here as pairs: (a + b w)(c + d w) = (ac + nu bd) + (ad + bc) w, with
+    nu the smallest quadratic nonresidue by sympy, the inverse found by
+    search and powers by repeated products.
+    """
+    from sympy.polys.domains import GF, QQ, QQ_I
+
+    p = field.p
+    if field.kind == "q":
+        return (
+            lambda x: QQ(x.numerator, x.denominator),
+            lambda r: Fraction(int(r.numerator), int(r.denominator)),
+        )
+    if field.kind == "qi":
+
+        def to_q(x):
+            return QQ(x.numerator, x.denominator)
+
+        def back(r):
+            return Fraction(int(r.numerator), int(r.denominator))
+
+        return lambda x: QQ_I(to_q(x[0]), to_q(x[1])), lambda r: (back(r.x), back(r.y))
+    if field.kind == "fp":
+        K = GF(p)
+        return K, lambda r: int(r) % p
+    nu = next(n for n in range(2, p) if not sympy.is_quad_residue(n, p))
+
+    class Pair:
+        def __init__(self, x):
+            self.a, self.b = x[0] % p, x[1] % p
+
+        def __add__(self, o):
+            return Pair((self.a + o.a, self.b + o.b))
+
+        def __neg__(self):
+            return Pair((-self.a, -self.b))
+
+        def __sub__(self, o):
+            return self + -o
+
+        def __mul__(self, o):
+            return Pair((self.a * o.a + nu * self.b * o.b, self.a * o.b + self.b * o.a))
+
+        def __pow__(self, e):
+            acc = Pair((1, 0))
+            for _ in range(e):
+                acc = acc * self
+            return acc
+
+        def __truediv__(self, o):
+            # 1 / o by search over all p^2 pairs
+            pairs = (Pair((c, d)) for c in range(p) for d in range(p))
+            (inverse,) = [y for y in pairs if (o * y).key() == (1, 0)]
+            return self * inverse
+
+        def key(self):
+            return self.a, self.b
+
+    return Pair, Pair.key
+
+
+@pytest.mark.parametrize("spec", ["q", "qi", "fp:13", "fp:2147483629", "fp2:13"])
+def test_arith_record_matches_independent_arithmetic(spec):
+    # each operation of field.arith on raw values against sympy QQ, QQ_I
+    # and GF(p), or the fp2 product written out above; the ring laws of
+    # test_arithmetic_axioms_random would also hold with a wrong nu
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    field = FieldSpec.parse(spec)
+    ar = field.arith
+    to_ref, from_ref = _reference_arithmetic(field, sympy)
+    if field.characteristic:
+        part = st.integers(0, field.p - 1)
+    else:
+        part = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+    values = st.tuples(part, part) if field.kind in ("qi", "fp2") else part
+    rows = st.integers(1, 4).flatmap(
+        lambda n: st.tuples(*[st.lists(values, min_size=n, max_size=n)] * 2)
+    )
+
+    @hypothesis.given(values, values, st.integers(0, 40), rows, values)
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    def check(x, y, e, xy_rows, t):
+        rx, ry = to_ref(x), to_ref(y)
+        assert ar.raw([ar.box(x)]) == [x]
+        assert ar.zero == from_ref(rx - rx) and ar.one == from_ref(rx**0)
+        assert ar.add(x, y) == from_ref(rx + ry)
+        assert ar.neg(x) == from_ref(-rx)
+        assert ar.mul(x, y) == from_ref(rx * ry)
+        assert ar.pow(x, e) == from_ref(rx**e)
+        if x != ar.zero:
+            assert ar.inv(x) == from_ref(to_ref(ar.one) / rx)
+        xs, ys = xy_rows
+        f = to_ref(xs[0]) * to_ref(t)
+        assert ar.sub(xs, ys, t) == [from_ref(to_ref(u) - f * to_ref(v)) for u, v in zip(xs, ys)]
+
+    check()
+    if field.kind == "fp2":
+        nu = next(n for n in range(2, field.p) if not sympy.is_quad_residue(n, field.p))
+        assert ar.mul((0, 1), (0, 1)) == (nu, 0)
+    if field.kind == "qi":
+        assert ar.mul((0, 1), (0, 1)) == (-1, 0)
+
+
 def test_pow_matches_repeated_product():
     rng = random.Random(7)
     for field in _all_fields():

@@ -17,15 +17,36 @@ from ulrich_forge import (
 )
 
 
-def _eval_naive(p, point):
-    """Independent term-by-term evaluation."""
-    total = p.field.zero
+def _eval_explicit(p, point):
+    """Term-by-term evaluation on ints and Fractions, written out here.
+
+    A value is a pair (a, b) for a + b*g, with g*g = -1 over qi and g*g
+    = nu, the smallest nonresidue by Euler's criterion, over fp2; q and
+    fp have b = 0.  Over fp and fp2 every product is reduced mod p.
+    """
+    field = p.field
+    m = field.characteristic
+    square = -1
+    if field.kind == "fp2":
+        square = next(n for n in range(2, m) if pow(n, (m - 1) // 2, m) == m - 1)
+
+    def times(x, y):
+        a, b = x[0] * y[0] + square * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+        return (a % m, b % m) if m else (a, b)
+
+    def pair(v):
+        v = field.scalar(v) if isinstance(v, int) else v
+        return v.a, v.b
+
+    coords = [pair(v) for v in point]
+    total = (0, 0)
     for exps, coeff in p.terms.items():
-        term = coeff
-        for value, e in zip(point, exps):
-            term = term * value**e
-        total = total + term
-    return total
+        term = pair(coeff)
+        for x, e in zip(coords, exps):
+            for _ in range(e):
+                term = times(term, x)
+        total = (total[0] + term[0], total[1] + term[1])
+    return field.scalar(*total)
 
 
 def test_monomials_of_degree_graded_lex():
@@ -194,12 +215,20 @@ def test_pow(q):
 
 
 def test_evaluate_matches_naive():
+    # forms of degree 0 to 6 (exponents above 2 go through powers), the
+    # zero polynomial, mixed degrees, and points with int coordinates
     rng = random.Random(31)
-    for field in (FieldSpec.prime(101), FieldSpec.gaussian_rationals()):
-        for _ in range(15):
-            p = random_homogeneous(field, 3, 3, rng)
+    for spec in ("fp:101", "qi", "q", "fp2:13"):
+        field = FieldSpec.parse(spec)
+        polys = [Poly.zero(field, 3), Poly.constant(field, 3, field.random_nonzero_scalar(rng))]
+        for degree in range(7):
+            polys += [random_homogeneous(field, 3, degree, rng) for _ in range(3)]
+        polys.append(sum(polys[2:], Poly.zero(field, 3)))
+        for p in polys:
             point = tuple(field.random_scalar(rng) for _ in range(3))
-            assert p.evaluate(point) == _eval_naive(p, point)
+            assert p.evaluate(point) == _eval_explicit(p, point)
+            ints = (rng.randint(-30, 30), point[1], rng.randint(-30, 30))
+            assert p.evaluate(ints) == _eval_explicit(p, ints)
 
 
 def test_partial_derivative_product_rule():

@@ -76,6 +76,51 @@ def test_squarefree_constants_and_zero(q):
         is_squarefree_univariate(Poly.zero(q, 1))
 
 
+@pytest.mark.parametrize("spec", ["fp:3", "fp:13", "fp:101", "q"])
+def test_squarefree_matches_sympy_sqf_list(spec):
+    # products of random factors with multiplicities, and over fp of p-th
+    # powers (whose derivative vanishes), against sympy's sqf_list; its
+    # Poly.is_sqf says True for x^13 mod 13, so multiplicities are read
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    field = FieldSpec.parse(spec)
+    p = field.characteristic
+    if p:
+        coefficient = st.integers(0, p - 1)
+        unit = st.integers(1, p - 1)
+    else:
+        coefficient = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+        unit = coefficient.filter(bool)
+    lower = st.lists(coefficient, min_size=1, max_size=3)
+    factor = st.builds(lambda low, lead: [*low, lead], lower, unit)
+    powers = st.lists(st.tuples(factor, st.sampled_from((1, 1, 1, 2, 3))), max_size=3)
+    frobenius = st.lists(factor, max_size=1) if p else st.just([])
+
+    def times(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+        return [c % p for c in out] if p else out
+
+    @hypothesis.given(unit, powers, frobenius)
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    def check(constant, factors, pth):
+        coeffs = [constant]
+        for g, k in factors + [(g, p) for g in pth]:
+            for _ in range(k):
+                coeffs = times(coeffs, g)
+        f = Poly(field, 1, {(i,): c for i, c in enumerate(coeffs)})
+        x = sympy.Symbol("x")
+        dense = [sympy.Rational(c.numerator, c.denominator) if not p else c for c in coeffs]
+        options = {"modulus": p} if p else {"domain": sympy.QQ}
+        _, parts = sympy.Poly(dense[::-1], x, **options).sqf_list()
+        assert is_squarefree_univariate(f) == all(k == 1 for _, k in parts)
+
+    check()
+
+
 def test_apply_linear_change_is_a_ring_map(f101):
     rng = random.Random(67)
     m = _random_change(f101, rng)

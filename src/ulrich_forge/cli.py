@@ -192,6 +192,11 @@ def _lower_check_result(check):
     }
 
 
+def _lower_check_ok(check):
+    """A lower-bound check that failed or is inconclusive does not verify."""
+    return not check.status.startswith(("failed", "inconclusive"))
+
+
 def _bounds_result(bounds):
     return {
         "upper_bound": bounds.upper_bound,
@@ -223,7 +228,7 @@ def _cmd_ulrich_pipeline(args, field, config):
     decomp = decompose_form(F, vmap)
     mf, report = ulrich_presentation(F, decomp)
     bounds = rank_bounds(decomp.F, decomp, e_max=args.e_max, seed=args.seed)
-    ok = bounds.achieved == mf.ulrich_rank
+    ok = bounds.achieved == mf.ulrich_rank and _lower_check_ok(bounds.lower_check)
     return {
         "lift": {
             "n": vmap.n,
@@ -249,7 +254,7 @@ def _cmd_ulrich_bounds(args, field, config):
     F, vmap = _pipeline_setup(args, field, config)
     decomp = decompose_form(F, vmap)
     bounds = rank_bounds(decomp.F, decomp, e_max=args.e_max, seed=args.seed)
-    ok = not bounds.lower_check.status.startswith("failed")
+    ok = _lower_check_ok(bounds.lower_check)
     return {
         "decomposition": _decomposition_result(decomp),
         "rank_report": _bounds_result(bounds),
@@ -561,6 +566,8 @@ def main(argv=None):
     try:
         if args.max_trials is not None and args.max_trials < 1:
             raise ValueError(f"--max-trials must be at least 1, got {args.max_trials}")
+        if args.nvars is not None and args.nvars < 1:
+            raise ValueError(f"--nvars must be at least 1, got {args.nvars}")
         field = FieldSpec.parse(args.field)
         result, ok = args.handler(args, field, config)
     except ExtensionNeeded as exc:

@@ -33,7 +33,7 @@ from .poly import Poly
 
 def _raw_terms(poly):
     """The terms of a polynomial as {exponents: raw coefficient}."""
-    return dict(zip(poly.terms, poly.field.arith.raw(poly.terms.values())))
+    return dict(zip(poly.terms, map(poly.field.arith.of, poly.terms.values())))
 
 
 def _items(row):
@@ -285,7 +285,7 @@ def determinant_certificate(mf, trials=50, seed=0):
     budget = 20 * trials
     while tested < trials and budget:
         budget -= 1
-        coords = ar.raw([field.random_scalar(rng) for _ in range(mf.nvars)])
+        coords = [ar.of(field.random_scalar(rng)) for _ in range(mf.nvars)]
         qv = zero
         for f, c in quadric:
             qv = add(qv, mul(c, _monomial_value(coords, f, ar)))

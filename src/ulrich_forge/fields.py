@@ -13,11 +13,15 @@ built once with the field.
 A raw value is the unboxed form of a field element: an ``int`` residue
 over fp, an ``(a, b)`` residue pair over fp2, a ``Fraction`` over q and
 a Fraction pair over qi.  ``field.arith``, an ``Arith`` record, holds
-the arithmetic on raw values: dense elimination in ``linalg``,
-``Poly.evaluate``, ``Scalar`` powers and the linear pencils of
-``clifford`` all compute through it.  ``Scalar`` is the boxed form at
-the public boundary; its +, -, * and ``inverse`` work on the boxed
-components directly.
+the one arithmetic of the field, on raw values: dense elimination in
+``linalg``, ``Poly.evaluate``, the linear pencils of ``clifford`` and
+``Scalar`` itself all compute through it.  ``Scalar`` is the boxed form
+of a raw value; its operations unwrap the operands, call the record and
+box the result once.
+
+``FieldSpec.coerce`` is the one way into a field for an int, a Fraction
+or a Scalar: n/d enters as the polynomial parser reads it, n * d^-1 mod
+p over fp and fp2, and a denominator divisible by p is a ValueError.
 
 Square roots are canonical and deterministic: the nonnegative root over
 the rationals, the residue in [1, (p-1)/2] over a prime field, and a
@@ -28,6 +32,7 @@ no square root in its own field, ``sqrt_in_field`` raises
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from fractions import Fraction
@@ -220,11 +225,36 @@ class FieldSpec:
 
     # -- scalar construction -------------------------------------------
 
+    def coerce(self, value):
+        """``value``, an int, a Fraction or a Scalar, as an element of this field.
+
+        A Fraction n/d enters as the parser reads the literal n/d: over
+        fp and fp2 it is n * d^-1 mod p, and a ValueError when p divides
+        d.  A Scalar of another field is a ValueError, any other type a
+        TypeError.
+        """
+        if isinstance(value, Scalar):
+            if value.field is not self:
+                raise ValueError(f"field mismatch: {self} vs {value.field}")
+            return value
+        return Scalar(self, self._part(value))
+
+    def _part(self, x):
+        """An int or a Fraction as one raw component, by the rule of ``coerce``."""
+        if isinstance(x, int) or (not self.p and isinstance(x, Fraction)):
+            return x
+        if not isinstance(x, Fraction):
+            raise TypeError(f"cannot bring {type(x).__name__} {x!r} into {self}")
+        if not x.denominator % self.p:
+            raise ValueError(f"denominator of {x} is not invertible over {self}")
+        return x.numerator * pow(x.denominator, -1, self.p)
+
     def scalar(self, a, b=0):
-        return Scalar(self, a, b)
+        """The element a + b*g from int or Fraction parts; g is i over qi, w over fp2."""
+        return Scalar(self, self._part(a), self._part(b))
 
     def from_int(self, n):
-        return Scalar(self, n)
+        return self.coerce(n)
 
     def imaginary_unit(self):
         """sqrt(-1) when the field contains one, else ExtensionNeeded."""
@@ -300,17 +330,14 @@ class FieldSpec:
         return self._component(text)
 
     def _component(self, text):
-        if self.kind in (RATIONAL, GAUSSIAN):
-            try:
-                return Fraction(text)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {text!r}") from None
-        if "/" in text:
-            n, d = text.split("/")
-            if int(d) % self.p == 0:
-                raise ValueError(f"denominator of {text!r} is not invertible over {self}")
-            return int(n) * pow(int(d), self.p - 2, self.p) % self.p
-        return int(text) % self.p
+        """A literal n or n/d as one raw component; p may not divide d as written."""
+        n, _, d = text.partition("/")
+        d = int(d or 1)
+        if self.p and not d % self.p:
+            raise ValueError(f"denominator of {text!r} is not invertible over {self}")
+        if not d:
+            raise ValueError(f"zero denominator in {text!r}")
+        return self._part(Fraction(int(n), d))
 
 
 class Arith(NamedTuple):
@@ -319,8 +346,8 @@ class Arith(NamedTuple):
     ``add``, ``neg``, ``mul`` and ``inv`` are the field operations and
     ``pow(x, e)`` is x^e for e >= 0.  ``sub(x, y, t)`` is the row update
     x - f*y with f = x[0]*t, which clears x[0] when t is the inverse of
-    y[0].  ``raw`` unwraps an iterable of scalars into a list of raw
-    values and ``box`` wraps one raw value back into a ``Scalar``.
+    y[0].  ``of`` unwraps a ``Scalar`` into its raw value and ``box``
+    wraps a raw value back into a ``Scalar``.
     """
 
     zero: object
@@ -331,7 +358,7 @@ class Arith(NamedTuple):
     inv: object
     pow: object
     sub: object
-    raw: object
+    of: object
     box: object
 
 
@@ -360,17 +387,10 @@ def _build_arith(field):
     """Build the ``Arith`` record of a field; ``FieldSpec`` calls it once per field."""
     kind, p, nu = field.kind, field.p, field.nu
     if kind in (PRIME, RATIONAL):
-
-        def raw(values):
-            return [c.a for c in values]
-
-        def box(x):
-            return Scalar(field, x)
-
+        of = operator.attrgetter("a")
+        box = functools.partial(Scalar, field)
     else:
-
-        def raw(values):
-            return [(c.a, c.b) for c in values]
+        of = operator.attrgetter("a", "b")
 
         def box(x):
             return Scalar(field, *x)
@@ -454,32 +474,36 @@ def _build_arith(field):
                 for (u0, u1), (v0, v1) in zip(x, y)
             ]
 
-    return Arith(zero, one, add, neg, mul, inv, _power(mul, one), sub, raw, box)
+    return Arith(zero, one, add, neg, mul, inv, _power(mul, one), sub, of, box)
 
 
 class Scalar:
-    """A field element in canonical form.
+    """A field element in canonical form: the boxed form of a raw value.
 
     Components: over q the value is ``a`` (Fraction); over qi it is
     ``a + b*i``; over fp it is the residue ``a``; over fp2 it is
-    ``a + b*w`` with w*w = nu.  Arithmetic is exact and closed.
+    ``a + b*w`` with w*w = nu.  The constructor takes raw components,
+    ints or, over q and qi, Fractions, and only normalizes them; other
+    values come in through ``FieldSpec.coerce``.  Arithmetic is exact
+    and closed, and computed by the field's ``Arith`` record.
     """
 
     __slots__ = ("field", "a", "b")
 
     def __init__(self, field, a, b=0):
-        kind = field.kind
-        if kind in (RATIONAL, GAUSSIAN):
-            a = Fraction(a)
-            b = Fraction(b)
-            if kind == RATIONAL and b:
-                raise ValueError("rational scalar with imaginary part")
-        else:
+        if field.p:
             p = field.p
-            a = int(a) % p
-            b = int(b) % p
-            if kind == PRIME and b:
+            a = operator.index(a) % p
+            b = operator.index(b) % p
+            if b and field.kind == PRIME:
                 raise ValueError("prime-field scalar with extension part")
+        else:
+            if type(a) is not Fraction:
+                a = Fraction(a)
+            if type(b) is not Fraction:
+                b = Fraction(b)
+            if b and field.kind == RATIONAL:
+                raise ValueError("rational scalar with imaginary part")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -489,16 +513,12 @@ class Scalar:
 
     # -- helpers --------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-            return other
-        if isinstance(other, int) or (
-            isinstance(other, Fraction) and self.field.kind in (RATIONAL, GAUSSIAN)
-        ):
-            return Scalar(self.field, other)
-        return None
+    def _operand(self, other):
+        """``other`` in this field by ``FieldSpec.coerce``; None for a type it refuses."""
+        try:
+            return self.field.coerce(other)
+        except TypeError:
+            return None
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)
@@ -508,14 +528,13 @@ class Scalar:
         return not self
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            coerced = self._coerce(other)
-            if coerced is None:
-                return NotImplemented
-            return self.a == coerced.a and self.b == coerced.b
-        if not isinstance(other, Scalar):
+        try:
+            o = self.field.coerce(other)
+        except TypeError:
             return NotImplemented
-        return self.field == other.field and self.a == other.a and self.b == other.b
+        except ValueError:
+            return False
+        return self.a == o.a and self.b == o.b
 
     def __hash__(self):
         return hash((self.field, self.a, self.b))
@@ -523,90 +542,64 @@ class Scalar:
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        f = self.field
-        if f.kind in (RATIONAL, GAUSSIAN):
-            return Scalar(f, self.a + o.a, self.b + o.b)
-        return Scalar(f, (self.a + o.a) % f.p, (self.b + o.b) % f.p)
+        ar = self.field.arith
+        return ar.box(ar.add(ar.of(self), ar.of(o)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.field
-        if f.kind in (RATIONAL, GAUSSIAN):
-            return Scalar(f, -self.a, -self.b)
-        return Scalar(f, (-self.a) % f.p, (-self.b) % f.p)
+        ar = self.field.arith
+        return ar.box(ar.neg(ar.of(self)))
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        ar = self.field.arith
+        return ar.box(ar.add(ar.of(self), ar.neg(ar.of(o))))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        f = self.field
-        kind = f.kind
-        if kind == RATIONAL:
-            return Scalar(f, self.a * o.a)
-        if kind == GAUSSIAN:
-            return Scalar(f, self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a)
-        if kind == PRIME:
-            return Scalar(f, self.a * o.a % f.p)
-        p = f.p
-        return Scalar(
-            f,
-            (self.a * o.a + f.nu * self.b * o.b) % p,
-            (self.a * o.b + self.b * o.a) % p,
-        )
+        ar = self.field.arith
+        return ar.box(ar.mul(ar.of(self), ar.of(o)))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("scalar inverse of zero")
-        f = self.field
-        kind = f.kind
-        if kind == RATIONAL:
-            return Scalar(f, 1 / self.a)
-        if kind == GAUSSIAN:
-            n = self.a * self.a + self.b * self.b
-            return Scalar(f, self.a / n, -self.b / n)
-        if kind == PRIME:
-            return Scalar(f, pow(self.a, f.p - 2, f.p))
-        p = f.p
-        n = (self.a * self.a - f.nu * self.b * self.b) % p
-        ninv = pow(n, p - 2, p)
-        return Scalar(f, self.a * ninv % p, -self.b * ninv % p)
+        ar = self.field.arith
+        return ar.box(ar.inv(ar.of(self)))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return o / self
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         base = self.inverse() if n < 0 else self
         ar = self.field.arith
-        return ar.box(ar.pow(ar.raw((base,))[0], abs(n)))
+        return ar.box(ar.pow(ar.of(base), abs(n)))
 
     # -- text -----------------------------------------------------------
 

@@ -203,11 +203,14 @@ def rank(rows, field):
     with i sent to a square root of -1 there: it can only drop mod a
     prime, so a full rank mod the prime is the exact rank; otherwise
     Bareiss (q) or dense elimination on Fraction pairs (qi) decides.
+    Ragged rows raise ValueError.
     """
-    if not rows or not rows[0]:
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise ValueError("rank of a matrix with rows of different lengths")
+    if not width:
         return 0
     kind = field.kind
-    width = len(rows[0])
     if kind in (PRIME_QUADRATIC, GAUSSIAN) and not any(c.b for row in rows for c in row):
         kind = PRIME if kind == PRIME_QUADRATIC else RATIONAL
     if kind == PRIME:
@@ -229,7 +232,7 @@ def rank(rows, field):
         if kind == RATIONAL:
             return _bareiss(_as_int_rows(rows)[0])[0]
     ar = field.arith
-    return len(_eliminate(list(map(ar.raw, rows)), ar, width)[0])
+    return len(_eliminate([list(map(ar.of, row)) for row in rows], ar, width)[0])
 
 
 def det(rows, field):
@@ -244,7 +247,7 @@ def det(rows, field):
         full, value = _bareiss(int_rows)
         return field.scalar(Fraction(value, scale) if full == n else 0)
     ar = field.arith
-    return ar.box(_det_raw(list(map(ar.raw, rows)), ar))
+    return ar.box(_det_raw([list(map(ar.of, row)) for row in rows], ar))
 
 
 def _det_raw(rows, ar):
@@ -272,7 +275,7 @@ def solve(rows, rhs, field):
     if len(rhs) != m or any(len(row) != n for row in rows):
         raise ValueError("right-hand side does not match the matrix")
     ar = field.arith
-    aug = [ar.raw([*row, b]) for row, b in zip(rows, rhs)]
+    aug = [[*map(ar.of, row), ar.of(b)] for row, b in zip(rows, rhs)]
     pivots, _ = _eliminate(aug, ar, n, reduced=True)
     if any(row[n] != ar.zero for row in aug[len(pivots):]):
         return None
@@ -289,7 +292,7 @@ def invert(rows, field):
         raise ValueError("inverse of a non-square matrix")
     ar = field.arith
     aug = [
-        ar.raw(row) + [ar.one if j == i else ar.zero for j in range(n)]
+        [*map(ar.of, row)] + [ar.one if j == i else ar.zero for j in range(n)]
         for i, row in enumerate(rows)
     ]
     pivots, _ = _eliminate(aug, ar, n, reduced=True)
@@ -303,8 +306,11 @@ def identity(field, n):
 
 
 def mat_mul(a, b, field):
+    """The product of an n x k and a k x m scalar matrix; ValueError when the shapes do not fit."""
     n, k = len(a), len(b)
     m = len(b[0]) if k else 0
+    if any(len(row) != k for row in a) or any(len(row) != m for row in b):
+        raise ValueError("matrix shapes do not fit for a product")
     out = [[field.zero] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]

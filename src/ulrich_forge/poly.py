@@ -5,6 +5,9 @@ zero polynomial has an empty map and degree ``NEG_INF``.  The canonical
 term order is graded lexicographic, largest first, which fixes printing
 and every report layout.
 
+Coefficients, scale factors and point coordinates, ints, Fractions or
+scalars, enter through ``FieldSpec.coerce``, so a Fraction reads as the
+parser reads it and a scalar of another field is a ValueError.
 ``evaluate`` takes one route in every field: it unwraps the point and
 the coefficients into raw values once, sums the terms through the
 field's ``Arith`` record (``field.arith``) and boxes the result once.
@@ -60,10 +63,7 @@ class Poly:
             for exps, coeff in terms.items():
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
-                if not isinstance(coeff, Scalar):
-                    coeff = field.scalar(coeff)
-                elif coeff.field != field:
-                    raise ValueError("coefficient from the wrong field")
+                coeff = field.coerce(coeff)
                 if coeff:
                     clean[exps] = coeff
         object.__setattr__(self, "field", field)
@@ -88,8 +88,7 @@ class Poly:
 
     @classmethod
     def constant(cls, field, nvars, value):
-        if not isinstance(value, Scalar):
-            value = field.scalar(value)
+        value = field.coerce(value)
         if not value:
             return cls.zero(field, nvars)
         return cls._make(field, nvars, {(0,) * nvars: value})
@@ -103,8 +102,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, field, exps, coeff=1):
-        if not isinstance(coeff, Scalar):
-            coeff = field.scalar(coeff)
+        coeff = field.coerce(coeff)
         if not coeff:
             return cls.zero(field, len(exps))
         return cls._make(field, len(exps), {tuple(exps): coeff})
@@ -115,8 +113,7 @@ class Poly:
         n = len(coeffs)
         terms = {}
         for i, c in enumerate(coeffs):
-            if not isinstance(c, Scalar):
-                c = field.scalar(c)
+            c = field.coerce(c)
             if c:
                 terms[tuple(1 if j == i else 0 for j in range(n))] = c
         return cls._make(field, n, terms)
@@ -239,10 +236,7 @@ class Poly:
         return NotImplemented
 
     def scale(self, c):
-        if not isinstance(c, Scalar):
-            c = self.field.scalar(c)
-        elif c.field != self.field:
-            raise ValueError("scalar from the wrong field")
+        c = self.field.coerce(c)
         if not c:
             return Poly.zero(self.field, self.nvars)
         return Poly._make(
@@ -283,24 +277,16 @@ class Poly:
         return [self.partial_derivative(i) for i in range(self.nvars)]
 
     def evaluate(self, point):
-        """The value at a point of scalars or ints, summed on raw values."""
+        """The value at a point of scalars, ints or Fractions, summed on raw values."""
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
         field = self.field
-        coerced = []
-        for v in point:
-            if isinstance(v, Scalar):
-                if v.field != field:
-                    raise ValueError(f"field mismatch: {field} vs {v.field}")
-                coerced.append(v)
-            else:
-                coerced.append(field.scalar(v))
         ar = field.arith
-        add, mul, power = ar.add, ar.mul, ar.pow
+        add, mul, power, of = ar.add, ar.mul, ar.pow, ar.of
         # powers[i] maps each exponent met so far to x_i^e
-        powers = [{1: x} for x in ar.raw(coerced)]
+        powers = [{1: of(field.coerce(v))} for v in point]
         total = ar.zero
-        for exps, c in zip(self.terms, ar.raw(self.terms.values())):
+        for exps, c in zip(self.terms, map(of, self.terms.values())):
             for known, e in zip(powers, exps):
                 if e:
                     xe = known.get(e)
@@ -313,8 +299,7 @@ class Poly:
     def set_variable(self, index, value):
         """Substitute a scalar for one variable (stays in the same ring)."""
         field = self.field
-        if not isinstance(value, Scalar):
-            value = field.scalar(value)
+        value = field.coerce(value)
         terms = {}
         for exps, coeff in self.terms.items():
             e = exps[index]
@@ -585,8 +570,11 @@ def parse_poly(text, field, nvars=None):
 
     When ``nvars`` is omitted it is inferred from the variables used,
     which makes ``x^2+y^2`` two-variable; pass the arity explicitly when
-    trailing variables do not appear.
+    trailing variables do not appear; an explicit ``nvars`` below 1 is a
+    ValueError.
     """
     if nvars is None:
         nvars = infer_nvars(text)
+    elif nvars < 1:
+        raise ValueError(f"need at least one variable, got {nvars}")
     return _Parser(text, field, nvars).parse()

@@ -448,6 +448,27 @@ def test_max_trials_below_one_is_usage_error(capsys, argv):
         assert payload["config"]["max_trials"] == int(trials)
 
 
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda a: " ".join(a[:2]))
+def test_nvars_below_one_is_usage_error(capsys, argv):
+    for nvars in ("0", "-1"):
+        code, payload = _run(capsys, argv + ["--nvars", nvars])
+        assert code == 2
+        assert payload["ok"] is False
+        assert "--nvars must be at least 1" in payload["error"]
+
+
+@pytest.mark.parametrize("verb", ["pipeline", "bounds"])
+def test_inconclusive_lower_check_is_exit_one(capsys, verb):
+    # --e-max 0 leaves the factor ideal undecided, so the lower bound is unproven
+    argv = ["ulrich", verb, "x^4 + y^4 + z^4", "--field", "fp:101"]
+    code, payload = _run(capsys, argv + ["--e-max", "0"])
+    assert payload["result"]["rank_report"]["lower_check"]["status"] == "inconclusive: factor ideal"
+    assert (code, payload["ok"]) == (1, False)
+    code, payload = _run(capsys, argv)
+    assert payload["result"]["rank_report"]["lower_check"]["status"] == "certified"
+    assert (code, payload["ok"]) == (0, True)
+
+
 def test_internal_assertion_is_exit_one_envelope(capsys, monkeypatch):
     import ulrich_forge.clifford
 
@@ -551,9 +572,10 @@ def test_pencil_det_of_twenty_variable_quadrics_within_budget(capsys):
         assert value == det(member, field)
 
 
-def test_pencil_det_and_transversal_always_end_in_an_envelope(capsys):
+def test_poly_commands_always_end_in_an_envelope(capsys):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    from ulrich_forge import FieldSpec, Poly, parse_poly
     from ulrich_forge.poly import monomials_of_degree
 
     def monomial(exps):
@@ -566,6 +588,23 @@ def test_pencil_det_and_transversal_always_end_in_an_envelope(capsys):
     def sums(coefficients, exponents):
         return st.lists(st.tuples(coefficients, exponents), min_size=1, max_size=3).map(joined)
 
+    def form(d):
+        return sums(
+            st.sampled_from(["", "2*", "-3*", "1/2*"]), st.sampled_from(monomials_of_degree(3, d))
+        )
+
+    def expand(products):
+        # a sum of products of forms, written out over q; its coefficients
+        # have denominators 2^k, so the text reads in every odd characteristic
+        q = FieldSpec.rationals()
+        total = Poly.zero(q, 3)
+        for factors in products:
+            term = Poly.constant(q, 3, 1)
+            for text in factors:
+                term = term * parse_poly(text, q, nvars=3)
+            total = total + term
+        return str(total)
+
     loose = sums(
         st.sampled_from(["", "-3*", "(1+2i)*", "i*", "1/0*", "1/3*"]),
         st.tuples(*[st.integers(0, 2)] * 4),
@@ -574,34 +613,72 @@ def test_pencil_det_and_transversal_always_end_in_an_envelope(capsys):
 
     @st.composite
     def argvs(draw):
-        # two forms of one degree in x, y, z over a valid field, with at
-        # most one flaw, so that both the certificates and every usage
+        # the forms a subcommand reads, in x, y, z over a valid field, with
+        # at most one flaw, so that both the certificates and every usage
         # check are reached
-        command = draw(st.sampled_from([["quad", "pencil-det"], ["cover", "transversal"]]))
-        d = 2 if command[0] == "quad" else draw(st.integers(1, 3))
-        field = draw(st.sampled_from(["q", "qi", "fp:3", "fp:5", "fp:101", "fp2:3", "fp2:13"]))
-        form = sums(
-            st.sampled_from(["", "2*", "-3*", "1/2*"]), st.sampled_from(monomials_of_degree(3, d))
+        command = draw(
+            st.sampled_from(
+                [
+                    "quad rank",
+                    "quad diag",
+                    "quad sop",
+                    "quad pencil-det",
+                    "hilbert value",
+                    "smooth check",
+                    "ulrich pipeline",
+                    "ulrich bounds",
+                    "ulrich normalize",
+                    "cover rh",
+                    "cover split-check",
+                    "cover transversal",
+                    "cover keem-counterexample",
+                ]
+            )
         )
-        polys = [draw(form), draw(form)]
-        extra = []
-        flaws = [None, None, None, "field", "trials", "nvars", "text", "count"]
+        field = draw(st.sampled_from(["q", "qi", "fp:3", "fp:5", "fp:101", "fp2:3", "fp2:13"]))
+        extra, polys = [], []
+        if command.startswith("quad"):
+            polys = [draw(form(2)) for _ in range(2 if command == "quad pencil-det" else 1)]
+        elif command == "hilbert value":
+            polys = draw(st.lists(form(1) | form(2), min_size=1, max_size=3))
+            extra = ["-e", str(draw(st.integers(0, 4)))]
+        elif command == "smooth check":
+            polys = [draw(form(draw(st.integers(1, 3))))]
+        elif command in ("ulrich pipeline", "ulrich bounds"):
+            polys = [draw(form(draw(st.sampled_from([2, 4]))))]
+        elif command == "ulrich normalize":
+            factors = [draw(form(2)) for _ in range(4)]
+            whole = expand([factors[:2], factors[2:]]) if draw(st.booleans()) else draw(form(4))
+            polys = [whole, *factors]
+        elif command == "cover split-check":
+            d = draw(st.integers(1, 2))
+            f1, h, l, m, a = (draw(form(d)) for _ in range(5))
+            r = expand([[l, m], [a, a], [h, f1]]) if draw(st.booleans()) else draw(form(2 * d))
+            polys = [f1, r, l, m, a]
+        elif command == "cover rh":
+            extra = ["--h", str(draw(st.integers(-1, 4))), "--d", str(draw(st.integers(-1, 6)))]
+        elif command == "cover transversal":
+            d = draw(st.integers(1, 3))
+            polys = [draw(form(d)), draw(form(d))]
+        flaws = [None, None, None, "field", "trials", "nvars", "e-max", "text", "count"]
         flaw = draw(st.sampled_from(flaws))
         if flaw == "field":
             field = draw(st.sampled_from(["fp:2", "fp:9", "fp2:1", "r", ""]))
         elif flaw == "trials":
-            extra = ["--max-trials", draw(st.sampled_from(["0", "-1", "1", "2"]))]
+            extra += ["--max-trials", draw(st.sampled_from(["0", "-1", "1", "2"]))]
         elif flaw == "nvars":
-            extra = ["--nvars", draw(st.sampled_from(["0", "1", "2", "4"]))]
-        elif flaw == "text":
-            polys[draw(st.integers(0, 1))] = draw(loose | junk)
-        elif flaw == "count":
-            polys = (polys + [draw(form)])[: draw(st.sampled_from([0, 1, 3]))]
+            extra += ["--nvars", draw(st.sampled_from(["-1", "0", "1", "2", "4"]))]
+        elif flaw == "e-max":
+            extra += ["--e-max", draw(st.sampled_from(["-1", "0", "1"]))]
+        elif flaw == "text" and polys:
+            polys[draw(st.integers(0, len(polys) - 1))] = draw(loose | junk)
+        elif flaw == "count" and polys:
+            polys = (polys + [draw(form(2))])[: draw(st.sampled_from([0, 1, 3]))]
         # "--" keeps texts that start with "-" positional
-        return [*command, "--field", field, *extra, "--", *polys]
+        return [*command.split(), "--field", field, *extra, *(["--", *polys] if polys else [])]
 
     @hypothesis.given(argvs())
-    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
     def check(argv):
         code, out, err = _call(capsys, argv)
         assert code in (0, 1, 2), (argv, code, err)

@@ -200,9 +200,10 @@ def _reference_arithmetic(field, sympy):
 
 @pytest.mark.parametrize("spec", ["q", "qi", "fp:13", "fp:2147483629", "fp2:13"])
 def test_arith_record_matches_independent_arithmetic(spec):
-    # each operation of field.arith on raw values against sympy QQ, QQ_I
-    # and GF(p), or the fp2 product written out above; the ring laws of
-    # test_arithmetic_axioms_random would also hold with a wrong nu
+    # each operation of field.arith on raw values, and each boxed Scalar
+    # operation alone and mixed with ints and Fractions, against sympy QQ,
+    # QQ_I and GF(p), or the fp2 product written out above; the ring laws
+    # of test_arithmetic_axioms_random would also hold with a wrong nu
     hypothesis = pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     st = hypothesis.strategies
@@ -213,16 +214,25 @@ def test_arith_record_matches_independent_arithmetic(spec):
         part = st.integers(0, field.p - 1)
     else:
         part = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
-    values = st.tuples(part, part) if field.kind in ("qi", "fp2") else part
+    pair = field.kind in ("qi", "fp2")
+    values = st.tuples(part, part) if pair else part
     rows = st.integers(1, 4).flatmap(
         lambda n: st.tuples(*[st.lists(values, min_size=n, max_size=n)] * 2)
     )
+    ints = st.integers(-10**3, 10**3)
+    # an int or a Fraction n/d enters as n * d^-1, so d must be prime to p
+    fractions = st.builds(Fraction, ints, st.integers(1, 60)).filter(
+        lambda f: not field.characteristic or f.denominator % field.p
+    )
 
-    @hypothesis.given(values, values, st.integers(0, 40), rows, values)
+    def ref_int(k):
+        return to_ref((k, 0) if pair else k)
+
+    @hypothesis.given(values, values, st.integers(0, 40), rows, values, ints, fractions)
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
-    def check(x, y, e, xy_rows, t):
+    def check(x, y, e, xy_rows, t, k, frac):
         rx, ry = to_ref(x), to_ref(y)
-        assert ar.raw([ar.box(x)]) == [x]
+        assert ar.of(ar.box(x)) == x
         assert ar.zero == from_ref(rx - rx) and ar.one == from_ref(rx**0)
         assert ar.add(x, y) == from_ref(rx + ry)
         assert ar.neg(x) == from_ref(-rx)
@@ -233,6 +243,24 @@ def test_arith_record_matches_independent_arithmetic(spec):
         xs, ys = xy_rows
         f = to_ref(xs[0]) * to_ref(t)
         assert ar.sub(xs, ys, t) == [from_ref(to_ref(u) - f * to_ref(v)) for u, v in zip(xs, ys)]
+        bx, by = ar.box(x), ar.box(y)
+        rk, rf = ref_int(k), ref_int(frac.numerator) / ref_int(frac.denominator)
+        assert ar.of(bx + by) == from_ref(rx + ry)
+        assert ar.of(bx - by) == from_ref(rx - ry)
+        assert ar.of(-bx) == from_ref(-rx)
+        assert ar.of(bx * by) == from_ref(rx * ry)
+        assert ar.of(bx**e) == from_ref(rx**e)
+        assert ar.of(bx + k) == ar.of(k + bx) == from_ref(rx + rk)
+        assert ar.of(k - bx) == from_ref(rk - rx)
+        assert ar.of(bx * frac) == ar.of(frac * bx) == from_ref(rx * rf)
+        assert ar.of(bx - frac) == from_ref(rx - rf)
+        assert ar.of(field.coerce(frac)) == from_ref(rf)
+        if x != ar.zero:
+            rinv = to_ref(ar.one) / rx
+            assert ar.of(bx.inverse()) == from_ref(rinv)
+            assert ar.of(by / bx) == from_ref(ry * rinv)
+            assert ar.of(frac / bx) == from_ref(rf * rinv)
+            assert ar.of(bx**-e) == from_ref(rinv**e)
 
     check()
     if field.kind == "fp2":
@@ -375,6 +403,44 @@ def test_scalar_rejects_cross_field_mix():
         f13.scalar(1) + f17.scalar(1)
     with pytest.raises(ValueError):
         f13.scalar(1, 5)
+
+
+def test_coerce_reads_ints_and_fractions_as_the_parser_does():
+    f7, f11, e7 = FieldSpec.prime(7), FieldSpec.prime(11), FieldSpec.quadratic(7)
+    half = Fraction(1, 2)
+    assert f7.scalar(half) == f7.parse_scalar("1/2") == f7.from_int(4)
+    assert f7.coerce(half).a == 4 and f7.coerce(Fraction(-3, 4)) == f7.parse_scalar("-3/4")
+    assert e7.scalar(half, Fraction(1, 3)) == e7.parse_scalar("1/2+1/3w")
+    assert f7.coerce(-10) == f7.from_int(4)
+    assert f7.one + half == f7.parse_scalar("3/2") and half * f7.from_int(2) == f7.one
+    assert f7.coerce(f7.one) is f7.one
+    for value in (Fraction(1, 7), Fraction(3, 14)):
+        with pytest.raises(ValueError, match="not invertible"):
+            f7.coerce(value)
+        with pytest.raises(ValueError, match="not invertible"):
+            f7.scalar(1, value)
+    with pytest.raises(ValueError, match="field mismatch"):
+        f7.coerce(f11.one)
+
+
+@pytest.mark.parametrize("junk", [2.7, "3", None, 1j])
+def test_coerce_refuses_other_types(junk):
+    f7 = FieldSpec.prime(7)
+    with pytest.raises(TypeError):
+        f7.scalar(junk)
+    with pytest.raises(TypeError):
+        f7.coerce(junk)
+    with pytest.raises(TypeError):
+        f7.one + junk
+
+
+def test_scalar_equality_never_raises():
+    f7, f11 = FieldSpec.prime(7), FieldSpec.prime(11)
+    assert f7.from_int(4) == Fraction(1, 2) and f7.from_int(4) == 11
+    assert f7.one != Fraction(1, 7)
+    assert f7.one != f11.one and f11.one != f7.one
+    assert f7.one != "1" and f7.one != 1.0 and f7.one != None  # noqa: E711
+    assert FieldSpec.rationals().scalar(Fraction(1, 2)) == Fraction(1, 2)
 
 
 def test_zero_inverse_fails():

@@ -141,6 +141,33 @@ def test_det_rejects_non_square(q):
         det([[q.one, q.zero]], q)
 
 
+def test_rank_rejects_ragged_rows():
+    fp7, q, qi, e13 = (FieldSpec.parse(s) for s in ("fp:7", "q", "qi", "fp2:13"))
+    cases = [
+        (fp7, [[1], [3, 5]]),
+        (q, [[1, 2], []]),
+        (qi, [[1, 2], []]),
+        (q, [[], [1]]),
+        (e13, [[(1, 1)], [(0, 1), (2, 0)]]),
+    ]
+    for field, values in cases:
+        rows = [[field.scalar(*v) if isinstance(v, tuple) else field.scalar(v) for v in row] for row in values]
+        with pytest.raises(ValueError):
+            rank(rows, field)
+    assert rank([[], []], q) == 0
+
+
+def test_mat_mul_rejects_mismatched_shapes(q):
+    one = q.one
+    with pytest.raises(ValueError):
+        mat_mul([[one, one]], [[one]], q)
+    with pytest.raises(ValueError):
+        mat_mul([[one]], [[one, one], [one]], q)
+    with pytest.raises(ValueError):
+        mat_mul([[one], [one, one]], [[one]], q)
+    assert mat_mul([[one, one]], [[one], [one]], q) == [[q.from_int(2)]]
+
+
 def test_solve_recovers_consistent_systems():
     rng = random.Random(39)
     for field in _all_fields():

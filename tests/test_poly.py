@@ -117,6 +117,46 @@ def test_parse_of_printed_polynomial_is_the_polynomial(spec):
     check()
 
 
+def test_constructors_read_fractions_as_the_parser_does():
+    f7 = FieldSpec.prime(7)
+    assert Poly(f7, 1, {(1,): Fraction(1, 2)}).coefficient((1,)) == f7.from_int(4)
+    assert Poly.constant(f7, 2, Fraction(1, 2)) == parse_poly("1/2", f7, nvars=2)
+    assert Poly.monomial(f7, (1, 0), Fraction(1, 2)) == parse_poly("1/2*x", f7, nvars=2)
+    assert Poly.linear_form(f7, [Fraction(1, 2), 1]) == parse_poly("1/2*x + y", f7)
+    assert parse_poly("x", f7).scale(Fraction(1, 2)) == parse_poly("4*x", f7)
+    with pytest.raises(ValueError, match="not invertible"):
+        Poly(f7, 1, {(1,): Fraction(1, 7)})
+    with pytest.raises(TypeError):
+        Poly(f7, 1, {(1,): 2.7})
+
+
+_FOREIGN = FieldSpec.prime(11).from_int(10)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda f7: Poly(f7, 1, {(1,): _FOREIGN}),
+        lambda f7: Poly.constant(f7, 2, _FOREIGN),
+        lambda f7: Poly.monomial(f7, (1, 0), _FOREIGN),
+        lambda f7: Poly.linear_form(f7, [f7.one, _FOREIGN]),
+        lambda f7: parse_poly("x", f7).scale(_FOREIGN),
+        lambda f7: parse_poly("x*y", f7).set_variable(0, _FOREIGN),
+        lambda f7: parse_poly("x", f7).evaluate([_FOREIGN]),
+    ],
+    ids=["init", "constant", "monomial", "linear_form", "scale", "set_variable", "evaluate"],
+)
+def test_constructors_refuse_a_coefficient_of_another_field(build):
+    with pytest.raises(ValueError, match="field mismatch"):
+        build(FieldSpec.prime(7))
+
+
+def test_parse_poly_rejects_arity_below_one(q):
+    for nvars in (0, -1, -5):
+        with pytest.raises(ValueError, match="at least one variable"):
+            parse_poly("x", q, nvars=nvars)
+
+
 def test_variable_aliases():
     q = FieldSpec.rationals()
     p = parse_poly("x + y + z + t + w", q)

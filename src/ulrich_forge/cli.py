@@ -225,7 +225,7 @@ def _pipeline_setup(args, field, config):
 def _cmd_ulrich_pipeline(args, field, config):
     F, vmap = _pipeline_setup(args, field, config)
     lift = lift_form(F, vmap)
-    decomp = decompose_form(F, vmap)
+    decomp = decompose_form(F, vmap, lift)
     mf, report = ulrich_presentation(F, decomp)
     bounds = rank_bounds(decomp.F, decomp, e_max=args.e_max, seed=args.seed)
     ok = bounds.achieved == mf.ulrich_rank and _lower_check_ok(bounds.lower_check)
@@ -243,7 +243,7 @@ def _cmd_ulrich_pipeline(args, field, config):
             "ulrich_rank": report.ulrich_rank,
             "case": report.case,
             "verified": True,
-            "entries": [[str(e) for e in row] for row in mf.entries],
+            "entries": report.entries,
             "entry_pullbacks": report.entry_pullbacks,
         },
         "rank_report": _bounds_result(bounds),

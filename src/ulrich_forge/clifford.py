@@ -9,8 +9,9 @@ and assembles matrices of linear forms recursively:
 so s pairs give a 2^s by 2^s matrix presenting a sheaf of rank 2^(s-1)
 on the quadric.  The matrix is kept as a linear pencil A = sum_j x_j A_j
 of scalar matrices, one per variable, whose entries are raw values
-(see ``fields``); the build runs the recursion on each A_j through the
-field's ``Arith`` record, one coefficient at a time.  Since
+(see ``fields``) read straight from the ``Poly.raw`` maps of the pairs;
+the build runs the recursion on each A_j through the field's ``Arith``
+record, one coefficient at a time.  Since
 
     A * A = sum_j x_j^2 A_j^2 + sum_{i<j} x_i x_j (A_i A_j + A_j A_i),
 
@@ -31,11 +32,6 @@ from .linalg import _det_raw
 from .poly import Poly
 
 
-def _raw_terms(poly):
-    """The terms of a polynomial as {exponents: raw coefficient}."""
-    return dict(zip(poly.terms, map(poly.field.arith.of, poly.terms.values())))
-
-
 def _items(row):
     """The (column, value) pairs of a sparse row (c_0, v_0, c_1, v_1, ...)."""
     it = iter(row)
@@ -52,7 +48,7 @@ class MatrixFactorization:
     A matrix of linear forms has one A_m per variable that occurs; other
     monomials come only from matrices read as text, which
     ``verify_clifford`` rejects.  ``entries`` gives the matrix back as
-    polynomials, computed on each read.
+    polynomials, computed on each read from the same raw values.
     """
 
     __slots__ = ("field", "nvars", "size", "pencil", "quadric", "source")
@@ -69,7 +65,7 @@ class MatrixFactorization:
         pencil = {}
         for i, row in enumerate(entries):
             for j, e in enumerate(row):
-                for exps, v in _raw_terms(e).items():
+                for exps, v in e.raw.items():
                     rows = pencil.get(exps)
                     if rows is None:
                         rows = pencil[exps] = [[] for _ in range(size)]
@@ -98,13 +94,12 @@ class MatrixFactorization:
     def entries(self):
         """The matrix as rows of polynomials."""
         field, nvars, size = self.field, self.nvars, self.size
-        box = field.arith.box
-        terms = [[{} for _ in range(size)] for _ in range(size)]
+        raw = [[{} for _ in range(size)] for _ in range(size)]
         for exps, rows in self.pencil.items():
             for i, row in enumerate(rows):
                 for j, v in _items(row):
-                    terms[i][j][exps] = box(v)
-        return tuple(tuple(Poly._make(field, nvars, t) for t in row) for row in terms)
+                    raw[i][j][exps] = v
+        return tuple(tuple(Poly._make(field, nvars, t) for t in row) for row in raw)
 
     @property
     def ulrich_rank(self):
@@ -138,7 +133,7 @@ def build_clifford_factorization(sop):
             if h.is_zero or not h.is_homogeneous() or h.homogeneous_degree() != 1:
                 raise ValueError("pair entries must be nonzero linear forms")
     ar = sop.quadric.field.arith
-    raw_pairs = [(_raw_terms(l), _raw_terms(m)) for l, m in pairs]
+    raw_pairs = [(l.raw, m.raw) for l, m in pairs]
     pencil = {}
     for exps in sorted({e for l, m in raw_pairs for e in (*l, *m)}, reverse=True):
         # the recursion on the x^exps coefficients from A_0 = (0), with
@@ -197,7 +192,7 @@ def verify_clifford(mf):
             return False
         coefficients[exps.index(1)] = [tuple(_items(row)) for row in rows]
     targets = {}
-    for exps, v in _raw_terms(mf.quadric).items():
+    for exps, v in mf.quadric.raw.items():
         if sum(exps) != 2:
             return False
         used = [j for j, e in enumerate(exps) if e]
@@ -277,7 +272,7 @@ def determinant_certificate(mf, trials=50, seed=0):
     add, neg, mul, zero = ar.add, ar.neg, ar.mul, ar.zero
     factors = [_factors(exps) for exps in mf.pencil]
     forms = _distinct_entries(mf.pencil, neg)
-    quadric = [(_factors(exps), c) for exps, c in _raw_terms(mf.quadric).items()]
+    quadric = [(_factors(exps), c) for exps, c in mf.quadric.raw.items()]
     rng = random.Random(seed)
     half = size // 2
     sign = None

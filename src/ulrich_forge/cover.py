@@ -118,9 +118,7 @@ def check_branch_splitting(F1, r, l, m, a):
     sol = solve(rows, rhs, field)
     if sol is None:
         return NoWitness(reason="r - l*m - a^2 is not a multiple of F1")
-    witness = Poly._make(
-        field, 3, {b: c for b, c in zip(basis, sol) if c}
-    )
+    witness = Poly(field, 3, dict(zip(basis, sol)))
     if witness * F1 != target:
         raise AssertionError("witness failed its defining identity")
     return BranchSplit(F1=F1, r=r, l=l, m=m, a=a, witness=witness)

@@ -14,10 +14,12 @@ A raw value is the unboxed form of a field element: an ``int`` residue
 over fp, an ``(a, b)`` residue pair over fp2, a ``Fraction`` over q and
 a Fraction pair over qi.  ``field.arith``, an ``Arith`` record, holds
 the one arithmetic of the field, on raw values: dense elimination in
-``linalg``, ``Poly.evaluate``, the linear pencils of ``clifford`` and
-``Scalar`` itself all compute through it.  ``Scalar`` is the boxed form
-of a raw value; its operations unwrap the operands, call the record and
-box the result once.
+``linalg``, the coefficients of every ``Poly``, the linear pencils of
+``clifford`` and ``Scalar`` itself all compute through it.  ``Scalar``
+is the boxed form of a raw value; its operations unwrap the operands,
+call the record and box the result once.  Over qi and fp2 the raw zero
+``(0, 0)`` is truthy, so a raw value is tested against ``arith.zero``,
+never by ``if x``.
 
 ``FieldSpec.coerce`` is the one way into a field for an int, a Fraction
 or a Scalar: n/d enters as the polynomial parser reads it, n * d^-1 mod
@@ -272,12 +274,7 @@ class FieldSpec:
         """Re-express a scalar from this field or its base in this field."""
         if s.field == self:
             return s
-        ok = (self.kind == GAUSSIAN and s.field.kind == RATIONAL) or (
-            self.kind == PRIME_QUADRATIC
-            and s.field.kind == PRIME
-            and s.field.p == self.p
-        )
-        if not ok:
+        if self is not s.field.extension():
             raise ValueError(f"cannot embed {s.field} into {self}")
         return Scalar(self, s.a, 0)
 
@@ -528,6 +525,13 @@ class Scalar:
         return not self
 
     def __eq__(self, other):
+        """Equality with a scalar of this field, or an int or Fraction read by ``coerce``.
+
+        Over q, and over qi when b == 0, a scalar hashes like the number
+        it equals.  Over fp and fp2 an int compares by its residue
+        (``FieldSpec.prime(7).one == 8``), so no hash agrees with every
+        int a scalar equals; sets and dicts mixing the two may miss.
+        """
         try:
             o = self.field.coerce(other)
         except TypeError:
@@ -537,6 +541,8 @@ class Scalar:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
+        if not self.field.p and not self.b:
+            return hash(self.a)
         return hash((self.field, self.a, self.b))
 
     # -- arithmetic -----------------------------------------------------
@@ -604,26 +610,36 @@ class Scalar:
     # -- text -----------------------------------------------------------
 
     def __str__(self):
-        kind = self.field.kind
-        if kind in (RATIONAL, PRIME):
-            return str(self.a)
-        unit = "i" if kind == GAUSSIAN else "w"
-        if not self.b:
-            return str(self.a)
-        if self.b == 1:
-            imag = unit
-        elif kind == GAUSSIAN and self.b == -1:
-            imag = f"-{unit}"
-        else:
-            imag = f"{self.b}{unit}"
-        if not self.a:
-            return imag
-        if kind == GAUSSIAN and self.b < 0:
-            return f"{self.a}-{str(-self.b) if self.b != -1 else ''}{unit}"
-        return f"{self.a}+{imag}"
+        return scalar_text(self.field.kind, self.a, self.b)
 
     def __repr__(self):
         return f"Scalar({self} over {self.field})"
+
+
+def raw_parts(field, x):
+    """The components (a, b) of a raw value x = a + b*g of field (b = 0 over q and fp)."""
+    return x if field.kind in (GAUSSIAN, PRIME_QUADRATIC) else (x, 0)
+
+
+def scalar_text(kind, a, b=0):
+    """The text of a + b*g in a field of the given kind; g is i over qi, w over fp2.
+
+    ``Scalar.__str__`` and ``Poly.__str__`` both print through it.
+    """
+    if not b:
+        return str(a)
+    unit = "i" if kind == GAUSSIAN else "w"
+    if b == 1:
+        imag = unit
+    elif kind == GAUSSIAN and b == -1:
+        imag = f"-{unit}"
+    else:
+        imag = f"{b}{unit}"
+    if not a:
+        return imag
+    if kind == GAUSSIAN and b < 0:
+        return f"{a}-{str(-b) if b != -1 else ''}{unit}"
+    return f"{a}+{imag}"
 
 
 def sqrt_in_field(s):

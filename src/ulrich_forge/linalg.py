@@ -34,7 +34,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, RATIONAL, Scalar, sqrt_mod_p
+from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, RATIONAL, raw_parts, sqrt_mod_p
 from .poly import Poly
 
 # Word-size prime for the mod-p-first rank over q and qi; it is 1 mod 4,
@@ -356,21 +356,20 @@ def poly_matrix_det(rows):
     # scale.
     int_rows, scale = [], 1
     for row in rows:
+        row_parts = [[(exps, raw_parts(field, v)) for exps, v in e.raw.items()] for e in row]
         row_scale = 1
         if not p:
-            row_scale = lcm(
-                *(v.denominator for e in row for c in e.terms.values() for v in (c.a, c.b))
-            )
+            row_scale = lcm(*(x.denominator for terms in row_parts for _, ab in terms for x in ab))
             scale *= row_scale
         int_rows.append(
             [
                 [
-                    (exps + (t,), (v - p if 2 * v > p else v) if p else int(v * row_scale))
-                    for exps, c in e.terms.items()
-                    for t, v in ((0, c.a), (1, c.b))
-                    if v
+                    (exps + (t,), (x - p if 2 * x > p else x) if p else int(x * row_scale))
+                    for exps, ab in terms
+                    for t, x in enumerate(ab)
+                    if x
                 ]
-                for e in row
+                for terms in row_parts
             ]
         )
     # det = sum over permutations of +-prod a_{i,sigma(i)}, so its degree
@@ -426,9 +425,11 @@ def poly_matrix_det(rows):
             pair = acc.setdefault(tuple(exps), [0, 0])
             pair[t & 1] += c * square ** (t >> 1)
         position += 1
-    terms = {}
+    two, zero = field.kind in (GAUSSIAN, PRIME_QUADRATIC), field.arith.zero
+    raw = {}
     for exps, (a, b) in acc.items():
-        c = Scalar(field, a, b) if p else Scalar(field, Fraction(a, scale), Fraction(b, scale))
-        if c:
-            terms[exps] = c
-    return Poly._make(field, nvars, terms)
+        c = (a % p, b % p) if p else (Fraction(a, scale), Fraction(b, scale))
+        c = c if two else c[0]
+        if c != zero:
+            raw[exps] = c
+    return Poly._make(field, nvars, raw)

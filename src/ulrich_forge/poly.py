@@ -1,16 +1,18 @@
 """Sparse multivariate polynomials with exact field coefficients.
 
-A polynomial stores a map from exponent tuples to nonzero scalars; the
-zero polynomial has an empty map and degree ``NEG_INF``.  The canonical
-term order is graded lexicographic, largest first, which fixes printing
-and every report layout.
+A polynomial stores ``raw``, a map from exponent tuples to nonzero raw
+coefficients (see ``fields``); the zero polynomial has an empty map and
+degree ``NEG_INF``.  Every operation computes on raw values through the
+field's ``Arith`` record (``field.arith``), and a sum that reaches
+``field.arith.zero`` leaves the map.  ``terms``, ``coefficient``,
+``sorted_terms``, ``univariate_coefficients`` and ``evaluate`` box
+``Scalar``s on the way out.  The canonical term order is graded
+lexicographic, largest first, which fixes printing and every report
+layout.
 
 Coefficients, scale factors and point coordinates, ints, Fractions or
 scalars, enter through ``FieldSpec.coerce``, so a Fraction reads as the
 parser reads it and a scalar of another field is a ValueError.
-``evaluate`` takes one route in every field: it unwraps the point and
-the coefficients into raw values once, sums the terms through the
-field's ``Arith`` record (``field.arith``) and boxes the result once.
 
 Text grammar (used by the CLI and the tests): terms joined by + or -,
 each term a '*'-separated product of an optional coefficient and
@@ -22,8 +24,10 @@ field components must be parenthesized, e.g. ``(1+2i)*x*y``; a bare
 
 from __future__ import annotations
 
+import operator
 import re
-from .fields import GAUSSIAN, Scalar
+
+from .fields import GAUSSIAN, raw_parts, scalar_text
 
 NEG_INF = float("-inf")
 
@@ -52,34 +56,54 @@ def term_key(exps):
     return (sum(exps), exps)
 
 
-class Poly:
-    """An immutable sparse polynomial over a fixed field and arity."""
+def _accumulate(ar, acc, pairs):
+    """Add (exponents, nonzero raw value) pairs into the dict acc, keeping only nonzero sums."""
+    add, zero = ar.add, ar.zero
+    get = acc.get
+    for exps, v in pairs:
+        s = get(exps)
+        if s is not None:
+            v = add(s, v)
+            if v == zero:
+                del acc[exps]
+                continue
+        acc[exps] = v
+    return acc
 
-    __slots__ = ("field", "nvars", "terms")
+
+class Poly:
+    """An immutable sparse polynomial over a fixed field and arity.
+
+    ``raw`` maps exponent tuples to nonzero raw coefficients; ``terms``
+    boxes them into ``Scalar``s on each read.
+    """
+
+    __slots__ = ("field", "nvars", "raw")
 
     def __init__(self, field, nvars, terms=None):
-        clean = {}
+        raw = {}
         if terms:
+            of, zero = field.arith.of, field.arith.zero
             for exps, coeff in terms.items():
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
-                coeff = field.coerce(coeff)
-                if coeff:
-                    clean[exps] = coeff
+                v = of(field.coerce(coeff))
+                if v != zero:
+                    raw[exps] = v
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "raw", raw)
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def _make(cls, field, nvars, terms):
-        """Trusted constructor: terms already canonical (no zeros)."""
+    def _make(cls, field, nvars, raw):
+        """Trusted constructor: raw already canonical (no zeros)."""
         self = object.__new__(cls)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "raw", raw)
         return self
 
     @classmethod
@@ -88,57 +112,57 @@ class Poly:
 
     @classmethod
     def constant(cls, field, nvars, value):
-        value = field.coerce(value)
-        if not value:
-            return cls.zero(field, nvars)
-        return cls._make(field, nvars, {(0,) * nvars: value})
+        return cls.monomial(field, (0,) * nvars, value)
 
     @classmethod
     def variable(cls, field, nvars, index):
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._make(field, nvars, {exps: field.one})
+        return cls._make(field, nvars, {exps: field.arith.one})
 
     @classmethod
     def monomial(cls, field, exps, coeff=1):
-        coeff = field.coerce(coeff)
-        if not coeff:
+        v = field.arith.of(field.coerce(coeff))
+        if v == field.arith.zero:
             return cls.zero(field, len(exps))
-        return cls._make(field, len(exps), {tuple(exps): coeff})
+        return cls._make(field, len(exps), {tuple(exps): v})
 
     @classmethod
     def linear_form(cls, field, coeffs):
         """The linear form sum(coeffs[i] * x_i)."""
         n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = field.coerce(c)
-            if c:
-                terms[tuple(1 if j == i else 0 for j in range(n))] = c
-        return cls._make(field, n, terms)
+        return cls(
+            field, n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)}
+        )
 
     # -- basic queries ----------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.raw)
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.raw
+
+    @property
+    def terms(self):
+        """The coefficients as ``Scalar``s, {exponents: scalar}."""
+        box = self.field.arith.box
+        return {e: box(v) for e, v in self.raw.items()}
 
     def degree(self):
-        if not self.terms:
+        if not self.raw:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.raw)
 
     def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self.raw}
         return len(degs) <= 1
 
     def homogeneous_degree(self):
         """Degree of a homogeneous polynomial (NEG_INF for zero)."""
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self.raw}
         if not degs:
             return NEG_INF
         if len(degs) > 1:
@@ -146,14 +170,15 @@ class Poly:
         return degs.pop()
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.field.zero)
+        v = self.raw.get(tuple(exps))
+        return self.field.zero if v is None else self.field.arith.box(v)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: term_key(kv[0]), reverse=True)
 
     def variables_used(self):
         used = set()
-        for exps in self.terms:
+        for exps in self.raw:
             for i, e in enumerate(exps):
                 if e:
                     used.add(i)
@@ -171,35 +196,22 @@ class Poly:
         return (
             self.field == other.field
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.raw == other.raw
         )
 
     def __hash__(self):
-        return hash(
-            (self.field, self.nvars, frozenset((e, c.a, c.b) for e, c in self.terms.items()))
-        )
+        return hash((self.field, self.nvars, frozenset(self.raw.items())))
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            s = terms.get(exps)
-            if s is None:
-                terms[exps] = coeff
-            else:
-                s = s + coeff
-                if s:
-                    terms[exps] = s
-                else:
-                    del terms[exps]
-        return Poly._make(self.field, self.nvars, terms)
+        raw = _accumulate(self.field.arith, dict(self.raw), other.raw.items())
+        return Poly._make(self.field, self.nvars, raw)
 
     def __neg__(self):
-        return Poly._make(
-            self.field, self.nvars, {e: -c for e, c in self.terms.items()}
-        )
+        neg = self.field.arith.neg
+        return Poly._make(self.field, self.nvars, {e: neg(v) for e, v in self.raw.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -207,46 +219,37 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            return self.__rmul__(other)
         self._check(other)
-        terms = {}
-        get = terms.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = get(exps)
-                if s is None:
-                    if c:
-                        terms[exps] = c
-                else:
-                    s = s + c
-                    if s:
-                        terms[exps] = s
-                    else:
-                        del terms[exps]
-        return Poly._make(self.field, self.nvars, terms)
+        ar = self.field.arith
+        mul = ar.mul
+        products = (
+            (tuple(map(operator.add, e1, e2)), mul(c1, c2))
+            for e1, c1 in self.raw.items()
+            for e2, c2 in other.raw.items()
+        )
+        return Poly._make(self.field, self.nvars, _accumulate(ar, {}, products))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
+        try:
             return self.scale(other)
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        if not c:
+        """The polynomial times an int, a Fraction or a scalar of its field."""
+        ar = self.field.arith
+        c = ar.of(self.field.coerce(c))
+        if c == ar.zero:
             return Poly.zero(self.field, self.nvars)
-        return Poly._make(
-            self.field, self.nvars, {e: c * v for e, v in self.terms.items()}
-        )
+        mul = ar.mul
+        return Poly._make(self.field, self.nvars, {e: mul(c, v) for e, v in self.raw.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take nonnegative integers")
-        result = Poly.constant(self.field, self.nvars, 1)
+        result = Poly._make(self.field, self.nvars, {(0,) * self.nvars: self.field.arith.one})
         base = self
         while n:
             if n & 1:
@@ -260,18 +263,18 @@ class Poly:
     def partial_derivative(self, index):
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index {index} out of range")
-        terms = {}
-        for exps, coeff in self.terms.items():
+        ar = self.field.arith
+        multiples = {}  # e -> the raw value of the integer e
+        raw = {}
+        for exps, c in self.raw.items():
             e = exps[index]
-            if not e:
-                continue
-            c = coeff * e
-            if not c:
-                continue
-            lowered = list(exps)
-            lowered[index] = e - 1
-            terms[tuple(lowered)] = c
-        return Poly._make(self.field, self.nvars, terms)
+            if e:
+                if e not in multiples:
+                    multiples[e] = ar.of(self.field.coerce(e))
+                c = ar.mul(c, multiples[e])
+                if c != ar.zero:
+                    raw[exps[:index] + (e - 1,) + exps[index + 1 :]] = c
+        return Poly._make(self.field, self.nvars, raw)
 
     def gradient(self):
         return [self.partial_derivative(i) for i in range(self.nvars)]
@@ -282,11 +285,11 @@ class Poly:
             raise ValueError("point arity mismatch")
         field = self.field
         ar = field.arith
-        add, mul, power, of = ar.add, ar.mul, ar.pow, ar.of
+        add, mul, power = ar.add, ar.mul, ar.pow
         # powers[i] maps each exponent met so far to x_i^e
-        powers = [{1: of(field.coerce(v))} for v in point]
+        powers = [{1: ar.of(field.coerce(v))} for v in point]
         total = ar.zero
-        for exps, c in zip(self.terms, map(of, self.terms.values())):
+        for exps, c in self.raw.items():
             for known, e in zip(powers, exps):
                 if e:
                     xe = known.get(e)
@@ -299,25 +302,18 @@ class Poly:
     def set_variable(self, index, value):
         """Substitute a scalar for one variable (stays in the same ring)."""
         field = self.field
-        value = field.coerce(value)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e:
-                coeff = coeff * value**e
-                if not coeff:
-                    continue
-                exps = tuple(0 if i == index else x for i, x in enumerate(exps))
-            s = terms.get(exps)
-            if s is None:
-                terms[exps] = coeff
-            else:
-                s = s + coeff
-                if s:
-                    terms[exps] = s
-                else:
-                    del terms[exps]
-        return Poly._make(field, self.nvars, terms)
+        ar = field.arith
+        value = ar.of(field.coerce(value))
+        if value == ar.zero:  # every term that holds the variable dies
+            raw = {e: c for e, c in self.raw.items() if not e[index]}
+            return Poly._make(field, self.nvars, raw)
+        pairs = (
+            (exps[:index] + (0,) + exps[index + 1 :], ar.mul(c, ar.pow(value, exps[index])))
+            if exps[index]
+            else (exps, c)
+            for exps, c in self.raw.items()
+        )
+        return Poly._make(field, self.nvars, _accumulate(ar, {}, pairs))
 
     def substitute_monomials(self, images):
         """Ring map sending variable i to the monomial images[i].
@@ -335,36 +331,29 @@ class Poly:
         if len(degs) != 1 or degs.pop() < 1:
             raise ValueError("images must share one positive degree")
         nvars_out = arities.pop()
-        terms = {}
-        for exps, coeff in self.terms.items():
+
+        def image(exps):
             out = [0] * nvars_out
-            for i, e in enumerate(exps):
+            for e, im in zip(exps, images):
                 if e:
-                    for j, f in enumerate(images[i]):
-                        if f:
-                            out[j] += e * f
-            key = tuple(out)
-            s = terms.get(key)
-            if s is None:
-                terms[key] = coeff
-            else:
-                s = s + coeff
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
-        return Poly._make(self.field, nvars_out, terms)
+                    for j, f in enumerate(im):
+                        out[j] += e * f
+            return tuple(out)
+
+        pairs = ((image(exps), c) for exps, c in self.raw.items())
+        return Poly._make(self.field, nvars_out, _accumulate(self.field.arith, {}, pairs))
 
     def embed(self, target_field=None):
+        """The polynomial over the extension of its field (fp2 over fp, qi over q)."""
+        field = self.field
         if target_field is None:
-            target_field = self.field.extension()
-        if target_field == self.field:
+            target_field = field.extension()
+        if target_field == field:
             return self
-        return Poly._make(
-            target_field,
-            self.nvars,
-            {e: target_field.embed(c) for e, c in self.terms.items()},
-        )
+        if target_field is not field.extension():
+            raise ValueError(f"cannot embed {field} into {target_field}")
+        pad = target_field.arith.zero[1]
+        return Poly._make(target_field, self.nvars, {e: (v, pad) for e, v in self.raw.items()})
 
     def univariate_coefficients(self, index=None):
         """Dense ascending coefficient list of a one-variable polynomial."""
@@ -375,12 +364,10 @@ class Poly:
             index = used.pop() if used else 0
         elif used - {index}:
             raise ValueError("polynomial involves other variables")
-        if not self.terms:
-            return [self.field.zero]
-        top = max(e[index] for e in self.terms)
-        coeffs = [self.field.zero] * (top + 1)
-        for exps, coeff in self.terms.items():
-            coeffs[exps[index]] = coeff
+        zero, box = self.field.zero, self.field.arith.box
+        coeffs = [zero] * (max((e[index] for e in self.raw), default=0) + 1)
+        for exps, v in self.raw.items():
+            coeffs[exps[index]] = box(v)
         return coeffs
 
     # -- text ---------------------------------------------------------------
@@ -389,22 +376,23 @@ class Poly:
         return _ALIASES[i] if self.nvars <= len(_ALIASES) else f"x{i}"
 
     def __str__(self):
-        if not self.terms:
+        if not self.raw:
             return "0"
+        kind = self.field.kind
         pieces = []
-        for exps, coeff in self.sorted_terms():
+        for exps in sorted(self.raw, key=term_key, reverse=True):
             mono = "*".join(
                 self._var_name(i) + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(exps)
                 if e
             )
+            a, b = raw_parts(self.field, self.raw[exps])
             sign = "+"
-            if not coeff.b and coeff.a < 0:
-                sign, coeff = "-", -coeff
-            if coeff.b:
-                cs = f"({coeff})"
-            else:
-                cs = str(coeff)
+            if not b and a < 0:
+                sign, a = "-", -a
+            cs = scalar_text(kind, a, b)
+            if b:
+                cs = f"({cs})"
             if not mono:
                 body = cs
             elif cs == "1":
@@ -424,11 +412,7 @@ class Poly:
 
 def random_homogeneous(field, nvars, degree, rng, span=9):
     """A random homogeneous polynomial with full monomial support allowed."""
-    terms = {}
-    for exps in monomials_of_degree(nvars, degree):
-        c = field.random_scalar(rng, span)
-        if c:
-            terms[exps] = c
+    terms = {exps: field.random_scalar(rng, span) for exps in monomials_of_degree(nvars, degree)}
     return Poly(field, nvars, terms)
 
 

@@ -33,13 +33,10 @@ FAILED = "failed"
 
 def _coefficients_in(f, var):
     """Dense list of coefficient polynomials of f seen in one variable."""
-    top = max((e[var] for e in f.terms), default=0)
-    coeffs = [Poly.zero(f.field, f.nvars) for _ in range(top + 1)]
-    for exps, coeff in f.terms.items():
-        k = exps[var]
-        stripped = tuple(0 if i == var else x for i, x in enumerate(exps))
-        coeffs[k] = coeffs[k] + Poly.monomial(f.field, stripped, coeff)
-    return coeffs
+    raws = [{} for _ in range(max((e[var] for e in f.raw), default=0) + 1)]
+    for exps, v in f.raw.items():
+        raws[exps[var]][exps[:var] + (0,) + exps[var + 1 :]] = v
+    return [Poly._make(f.field, f.nvars, raw) for raw in raws]
 
 
 def sylvester_resultant(f, g, var):

@@ -142,12 +142,11 @@ def linear_lift(p, vmap, nvars=None):
     if p.is_zero or not p.is_homogeneous() or p.homogeneous_degree() != vmap.d:
         raise ValueError(f"can only lift nonzero forms of degree {vmap.d}")
     out_n = vmap.N + 1 if nvars is None else nvars
-    terms = {}
-    for exps, coeff in p.terms.items():
+    raw = {}
+    for exps, v in p.raw.items():
         idx = vmap._index[exps]
-        key = tuple(1 if i == idx else 0 for i in range(out_n))
-        terms[key] = coeff
-    return Poly._make(p.field, out_n, terms)
+        raw[tuple(1 if i == idx else 0 for i in range(out_n))] = v
+    return Poly._make(p.field, out_n, raw)
 
 
 class FormDecomposition:
@@ -213,26 +212,25 @@ def _descend_to_prime(polys):
     field = polys[0].field
     if field.kind != PRIME_QUADRATIC:
         return None
-    for p in polys:
-        for c in p.terms.values():
-            if c.b:
-                return None
+    if any(b for p in polys for _, b in p.raw.values()):
+        return None
     base = FieldSpec.prime(field.p)
-    return [
-        Poly._make(base, p.nvars, {e: base.from_int(c.a) for e, c in p.terms.items()})
-        for p in polys
-    ]
+    return [Poly._make(base, p.nvars, {e: a for e, (a, _) in p.raw.items()}) for p in polys]
 
 
-def decompose_form(F, vmap):
+def decompose_form(F, vmap, lift=None):
     """Decompose a degree-2d form into products of degree-d forms.
 
     Lifts to a quadric, rewrites as a sum of products, pulls each linear
     factor back along the embedding.  Prime-field inputs come back over
     the prime field again whenever no extension coefficient survives the
-    pullback; the summand count is at most ceil((N+1)/2).
+    pullback; the summand count is at most ceil((N+1)/2).  A caller that
+    already holds ``lift_form(F, vmap)`` passes it as ``lift``.
     """
-    lift = lift_form(F, vmap)
+    if lift is None:
+        lift = lift_form(F, vmap)
+    elif lift.vmap is not vmap or lift.source != F:
+        raise ValueError("lift is not the lift of F along vmap")
     sop = sum_of_products(lift.record)
     factors = []
     for l, m in sop.pairs:
@@ -258,6 +256,7 @@ class PresentationReport:
     ulrich_rank: int
     secant_index: int
     summand_count: int
+    entries: list
     entry_pullbacks: list
 
 
@@ -269,14 +268,14 @@ def _entry_pullback(entry, vmap):
     reading, never fed back into the pipeline.
     """
     n1 = vmap.n + 1
-    terms = {}
-    for exps, coeff in entry.terms.items():
+    raw = {}
+    for exps, v in entry.raw.items():
         if exps[vmap.N + 1]:
             key = (0,) * n1 + (1,)
         else:
             key = vmap.basis[exps.index(1)] + (0,)
-        terms[key] = coeff
-    return Poly._make(entry.field, n1 + 1, terms)
+        raw[key] = v
+    return Poly._make(entry.field, n1 + 1, raw)
 
 
 def ulrich_presentation(F, decomp=None):
@@ -320,15 +319,15 @@ def ulrich_presentation(F, decomp=None):
     if sop.recombine() != quadric:
         raise AssertionError("presentation pairs do not recombine to T^2 - Q")
     mf = build_clifford_factorization(sop)
+    entries = mf.entries
     report = PresentationReport(
         case=case,
         size=mf.size,
         ulrich_rank=mf.ulrich_rank,
         secant_index=decomp.secant_index,
         summand_count=decomp.k,
-        entry_pullbacks=[
-            [str(_entry_pullback(e, vmap)) for e in row] for row in mf.entries
-        ],
+        entries=[[str(e) for e in row] for row in entries],
+        entry_pullbacks=[[str(_entry_pullback(e, vmap)) for e in row] for row in entries],
     )
     return mf, report
 

@@ -469,6 +469,29 @@ def test_inconclusive_lower_check_is_exit_one(capsys, verb):
     assert (code, payload["ok"]) == (0, True)
 
 
+def test_pipeline_lifts_once_and_reads_the_matrix_once(capsys, monkeypatch):
+    import ulrich_forge.cli
+    import ulrich_forge.veronese
+    from ulrich_forge.clifford import MatrixFactorization
+
+    calls = {"lift": 0, "entries": 0}
+    lift_form, entries = ulrich_forge.veronese.lift_form, MatrixFactorization.entries
+
+    def counting_lift(*args):
+        calls["lift"] += 1
+        return lift_form(*args)
+
+    def counting_entries(mf):
+        calls["entries"] += 1
+        return entries.fget(mf)
+
+    for module in (ulrich_forge.cli, ulrich_forge.veronese):
+        monkeypatch.setattr(module, "lift_form", counting_lift)
+    monkeypatch.setattr(MatrixFactorization, "entries", property(counting_entries))
+    code, _ = _run(capsys, ["ulrich", "pipeline", "x^4 + y^4 + z^4", "--field", "fp:13"])
+    assert code == 0 and calls == {"lift": 1, "entries": 1}
+
+
 def test_internal_assertion_is_exit_one_envelope(capsys, monkeypatch):
     import ulrich_forge.clifford
 

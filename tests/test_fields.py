@@ -443,6 +443,18 @@ def test_scalar_equality_never_raises():
     assert FieldSpec.rationals().scalar(Fraction(1, 2)) == Fraction(1, 2)
 
 
+def test_scalar_hash_agrees_with_equal_numbers():
+    q, qi, f7 = FieldSpec.rationals(), FieldSpec.gaussian_rationals(), FieldSpec.prime(7)
+    assert q.one in {1} and {q.one: "a"}.get(1) == "a"
+    assert q.scalar(Fraction(-3, 4)) in {Fraction(-3, 4)}
+    assert {Fraction(2, 3): "b"}.get(q.scalar(Fraction(2, 3))) == "b"
+    assert qi.scalar(5) in {5} and qi.scalar(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert qi.scalar(0, 1) not in {0, 1}
+    # one rule within a field: equal scalars hash alike
+    for field in (q, qi, f7):
+        assert len({field.coerce(2), field.from_int(2), field.one + field.one}) == 1
+
+
 def test_zero_inverse_fails():
     for field in _all_fields():
         with pytest.raises(ZeroDivisionError):

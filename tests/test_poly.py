@@ -10,6 +10,7 @@ import pytest
 from ulrich_forge import (
     FieldSpec,
     Poly,
+    Scalar,
     infer_nvars,
     monomials_of_degree,
     parse_poly,
@@ -207,17 +208,81 @@ def test_parse_errors(q):
             parse_poly(text, q)
 
 
+def _assert_raw_nonzero(*polys):
+    # over qi and fp2 the raw zero (0, 0) is truthy, so only == ar.zero finds it
+    for p in polys:
+        assert all(v != p.field.arith.zero for v in p.raw.values()), p.raw
+
+
+_FOUR_FIELDS = ("q", "qi", "fp:101", "fp2:13")
+
+
 def test_ring_axioms_random():
     rng = random.Random(23)
-    for field in (FieldSpec.rationals(), FieldSpec.prime(101)):
+    for field in map(FieldSpec.parse, _FOUR_FIELDS):
+        zero = Poly.zero(field, 3)
         for _ in range(15):
             a = random_homogeneous(field, 3, 2, rng)
             b = random_homogeneous(field, 3, 2, rng)
             c = random_homogeneous(field, 3, 2, rng)
             assert (a + b) * c == a * c + b * c
             assert a * b == b * a
-            assert a - a == Poly.zero(field, 3)
+            assert a - a == zero and (a - a).raw == {}
             assert (a * b) * c == a * (b * c)
+            _assert_raw_nonzero(a + b, a * b - b * a, (a + b) * c - a * c)
+        # w is the generator i or w where there is one, else 3
+        w = field.scalar(0, 1) if field.kind in ("qi", "fp2") else field.from_int(3)
+        x, y, z = (Poly.variable(field, 3, i) for i in range(3))
+        s = x + y.scale(w)
+        assert (s - s).raw == {} and (s + -s).raw == {} and s * s - s * s == zero
+        assert (s + (z - y.scale(w))).raw.keys() == {(1, 0, 0), (0, 0, 1)}
+        conj = x - y.scale(w)
+        assert (s * conj).raw.keys() == {(2, 0, 0), (0, 2, 0)}
+        _assert_raw_nonzero(s + (z - y.scale(w)), s * conj)
+
+
+@pytest.mark.parametrize("spec", _FOUR_FIELDS)
+def test_boxed_view_the_benchmark_reads(spec):
+    # the benchmark reads c.a / c.b on terms and builds Poly(fp, n, {exps: int})
+    field = FieldSpec.parse(spec)
+    p = random_homogeneous(field, 3, 3, random.Random(53)) + parse_poly("x^3", field, nvars=3)
+    box = field.arith.box
+    assert p.terms == {e: box(v) for e, v in p.raw.items()}
+    two = field.kind in ("qi", "fp2")
+    for e, c in list(p.terms.items()) + p.sorted_terms():
+        assert isinstance(c, Scalar) and c.field is field
+        parts = p.raw[e] if two else (p.raw[e], 0)
+        assert (c.a, c.b) == parts == (p.coefficient(e).a, p.coefficient(e).b)
+    assert p.coefficient((0, 0, 0)) == field.zero and isinstance(p.coefficient((1, 1, 0)), Scalar)
+    by_degree_then_lex = sorted(p.raw, key=lambda e: (sum(e), e), reverse=True)
+    assert [e for e, _ in p.sorted_terms()] == by_degree_then_lex
+    assert Poly(field, 3, p.terms) == p
+    coeffs = parse_poly("x^3 - 2*x", field, nvars=1).univariate_coefficients()
+    assert all(isinstance(c, Scalar) and c.field is field for c in coeffs)
+    assert [(c.a, c.b) for c in coeffs] == [(c.a, c.b) for c in map(field.from_int, (0, -2, 0, 1))]
+    fp = FieldSpec.prime(101)
+    r = Poly(fp, 4, {(1, 0, 0, 1): 5, (0, 2, 0, 0): 200, (0, 0, 0, 2): 101})
+    assert r.raw == {(1, 0, 0, 1): 5, (0, 2, 0, 0): 99}
+    assert len(r.terms) == 2 and r.coefficient((0, 2, 0, 0)).a == 99
+
+
+def test_poly_times_fraction_in_either_order():
+    half = Fraction(1, 2)
+    for spec, expected in (("q", "1/2*x"), ("fp:7", "4*x")):
+        field = FieldSpec.parse(spec)
+        x = parse_poly("x", field)
+        assert x * half == half * x == x.scale(half) == parse_poly(expected, field)
+        for junk in (2.5, "2", None):
+            with pytest.raises(TypeError):
+                x * junk
+            with pytest.raises(TypeError):
+                junk * x
+
+    class Other:  # another type's reflected product still gets its turn
+        def __rmul__(self, p):
+            return "other"
+
+    assert parse_poly("x", FieldSpec.rationals()) * Other() == "other"
 
 
 def test_product_degree_and_homogeneity():
@@ -273,14 +338,23 @@ def test_evaluate_matches_naive():
 
 def test_partial_derivative_product_rule():
     rng = random.Random(37)
-    f101 = FieldSpec.prime(101)
-    for _ in range(10):
-        f = random_homogeneous(f101, 3, 2, rng)
-        g = random_homogeneous(f101, 3, 2, rng)
-        for i in range(3):
-            lhs = (f * g).partial_derivative(i)
-            rhs = f.partial_derivative(i) * g + f * g.partial_derivative(i)
-            assert lhs == rhs
+    for field in map(FieldSpec.parse, _FOUR_FIELDS + ("fp:13",)):
+        for _ in range(10):
+            f = random_homogeneous(field, 3, 2, rng)
+            g = random_homogeneous(field, 3, 2, rng)
+            for i in range(3):
+                lhs = (f * g).partial_derivative(i)
+                rhs = f.partial_derivative(i) * g + f * g.partial_derivative(i)
+                assert lhs == rhs
+                _assert_raw_nonzero(lhs, f.partial_derivative(i))
+        # d/dx x^13 = 13 * x^12, which vanishes in characteristic 13
+        f = parse_poly("x^13 + x*y", field)
+        expected = "y" if field.characteristic == 13 else "13*x^12 + y"
+        assert f.partial_derivative(0) == parse_poly(expected, field)
+        _assert_raw_nonzero(f.partial_derivative(0))
+        assert (parse_poly("x^13", field).partial_derivative(0).raw == {}) == (
+            field.characteristic == 13
+        )
 
 
 def test_euler_identity():
@@ -302,10 +376,16 @@ def test_gradient_length(q):
     assert grads[0] == parse_poly("3*x^2", q, nvars=3)
 
 
-def test_set_variable(q):
-    f = parse_poly("x^2 + x*y + y^2", q)
-    g = f.set_variable(1, q.from_int(2))
-    assert g == parse_poly("x^2 + 2*x + 4", q, nvars=2)
+def test_set_variable():
+    for field in map(FieldSpec.parse, _FOUR_FIELDS):
+        f = parse_poly("x^2 + x*y + y^2", field)
+        g = f.set_variable(1, field.from_int(2))
+        assert g == parse_poly("x^2 + 2*x + 4", field, nvars=2)
+        # x*y - x cancels at y = 1, and y = 0 kills x*y*z
+        h = parse_poly("x*y - x + 2*z + x*y*z", field)
+        assert h.set_variable(1, 1) == parse_poly("2*z + x*z", field, nvars=3)
+        assert h.set_variable(1, 0) == parse_poly("-x + 2*z", field, nvars=3)
+        _assert_raw_nonzero(g, h.set_variable(1, 1), h.set_variable(1, 0))
 
 
 def test_univariate_coefficients(q):
@@ -316,13 +396,17 @@ def test_univariate_coefficients(q):
         parse_poly("x*y", q).univariate_coefficients(0)
 
 
-def test_substitute_monomials_veronese_relation(q):
+def test_substitute_monomials_veronese_relation():
     # y0*y2 - y1^2 dies under (x^2, x*y, y^2)
-    rel = parse_poly("x0*x2 - x1^2", q, nvars=3)
     images = ((2, 0), (1, 1), (0, 2))
-    assert rel.substitute_monomials(images).is_zero
-    lifted = parse_poly("x0 + x1", q, nvars=3).substitute_monomials(images)
-    assert lifted == parse_poly("x^2 + x*y", q)
+    for field in map(FieldSpec.parse, _FOUR_FIELDS):
+        rel = parse_poly("x0*x2 - x1^2", field, nvars=3)
+        assert rel.substitute_monomials(images).is_zero
+        lifted = parse_poly("x0 + x1", field, nvars=3).substitute_monomials(images)
+        assert lifted == parse_poly("x^2 + x*y", field)
+        partly = (rel + parse_poly("2*x0", field, nvars=3)).substitute_monomials(images)
+        assert partly == parse_poly("2*x^2", field, nvars=2)
+        _assert_raw_nonzero(lifted, partly)
 
 
 def test_substitute_monomials_rejects_mixed_degrees(q):

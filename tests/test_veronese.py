@@ -142,6 +142,17 @@ def test_decompose_form_frozen_quartic(f13):
     assert dec.F.field == f13
 
 
+def test_decompose_form_reuses_a_given_lift(f13):
+    vm = VeroneseMap(2, 2)
+    F = parse_poly("x^4 + y^4 + z^4", f13)
+    lift = lift_form(F, vm)
+    assert decompose_form(F, vm, lift).summands == decompose_form(F, vm).summands
+    with pytest.raises(ValueError, match="not the lift"):
+        decompose_form(parse_poly("x^4 + y^4 + 2*z^4", f13), vm, lift)
+    with pytest.raises(ValueError, match="not the lift"):
+        decompose_form(F, VeroneseMap(2, 2), lift)
+
+
 def test_decompose_form_descends_when_possible(f101):
     rng = random.Random(113)
     vm = VeroneseMap(2, 2)
@@ -183,7 +194,7 @@ def test_presentation_conic_frozen(f13):
         ["0", "12*x + 5*y", "z + 12*t", "0"],
     ]
     assert str(mf.quadric) == "12*x^2 + 12*y^2 + 12*z^2 + t^2"
-    assert rep.entry_pullbacks == [[str(e) for e in row] for row in mf.entries]
+    assert rep.entries == rep.entry_pullbacks == [[str(e) for e in row] for row in mf.entries]
     assert verify_clifford(mf)
 
 

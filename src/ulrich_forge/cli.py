@@ -170,6 +170,7 @@ def _cmd_mf_det_cert(args, field, config):
         "tested": cert.tested,
         "skipped": cert.skipped,
         "reason": cert.reason,
+        "proof": cert.proof,
     }, cert.ok
 
 

@@ -11,22 +11,32 @@ on the quadric.  The matrix is kept as a linear pencil A = sum_j x_j A_j
 of scalar matrices, one per variable, whose entries are raw values
 (see ``fields``) read straight from the ``Poly.raw`` maps of the pairs;
 the build runs the recursion on each A_j through the field's ``Arith``
-record, one coefficient at a time.  Since
+record, one coefficient at a time.  For any pencil A = sum_m x^m A_m,
 
-    A * A = sum_j x_j^2 A_j^2 + sum_{i<j} x_i x_j (A_i A_j + A_j A_i),
+    A * A = sum_mu x^mu sum_{m + m' = mu} A_m A_m',
 
-A * A = q * Id holds exactly when the Clifford relations A_j^2 = q_jj * I
-and A_i A_j + A_j A_i = q_ij * I hold, q_ij being the coefficient of
-x_i x_j in q (Buchweitz-Eisenbud-Herzog 1987).  Verification checks
-these relations and is run on every build; the determinant certificate
-additionally samples random points and checks det A = sign *
-q^(2^(s-1)) with one consistent sign, evaluating A and q on raw values.
+so A * A = q * Id holds exactly when, for every monomial mu, the
+products A_m A_m' with m + m' = mu sum to q_mu * I.  For a linear
+pencil each mu = x_i x_j has one pair, and these are the Clifford
+relations A_j^2 = q_jj * I and A_i A_j + A_j A_i = q_ij * I
+(Buchweitz-Eisenbud-Herzog 1987).  Verification checks them, after a
+structural gate (linear entries, a quadratic form q), and is run on
+every build.
+
+The determinant certificate runs the same relation check on any
+pencil.  When it holds, det(A)^2 = q^size in the domain k[x], so
+det A = sign * q^(size/2) with one sign everywhere (Eisenbud 1980),
+and one point with q != 0 fixes that sign (+1 in characteristic 2):
+the certificate is a proof.  A matrix that fails the relations is
+only sampled: random points check det A = sign * q^(size/2) with one
+consistent sign.  A and q are evaluated on raw values.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import add as _add
 
 from .linalg import _det_raw
 from .poly import Poly
@@ -47,7 +57,8 @@ class MatrixFactorization:
     of its columns and nonzero raw values, which keeps a pencil small.
     A matrix of linear forms has one A_m per variable that occurs; other
     monomials come only from matrices read as text, which
-    ``verify_clifford`` rejects.  ``entries`` gives the matrix back as
+    ``verify_clifford`` rejects and ``determinant_certificate`` still
+    checks exactly.  ``entries`` gives the matrix back as
     polynomials, computed on each read from the same raw values.
     """
 
@@ -157,55 +168,61 @@ def build_clifford_factorization(sop):
     return mf
 
 
-def _anticommutator_is(a, b, c, ar):
-    """Whether a * b + b * a (a * a when a is b) equals c times the identity.
+def _squares_to_quadric(mf):
+    """Whether A * A equals quadric * Id exactly, for any pencil A = sum_m x^m A_m.
 
-    The matrices are given as lists of rows of (column, value) pairs.
+    A * A = sum_mu x^mu S_mu, where S_mu sums A_m A_m' over the ordered
+    pairs with m + m' = mu.  So the identity holds exactly when every
+    S_mu is q_mu * I (zero for a mu outside q) and every monomial of q
+    is some m + m'.  Each S_mu is built row by row from the unordered
+    pairs (A_m * A_m, or A_m A_m' + A_m' A_m) that share mu, and
+    compared only once they are all in.
     """
+    ar = mf.field.arith
     add, mul, zero = ar.add, ar.mul, ar.zero
-    products = ((a, a),) if a is b else ((a, b), (b, a))
-    for i in range(len(a)):
-        acc = {}
-        for x, y in products:
-            for k, v in x[i]:
-                for j, w in y[k]:
-                    u = mul(v, w)
-                    acc[j] = add(acc[j], u) if j in acc else u
-        if acc.pop(i, zero) != c or any(v != zero for v in acc.values()):
-            return False
+    monomials = list(mf.pencil)
+    groups = {}
+    for k, m in enumerate(monomials):
+        for l in range(k, len(monomials)):
+            mu = tuple(map(_add, m, monomials[l]))
+            groups.setdefault(mu, []).append((k, l))
+    targets = mf.quadric.raw
+    if any(mu not in groups for mu in targets):
+        return False
+    matrices = [[tuple(_items(row)) for row in rows] for rows in mf.pencil.values()]
+    for mu, pairs in groups.items():
+        c = targets.get(mu, zero)
+        products = []
+        for k, l in pairs:
+            a, b = matrices[k], matrices[l]
+            products += ((a, a),) if k == l else ((a, b), (b, a))
+        for i in range(mf.size):
+            acc = {}
+            for x, y in products:
+                for h, v in x[i]:
+                    for j, w in y[h]:
+                        u = mul(v, w)
+                        acc[j] = add(acc[j], u) if j in acc else u
+            if acc.pop(i, zero) != c or any(v != zero for v in acc.values()):
+                return False
     return True
 
 
 def verify_clifford(mf):
     """Exact check that A * A equals quadric * Id, by the Clifford relations.
 
-    The relations A_j^2 = q_jj * I and A_i A_j + A_j A_i = q_ij * I say,
-    coefficient by coefficient, what the symbolic product says.  Every
-    entry must be zero or homogeneous linear and the quadric a quadratic
-    form, so a matrix read back from text is validated structurally
-    first.
+    Every entry must be zero or homogeneous linear and the quadric a
+    quadratic form, so a matrix read back from text is validated
+    structurally first.  For such a pencil the relations of
+    ``_squares_to_quadric`` are A_j^2 = q_jj * I and
+    A_i A_j + A_j A_i = q_ij * I, which say, coefficient by coefficient,
+    what the symbolic product says.
     """
-    ar = mf.field.arith
-    coefficients = {}
-    for exps, rows in mf.pencil.items():
-        if sum(exps) != 1:
-            return False
-        coefficients[exps.index(1)] = [tuple(_items(row)) for row in rows]
-    targets = {}
-    for exps, v in mf.quadric.raw.items():
-        if sum(exps) != 2:
-            return False
-        used = [j for j, e in enumerate(exps) if e]
-        targets[used[0], used[-1]] = v
-    if any(i not in coefficients or j not in coefficients for i, j in targets):
+    if any(sum(exps) != 1 for exps in mf.pencil):
         return False
-    variables = sorted(coefficients)
-    for k, i in enumerate(variables):
-        for j in variables[k:]:
-            c = targets.get((i, j), ar.zero)
-            if not _anticommutator_is(coefficients[i], coefficients[j], c, ar):
-                return False
-    return True
+    if any(sum(exps) != 2 for exps in mf.quadric.raw):
+        return False
+    return _squares_to_quadric(mf)
 
 
 @dataclass
@@ -215,6 +232,7 @@ class DeterminantCertificate:
     tested: int
     skipped: int
     reason: str | None = None
+    proof: bool = False
 
 
 def _factors(exps):
@@ -254,19 +272,30 @@ def _distinct_entries(pencil, neg):
 
 
 def determinant_certificate(mf, trials=50, seed=0):
-    """Sample-point check that det A = sign * quadric^(size/2).
+    """Certificate that det A = sign * quadric^(size/2) with one sign.
 
     Only an even size is certified: for an odd one the certificate
-    fails before any point is drawn.  Points with q = 0 are skipped (the
-    determinant vanishes there by design and certifies nothing).  The
-    sign must be the same +1 or -1 at every sampled point; any mismatch
-    fails the certificate.  Each distinct entry of A, and q, is
-    evaluated once per point on raw values.
+    fails before any point is drawn.  Then the exact relation check of
+    ``_squares_to_quadric`` runs on the matrix as given.  When A * A =
+    q * Id holds in k[x], det(A)^2 = q^size, and k[x] is a domain, so
+    (det A - q^(size/2)) (det A + q^(size/2)) = 0 forces det A =
+    sign * q^(size/2) with one sign for all x (Eisenbud 1980).  One
+    point with q != 0 then fixes the sign, and the certificate is a
+    proof (``proof`` true, ``tested`` at most 1); in characteristic 2
+    the two signs agree and the sign is +1.  A matrix that fails the
+    relations may still have det A = +-q^(size/2) (diag(x, y) with
+    q = x*y), so it is sampled at ``trials`` points, and the sign must
+    be the same at every one of them.  Points with q = 0 are skipped
+    (the determinant vanishes there by design and certifies nothing),
+    at most 20 * trials of them either way.  Each distinct entry of A,
+    and q, is evaluated once per point on raw values.
     """
     size = mf.size
     if size % 2:
         reason = f"odd size {size}: det A = sign*q^(size/2) needs an even size"
         return DeterminantCertificate(False, None, 0, 0, reason=reason)
+    proof = _squares_to_quadric(mf)
+    wanted = min(trials, 1) if proof else trials
     field = mf.field
     ar = field.arith
     add, neg, mul, zero = ar.add, ar.neg, ar.mul, ar.zero
@@ -278,7 +307,7 @@ def determinant_certificate(mf, trials=50, seed=0):
     sign = None
     tested = skipped = 0
     budget = 20 * trials
-    while tested < trials and budget:
+    while tested < wanted and budget:
         budget -= 1
         coords = [ar.of(field.random_scalar(rng)) for _ in range(mf.nvars)]
         qv = zero
@@ -320,4 +349,4 @@ def determinant_certificate(mf, trials=50, seed=0):
         return DeterminantCertificate(
             False, None, 0, skipped, reason="no sample point had q nonzero"
         )
-    return DeterminantCertificate(True, sign, tested, skipped)
+    return DeterminantCertificate(True, sign, tested, skipped, proof=proof)

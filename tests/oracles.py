@@ -37,13 +37,9 @@ def clifford_entries(sop):
     return tuple(tuple(row) for row in block)
 
 
-def clifford_square(mf):
-    """Whether every entry is zero or linear and A * A == quadric * Id, symbolically."""
+def squares_to_quadric(mf):
+    """Whether A * A == quadric * Id symbolically, whatever the degrees of the entries."""
     entries = mf.entries
-    for row in entries:
-        for e in row:
-            if e and (not e.is_homogeneous() or e.homogeneous_degree() != 1):
-                return False
     n = mf.size
     zero = Poly.zero(mf.field, mf.nvars)
     for i in range(n):
@@ -54,6 +50,15 @@ def clifford_square(mf):
             if acc != (mf.quadric if i == j else zero):
                 return False
     return True
+
+
+def clifford_square(mf):
+    """Whether every entry is zero or linear and A * A == quadric * Id, symbolically."""
+    for row in mf.entries:
+        for e in row:
+            if e and (not e.is_homogeneous() or e.homogeneous_degree() != 1):
+                return False
+    return squares_to_quadric(mf)
 
 
 def determinant_certificate_by_evaluation(mf, trials=50, seed=0):

@@ -133,8 +133,25 @@ def test_mf_det_cert(capsys):
     result = payload["result"]
     assert result["certified"] is True
     assert result["sign"] == -1
-    assert result["tested"] == 12
+    assert result["tested"] == 1
+    assert result["proof"] is True
     assert payload["config"]["max_trials"] == 12
+
+
+def test_mf_det_cert_proves_higher_degrees_and_samples_the_rest(capsys):
+    # [[0, x^2], [y^2, 0]] squares to x^2*y^2 * Id: no Clifford matrix for
+    # mf verify, but a proof for det-cert; diag(x, y) has det = x*y without
+    # squaring to x*y * Id, so it is only sampled
+    head = ["mf", "det-cert", "--field", "fp:101", "--max-trials", "12", "--seed", "5"]
+    code, payload = _run(capsys, ["mf", "verify", "x^2*y^2", "0", "x^2", "y^2", "0"])
+    assert (code, payload["result"]["verified"]) == (1, False)
+    code, payload = _run(capsys, [*head, "x^2*y^2", "0", "x^2", "y^2", "0"])
+    assert code == 0
+    keys = ("certified", "sign", "tested", "proof")
+    assert tuple(payload["result"][k] for k in keys) == (True, -1, 1, True)
+    code, payload = _run(capsys, [*head, "x*y", "x", "0", "0", "y"])
+    assert code == 0
+    assert tuple(payload["result"][k] for k in keys) == (True, 1, 12, False)
 
 
 def test_mf_det_cert_sign_flip_is_exit_one(capsys):

@@ -20,10 +20,17 @@ from ulrich_forge import (
     sum_of_products,
     verify_clifford,
 )
+from ulrich_forge.clifford import _squares_to_quadric
 from ulrich_forge.linalg import invert, mat_mul, transpose
+from ulrich_forge.poly import monomials_of_degree
 from ulrich_forge.quadform import record_from_gram
 
-from oracles import clifford_entries, clifford_square, determinant_certificate_by_evaluation
+from oracles import (
+    clifford_entries,
+    clifford_square,
+    determinant_certificate_by_evaluation,
+    squares_to_quadric,
+)
 
 
 def _entry_strings(mf):
@@ -150,7 +157,8 @@ def test_determinant_certificate_base(f13):
     cert = determinant_certificate(mf, trials=30, seed=1)
     assert cert.ok
     assert cert.sign == -1
-    assert cert.tested == 30
+    assert cert.tested == 1
+    assert cert.proof
     assert cert.skipped >= 0
     assert cert.reason is None
 
@@ -166,7 +174,8 @@ def test_determinant_certificate_four_by_four(f13):
     cert = determinant_certificate(mf, trials=25, seed=3)
     assert cert.ok
     assert cert.sign in (-1, 1)
-    assert cert.tested == 25
+    assert cert.tested == 1
+    assert cert.proof
 
 
 def test_determinant_certificate_rejects_wrong_quadric(f13):
@@ -255,14 +264,17 @@ _SHAPES = [
     "linear quadric",
     "constant quadric",
     "zero matrix",
+    "traceless two by two",
+    "substituted variables",
 ]
 
 
 @pytest.mark.parametrize("shape", _SHAPES)
 def test_pencil_verification_and_certificate_match_the_symbolic_oracles(shape):
-    # verify_clifford against the symbolic product, determinant_certificate
-    # against Poly.evaluate of every entry and linalg.det, on built
-    # factorizations, tampered ones and malformed matrices and quadrics
+    # the relation check and verify_clifford against the symbolic product,
+    # determinant_certificate against Poly.evaluate of every entry and
+    # linalg.det, on built factorizations, tampered ones, malformed matrices
+    # and quadrics, and factorizations with entries of higher degree
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -276,9 +288,23 @@ def test_pencil_verification_and_certificate_match_the_symbolic_oracles(shape):
             size = draw(st.integers(1, 4))
             quadric = zero if draw(st.booleans()) else random_homogeneous(field, nvars, 2, rng, 3)
             return MatrixFactorization([[zero] * size for _ in range(size)], quadric)
+        if shape == "traceless two by two":
+            # [[a, b], [c, -a]] squares to (a^2 + b*c) * Id for any a, b, c
+            def mixed():
+                degrees = [d for d in range(3) if rng.random() < 0.6]
+                return sum((random_homogeneous(field, nvars, d, rng, 3) for d in degrees), zero)
+
+            a, b, c = mixed(), mixed(), mixed()
+            return MatrixFactorization([[a, b], [c, -a]], a * a + b * c)
         mf = build_clifford_factorization(_random_sop(field, nvars, draw(st.integers(1, 3)), rng))
         if shape == "built":
             return mf
+        if shape == "substituted variables":
+            # x_j -> a quadratic monomial keeps A * A = q * Id, with entries of
+            # degree 2 whose monomial pairs can share a product
+            images = [rng.choice(monomials_of_degree(nvars, 2)) for _ in range(nvars)]
+            rows = [[e.substitute_monomials(images) for e in row] for row in mf.entries]
+            return MatrixFactorization(rows, mf.quadric.substitute_monomials(images))
         quadric, rows, size = mf.quadric, [list(row) for row in mf.entries], mf.size
         i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
         k, l = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
@@ -311,10 +337,21 @@ def test_pencil_verification_and_certificate_match_the_symbolic_oracles(shape):
     @hypothesis.given(factorizations(), st.integers(0, 99))
     @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
     def check(mf, seed):
+        squares = squares_to_quadric(mf)
+        assert _squares_to_quadric(mf) == squares
         assert verify_clifford(mf) == clifford_square(mf)
-        assert determinant_certificate(mf, trials=6, seed=seed) == (
-            determinant_certificate_by_evaluation(mf, trials=6, seed=seed)
-        )
+        cert = determinant_certificate(mf, trials=6, seed=seed)
+        sampled = determinant_certificate_by_evaluation(mf, trials=6, seed=seed)
+        if squares:
+            # a proof stops at the first point with q != 0, which fixes the sign
+            assert (cert.ok, cert.sign, cert.reason) == (sampled.ok, sampled.sign, sampled.reason)
+            assert cert.tested <= 1
+            assert cert.proof == cert.ok
+            if not cert.ok:  # odd size, or q = 0 at every point of the budget
+                assert cert == sampled
+        else:
+            assert cert == sampled
+            assert cert.proof is False
 
     check()
 
@@ -339,3 +376,77 @@ def test_certificate_matches_the_oracle_on_sign_flips_and_high_powers():
             assert cert == determinant_certificate_by_evaluation(mf, trials=8, seed=seed)
             reasons.add(cert.reason)
     assert "sign flipped between sample points" in reasons
+
+
+def test_higher_degree_factorizations_are_proven():
+    # A * A = q * Id with entries of degree 2: verify_clifford refuses them
+    # for their degree, the certificate proves them by the general relation
+    # check, and one point gives the sign the evaluation oracle samples
+    rng = random.Random(11)
+    f13, qi, q = FieldSpec.prime(13), FieldSpec.gaussian_rationals(), FieldSpec.rationals()
+    f, g = (random_homogeneous(f13, 3, 2, rng, 5) for _ in range(2))
+    i_xy = parse_poly("i*x*y", qi, nvars=3)
+    a, b, c = (random_homogeneous(qi, 3, 2, rng, 3) + i_xy for _ in range(3))
+    x2, y2, xy = (parse_poly(t, q, nvars=2) for t in ("x^2", "y^2", "x*y"))
+    zero = Poly.zero(q, 2)
+    cases = [
+        # [[0, f], [g, 0]] with quadrics f, g: det = -f*g
+        (MatrixFactorization([[Poly.zero(f13, 3), f], [g, Poly.zero(f13, 3)]], f * g), -1),
+        # [[a, b], [c, -a]] with quadrics a, b, c: det = -(a^2 + b*c), of degree 4
+        (MatrixFactorization([[a, b], [c, -a]], a * a + b * c), -1),
+        # diag([[0, x^2], [y^2, 0]], [[0, x*y], [x*y, 0]]): at x^2*y^2 the pairs
+        # (x^2, y^2) and (x*y, x*y) give diag(I, 0) and diag(0, I), neither
+        # a multiple of I alone
+        (
+            MatrixFactorization(
+                [
+                    [zero, x2, zero, zero],
+                    [y2, zero, zero, zero],
+                    [zero, zero, zero, xy],
+                    [zero, zero, xy, zero],
+                ],
+                x2 * y2,
+            ),
+            1,
+        ),
+    ]
+    for mf, sign in cases:
+        assert not verify_clifford(mf)
+        assert squares_to_quadric(mf)
+        for seed in range(3):
+            cert = determinant_certificate(mf, trials=10, seed=seed)
+            sampled = determinant_certificate_by_evaluation(mf, trials=10, seed=seed)
+            assert (cert.ok, cert.sign, cert.proof, cert.tested) == (True, sign, True, 1)
+            assert (sampled.ok, sampled.sign) == (True, sign)
+        # one flipped entry breaks the relations: the certificate samples
+        # as before and is no proof
+        rows = [list(row) for row in mf.entries]
+        rows[0][1] = -rows[0][1]
+        tampered = MatrixFactorization(rows, mf.quadric)
+        assert not squares_to_quadric(tampered)
+        cert = determinant_certificate(tampered, trials=10, seed=0)
+        assert cert == determinant_certificate_by_evaluation(tampered, trials=10, seed=0)
+        assert cert.proof is False
+
+
+def test_a_determinant_without_the_relations_is_sampled(f13):
+    # diag(x, y) has det = x*y = q but squares to diag(x^2, y^2): it is
+    # certified by sampling, as a check and not as a proof
+    x, y = parse_poly("x", f13, nvars=2), parse_poly("y", f13, nvars=2)
+    mf = MatrixFactorization([[x, Poly.zero(f13, 2)], [Poly.zero(f13, 2), y]], x * y)
+    assert not squares_to_quadric(mf)
+    cert = determinant_certificate(mf, trials=12, seed=4)
+    assert (cert.ok, cert.sign, cert.tested, cert.proof) == (True, 1, 12, False)
+    assert cert == determinant_certificate_by_evaluation(mf, trials=12, seed=4)
+
+
+def test_a_proof_keeps_the_skip_budget_of_the_requested_trials(q):
+    # the zero matrix with q = 0 satisfies A * A = q * Id, but no point has
+    # q != 0: the certificate fails after 20 * trials skipped points
+    zero = Poly.zero(q, 2)
+    mf = MatrixFactorization([[zero, zero], [zero, zero]], zero)
+    assert squares_to_quadric(mf)
+    cert = determinant_certificate(mf, trials=7, seed=1)
+    reason = "no sample point had q nonzero"
+    assert cert == DeterminantCertificate(False, None, 0, 140, reason=reason)
+    assert cert == determinant_certificate_by_evaluation(mf, trials=7, seed=1)

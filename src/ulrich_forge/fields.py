@@ -511,11 +511,13 @@ class Scalar:
     # -- helpers --------------------------------------------------------
 
     def _operand(self, other):
-        """``other`` in this field by ``FieldSpec.coerce``; None for a type it refuses."""
-        try:
-            return self.field.coerce(other)
-        except TypeError:
+        """``other`` in this field by ``FieldSpec.coerce``; None for a type it refuses.
+
+        The type test comes first, so a refused operand is never printed.
+        """
+        if not isinstance(other, _COERCIBLE):
             return None
+        return self.field.coerce(other)
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)
@@ -532,10 +534,10 @@ class Scalar:
         (``FieldSpec.prime(7).one == 8``), so no hash agrees with every
         int a scalar equals; sets and dicts mixing the two may miss.
         """
+        if not isinstance(other, _COERCIBLE):
+            return NotImplemented
         try:
             o = self.field.coerce(other)
-        except TypeError:
-            return NotImplemented
         except ValueError:
             return False
         return self.a == o.a and self.b == o.b
@@ -614,6 +616,10 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self} over {self.field})"
+
+
+# the types FieldSpec.coerce accepts
+_COERCIBLE = (Scalar, int, Fraction)
 
 
 def raw_parts(field, x):

@@ -533,7 +533,7 @@ class _Parser:
                 raise ValueError("exponent must be a nonnegative integer")
             exponent = int(value)
         exps = tuple(exponent if i == index else 0 for i in range(self.nvars))
-        return Poly.monomial(self.field, exps)
+        return Poly._make(self.field, self.nvars, {exps: self.field.arith.one})
 
     def parse_scalar_group(self):
         pieces = []

@@ -10,17 +10,17 @@ consecutive diagonal terms with the canonical square roots
     d1*a^2 + d2*b^2 = (c1*a + c2*b) * (c1*a - c2*b),  c1^2 = d1, c2^2 = -d2
 
 turns a rank-r form into ceil(r/2) products of linear forms, the last
-pair being a doubled square exactly when the rank is odd.  Prime-field
-input is rewritten over the quadratic extension, where every base-field
-element has a root; rational input signals ExtensionNeeded instead of
-silently leaving the field.
+pair being a doubled square exactly when the rank is odd.  The work
+stays in the input field.  Only when a root is missing from a prime
+field fp:p does it move, once, to fp2:p, where every fp:p element has a
+root; over the other fields a missing root raises ExtensionNeeded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import PRIME, sqrt_in_field
+from .fields import PRIME, ExtensionNeeded, sqrt_in_field
 from .linalg import identity, invert, poly_matrix_det, rank
 from .poly import Poly
 
@@ -39,12 +39,6 @@ class QuadraticFormRecord:
 
     def __setattr__(self, *_):
         raise AttributeError("QuadraticFormRecord is immutable")
-
-    def embed(self, target_field):
-        if target_field == self.field:
-            return self
-        gram = [[target_field.embed(v) for v in row] for row in self.gram]
-        return QuadraticFormRecord(self.poly.embed(target_field), gram)
 
     def __repr__(self):
         return f"QuadraticFormRecord(rank {self.rank}, {self.nvars} vars over {self.field})"
@@ -184,29 +178,39 @@ class SumOfProducts:
         return total
 
 
+def _roots(items):
+    """Canonical roots c_i of d_i for even i and of -d_i for odd i, items = (d_i, lambda_i)."""
+    return [sqrt_in_field(-d if i % 2 else d) for i, (d, _) in enumerate(items)]
+
+
 def sum_of_products(record):
     """Rewrite a quadratic form as ceil(rank/2) products of linear forms.
 
-    Prime-field records are rewritten over the quadratic extension
-    unconditionally; rational and already-extended records must find
-    their square roots at home or ExtensionNeeded propagates.
+    The record is diagonalized once, in its own field, and the roots are
+    taken there.  Only when a root is missing from a prime field fp:p are
+    the nonzero diagonal values, their linear forms and the quadric
+    embedded into fp2:p and every root taken there; over the other
+    fields ExtensionNeeded propagates.
     """
-    work_field = record.field.extension() if record.field.kind == PRIME else record.field
-    working = record.embed(work_field)
-    diag = diagonalize(working)
+    diag = diagonalize(record)
     items = [(d, lam) for d, lam in zip(diag.diagonal, diag.lambdas) if d]
-    pairs = []
-    for (d1, lam1), (d2, lam2) in zip(items[0::2], items[1::2]):
-        c1 = sqrt_in_field(d1)
-        c2 = sqrt_in_field(-d2)
-        pairs.append((c1 * lam1 + c2 * lam2, c1 * lam1 - c2 * lam2))
-    square = bool(len(items) % 2)
+    quadric = record.poly
+    try:
+        roots = _roots(items)
+    except ExtensionNeeded:
+        if record.field.kind != PRIME:
+            raise
+        field = record.field.extension()
+        items = [(field.embed(d), lam.embed(field)) for d, lam in items]
+        quadric = quadric.embed(field)
+        roots = _roots(items)
+    terms = [c * lam for c, (_, lam) in zip(roots, items)]
+    pairs = [(a + b, a - b) for a, b in zip(terms[0::2], terms[1::2])]
+    square = bool(len(terms) % 2)
     if square:
-        d, lam = items[-1]
-        root = sqrt_in_field(d) * lam
-        pairs.append((root, root))
-    sop = SumOfProducts(tuple(pairs), square, working.poly)
-    if sop.recombine() != working.poly:
+        pairs.append((terms[-1], terms[-1]))
+    sop = SumOfProducts(tuple(pairs), square, quadric)
+    if sop.recombine() != quadric:
         raise AssertionError("sum-of-products recombination failed")
     return sop
 

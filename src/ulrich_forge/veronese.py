@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .clifford import build_clifford_factorization
-from .fields import PRIME, PRIME_QUADRATIC, FieldSpec
 from .graded import (
     NO,
     SMOOTH,
@@ -27,7 +26,7 @@ from .graded import (
     is_zero_dimensional,
 )
 from .poly import Poly, monomials_of_degree
-from .quadform import QuadraticFormRecord, SumOfProducts, record_from_gram, sum_of_products
+from .quadform import SumOfProducts, gram_from_poly, record_from_gram, sum_of_products
 from .resultants import TRANSVERSAL, certify_transversal
 
 
@@ -90,29 +89,25 @@ def lift_form(F, vmap):
     """Lift a degree-2d form to a quadric via greedy monomial splitting.
 
     Each monomial x^alpha splits as x^beta * x^gamma with beta the
-    lexicographically largest half; the coefficient lands symmetrically
-    on the Gram entry (beta, gamma).  The round trip back through the
-    basis monomials is checked exactly.
+    lexicographically largest half; its coefficient becomes that of
+    y_beta * y_gamma (distinct alphas give distinct products) in the
+    quadric, whose Gram matrix ``gram_from_poly`` builds.  The round
+    trip back through the basis monomials is checked exactly.
     """
     if F.nvars != vmap.n + 1:
         raise ValueError(f"form lives in {F.nvars} variables, embedding wants {vmap.n + 1}")
     if F.is_zero or not F.is_homogeneous() or F.homogeneous_degree() != 2 * vmap.d:
         raise ValueError(f"form must be homogeneous of degree {2 * vmap.d}")
-    field = F.field
     size = vmap.N + 1
-    half = field.from_int(2).inverse()
-    gram = [[field.zero] * size for _ in range(size)]
-    for alpha, coeff in F.terms.items():
+    raw = {}
+    for alpha, v in F.raw.items():
         beta = _greedy_half(alpha, vmap.d)
         gamma = tuple(a - b for a, b in zip(alpha, beta))
-        i, j = vmap._index[beta], vmap._index[gamma]
-        if i == j:
-            gram[i][i] = gram[i][i] + coeff
-        else:
-            c = coeff * half
-            gram[i][j] = gram[i][j] + c
-            gram[j][i] = gram[j][i] + c
-    return QuadricLift(vmap, record_from_gram(field, gram), F)
+        exps = [0] * size
+        exps[vmap._index[beta]] += 1
+        exps[vmap._index[gamma]] += 1
+        raw[tuple(exps)] = v
+    return QuadricLift(vmap, gram_from_poly(Poly._make(F.field, size, raw)), F)
 
 
 def double_cover_quadric(lift):
@@ -207,46 +202,32 @@ class FormDecomposition:
         )
 
 
-def _descend_to_prime(polys):
-    """Map polynomials with base-field coefficients back down from fp2 to fp."""
-    field = polys[0].field
-    if field.kind != PRIME_QUADRATIC:
-        return None
-    if any(b for p in polys for _, b in p.raw.values()):
-        return None
-    base = FieldSpec.prime(field.p)
-    return [Poly._make(base, p.nvars, {e: a for e, (a, _) in p.raw.items()}) for p in polys]
+def _check_presents(decomp, F):
+    """ValueError unless decomp decomposes F, over F's field or its extension."""
+    field = decomp.F.field
+    if field not in (F.field, F.field.extension()) or decomp.F != F.embed(field):
+        raise ValueError("decomposition does not present F")
 
 
 def decompose_form(F, vmap, lift=None):
     """Decompose a degree-2d form into products of degree-d forms.
 
-    Lifts to a quadric, rewrites as a sum of products, pulls each linear
-    factor back along the embedding.  Prime-field inputs come back over
-    the prime field again whenever no extension coefficient survives the
-    pullback; the summand count is at most ceil((N+1)/2).  A caller that
-    already holds ``lift_form(F, vmap)`` passes it as ``lift``.
+    Lifts to a quadric, rewrites it as a sum of products and pulls each
+    linear factor back along the embedding.  The decomposition lives
+    where ``sum_of_products`` finished: in F's field, or over fp2:p when
+    a root is missing from fp:p.  The summand count is at most
+    ceil((N+1)/2).  A caller that already holds ``lift_form(F, vmap)``
+    passes it as ``lift``.
     """
     if lift is None:
         lift = lift_form(F, vmap)
     elif lift.vmap is not vmap or lift.source != F:
         raise ValueError("lift is not the lift of F along vmap")
     sop = sum_of_products(lift.record)
-    factors = []
-    for l, m in sop.pairs:
-        factors.append(vmap.pullback(l))
-        factors.append(vmap.pullback(m))
-    target = F
-    if factors[0].field != F.field:
-        descended = _descend_to_prime(factors)
-        if descended is None:
-            target = F.embed(factors[0].field)
-        else:
-            factors = descended
-    pairs = list(zip(factors[0::2], factors[1::2]))
+    pairs = [(vmap.pullback(l), vmap.pullback(m)) for l, m in sop.pairs]
     if len(pairs) > (vmap.N + 2) // 2:
         raise AssertionError("summand count escaped the ceil((N+1)/2) bound")
-    return FormDecomposition(target, pairs)
+    return FormDecomposition(F.embed(sop.quadric.field), pairs)
 
 
 @dataclass
@@ -285,7 +266,8 @@ def ulrich_presentation(F, decomp=None):
     (T + l, T - l) and the size halves (case b); otherwise the first
     pair is (T, T) (case a).  The remaining pairs are the lifted
     summands (l_i, -m_i).  The builder verifies A * A = (T^2 - Q) * Id
-    symbolically before anything is returned.
+    symbolically before anything is returned.  A given decomposition
+    must present F, over F's field or its extension.
     """
     if F.is_zero or not F.is_homogeneous():
         raise ValueError("need a nonzero homogeneous form")
@@ -295,6 +277,8 @@ def ulrich_presentation(F, decomp=None):
     vmap = VeroneseMap(F.nvars - 1, deg // 2)
     if decomp is None:
         decomp = decompose_form(F, vmap)
+    else:
+        _check_presents(decomp, F)
     field = decomp.F.field
     big = vmap.N + 2
     T = Poly.variable(field, big, vmap.N + 1)
@@ -358,13 +342,12 @@ def rank_bounds(F, decomp, e_max=None, seed=0):
     achieved rank is 2^r with a square pair, 2^(r+1) without, for
     r = summands - 1.  When F is smooth the factor ideal must be
     zero-dimensional and 2k >= n+1 must hold; a singular F downgrades
-    the check to not-applicable with the witness attached.
+    the check to not-applicable with the witness attached.  The
+    decomposition must present F, over F's field or its extension.
     """
-    deg = F.homogeneous_degree()
+    _check_presents(decomp, F)
     n = F.nvars - 1
     d = decomp.d
-    if deg != 2 * d:
-        raise ValueError("decomposition degree does not match the form")
     N = comb(n + d, d) - 1
     k = decomp.k
     r = decomp.secant_index

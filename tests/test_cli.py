@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -43,12 +44,20 @@ def test_quad_diag(capsys):
 
 
 def test_quad_sop_reports_working_field(capsys):
+    # every root exists in fp:13 (-1 = 5^2), so the work stays there
     code, payload = _run(capsys, ["quad", "sop", "x^2 + y^2 + z^2", "--field", "fp:13"])
     assert code == 0
     result = payload["result"]
-    assert result["working_field"] == "fp2:13"
+    assert result["working_field"] == "fp:13"
     assert result["pairs"] == [["x + 5*y", "x + 8*y"], ["z", "z"]]
     assert result["square_term_flag"] is True
+
+    # -2 is not a square mod 13, so the root is taken in fp2:13
+    code, payload = _run(capsys, ["quad", "sop", "x^2 + 2*y^2", "--field", "fp:13"])
+    assert code == 0
+    result = payload["result"]
+    assert result["working_field"] == "fp2:13"
+    assert result["pairs"] == [["x + (5w)*y", "x + (8w)*y"]]
 
 
 def test_quad_pencil_det(capsys):
@@ -212,6 +221,106 @@ def test_ulrich_pipeline_quartic(capsys):
         ["x^2 + 5*y^2", "x^2 + 8*y^2"],
         ["z^2", "z^2"],
     ]
+
+
+# sha256 of the ``ulrich pipeline`` and ``ulrich bounds`` stdout of seeded
+# plane quartics and sextics; the comment names the field the
+# decomposition lives in (fp:P when every root exists in fp:P)
+GOLDEN_PLANE_FORMS = [
+    # fp2:101
+    (
+        "fp:101",
+        "100*x^4 + 66*x^3*y + 84*x^2*y*z + 23*x^2*z^2 + 34*x*y^2*z + 53*y^4 + 10*y^3*z + 49*y^2*z^2 + 39*y*z^3 + 23*z^4",
+        "7313af011fa3c05d5e82dda6cd163c6dfed46974009d1bec94b2dae241b3e0c8",
+        "db4cb5e4ed99730f931f63fad41580da69e53e43f565166b098f795c9ed625dd",
+    ),
+    # fp:101
+    (
+        "fp:101",
+        "22*x^4 + 18*x^2*y^2 + 20*x^2*y*z + 3*x^2*z^2 + 14*x*y^3 + 85*x*y*z^2 + 90*x*z^3 + 82*y^4 + 98*y^3*z + 47*y*z^3 + 8*z^4",
+        "375d94b62a8cc914a6a0ad869f716b605a81dc140845162386963312537ad1bd",
+        "39894a4d76dfed30b0c9d383d62c9e5d68d128860fe35735a2f26d709d1c5640",
+    ),
+    # fp2:101
+    (
+        "fp:101",
+        "54*x^5*y + 98*x*y^3*z^2 + 16*x*y^2*z^3 + 6*x*y*z^4 + 54*y*z^5",
+        "afc61951eee64b570529bb1ab59b67ef4908743bcda18d38b0e7029293d7cfcb",
+        "8380cdb791bd71ea53d8e1bd7fdbd39bf298bae7be3820973a81c99f442ce8a4",
+    ),
+    # fp:101
+    (
+        "fp:101",
+        "100*x^6 + 99*x^5*z + 78*x^4*y^2 + 4*x^3*y^3 + 51*x^3*y^2*z + 17*x^2*y^3*z + 88*x*y^4*z + 80*x*z^5 + 38*y^2*z^4",
+        "010488019cad91885a7e79e23c920036e198f564e76d17531d50d98fa712d3c2",
+        "2e95e7eeb2f3eba53ffc9d722bd686bf7c564a543c6f7ce204471a79c2c4348a",
+    ),
+    # fp2:13
+    (
+        "fp:13",
+        "7*x^3*y + 5*x^3*z + 8*x^2*y^2 + 12*x^2*y*z + 8*x^2*z^2 + 8*x*y^3 + x*y^2*z + 4*x*z^3 + y^3*z + 9*y^2*z^2 + z^4",
+        "1a37455db3f1d4429035cba51b5bde08606dcff01cbb250723ba2e56ba2116d9",
+        "28f0c669c287eac54baf7f8dd54f9081072ae6f9e2c1d8d51e1e296e9bd8015e",
+    ),
+    # fp:13
+    (
+        "fp:13",
+        "4*x^4 + x^2*z^2 + 3*x*y^3 + 10*y^4 + y^2*z^2 + 5*z^4",
+        "e40885f92524973cef94fd74d08e9c8e8c09482f21717c8f198a3bf7705399da",
+        "bd12135d3d5c9bfee00a42cdfe82eb0d220c658a72b9afa74ac41d5951af35dc",
+    ),
+    # fp2:13
+    (
+        "fp:13",
+        "10*x^5*y + 5*x^3*y^2*z + 5*x^2*y^2*z^2 + 7*x*y^4*z",
+        "209b7c1dce7a062fe362f7db8b4aef0500d82fb61d67f3b36cc18d6e0e754106",
+        "1696e03921dc6325c6238abe916949b90871707210088ee00ecfa652a3d4bb4b",
+    ),
+    # fp:13
+    (
+        "fp:13",
+        "9*x^5*z + 6*x^3*y^3 + 11*x^3*z^3 + 5*x^2*y^4 + 3*x^2*y^3*z + 5*x^2*z^4 + x*y^3*z^2 + 7*y*z^5",
+        "e92eecd389755ac1a118abc778ba306d6364a4bf723a4866fd859382747a1e13",
+        "200c7887b0fa458c7339efb04d7dc42de23e52c5ebca57a7742db948393d2264",
+    ),
+    # fp2:7
+    (
+        "fp:7",
+        "x^3*y + 3*y^3*z + 6*z^4",
+        "e244655b08d700b4ee83c2ae5d81fc89e66e2a4cf6db8a823010a58ebf0d2b5e",
+        "e15c2d446181e815321b089f46c99681b152ef400eb3cc0379e6381d0ff13b87",
+    ),
+    # fp:7
+    (
+        "fp:7",
+        "4*x^3*z + 2*x*y^2*z + 2*x*y*z^2 + 2*x*z^3 + 2*y^2*z^2",
+        "72db589d33723e006b1209efb042d59cd2d27c02592ee4114e378431b14192ae",
+        "62e96d0b0f4181cf77c2f5ca29bc3cc899ed923d3253e344de4caf92313cf44f",
+    ),
+    # fp2:7
+    (
+        "fp:7",
+        "x^4*z^2 + 4*x^3*y^3 + 4*x^2*y^2*z^2 + 6*x*y^5 + 4*x*z^5",
+        "c859212f2649323e949929bf81f4852194b96040eeb8c480b55167ed194b58e2",
+        "00c5b9272941adda5a234733c4ea13c011032325a0e17a56ad60beb80709c831",
+    ),
+    # fp:7
+    (
+        "fp:7",
+        "4*x^3*z^3 + 2*x^2*y^4 + 6*x^2*y^2*z^2 + 3*x^2*y*z^3 + 5*x*y^5 + 2*x*y^2*z^3 + y^5*z",
+        "6ff36589dc3c7fdc96da93ce515d7f7f8b8cf857940569d6c0e633bb179196b3",
+        "83f11e6e505399a418540b56729ecd29cfecced1ccd55d5786d99d3d320ee694",
+    ),
+]
+
+
+@pytest.mark.parametrize("field, form, pipeline_sha, bounds_sha", GOLDEN_PLANE_FORMS)
+def test_plane_pipeline_stdout_is_frozen(capsys, field, form, pipeline_sha, bounds_sha):
+    for verb, expected in (("pipeline", pipeline_sha), ("bounds", bounds_sha)):
+        code = main(["ulrich", verb, "--field", field, form])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_ulrich_pipeline_rejects_odd_degree(capsys):

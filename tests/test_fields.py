@@ -443,6 +443,25 @@ def test_scalar_equality_never_raises():
     assert FieldSpec.rationals().scalar(Fraction(1, 2)) == Fraction(1, 2)
 
 
+def test_scalar_refuses_a_polynomial_without_printing_it(monkeypatch):
+    from ulrich_forge import Poly, parse_poly
+
+    def no_repr(self):
+        raise AssertionError("Poly.__repr__ called")
+
+    for field in _all_fields():
+        p = parse_poly("x^2 - 3*y*z + 2", field)
+        monkeypatch.setattr(Poly, "__repr__", no_repr)
+        assert field.one * p == p
+        assert field.from_int(2) * p == p.scale(2)
+        assert (field.one == p) is False
+        assert field.one != p
+        monkeypatch.undo()
+    # a refused type still names itself in the public error
+    with pytest.raises(TypeError, match="cannot bring Poly"):
+        FieldSpec.prime(7).coerce(Poly.zero(FieldSpec.prime(7), 2))
+
+
 def test_scalar_hash_agrees_with_equal_numbers():
     q, qi, f7 = FieldSpec.rationals(), FieldSpec.gaussian_rationals(), FieldSpec.prime(7)
     assert q.one in {1} and {q.one: "a"}.get(1) == "a"

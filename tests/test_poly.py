@@ -285,6 +285,25 @@ def test_poly_times_fraction_in_either_order():
     assert parse_poly("x", FieldSpec.rationals()) * Other() == "other"
 
 
+def test_parsing_without_numbers_boxes_no_scalar(monkeypatch):
+    from ulrich_forge import fields
+
+    fields_used = [FieldSpec.rationals(), FieldSpec.gaussian_rationals(),
+                   FieldSpec.prime(13), FieldSpec.quadratic(13)]
+    built = []
+    init = fields.Scalar.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(fields.Scalar, "__init__", counting_init)
+    for field in fields_used:
+        p = parse_poly("x^2*y - y*z^3 + z^4 - x*y*z + x0^0", field, nvars=3)
+        assert len(p.raw) == 5
+    assert built == []
+
+
 def test_product_degree_and_homogeneity():
     rng = random.Random(29)
     f101 = FieldSpec.prime(101)

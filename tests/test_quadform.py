@@ -13,6 +13,7 @@ from ulrich_forge import (
     Poly,
     diagonalize,
     gram_from_poly,
+    is_square,
     parse_poly,
     pencil_determinant,
     poly_from_gram,
@@ -21,6 +22,7 @@ from ulrich_forge import (
     sum_of_products,
 )
 from ulrich_forge.linalg import mat_mul, transpose
+from ulrich_forge.linalg import rank as rank_of
 
 from oracles import poly_det_cofactor
 
@@ -108,7 +110,8 @@ def test_sum_of_products_frozen_odd_rank(f13):
     ]
     assert sop.square_term_flag
     assert sop.s == 2
-    assert str(sop.quadric.field) == "fp2:13"
+    # 1 and -1 = 5^2 both have roots in fp:13, so the work stays there
+    assert sop.quadric.field is f13
     assert sop.recombine() == sop.quadric
 
 
@@ -143,13 +146,56 @@ def test_sum_of_products_properties_random():
         assert sop.s == (rec.rank + 1) // 2
         assert sop.square_term_flag == (rec.rank % 2 == 1)
         assert sop.recombine() == sop.quadric
-        assert sop.quadric == rec.poly.embed(FieldSpec.quadratic(101))
+        assert sop.quadric == rec.poly.embed(sop.quadric.field)
+        assert sop.quadric.field in (f101, FieldSpec.quadratic(101))
         for l, m in sop.pairs:
             assert l.homogeneous_degree() == 1
             assert m.homogeneous_degree() == 1
         if sop.square_term_flag:
             last_l, last_m = sop.pairs[-1]
             assert last_l == last_m
+
+
+def _record_of_rank(field, nvars, rank, rng):
+    """The record of P^T D P with P random invertible and D of exactly ``rank`` nonzeros."""
+    while True:
+        p = [[field.random_scalar(rng) for _ in range(nvars)] for _ in range(nvars)]
+        if rank_of([list(r) for r in p], field) == nvars:
+            break
+    d = [
+        [field.random_nonzero_scalar(rng) if i == j < rank else field.zero for j in range(nvars)]
+        for i in range(nvars)
+    ]
+    rec = record_from_gram(field, mat_mul(mat_mul(transpose(p), d, field), p, field))
+    assert rec.rank == rank
+    return rec
+
+
+@pytest.mark.parametrize("p", [7, 13, 101, 103])
+def test_sum_of_products_stays_in_fp_exactly_when_every_root_exists(p):
+    # p = 13, 101 are 1 mod 4 (-1 is a square); p = 7, 103 are 3 mod 4
+    fp, fp2 = FieldSpec.prime(p), FieldSpec.quadratic(p)
+    rng = random.Random(p)
+    outcomes = set()
+    for rank in range(8):
+        for _ in range(10):
+            rec = _record_of_rank(fp, 7, rank, rng)
+            sop = sum_of_products(rec)
+            # the route that always works over fp2
+            old = sum_of_products(gram_from_poly(rec.poly.embed(fp2)))
+            assert [(l.embed(fp2), m.embed(fp2)) for l, m in sop.pairs] == list(old.pairs)
+            assert sop.square_term_flag == old.square_term_flag
+            assert sop.quadric.embed(fp2) == old.quadric
+            # consecutive pairing needs roots of d1, -d2, d3, -d4, ...
+            values = [d for d in diagonalize(rec).diagonal if d]
+            needed = [-d if i % 2 else d for i, d in enumerate(values)]
+            every_root = all(is_square(v) for v in needed)
+            stays = sop.quadric.field is fp
+            assert stays == every_root
+            assert stays == all(c.b == 0 for pair in old.pairs for h in pair for c in h.terms.values())
+            assert all(h.field is sop.quadric.field for pair in sop.pairs for h in pair)
+            outcomes.add((rank > 1, stays))
+    assert {(True, True), (True, False)} <= outcomes
 
 
 def test_pencil_determinant_frozen(q):
@@ -181,11 +227,3 @@ def test_pencil_determinant_rejects_mismatched_sizes(q):
     q3 = gram_from_poly(parse_poly("x^2 + y^2 + z^2", q))
     with pytest.raises(ValueError):
         pencil_determinant(r2, q3)
-
-
-def test_record_embed(f13):
-    rec = gram_from_poly(parse_poly("x^2 + y^2 + z^2", f13))
-    lifted = rec.embed(FieldSpec.quadratic(13))
-    assert lifted.rank == rec.rank
-    assert str(lifted.field) == "fp2:13"
-    assert lifted.poly == rec.poly.embed(FieldSpec.quadratic(13))

@@ -176,6 +176,52 @@ def test_decompose_form_sticks_to_the_extension_when_needed(f13):
     assert [(str(l), str(m)) for l, m in dec.summands] == [("(w)*x", "(w)*x")]
 
 
+def _decompose_over_fp2_then_descend(F, vm):
+    """The earlier route: decompose over fp2:p, map back to fp:p when no w part is left."""
+    fp2 = F.field.extension()
+    dec = decompose_form(F.embed(fp2), vm)
+    factors = [h for pair in dec.summands for h in pair]
+    if any(b for h in factors for _, b in h.raw.values()):
+        return dec
+    down = [Poly(F.field, h.nvars, {e: a for e, (a, _) in h.raw.items()}) for h in factors]
+    return FormDecomposition(F, zip(down[0::2], down[1::2]))
+
+
+@pytest.mark.parametrize("p", [7, 13, 101])
+def test_decompose_form_matches_the_fp2_then_descend_route(p):
+    fp = FieldSpec.prime(p)
+    rng = random.Random(1000 + p)
+    fields_seen = set()
+    for deg in (4, 6):
+        vm = VeroneseMap(2, deg // 2)
+        for _ in range(12):
+            F = random_homogeneous(fp, 3, deg, rng)
+            F = Poly(fp, 3, {e: c for e, c in F.terms.items() if rng.random() < 0.5})
+            if F.is_zero:
+                continue
+            dec = decompose_form(F, vm)
+            old = _decompose_over_fp2_then_descend(F, vm)
+            assert dec.F == old.F and dec.F.field is old.F.field
+            assert dec.summands == old.summands
+            fields_seen.add(dec.F.field)
+    assert fields_seen == {fp, FieldSpec.quadratic(p)}
+
+
+def test_presentation_and_bounds_reject_a_decomposition_of_another_form(f13):
+    F = parse_poly("x^4 + y^4 + z^4", f13)
+    other = decompose_form(parse_poly("x^4 + 2*y^4 + z^4", f13), VeroneseMap(2, 2))
+    with pytest.raises(ValueError, match="does not present F"):
+        ulrich_presentation(F, other)
+    with pytest.raises(ValueError, match="does not present F"):
+        rank_bounds(F, other)
+    # a decomposition over the extension of F's field presents F
+    G = parse_poly("x^4 + 2*y^4 + z^4", f13)
+    dec = decompose_form(G, VeroneseMap(2, 2))
+    assert dec.F.field is FieldSpec.quadratic(13)
+    assert ulrich_presentation(G, dec)[1].summand_count == dec.k
+    assert rank_bounds(G, dec).summand_count == dec.k
+
+
 def test_decompose_form_extension_error_over_q(q):
     with pytest.raises(ExtensionNeeded):
         decompose_form(parse_poly("x^4 + y^4", q, nvars=3), VeroneseMap(2, 2))

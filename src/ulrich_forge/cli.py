@@ -65,6 +65,12 @@ def _parse_all(texts, field, nvars):
     return [parse_poly(t, field, nvars=nvars) for t in texts]
 
 
+def _read_polys(args, field, config, **counts):
+    """The polynomials of ``_read_poly_texts``, parsed after their variable count enters config."""
+    texts, config["nvars"] = _read_poly_texts(args, **counts)
+    return _parse_all(texts, field, config["nvars"])
+
+
 def _gram_strings(gram):
     return [[str(v) for v in row] for row in gram]
 
@@ -77,17 +83,13 @@ def _point_strings(point):
 
 
 def _cmd_quad_rank(args, field, config):
-    texts, nvars = _read_poly_texts(args, expected=1)
-    config["nvars"] = nvars
-    (q,) = _parse_all(texts, field, nvars)
+    (q,) = _read_polys(args, field, config, expected=1)
     rec = gram_from_poly(q)
     return {"rank": rec.rank, "gram": _gram_strings(rec.gram)}, True
 
 
 def _cmd_quad_diag(args, field, config):
-    texts, nvars = _read_poly_texts(args, expected=1)
-    config["nvars"] = nvars
-    (q,) = _parse_all(texts, field, nvars)
+    (q,) = _read_polys(args, field, config, expected=1)
     diag = diagonalize(gram_from_poly(q))
     return {
         "diagonal": [str(v) for v in diag.diagonal],
@@ -97,9 +99,7 @@ def _cmd_quad_diag(args, field, config):
 
 
 def _cmd_quad_sop(args, field, config):
-    texts, nvars = _read_poly_texts(args, expected=1)
-    config["nvars"] = nvars
-    (q,) = _parse_all(texts, field, nvars)
+    (q,) = _read_polys(args, field, config, expected=1)
     sop = sum_of_products(gram_from_poly(q))
     return {
         "pairs": [[str(l), str(m)] for l, m in sop.pairs],
@@ -110,22 +110,18 @@ def _cmd_quad_sop(args, field, config):
 
 
 def _cmd_quad_pencil_det(args, field, config):
-    texts, nvars = _read_poly_texts(args, expected=2)
-    config["nvars"] = nvars
-    r, q = _parse_all(texts, field, nvars)
+    r, q = _read_polys(args, field, config, expected=2)
     det = pencil_determinant(gram_from_poly(r), gram_from_poly(q))
     coeffs = det.univariate_coefficients()
     return {
         "determinant": str(det),
         "coefficients": [str(c) for c in coeffs],
-        "degree": len(coeffs) - 1 if coeffs else None,
+        "degree": None if det.is_zero else len(coeffs) - 1,
     }, True
 
 
 def _cmd_mf_build(args, field, config):
-    texts, nvars = _read_poly_texts(args, expected=1)
-    config["nvars"] = nvars
-    (q,) = _parse_all(texts, field, nvars)
+    (q,) = _read_polys(args, field, config, expected=1)
     from .clifford import build_clifford_factorization
 
     sop = sum_of_products(gram_from_poly(q))
@@ -140,7 +136,7 @@ def _cmd_mf_build(args, field, config):
     }, True
 
 
-def _matrix_from_texts(args, field):
+def _matrix_from_texts(args, field, config):
     texts, nvars = _read_poly_texts(args, minimum=2)
     quadric, *entries = _parse_all(texts, field, nvars)
     size = len(entries)
@@ -148,19 +144,19 @@ def _matrix_from_texts(args, field):
     if side * side != size:
         raise ValueError(f"entry count {size} is not a perfect square")
     rows = [entries[i * side : (i + 1) * side] for i in range(side)]
-    return MatrixFactorization(rows, quadric), nvars
+    mf = MatrixFactorization(rows, quadric)
+    config["nvars"] = nvars
+    return mf
 
 
 def _cmd_mf_verify(args, field, config):
-    mf, nvars = _matrix_from_texts(args, field)
-    config["nvars"] = nvars
+    mf = _matrix_from_texts(args, field, config)
     verified = verify_clifford(mf)
     return {"verified": verified, "size": mf.size}, verified
 
 
 def _cmd_mf_det_cert(args, field, config):
-    mf, nvars = _matrix_from_texts(args, field)
-    config["nvars"] = nvars
+    mf = _matrix_from_texts(args, field, config)
     trials = args.max_trials if args.max_trials is not None else 50
     config["max_trials"] = trials
     cert = determinant_certificate(mf, trials=trials, seed=args.seed)
@@ -210,9 +206,7 @@ def _bounds_result(bounds):
 
 
 def _pipeline_setup(args, field, config):
-    texts, nvars = _read_poly_texts(args, expected=1)
-    config["nvars"] = nvars
-    (F,) = _parse_all(texts, field, nvars)
+    (F,) = _read_polys(args, field, config, expected=1)
     if F.is_zero or not F.is_homogeneous():
         raise ValueError("need a nonzero homogeneous form")
     deg = F.homogeneous_degree()
@@ -286,17 +280,13 @@ def _cmd_ulrich_normalize(args, field, config):
 
 
 def _cmd_hilbert_value(args, field, config):
-    texts, nvars = _read_poly_texts(args, minimum=1)
-    config["nvars"] = nvars
-    gens = _parse_all(texts, field, nvars)
+    gens = _read_polys(args, field, config, minimum=1)
     value = hilbert_value(GradedSystem(gens), args.degree)
     return {"degree": args.degree, "value": value}, True
 
 
 def _cmd_smooth_check(args, field, config):
-    texts, nvars = _read_poly_texts(args, expected=1)
-    config["nvars"] = nvars
-    (F,) = _parse_all(texts, field, nvars)
+    (F,) = _read_polys(args, field, config, expected=1)
     res = is_smooth_hypersurface(F, e_max=args.e_max, seed=args.seed)
     return {
         "verdict": res.verdict,
@@ -318,9 +308,7 @@ def _cmd_cover_rh(args, field, config):
 
 
 def _cmd_cover_split_check(args, field, config):
-    texts, nvars = _read_poly_texts(args, expected=5, floor_nvars=3)
-    config["nvars"] = nvars
-    F1, r, l, m, a = _parse_all(texts, field, nvars)
+    F1, r, l, m, a = _read_polys(args, field, config, expected=5, floor_nvars=3)
     res = check_branch_splitting(F1, r, l, m, a)
     if res:
         return {"witness": str(res.witness)}, True

@@ -14,11 +14,12 @@ with top socle degree (n+1)(D-2), so the Hilbert value at
 degree is a decision, not a heuristic; degree-2 inputs reduce to the
 rank of the Gram matrix because the partials are linear.
 
-The Macaulay-matrix rank is exact in every field, and ``linalg.rank``
-finishes it in a prime field where it can: over q, a smooth F gives a
-full rank modulo a word-size prime, which already is the rational rank,
-so smoothness over q is certified there; only a singular F goes on to
-Bareiss elimination over the integers.
+The Macaulay matrix is built from raw coefficients, its rank is exact
+in every field, and ``linalg._rank_raw`` finishes it in a prime field
+where it can: over q, a smooth F gives a full rank modulo a word-size
+prime, which already is the rational rank, so smoothness over q is
+certified there; only a singular F goes on to Bareiss elimination over
+the integers.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, RATIONAL
-from .linalg import rank
+from .linalg import _rank_raw
 from .poly import Poly, monomial_mul, monomials_of_degree
 
 YES = "yes"
@@ -82,9 +83,9 @@ def _multiple_rows(system, e, basis_index, width):
         dg = g.homogeneous_degree()
         if dg > e:
             continue
-        items = list(g.terms.items())
+        items = list(g.raw.items())
         for gamma in monomials_of_degree(system.nvars, e - dg):
-            row = [system.field.zero] * width
+            row = [system.field.arith.zero] * width
             for exps, coeff in items:
                 row[basis_index[monomial_mul(gamma, exps)]] = coeff
             rows.append(row)
@@ -100,7 +101,7 @@ def hilbert_value(system, e):
     rows = _multiple_rows(system, e, index, len(basis))
     if not rows:
         return len(basis)
-    return len(basis) - rank(rows, system.field)
+    return len(basis) - _rank_raw(rows, system.field)
 
 
 @dataclass

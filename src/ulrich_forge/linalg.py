@@ -22,9 +22,10 @@ Three elimination routines do all the work:
   residue pairs, Fractions or Fraction pairs), does everything else:
   the determinant over fp, fp2 and qi, the rank of a genuine fp2 matrix
   and of a qi matrix the prime cannot settle, and ``solve`` and
-  ``invert`` in every field, through Gauss-Jordan.  It computes through
-  the field's ``Arith`` record, ``field.arith``, which ``fields`` owns.
+  ``invert`` in every field, through Gauss-Jordan, on ``field.arith``.
 
+Ranks run on raw rows in ``_rank_raw``: Gram records and Macaulay
+matrices pass theirs directly, and ``rank`` unwraps scalar rows once.
 All results are exact; nothing here is approximate.
 """
 
@@ -44,16 +45,16 @@ _I = sqrt_mod_p(-1, _CHECK_PRIME)
 
 
 def _as_int_rows(rows):
-    """Clear denominators row by row; rank and row space are unchanged.
+    """Clear denominators of raw Fraction rows row by row; rank and row space are unchanged.
 
     Also returns the product of the row scales, the factor by which the
     determinant of a square matrix grows.
     """
     out, total = [], 1
     for row in rows:
-        scale = lcm(*(c.a.denominator for c in row)) if row else 1
+        scale = lcm(*(c.denominator for c in row)) if row else 1
         total *= scale
-        out.append([int(c.a * scale) for c in row])
+        out.append([int(c * scale) for c in row])
     return out, total
 
 
@@ -195,7 +196,12 @@ def _sparse_rows(rows, p):
 
 
 def rank(rows, field):
-    """Rank of a matrix given as a list of scalar rows.
+    """Rank of a matrix given as a list of scalar rows; see ``_rank_raw``."""
+    return _rank_raw([list(map(field.arith.of, row)) for row in rows], field)
+
+
+def _rank_raw(rows, field):
+    """Rank of a matrix of raw entries; the rows are not changed.
 
     A matrix whose entries all lie in the subfield (b == 0 over fp2 or
     qi) is ranked there, since rank does not change under a field
@@ -211,15 +217,17 @@ def rank(rows, field):
     if not width:
         return 0
     kind = field.kind
-    if kind in (PRIME_QUADRATIC, GAUSSIAN) and not any(c.b for row in rows for c in row):
+    if kind in (PRIME_QUADRATIC, GAUSSIAN) and not any(v[1] for row in rows for v in row):
         kind = PRIME if kind == PRIME_QUADRATIC else RATIONAL
+        rows = [[v[0] for v in row] for row in rows]
     if kind == PRIME:
-        sparse = [{j: c.a for j, c in enumerate(row) if c.a} for row in rows]
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
         return _rank_mod_p(sparse, field.p, width)
     if kind in (RATIONAL, GAUSSIAN):
-        sparse = _sparse_rows([[c.a for c in row] for row in rows], _CHECK_PRIME)
+        real = rows if kind == RATIONAL else [[v[0] for v in row] for row in rows]
+        sparse = _sparse_rows(real, _CHECK_PRIME)
         if kind == GAUSSIAN and sparse is not None:
-            imag = _sparse_rows([[c.b for c in row] for row in rows], _CHECK_PRIME)
+            imag = _sparse_rows([[v[1] for v in row] for row in rows], _CHECK_PRIME)
             p = _CHECK_PRIME
             # a + b*i goes to a + b*_I; only nonzero residues are kept
             sparse = None if imag is None else [
@@ -231,8 +239,7 @@ def rank(rows, field):
             return full
         if kind == RATIONAL:
             return _bareiss(_as_int_rows(rows)[0])[0]
-    ar = field.arith
-    return len(_eliminate([list(map(ar.of, row)) for row in rows], ar, width)[0])
+    return len(_eliminate([list(row) for row in rows], field.arith, width)[0])
 
 
 def det(rows, field):
@@ -242,12 +249,13 @@ def det(rows, field):
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return field.one
+    ar = field.arith
+    rows = [list(map(ar.of, row)) for row in rows]
     if field.kind == RATIONAL:
         int_rows, scale = _as_int_rows(rows)
         full, value = _bareiss(int_rows)
         return field.scalar(Fraction(value, scale) if full == n else 0)
-    ar = field.arith
-    return ar.box(_det_raw([list(map(ar.of, row)) for row in rows], ar))
+    return ar.box(_det_raw(rows, ar))
 
 
 def _det_raw(rows, ar):
@@ -299,10 +307,6 @@ def invert(rows, field):
     if len(pivots) < n:
         raise ValueError("matrix is singular")
     return [[ar.box(v) for v in row[n:]] for row in aug]
-
-
-def identity(field, n):
-    return [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b, field):

@@ -355,8 +355,8 @@ class Poly:
         pad = target_field.arith.zero[1]
         return Poly._make(target_field, self.nvars, {e: (v, pad) for e, v in self.raw.items()})
 
-    def univariate_coefficients(self, index=None):
-        """Dense ascending coefficient list of a one-variable polynomial."""
+    def univariate_raw(self, index=None):
+        """Dense ascending list of the raw coefficients of a one-variable polynomial."""
         used = self.variables_used()
         if index is None:
             if len(used) > 1:
@@ -364,11 +364,14 @@ class Poly:
             index = used.pop() if used else 0
         elif used - {index}:
             raise ValueError("polynomial involves other variables")
-        zero, box = self.field.zero, self.field.arith.box
-        coeffs = [zero] * (max((e[index] for e in self.raw), default=0) + 1)
+        coeffs = [self.field.arith.zero] * (max((e[index] for e in self.raw), default=0) + 1)
         for exps, v in self.raw.items():
-            coeffs[exps[index]] = box(v)
+            coeffs[exps[index]] = v
         return coeffs
+
+    def univariate_coefficients(self, index=None):
+        """``univariate_raw`` with ``Scalar`` coefficients."""
+        return list(map(self.field.arith.box, self.univariate_raw(index)))
 
     # -- text ---------------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Quadratic forms: Gram matrices, diagonalization and product pairings.
 
 A quadratic form q in n variables is carried as a symmetric Gram matrix
-over a field of odd or zero characteristic, so q(x) = x^T G x with the
-off-diagonal entries holding half the mixed coefficients.  Congruence
-diagonalization produces an invertible P with P^T G P diagonal; reading
-linear forms off P^{-1} rewrites q as sum d_i * lambda_i^2, and pairing
-consecutive diagonal terms with the canonical square roots
+of raw values, in odd or zero characteristic, so q(x) = x^T G x with
+the off-diagonal entries holding half the mixed coefficients.  Congruence
+diagonalization produces an invertible P with P^T G P diagonal and
+carries P^{-1} along; its rows rewrite q as sum d_i * lambda_i^2, and
+pairing consecutive diagonal terms with the canonical square roots
 
     d1*a^2 + d2*b^2 = (c1*a + c2*b) * (c1*a - c2*b),  c1^2 = d1, c2^2 = -d2
 
@@ -21,24 +21,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import PRIME, ExtensionNeeded, sqrt_in_field
-from .linalg import identity, invert, poly_matrix_det, rank
-from .poly import Poly
+from .linalg import _rank_raw, poly_matrix_det
+from .poly import Poly, _accumulate
 
 
 class QuadraticFormRecord:
-    """A quadratic form together with its Gram matrix and rank."""
+    """A quadratic form with its Gram matrix and rank, built from the form alone.
 
-    __slots__ = ("field", "nvars", "poly", "gram", "rank")
+    ``raw`` holds the Gram rows as raw values (see ``fields``); ``gram``
+    boxes them into ``Scalar``s on each read, as ``Poly.terms`` does.
+    """
 
-    def __init__(self, poly, gram):
-        object.__setattr__(self, "field", poly.field)
-        object.__setattr__(self, "nvars", poly.nvars)
+    __slots__ = ("field", "nvars", "poly", "raw", "rank")
+
+    def __init__(self, poly):
+        if poly and (not poly.is_homogeneous() or poly.homogeneous_degree() != 2):
+            raise ValueError("quadratic form must be homogeneous of degree 2")
+        field, n, ar = poly.field, poly.nvars, poly.field.arith
+        half = ar.inv(ar.add(ar.one, ar.one))
+        rows = [[ar.zero] * n for _ in range(n)]
+        for exps, v in poly.raw.items():
+            i, j = [k for k, e in enumerate(exps) for _ in range(e)]  # x_i * x_j, maybe i == j
+            rows[i][j] = rows[j][i] = v if i == j else ar.mul(v, half)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "nvars", n)
         object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "gram", tuple(tuple(row) for row in gram))
-        object.__setattr__(self, "rank", rank([list(r) for r in gram], poly.field))
+        object.__setattr__(self, "raw", tuple(map(tuple, rows)))
+        object.__setattr__(self, "rank", _rank_raw(rows, field))
 
     def __setattr__(self, *_):
         raise AttributeError("QuadraticFormRecord is immutable")
+
+    @property
+    def gram(self):
+        box = self.field.arith.box
+        return tuple(tuple(map(box, row)) for row in self.raw)
 
     def __repr__(self):
         return f"QuadraticFormRecord(rank {self.rank}, {self.nvars} vars over {self.field})"
@@ -46,113 +63,108 @@ class QuadraticFormRecord:
 
 def gram_from_poly(q):
     """Gram matrix record of a homogeneous quadratic (or zero) polynomial."""
-    if q and (not q.is_homogeneous() or q.homogeneous_degree() != 2):
-        raise ValueError("quadratic form must be homogeneous of degree 2")
-    field, n = q.field, q.nvars
-    half = field.from_int(2).inverse()
-    gram = [[field.zero] * n for _ in range(n)]
-    for exps, coeff in q.terms.items():
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) == 1:
-            gram[support[0]][support[0]] = coeff
-        else:
-            i, j = support
-            gram[i][j] = gram[j][i] = coeff * half
-    return QuadraticFormRecord(q, gram)
+    return QuadraticFormRecord(q)
 
 
 def poly_from_gram(field, gram):
-    """The quadratic polynomial x^T G x of a symmetric matrix."""
-    n = len(gram)
-    terms = {}
-    for i in range(n):
-        for j in range(i, n):
-            v = gram[i][j] if i == j else gram[i][j] + gram[j][i]
-            if v:
-                exps = tuple(
-                    (2 if k == i else 0) if i == j else (1 if k in (i, j) else 0)
-                    for k in range(n)
-                )
-                terms[exps] = v
-    return Poly(field, n, terms)
+    """The quadratic polynomial x^T G x of a square matrix of ints, Fractions or scalars."""
+    n, ar = len(gram), field.arith
+    if any(len(row) != n for row in gram):
+        raise ValueError("Gram matrix must be square")
+    pairs = (
+        (tuple((k == i) + (k == j) for k in range(n)), ar.of(field.coerce(v)))
+        for i, row in enumerate(gram)
+        for j, v in enumerate(row)
+    )
+    return Poly._make(field, n, _accumulate(ar, {}, ((e, v) for e, v in pairs if v != ar.zero)))
 
 
 def record_from_gram(field, gram):
-    for i in range(len(gram)):
-        for j in range(len(gram)):
-            if gram[i][j] != gram[j][i]:
-                raise ValueError("Gram matrix must be symmetric")
-    return QuadraticFormRecord(poly_from_gram(field, gram), gram)
+    """The record of a symmetric square matrix of ints, Fractions or scalars."""
+    poly, coerce = poly_from_gram(field, gram), field.coerce
+    if any(coerce(a) != coerce(b) for row, col in zip(gram, zip(*gram)) for a, b in zip(row, col)):
+        raise ValueError("Gram matrix must be symmetric")
+    return QuadraticFormRecord(poly)
 
 
 @dataclass
 class Diagonalization:
-    p_matrix: list
-    diagonal: list
+    """P^T G P = diag(d); ``p_matrix`` and ``diagonal`` box the raw values on each read."""
+
+    field: object
+    p_raw: list
+    diagonal_raw: list
     lambdas: list
+
+    @property
+    def p_matrix(self):
+        return [list(map(self.field.arith.box, row)) for row in self.p_raw]
+
+    @property
+    def diagonal(self):
+        return list(map(self.field.arith.box, self.diagonal_raw))
 
 
 def diagonalize(record):
-    """Congruence diagonalization P^T G P = D with invertible P.
+    """Congruence diagonalization P^T G P = D with invertible P, on raw values.
 
-    The substitution behind P is x = P y; the linear forms lambdas,
-    read off the rows of P^{-1}, satisfy q = sum d_i * lambdas_i^2.
-    An all-zero diagonal block is opened up with the substitution
-    x_i -> u + v, x_j -> u - v on the first nonzero mixed entry.
+    The substitution behind P is x = P y.  An all-zero diagonal block is
+    opened up with x_i -> u + v, x_j -> u - v on the first nonzero mixed
+    entry.  P^{-1} is carried along: each column operation E on P is the
+    row operation E^{-1} on P^{-1}, so a swap swaps rows, the split sets
+    rows (k, j) to ((r_k + r_j)/2, (r_k - r_j)/2), and c_i -= f*c_k adds
+    f*r_i to r_k.
     """
-    field, n = record.field, record.nvars
-    m = [list(row) for row in record.gram]
-    p = identity(field, n)
+    field, n, ar = record.field, record.nvars, record.field.arith
+    zero, one, add, neg, mul = ar.zero, ar.one, ar.add, ar.neg, ar.mul
+    half = ar.inv(add(one, one))
+    m = [list(row) for row in record.raw]
+    p = [[one if j == i else zero for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
 
     def swap(k, j):
-        for row in m:
+        for row in m + p:
             row[k], row[j] = row[j], row[k]
         m[k], m[j] = m[j], m[k]
-        for row in p:
-            row[k], row[j] = row[j], row[k]
+        p_inv[k], p_inv[j] = p_inv[j], p_inv[k]
 
     def split(k, j):
         # columns (k, j) <- (k + j, k - j), rows alike: x_k = u+v, x_j = u-v
-        for row in m:
+        for row in m + p:
             a, b = row[k], row[j]
-            row[k], row[j] = a + b, a - b
-        for c in range(n):
-            a, b = m[k][c], m[j][c]
-            m[k][c], m[j][c] = a + b, a - b
-        for row in p:
-            a, b = row[k], row[j]
-            row[k], row[j] = a + b, a - b
+            row[k], row[j] = add(a, b), add(a, neg(b))
+        mk, mj, rk, rj = m[k], m[j], p_inv[k], p_inv[j]
+        m[k] = [add(a, b) for a, b in zip(mk, mj)]
+        m[j] = [add(a, neg(b)) for a, b in zip(mk, mj)]
+        p_inv[k] = [mul(add(a, b), half) for a, b in zip(rk, rj)]
+        p_inv[j] = [mul(add(a, neg(b)), half) for a, b in zip(rk, rj)]
 
     def eliminate(k, i, f):
-        # column i -= f * column k, then the same for rows
-        for row in m:
-            if row[k]:
-                row[i] = row[i] - f * row[k]
-        for c in range(n):
-            if m[k][c]:
-                m[i][c] = m[i][c] - f * m[k][c]
-        for row in p:
-            if row[k]:
-                row[i] = row[i] - f * row[k]
+        # column i -= f * column k, then the same for the rows of G
+        g = neg(f)
+        for row in m + p:
+            if row[k] != zero:
+                row[i] = add(row[i], mul(g, row[k]))
+        m[i] = [add(a, mul(g, b)) if b != zero else a for a, b in zip(m[i], m[k])]
+        p_inv[k] = [add(a, mul(f, b)) if b != zero else a for a, b in zip(p_inv[k], p_inv[i])]
 
     for k in range(n):
-        if not m[k][k]:
-            j = next((i for i in range(k + 1, n) if m[i][i]), None)
+        if m[k][k] == zero:
+            j = next((i for i in range(k + 1, n) if m[i][i] != zero), None)
             if j is not None:
                 swap(k, j)
             else:
-                j = next((i for i in range(k + 1, n) if m[k][i]), None)
+                j = next((i for i in range(k + 1, n) if m[k][i] != zero), None)
                 if j is None:
                     continue
                 split(k, j)
-        pivot = m[k][k]
+        t = ar.inv(m[k][k])
         for i in range(k + 1, n):
-            if m[k][i]:
-                eliminate(k, i, m[k][i] / pivot)
-    diagonal = [m[i][i] for i in range(n)]
-    p_inv = invert(p, field)
-    lambdas = [Poly.linear_form(field, row) for row in p_inv]
-    return Diagonalization(p_matrix=p, diagonal=diagonal, lambdas=lambdas)
+            if m[k][i] != zero:
+                eliminate(k, i, mul(m[k][i], t))
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    lambdas = [Poly._make(field, n, {u: v for u, v in zip(units, r) if v != zero}) for r in p_inv]
+    return Diagonalization(field, p, [m[i][i] for i in range(n)], lambdas)
 
 
 @dataclass
@@ -193,7 +205,8 @@ def sum_of_products(record):
     fields ExtensionNeeded propagates.
     """
     diag = diagonalize(record)
-    items = [(d, lam) for d, lam in zip(diag.diagonal, diag.lambdas) if d]
+    zero, box = record.field.arith.zero, record.field.arith.box
+    items = [(box(d), lam) for d, lam in zip(diag.diagonal_raw, diag.lambdas) if d != zero]
     quadric = record.poly
     try:
         roots = _roots(items)
@@ -220,11 +233,12 @@ def pencil_determinant(r_record, q_record):
     if r_record.field != q_record.field or r_record.nvars != q_record.nvars:
         raise ValueError("pencil members live in different spaces")
     field = r_record.field
+    zero, neg = field.arith.zero, field.arith.neg
     entries = [
         [
-            Poly(field, 1, {(0,): rv, (1,): -qv})
+            Poly._make(field, 1, {e: v for e, v in (((0,), rv), ((1,), neg(qv))) if v != zero})
             for rv, qv in zip(r_row, q_row)
         ]
-        for r_row, q_row in zip(r_record.gram, q_record.gram)
+        for r_row, q_row in zip(r_record.raw, q_record.raw)
     ]
     return poly_matrix_det(entries)

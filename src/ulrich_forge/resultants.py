@@ -15,13 +15,15 @@ resultant, and a binary form vanishes exactly when its dehomogenization
 does, so the chart polynomial r(y) = Res_x(f, g)(y, 1), of degree at
 most d*d, decides everything.  It is the ``sylvester_resultant`` of the
 two chart polynomials, whose 2d x 2d determinant over K[y] is taken by
-``poly_matrix_det`` in every characteristic.
+``poly_matrix_det`` in every characteristic; Euclid's gcd on its raw
+coefficients decides squarefreeness.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .fields import GAUSSIAN, RATIONAL
 from .linalg import det, poly_matrix_det
@@ -71,26 +73,17 @@ def _sylvester_rows(fc, gc, zero):
     return rows
 
 
-def _dense_degree(coeffs):
-    for i in range(len(coeffs) - 1, -1, -1):
-        if coeffs[i]:
-            return i
-    return -1
+def _strip(coeffs, zero):
+    """A raw coefficient list, top one first, without its leading zeros."""
+    return coeffs[next((i for i, c in enumerate(coeffs) if c != zero), len(coeffs)) :]
 
 
-def _dense_mod(a, b, field):
-    a = a[:]
-    db = _dense_degree(b)
-    lead_inv = b[db].inverse()
-    da = _dense_degree(a)
-    while da >= db:
-        f = a[da] * lead_inv
-        shift = da - db
-        for i in range(db + 1):
-            if b[i]:
-                a[i + shift] = a[i + shift] - f * b[i]
-        da = _dense_degree(a)
-    return a[: max(da + 1, 1)] if da >= 0 else [field.zero]
+def _dense_mod(a, b, ar):
+    """The remainder of a by b, stripped raw coefficient lists from the top one down."""
+    n, t = len(b), ar.inv(b[0])
+    while len(a) >= n:
+        a = _strip(ar.sub(a[:n], b, t)[1:] + a[n:], ar.zero)  # sub clears a[0]
+    return a
 
 
 def is_squarefree_univariate(f, var=None):
@@ -103,22 +96,19 @@ def is_squarefree_univariate(f, var=None):
     """
     if f.is_zero:
         raise ValueError("squarefree test on the zero polynomial")
-    return _dense_squarefree(f.univariate_coefficients(var), f.field)
+    return _dense_squarefree(f.univariate_raw(var), f.field.arith)
 
 
-def _dense_squarefree(coeffs, field):
-    """is_squarefree_univariate on a dense ascending nonzero coefficient list."""
-    if _dense_degree(coeffs) < 1:
+def _dense_squarefree(coeffs, ar):
+    """is_squarefree_univariate on a dense ascending raw coefficient list."""
+    a = _strip(coeffs[::-1], ar.zero)
+    if len(a) < 2:
         return True
-    deriv = [coeffs[k] * k for k in range(1, len(coeffs))]
-    if _dense_degree(deriv) < 0:
-        return False
-    a, b = coeffs, deriv
-    while _dense_degree(b) > 0:
-        a, b = b, _dense_mod(a, b, field)
-        if _dense_degree(b) < 0:
-            return False
-    return True
+    ks = list(accumulate([ar.one] * (len(a) - 1), ar.add))  # raw 1, 2, ..., deg a
+    b = _strip([ar.mul(c, k) for c, k in zip(a, ks[::-1])], ar.zero)
+    while len(b) > 1:
+        a, b = b, _dense_mod(a, b, ar)
+    return len(b) == 1
 
 
 def apply_linear_change(f, matrix):
@@ -127,8 +117,8 @@ def apply_linear_change(f, matrix):
     images = [Poly.linear_form(f.field, matrix[i]) for i in range(n)]
     result = Poly.zero(f.field, n)
     caches = [{} for _ in range(n)]
-    for exps, coeff in f.terms.items():
-        term = Poly.constant(f.field, n, coeff)
+    for exps, coeff in f.raw.items():
+        term = Poly._make(f.field, n, {(0,) * n: coeff})
         for i, e in enumerate(exps):
             if e:
                 cache = caches[i]
@@ -195,15 +185,14 @@ def certify_transversal(f, g, seed=0, max_trials=8):
         if not fc.coefficient(lead) or not gc.coefficient(lead):
             continue
         res = sylvester_resultant(fc.set_variable(2, 1), gc.set_variable(2, 1), 0)
-        coeffs = res.univariate_coefficients(1)
-        degree = _dense_degree(coeffs)
-        if degree < 0:
+        coeffs = res.univariate_raw(1)
+        if res.is_zero:
             return TransversalityResult(
                 FAILED, reason="curves share a component", trials=trial
             )
-        if degree != target:
+        if len(coeffs) - 1 != target:
             continue
-        if _dense_squarefree(coeffs, field):
+        if _dense_squarefree(coeffs, field.arith):
             return TransversalityResult(
                 TRANSVERSAL, points=target, trials=trial, change=change
             )

@@ -26,7 +26,7 @@ from .graded import (
     is_zero_dimensional,
 )
 from .poly import Poly, monomials_of_degree
-from .quadform import SumOfProducts, gram_from_poly, record_from_gram, sum_of_products
+from .quadform import SumOfProducts, gram_from_poly, sum_of_products
 from .resultants import TRANSVERSAL, certify_transversal
 
 
@@ -118,9 +118,10 @@ def double_cover_quadric(lift):
     """
     record = lift.record if isinstance(lift, QuadricLift) else lift
     field, n = record.field, record.nvars
-    gram = [[-v for v in row] + [field.zero] for row in record.gram]
-    gram.append([field.zero] * n + [field.one])
-    out = record_from_gram(field, gram)
+    ar = field.arith
+    raw = {exps + (0,): ar.neg(v) for exps, v in record.poly.raw.items()}
+    raw[(0,) * n + (2,)] = ar.one
+    out = gram_from_poly(Poly._make(field, n + 1, raw))
     if out.rank != record.rank + 1:
         raise AssertionError("double-cover quadric rank is off")
     return out

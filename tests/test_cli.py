@@ -67,6 +67,14 @@ def test_quad_pencil_det(capsys):
     )
     assert code == 0
     assert payload["result"]["determinant"] == "-x^3"
+    assert payload["result"]["degree"] == 3
+
+
+def test_quad_pencil_det_of_a_zero_determinant_has_no_degree(capsys):
+    # the coefficient list of the zero polynomial is ["0"], yet it has no degree
+    code, payload = _run(capsys, ["quad", "pencil-det", "--nvars", "3", "x^2", "y^2"])
+    assert code == 0
+    assert payload["result"] == {"coefficients": ["0"], "degree": None, "determinant": "0"}
 
 
 def test_mf_build_then_verify_round_trip(capsys, tmp_path):

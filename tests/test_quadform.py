@@ -10,10 +10,13 @@ import pytest
 from ulrich_forge import (
     ExtensionNeeded,
     FieldSpec,
+    GradedSystem,
     Poly,
     diagonalize,
     gram_from_poly,
+    hilbert_value,
     is_square,
+    is_squarefree_univariate,
     parse_poly,
     pencil_determinant,
     poly_from_gram,
@@ -21,7 +24,7 @@ from ulrich_forge import (
     record_from_gram,
     sum_of_products,
 )
-from ulrich_forge.linalg import mat_mul, transpose
+from ulrich_forge.linalg import invert, mat_mul, transpose
 from ulrich_forge.linalg import rank as rank_of
 
 from oracles import poly_det_cofactor
@@ -82,10 +85,18 @@ def test_diagonalize_congruence_and_recombination():
         FieldSpec.gaussian_rationals(),
         FieldSpec.prime(101),
         FieldSpec.quadratic(13),
+        FieldSpec.prime(3),
+        FieldSpec.prime(7),
     ]
     for field in fields:
-        for nvars in (2, 3, 4):
-            rec = _random_record(field, nvars, rng)
+        records = [_random_record(field, nvars, rng) for nvars in (2, 3, 4)]
+        # zero diagonal entries reach the swap and the split x_i -> u + v, x_j -> u - v
+        records += [
+            gram_from_poly(parse_poly(text, field))
+            for text in ("x*y + y*z + z*t", "x*y", "x*z + y*t + x*t", "x*y + 2*z^2")
+        ]
+        for rec in records:
+            nvars = rec.nvars
             diag = diagonalize(rec)
             p = diag.p_matrix
             lhs = mat_mul(mat_mul(transpose(p), [list(r) for r in rec.gram], field), p, field)
@@ -93,6 +104,8 @@ def test_diagonalize_congruence_and_recombination():
                 for j in range(nvars):
                     expected = diag.diagonal[i] if i == j else field.zero
                     assert lhs[i][j] == expected
+            # the carried P^{-1} is the inverse of P, row by row
+            assert diag.lambdas == [Poly.linear_form(field, row) for row in invert(p, field)]
             # q = sum d_i * lambda_i^2 as polynomials
             total = Poly.zero(field, nvars)
             for value, lam in zip(diag.diagonal, diag.lambdas):
@@ -100,6 +113,63 @@ def test_diagonalize_congruence_and_recombination():
             assert total == rec.poly
             nonzero = sum(1 for v in diag.diagonal if not v.is_zero)
             assert nonzero == rec.rank
+
+
+def test_record_from_gram_checks_the_shape_and_coerces_entries(q, f13):
+    for ragged in ([[1, 0], [0]], [[1, 0]], [[q.one, q.zero], [q.zero]]):
+        with pytest.raises(ValueError):
+            record_from_gram(q, ragged)
+        with pytest.raises(ValueError):
+            poly_from_gram(q, ragged)
+    with pytest.raises(ValueError):
+        record_from_gram(q, [[1, 2], [3, 1]])
+    rec = record_from_gram(q, [[1, 2], [2, Fraction(1, 2)]])
+    assert rec.rank == 2
+    assert rec.poly == parse_poly("x^2 + 4*x*y + 1/2*y^2", q)
+    assert rec.gram == ((q.one, q.from_int(2)), (q.from_int(2), q.scalar(Fraction(1, 2))))
+    # over fp:13 the entries 14 and 1 are one element, so the matrix is symmetric
+    rec = record_from_gram(f13, [[0, 14], [f13.one, 0]])
+    assert rec.rank == 2 and rec.poly == parse_poly("2*x*y", f13)
+
+
+def _count_scalars(monkeypatch):
+    """A list that collects the arguments of every ``Scalar`` built from now on."""
+    from ulrich_forge import fields
+
+    built = []
+    init = fields.Scalar.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(fields.Scalar, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("text", ["q", "qi", "fp:101", "fp2:13"])
+def test_records_ranks_and_the_gcd_box_no_scalar(text, monkeypatch):
+    field = FieldSpec.parse(text)
+    forms = ["x*y + y*z + z*t", "x^2 + 4*x*y + 3*y^2 + z^2"]
+    small = [parse_poly(form, field) for form in forms]
+    padded = [parse_poly(form, field, nvars=45) for form in forms]
+    system = GradedSystem([parse_poly(t, field) for t in ("x^2 - y*z", "y^2 - x*z", "z^2 + x*y")])
+    univariate = parse_poly("x^4 - 2*x^2 + 1", field, nvars=1)
+    records = [gram_from_poly(p) for p in small + padded]
+    built = _count_scalars(monkeypatch)
+    for p in small + padded:
+        gram_from_poly(p)
+    hilbert_value(system, 3)
+    assert not is_squarefree_univariate(univariate)
+    assert built == []
+    # sum_of_products boxes only the nonzero diagonal values and what follows from them
+    counts = []
+    for rec in records:
+        built.clear()
+        sum_of_products(rec)
+        counts.append(len(built))
+    assert counts[: len(forms)] == counts[len(forms) :]
+    assert all(counts)
 
 
 def test_sum_of_products_frozen_odd_rank(f13):

@@ -19,27 +19,32 @@ so A * A = q * Id holds exactly when, for every monomial mu, the
 products A_m A_m' with m + m' = mu sum to q_mu * I.  For a linear
 pencil each mu = x_i x_j has one pair, and these are the Clifford
 relations A_j^2 = q_jj * I and A_i A_j + A_j A_i = q_ij * I
-(Buchweitz-Eisenbud-Herzog 1987).  Verification checks them, after a
-structural gate (linear entries, a quadratic form q), and is run on
-every build.
+(Buchweitz-Eisenbud-Herzog 1987).  The pencil and q are read-only,
+so each ``MatrixFactorization`` decides this relation check at most
+once, on first use, and keeps the answer: verification reads it after
+a structural gate (linear entries, a quadratic form q), every build is
+verified, and the determinant certificate of a built matrix reads the
+answer the build recorded.
 
-The determinant certificate runs the same relation check on any
-pencil.  When it holds, det(A)^2 = q^size in the domain k[x], so
+When the relations hold, det(A)^2 = q^size in the domain k[x], so
 det A = sign * q^(size/2) with one sign everywhere (Eisenbud 1980),
 and one point with q != 0 fixes that sign (+1 in characteristic 2):
 the certificate is a proof.  A matrix that fails the relations is
 only sampled: random points check det A = sign * q^(size/2) with one
-consistent sign.  A and q are evaluated on raw values.
+consistent sign.  At each point q, and A summed from its pencil, are
+evaluated on raw values.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from operator import add as _add
+from types import MappingProxyType
 
 from .linalg import _det_raw
-from .poly import Poly
+from .poly import Poly, _term_values
 
 
 def _items(row):
@@ -51,18 +56,21 @@ def _items(row):
 class MatrixFactorization:
     """A square matrix of polynomials, normally linear forms, with its target quadric.
 
-    ``pencil`` maps each monomial (an exponent tuple) to its coefficient
-    matrix A_m, so that the matrix is sum_m x^m A_m.  Each A_m is a tuple
-    of sparse rows, a row being the flat tuple (c_0, v_0, c_1, v_1, ...)
-    of its columns and nonzero raw values, which keeps a pencil small.
-    A matrix of linear forms has one A_m per variable that occurs; other
-    monomials come only from matrices read as text, which
-    ``verify_clifford`` rejects and ``determinant_certificate`` still
-    checks exactly.  ``entries`` gives the matrix back as
-    polynomials, computed on each read from the same raw values.
+    ``pencil`` is a read-only map from each monomial (an exponent tuple)
+    to its coefficient matrix A_m, so that the matrix is sum_m x^m A_m.
+    Each A_m is a tuple of sparse rows, a row being the flat tuple
+    (c_0, v_0, c_1, v_1, ...) of its columns and nonzero raw values,
+    which keeps a pencil small.  A matrix of linear forms has one A_m
+    per variable that occurs; other monomials come only from matrices
+    read as text, which ``verify_clifford`` rejects and
+    ``determinant_certificate`` still checks exactly.
+    ``quadric`` is held as a copy whose ``raw`` map is read-only too, and
+    ``squares_to_quadric`` is the one answer to A * A = quadric * Id,
+    decided on its first read and kept.  ``entries`` gives the matrix
+    back as polynomials, computed on each read from the same raw values.
     """
 
-    __slots__ = ("field", "nvars", "size", "pencil", "quadric", "source")
+    __slots__ = ("field", "nvars", "size", "pencil", "quadric", "source", "_squares")
 
     def __init__(self, entries, quadric, source=None):
         size = len(entries)
@@ -94,9 +102,12 @@ class MatrixFactorization:
         object.__setattr__(self, "field", quadric.field)
         object.__setattr__(self, "nvars", quadric.nvars)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "pencil", pencil)
-        object.__setattr__(self, "quadric", quadric)
+        # squares_to_quadric keeps its answer, so neither input may change
+        object.__setattr__(self, "pencil", MappingProxyType(pencil))
+        read_only = MappingProxyType(dict(quadric.raw))
+        object.__setattr__(self, "quadric", Poly._make(quadric.field, quadric.nvars, read_only))
         object.__setattr__(self, "source", source)
+        object.__setattr__(self, "_squares", None)
 
     def __setattr__(self, *_):
         raise AttributeError("MatrixFactorization is immutable")
@@ -111,6 +122,13 @@ class MatrixFactorization:
                 for j, v in _items(row):
                     raw[i][j][exps] = v
         return tuple(tuple(Poly._make(field, nvars, t) for t in row) for row in raw)
+
+    @property
+    def squares_to_quadric(self):
+        """Whether A * A = quadric * Id; the relation check runs on the first read only."""
+        if self._squares is None:
+            object.__setattr__(self, "_squares", _squares_to_quadric(self))
+        return self._squares
 
     @property
     def ulrich_rank(self):
@@ -222,7 +240,7 @@ def verify_clifford(mf):
         return False
     if any(sum(exps) != 2 for exps in mf.quadric.raw):
         return False
-    return _squares_to_quadric(mf)
+    return mf.squares_to_quadric
 
 
 @dataclass
@@ -235,49 +253,14 @@ class DeterminantCertificate:
     proof: bool = False
 
 
-def _factors(exps):
-    """The (variable, exponent) factors of a monomial."""
-    return tuple((k, e) for k, e in enumerate(exps) if e)
-
-
-def _monomial_value(coords, factors, ar):
-    """The raw value at coords of the monomial with (variable, exponent) factors."""
-    value = None
-    for k, e in factors:
-        x = coords[k] if e == 1 else ar.pow(coords[k], e)
-        value = x if value is None else ar.mul(value, x)
-    return ar.one if value is None else value
-
-
-def _distinct_entries(pencil, neg):
-    """The nonzero entries of a pencil's matrix, each listed once up to sign.
-
-    Each is (form, plus, minus): the form as (monomial index, coefficient)
-    pairs, the positions that hold it and those that hold its negative.
-    """
-    at = {}
-    for index, rows in enumerate(pencil.values()):
-        for i, row in enumerate(rows):
-            for j, v in _items(row):
-                at.setdefault((i, j), []).append((index, v))
-    forms = {}
-    for position, form in at.items():
-        form = tuple(form)
-        negated = tuple((index, neg(v)) for index, v in form)
-        if negated in forms:
-            forms[negated][1].append(position)
-        else:
-            forms.setdefault(form, ([], []))[0].append(position)
-    return [(form, plus, minus) for form, (plus, minus) in forms.items()]
-
-
 def determinant_certificate(mf, trials=50, seed=0):
     """Certificate that det A = sign * quadric^(size/2) with one sign.
 
     Only an even size is certified: for an odd one the certificate
-    fails before any point is drawn.  Then the exact relation check of
-    ``_squares_to_quadric`` runs on the matrix as given.  When A * A =
-    q * Id holds in k[x], det(A)^2 = q^size, and k[x] is a domain, so
+    fails before any point is drawn.  Then it reads
+    ``mf.squares_to_quadric``, the exact relation check, which a built
+    matrix already holds from its verification.  When A * A = q * Id
+    holds in k[x], det(A)^2 = q^size, and k[x] is a domain, so
     (det A - q^(size/2)) (det A + q^(size/2)) = 0 forces det A =
     sign * q^(size/2) with one sign for all x (Eisenbud 1980).  One
     point with q != 0 then fixes the sign, and the certificate is a
@@ -287,21 +270,22 @@ def determinant_certificate(mf, trials=50, seed=0):
     q = x*y), so it is sampled at ``trials`` points, and the sign must
     be the same at every one of them.  Points with q = 0 are skipped
     (the determinant vanishes there by design and certifies nothing),
-    at most 20 * trials of them either way.  Each distinct entry of A,
-    and q, is evaluated once per point on raw values.
+    at most 20 * trials of them either way.  At each point q is
+    evaluated on raw values and A is summed from its pencil,
+    A(p)[i][j] = sum_m p^m A_m[i][j].  ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     size = mf.size
     if size % 2:
         reason = f"odd size {size}: det A = sign*q^(size/2) needs an even size"
         return DeterminantCertificate(False, None, 0, 0, reason=reason)
-    proof = _squares_to_quadric(mf)
-    wanted = min(trials, 1) if proof else trials
+    proof = mf.squares_to_quadric
+    wanted = 1 if proof else trials
     field = mf.field
     ar = field.arith
     add, neg, mul, zero = ar.add, ar.neg, ar.mul, ar.zero
-    factors = [_factors(exps) for exps in mf.pencil]
-    forms = _distinct_entries(mf.pencil, neg)
-    quadric = [(_factors(exps), c) for exps, c in mf.quadric.raw.items()]
+    monomials = dict.fromkeys(mf.pencil, ar.one)
     rng = random.Random(seed)
     half = size // 2
     sign = None
@@ -310,24 +294,15 @@ def determinant_certificate(mf, trials=50, seed=0):
     while tested < wanted and budget:
         budget -= 1
         coords = [ar.of(field.random_scalar(rng)) for _ in range(mf.nvars)]
-        qv = zero
-        for f, c in quadric:
-            qv = add(qv, mul(c, _monomial_value(coords, f, ar)))
+        qv = reduce(add, _term_values(mf.quadric.raw, coords, ar), zero)
         if qv == zero:
             skipped += 1
             continue
-        values = [_monomial_value(coords, f, ar) for f in factors]
         numeric = [[zero] * size for _ in range(size)]
-        for form, plus, minus in forms:
-            value = zero
-            for index, c in form:
-                value = add(value, mul(c, values[index]))
-            for i, j in plus:
-                numeric[i][j] = value
-            if minus:
-                value = neg(value)
-                for i, j in minus:
-                    numeric[i][j] = value
+        for power, rows in zip(_term_values(monomials, coords, ar), mf.pencil.values()):
+            for out, row in zip(numeric, rows):
+                for j, v in _items(row):
+                    out[j] = add(out[j], mul(power, v))
         dv = _det_raw(numeric, ar)
         expected = ar.pow(qv, half)
         if dv == expected:

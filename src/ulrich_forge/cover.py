@@ -148,6 +148,8 @@ def keem_counterexample_certificate(field, trials=100, seed=0):
     splitting exists.  The certificate carries each step as a named,
     re-checkable assertion.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     try:
         i = sqrt_in_field(field.from_int(-1))
     except ExtensionNeeded:

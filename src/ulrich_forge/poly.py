@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import operator
 import re
+from functools import reduce
 
 from .fields import GAUSSIAN, raw_parts, scalar_text
 
@@ -69,6 +70,22 @@ def _accumulate(ar, acc, pairs):
                 continue
         acc[exps] = v
     return acc
+
+
+def _term_values(raw, coords, ar):
+    """The raw values c * x^m, one per term of a raw map {m: c}, at raw coordinates."""
+    mul = ar.mul
+    # powers[i] lists x_i^0, x_i^1, ..., as far as an exponent has asked
+    powers = [[ar.one, x] for x in coords]
+    values = []
+    for exps, c in raw.items():
+        for row, e in zip(powers, exps):
+            if e:
+                while len(row) <= e:
+                    row.append(mul(row[-1], row[1]))
+                c = mul(c, row[e])
+        values.append(c)
+    return values
 
 
 class Poly:
@@ -283,21 +300,9 @@ class Poly:
         """The value at a point of scalars, ints or Fractions, summed on raw values."""
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
-        field = self.field
-        ar = field.arith
-        add, mul, power = ar.add, ar.mul, ar.pow
-        # powers[i] maps each exponent met so far to x_i^e
-        powers = [{1: ar.of(field.coerce(v))} for v in point]
-        total = ar.zero
-        for exps, c in self.raw.items():
-            for known, e in zip(powers, exps):
-                if e:
-                    xe = known.get(e)
-                    if xe is None:
-                        xe = known[e] = power(known[1], e)
-                    c = mul(c, xe)
-            total = add(total, c)
-        return ar.box(total)
+        ar = self.field.arith
+        values = _term_values(self.raw, map(ar.of, map(self.field.coerce, point)), ar)
+        return ar.box(reduce(ar.add, values, ar.zero))
 
     def set_variable(self, index, value):
         """Substitute a scalar for one variable (stays in the same ring)."""

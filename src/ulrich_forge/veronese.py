@@ -420,6 +420,8 @@ def normalize_plane_decomposition(F, decomp, seed=0, max_trials=20):
         raise ValueError("need exactly two summands")
     if decomp.F != F:
         raise ValueError("decomposition does not present F")
+    if max_trials < 1:
+        raise ValueError(f"max_trials must be at least 1, got {max_trials}")
     (f1, g1), (f2, g2) = decomp.summands
     rng = random.Random(seed)
     input_smooth = is_smooth_hypersurface(F)

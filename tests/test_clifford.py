@@ -450,3 +450,43 @@ def test_a_proof_keeps_the_skip_budget_of_the_requested_trials(q):
     reason = "no sample point had q nonzero"
     assert cert == DeterminantCertificate(False, None, 0, 140, reason=reason)
     assert cert == determinant_certificate_by_evaluation(mf, trials=7, seed=1)
+
+
+def test_the_relation_check_runs_once_per_factorization(monkeypatch):
+    # build -> verify_clifford -> determinant_certificate on one object
+    # decide A * A = q * Id once; the read-only pencil and quadric keep
+    # that answer true
+    import ulrich_forge.clifford as clifford
+
+    calls = []
+    kernel = clifford._squares_to_quadric
+
+    def counted(mf):
+        calls.append(mf)
+        return kernel(mf)
+
+    monkeypatch.setattr(clifford, "_squares_to_quadric", counted)
+    f13 = FieldSpec.prime(13)
+    mf = build_clifford_factorization(_sop_from_poly("x*y + z*t + x^2", f13, nvars=4))
+    assert verify_clifford(mf)
+    cert = determinant_certificate(mf, trials=5, seed=2)
+    assert (cert.ok, cert.proof, cert.tested) == (True, True, 1)
+    assert calls == [mf]
+    exps = next(iter(mf.pencil))
+    with pytest.raises(TypeError):
+        mf.pencil[exps] = ()
+    with pytest.raises(TypeError):
+        del mf.pencil[exps]
+    with pytest.raises(TypeError):
+        mf.quadric.raw[exps] = f13.arith.one
+    assert determinant_certificate(mf, trials=5, seed=3).proof
+    assert calls == [mf]
+
+
+@pytest.mark.parametrize("trials", [0, -4])
+def test_determinant_certificate_refuses_a_trial_count_below_one(f13, trials):
+    # with no trial no point is tested, so even a provable factorization
+    # would end "no sample point had q nonzero"
+    mf = build_clifford_factorization(_sop_from_poly("x*y + z^2", f13))
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        determinant_certificate(mf, trials=trials)

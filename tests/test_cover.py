@@ -193,6 +193,13 @@ def test_keem_refuses_fields_without_i():
         keem_counterexample_certificate(FieldSpec.prime(7))
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_keem_refuses_a_trial_count_below_one(qi, trials):
+    # with no witness, "rank(l*m + a^2) <= 3" would hold vacuously
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        keem_counterexample_certificate(qi, trials=trials)
+
+
 def test_keem_no_splitting_samples_are_exhaustive_failures(qi):
     cert = keem_counterexample_certificate(qi, trials=40, seed=3)
     final = cert.chain[-1]

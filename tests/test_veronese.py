@@ -424,6 +424,15 @@ def test_normalize_exhausted_trials_reports_best_attempt(q):
     assert out.certificates["input_smooth"].verdict == "smooth"
 
 
+@pytest.mark.parametrize("max_trials", [0, -3])
+def test_normalize_refuses_a_trial_count_below_one(f13, max_trials):
+    # no alpha is tried, so no factor smoothness can be reported as failed
+    F = parse_poly("x^4 + y^4 + z^4", f13)
+    dec = decompose_form(F, VeroneseMap(2, 2))
+    with pytest.raises(ValueError, match="max_trials must be at least 1"):
+        normalize_plane_decomposition(F, dec, max_trials=max_trials)
+
+
 def test_normalize_reports_the_deepest_attempt(capsys):
     # alpha = 0 keeps the smooth f1, but the only beta tried, 0, gives the
     # singular f2 = x*y: the best attempt stops at the second factor

@@ -26,7 +26,15 @@ Three elimination routines do all the work:
 
 Ranks run on raw rows in ``_rank_raw``: Gram records and Macaulay
 matrices pass theirs directly, and ``rank`` unwraps scalar rows once.
-All results are exact; nothing here is approximate.
+``_rank_raw`` first asks ``_prime_rank`` for the rank of the rows' image
+in a prime field through ``_rank_mod_p``: exact over fp and for fp2 and
+qi matrices in the subfield, a lower bound over q and qi (mod
+_CHECK_PRIME), and None without a prime image (a genuine fp2 matrix, or
+a denominator divisible by the prime).  Only when that answer is not
+exact and not full does it go on to Bareiss or ``_eliminate``.  A caller
+that only needs a proof of full rank, as the square Macaulay check of
+``graded`` does, calls ``_prime_rank`` alone.  All results are exact;
+nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -200,45 +208,63 @@ def rank(rows, field):
     return _rank_raw([list(map(field.arith.of, row)) for row in rows], field)
 
 
+def _prime_rank(rows, field):
+    """Rank of the image of raw rows in a prime field, or None; the rows are not changed.
+
+    Over fp, and over fp2 and qi when every entry lies in the subfield
+    (rank does not change under a field extension), this is the exact
+    rank.  Over q and qi the rows are reduced mod _CHECK_PRIME, with i
+    sent to a square root _I of -1 there, and the rank can only drop:
+    the answer is a lower bound, exact when it is full.  None when
+    there is no prime image: a genuine fp2 matrix, or a denominator
+    divisible by _CHECK_PRIME.
+    """
+    width = len(rows[0]) if rows else 0
+    kind = field.kind
+    if kind in (PRIME_QUADRATIC, GAUSSIAN):
+        if any(v[1] for row in rows for v in row):
+            if kind == PRIME_QUADRATIC:
+                return None
+        else:
+            kind = PRIME if kind == PRIME_QUADRATIC else RATIONAL
+            rows = [[v[0] for v in row] for row in rows]
+    if kind == PRIME:
+        return _rank_mod_p([{j: v for j, v in enumerate(row) if v} for row in rows], field.p, width)
+    p = _CHECK_PRIME
+    if kind == RATIONAL:
+        sparse = _sparse_rows(rows, p)
+    else:
+        real = _sparse_rows([[v[0] for v in row] for row in rows], p)
+        imag = None if real is None else _sparse_rows([[v[1] for v in row] for row in rows], p)
+        # a + b*i goes to a + b*_I; only nonzero residues are kept
+        sparse = None if imag is None else [
+            {j: x for j in {*a, *b} if (x := (a.get(j, 0) + _I * b.get(j, 0)) % p)}
+            for a, b in zip(real, imag)
+        ]
+    return None if sparse is None else _rank_mod_p(sparse, p, width)
+
+
 def _rank_raw(rows, field):
     """Rank of a matrix of raw entries; the rows are not changed.
 
-    A matrix whose entries all lie in the subfield (b == 0 over fp2 or
-    qi) is ranked there, since rank does not change under a field
-    extension.  Over q and qi the rank is first taken mod _CHECK_PRIME,
-    with i sent to a square root of -1 there: it can only drop mod a
-    prime, so a full rank mod the prime is the exact rank; otherwise
-    Bareiss (q) or dense elimination on Fraction pairs (qi) decides.
-    Ragged rows raise ValueError.
+    ``_prime_rank`` goes first.  Its answer stands when it is exact (fp,
+    and fp2 or qi entries in the subfield) or full; otherwise Bareiss
+    (q, and qi in the subfield) or dense elimination (genuine fp2 and
+    qi) decides.  Ragged rows raise ValueError.
     """
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise ValueError("rank of a matrix with rows of different lengths")
     if not width:
         return 0
+    r = _prime_rank(rows, field)
+    if r is not None and (field.p or r == min(len(rows), width)):
+        return r
     kind = field.kind
-    if kind in (PRIME_QUADRATIC, GAUSSIAN) and not any(v[1] for row in rows for v in row):
-        kind = PRIME if kind == PRIME_QUADRATIC else RATIONAL
-        rows = [[v[0] for v in row] for row in rows]
-    if kind == PRIME:
-        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-        return _rank_mod_p(sparse, field.p, width)
-    if kind in (RATIONAL, GAUSSIAN):
-        real = rows if kind == RATIONAL else [[v[0] for v in row] for row in rows]
-        sparse = _sparse_rows(real, _CHECK_PRIME)
-        if kind == GAUSSIAN and sparse is not None:
-            imag = _sparse_rows([[v[1] for v in row] for row in rows], _CHECK_PRIME)
-            p = _CHECK_PRIME
-            # a + b*i goes to a + b*_I; only nonzero residues are kept
-            sparse = None if imag is None else [
-                {j: x for j in {*a, *b} if (x := (a.get(j, 0) + _I * b.get(j, 0)) % p)}
-                for a, b in zip(sparse, imag)
-            ]
-        full = min(len(rows), width)
-        if sparse is not None and _rank_mod_p(sparse, _CHECK_PRIME, width) == full:
-            return full
-        if kind == RATIONAL:
-            return _bareiss(_as_int_rows(rows)[0])[0]
+    if kind == GAUSSIAN and not any(v[1] for row in rows for v in row):
+        kind, rows = RATIONAL, [[v[0] for v in row] for row in rows]
+    if kind == RATIONAL:
+        return _bareiss(_as_int_rows(rows)[0])[0]
     return len(_eliminate([list(row) for row in rows], field.arith, width)[0])
 
 

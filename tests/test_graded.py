@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from ulrich_forge import graded
 from ulrich_forge import (
     FieldSpec,
     GradedSystem,
@@ -20,7 +21,8 @@ from ulrich_forge import (
     parse_poly,
     random_homogeneous,
 )
-from ulrich_forge.graded import INCONCLUSIVE, NO, SINGULAR, SMOOTH, YES
+from ulrich_forge.graded import INCONCLUSIVE, NO, SINGULAR, SMOOTH, YES, find_projective_zero
+from ulrich_forge.linalg import _prime_rank
 from ulrich_forge.poly import monomials_of_degree
 
 
@@ -202,7 +204,7 @@ def _reduce_gaussian_mod(form, field):
     return Poly(field, form.nvars, terms)
 
 
-@pytest.mark.parametrize("degree, seed, budget", [(4, 5, 1.0), (5, 11, 20.0)])
+@pytest.mark.parametrize("degree, seed, budget", [(4, 5, 1.0), (5, 11, 3.0)])
 def test_smooth_surface_over_q_within_budget(q, degree, seed, budget):
     form = random_homogeneous(q, 4, degree, random.Random(seed))
     # independent check: the reduction mod 32003 keeps every term and is
@@ -231,3 +233,88 @@ def test_smooth_surface_over_qi_within_budget(qi):
     elapsed = time.perf_counter() - start
     assert res.verdict == SMOOTH and res.e_used == 9
     assert elapsed < 2.0, f"quartic surface over qi took {elapsed:.2f}s"
+
+
+def _full_route(f):
+    """Smoothness read off the full Macaulay matrix alone: (verdict, witness, e_used)."""
+    system = jacobian_system(f)
+    e = f.nvars * (f.homogeneous_degree() - 2) + 1
+    if hilbert_value(system, e) == 0:
+        return SMOOTH, None, e
+    return SINGULAR, find_projective_zero(system, seed=0, trials=200), e
+
+
+def _square_rank(f):
+    """(prime rank, width) of the square Macaulay submatrix of the partials at the socle bound."""
+    e = f.nvars * (f.homogeneous_degree() - 2) + 1
+    index = graded._column_index(f.nvars, e)
+    rows = graded._multiple_rows(jacobian_system(f), e, index, square=True)
+    assert len(rows) == len(index)
+    return _prime_rank(rows, f.field), len(index)
+
+
+def _singular_plane_form(field, degree, rng, at_coordinate_point):
+    """A form in the square of the ideal of one rational point, so singular there."""
+    if at_coordinate_point:
+        # the point (1, 0, 0), which the witness search tries first
+        l1, l2 = parse_poly("y", field, nvars=3), parse_poly("z", field, nvars=3)
+    else:
+        l1, l2 = (random_homogeneous(field, 3, 1, rng, span=3) for _ in range(2))
+    g, h, k = (random_homogeneous(field, 3, degree - 2, rng, span=3) for _ in range(3))
+    return l1 * l1 * g + l1 * l2 * h + l2 * l2 * k
+
+
+# Largest degree of the singular forms per field kind: a singular matrix
+# is ranked in full, by elimination on pairs over fp2 and exactly over q
+# (Bareiss) and qi (Fraction pairs), which takes seconds past these degrees.
+_SINGULAR_DEGREE_MAX = {"fp": 8, "fp2": 6, "q": 4, "qi": 4}
+
+
+@pytest.mark.parametrize("spec", ["fp:101", "fp:32003", "fp2:101", "q", "qi"])
+def test_square_route_agrees_with_the_full_hilbert_value(spec, monkeypatch):
+    field = FieldSpec.parse(spec)
+    calls = []
+    full = graded.hilbert_value
+    monkeypatch.setattr(graded, "hilbert_value", lambda *args: calls.append(args) or full(*args))
+    rng = random.Random(89)
+    for degree in (4, 6, 8):
+        smooth = random_homogeneous(field, 3, degree, rng, span=3)
+        if field.kind == "fp2":
+            # genuine w coefficients: the square has no prime image, so the full route runs
+            assert any(c.b for c in smooth.terms.values())
+            assert _square_rank(smooth)[0] is None
+        forms = [(SMOOTH, False, smooth)]
+        if degree <= _SINGULAR_DEGREE_MAX[field.kind]:
+            forms += [(SINGULAR, at, _singular_plane_form(field, degree, rng, at)) for at in (True, False)]
+        for verdict, at_coordinate_point, f in forms:
+            calls.clear()
+            res = is_smooth_hypersurface(f)
+            assert res.verdict == verdict
+            assert (res.verdict, res.witness, res.e_used) == _full_route(f)
+            if at_coordinate_point:
+                assert res.witness == (field.one, field.zero, field.zero)
+            square, width = _square_rank(f)
+            # the full matrix is ranked only when the square falls short
+            assert len(calls) == (0 if square == width else 1)
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        # seed 41 draws a smooth quartic whose extraneous Macaulay minor vanishes mod 101
+        ("fp:101", None),
+        # the Klein quartic has no x_i^4 term, so its square submatrix is singular
+        ("q", "x^3*y + y^3*z + z^3*x"),
+    ],
+)
+def test_smooth_form_with_a_deficient_square_takes_the_full_route(spec, text, monkeypatch):
+    field = FieldSpec.parse(spec)
+    f = random_homogeneous(field, 3, 4, random.Random(41)) if text is None else parse_poly(text, field)
+    square, width = _square_rank(f)
+    assert square is not None and square < width
+    calls = []
+    full = graded.hilbert_value
+    monkeypatch.setattr(graded, "hilbert_value", lambda *args: calls.append(args) or full(*args))
+    res = is_smooth_hypersurface(f)
+    assert len(calls) == 1
+    assert (res.verdict, res.witness, res.e_used) == (SMOOTH, None, 7) == _full_route(f)

@@ -13,6 +13,7 @@ from ulrich_forge import linalg
 from ulrich_forge.linalg import (
     _as_int_rows,
     _bareiss,
+    _prime_rank,
     _rank_mod_p,
     _sparse_rows,
     det,
@@ -499,6 +500,84 @@ def test_rank_against_sympy_domain_matrix(q):
             rows = [[field.from_int(v) for v in row] for row in ints]
             entries = [[domain(v) for v in row] for row in ints]
             assert rank(rows, field) == DomainMatrix(entries, (m, n), domain).rank()
+
+
+@pytest.mark.parametrize("spec", ["fp:7", "fp:101", "fp2:7", "fp2:101", "q", "qi"])
+def test_prime_rank_against_sympy_domain_matrix(spec):
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("sympy")
+    from sympy import GF, QQ
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    st = hypothesis.strategies
+    field = FieldSpec.parse(spec)
+    ar, p, pairs = field.arith, field.p, field.kind in ("fp2", "qi")
+    if p:
+        part = st.integers(0, p - 1)
+    else:
+        # multiples of P vanish mod P, so the prime rank can fall short
+        part = st.builds(Fraction, st.integers(-3, 3) | st.sampled_from([P, -2 * P]), st.integers(1, 4))
+    zero_part = ar.zero[0] if pairs else ar.zero
+    # over fp2 and qi, drawn matrices lie in the subfield or (mostly) not
+    entry = st.tuples(part, part | st.just(zero_part)) if pairs else part
+
+    @st.composite
+    def matrices(draw):
+        m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        subfield = pairs and draw(st.booleans())
+        rows = [
+            [
+                ar.zero if draw(st.booleans()) else (v[0], zero_part) if subfield else v
+                for v in (draw(entry) for _ in range(n))
+            ]
+            for _ in range(m)
+        ]
+        if m > 2 and draw(st.booleans()):
+            rows[-1] = [ar.add(a, b) for a, b in zip(rows[0], rows[1])]
+        return rows
+
+    def exact_rank(rows):
+        def qq(x):
+            return QQ(x.numerator, x.denominator)
+
+        if pairs and any(v[1] for row in rows for v in row):
+            domain, entries = QQ_I, [[QQ_I(qq(a), qq(b)) for a, b in row] for row in rows]
+        else:
+            real = [[v[0] for v in row] for row in rows] if pairs else rows
+            domain = GF(p) if p else QQ
+            entries = [[domain(v) if p else qq(v) for v in row] for row in real]
+        return DomainMatrix(entries, (len(rows), len(rows[0])), domain).rank()
+
+    @hypothesis.given(matrices(), st.data())
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    def check(rows, data):
+        before = [list(row) for row in rows]
+        r = _prime_rank(rows, field)
+        assert rows == before
+        if field.kind == "fp2" and any(v[1] for row in rows for v in row):
+            assert r is None
+            return
+        exact = exact_rank(rows)
+        if p:
+            assert r == exact
+            return
+        assert r is not None and r <= exact
+        # a denominator divisible by P, in either part, leaves no image mod P
+        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows[0]) - 1))
+        bad = Fraction(1, P)
+        if pairs:
+            bad = data.draw(st.sampled_from([(bad, zero_part), (zero_part, bad)]))
+        rows[i][j] = bad
+        assert _prime_rank(rows, field) is None
+
+    check()
+    if not p:
+        # the rank drops mod P on an entry that vanishes there: P, or i - _I
+        one = (Fraction(1), Fraction(0)) if pairs else Fraction(1)
+        vanishing = (Fraction(-linalg._I), Fraction(1)) if pairs else Fraction(P)
+        assert _prime_rank([[vanishing, ar.zero], [ar.zero, one]], field) == 1
+        assert rank([[ar.box(vanishing), field.zero], [field.zero, field.one]], field) == 2
 
 
 def test_sparse_kernel_matches_dense_reference():

@@ -61,10 +61,8 @@ from .veronese import (
     RankBounds,
     VeroneseMap,
     decompose_form,
-    double_cover_quadric,
     induction_rank,
     lift_form,
-    linear_lift,
     normalize_plane_decomposition,
     rank_bounds,
     ulrich_presentation,

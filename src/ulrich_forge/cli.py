@@ -239,7 +239,6 @@ def _cmd_ulrich_pipeline(args, field, config):
             "case": report.case,
             "verified": True,
             "entries": report.entries,
-            "entry_pullbacks": report.entry_pullbacks,
         },
         "rank_report": _bounds_result(bounds),
     }, ok

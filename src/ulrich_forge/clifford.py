@@ -7,11 +7,14 @@ and assembles matrices of linear forms recursively:
     A_{k+1} = [[A_k, l_{k+1} * I], [m_{k+1} * I, -A_k]],
 
 so s pairs give a 2^s by 2^s matrix presenting a sheaf of rank 2^(s-1)
-on the quadric.  The matrix is kept as a linear pencil A = sum_j x_j A_j
-of scalar matrices, one per variable, whose entries are raw values
-(see ``fields``) read straight from the ``Poly.raw`` maps of the pairs;
-the build runs the recursion on each A_j through the field's ``Arith``
-record, one coefficient at a time.  For any pencil A = sum_m x^m A_m,
+on the quadric.  The same recursion on pairs of degree-d forms, started
+from A_0 = (l) for a square summand l^2, gives the source-ring
+presentations of ``veronese``.  The matrix is kept as a linear pencil
+A = sum_j x_j A_j of scalar matrices, one per variable, whose entries
+are raw values (see ``fields``) read straight from the ``Poly.raw``
+maps of the pairs; the build runs the recursion on each A_j through
+the field's ``Arith`` record, one coefficient at a time.  For any
+pencil A = sum_m x^m A_m,
 
     A * A = sum_mu x^mu sum_{m + m' = mu} A_m A_m',
 
@@ -64,10 +67,10 @@ class MatrixFactorization:
     per variable that occurs; other monomials come only from matrices
     read as text, which ``verify_clifford`` rejects and
     ``determinant_certificate`` still checks exactly.
-    ``quadric`` is held as a copy whose ``raw`` map is read-only too, and
-    ``squares_to_quadric`` is the one answer to A * A = quadric * Id,
-    decided on its first read and kept.  ``entries`` gives the matrix
-    back as polynomials, computed on each read from the same raw values.
+    ``quadric`` is a ``Poly``, read-only too, and ``squares_to_quadric``
+    is the one answer to A * A = quadric * Id, decided on its first read
+    and kept.  ``entries`` gives the matrix back as polynomials, computed
+    on each read from the same raw values.
     """
 
     __slots__ = ("field", "nvars", "size", "pencil", "quadric", "source", "_squares")
@@ -102,10 +105,10 @@ class MatrixFactorization:
         object.__setattr__(self, "field", quadric.field)
         object.__setattr__(self, "nvars", quadric.nvars)
         object.__setattr__(self, "size", size)
-        # squares_to_quadric keeps its answer, so neither input may change
+        # squares_to_quadric keeps its answer, so neither input may change;
+        # a Poly is read-only already
         object.__setattr__(self, "pencil", MappingProxyType(pencil))
-        read_only = MappingProxyType(dict(quadric.raw))
-        object.__setattr__(self, "quadric", Poly._make(quadric.field, quadric.nvars, read_only))
+        object.__setattr__(self, "quadric", quadric)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "_squares", None)
 
@@ -148,6 +151,38 @@ def _entry(j, v):
     return () if v is None else (j, v)
 
 
+def _clifford_pencil(raw_pairs, ar, start=None):
+    """The pencil of the recursion on raw pairs (l.raw, m.raw), from A_0 = (start).
+
+    A_0 is the 1 by 1 matrix (0), or (l) for the raw map ``start`` of a
+    form l.  Each step keeps A_k in the top left and -A_k in the bottom
+    right, so l ends up as l * Gamma with Gamma = diag((-1)^popcount(i)),
+    which anticommutes with the recursion on the pairs: the square is
+    (l^2 + sum l_i * m_i) * Id either way.
+    """
+    start = start or {}
+    pencil = {}
+    monomials = {e for l, m in raw_pairs for e in (*l, *m)}.union(start)
+    for exps in sorted(monomials, reverse=True):
+        # the recursion on the x^exps coefficients, with -A carried
+        # along, so that no coefficient is negated twice
+        sv = start.get(exps)
+        plus, minus = [_entry(0, sv)], [_entry(0, None if sv is None else ar.neg(sv))]
+        for l, m in raw_pairs:
+            n = len(plus)
+            lv, mv = l.get(exps), m.get(exps)
+            nl = None if lv is None else ar.neg(lv)
+            nm = None if mv is None else ar.neg(mv)
+            plus, minus = (
+                [row + _entry(n + i, lv) for i, row in enumerate(plus)]
+                + [_entry(i, mv) + _shifted(row, n) for i, row in enumerate(minus)],
+                [row + _entry(n + i, nl) for i, row in enumerate(minus)]
+                + [_entry(i, nm) + _shifted(row, n) for i, row in enumerate(plus)],
+            )
+        pencil[exps] = tuple(plus)
+    return pencil
+
+
 def build_clifford_factorization(sop):
     """Build and verify the factorization of sop.quadric.
 
@@ -161,25 +196,7 @@ def build_clifford_factorization(sop):
         for h in (l, m):
             if h.is_zero or not h.is_homogeneous() or h.homogeneous_degree() != 1:
                 raise ValueError("pair entries must be nonzero linear forms")
-    ar = sop.quadric.field.arith
-    raw_pairs = [(l.raw, m.raw) for l, m in pairs]
-    pencil = {}
-    for exps in sorted({e for l, m in raw_pairs for e in (*l, *m)}, reverse=True):
-        # the recursion on the x^exps coefficients from A_0 = (0), with
-        # -A carried along, so that no coefficient is negated twice
-        plus = minus = [()]
-        for l, m in raw_pairs:
-            n = len(plus)
-            lv, mv = l.get(exps), m.get(exps)
-            nl = None if lv is None else ar.neg(lv)
-            nm = None if mv is None else ar.neg(mv)
-            plus, minus = (
-                [row + _entry(n + i, lv) for i, row in enumerate(plus)]
-                + [_entry(i, mv) + _shifted(row, n) for i, row in enumerate(minus)],
-                [row + _entry(n + i, nl) for i, row in enumerate(minus)]
-                + [_entry(i, nm) + _shifted(row, n) for i, row in enumerate(plus)],
-            )
-        pencil[exps] = tuple(plus)
+    pencil = _clifford_pencil([(l.raw, m.raw) for l, m in pairs], sop.quadric.field.arith)
     mf = MatrixFactorization._from_pencil(2 ** len(pairs), pencil, sop.quadric, sop)
     if not verify_clifford(mf):
         raise AssertionError("clifford construction failed its symbolic check")

@@ -27,6 +27,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import reduce
+from types import MappingProxyType
 
 from .fields import GAUSSIAN, raw_parts, scalar_text
 
@@ -91,8 +92,9 @@ def _term_values(raw, coords, ar):
 class Poly:
     """An immutable sparse polynomial over a fixed field and arity.
 
-    ``raw`` maps exponent tuples to nonzero raw coefficients; ``terms``
-    boxes them into ``Scalar``s on each read.
+    ``raw`` is a read-only map from exponent tuples to nonzero raw
+    coefficients, so an object built from a polynomial, and its hash,
+    never go stale; ``terms`` boxes them into ``Scalar``s on each read.
     """
 
     __slots__ = ("field", "nvars", "raw")
@@ -109,17 +111,19 @@ class Poly:
                     raw[exps] = v
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "raw", MappingProxyType(raw))
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
     @classmethod
     def _make(cls, field, nvars, raw):
-        """Trusted constructor: raw already canonical (no zeros)."""
+        """Trusted constructor: raw already canonical (no zeros), read-only from here on."""
         self = object.__new__(cls)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
+        if type(raw) is not MappingProxyType:
+            raw = MappingProxyType(raw)
         object.__setattr__(self, "raw", raw)
         return self
 
@@ -223,7 +227,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        raw = _accumulate(self.field.arith, dict(self.raw), other.raw.items())
+        raw = _accumulate(self.field.arith, self.raw.copy(), other.raw.items())
         return Poly._make(self.field, self.nvars, raw)
 
     def __neg__(self):

@@ -1,13 +1,14 @@
-"""Degree-d monomial embeddings and the double-cover quadric pipeline.
+"""Degree-d monomial embeddings and the double-cover pipeline.
 
 A form F of degree 2d in n+1 variables is the restriction of a quadric
 Q in the C(n+d,d) coordinates of the degree-d monomial embedding.  The
-pipeline here lifts F to such a Q, rewrites T^2 - Q as a sum of
-products of linear forms, pulls the factors back to degree-d forms,
-and feeds the result to the matrix-factorization builder.  Rank
-reports carry the bound 2^(floor(N/2)+1), the achieved rank, and a
-lower-bound certificate based on zero-dimensionality of the factor
-ideal.
+pipeline here lifts F to such a Q, rewrites Q as a sum of products of
+linear forms, pulls the factors back to degree-d forms, so that
+F = sum f_i * g_i, and builds from them a matrix N of degree-d forms
+with N * N = F * Id: T * Id - N presents an Ulrich sheaf on the double
+cover T^2 = F.  Rank reports carry the bound 2^(ceil(N/2)-1), the
+achieved rank, and a lower-bound certificate based on
+zero-dimensionality of the factor ideal.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .clifford import build_clifford_factorization
+from .clifford import MatrixFactorization, _clifford_pencil
 from .graded import (
     NO,
     SMOOTH,
@@ -26,7 +27,7 @@ from .graded import (
     is_zero_dimensional,
 )
 from .poly import Poly, monomials_of_degree
-from .quadform import SumOfProducts, gram_from_poly, sum_of_products
+from .quadform import gram_from_poly, sum_of_products
 from .resultants import TRANSVERSAL, certify_transversal
 
 
@@ -108,41 +109,6 @@ def lift_form(F, vmap):
         exps[vmap._index[gamma]] += 1
         raw[tuple(exps)] = v
     return QuadricLift(vmap, gram_from_poly(Poly._make(F.field, size, raw)), F)
-
-
-def double_cover_quadric(lift):
-    """The quadric T^2 - Q in N+2 variables, T the new last variable.
-
-    Accepts a QuadricLift or a bare QuadraticFormRecord for Q; the rank
-    always comes out one more than rank(Q).
-    """
-    record = lift.record if isinstance(lift, QuadricLift) else lift
-    field, n = record.field, record.nvars
-    ar = field.arith
-    raw = {exps + (0,): ar.neg(v) for exps, v in record.poly.raw.items()}
-    raw[(0,) * n + (2,)] = ar.one
-    out = gram_from_poly(Poly._make(field, n + 1, raw))
-    if out.rank != record.rank + 1:
-        raise AssertionError("double-cover quadric rank is off")
-    return out
-
-
-def linear_lift(p, vmap, nvars=None):
-    """Rewrite a degree-d form as a linear form in the embedding coordinates.
-
-    Every monomial must be one of the basis monomials; nvars may pad the
-    result (the double-cover ring has one extra variable T).
-    """
-    if p.nvars != vmap.n + 1:
-        raise ValueError("form does not live in the embedding source ring")
-    if p.is_zero or not p.is_homogeneous() or p.homogeneous_degree() != vmap.d:
-        raise ValueError(f"can only lift nonzero forms of degree {vmap.d}")
-    out_n = vmap.N + 1 if nvars is None else nvars
-    raw = {}
-    for exps, v in p.raw.items():
-        idx = vmap._index[exps]
-        raw[tuple(1 if i == idx else 0 for i in range(out_n))] = v
-    return Poly._make(p.field, out_n, raw)
 
 
 class FormDecomposition:
@@ -239,80 +205,56 @@ class PresentationReport:
     secant_index: int
     summand_count: int
     entries: list
-    entry_pullbacks: list
 
 
-def _entry_pullback(entry, vmap):
-    """A matrix entry rewritten in the source variables plus the cover variable.
+def _recursion_input(decomp):
+    """The pairs the Clifford recursion of N runs on, and the raw map of the l it starts from.
 
-    Linear in the embedding coordinates, the entry becomes a degree-d
-    form plus a multiple of T; the mixed-degree result is only for
-    reading, never fed back into the pipeline.
+    A square pair (l, l) is folded in as l * Gamma unless it is the only
+    pair; then there is no start.
     """
-    n1 = vmap.n + 1
-    raw = {}
-    for exps, v in entry.raw.items():
-        if exps[vmap.N + 1]:
-            key = (0,) * n1 + (1,)
-        else:
-            key = vmap.basis[exps.index(1)] + (0,)
-        raw[key] = v
-    return Poly._make(entry.field, n1 + 1, raw)
+    pairs = decomp.summands
+    if decomp.square_term_flag and decomp.k > 1:
+        return pairs[:-1], pairs[-1][0].raw
+    return pairs, None
 
 
 def ulrich_presentation(F, decomp=None):
-    """Matrix factorization of T^2 - Q presenting a sheaf on the double cover.
+    """A matrix N of degree-d forms with N * N = F * Id, from a decomposition of F.
 
-    With a square pair (l, l) in the decomposition the first pair is
-    (T + l, T - l) and the size halves (case b); otherwise the first
-    pair is (T, T) (case a).  The remaining pairs are the lifted
-    summands (l_i, -m_i).  The builder verifies A * A = (T^2 - Q) * Id
-    symbolically before anything is returned.  A given decomposition
-    must present F, over F's field or its extension.
+    Without a square summand (case a) N is the Clifford recursion on the
+    pairs (f_i, g_i), of size 2^k.  With one, F = l^2 + sum f_i g_i over
+    the other k - 1 pairs (case b), N = l * Gamma + M for M the recursion
+    on those pairs and Gamma = diag((-1)^popcount(i)), which anticommutes
+    with M: size 2^(k-1).  A lone square F = l^2 keeps the recursion
+    [[0, l], [l, 0]], of size 2.  As a module over k[x], coker(T * Id - N)
+    is k[x]^size with T acting by N, so it is an Ulrich sheaf of rank
+    size/2 on the double cover T^2 = F.  N * N = F * Id is proved exactly
+    once, by ``squares_to_quadric``, before anything is returned.  A given
+    decomposition must present F, over F's field or its extension.
     """
     if F.is_zero or not F.is_homogeneous():
         raise ValueError("need a nonzero homogeneous form")
     deg = F.homogeneous_degree()
     if deg % 2:
         raise ValueError("form degree must be even")
-    vmap = VeroneseMap(F.nvars - 1, deg // 2)
     if decomp is None:
-        decomp = decompose_form(F, vmap)
+        decomp = decompose_form(F, VeroneseMap(F.nvars - 1, deg // 2))
     else:
         _check_presents(decomp, F)
-    field = decomp.F.field
-    big = vmap.N + 2
-    T = Poly.variable(field, big, vmap.N + 1)
-    lifted = [
-        (linear_lift(l, vmap, nvars=big), linear_lift(m, vmap, nvars=big))
-        for l, m in decomp.summands
-    ]
-    if decomp.square_term_flag:
-        case = "b"
-        l_last = lifted[-1][0]
-        pairs = [(T + l_last, T - l_last)]
-        pairs.extend((l, -m) for l, m in lifted[:-1])
-    else:
-        case = "a"
-        pairs = [(T, T)]
-        pairs.extend((l, -m) for l, m in lifted)
-    quadric = Poly.zero(field, big)
-    for l, m in lifted:
-        quadric = quadric + l * m
-    quadric = T * T - quadric
-    sop = SumOfProducts(tuple(pairs), not decomp.square_term_flag, quadric)
-    if sop.recombine() != quadric:
-        raise AssertionError("presentation pairs do not recombine to T^2 - Q")
-    mf = build_clifford_factorization(sop)
-    entries = mf.entries
+    pairs, start = _recursion_input(decomp)
+    raw_pairs = [(l.raw, m.raw) for l, m in pairs]
+    pencil = _clifford_pencil(raw_pairs, decomp.F.field.arith, start)
+    mf = MatrixFactorization._from_pencil(2 ** len(pairs), pencil, decomp.F, decomp)
+    if not mf.squares_to_quadric:
+        raise AssertionError("presentation failed its check N * N = F * Id")
     report = PresentationReport(
-        case=case,
+        case="b" if decomp.square_term_flag else "a",
         size=mf.size,
         ulrich_rank=mf.ulrich_rank,
         secant_index=decomp.secant_index,
         summand_count=decomp.k,
-        entries=[[str(e) for e in row] for row in entries],
-        entry_pullbacks=[[str(_entry_pullback(e, vmap)) for e in row] for row in entries],
+        entries=[[str(e) for e in row] for row in mf.entries],
     )
     return mf, report
 
@@ -339,12 +281,20 @@ class RankBounds:
 def rank_bounds(F, decomp, e_max=None, seed=0):
     """Upper bound, achieved rank, and the certified lower-bound check.
 
-    The upper bound 2^(floor(N/2)+1) depends only on (n, d).  The
-    achieved rank is 2^r with a square pair, 2^(r+1) without, for
-    r = summands - 1.  When F is smooth the factor ideal must be
-    zero-dimensional and 2k >= n+1 must hold; a singular F downgrades
-    the check to not-applicable with the witness attached.  The
-    decomposition must present F, over F's field or its extension.
+    The achieved rank is half the size of ``ulrich_presentation``'s N:
+    2^(k-1) without a square pair (case a), 2^(k-2) with one (case b,
+    k >= 2), and 1 for a lone square, for k summands.  The upper bound
+    2^(ceil(N/2)-1) depends only on (n, d): the lift of F is a quadric of
+    rank r <= N+1, and ``decompose_form`` writes it with k = ceil(r/2)
+    summands, a square pair exactly when r is odd.  An even r <= N+1
+    gives k = r/2 <= ceil(N/2) in case a, an odd r gives
+    k = (r+1)/2 <= ceil(N/2) + 1 in case b, so the rank is at most
+    2^(ceil(N/2)-1) either way (a lone square's 1 too, as N >= 1), with
+    equality for a full-rank lift.
+    When F is smooth the factor ideal must be zero-dimensional and
+    2k >= n+1 must hold; a singular F downgrades the check to
+    not-applicable with the witness attached.  The decomposition must
+    present F, over F's field or its extension.
     """
     _check_presents(decomp, F)
     n = F.nvars - 1
@@ -353,7 +303,7 @@ def rank_bounds(F, decomp, e_max=None, seed=0):
     k = decomp.k
     r = decomp.secant_index
     case = "b" if decomp.square_term_flag else "a"
-    achieved = 2**r if decomp.square_term_flag else 2 ** (r + 1)
+    achieved = 2 ** len(_recursion_input(decomp)[0]) // 2
     smooth = is_smooth_hypersurface(F)
     if smooth.verdict == SMOOTH:
         factors = [h for pair in decomp.summands for h in pair]
@@ -380,7 +330,7 @@ def rank_bounds(F, decomp, e_max=None, seed=0):
             status="not applicable: F singular", witness=smooth.witness
         )
     return RankBounds(
-        upper_bound=2 ** (N // 2 + 1),
+        upper_bound=2 ** ((N + 1) // 2 - 1),
         achieved=achieved,
         case=case,
         secant_index=r,

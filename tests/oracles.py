@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
-from ulrich_forge import DeterminantCertificate, Poly
-from ulrich_forge.linalg import det
+from ulrich_forge import DeterminantCertificate, Poly, monomials_of_degree
+from ulrich_forge.linalg import _rank_raw, det
 
 
 def poly_det_cofactor(rows):
@@ -103,3 +104,59 @@ def determinant_certificate_by_evaluation(mf, trials=50, seed=0):
             False, None, 0, skipped, reason="no sample point had q nonzero"
         )
     return DeterminantCertificate(True, sign, tested, skipped)
+
+
+def cover_module_hilbert_value(entries, F, d, t):
+    """dim_k of coker(T * Id - N) in degree t over R = k[x, T]/(T^2 - F), deg T = d.
+
+    ``entries`` are the rows of N, forms of degree d in the variables of
+    F.  R_t has the basis x^a (|a| = t) and T * x^b (|b| = t - d), since
+    T^2 reduces to F.  The image of phi = T * Id - N in (R^s)_t is spanned
+    by phi(x^c * e_j) = x^c * T * e_j - sum_i N_ij * x^c * e_i and
+    phi(T * x^c * e_j) = F * x^c * e_j - sum_i N_ij * x^c * T * e_i, and
+    its rank is taken by ``linalg``, never by the relation check of
+    ``clifford``.
+    """
+    field, nvars, s = F.field, F.nvars, len(entries)
+    ar = field.arith
+    neg = ar.neg
+
+    def basis(e):
+        return list(monomials_of_degree(nvars, e)) if e >= 0 else []
+
+    def shift(a, c):
+        return tuple(x + y for x, y in zip(a, c))
+
+    columns = {}
+    for j in range(s):
+        for part, e in ((0, t), (1, t - d)):
+            for a in basis(e):
+                columns[(j, part, a)] = len(columns)
+    rows = []
+    for j in range(s):
+        for part, e in ((0, t - d), (1, t - 2 * d)):
+            for c in basis(e):
+                row = {}
+                if part == 0:
+                    row[(j, 1, c)] = ar.one
+                else:
+                    for a, v in F.raw.items():
+                        row[(j, 0, shift(a, c))] = v
+                for i in range(s):
+                    for a, v in entries[i][j].raw.items():
+                        key = (i, part, shift(a, c))
+                        row[key] = ar.add(row[key], neg(v)) if key in row else neg(v)
+                dense = [ar.zero] * len(columns)
+                for key, v in row.items():
+                    dense[columns[key]] = v
+                rows.append(dense)
+    return len(columns) - (_rank_raw(rows, field) if rows else 0)
+
+
+def is_ulrich_presentation(entries, F, d):
+    """Whether coker(T * Id - N) has the Hilbert function size * C(t+n, n) for t <= 2d + 1."""
+    n, s = F.nvars - 1, len(entries)
+    return all(
+        cover_module_hilbert_value(entries, F, d, t) == s * comb(t + n, n)
+        for t in range(2 * d + 2)
+    )

@@ -11,8 +11,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ulrich_forge import __version__
+from ulrich_forge import FieldSpec, __version__, parse_poly
 from ulrich_forge.cli import main
+
+from oracles import is_ulrich_presentation
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "schema.json").read_text()
@@ -239,87 +241,101 @@ GOLDEN_PLANE_FORMS = [
     (
         "fp:101",
         "100*x^4 + 66*x^3*y + 84*x^2*y*z + 23*x^2*z^2 + 34*x*y^2*z + 53*y^4 + 10*y^3*z + 49*y^2*z^2 + 39*y*z^3 + 23*z^4",
-        "7313af011fa3c05d5e82dda6cd163c6dfed46974009d1bec94b2dae241b3e0c8",
-        "db4cb5e4ed99730f931f63fad41580da69e53e43f565166b098f795c9ed625dd",
+        "5c9be9525764ddb4ff2afbafe727e59972972ebdc7026dbc8f6f9b09912160bf",
+        "5b1893ffa2ddbc44f32f404d5df21afaed2daa140c501da2479b513865390d08",
     ),
     # fp:101
     (
         "fp:101",
         "22*x^4 + 18*x^2*y^2 + 20*x^2*y*z + 3*x^2*z^2 + 14*x*y^3 + 85*x*y*z^2 + 90*x*z^3 + 82*y^4 + 98*y^3*z + 47*y*z^3 + 8*z^4",
-        "375d94b62a8cc914a6a0ad869f716b605a81dc140845162386963312537ad1bd",
-        "39894a4d76dfed30b0c9d383d62c9e5d68d128860fe35735a2f26d709d1c5640",
+        "d12899dd3b246832c4c266b824cea44afc60da5c1b0b35db991b2f79128aa8c8",
+        "8c3e3a8da7cc8423622fa7059c2b5fab41c65cce59557332d037589c02f3c292",
     ),
     # fp2:101
     (
         "fp:101",
         "54*x^5*y + 98*x*y^3*z^2 + 16*x*y^2*z^3 + 6*x*y*z^4 + 54*y*z^5",
-        "afc61951eee64b570529bb1ab59b67ef4908743bcda18d38b0e7029293d7cfcb",
-        "8380cdb791bd71ea53d8e1bd7fdbd39bf298bae7be3820973a81c99f442ce8a4",
+        "a51ffb2a9de43e754a42f2b44fbd6b238f3838ce66076230492bfe4a2b5ad1bf",
+        "750e66e6de0ac921047659bc0a526d036fc2b1698c1a3c8fc8b4b26b087e8a5f",
     ),
     # fp:101
     (
         "fp:101",
         "100*x^6 + 99*x^5*z + 78*x^4*y^2 + 4*x^3*y^3 + 51*x^3*y^2*z + 17*x^2*y^3*z + 88*x*y^4*z + 80*x*z^5 + 38*y^2*z^4",
-        "010488019cad91885a7e79e23c920036e198f564e76d17531d50d98fa712d3c2",
-        "2e95e7eeb2f3eba53ffc9d722bd686bf7c564a543c6f7ce204471a79c2c4348a",
+        "ab7e231950bec70c1388b08b05234dd1f1823affd51aa45d0f15a954f5e61410",
+        "cfe18a2e2378596a81f008448fd903748f8f8ed06cc49f2575d2374f994b7244",
     ),
     # fp2:13
     (
         "fp:13",
         "7*x^3*y + 5*x^3*z + 8*x^2*y^2 + 12*x^2*y*z + 8*x^2*z^2 + 8*x*y^3 + x*y^2*z + 4*x*z^3 + y^3*z + 9*y^2*z^2 + z^4",
-        "1a37455db3f1d4429035cba51b5bde08606dcff01cbb250723ba2e56ba2116d9",
-        "28f0c669c287eac54baf7f8dd54f9081072ae6f9e2c1d8d51e1e296e9bd8015e",
+        "f862dfc703329f7a34a45351c3dd83446f0ee2ab45ff5d5fd9503195077dff26",
+        "52c2eb5c1ee921a6550a303d89ffc5436e956ac23b929af495b535aeed78d271",
     ),
     # fp:13
     (
         "fp:13",
         "4*x^4 + x^2*z^2 + 3*x*y^3 + 10*y^4 + y^2*z^2 + 5*z^4",
-        "e40885f92524973cef94fd74d08e9c8e8c09482f21717c8f198a3bf7705399da",
-        "bd12135d3d5c9bfee00a42cdfe82eb0d220c658a72b9afa74ac41d5951af35dc",
+        "832cdbe493b26d6efa7914d526825011953118da564f622c181de944f3021bea",
+        "10193eac942ea8b9e5efb84a3a7cd1d623bccc6cdad64585e573dba21a5f504b",
     ),
     # fp2:13
     (
         "fp:13",
         "10*x^5*y + 5*x^3*y^2*z + 5*x^2*y^2*z^2 + 7*x*y^4*z",
-        "209b7c1dce7a062fe362f7db8b4aef0500d82fb61d67f3b36cc18d6e0e754106",
-        "1696e03921dc6325c6238abe916949b90871707210088ee00ecfa652a3d4bb4b",
+        "eb3d9f5847cae7508f5fd30f44d074e0c97ec1deb1ec6cbfc4835055e39c6bf9",
+        "07a1e8838d8c10bc8023d5aae3483418f411ac0bb247b03e3656ac073463b627",
     ),
     # fp:13
     (
         "fp:13",
         "9*x^5*z + 6*x^3*y^3 + 11*x^3*z^3 + 5*x^2*y^4 + 3*x^2*y^3*z + 5*x^2*z^4 + x*y^3*z^2 + 7*y*z^5",
-        "e92eecd389755ac1a118abc778ba306d6364a4bf723a4866fd859382747a1e13",
-        "200c7887b0fa458c7339efb04d7dc42de23e52c5ebca57a7742db948393d2264",
+        "bbf4f1e50ee78847c25c47ebf7f4872fcab388df7f23f448a076cd700af62309",
+        "5c742d2e3bb0caa669357ac9ce933998aa79c37a882299d82b80b710e5387390",
     ),
     # fp2:7
     (
         "fp:7",
         "x^3*y + 3*y^3*z + 6*z^4",
-        "e244655b08d700b4ee83c2ae5d81fc89e66e2a4cf6db8a823010a58ebf0d2b5e",
-        "e15c2d446181e815321b089f46c99681b152ef400eb3cc0379e6381d0ff13b87",
+        "cc24fd6446150dd9730183475d19b83b821c04542da01d81e5bed58797ebfae4",
+        "aff1cf49312de17ca249f74ff98fb1d9f79df120915b308f6f03e78f6cb7c4fa",
     ),
     # fp:7
     (
         "fp:7",
         "4*x^3*z + 2*x*y^2*z + 2*x*y*z^2 + 2*x*z^3 + 2*y^2*z^2",
-        "72db589d33723e006b1209efb042d59cd2d27c02592ee4114e378431b14192ae",
-        "62e96d0b0f4181cf77c2f5ca29bc3cc899ed923d3253e344de4caf92313cf44f",
+        "56fd821d9f263741d5dc57f3b676348040bbb493f188726b1f7236796eaabaef",
+        "bf18376459bbe03725e47545ba32f6471773f0c2a5a1fb4c31c8c0e3edb963d7",
     ),
     # fp2:7
     (
         "fp:7",
         "x^4*z^2 + 4*x^3*y^3 + 4*x^2*y^2*z^2 + 6*x*y^5 + 4*x*z^5",
-        "c859212f2649323e949929bf81f4852194b96040eeb8c480b55167ed194b58e2",
-        "00c5b9272941adda5a234733c4ea13c011032325a0e17a56ad60beb80709c831",
+        "2cee38b20e33ffdce79425d2a9d3b6c39f104035a82a9e09b64e028f6cd46cb4",
+        "00fd492ef2287851e700aa31d957f64b4ee47be957e700b349977fe12e803942",
     ),
     # fp:7
     (
         "fp:7",
         "4*x^3*z^3 + 2*x^2*y^4 + 6*x^2*y^2*z^2 + 3*x^2*y*z^3 + 5*x*y^5 + 2*x*y^2*z^3 + y^5*z",
-        "6ff36589dc3c7fdc96da93ce515d7f7f8b8cf857940569d6c0e633bb179196b3",
-        "83f11e6e505399a418540b56729ecd29cfecced1ccd55d5786d99d3d320ee694",
+        "c9ea49fb8199230a3677722943c55a07d59c26231ef74fbcd4d9e967fec98e21",
+        "51f54f5f85277e6f6f8672e7de9fe030fd5e5273baf857876ed8cb9c9d233acd",
     ),
 ]
+
+
+@pytest.mark.parametrize("field, form", [golden[:2] for golden in GOLDEN_PLANE_FORMS])
+def test_plane_pipeline_factorization_passes_the_hilbert_oracle(capsys, field, form):
+    # the printed entries, read back over the decomposition field, present
+    # an Ulrich sheaf on T^2 = F
+    code, payload = _run(capsys, ["ulrich", "pipeline", "--field", field, form])
+    assert code == 0
+    result = payload["result"]
+    where = FieldSpec.parse(result["decomposition"]["field"])
+    F = parse_poly(form, where)
+    entries = [[parse_poly(e, where, nvars=3) for e in row] for row in result["factorization"]["entries"]]
+    assert len(entries) == result["factorization"]["size"]
+    assert is_ulrich_presentation(entries, F, result["lift"]["d"])
 
 
 @pytest.mark.parametrize("field, form, pipeline_sha, bounds_sha", GOLDEN_PLANE_FORMS)
@@ -356,8 +372,18 @@ def test_ulrich_bounds(capsys):
     code, payload = _run(capsys, ["ulrich", "bounds", "x^4 + y^4 + z^4", "--field", "fp:13"])
     assert code == 0
     report = payload["result"]["rank_report"]
-    assert report["upper_bound"] == 8
-    assert report["achieved"] == 2
+    assert report["upper_bound"] == 4
+    assert report["achieved"] == 1
+
+
+def test_ulrich_pipeline_lone_square(capsys):
+    code, payload = _run(capsys, ["ulrich", "pipeline", "x^2", "--nvars", "3", "--field", "q"])
+    assert code == 0
+    result = payload["result"]
+    factorization = result["factorization"]
+    assert (factorization["size"], factorization["ulrich_rank"], factorization["case"]) == (2, 1, "b")
+    assert factorization["entries"] == [["0", "x"], ["x", "0"]]
+    assert result["rank_report"]["achieved"] == 1
 
 
 def test_ulrich_normalize(capsys):

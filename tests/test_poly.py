@@ -11,6 +11,7 @@ from ulrich_forge import (
     FieldSpec,
     Poly,
     Scalar,
+    gram_from_poly,
     infer_nvars,
     monomials_of_degree,
     parse_poly,
@@ -476,3 +477,21 @@ def test_poly_hash_consistency(q):
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_raw_is_read_only(f13):
+    # a record built from p, and p's hash, must not go stale behind its back
+    p = parse_poly("x*y + z^2", f13)
+    key = hash(p)
+    record = gram_from_poly(p)
+    with pytest.raises(TypeError):
+        del p.raw[(0, 0, 2)]
+    with pytest.raises(TypeError):
+        p.raw[(2, 0, 0)] = f13.arith.one
+    assert hash(p) == key
+    assert (str(record.poly), record.rank) == ("x*y + z^2", 3)
+    # every constructor hands out a read-only map, and a proxy is not wrapped twice
+    for q in (Poly(f13, 3, {(1, 0, 0): 2}), p + p, p * p, -p, Poly.variable(f13, 3, 1)):
+        with pytest.raises(TypeError):
+            q.raw[(0, 0, 0)] = f13.arith.one
+    assert Poly._make(f13, 3, p.raw).raw is p.raw

@@ -14,11 +14,9 @@ from ulrich_forge import (
     Poly,
     VeroneseMap,
     decompose_form,
-    double_cover_quadric,
     induction_rank,
     is_smooth_hypersurface,
     lift_form,
-    linear_lift,
     normalize_plane_decomposition,
     parse_poly,
     random_homogeneous,
@@ -26,10 +24,13 @@ from ulrich_forge import (
     sum_of_products,
     gram_from_poly,
     build_clifford_factorization,
+    determinant_certificate,
     ulrich_presentation,
     verify_clifford,
 )
 from ulrich_forge.cli import main
+
+from oracles import is_ulrich_presentation
 
 
 def test_veronese_map_basis_frozen():
@@ -93,25 +94,6 @@ def test_lift_form_degree_checks(q):
         lift_form(parse_poly("x^3", q, nvars=3), vm)
     with pytest.raises(ValueError):
         lift_form(parse_poly("x^4 + y^4", q), vm)
-
-
-def test_double_cover_quadric(f13):
-    vm = VeroneseMap(2, 2)
-    lift = lift_form(parse_poly("x^4 + y^4 + z^4", f13), vm)
-    dc = double_cover_quadric(lift)
-    assert dc.nvars == vm.N + 2
-    assert dc.rank == lift.record.rank + 1
-    assert str(dc.poly) == "12*x0^2 + 12*x3^2 + 12*x5^2 + x6^2"
-
-
-def test_linear_lift_round_trip(f101):
-    rng = random.Random(109)
-    vm = VeroneseMap(2, 2)
-    for _ in range(10):
-        p = random_homogeneous(f101, 3, 2, rng)
-        lifted = linear_lift(p, vm)
-        assert lifted.homogeneous_degree() == 1
-        assert vm.pullback(lifted) == p
 
 
 def test_form_decomposition_validation(q):
@@ -228,33 +210,44 @@ def test_decompose_form_extension_error_over_q(q):
 
 
 def test_presentation_conic_frozen(f13):
+    # F = (x + 5y)(x + 8y) + z^2, so N = z * diag(1, -1) + [[0, x + 5y], [x + 8y, 0]]
     F = parse_poly("x^2 + y^2 + z^2", f13)
     mf, rep = ulrich_presentation(F)
     assert rep.case == "b"
-    assert rep.size == 4 and rep.ulrich_rank == 2
+    assert rep.size == 2 and rep.ulrich_rank == 1
     assert rep.summand_count == 2 and rep.secant_index == 1
     assert [[str(e) for e in row] for row in mf.entries] == [
-        ["0", "z + t", "x + 5*y", "0"],
-        ["12*z + t", "0", "0", "x + 5*y"],
-        ["12*x + 5*y", "0", "0", "12*z + 12*t"],
-        ["0", "12*x + 5*y", "z + 12*t", "0"],
+        ["z", "x + 5*y"],
+        ["x + 8*y", "12*z"],
     ]
-    assert str(mf.quadric) == "12*x^2 + 12*y^2 + 12*z^2 + t^2"
-    assert rep.entries == rep.entry_pullbacks == [[str(e) for e in row] for row in mf.entries]
-    assert verify_clifford(mf)
+    assert mf.quadric == F
+    assert rep.entries == [[str(e) for e in row] for row in mf.entries]
+    assert mf.squares_to_quadric
+    assert is_ulrich_presentation(mf.entries, F, 1)
 
 
 def test_presentation_square_decomposition_halves(q):
     F = parse_poly("x^2*y^2", q, nvars=3)
     xy = parse_poly("x*y", q, nvars=3)
     mf, rep = ulrich_presentation(F, FormDecomposition(F, ((xy, xy),)))
-    assert rep.case == "b" and rep.size == 2
-    assert [[str(e) for e in row] for row in mf.entries] == [
-        ["0", "x1 + x6"],
-        ["-x1 + x6", "0"],
-    ]
-    assert rep.entry_pullbacks == [["0", "x*y + t"], ["-x*y + t", "0"]]
-    assert str(mf.quadric) == "-x1^2 + x6^2"
+    assert rep.case == "b" and rep.size == 2 and rep.ulrich_rank == 1
+    assert rep.entries == [["0", "x*y"], ["x*y", "0"]]
+    assert mf.quadric == F
+    assert is_ulrich_presentation(mf.entries, F, 2)
+
+
+def test_lone_square_keeps_the_plain_recursion(q):
+    # folding the one square pair would leave the 1 x 1 matrix (l), of
+    # rank 1/2; F = l^2 keeps [[0, l], [l, 0]] instead, size 2 and rank 1
+    F = parse_poly("x^2", q, nvars=3)
+    dec = decompose_form(F, VeroneseMap(2, 1))
+    assert dec.k == 1 and dec.square_term_flag
+    mf, rep = ulrich_presentation(F, dec)
+    assert (rep.case, rep.size, rep.ulrich_rank) == ("b", 2, 1)
+    assert rep.entries == [["0", "x"], ["x", "0"]]
+    assert mf.squares_to_quadric
+    assert rank_bounds(F, dec).achieved == 1
+    assert is_ulrich_presentation(mf.entries, F, 1)
 
 
 def test_presentation_case_a(q):
@@ -264,22 +257,24 @@ def test_presentation_case_a(q):
     assert not dec.square_term_flag
     mf, rep = ulrich_presentation(F, dec)
     assert rep.case == "a"
-    assert rep.size == 4 and mf.ulrich_rank == 2
-    assert verify_clifford(mf)
+    assert rep.size == 2 and mf.ulrich_rank == 1
+    assert rep.entries == [["0", "x*y"], ["x^2 + y^2", "0"]]
+    assert mf.squares_to_quadric
+    # the linear-entry gate of verify_clifford does not apply to degree-d entries
+    assert not verify_clifford(mf)
 
 
 def test_presentation_quadric_comes_from_the_decomposition(q):
-    # a hand decomposition may lift differently than the greedy lift
+    # a hand decomposition and the greedy one factor F differently; both
+    # present F itself, in the source variables
     F = parse_poly("x^2*y^2", q, nvars=3)
     xy = parse_poly("x*y", q, nvars=3)
-    mf, _ = ulrich_presentation(F, FormDecomposition(F, ((xy, xy),)))
-    greedy = double_cover_quadric(lift_form(F, VeroneseMap(2, 2)))
-    T = Poly.variable(q, 7, 6)
-    u_xy = Poly.variable(q, 7, 1)
-    u_xx, u_yy = Poly.variable(q, 7, 0), Poly.variable(q, 7, 3)
-    assert mf.quadric == T * T - u_xy * u_xy
-    assert greedy.poly == T * T - u_xx * u_yy
-    assert mf.quadric != greedy.poly
+    hand, _ = ulrich_presentation(F, FormDecomposition(F, ((xy, xy),)))
+    greedy, rep = ulrich_presentation(F)
+    assert rep.entries == [["0", "x^2"], ["y^2", "0"]]
+    assert hand.quadric == greedy.quadric == F
+    assert hand.nvars == greedy.nvars == 3
+    assert hand.entries != greedy.entries
 
 
 def test_presentation_rejects_odd_degree(q):
@@ -291,8 +286,8 @@ def test_rank_bounds_certified(f13):
     F = parse_poly("x^4 + y^4 + z^4", f13)
     dec = decompose_form(F, VeroneseMap(2, 2))
     rb = rank_bounds(F, dec)
-    assert rb.upper_bound == 8
-    assert rb.achieved == 2
+    assert rb.upper_bound == 4
+    assert rb.achieved == 1
     assert rb.case == "b"
     assert rb.lower_check.status == "certified"
     assert rb.lower_check.zero_dimensional == "yes"
@@ -308,7 +303,7 @@ def test_rank_bounds_case_a_certified():
     assert not dec.square_term_flag
     rb = rank_bounds(F, dec)
     assert rb.case == "a"
-    assert rb.achieved == 8
+    assert rb.achieved == 4
     assert rb.lower_check.status == "certified"
     mf, rep = ulrich_presentation(F, dec)
     assert rb.achieved == mf.ulrich_rank
@@ -355,18 +350,19 @@ def test_achieved_rank_matches_factorization_random(f101):
             continue
         mf, rep = ulrich_presentation(F, dec)
         rb = rank_bounds(F, dec)
-        assert verify_clifford(mf)
+        assert mf.squares_to_quadric
         assert rb.achieved == mf.ulrich_rank
         assert rb.achieved <= rb.upper_bound
         checked += 1
 
 
 def test_conic_route_matches_induction_rank(f13):
-    # a plane conic handled directly or through one induction step
+    # a plane conic handled directly or through one induction step: the
+    # direct route gives the rank-one bundle whose induction doubles it
     F = parse_poly("x^2 + y^2 + z^2", f13)
     mf, _ = ulrich_presentation(F)
-    assert mf.ulrich_rank == 2
-    assert induction_rank(2, 1) == 2
+    assert mf.ulrich_rank == 1
+    assert induction_rank(2, mf.ulrich_rank) == 2
 
 
 def test_normalize_plane_decomposition_success(f13):
@@ -510,3 +506,93 @@ def test_induction_rank_values_and_guards():
         induction_rank(1, 1)
     with pytest.raises(ValueError):
         induction_rank(2, 0)
+
+
+def _perturbed(entries, i, j, extra):
+    rows = [list(row) for row in entries]
+    rows[i][j] = rows[i][j] + extra
+    return rows
+
+
+def test_presentations_pass_the_hilbert_function_oracle():
+    # coker(T * Id - N) over k[x, T]/(T^2 - F) has Hilbert function
+    # size * C(t+2, 2), computed by ranks; one perturbed entry breaks it
+    f101 = FieldSpec.prime(101)
+    rng = random.Random(16)
+    seen = set()
+    for deg, count in ((4, 3), (6, 1)):
+        vm = VeroneseMap(2, deg // 2)
+        for _ in range(count):
+            F = random_homogeneous(f101, 3, deg, rng)
+            dec = decompose_form(F, vm)
+            mf, rep = ulrich_presentation(F, dec)
+            assert is_ulrich_presentation(mf.entries, dec.F, deg // 2)
+            seen.add((deg, rep.case, rep.size))
+    assert seen == {(4, "a", 8), (6, "b", 16)}
+    quartic = decompose_form(random_homogeneous(f101, 3, 4, rng), VeroneseMap(2, 2))
+    mf, _ = ulrich_presentation(quartic.F, quartic)
+    x2 = Poly.monomial(mf.field, (2, 0, 0))
+    assert is_ulrich_presentation(mf.entries, quartic.F, 2)
+    assert not is_ulrich_presentation(_perturbed(mf.entries, 0, 1, x2), quartic.F, 2)
+
+
+def test_case_b_over_q_passes_the_hilbert_function_oracle(q):
+    # F = l^2 + f1*g1 + f2*g2: N = l * Gamma + M is 4 x 4, rank 2
+    rng = random.Random(5)
+    l, f1, g1, f2, g2 = (random_homogeneous(q, 3, 2, rng, 3) for _ in range(5))
+    F = l * l + f1 * g1 + f2 * g2
+    dec = FormDecomposition(F, ((f1, g1), (f2, g2), (l, l)))
+    mf, rep = ulrich_presentation(F, dec)
+    assert (rep.case, rep.size, rep.ulrich_rank) == ("b", 4, 2)
+    assert is_ulrich_presentation(mf.entries, F, 2)
+    y2 = Poly.monomial(q, (0, 2, 0))
+    assert not is_ulrich_presentation(_perturbed(mf.entries, 2, 2, y2), F, 2)
+    cert = determinant_certificate(mf, trials=5)
+    assert cert.ok and cert.proof and cert.tested == 1
+    # the greedy decomposition of a form over q with a square pair
+    G = parse_poly("x^4 - y^4 + z^4", q)
+    mf, rep = ulrich_presentation(G)
+    assert (rep.case, rep.size) == ("b", 2)
+    assert is_ulrich_presentation(mf.entries, G, 2)
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)])
+def test_achieved_rank_stays_under_the_upper_bound(n, d):
+    # at most ceil((N+1)/2) summands give size/2 <= 2^(ceil(N/2)-1), with
+    # equality when the lift has full rank N+1
+    f101 = FieldSpec.prime(101)
+    rng = random.Random(16)
+    vm = VeroneseMap(n, d)
+    full = 0
+    for _ in range(3):
+        F = random_homogeneous(f101, n + 1, 2 * d, rng)
+        lift = lift_form(F, vm)
+        dec = decompose_form(F, vm, lift)
+        rb = rank_bounds(dec.F, dec, e_max=0)
+        assert rb.upper_bound == 2 ** ((vm.N + 1) // 2 - 1)
+        assert rb.achieved <= rb.upper_bound
+        if lift.record.rank == vm.N + 1:
+            full += 1
+            assert rb.achieved == rb.upper_bound
+    # the greedy lift of a plane sextic misses full rank by one
+    assert full == (0 if (n, d) == (2, 3) else 3)
+
+
+def test_presentation_is_proved_once(monkeypatch, f13):
+    # one relation check, on N itself: none on the recursion M of case b,
+    # and the determinant certificate reads the recorded answer
+    from ulrich_forge import clifford
+
+    calls = []
+    kernel = clifford._squares_to_quadric
+
+    def counted(mf):
+        calls.append(mf)
+        return kernel(mf)
+
+    monkeypatch.setattr(clifford, "_squares_to_quadric", counted)
+    F = parse_poly("x^2 + y^2 + z^2", f13)
+    mf, rep = ulrich_presentation(F)
+    assert rep.case == "b" and calls == [mf]
+    assert determinant_certificate(mf, trials=5).proof
+    assert calls == [mf]

@@ -9,25 +9,39 @@ and assembles matrices of linear forms recursively:
 so s pairs give a 2^s by 2^s matrix presenting a sheaf of rank 2^(s-1)
 on the quadric.  The same recursion on pairs of degree-d forms, started
 from A_0 = (l) for a square summand l^2, gives the source-ring
-presentations of ``veronese``.  The matrix is kept as a linear pencil
-A = sum_j x_j A_j of scalar matrices, one per variable, whose entries
-are raw values (see ``fields``) read straight from the ``Poly.raw``
-maps of the pairs; the build runs the recursion on each A_j through
-the field's ``Arith`` record, one coefficient at a time.  For any
-pencil A = sum_m x^m A_m,
+presentations of ``veronese``.
+
+Every matrix built this way is the image of one generic matrix per
+shape.  Run the recursion on s formal pairs (y_0, y_1), ...,
+(y_{2s-2}, y_{2s-1}), started from y_{2s} when there is a square: the
+result U = sum_a y_a U_a has entries 0 and +-1, each entry holding at
+most one y_a, and it is the Clifford module of the generic quadric
+Q_s = sum_i y_{2i} y_{2i+1} (+ y_{2s}^2) (Buchweitz-Eisenbud-Herzog
+1987).  U * U = Q_s * Id is checked exactly once per shape (s, square)
+and process, over the rationals; as U has integer entries, the identity
+then holds in Z[y] and so in every field.  The substitution sigma
+sending y to the pairs (l_1, m_1, ..., l) is a ring map, so
+N = sigma(U) satisfies N * N = sigma(Q_s) * Id, and sigma(Q_s) is the
+quadric by the exact recombination check of the decomposition
+(``SumOfProducts``, ``veronese.FormDecomposition``), which is
+immutable.  That is the proof every build records: the substitution
+writes c or -c for each coefficient c of each pair and multiplies
+nothing, and no built matrix is checked again.
+
+A matrix is kept as a pencil A = sum_m x^m A_m of scalar matrices, one
+per monomial, whose entries are raw values (see ``fields``).  For any
+pencil,
 
     A * A = sum_mu x^mu sum_{m + m' = mu} A_m A_m',
 
 so A * A = q * Id holds exactly when, for every monomial mu, the
 products A_m A_m' with m + m' = mu sum to q_mu * I.  For a linear
 pencil each mu = x_i x_j has one pair, and these are the Clifford
-relations A_j^2 = q_jj * I and A_i A_j + A_j A_i = q_ij * I
-(Buchweitz-Eisenbud-Herzog 1987).  The pencil and q are read-only,
-so each ``MatrixFactorization`` decides this relation check at most
-once, on first use, and keeps the answer: verification reads it after
-a structural gate (linear entries, a quadratic form q), every build is
-verified, and the determinant certificate of a built matrix reads the
-answer the build recorded.
+relations A_j^2 = q_jj * I and A_i A_j + A_j A_i = q_ij * I.  This
+relation check proves the generic matrices, and it decides a matrix
+read from text: the pencil and q are read-only, so each
+``MatrixFactorization`` decides it at most once, on first use, and
+keeps the answer, which a built matrix holds from its build.
 
 When the relations hold, det(A)^2 = q^size in the domain k[x], so
 det A = sign * q^(size/2) with one sign everywhere (Eisenbud 1980),
@@ -42,13 +56,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add as _add
 from types import MappingProxyType
 
+from .fields import FieldSpec
 from .linalg import _det_raw
 from .poly import Poly, _term_values
-
+from .quadform import SumOfProducts
 
 def _items(row):
     """The (column, value) pairs of a sparse row (c_0, v_0, c_1, v_1, ...)."""
@@ -68,9 +83,13 @@ class MatrixFactorization:
     read as text, which ``verify_clifford`` rejects and
     ``determinant_certificate`` still checks exactly.
     ``quadric`` is a ``Poly``, read-only too, and ``squares_to_quadric``
-    is the one answer to A * A = quadric * Id, decided on its first read
-    and kept.  ``entries`` gives the matrix back as polynomials, computed
-    on each read from the same raw values.
+    is the one answer to A * A = quadric * Id.  A matrix read as entries
+    decides it by the relation check on its first read and keeps it; a
+    built matrix holds it from its build, which proved its generic
+    shape once and substituted exactly recombining pairs (see the
+    module docstring), so the check never runs on it.  ``entries``
+    gives the matrix back as polynomials, computed on each read from
+    the same raw values.
     """
 
     __slots__ = ("field", "nvars", "size", "pencil", "quadric", "source", "_squares")
@@ -96,12 +115,13 @@ class MatrixFactorization:
         self._set(size, pencil, quadric, source)
 
     @classmethod
-    def _from_pencil(cls, size, pencil, quadric, source):
+    def _from_pencil(cls, size, pencil, quadric, source, squares=None):
+        """A factorization from its pencil; ``squares`` True records a proof made elsewhere."""
         self = object.__new__(cls)
-        self._set(size, pencil, quadric, source)
+        self._set(size, pencil, quadric, source, squares)
         return self
 
-    def _set(self, size, pencil, quadric, source):
+    def _set(self, size, pencil, quadric, source, squares=None):
         object.__setattr__(self, "field", quadric.field)
         object.__setattr__(self, "nvars", quadric.nvars)
         object.__setattr__(self, "size", size)
@@ -110,7 +130,7 @@ class MatrixFactorization:
         object.__setattr__(self, "pencil", MappingProxyType(pencil))
         object.__setattr__(self, "quadric", quadric)
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "_squares", None)
+        object.__setattr__(self, "_squares", squares)
 
     def __setattr__(self, *_):
         raise AttributeError("MatrixFactorization is immutable")
@@ -128,7 +148,10 @@ class MatrixFactorization:
 
     @property
     def squares_to_quadric(self):
-        """Whether A * A = quadric * Id; the relation check runs on the first read only."""
+        """Whether A * A = quadric * Id; the relation check runs on the first read only.
+
+        A built matrix was proved by its build, so no read checks it.
+        """
         if self._squares is None:
             object.__setattr__(self, "_squares", _squares_to_quadric(self))
         return self._squares
@@ -141,66 +164,112 @@ class MatrixFactorization:
         return f"MatrixFactorization({self.size}x{self.size} over {self.field})"
 
 
-def _shifted(row, n):
-    """A sparse row moved n columns to the right."""
-    return tuple(x for j, v in _items(row) for x in (j + n, v))
+def _recursion(s, square):
+    """The rows of U, the recursion on s formal pairs, as (column, variable, negated) triples.
 
-
-def _entry(j, v):
-    """The sparse row holding v in column j, empty when v is None."""
-    return () if v is None else (j, v)
-
-
-def _clifford_pencil(raw_pairs, ar, start=None):
-    """The pencil of the recursion on raw pairs (l.raw, m.raw), from A_0 = (start).
-
-    A_0 is the 1 by 1 matrix (0), or (l) for the raw map ``start`` of a
-    form l.  Each step keeps A_k in the top left and -A_k in the bottom
-    right, so l ends up as l * Gamma with Gamma = diag((-1)^popcount(i)),
-    which anticommutes with the recursion on the pairs: the square is
-    (l^2 + sum l_i * m_i) * Id either way.
+    Pair i is (y_{2i}, y_{2i+1}), and A_0 is (y_{2s}) with ``square``,
+    (0) without.  Each step keeps A_k in the top left and -A_k in the
+    bottom right, so y_{2s} ends up as y_{2s} * Gamma with
+    Gamma = diag((-1)^popcount(i)), which anticommutes with the
+    recursion on the pairs: the square is Q_s * Id either way.  -A is
+    carried along, so that no sign is flipped twice.
     """
-    start = start or {}
+
+    def shifted(row, n):
+        return [(j + n, a, negated) for j, a, negated in row]
+
+    plus = [[(0, 2 * s, False)] if square else []]
+    minus = [[(0, 2 * s, True)] if square else []]
+    for a in range(0, 2 * s, 2):
+        n = len(plus)
+        plus, minus = (
+            [row + [(n + i, a, False)] for i, row in enumerate(plus)]
+            + [[(i, a + 1, False)] + shifted(row, n) for i, row in enumerate(minus)],
+            [row + [(n + i, a, True)] for i, row in enumerate(minus)]
+            + [[(i, a + 1, True)] + shifted(row, n) for i, row in enumerate(plus)],
+        )
+    return plus
+
+
+def _substituted(signed, forms, ar, size):
+    """The pencil of sigma(U): the raw map forms[a] at the positions of U_a, negated at its -1s.
+
+    No two variables share a position, so each coefficient c of a form
+    is written as c or -c, and nothing is multiplied or added.
+    """
+    neg = ar.neg
     pencil = {}
-    monomials = {e for l, m in raw_pairs for e in (*l, *m)}.union(start)
-    for exps in sorted(monomials, reverse=True):
-        # the recursion on the x^exps coefficients, with -A carried
-        # along, so that no coefficient is negated twice
-        sv = start.get(exps)
-        plus, minus = [_entry(0, sv)], [_entry(0, None if sv is None else ar.neg(sv))]
-        for l, m in raw_pairs:
-            n = len(plus)
-            lv, mv = l.get(exps), m.get(exps)
-            nl = None if lv is None else ar.neg(lv)
-            nm = None if mv is None else ar.neg(mv)
-            plus, minus = (
-                [row + _entry(n + i, lv) for i, row in enumerate(plus)]
-                + [_entry(i, mv) + _shifted(row, n) for i, row in enumerate(minus)],
-                [row + _entry(n + i, nl) for i, row in enumerate(minus)]
-                + [_entry(i, nm) + _shifted(row, n) for i, row in enumerate(plus)],
-            )
-        pencil[exps] = tuple(plus)
-    return pencil
+    for positions, form in zip(signed, forms, strict=True):
+        for exps, c in form.items():
+            rows = pencil.get(exps)
+            if rows is None:
+                rows = pencil[exps] = [[] for _ in range(size)]
+            values = (c, neg(c))
+            for i, j, negated in positions:
+                rows[i] += (j, values[negated])
+    return {exps: tuple(map(tuple, pencil[exps])) for exps in sorted(pencil, reverse=True)}
+
+
+@lru_cache(maxsize=None)
+def _generic_pencil(s, square):
+    """The signed entries of each U_a, once U * U = Q_s * Id is proved for the shape.
+
+    For each formal variable y_a (a < 2s, and a = 2s with ``square``)
+    the tuple of (row, column, negated) positions where U_a holds +1,
+    or -1 when negated.  The relation check runs on U over q; U has
+    integer entries, so the identity holds in Z[y] and in every field.
+    A shape that fails raises AssertionError, which is not cached.
+    """
+    nvars = 2 * s + square
+    signed = [[] for _ in range(nvars)]
+    for i, row in enumerate(_recursion(s, square)):
+        for j, a, negated in row:
+            signed[a].append((i, j, negated))
+    signed = tuple(map(tuple, signed))
+    q = FieldSpec.rationals()
+    one = q.arith.one
+    units = [tuple(int(b == a) for b in range(nvars)) for a in range(nvars)]
+    halves = [(a, a + 1) for a in range(0, 2 * s, 2)] + ([(2 * s, 2 * s)] if square else [])
+    generic = Poly._make(q, nvars, {tuple(map(_add, units[a], units[b])): one for a, b in halves})
+    pencil = _substituted(signed, [{u: one} for u in units], q.arith, 2**s)
+    if not _squares_to_quadric(MatrixFactorization._from_pencil(2**s, pencil, generic, None)):
+        raise AssertionError(f"the generic Clifford matrix of shape {(s, square)} failed U * U = Q * Id")
+    return signed
+
+
+def _clifford_image(pairs, start, quadric, source):
+    """sigma(U) for the pairs (l_i, m_i) and, unless None, the square root ``start``.
+
+    The caller vouches that sum l_i * m_i (+ start^2) is ``quadric``
+    exactly; with the generic shape proved, the result records
+    N * N = quadric * Id as proved.
+    """
+    square = start is not None
+    forms = [h.raw for pair in pairs for h in pair] + ([start.raw] if square else [])
+    size = 2 ** len(pairs)
+    signed = _generic_pencil(len(pairs), square)
+    pencil = _substituted(signed, forms, quadric.field.arith, size)
+    return MatrixFactorization._from_pencil(size, pencil, quadric, source, squares=True)
 
 
 def build_clifford_factorization(sop):
-    """Build and verify the factorization of sop.quadric.
+    """The factorization of sop.quadric: sigma(U) for its pairs, proved.
 
     Every pair must consist of nonzero linear forms; the result is a
-    2^s sized matrix whose square is the quadric times the identity.
+    2^s sized matrix whose square is the quadric times the identity.  A
+    ``SumOfProducts`` recombines to its quadric exactly and cannot
+    change, and the generic shape is proved once per process, so the
+    built matrix is not checked again.
     """
-    pairs = list(sop.pairs)
-    if not pairs:
+    if not isinstance(sop, SumOfProducts):
+        raise TypeError("need a SumOfProducts")
+    if not sop.pairs:
         raise ValueError("need at least one pair of linear forms")
-    for l, m in pairs:
+    for l, m in sop.pairs:
         for h in (l, m):
             if h.is_zero or not h.is_homogeneous() or h.homogeneous_degree() != 1:
                 raise ValueError("pair entries must be nonzero linear forms")
-    pencil = _clifford_pencil([(l.raw, m.raw) for l, m in pairs], sop.quadric.field.arith)
-    mf = MatrixFactorization._from_pencil(2 ** len(pairs), pencil, sop.quadric, sop)
-    if not verify_clifford(mf):
-        raise AssertionError("clifford construction failed its symbolic check")
-    return mf
+    return _clifford_image(sop.pairs, None, sop.quadric, sop)
 
 
 def _squares_to_quadric(mf):

@@ -167,17 +167,26 @@ def diagonalize(record):
     return Diagonalization(field, p, [m[i][i] for i in range(n)], lambdas)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SumOfProducts:
-    """Pairs (l_i, m_i) of linear forms with sum(l_i * m_i) = quadric.
+    """Pairs (l_i, m_i) of linear forms with sum(l_i * m_i) = quadric exactly.
 
-    ``square_term_flag`` records an equal pair l = m coming from an odd
-    rank; the factory below places that pair last.
+    The constructor checks the recombination exactly and raises
+    ValueError when it fails; the instance is frozen and its pairs a
+    tuple, so ``clifford.build_clifford_factorization`` can rest its
+    proof on that identity.  ``square_term_flag`` records an equal pair
+    l = m coming from an odd rank; the factory below places that pair
+    last.
     """
 
     pairs: tuple
     square_term_flag: bool
     quadric: Poly
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple((l, m) for l, m in self.pairs))
+        if self.recombine() != self.quadric:
+            raise ValueError("pairs do not recombine to the quadric")
 
     @property
     def s(self):
@@ -222,10 +231,10 @@ def sum_of_products(record):
     square = bool(len(terms) % 2)
     if square:
         pairs.append((terms[-1], terms[-1]))
-    sop = SumOfProducts(tuple(pairs), square, quadric)
-    if sop.recombine() != quadric:
-        raise AssertionError("sum-of-products recombination failed")
-    return sop
+    try:
+        return SumOfProducts(tuple(pairs), square, quadric)
+    except ValueError as exc:  # the pairing is at fault, not the input
+        raise AssertionError("sum-of-products recombination failed") from exc
 
 
 def pencil_determinant(r_record, q_record):

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .clifford import MatrixFactorization, _clifford_pencil
+from .clifford import _clifford_image
 from .graded import (
     NO,
     SMOOTH,
@@ -171,6 +171,8 @@ class FormDecomposition:
 
 def _check_presents(decomp, F):
     """ValueError unless decomp decomposes F, over F's field or its extension."""
+    if not isinstance(decomp, FormDecomposition):
+        raise TypeError("need a FormDecomposition")
     field = decomp.F.field
     if field not in (F.field, F.field.extension()) or decomp.F != F.embed(field):
         raise ValueError("decomposition does not present F")
@@ -208,14 +210,14 @@ class PresentationReport:
 
 
 def _recursion_input(decomp):
-    """The pairs the Clifford recursion of N runs on, and the raw map of the l it starts from.
+    """The pairs the Clifford recursion of N runs on, and the form l it starts from.
 
     A square pair (l, l) is folded in as l * Gamma unless it is the only
     pair; then there is no start.
     """
     pairs = decomp.summands
     if decomp.square_term_flag and decomp.k > 1:
-        return pairs[:-1], pairs[-1][0].raw
+        return pairs[:-1], pairs[-1][0]
     return pairs, None
 
 
@@ -229,9 +231,13 @@ def ulrich_presentation(F, decomp=None):
     with M: size 2^(k-1).  A lone square F = l^2 keeps the recursion
     [[0, l], [l, 0]], of size 2.  As a module over k[x], coker(T * Id - N)
     is k[x]^size with T acting by N, so it is an Ulrich sheaf of rank
-    size/2 on the double cover T^2 = F.  N * N = F * Id is proved exactly
-    once, by ``squares_to_quadric``, before anything is returned.  A given
-    decomposition must present F, over F's field or its extension.
+    size/2 on the double cover T^2 = F.  N * N = F * Id is proved, not
+    checked on N: N is the image of the generic Clifford matrix U of its
+    shape under the ring map sigma sending the formal pairs to the
+    summands, U * U = Q * Id is proved once per shape over Z (see
+    ``clifford``), and sigma(Q) = F is the exact recombination check of
+    the immutable ``FormDecomposition``.  A given decomposition must
+    present F, over F's field or its extension.
     """
     if F.is_zero or not F.is_homogeneous():
         raise ValueError("need a nonzero homogeneous form")
@@ -243,11 +249,7 @@ def ulrich_presentation(F, decomp=None):
     else:
         _check_presents(decomp, F)
     pairs, start = _recursion_input(decomp)
-    raw_pairs = [(l.raw, m.raw) for l, m in pairs]
-    pencil = _clifford_pencil(raw_pairs, decomp.F.field.arith, start)
-    mf = MatrixFactorization._from_pencil(2 ** len(pairs), pencil, decomp.F, decomp)
-    if not mf.squares_to_quadric:
-        raise AssertionError("presentation failed its check N * N = F * Id")
+    mf = _clifford_image(pairs, start, decomp.F, decomp)
     report = PresentationReport(
         case="b" if decomp.square_term_flag else "a",
         size=mf.size,

@@ -23,11 +23,14 @@ def poly_det_cofactor(rows):
     return total
 
 
-def clifford_entries(sop):
-    """The Clifford matrix of sop.pairs as polynomials, by the block recursion."""
-    zero = Poly.zero(sop.quadric.field, sop.quadric.nvars)
-    block = [[zero]]
-    for l, m in sop.pairs:
+def clifford_entries(pairs, start=None):
+    """The Clifford matrix of the pairs as polynomials, by the block recursion from [[start]].
+
+    Without ``start`` the recursion starts from [[0]].
+    """
+    zero = Poly.zero(pairs[0][0].field, pairs[0][0].nvars)
+    block = [[zero if start is None else start]]
+    for l, m in pairs:
         n = len(block)
         top = [row + [l if j == i else zero for j in range(n)] for i, row in enumerate(block)]
         bottom = [
@@ -39,17 +42,21 @@ def clifford_entries(sop):
 
 
 def squares_to_quadric(mf):
-    """Whether A * A == quadric * Id symbolically, whatever the degrees of the entries."""
+    """Whether A * A == quadric * Id symbolically, whatever the degrees of the entries.
+
+    Row i of A * A sums A[i][k] * (row k of A) over the nonzero A[i][k],
+    entry by entry as ``Poly`` products.
+    """
     entries = mf.entries
     n = mf.size
     zero = Poly.zero(mf.field, mf.nvars)
     for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                acc = acc + entries[i][k] * entries[k][j]
-            if acc != (mf.quadric if i == j else zero):
-                return False
+        row = [zero] * n
+        for a, below in zip(entries[i], entries):
+            if a:
+                row = [acc + a * b if b else acc for acc, b in zip(row, below)]
+        if row != [mf.quadric if j == i else zero for j in range(n)]:
+            return False
     return True
 
 

@@ -110,7 +110,7 @@ def test_criterion_1_clifford_factorizations_by_rank():
         assert mf.size == 2 ** ((rank + 1) // 2)
         assert sop.s == (rank + 1) // 2
     elapsed = time.perf_counter() - start
-    assert elapsed < 20.0
+    assert elapsed < 8.0
     print(f"criterion 1 PASS: 700 factorizations verified in {elapsed:.2f}s")
 
 
@@ -119,8 +119,9 @@ def test_criterion_2_quartic_pipelines():
     runs = _quartic_pipelines()
     assert len(runs) == 25
     for F, vmap, lift, decomp, mf, report in runs:
-        # N * N = F * Id, proved by the relation check verify_clifford ends
-        # in; its linear-entry gate does not apply to degree-2 entries
+        # N * N = F * Id, proved by the generic check of its shape and the
+        # exact recombination of the decomposition; verify_clifford's
+        # linear-entry gate does not apply to degree-2 entries
         assert mf.squares_to_quadric
         assert mf.ulrich_rank <= 8
         # exact round trips: lift and decomposition both recover F
@@ -251,7 +252,7 @@ def test_criterion_6_determinant_certificates():
     assert signs  # at least one sign actually observed
     assert proofs == 725  # every certificate rests on A * A = q * Id
     elapsed = time.perf_counter() - start
-    assert elapsed < 5.0
+    assert elapsed < 2.0
     print(f"criterion 6 PASS: 725 determinant certificates in {elapsed:.2f}s")
 
 

@@ -96,6 +96,37 @@ def test_mf_build_then_verify_round_trip(capsys, tmp_path):
     assert payload["result"]["verified"] is True
 
 
+def test_mf_text_matrices_get_one_full_check(capsys, monkeypatch):
+    # a built matrix read back as text proves nothing by itself: mf verify
+    # and mf det-cert each run the relation check once, on the text matrix,
+    # and a flipped sign fails both
+    import ulrich_forge.clifford as clifford
+
+    calls = []
+    kernel = clifford._squares_to_quadric
+
+    def counted(mf):
+        calls.append(mf)
+        return kernel(mf)
+
+    monkeypatch.setattr(clifford, "_squares_to_quadric", counted)
+    code, payload = _run(capsys, ["mf", "build", "x*y + z*t + x^2", "--field", "fp:13"])
+    assert code == 0
+    built = payload["result"]
+    texts = [built["quadric"], *(e for row in built["entries"] for e in row)]
+    k = next(k for k, t in enumerate(texts) if k and t != "0")
+    minus = str(-parse_poly(texts[k], FieldSpec.prime(13), nvars=4))
+    flipped = texts[:k] + [minus] + texts[k + 1 :]
+    for command, key in ((["mf", "verify"], "verified"), (["mf", "det-cert"], "proof")):
+        for matrix, holds in ((texts, True), (flipped, False)):
+            calls.clear()
+            code, payload = _run(capsys, [*command, "--field", "fp:13", "--", *matrix])
+            assert (code == 0, payload["result"][key]) == (holds, holds)
+            (mf,) = calls
+            assert (mf.field, mf.nvars, mf.size) == (FieldSpec.prime(13), 4, built["size"])
+            assert str(mf.quadric) == built["quadric"]
+
+
 def test_mf_build_entries_pass_back_positionally(capsys):
     code, payload = _run(capsys, ["mf", "build", "x*y + z*t", "--field", "q"])
     built = payload["result"]

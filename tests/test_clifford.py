@@ -9,6 +9,7 @@ import pytest
 from ulrich_forge import (
     DeterminantCertificate,
     FieldSpec,
+    FormDecomposition,
     MatrixFactorization,
     Poly,
     SumOfProducts,
@@ -18,6 +19,7 @@ from ulrich_forge import (
     parse_poly,
     random_homogeneous,
     sum_of_products,
+    ulrich_presentation,
     verify_clifford,
 )
 from ulrich_forge.clifford import _squares_to_quadric
@@ -29,6 +31,7 @@ from oracles import (
     clifford_entries,
     clifford_square,
     determinant_certificate_by_evaluation,
+    is_ulrich_presentation,
     squares_to_quadric,
 )
 
@@ -108,11 +111,20 @@ def test_build_rejects_bad_pairs(q):
 
 
 def test_build_checks_its_own_output(q):
-    # pairs that do not multiply back to the quadric must be refused
+    # pairs that do not multiply back to the quadric are refused where the
+    # decomposition is made, and a made one cannot change afterwards: the
+    # build's proof rests on sum(l_i * m_i) = quadric
     x, y = Poly.variable(q, 2, 0), Poly.variable(q, 2, 1)
-    bogus = SumOfProducts(((x, y),), False, x * x)
-    with pytest.raises(AssertionError):
-        build_clifford_factorization(bogus)
+    with pytest.raises(ValueError, match="recombine"):
+        SumOfProducts(((x, y),), False, x * x)
+    pairs = [(x, y)]
+    sop = SumOfProducts(pairs, False, x * y)
+    pairs.append((x, x))
+    assert sop.pairs == ((x, y),)
+    with pytest.raises(AttributeError):
+        sop.pairs = ((x, x),)
+    with pytest.raises(TypeError):
+        build_clifford_factorization(type("Fake", (), {"pairs": ((x, y),), "quadric": x * x})())
 
 
 def test_verify_rejects_tampering(q):
@@ -247,7 +259,7 @@ def test_entries_match_the_polynomial_block_recursion():
         field = FieldSpec.parse(spec)
         for nvars, pairs in ((1, 1), (3, 2), (5, 3), (7, 4)):
             sop = _random_sop(field, nvars, pairs, rng)
-            assert build_clifford_factorization(sop).entries == clifford_entries(sop)
+            assert build_clifford_factorization(sop).entries == clifford_entries(sop.pairs)
 
 
 _SHAPES = [
@@ -453,9 +465,10 @@ def test_a_proof_keeps_the_skip_budget_of_the_requested_trials(q):
 
 
 def test_the_relation_check_runs_once_per_factorization(monkeypatch):
-    # build -> verify_clifford -> determinant_certificate on one object
-    # decide A * A = q * Id once; the read-only pencil and quadric keep
-    # that answer true
+    # the relation check runs once per shape, on the generic pencil over q,
+    # and never on a built matrix: build -> verify_clifford ->
+    # determinant_certificate read the recorded proof, and the read-only
+    # pencil and quadric keep it true
     import ulrich_forge.clifford as clifford
 
     calls = []
@@ -466,12 +479,22 @@ def test_the_relation_check_runs_once_per_factorization(monkeypatch):
         return kernel(mf)
 
     monkeypatch.setattr(clifford, "_squares_to_quadric", counted)
+    clifford._generic_pencil.cache_clear()
     f13 = FieldSpec.prime(13)
-    mf = build_clifford_factorization(_sop_from_poly("x*y + z*t + x^2", f13, nvars=4))
-    assert verify_clifford(mf)
-    cert = determinant_certificate(mf, trials=5, seed=2)
-    assert (cert.ok, cert.proof, cert.tested) == (True, True, 1)
-    assert calls == [mf]
+    built = [
+        build_clifford_factorization(_sop_from_poly(text, f13, nvars=4))
+        for text in ("x*y + z*t + x^2", "x^2 + y^2 + z^2 + t^2", "x*y - z*t")
+    ]
+    assert {mf.size for mf in built} == {4}
+    (generic,) = calls
+    assert (generic.field, generic.nvars, generic.size) == (FieldSpec.rationals(), 4, 4)
+    assert str(generic.quadric) == "x*y + z*t"
+    for mf in built:
+        assert verify_clifford(mf)
+        cert = determinant_certificate(mf, trials=5, seed=2)
+        assert (cert.ok, cert.proof, cert.tested) == (True, True, 1)
+    assert calls == [generic]
+    mf = built[0]
     exps = next(iter(mf.pencil))
     with pytest.raises(TypeError):
         mf.pencil[exps] = ()
@@ -480,7 +503,7 @@ def test_the_relation_check_runs_once_per_factorization(monkeypatch):
     with pytest.raises(TypeError):
         mf.quadric.raw[exps] = f13.arith.one
     assert determinant_certificate(mf, trials=5, seed=3).proof
-    assert calls == [mf]
+    assert calls == [generic]
 
 
 @pytest.mark.parametrize("trials", [0, -4])
@@ -490,3 +513,91 @@ def test_determinant_certificate_refuses_a_trial_count_below_one(f13, trials):
     mf = build_clifford_factorization(_sop_from_poly("x*y + z^2", f13))
     with pytest.raises(ValueError, match="trials must be at least 1"):
         determinant_certificate(mf, trials=trials)
+
+
+# presentations above these sizes take seconds in the Hilbert-function oracle
+_ULRICH_ORACLE_MAX_SIZE = {"fp:3": 32, "fp:13": 32, "fp2:13": 16, "q": 8, "qi": 2}
+
+
+@pytest.mark.parametrize("spec", sorted(_ULRICH_ORACLE_MAX_SIZE))
+def test_built_matrices_match_the_independent_oracles(spec):
+    # s = 1..5 pairs: factorizations with and without a square pair, and
+    # presentations in case a, case b and the lone square; each squares to
+    # its quadric by the entrywise Poly product, has the entries of the
+    # polynomial block recursion, and each presentation has the Hilbert
+    # function of an Ulrich module on T^2 = F
+    field = FieldSpec.parse(spec)
+    rng = random.Random(17)
+
+    def form(nvars, degree):
+        while True:
+            h = random_homogeneous(field, nvars, degree, rng, 3)
+            if h:
+                return h
+
+    def distinct_pairs(nvars, degree, count):
+        pairs = []
+        while len(pairs) < count:
+            l, m = form(nvars, degree), form(nvars, degree)
+            if l != m:
+                pairs.append((l, m))
+        return pairs
+
+    def total(pairs):
+        return sum((l * m for l, m in pairs), Poly.zero(field, pairs[0][0].nvars))
+
+    for s in range(1, 6):
+        pairs = distinct_pairs(4, 1, s)
+        l = form(4, 1)
+        for chosen in (pairs, pairs[:-1] + [(l, l)]):
+            sop = SumOfProducts(chosen, chosen[-1][0] == chosen[-1][1], total(chosen))
+            mf = build_clifford_factorization(sop)
+            assert mf.size == 2**s and squares_to_quadric(mf)
+            assert mf.entries == clifford_entries(sop.pairs)
+
+        d = 2 if s <= 2 else 1
+        pairs, l = distinct_pairs(3, d, s), form(3, d)
+        cases = [("a", pairs, None), ("b", pairs, l)]
+        if s == 1:  # the lone square reports case b and keeps [[0, l], [l, 0]]
+            cases.append(("b", [(l, l)], None))
+        for case, chosen, start in cases:
+            summands = chosen + ([(start, start)] if start is not None else [])
+            F = total(summands)
+            if not F:
+                continue
+            mf, report = ulrich_presentation(F, FormDecomposition(F, summands))
+            assert (report.case, mf.size, mf.quadric) == (case, 2 ** len(chosen), F)
+            assert squares_to_quadric(mf)
+            assert mf.entries == clifford_entries(chosen, start)
+            if mf.size <= _ULRICH_ORACLE_MAX_SIZE[spec]:
+                assert is_ulrich_presentation(mf.entries, F, d)
+
+
+def test_a_wrong_generic_sign_is_refused_and_not_kept(monkeypatch, f13):
+    # one flipped sign in the generic recursion fails its proof: both
+    # builders refuse, no shape is cached, and the true recursion comes
+    # back once the flip is gone
+    import ulrich_forge.clifford as clifford
+
+    recursion = clifford._recursion
+
+    def flipped(s, square):
+        rows = recursion(s, square)
+        j, a, negated = rows[-1][0]
+        rows[-1][0] = (j, a, not negated)
+        return rows
+
+    sop = _sop_from_poly("x*y + z*t", f13)
+    F = parse_poly("x^2 + y^2 + z^2", f13)
+    clifford._generic_pencil.cache_clear()
+    monkeypatch.setattr(clifford, "_recursion", flipped)
+    with pytest.raises(AssertionError, match="generic"):
+        build_clifford_factorization(sop)
+    with pytest.raises(AssertionError, match="generic"):
+        ulrich_presentation(F)
+    assert clifford._generic_pencil.cache_info().currsize == 0
+    monkeypatch.undo()
+    mf = build_clifford_factorization(sop)
+    assert squares_to_quadric(mf) and mf.entries == clifford_entries(sop.pairs)
+    presentation, _ = ulrich_presentation(F)
+    assert squares_to_quadric(presentation)

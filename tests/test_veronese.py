@@ -579,8 +579,9 @@ def test_achieved_rank_stays_under_the_upper_bound(n, d):
 
 
 def test_presentation_is_proved_once(monkeypatch, f13):
-    # one relation check, on N itself: none on the recursion M of case b,
-    # and the determinant certificate reads the recorded answer
+    # one relation check per shape, on the generic pencil over q: none on N,
+    # none on the recursion M of case b, none on a second N of the same
+    # shape, and the determinant certificate reads the recorded proof
     from ulrich_forge import clifford
 
     calls = []
@@ -591,8 +592,15 @@ def test_presentation_is_proved_once(monkeypatch, f13):
         return kernel(mf)
 
     monkeypatch.setattr(clifford, "_squares_to_quadric", counted)
+    clifford._generic_pencil.cache_clear()
     F = parse_poly("x^2 + y^2 + z^2", f13)
     mf, rep = ulrich_presentation(F)
-    assert rep.case == "b" and calls == [mf]
-    assert determinant_certificate(mf, trials=5).proof
-    assert calls == [mf]
+    other, _ = ulrich_presentation(parse_poly("x^2 - 2*y^2 + 3*z^2", f13))
+    assert rep.case == "b" and other.size == mf.size == 2
+    (generic,) = calls
+    assert (generic.field, generic.nvars, generic.size) == (FieldSpec.rationals(), 3, 2)
+    assert str(generic.quadric) == "x*y + z^2"
+    for built in (mf, other):
+        cert = determinant_certificate(built, trials=5)
+        assert (cert.ok, cert.proof, cert.tested) == (True, True, 1)
+    assert calls == [generic]

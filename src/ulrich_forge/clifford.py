@@ -207,7 +207,7 @@ def _substituted(signed, forms, ar, size):
             values = (c, neg(c))
             for i, j, negated in positions:
                 rows[i] += (j, values[negated])
-    return {exps: tuple(map(tuple, pencil[exps])) for exps in sorted(pencil, reverse=True)}
+    return {exps: tuple(map(tuple, rows)) for exps, rows in pencil.items()}
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +233,7 @@ def _generic_pencil(s, square):
     generic = Poly._make(q, nvars, {tuple(map(_add, units[a], units[b])): one for a, b in halves})
     pencil = _substituted(signed, [{u: one} for u in units], q.arith, 2**s)
     if not _squares_to_quadric(MatrixFactorization._from_pencil(2**s, pencil, generic, None)):
-        raise AssertionError(f"the generic Clifford matrix of shape {(s, square)} failed U * U = Q * Id")
+        raise AssertionError(f"generic Clifford matrix of shape {(s, square)} fails U * U = Q * Id")
     return signed
 
 
@@ -280,7 +280,9 @@ def _squares_to_quadric(mf):
     S_mu is q_mu * I (zero for a mu outside q) and every monomial of q
     is some m + m'.  Each S_mu is built row by row from the unordered
     pairs (A_m * A_m, or A_m A_m' + A_m' A_m) that share mu, and
-    compared only once they are all in.
+    compared only once they are all in.  It proves each generic shape
+    once, and it decides matrices read as entries; a built matrix never
+    reaches it.
     """
     ar = mf.field.arith
     add, mul, zero = ar.add, ar.mul, ar.zero
@@ -320,7 +322,8 @@ def verify_clifford(mf):
     structurally first.  For such a pencil the relations of
     ``_squares_to_quadric`` are A_j^2 = q_jj * I and
     A_i A_j + A_j A_i = q_ij * I, which say, coefficient by coefficient,
-    what the symbolic product says.
+    what the symbolic product says.  A built matrix passes the gate and
+    reads the proof its build recorded.
     """
     if any(sum(exps) != 1 for exps in mf.pencil):
         return False
@@ -344,8 +347,9 @@ def determinant_certificate(mf, trials=50, seed=0):
 
     Only an even size is certified: for an odd one the certificate
     fails before any point is drawn.  Then it reads
-    ``mf.squares_to_quadric``, the exact relation check, which a built
-    matrix already holds from its verification.  When A * A = q * Id
+    ``mf.squares_to_quadric``: the proof a built matrix holds from its
+    build, or the exact relation check on a matrix read as entries.
+    When A * A = q * Id
     holds in k[x], det(A)^2 = q^size, and k[x] is a domain, so
     (det A - q^(size/2)) (det A + q^(size/2)) = 0 forces det A =
     sign * q^(size/2) with one sign for all x (Eisenbud 1980).  One

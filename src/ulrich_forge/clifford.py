@@ -349,10 +349,9 @@ def determinant_certificate(mf, trials=50, seed=0):
     fails before any point is drawn.  Then it reads
     ``mf.squares_to_quadric``: the proof a built matrix holds from its
     build, or the exact relation check on a matrix read as entries.
-    When A * A = q * Id
-    holds in k[x], det(A)^2 = q^size, and k[x] is a domain, so
-    (det A - q^(size/2)) (det A + q^(size/2)) = 0 forces det A =
-    sign * q^(size/2) with one sign for all x (Eisenbud 1980).  One
+    When A * A = q * Id holds in k[x], det(A)^2 = q^size, and k[x] is a
+    domain, so (det A - q^(size/2)) (det A + q^(size/2)) = 0 forces
+    det A = sign * q^(size/2) with one sign for all x (Eisenbud 1980).  One
     point with q != 0 then fixes the sign, and the certificate is a
     proof (``proof`` true, ``tested`` at most 1); in characteristic 2
     the two signs agree and the sign is +1.  A matrix that fails the

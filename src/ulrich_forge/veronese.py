@@ -170,7 +170,11 @@ class FormDecomposition:
 
 
 def _check_presents(decomp, F):
-    """ValueError unless decomp decomposes F, over F's field or its extension."""
+    """ValueError unless decomp decomposes F, over F's field or its extension.
+
+    Only a ``FormDecomposition`` is accepted (TypeError otherwise): its
+    exact recombination check is what a presentation's proof rests on.
+    """
     if not isinstance(decomp, FormDecomposition):
         raise TypeError("need a FormDecomposition")
     field = decomp.F.field

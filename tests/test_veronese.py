@@ -196,6 +196,10 @@ def test_presentation_and_bounds_reject_a_decomposition_of_another_form(f13):
         ulrich_presentation(F, other)
     with pytest.raises(ValueError, match="does not present F"):
         rank_bounds(F, other)
+    # a look-alike without FormDecomposition's recombination check proves nothing
+    fake = type("Fake", (), {"F": F, "summands": other.summands, "square_term_flag": False})()
+    with pytest.raises(TypeError, match="FormDecomposition"):
+        ulrich_presentation(F, fake)
     # a decomposition over the extension of F's field presents F
     G = parse_poly("x^4 + 2*y^4 + z^4", f13)
     dec = decompose_form(G, VeroneseMap(2, 2))

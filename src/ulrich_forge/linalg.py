@@ -1,6 +1,6 @@
 """Exact linear algebra over the scalar fields.
 
-Three elimination routines do all the work:
+Four elimination routines do all the work:
 
 - ``_rank_mod_p``, sparse elimination mod a prime, takes every rank it
   can finish in a prime field: fp matrices, fp2 and qi matrices whose
@@ -9,7 +9,9 @@ Three elimination routines do all the work:
   mod the word-size prime _CHECK_PRIME (i goes to a square root of -1
   there).  A nonzero minor mod the prime lifts, so a full rank mod the
   prime is the exact rank.  Macaulay matrices are mostly zero, so rows
-  are dicts and pivots are chosen to limit fill-in.
+  are dicts and pivots are chosen to limit fill-in.  ``_residue_rows``
+  alone maps raw rows to their residues; ``resultants`` reads the
+  image of a coefficient list through it too.
 - ``_bareiss``, fraction-free elimination on denominator-cleared integer
   rows, gives q determinants and the q ranks the prime cannot settle
   (rank deficient mod the prime, or a denominator divisible by it); it
@@ -18,23 +20,28 @@ Three elimination routines do all the work:
   every field: ``poly_matrix_det`` packs each polynomial entry into one
   integer by Kronecker substitution and reads the determinant back from
   the digits of the integer one.
+- ``_bareiss_gaussian``, the same elimination over the Gaussian
+  integers Z[i] on rows of integer pairs, gives qi determinants and the
+  ranks of genuine qi matrices that the prime cannot settle.
 - ``_eliminate``, dense Gaussian elimination on raw entries (residues,
-  residue pairs, Fractions or Fraction pairs), does everything else:
-  the determinant over fp, fp2 and qi, the rank of a genuine fp2 matrix
-  and of a qi matrix the prime cannot settle, and ``solve`` and
-  ``invert`` in every field, through Gauss-Jordan, on ``field.arith``.
+  residue pairs, Fractions or Fraction pairs), does the rest: the
+  determinant over fp and fp2 (and the point determinants of
+  ``clifford``'s sampled certificate, in every field), the rank of a
+  genuine fp2 matrix, and ``solve`` and ``invert`` in every field,
+  through Gauss-Jordan, on ``field.arith``.
 
 Ranks run on raw rows in ``_rank_raw``: Gram records and Macaulay
 matrices pass theirs directly, and ``rank`` unwraps scalar rows once.
 ``_rank_raw`` first asks ``_prime_rank`` for the rank of the rows' image
-in a prime field through ``_rank_mod_p``: exact over fp and for fp2 and
-qi matrices in the subfield, a lower bound over q and qi (mod
+in a prime field through ``_rank_mod_p``: exact over fp and for fp2
+matrices in the subfield, a lower bound over q and qi (mod
 _CHECK_PRIME), and None without a prime image (a genuine fp2 matrix, or
 a denominator divisible by the prime).  Only when that answer is not
-exact and not full does it go on to Bareiss or ``_eliminate``.  A caller
-that only needs a proof of full rank, as the square Macaulay check of
-``graded`` does, calls ``_prime_rank`` alone.  All results are exact;
-nothing here is approximate.
+exact and not full does it go on to Bareiss over Z (q, and qi in the
+subfield), over Z[i] (genuine qi) or ``_eliminate`` (genuine fp2).  A
+caller that only needs a proof of full rank, as the square Macaulay
+check of ``graded`` does, calls ``_prime_rank`` alone.  All results are
+exact; nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -52,17 +59,29 @@ _CHECK_PRIME = 2**31 - 19
 _I = sqrt_mod_p(-1, _CHECK_PRIME)
 
 
-def _as_int_rows(rows):
+def _scaled(x, scale):
+    """The integer x * scale of a Fraction x whose denominator divides scale."""
+    return x.numerator * (scale // x.denominator)
+
+
+def _as_int_rows(rows, gaussian=False):
     """Clear denominators of raw Fraction rows row by row; rank and row space are unchanged.
 
-    Also returns the product of the row scales, the factor by which the
-    determinant of a square matrix grows.
+    With ``gaussian`` the entries are qi pairs (a, b), the scale of a row
+    is the lcm over both parts, and the rows come back as pairs of
+    integers, the Gaussian integers a + b*i.  Also returns the product
+    of the row scales, the factor by which the determinant of a square
+    matrix grows.
     """
     out, total = [], 1
     for row in rows:
-        scale = lcm(*(c.denominator for c in row)) if row else 1
+        if gaussian:
+            scale = lcm(*(x.denominator for v in row for x in v)) if row else 1
+            out.append([(_scaled(a, scale), _scaled(b, scale)) for a, b in row])
+        else:
+            scale = lcm(*(c.denominator for c in row)) if row else 1
+            out.append([_scaled(c, scale) for c in row])
         total *= scale
-        out.append([int(c * scale) for c in row])
     return out, total
 
 
@@ -94,6 +113,45 @@ def _bareiss(rows):
         prev = p
         rank += 1
     return rank, sign * prev
+
+
+def _bareiss_gaussian(rows):
+    """``_bareiss`` over Z[i], on rows of integer pairs (a, b) for a + b*i.
+
+    The pivoting and the update are those of ``_bareiss``, so again
+    (rank, signed last pivot) comes back, the pivot as a pair.  Each
+    update is divisible by the previous pivot q in Z[i], and it is
+    divided as x * conj(q) / N(q), where the norm N(q) = q * conj(q)
+    divides both integer parts exactly.
+    """
+    rows = [row[:] for row in rows]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    rank, sign = 0, 1
+    qa, qb, norm = 1, 0, 1  # the previous pivot qa + qb*i and its norm
+    for col in range(n):
+        if rank == m:
+            break
+        piv = next((i for i in range(rank, m) if rows[i][col] != (0, 0)), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        pa, pb = top[col]
+        for i in range(rank + 1, m):
+            ri = rows[i]
+            fa, fb = ri[col]
+            # (p*u - f*v) for the pivot p and the row's lead f
+            update = [
+                (pa * ua - pb * ub - fa * va + fb * vb, pa * ub + pb * ua - fa * vb - fb * va)
+                for (ua, ub), (va, vb) in zip(ri[col:], top[col:])
+            ]
+            ri[col:] = [((x * qa + y * qb) // norm, (y * qa - x * qb) // norm) for x, y in update]
+        qa, qb, norm = pa, pb, pa * pa + pb * pb
+        rank += 1
+    return rank, (sign * qa, sign * qb)
 
 
 def _rank_mod_p(rows, p, width):
@@ -182,25 +240,41 @@ def _eliminate(rows, ar, ncols, reduced=False):
     return pivots, sign
 
 
-def _sparse_rows(rows, p):
-    """Rows of residues mod p as sparse dicts, or None when p divides a denominator."""
-    out = []
-    inverses = {1: 1}
-    for row in rows:
-        sparse = {}
-        for j, v in enumerate(row):
-            if v:
-                den = v.denominator
-                inv = inverses.get(den)
-                if inv is None:
-                    if den % p == 0:
-                        return None
-                    inv = inverses[den] = pow(den, p - 2, p)
-                x = v.numerator * inv % p
-                if x:
-                    sparse[j] = x
-        out.append(sparse)
-    return out
+def _residue_rows(rows, field):
+    """The image of raw rows in a prime field, as sparse rows column -> nonzero residue; or None.
+
+    Over fp the entries are their own residues, and so are fp2 entries
+    in the subfield.  Over q and qi the image is mod _CHECK_PRIME:
+    n/d goes to n * d^-1, and a + b*i to a + b*_I in the same pass.
+    None when there is no image: a genuine fp2 entry, or a denominator
+    divisible by _CHECK_PRIME.
+    """
+    kind = field.kind
+    if kind == PRIME:
+        return [{j: v for j, v in enumerate(row) if v} for row in rows]
+    if kind == PRIME_QUADRATIC:
+        if any(v[1] for row in rows for v in row):
+            return None
+        return [{j: v[0] for j, v in enumerate(row) if v[0]} for row in rows]
+    p, inverses = _CHECK_PRIME, {1: 1}
+
+    def lift(x):
+        # n * d^-1, not yet reduced; pow raises ValueError when P divides d
+        den = x.denominator
+        inv = inverses.get(den)
+        if inv is None:
+            inv = inverses[den] = pow(den, -1, p)
+        return x.numerator * inv
+
+    try:
+        if kind == GAUSSIAN:
+            return [
+                {j: x for j, (a, b) in enumerate(row) if (a or b) and (x := (lift(a) + _I * lift(b)) % p)}
+                for row in rows
+            ]
+        return [{j: x for j, v in enumerate(row) if v and (x := lift(v) % p)} for row in rows]
+    except ValueError:
+        return None
 
 
 def rank(rows, field):
@@ -211,46 +285,25 @@ def rank(rows, field):
 def _prime_rank(rows, field):
     """Rank of the image of raw rows in a prime field, or None; the rows are not changed.
 
-    Over fp, and over fp2 and qi when every entry lies in the subfield
-    (rank does not change under a field extension), this is the exact
-    rank.  Over q and qi the rows are reduced mod _CHECK_PRIME, with i
-    sent to a square root _I of -1 there, and the rank can only drop:
-    the answer is a lower bound, exact when it is full.  None when
-    there is no prime image: a genuine fp2 matrix, or a denominator
-    divisible by _CHECK_PRIME.
+    Over fp, and over fp2 when every entry lies in the subfield (rank
+    does not change under a field extension), this is the exact rank.
+    Over q and qi the rows are reduced mod _CHECK_PRIME, with i sent to
+    a square root _I of -1 there, and the rank can only drop: the answer
+    is a lower bound, exact when it is full.  None when there is no
+    prime image (see ``_residue_rows``).
     """
     width = len(rows[0]) if rows else 0
-    kind = field.kind
-    if kind in (PRIME_QUADRATIC, GAUSSIAN):
-        if any(v[1] for row in rows for v in row):
-            if kind == PRIME_QUADRATIC:
-                return None
-        else:
-            kind = PRIME if kind == PRIME_QUADRATIC else RATIONAL
-            rows = [[v[0] for v in row] for row in rows]
-    if kind == PRIME:
-        return _rank_mod_p([{j: v for j, v in enumerate(row) if v} for row in rows], field.p, width)
-    p = _CHECK_PRIME
-    if kind == RATIONAL:
-        sparse = _sparse_rows(rows, p)
-    else:
-        real = _sparse_rows([[v[0] for v in row] for row in rows], p)
-        imag = None if real is None else _sparse_rows([[v[1] for v in row] for row in rows], p)
-        # a + b*i goes to a + b*_I; only nonzero residues are kept
-        sparse = None if imag is None else [
-            {j: x for j in {*a, *b} if (x := (a.get(j, 0) + _I * b.get(j, 0)) % p)}
-            for a, b in zip(real, imag)
-        ]
-    return None if sparse is None else _rank_mod_p(sparse, p, width)
+    sparse = _residue_rows(rows, field)
+    return None if sparse is None else _rank_mod_p(sparse, field.p or _CHECK_PRIME, width)
 
 
 def _rank_raw(rows, field):
     """Rank of a matrix of raw entries; the rows are not changed.
 
     ``_prime_rank`` goes first.  Its answer stands when it is exact (fp,
-    and fp2 or qi entries in the subfield) or full; otherwise Bareiss
-    (q, and qi in the subfield) or dense elimination (genuine fp2 and
-    qi) decides.  Ragged rows raise ValueError.
+    and fp2 entries in the subfield) or full; otherwise Bareiss over Z
+    (q, and qi in the subfield), Bareiss over Z[i] (genuine qi) or dense
+    elimination (genuine fp2) decides.  Ragged rows raise ValueError.
     """
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
@@ -261,11 +314,13 @@ def _rank_raw(rows, field):
     if r is not None and (field.p or r == min(len(rows), width)):
         return r
     kind = field.kind
-    if kind == GAUSSIAN and not any(v[1] for row in rows for v in row):
-        kind, rows = RATIONAL, [[v[0] for v in row] for row in rows]
-    if kind == RATIONAL:
-        return _bareiss(_as_int_rows(rows)[0])[0]
-    return len(_eliminate([list(row) for row in rows], field.arith, width)[0])
+    if kind == PRIME_QUADRATIC:
+        return len(_eliminate([list(row) for row in rows], field.arith, width)[0])
+    if kind == GAUSSIAN:
+        if any(v[1] for row in rows for v in row):
+            return _bareiss_gaussian(_as_int_rows(rows, gaussian=True)[0])[0]
+        rows = [[v[0] for v in row] for row in rows]
+    return _bareiss(_as_int_rows(rows)[0])[0]
 
 
 def det(rows, field):
@@ -281,6 +336,10 @@ def det(rows, field):
         int_rows, scale = _as_int_rows(rows)
         full, value = _bareiss(int_rows)
         return field.scalar(Fraction(value, scale) if full == n else 0)
+    if field.kind == GAUSSIAN:
+        int_rows, scale = _as_int_rows(rows, gaussian=True)
+        full, (a, b) = _bareiss_gaussian(int_rows)
+        return field.scalar(Fraction(a, scale), Fraction(b, scale)) if full == n else field.zero
     return ar.box(_det_raw(rows, ar))
 
 

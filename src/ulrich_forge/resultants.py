@@ -17,6 +17,13 @@ most d*d, decides everything.  It is the ``sylvester_resultant`` of the
 two chart polynomials, whose 2d x 2d determinant over K[y] is taken by
 ``poly_matrix_det`` in every characteristic; Euclid's gcd on its raw
 coefficients decides squarefreeness.
+
+Over q and qi that gcd runs mod the prime P = ``linalg._CHECK_PRIME``
+first, on the image that ``linalg._residue_rows`` gives (i goes to a
+square root of -1 mod P).  A squarefree image of full degree proves the
+polynomial squarefree (see ``_squarefree``); any other image leaves the
+decision to Euclid on the exact coefficients, so no answer depends on
+the prime.
 """
 
 from __future__ import annotations
@@ -25,12 +32,15 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .fields import GAUSSIAN, RATIONAL
-from .linalg import det, poly_matrix_det
+from .fields import GAUSSIAN, RATIONAL, FieldSpec
+from .linalg import _CHECK_PRIME, _residue_rows, det, poly_matrix_det
 from .poly import Poly
 
 TRANSVERSAL = "transversal"
 FAILED = "failed"
+
+# the prime field of the mod-P-first squarefree test over q and qi
+_IMAGE_FIELD = FieldSpec.prime(_CHECK_PRIME)
 
 
 def _coefficients_in(f, var):
@@ -91,12 +101,41 @@ def is_squarefree_univariate(f, var=None):
 
     Decided by gcd(f, f') being constant; over the perfect coefficient
     fields here a vanishing derivative of a nonconstant polynomial
-    already means a repeated root.  Constants count as squarefree; the
-    zero polynomial is refused.
+    already means a repeated root.  Over q and qi a squarefree image
+    mod a prime that keeps the degree decides first (see
+    ``_squarefree``).  Constants count as squarefree; the zero
+    polynomial is refused.
     """
     if f.is_zero:
         raise ValueError("squarefree test on the zero polynomial")
-    return _dense_squarefree(f.univariate_raw(var), f.field.arith)
+    return _squarefree(f.univariate_raw(var), f.field)
+
+
+def _squarefree(coeffs, field):
+    """``_dense_squarefree`` of a dense ascending raw list, over q and qi tried mod P first.
+
+    P = _CHECK_PRIME.  Let R be Z localised at (P) over q, and Z[i]
+    localised at the prime (P, i - _I) over qi (P = 1 mod 4 splits in
+    Z[i]); either way R is a discrete valuation ring with residue field
+    F_P, and the image map of ``linalg._residue_rows`` is reduction
+    R -> F_P, defined when P divides no denominator.  Suppose r = s^2*t
+    over the fraction field with deg s >= 1.  By Gauss' lemma s may be
+    taken primitive in R[x], and then t lies in R[x] as well.  If P does
+    not divide lc(r) = lc(s)^2*lc(t), lc(s) is a unit of R, so the
+    reduction keeps deg s and r mod P = (s mod P)^2*(t mod P) has a
+    repeated factor.  So an image that keeps the top coefficient and is
+    squarefree proves r squarefree; every other image (a vanishing top
+    coefficient, a repeated factor mod P, or no image at all) leaves the
+    answer to Euclid on the exact coefficients.
+    """
+    if not field.p:
+        image = _residue_rows([coeffs], field)
+        top = len(coeffs) - 1
+        if image is not None and top in image[0]:
+            residues = [image[0].get(j, 0) for j in range(top + 1)]
+            if _dense_squarefree(residues, _IMAGE_FIELD.arith):
+                return True
+    return _dense_squarefree(coeffs, field.arith)
 
 
 def _dense_squarefree(coeffs, ar):
@@ -192,7 +231,7 @@ def certify_transversal(f, g, seed=0, max_trials=8):
             )
         if len(coeffs) - 1 != target:
             continue
-        if _dense_squarefree(coeffs, field.arith):
+        if _squarefree(coeffs, field):
             return TransversalityResult(
                 TRANSVERSAL, points=target, trials=trial, change=change
             )

@@ -179,7 +179,7 @@ def test_criterion_3_pencil_counterexample_certificate():
         field = FieldSpec.prime(p)
         assert field.parse_scalar(finite.pencil_determinant) == field.from_int(16).inverse()
     elapsed = time.perf_counter() - start
-    assert elapsed < 5.0
+    assert elapsed < 2.0
     print(f"criterion 3 PASS: certificate plus oracle in {elapsed:.2f}s")
 
 
@@ -280,7 +280,7 @@ def test_criterion_7_normalization_over_the_rationals():
         assert fa * gb + fb * ga == F
         done += 1
     elapsed = time.perf_counter() - start
-    assert elapsed < 20.0
+    assert elapsed < 2.0
     print(f"criterion 7 PASS: 10 normalizations in {elapsed:.2f}s")
 
 

@@ -515,8 +515,9 @@ def test_determinant_certificate_refuses_a_trial_count_below_one(f13, trials):
         determinant_certificate(mf, trials=trials)
 
 
-# presentations above these sizes take seconds in the Hilbert-function oracle
-_ULRICH_ORACLE_MAX_SIZE = {"fp:3": 32, "fp:13": 32, "fp2:13": 16, "q": 8, "qi": 2}
+# presentations above these sizes take seconds in the Hilbert-function oracle;
+# its rank-deficient q and qi matrices finish in Bareiss over Z and Z[i]
+_ULRICH_ORACLE_MAX_SIZE = {"fp:3": 32, "fp:13": 32, "fp2:13": 16, "q": 8, "qi": 8}
 
 
 @pytest.mark.parametrize("spec", sorted(_ULRICH_ORACLE_MAX_SIZE))

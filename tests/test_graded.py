@@ -266,7 +266,7 @@ def _singular_plane_form(field, degree, rng, at_coordinate_point):
 
 # Largest degree of the singular forms per field kind: a singular matrix
 # is ranked in full, by elimination on pairs over fp2 and exactly over q
-# (Bareiss) and qi (Fraction pairs), which takes seconds past these degrees.
+# and qi (Bareiss over Z and Z[i]), which takes seconds past these degrees.
 _SINGULAR_DEGREE_MAX = {"fp": 8, "fp2": 6, "q": 4, "qi": 4}
 
 

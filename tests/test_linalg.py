@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 
 import pytest
@@ -15,7 +16,8 @@ from ulrich_forge.linalg import (
     _bareiss,
     _prime_rank,
     _rank_mod_p,
-    _sparse_rows,
+    _rank_raw,
+    _residue_rows,
     det,
     invert,
     mat_mul,
@@ -416,7 +418,7 @@ def test_rank_over_q_falls_back_to_bareiss(q, monkeypatch):
     assert rank([[q.from_int(2 * P), q.from_int(P)], [q.from_int(4), q.from_int(2)]], q) == 1
     # a denominator divisible by P cannot be reduced at all
     inverse_p = [[q.scalar(Fraction(1, P)), q.zero], [q.zero, q.one]]
-    assert _sparse_rows([[c.a for c in row] for row in inverse_p], P) is None
+    assert _residue_rows([[c.a for c in row] for row in inverse_p], q) is None
     calls = []
     original = linalg._bareiss
     monkeypatch.setattr(linalg, "_bareiss", lambda rows: calls.append(rows) or original(rows))
@@ -457,8 +459,8 @@ def test_rank_of_mixed_extension_matrices_is_unchanged():
 
 def test_rank_over_qi_finishes_mod_p_when_full(qi, monkeypatch):
     calls = []
-    original = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda *args: calls.append(args) or original(*args))
+    original = linalg._bareiss_gaussian
+    monkeypatch.setattr(linalg, "_bareiss_gaussian", lambda rows: calls.append(rows) or original(rows))
     rng = random.Random(81)
     rows = _random_matrix(qi, rng, 9, 6)
     assert rank(rows, qi) == 6 == _rank_in_extension(rows, qi)
@@ -469,14 +471,14 @@ def test_rank_over_qi_falls_back_to_exact_elimination(qi, monkeypatch):
     s = linalg._I
     assert s * s % P == P - 1
     calls = []
-    original = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda *args: calls.append(args) or original(*args))
-    # i - s vanishes mod P, so only the exact elimination sees the full rank
+    original = linalg._bareiss_gaussian
+    monkeypatch.setattr(linalg, "_bareiss_gaussian", lambda rows: calls.append(rows) or original(rows))
+    # i - s vanishes mod P, so only the exact elimination over Z[i] sees the full rank
     assert rank([[qi.one, qi.zero], [qi.zero, qi.scalar(-s, 1)]], qi) == 2
     assert len(calls) == 1
     # a denominator divisible by P cannot be reduced at all
     inverse_p = [[qi.scalar(Fraction(1, P), 1), qi.zero], [qi.zero, qi.one]]
-    assert _sparse_rows([[c.a for c in row] for row in inverse_p], P) is None
+    assert _residue_rows([[(c.a, c.b) for c in row] for row in inverse_p], qi) is None
     assert rank(inverse_p, qi) == 2
     assert len(calls) == 2
 
@@ -503,7 +505,7 @@ def test_rank_against_sympy_domain_matrix(q):
 
 
 @pytest.mark.parametrize("spec", ["fp:7", "fp:101", "fp2:7", "fp2:101", "q", "qi"])
-def test_prime_rank_against_sympy_domain_matrix(spec):
+def test_prime_rank_against_sympy_domain_matrix(spec, monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     pytest.importorskip("sympy")
     from sympy import GF, QQ
@@ -524,6 +526,13 @@ def test_prime_rank_against_sympy_domain_matrix(spec):
 
     @st.composite
     def matrices(draw):
+        if field.kind == "qi" and draw(st.booleans()):
+            # A*B of genuine qi matrices through k < min(m, n) columns: rank <= k
+            m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+            k = draw(st.integers(1, min(m, n) - 1))
+            a = [[draw(st.tuples(part, part)) for _ in range(k)] for _ in range(m)]
+            b = [[draw(st.tuples(part, part)) for _ in range(n)] for _ in range(k)]
+            return [[reduce(ar.add, map(ar.mul, row, col)) for col in zip(*b)] for row in a]
         m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
         subfield = pairs and draw(st.booleans())
         rows = [
@@ -549,6 +558,17 @@ def test_prime_rank_against_sympy_domain_matrix(spec):
             entries = [[domain(v) if p else qq(v) for v in row] for row in real]
         return DomainMatrix(entries, (len(rows), len(rows[0])), domain).rank()
 
+    # the genuine qi ranks the prime image leaves open reach Bareiss over Z[i]
+    gaussian_ranks = []
+    original = linalg._bareiss_gaussian
+
+    def counted(rows):
+        out = original(rows)
+        gaussian_ranks.append(out[0])
+        return out
+
+    monkeypatch.setattr(linalg, "_bareiss_gaussian", counted)
+
     @hypothesis.given(matrices(), st.data())
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
     def check(rows, data):
@@ -559,6 +579,7 @@ def test_prime_rank_against_sympy_domain_matrix(spec):
             assert r is None
             return
         exact = exact_rank(rows)
+        assert _rank_raw(rows, field) == exact
         if p:
             assert r == exact
             return
@@ -570,8 +591,12 @@ def test_prime_rank_against_sympy_domain_matrix(spec):
             bad = data.draw(st.sampled_from([(bad, zero_part), (zero_part, bad)]))
         rows[i][j] = bad
         assert _prime_rank(rows, field) is None
+        assert _rank_raw(rows, field) == exact_rank(rows)
 
     check()
+    if field.kind == "qi":
+        # full-rank and rank-deficient matrices both took the Z[i] kernel
+        assert min(gaussian_ranks) < max(gaussian_ranks)
     if not p:
         # the rank drops mod P on an entry that vanishes there: P, or i - _I
         one = (Fraction(1), Fraction(0)) if pairs else Fraction(1)
@@ -600,7 +625,7 @@ def test_sparse_kernel_matches_dense_reference():
 
 
 @pytest.mark.parametrize("spec", ["q", "qi", "fp:13", "fp2:13"])
-def test_dense_routines_match_oracles(spec):
+def test_dense_routines_match_oracles(spec, monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     field = FieldSpec.parse(spec)
@@ -629,13 +654,24 @@ def test_dense_routines_match_oracles(spec):
         if dependent:
             coeffs = [draw(entries) for _ in range(n - 1)]
             a[-1] = [dot(coeffs, col) for col in zip(*a[:-1])] if n > 1 else [field.zero]
-        return a, [draw(entries) for _ in range(n)], dependent
+        # a singular twin of a: its first row scaled into the last
+        scale = draw(entries)
+        twin = a[:-1] + [[scale * v for v in a[0]]] if n > 1 else [[field.zero]]
+        return a, [draw(entries) for _ in range(n)], dependent, twin
+
+    # every qi determinant goes through Bareiss over Z[i]
+    gaussian_dets = []
+    original = linalg._bareiss_gaussian
+    monkeypatch.setattr(
+        linalg, "_bareiss_gaussian", lambda rows: gaussian_dets.append(len(rows)) or original(rows)
+    )
 
     @hypothesis.given(systems())
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
     def check(system):
-        a, x0, dependent = system
+        a, x0, dependent, twin = system
         n = len(a)
+        assert det(twin, field) == _det_permanent_style(twin, field) == field.zero
         d = det(a, field)
         assert d == _det_permanent_style(a, field)
         assert rank(a, field) == _rank_in_extension(a, field)
@@ -652,3 +688,4 @@ def test_dense_routines_match_oracles(spec):
             assert solve(a, b, field) is None
 
     check()
+    assert bool(gaussian_dets) == (field.kind == "qi")

@@ -18,7 +18,10 @@ from ulrich_forge import (
     random_homogeneous,
     sylvester_resultant,
 )
+from ulrich_forge import resultants
+from ulrich_forge.linalg import _CHECK_PRIME as P
 from ulrich_forge.resultants import (
+    _IMAGE_FIELD,
     TRANSVERSAL,
     _dense_squarefree,
     _random_change,
@@ -76,11 +79,13 @@ def test_squarefree_constants_and_zero(q):
         is_squarefree_univariate(Poly.zero(q, 1))
 
 
-@pytest.mark.parametrize("spec", ["fp:3", "fp:13", "fp:101", "q"])
-def test_squarefree_matches_sympy_sqf_list(spec):
+@pytest.mark.parametrize("spec", ["fp:3", "fp:13", "fp:101", "q", "qi"])
+def test_squarefree_matches_sympy_sqf_list(spec, monkeypatch):
     # products of random factors with multiplicities, and over fp of p-th
     # powers (whose derivative vanishes), against sympy's sqf_list; its
-    # Poly.is_sqf says True for x^13 mod 13, so multiplicities are read
+    # Poly.is_sqf says True for x^13 mod 13, so multiplicities are read.
+    # Over q and qi, multiples of P in numerators and denominators spoil
+    # the image mod P, so the exact Euclid runs too.
     hypothesis = pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     st = hypothesis.strategies
@@ -90,7 +95,10 @@ def test_squarefree_matches_sympy_sqf_list(spec):
         coefficient = st.integers(0, p - 1)
         unit = st.integers(1, p - 1)
     else:
-        coefficient = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+        rational = st.builds(
+            Fraction, st.integers(-9, 9) | st.sampled_from([P, -P]), st.integers(1, 5) | st.just(P)
+        )
+        coefficient = st.builds(field.scalar, rational, rational) if spec == "qi" else rational
         unit = coefficient.filter(bool)
     lower = st.lists(coefficient, min_size=1, max_size=3)
     factor = st.builds(lambda low, lead: [*low, lead], lower, unit)
@@ -104,6 +112,17 @@ def test_squarefree_matches_sympy_sqf_list(spec):
                 out[i + j] += a * b
         return [c % p for c in out] if p else out
 
+    def rational(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def exact(c):
+        return rational(c.a) + sympy.I * rational(c.b) if spec == "qi" else rational(c)
+
+    # the fields whose Euclid ran: the image mod P alone, or the exact one
+    routes = []
+    original = resultants._dense_squarefree
+    monkeypatch.setattr(resultants, "_dense_squarefree", lambda c, ar: routes.append(ar) or original(c, ar))
+
     @hypothesis.given(unit, powers, frobenius)
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
     def check(constant, factors, pth):
@@ -113,12 +132,38 @@ def test_squarefree_matches_sympy_sqf_list(spec):
                 coeffs = times(coeffs, g)
         f = Poly(field, 1, {(i,): c for i, c in enumerate(coeffs)})
         x = sympy.Symbol("x")
-        dense = [sympy.Rational(c.numerator, c.denominator) if not p else c for c in coeffs]
-        options = {"modulus": p} if p else {"domain": sympy.QQ}
+        dense = [exact(c) if not p else c for c in coeffs]
+        options = {"modulus": p} if p else {"domain": sympy.QQ_I if spec == "qi" else sympy.QQ}
         _, parts = sympy.Poly(dense[::-1], x, **options).sqf_list()
         assert is_squarefree_univariate(f) == all(k == 1 for _, k in parts)
 
     check()
+    if not p:
+        assert any(ar is _IMAGE_FIELD.arith for ar in routes)
+        assert any(ar is field.arith for ar in routes)
+
+
+def test_squarefree_image_mod_p_decides_only_when_it_proves(q, qi, monkeypatch):
+    routes = []
+    original = resultants._dense_squarefree
+    monkeypatch.setattr(resultants, "_dense_squarefree", lambda c, ar: routes.append(ar) or original(c, ar))
+    image = _IMAGE_FIELD.arith
+    cases = [
+        # a squarefree image of full degree decides alone
+        (q, {(2,): 1, (0,): -1}, True, [image]),
+        # the image x^2 is not squarefree, x^2 - P^2 is
+        (q, {(2,): 1, (0,): -P * P}, True, [image, q.arith]),
+        # the lead vanishes mod P, so the image has lost degree
+        (q, {(2,): P, (1,): 1}, True, [q.arith]),
+        # P divides a denominator: no image
+        (q, {(2,): Fraction(1, P), (0,): 1}, True, [q.arith]),
+        # (x + P*i)^2 goes to x^2 as well, and is a square
+        (qi, {(2,): 1, (1,): qi.scalar(0, 2 * P), (0,): -P * P}, False, [image, qi.arith]),
+    ]
+    for field, raw, expected, route in cases:
+        routes.clear()
+        assert is_squarefree_univariate(Poly(field, 1, raw)) is expected
+        assert routes == route
 
 
 def test_apply_linear_change_is_a_ring_map(f101):

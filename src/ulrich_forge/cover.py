@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .fields import ExtensionNeeded, sqrt_in_field
-from .linalg import solve
+from .fields import GAUSSIAN, ExtensionNeeded, sqrt_in_field
+from .linalg import _as_int_rows, _bareiss_gaussian, _rank_raw, solve
 from .poly import Poly, monomials_of_degree
 from .quadform import gram_from_poly, pencil_determinant
 
@@ -124,6 +124,39 @@ def check_branch_splitting(F1, r, l, m, a):
     return BranchSplit(F1=F1, r=r, l=l, m=m, a=a, witness=witness)
 
 
+def _split_rank(field, l, m, a):
+    """The exact rank of l*m + a^2, from the raw coefficient vectors of the linear forms.
+
+    Its Gram matrix G has 2G = l m^T + m l^T + 2 a a^T, of the same rank
+    (the characteristic is odd or zero), so no polynomial is formed.
+    Over qi the vectors are cleared of denominators first, l = l'/L_l and
+    so on, and the matrix 2 L_l L_m L_a^2 G of Gaussian integers
+    L_a^2 (l' m'^T + m' l'^T) + 2 L_l L_m a' a'^T goes to Bareiss over Z[i].
+    """
+    if field.kind == GAUSSIAN:
+        ([l], sl), ([m], sm), ([a], sa) = (_as_int_rows([v], gaussian=True) for v in (l, m, a))
+        s, t = sa * sa, 2 * sl * sm
+        # entry (j, k), with l_j = l0 + l1*i and so on, and l_k, m_k, a_k = u, v, w
+        rows = [
+            [
+                (
+                    s * (l0 * v0 - l1 * v1 + m0 * u0 - m1 * u1) + t * (a0 * w0 - a1 * w1),
+                    s * (l0 * v1 + l1 * v0 + m0 * u1 + m1 * u0) + t * (a0 * w1 + a1 * w0),
+                )
+                for (u0, u1), (v0, v1), (w0, w1) in zip(l, m, a)
+            ]
+            for (l0, l1), (m0, m1), (a0, a1) in zip(l, m, a)
+        ]
+        return _bareiss_gaussian(rows)[0]
+    ar = field.arith
+    add, mul, two = ar.add, ar.mul, ar.add(ar.one, ar.one)
+    rows = [
+        [add(add(mul(lj, mk), mul(mj, lk)), mul(two, mul(aj, ak))) for lk, mk, ak in zip(l, m, a)]
+        for lj, mj, aj in zip(l, m, a)
+    ]
+    return _rank_raw(rows, field)
+
+
 @dataclass
 class KeemCertificate:
     ok: bool
@@ -143,8 +176,10 @@ def keem_counterexample_certificate(field, trials=100, seed=0):
     Over the fixed genus-2 base quadric Q = x^2 + y^2 + z^2, the section
     r = xy + i*ty + zt has det(Gram(r) - alpha*Gram(Q)) equal to a
     nonzero constant, so every pencil member has full rank 4; any
-    lm + a^2 has rank at most 3.  Since r - (lm + a^2) would have to be
-    a scalar multiple of Q (an input fact, not recomputed here), no
+    lm + a^2 has rank at most 3, and each random witness's rank is
+    computed exactly, not assumed, from the Gram matrix its coefficient
+    vectors give (``_split_rank``).  Since r - (lm + a^2) would have to
+    be a scalar multiple of Q (an input fact, not recomputed here), no
     splitting exists.  The certificate carries each step as a named,
     re-checkable assertion.
     """
@@ -185,13 +220,11 @@ def keem_counterexample_certificate(field, trials=100, seed=0):
     )
 
     rng = random.Random(seed)
+    of = field.arith.of
     max_rank = 0
     for _ in range(trials):
-        l = Poly.linear_form(field, [field.random_scalar(rng) for _ in range(4)])
-        m = Poly.linear_form(field, [field.random_scalar(rng) for _ in range(4)])
-        a = Poly.linear_form(field, [field.random_scalar(rng) for _ in range(4)])
-        q = l * m + a * a
-        max_rank = max(max_rank, gram_from_poly(q).rank)
+        l, m, a = ([of(field.random_scalar(rng)) for _ in range(4)] for _ in range(3))
+        max_rank = max(max_rank, _split_rank(field, l, m, a))
     ok_rank = max_rank <= 3
     chain.append(
         {

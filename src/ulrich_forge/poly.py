@@ -275,8 +275,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square once the top bit is used
+                base = base * base
         return result
 
     # -- calculus and maps --------------------------------------------------

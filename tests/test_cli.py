@@ -507,6 +507,30 @@ def test_cover_keem(capsys):
     assert "square root of -1" in payload["error"]
 
 
+# sha256 of the ``cover keem-counterexample`` stdout per field, seed and
+# trial count; the witness ranks behind the "split-rank-bound" value are
+# exact, so these stay fixed however they are computed
+@pytest.mark.parametrize(
+    "field, seed, trials, expected",
+    [
+        ("qi", 0, 1, "25ed9988de9e6385c2223c867f4b395f587ad676d306d4def2203d1ff0c8929a"),
+        ("qi", 3, 20, "a38bd194d962d87f50e7c02cdb15fb9569e9862ed638fb93401e42ebdd00dcb8"),
+        ("qi", 11, 100, "15171047ef18bb85b68c6f2294bb31ed49f8edb4fb7fcf59f1adf8878698a1e0"),
+        ("fp:13", 0, 1, "393d04380744ede592657e10cd419c3b0fa6dd4027f9f80e34dee98fca0ff0ff"),
+        ("fp:13", 3, 20, "72d43aced66e76c823823c3e8aaab76773f59a12c32259fc142f545505c824d6"),
+        ("fp:13", 11, 100, "c8449025e0c0afbf7117f3420692042d34199c9d24452a6cb036fe8e1bc22b03"),
+        ("fp2:7", 0, 1, "ebdebb26de829b0d6c1405e50dcdd82b6ae657740f877748cc5e620de096f5e9"),
+        ("fp2:7", 3, 20, "d522324c7d6b0c1aacefdcc611c672c38fc24dec44005fc48cf7a5f39779f7b8"),
+        ("fp2:7", 11, 100, "3f8d7c77d405342daf7ea961cbc79dd95a1a511b009d0fc5c970b2e091d1365e"),
+    ],
+)
+def test_cover_keem_stdout_is_frozen(capsys, field, seed, trials, expected):
+    argv = ["cover", "keem-counterexample", "--field", field, "--seed", str(seed)]
+    assert main(argv + ["--max-trials", str(trials)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 def test_bad_field_is_usage_error(capsys):
     code, payload = _run(capsys, ["quad", "rank", "x^2", "--field", "fp:2"])
     assert code == 2

@@ -17,6 +17,8 @@ from ulrich_forge import (
     random_homogeneous,
     riemann_hurwitz,
 )
+from ulrich_forge.cover import _split_rank
+from ulrich_forge.quadform import gram_from_poly
 
 
 def test_riemann_hurwitz_table():
@@ -217,3 +219,25 @@ def test_keem_deterministic(qi):
     assert a.ok == b.ok
     assert a.pencil_determinant == b.pencil_determinant
     assert [l["value"] for l in a.chain] == [l["value"] for l in b.chain]
+
+
+@pytest.mark.parametrize("spec", ["fp:13", "fp2:7", "qi"])
+def test_split_rank_from_vectors_matches_the_gram_of_the_product(spec):
+    field = FieldSpec.parse(spec)
+    rng = random.Random(19)
+    zero = [field.zero] * 4
+    witnesses = []
+    for _ in range(60):
+        l, m, a = ([field.random_scalar(rng) for _ in range(4)] for _ in range(3))
+        c = field.random_nonzero_scalar(rng)
+        witnesses += [(l, m, a), (zero, m, a), (l, m, zero), (l, [c * v for v in l], a)]
+    # l = a and m = -a: l*m + a^2 is the zero form
+    witnesses += [(a, [-v for v in a], a) for _, _, a in witnesses[:5]] + [(zero, zero, zero)]
+    of = field.arith.of
+    ranks = set()
+    for l, m, a in witnesses:
+        lf, mf, af = (Poly.linear_form(field, v) for v in (l, m, a))
+        expected = gram_from_poly(lf * mf + af * af).rank
+        assert _split_rank(field, *([of(v) for v in w] for w in (l, m, a))) == expected
+        ranks.add(expected)
+    assert ranks == {0, 1, 2, 3}

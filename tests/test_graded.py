@@ -244,13 +244,24 @@ def _full_route(f):
     return SINGULAR, find_projective_zero(system, seed=0, trials=200), e
 
 
-def _square_rank(f):
-    """(prime rank, width) of the square Macaulay submatrix of the partials at the socle bound."""
+def _square_rank(f, order=None):
+    """(prime rank, width) of the square Macaulay submatrix of the partials at the socle bound.
+
+    The generator order is the library's unless ``order`` is given.
+    """
     e = f.nvars * (f.homogeneous_degree() - 2) + 1
     index = graded._column_index(f.nvars, e)
-    rows = graded._multiple_rows(jacobian_system(f), e, index, square=True)
+    order = graded._square_order(f) if order is None else order
+    rows = graded._multiple_rows(jacobian_system(f), e, index, order=order)
     assert len(rows) == len(index)
     return _prime_rank(rows, f.field), len(index)
+
+
+def _count_hilbert_calls(monkeypatch):
+    calls = []
+    full = graded.hilbert_value
+    monkeypatch.setattr(graded, "hilbert_value", lambda *args: calls.append(args) or full(*args))
+    return calls
 
 
 def _singular_plane_form(field, degree, rng, at_coordinate_point):
@@ -273,9 +284,7 @@ _SINGULAR_DEGREE_MAX = {"fp": 8, "fp2": 6, "q": 4, "qi": 4}
 @pytest.mark.parametrize("spec", ["fp:101", "fp:32003", "fp2:101", "q", "qi"])
 def test_square_route_agrees_with_the_full_hilbert_value(spec, monkeypatch):
     field = FieldSpec.parse(spec)
-    calls = []
-    full = graded.hilbert_value
-    monkeypatch.setattr(graded, "hilbert_value", lambda *args: calls.append(args) or full(*args))
+    calls = _count_hilbert_calls(monkeypatch)
     rng = random.Random(89)
     for degree in (4, 6, 8):
         smooth = random_homogeneous(field, 3, degree, rng, span=3)
@@ -312,9 +321,42 @@ def test_smooth_form_with_a_deficient_square_takes_the_full_route(spec, text, mo
     f = random_homogeneous(field, 3, 4, random.Random(41)) if text is None else parse_poly(text, field)
     square, width = _square_rank(f)
     assert square is not None and square < width
-    calls = []
-    full = graded.hilbert_value
-    monkeypatch.setattr(graded, "hilbert_value", lambda *args: calls.append(args) or full(*args))
+    calls = _count_hilbert_calls(monkeypatch)
     res = is_smooth_hypersurface(f)
     assert len(calls) == 1
     assert (res.verdict, res.witness, res.e_used) == (SMOOTH, None, 7) == _full_route(f)
+
+
+def test_square_order_puts_missing_pure_powers_last(q):
+    assert graded._square_order(parse_poly("x^4 + y^4 + z^4 + x*y*z^2", q)) == [0, 1, 2]
+    assert graded._square_order(parse_poly("x^3*y + y^4 + z^4", q)) == [1, 2, 0]
+    assert graded._square_order(parse_poly("x^4 + x*y^3 + z^4 + y*t^3", q, nvars=4)) == [0, 2, 1, 3]
+    # the Klein quartic has no pure power at all, so the order stays
+    assert graded._square_order(parse_poly("x^3*y + y^3*z + z^3*x", q)) == [0, 1, 2]
+
+
+def test_square_with_the_missing_pure_power_last_proves_smoothness(q, monkeypatch):
+    f = parse_poly("x^3*y + y^4 + z^4", q)
+    # with x^4 missing, the square in the variable order x, y, z falls short
+    assert _square_rank(f, order=[0, 1, 2]) == (32, 36)
+    assert _square_rank(f) == (36, 36)
+    calls = _count_hilbert_calls(monkeypatch)
+    res = is_smooth_hypersurface(f)
+    assert calls == []
+    assert (res.verdict, res.witness, res.e_used) == (SMOOTH, None, 7) == _full_route(f)
+
+
+def test_surface_missing_one_pure_power_is_proved_by_the_square(q, monkeypatch):
+    # seed 0 draws a coefficient-span-1 quartic surface without x^4
+    f = random_homogeneous(q, 4, 4, random.Random(0), span=1)
+    assert graded._square_order(f) == [1, 2, 3, 0]
+    assert _square_rank(f, order=[0, 1, 2, 3])[0] < 220
+    calls = _count_hilbert_calls(monkeypatch)
+    start = time.perf_counter()
+    res = is_smooth_hypersurface(f)
+    elapsed = time.perf_counter() - start
+    assert calls == []
+    assert (res.verdict, res.e_used) == (SMOOTH, 9)
+    assert elapsed < 0.5, f"quartic surface over q took {elapsed:.2f}s"
+    # independent check: the full Macaulay matrix at the socle bound
+    assert hilbert_value(jacobian_system(f), 9) == 0

@@ -339,6 +339,25 @@ def test_pow(q):
     assert p**3 == parse_poly("x^3 + 3*x^2*y + 3*x*y^2 + y^3", q)
 
 
+@pytest.mark.parametrize("spec", ["fp:101", "fp2:13", "q", "qi"])
+def test_pow_is_the_repeated_product_with_no_wasted_square(spec, monkeypatch):
+    field = FieldSpec.parse(spec)
+    p = random_homogeneous(field, 3, 1, random.Random(7)) + Poly.variable(field, 3, 2)
+    one = Poly.constant(field, 3, field.one)
+    products = [one]
+    for _ in range(9):
+        products.append(products[-1] * p)
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for n in range(10):
+        calls.clear()
+        assert p**n == products[n]
+        # square and multiply: one product per set bit and one square per
+        # bit below the top one, none after it
+        assert len(calls) == (n.bit_count() + n.bit_length() - 1 if n else 0)
+
+
 def test_evaluate_matches_naive():
     # forms of degree 0 to 6 (exponents above 2 go through powers), the
     # zero polynomial, mixed degrees, and points with int coordinates

@@ -252,6 +252,25 @@ def _clifford_image(pairs, start, quadric, source):
     return MatrixFactorization._from_pencil(size, pencil, quadric, source, squares=True)
 
 
+def _image_texts(pairs, start):
+    """The entries of sigma(U) as text, for the pairs and square root of ``_clifford_image``.
+
+    Each form and its negation are rendered once and placed at the
+    signed positions of U; every other entry is "0".  The texts are
+    those of ``MatrixFactorization.entries``, as no two variables share
+    a position.
+    """
+    square = start is not None
+    forms = [h for pair in pairs for h in pair] + ([start] if square else [])
+    size = 2 ** len(pairs)
+    grid = [["0"] * size for _ in range(size)]
+    for positions, form in zip(_generic_pencil(len(pairs), square), forms, strict=True):
+        texts = (str(form), str(-form))
+        for i, j, negated in positions:
+            grid[i][j] = texts[negated]
+    return grid
+
+
 def build_clifford_factorization(sop):
     """The factorization of sop.quadric: sigma(U) for its pairs, proved.
 

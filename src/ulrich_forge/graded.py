@@ -26,8 +26,8 @@ minor, so a full rank proves smoothness, while a deficiency decides
 nothing: the extraneous minor can vanish on a smooth F (no x_i^D term,
 say, or about 3 in p random forms over fp:p), and the prime can divide
 the minor over q and qi.  ``is_smooth_hypersurface`` therefore ranks
-the square submatrix first, through ``linalg._prime_rank`` only, and
-ranks the full matrix only when that falls short.
+the square submatrix first, in a prime field only, and ranks the full
+matrix only when that falls short.
 
 The order of the variables in that rule is chosen from F
 (``_square_order``): those whose pure power x_i^D is missing from F go
@@ -42,16 +42,24 @@ it is 0, 1, ..., n; on x^3*y + y^4 + z^4 over q it lifts the square
 from rank 32 to 36 of 36, and a quartic surface over q without x^4 is
 proved smooth by its square instead of the 336 x 220 full matrix.
 
-The Macaulay matrix is built from raw coefficients, its rank is exact
-in every field, and ``linalg._rank_raw`` finishes it in a prime field
-where it can: over q, a smooth F gives a full rank modulo a word-size
-prime, which already is the rational rank, so smoothness over q is
-certified there; only a singular F goes on to Bareiss elimination over
-the integers.  The columns are ordered by the reversed exponent tuple
-(the last variable's exponent first), which keeps the fill-in of the
-sparse elimination low: on a seeded octic over fp:32003 the square
-submatrix in this order takes under a third of the entry updates the
-full matrix takes in lex order.
+The rank of a Macaulay matrix is exact in every field and is finished
+in a prime field where it can: over q, a smooth F gives a full rank
+modulo a word-size prime, which already is the rational rank, so
+smoothness over q is certified there; only a singular F goes on to
+Bareiss elimination over the integers (``linalg._exact_rank``).  The
+rows for the prime field are built straight from residues: each
+generator's coefficients are mapped once by ``linalg._residue_rows``,
+and the row gamma * g is the sparse map from the columns of gamma * x^a
+to those residues, ranked by ``linalg._rank_mod_p``.  Monomials are
+coded as integers in base e + 1, so the code of gamma * x^a is the sum
+of the codes and its column is one dict lookup; the column map and the
+multipliers gamma are cached per shape (variables, degree e, generator
+degree, order), never per form.  The exact finish gets the dense raw
+rows of the same builder.  The columns are ordered by the reversed
+exponent tuple (the last variable's exponent first), which keeps the
+fill-in of the elimination low: on a seeded octic over fp:32003 the
+square submatrix in this order takes under a third of the entry updates
+the full matrix takes in lex order.
 """
 
 from __future__ import annotations
@@ -59,11 +67,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .fields import GAUSSIAN, RATIONAL
-from .linalg import _prime_rank, _rank_raw
-from .poly import Poly, monomial_mul, monomials_of_degree
+from .linalg import _CHECK_PRIME, _exact_rank, _rank_mod_p, _residue_rows
+from .poly import Poly, monomials_of_degree
 
 YES = "yes"
 NO = "no"
@@ -109,39 +118,99 @@ def graded_dimension(nvars, e):
     return comb(e + nvars - 1, nvars - 1)
 
 
-def _column_index(nvars, e):
-    """Column of each degree-e monomial, in increasing order of the reversed exponent tuple."""
-    # the reversed lex-descending list, each tuple reversed, is that order
-    return {m[::-1]: k for k, m in enumerate(reversed(monomials_of_degree(nvars, e)))}
+def _code(exps, base):
+    """The integer sum a_i * base^i of an exponent tuple a; base > every exponent."""
+    code = 0
+    for a in reversed(exps):
+        code = code * base + a
+    return code
 
 
-def _multiple_rows(system, e, index, order=None):
-    """Rows gamma * g of the Macaulay matrix in degree e, on the columns of ``index``.
+@lru_cache(maxsize=None)
+def _columns(nvars, e):
+    """The column of each degree-e monomial, keyed by its code in base e + 1.
 
+    Columns go in increasing order of the code, which is the order of
+    the reversed exponent tuple (the last variable's exponent first).
+    The product of two monomials whose degrees sum to e has the sum of
+    their codes as its code, so a column is found with one addition.
+    """
+    codes = sorted(_code(m, e + 1) for m in monomials_of_degree(nvars, e))
+    return {c: k for k, c in enumerate(codes)}
+
+
+@lru_cache(maxsize=None)
+def _multipliers(nvars, e, degree, earlier):
+    """The codes in base e + 1 of the degree-(e - degree) multipliers gamma.
+
+    Only those with gamma_j < degree for every j in ``earlier`` are kept.
+    """
+    return tuple(
+        _code(g, e + 1)
+        for g in monomials_of_degree(nvars, e - degree)
+        if all(g[j] < degree for j in earlier)
+    )
+
+
+def _macaulay_rows(system, e, values, order=None):
+    """Rows gamma * g of the Macaulay matrix in degree e, as sparse maps column -> value.
+
+    ``values`` holds each generator's (exponents, value) pairs: its raw
+    coefficients, or their residues (``_residue_values``).  The columns
+    are those of ``_columns``, and only the multipliers depend on the
+    generators' shape, so both come from caches keyed by the shape.
     With ``order``, a permutation of the generators, all of one degree d
     and generator j paired with variable j, the rows come generator by
     generator in that order, and the generator in place k keeps only the
     multiples with gamma_j < d for each j placed before it: the Macaulay
     submatrix with one row per column, once e is past the socle bound.
     """
-    gens = system.generators
-    width = len(index)
+    nvars, gens = system.nvars, system.generators
+    column = _columns(nvars, e)
     rows = []
     for k, i in enumerate(range(len(gens)) if order is None else order):
-        g = gens[i]
-        dg = g.homogeneous_degree()
-        if dg > e:
+        # generators are homogeneous, so any term gives the degree
+        degree = sum(next(iter(gens[i].raw)))
+        if degree > e:
             continue
-        earlier = () if order is None else order[:k]
-        items = list(g.raw.items())
-        for gamma in monomials_of_degree(system.nvars, e - dg):
-            if any(gamma[j] >= dg for j in earlier):
-                continue
-            row = [system.field.arith.zero] * width
-            for exps, coeff in items:
-                row[index[monomial_mul(gamma, exps)]] = coeff
-            rows.append(row)
+        earlier = () if order is None else tuple(sorted(order[:k]))
+        terms = [(_code(a, e + 1), v) for a, v in values[i]]
+        rows += [{column[g + c]: v for c, v in terms} for g in _multipliers(nvars, e, degree, earlier)]
     return rows
+
+
+def _residue_values(system):
+    """Each generator's (exponents, nonzero residue) pairs in the prime image, or None.
+
+    One ``linalg._residue_rows`` call maps every generator's
+    coefficients, so the Macaulay rows built from them are the image of
+    the raw rows; None when there is no image.
+    """
+    gens = system.generators
+    image = _residue_rows([list(g.raw.values()) for g in gens], system.field)
+    if image is None:
+        return None
+    return [
+        [(keys[j], v) for j, v in row.items()]
+        for keys, row in zip((list(g.raw) for g in gens), image)
+    ]
+
+
+def _prime_macaulay_rank(system, e, order=None):
+    """(rank, row count) of the image of the Macaulay rows in a prime field, or None.
+
+    The rows are those of ``_macaulay_rows`` (with ``order``, the
+    square submatrix) on residues, ranked by ``linalg._rank_mod_p``:
+    exact over fp and over fp2 in the subfield, a lower bound over q
+    and qi, where the prime is _CHECK_PRIME.  None without an image.
+    """
+    values = _residue_values(system)
+    if values is None:
+        return None
+    rows = _macaulay_rows(system, e, values, order)
+    count = len(rows)
+    p = system.field.p or _CHECK_PRIME
+    return _rank_mod_p(rows, p, graded_dimension(system.nvars, e)), count
 
 
 def _square_order(f):
@@ -160,11 +229,21 @@ def hilbert_value(system, e):
     """dim of degree-e forms modulo the ideal's degree-e piece (never negative)."""
     if e < 0:
         raise ValueError("degree must be nonnegative")
-    index = _column_index(system.nvars, e)
-    rows = _multiple_rows(system, e, index)
-    if not rows:
-        return len(index)
-    return len(index) - _rank_raw(rows, system.field)
+    width = graded_dimension(system.nvars, e)
+    field = system.field
+    image = _prime_macaulay_rank(system, e)
+    if image is not None:
+        rank, count = image
+        if field.p or rank == min(count, width):
+            return width - rank
+    rows = _macaulay_rows(system, e, [g.raw.items() for g in system])
+    zero, dense = field.arith.zero, []
+    for row in rows:
+        line = [zero] * width
+        for c, v in row.items():
+            line[c] = v
+        dense.append(line)
+    return width - _exact_rank(dense, field)
 
 
 @dataclass
@@ -302,9 +381,8 @@ def is_smooth_hypersurface(f, e_max=None, seed=0):
         witness = find_projective_zero(system, seed=seed, trials=200)
         return SmoothnessResult(SINGULAR, witness=witness)
     if e_used >= bound:
-        index = _column_index(f.nvars, e_used)
-        square = _multiple_rows(system, e_used, index, order=_square_order(f))
-        if _prime_rank(square, f.field) == len(index):
+        image = _prime_macaulay_rank(system, e_used, order=_square_order(f))
+        if image is not None and image[0] == graded_dimension(f.nvars, e_used):
             return SmoothnessResult(SMOOTH, e_used=e_used)
     value = hilbert_value(system, e_used)
     if value == 0:

@@ -2,16 +2,21 @@
 
 Four elimination routines do all the work:
 
-- ``_rank_mod_p``, sparse elimination mod a prime, takes every rank it
-  can finish in a prime field: fp matrices, fp2 and qi matrices whose
-  entries lie in the subfield (rank does not change under a field
+- ``_rank_mod_p``, elimination mod a prime on packed rows, takes every
+  rank it can finish in a prime field: fp matrices, fp2 and qi matrices
+  whose entries lie in the subfield (rank does not change under a field
   extension), and the first try over q and qi, whose rows are reduced
   mod the word-size prime _CHECK_PRIME (i goes to a square root of -1
   there).  A nonzero minor mod the prime lifts, so a full rank mod the
-  prime is the exact rank.  Macaulay matrices are mostly zero, so rows
-  are dicts and pivots are chosen to limit fill-in.  ``_residue_rows``
-  alone maps raw rows to their residues; ``resultants`` reads the
-  image of a coefficient list through it too.
+  prime is the exact rank.  Rows come in as sparse dicts of residues,
+  and each is packed into one integer, a slot of 64-bit words per
+  column from its leading column on, so a row update is one
+  multiply-add of integers, reduced mod p only when the row becomes a
+  pivot (delayed reduction, as in Dumas-Fousse-Salvy 2011).  The
+  pivot of each column is the row that ends first, which limits
+  fill-in.  ``_residue_rows`` alone maps raw rows to their residues;
+  ``resultants`` reads the image of a coefficient list through it, and
+  ``graded`` the images of the generators of a Macaulay matrix.
 - ``_bareiss``, fraction-free elimination on denominator-cleared integer
   rows, gives q determinants and the q ranks the prime cannot settle
   (rank deficient mod the prime, or a denominator divisible by it); it
@@ -37,11 +42,12 @@ in a prime field through ``_rank_mod_p``: exact over fp and for fp2
 matrices in the subfield, a lower bound over q and qi (mod
 _CHECK_PRIME), and None without a prime image (a genuine fp2 matrix, or
 a denominator divisible by the prime).  Only when that answer is not
-exact and not full does it go on to Bareiss over Z (q, and qi in the
-subfield), over Z[i] (genuine qi) or ``_eliminate`` (genuine fp2).  A
-caller that only needs a proof of full rank, as the square Macaulay
-check of ``graded`` does, calls ``_prime_rank`` alone.  All results are
-exact; nothing here is approximate.
+exact and not full does ``_exact_rank`` go on to Bareiss over Z (q, and
+qi in the subfield), over Z[i] (genuine qi) or ``_eliminate`` (genuine
+fp2).  ``graded`` builds the residue rows of its Macaulay matrices
+itself and calls ``_rank_mod_p`` directly, then ``_exact_rank`` on the
+raw rows when the prime leaves the rank open.  All results are exact;
+nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
+from struct import pack, unpack
 
 from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, RATIONAL, raw_parts, sqrt_mod_p
 from .poly import Poly
@@ -57,6 +64,9 @@ from .poly import Poly
 # so i maps to the square root _I of -1 there.
 _CHECK_PRIME = 2**31 - 19
 _I = sqrt_mod_p(-1, _CHECK_PRIME)
+
+# the packed rows of _rank_mod_p are read and written as 64-bit words
+_WORD = 2**64 - 1
 
 
 def _scaled(x, scale):
@@ -155,18 +165,58 @@ def _bareiss_gaussian(rows):
 
 
 def _rank_mod_p(rows, p, width):
-    """Rank of sparse rows mod p; each row maps column -> nonzero residue.
+    """Rank of sparse rows mod p; each row maps column -> residue in [1, p).
 
-    Rows are bucketed by leading column and the columns are visited in
-    increasing order from a heap.  Each bucket pivots on its shortest
-    row, which keeps fill-in low, and the other rows of the bucket are
-    reduced by it and moved to the bucket of their new leading column.
-    Stops once the rank reaches ``width``.  The rows are consumed.
+    Each row is packed into one integer: slot j, of w 64-bit words,
+    holds its entry in column lead + j, where lead is the row's leading
+    column.  Rows are bucketed by leading column and the columns are
+    visited in increasing order from a heap.  Each bucket pivots on its
+    smallest integer, the row that ends first, which keeps fill-in low.
+    The pivot is reduced mod p and scaled to lead p - 1 = -1 once, and
+    every other row r of the bucket becomes (r + f * pivot) >> slot for
+    f its lead mod p, with no reduction: the lead slot is then a
+    multiple of p and is shifted out.  A row is updated at most once per
+    column and each update adds f * v < p^2 to a slot, so no slot
+    exceeds p + width * (p - 1)^2, and w is taken to hold that.  A slot
+    that is a nonzero multiple of p is never a lead: when one comes
+    first, the whole row is reduced, which clears it.  Stops once the
+    rank reaches ``width``.  The rows are consumed.
     """
+    words = -(-(p + width * (p - 1) ** 2).bit_length() // 64)
+    slot = 64 * words
+    mask = (1 << slot) - 1
+
+    def reduced(x, t):
+        # every slot of x times t, reduced mod p, through the list of x's 64-bit words
+        if x <= mask:
+            return x * t % p
+        n = -(-x.bit_length() // slot) * words
+        flat = list(unpack(f"<{n}Q", x.to_bytes(8 * n, "little")))
+        values = flat[::words]
+        for k in range(1, words):
+            values = [v | h << 64 * k for v, h in zip(values, flat[k::words])]
+        values = [v * t % p for v in values]
+        flat = [0] * n
+        if p > _WORD:
+            for k in range(words):
+                flat[k::words] = [v >> 64 * k & _WORD for v in values]
+        else:
+            # a residue fits in the low word of its slot
+            flat[::words] = values
+        return int.from_bytes(pack(f"<{n}Q", *flat), "little")
+
     buckets = {}
     for row in rows:
         if row:
-            buckets.setdefault(min(row), []).append(row)
+            lead = min(row)
+            x = 0
+            for k, v in row.items():
+                x |= v << slot * (k - lead)
+            bucket = buckets.get(lead)
+            if bucket is None:
+                buckets[lead] = [x]
+            else:
+                bucket.append(x)
     heap = list(buckets)
     heapify(heap)
     rank = 0
@@ -178,29 +228,30 @@ def _rank_mod_p(rows, p, width):
             break
         if len(bucket) == 1:
             continue
-        pivot = min(bucket, key=len)
-        # the pivot scaled to lead -1, so row + row[col] * pivot clears col
-        inv = pow(pivot[col], p - 2, p)
-        scaled = [(k, (p - v) * inv % p) for k, v in pivot.items()]
-        for row in bucket:
-            if row is pivot:
-                continue
-            f = row[col]
-            get = row.get
-            for k, v in scaled:
-                x = (get(k, 0) + f * v) % p
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
-            if row:
-                lead = min(row)
-                target = buckets.get(lead)
-                if target is None:
-                    buckets[lead] = [row]
-                    heappush(heap, lead)
-                else:
-                    target.append(row)
+        pivot = min(bucket)
+        bucket.remove(pivot)
+        # the pivot scaled to lead -1, so r + f * pivot clears the lead slot
+        pivot = reduced(pivot, p - pow(pivot & mask, -1, p))
+        for r in bucket:
+            x = (r + (r & mask) % p * pivot) >> slot
+            lead = col + 1
+            while x:
+                v = x & mask
+                if not v:
+                    # skip the zero slots at once
+                    z = ((x & -x).bit_length() - 1) // slot
+                    x >>= slot * z
+                    lead += z
+                    v = x & mask
+                if v % p:
+                    target = buckets.get(lead)
+                    if target is None:
+                        buckets[lead] = [x]
+                        heappush(heap, lead)
+                    else:
+                        target.append(x)
+                    break
+                x = reduced(x, 1)
     return rank
 
 
@@ -301,9 +352,8 @@ def _rank_raw(rows, field):
     """Rank of a matrix of raw entries; the rows are not changed.
 
     ``_prime_rank`` goes first.  Its answer stands when it is exact (fp,
-    and fp2 entries in the subfield) or full; otherwise Bareiss over Z
-    (q, and qi in the subfield), Bareiss over Z[i] (genuine qi) or dense
-    elimination (genuine fp2) decides.  Ragged rows raise ValueError.
+    and fp2 entries in the subfield) or full; otherwise ``_exact_rank``
+    decides.  Ragged rows raise ValueError.
     """
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
@@ -313,8 +363,19 @@ def _rank_raw(rows, field):
     r = _prime_rank(rows, field)
     if r is not None and (field.p or r == min(len(rows), width)):
         return r
+    return _exact_rank(rows, field)
+
+
+def _exact_rank(rows, field):
+    """Rank of raw rows by exact elimination, for ranks the prime image leaves open.
+
+    Bareiss over Z (q, and qi in the subfield), Bareiss over Z[i]
+    (genuine qi) or dense elimination (fp and fp2); the rows are not
+    changed.
+    """
+    width = len(rows[0]) if rows else 0
     kind = field.kind
-    if kind == PRIME_QUADRATIC:
+    if field.p:
         return len(_eliminate([list(row) for row in rows], field.arith, width)[0])
     if kind == GAUSSIAN:
         if any(v[1] for row in rows for v in row):

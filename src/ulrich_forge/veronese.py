@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .clifford import _clifford_image
+from .clifford import _clifford_image, _image_texts
 from .graded import (
     NO,
     SMOOTH,
@@ -260,7 +260,7 @@ def ulrich_presentation(F, decomp=None):
         ulrich_rank=mf.ulrich_rank,
         secant_index=decomp.secant_index,
         summand_count=decomp.k,
-        entries=[[str(e) for e in row] for row in mf.entries],
+        entries=_image_texts(pairs, start),
     )
     return mf, report
 

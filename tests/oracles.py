@@ -7,6 +7,7 @@ from math import comb
 
 from ulrich_forge import DeterminantCertificate, Poly, monomials_of_degree
 from ulrich_forge.linalg import _rank_raw, det
+from ulrich_forge.poly import monomial_mul
 
 
 def poly_det_cofactor(rows):
@@ -167,3 +168,31 @@ def is_ulrich_presentation(entries, F, d):
         cover_module_hilbert_value(entries, F, d, t) == s * comb(t + n, n)
         for t in range(2 * d + 2)
     )
+
+
+def macaulay_rows(system, e, order=None):
+    """Dense raw rows gamma * g of the Macaulay matrix in degree e, through ``monomial_mul``.
+
+    Columns go in increasing order of the reversed exponent tuple.  With
+    ``order`` the generator in place k keeps only the multiples with
+    gamma_j < d for each j placed before it (Macaulay's square
+    submatrix, for generators all of degree d).
+    """
+    columns = sorted(monomials_of_degree(system.nvars, e), key=lambda m: m[::-1])
+    index = {m: k for k, m in enumerate(columns)}
+    gens = system.generators
+    rows = []
+    for k, i in enumerate(range(len(gens)) if order is None else order):
+        g = gens[i]
+        dg = g.homogeneous_degree()
+        if dg > e:
+            continue
+        earlier = () if order is None else order[:k]
+        for gamma in monomials_of_degree(system.nvars, e - dg):
+            if any(gamma[j] >= dg for j in earlier):
+                continue
+            row = [system.field.arith.zero] * len(index)
+            for exps, coeff in g.raw.items():
+                row[index[monomial_mul(gamma, exps)]] = coeff
+            rows.append(row)
+    return rows

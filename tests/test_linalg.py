@@ -624,6 +624,130 @@ def test_sparse_kernel_matches_dense_reference():
     check()
 
 
+# -- the packed mod-p kernel against sympy -----------------------------------
+
+_KERNEL_PRIMES = (7, 101, 32003, P)
+
+
+def _sympy_rank_mod_p(rows, p, width):
+    """Rank of sparse residue rows by sympy's ``DomainMatrix`` over GF(p)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    domain = sympy.GF(p)
+    entries = {i: {j: domain(v) for j, v in row.items()} for i, row in enumerate(rows) if row}
+    return DomainMatrix(entries, (len(rows), width), domain).rank()
+
+
+def _kernel_rank(rows, p, width):
+    """``_rank_mod_p`` on copies, after checking that the rows are canonical residues."""
+    assert all(type(v) is int and 0 < v < p and 0 <= j < width for row in rows for j, v in row.items())
+    return _rank_mod_p([dict(row) for row in rows], p, width)
+
+
+def _growth_rows(p, width):
+    """Rows under which the last row is updated at every column, always by f * v = (p - 1)^2.
+
+    Row c < width - 1 is e_c + e_last, the pivot of column c; scaled to
+    lead -1 both its entries are p - 1.  The row L has every lead p - 1,
+    so each update adds (p - 1)^2 to its last slot, which ends at
+    width - 1 + (width - 1) * (p - 1)^2 before any reduction, the growth
+    bound the slot width is taken from.  L = -(sum of the other rows), so
+    its residues all vanish and the rank is width - 1; a slot too narrow
+    for the sum leaves a nonzero residue behind.
+    """
+    last = width - 1
+    assert last % p
+    rows = [{**{k: p - 1 for k in range(last)}, last: -last % p}]
+    rows += [{c: 1, last: 1} for c in range(last)]
+    return rows
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+def test_rank_kernel_worst_case_growth_matches_sympy(p):
+    for width in (2, 5, 40, 250):
+        rows = _growth_rows(p, width)
+        assert _kernel_rank(rows, p, width) == _sympy_rank_mod_p(rows, p, width) == width - 1
+    # two-word slots: the last slot's sum passes 2^64 mod the check prime
+    assert 249 * (P - 1) ** 2 > 2**64 > 249 * (32003 - 1) ** 2
+
+
+def _low_rank_rows(rng, p, m, n, density):
+    """Residue rows of an m x n product (m x k)(k x n), k drawn up to min(m, n)."""
+    k = rng.randint(0, min(m, n))
+    left = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+    right = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(n)] for _ in range(k)]
+    rows = []
+    for row in left:
+        values = [sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] if k else [0] * n
+        rows.append({j: v for j, v in enumerate(values) if v})
+    return rows
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+def test_rank_kernel_matches_sympy_on_dependent_rows(p):
+    rng = random.Random(p)
+    for m, n, density in ((3, 3, 1.0), (12, 9, 0.5), (30, 30, 0.3), (45, 60, 0.15), (70, 40, 0.6)):
+        rows = _low_rank_rows(rng, p, m, n, density)
+        # rows that vanish: duplicates, multiples and a zero row
+        rows += [dict(rows[0]), {j: v * 3 % p for j, v in rows[-1].items()}, {}]
+        rng.shuffle(rows)
+        assert _kernel_rank(rows, p, n) == _sympy_rank_mod_p(rows, p, n)
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+def test_rank_kernel_skips_slots_that_are_multiples_of_p(p):
+    # with pivot e_0 + e_1 + e_2 (scaled: p - 1 in each slot) the update
+    # of e_0 + e_1 + e_3 leaves p, a nonzero multiple of p, in column 1
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 3: 1}, {2: 1, 3: 1}, {0: 1, 1: 1, 3: 1}]
+    assert _kernel_rank(rows, p, 4) == _sympy_rank_mod_p(rows, p, 4) == 3
+    # every slot of a duplicate becomes a nonzero multiple of p, and the row vanishes
+    row = {j: p - 1 - j for j in range(6)}
+    rows = [row, dict(row), {0: 1}, dict(row)]
+    assert _kernel_rank(rows, p, 6) == _sympy_rank_mod_p(rows, p, 6) == 2
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+def test_rank_kernel_stops_at_the_width(p):
+    rng = random.Random(3 * p)
+    for width in (1, 4, 50):
+        # full column rank and more rows than columns: the rank stops at the width
+        rows = [{j: rng.randrange(1, p)} for j in range(width)]
+        rows += _low_rank_rows(rng, p, 2 * width, width, 0.7)
+        rng.shuffle(rows)
+        assert _kernel_rank(rows, p, width) == _sympy_rank_mod_p(rows, p, width) == width
+
+
+def test_rank_kernel_receives_canonical_residues(monkeypatch):
+    from ulrich_forge import graded, is_smooth_hypersurface, random_homogeneous
+
+    seen = set()
+
+    def checking(rows, p, width):
+        assert all(
+            type(v) is int and 0 < v < p and type(j) is int and 0 <= j < width
+            for row in rows
+            for j, v in row.items()
+        )
+        seen.add(p)
+        return original(rows, p, width)
+
+    original = linalg._rank_mod_p
+    monkeypatch.setattr(linalg, "_rank_mod_p", checking)
+    monkeypatch.setattr(graded, "_rank_mod_p", checking)
+    rng = random.Random(5)
+    for spec in ("fp:7", "fp:101", "fp2:13", "q", "qi"):
+        field = FieldSpec.parse(spec)
+        # fp2 forms in the subfield have a prime image; random ones do not
+        base = FieldSpec.prime(field.p) if field.kind == "fp2" else field
+        for degree in (3, 4):
+            form = parse_poly(str(random_homogeneous(base, 3, degree, rng, span=3)), field)
+            is_smooth_hypersurface(form)
+        rows = [[field.random_scalar(rng, 4) for _ in range(5)] for _ in range(4)]
+        rank(rows + rows[:2], field)
+    assert seen == {7, 101, 13, P}
+
+
 @pytest.mark.parametrize("spec", ["q", "qi", "fp:13", "fp2:13"])
 def test_dense_routines_match_oracles(spec, monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")

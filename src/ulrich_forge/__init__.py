@@ -61,7 +61,6 @@ from .veronese import (
     RankBounds,
     VeroneseMap,
     decompose_form,
-    induction_rank,
     lift_form,
     normalize_plane_decomposition,
     rank_bounds,

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .fields import GAUSSIAN, ExtensionNeeded, sqrt_in_field
-from .linalg import _as_int_rows, _bareiss_gaussian, _rank_raw, solve
+from .linalg import _as_int_rows, _bareiss_quadratic, _rank_raw, solve
 from .poly import Poly, monomials_of_degree
 from .quadform import gram_from_poly, pencil_determinant
 
@@ -147,7 +147,7 @@ def _split_rank(field, l, m, a):
             ]
             for (l0, l1), (m0, m1), (a0, a1) in zip(l, m, a)
         ]
-        return _bareiss_gaussian(rows)[0]
+        return _bareiss_quadratic(rows, -1)[0]
     ar = field.arith
     add, mul, two = ar.add, ar.mul, ar.add(ar.one, ar.one)
     rows = [

@@ -26,7 +26,7 @@ minor, so a full rank proves smoothness, while a deficiency decides
 nothing: the extraneous minor can vanish on a smooth F (no x_i^D term,
 say, or about 3 in p random forms over fp:p), and the prime can divide
 the minor over q and qi.  ``is_smooth_hypersurface`` therefore ranks
-the square submatrix first, in a prime field only, and ranks the full
+the square submatrix first, over a finite field only, and ranks the full
 matrix only when that falls short.
 
 The order of the variables in that rule is chosen from F
@@ -43,16 +43,17 @@ from rank 32 to 36 of 36, and a quartic surface over q without x^4 is
 proved smooth by its square instead of the 336 x 220 full matrix.
 
 The rank of a Macaulay matrix is exact in every field and is finished
-in a prime field where it can: over q, a smooth F gives a full rank
-modulo a word-size prime, which already is the rational rank, so
-smoothness over q is certified there; only a singular F goes on to
-Bareiss elimination over the integers (``linalg._exact_rank``).  The
-rows for the prime field are built straight from residues: each
-generator's coefficients are mapped once by ``linalg._residue_rows``,
-and the row gamma * g is the sparse map from the columns of gamma * x^a
-to those residues, ranked by ``linalg._rank_mod_p``.  Monomials are
-coded as integers in base e + 1, so the code of gamma * x^a is the sum
-of the codes and its column is one dict lookup; the column map and the
+over a finite field where it can: always over fp and fp2, and over q a
+smooth F gives a full rank modulo a word-size prime, which already is
+the rational rank, so smoothness over q is certified there; only a
+singular F goes on to Bareiss elimination over the integers
+(``linalg._exact_rank``).  The image rows are built straight from
+residues: each generator's coefficients are mapped once by
+``linalg._residue_rows``, and the row gamma * g is the sparse map from
+the columns of gamma * x^a to those images, ranked (over fp2 off the
+subfield, realified) by ``linalg._image_rank``.  Monomials are coded as
+integers in base e + 1, so the code of gamma * x^a is the sum of the
+codes and its column is one dict lookup; the column map and the
 multipliers gamma are cached per shape (variables, degree e, generator
 degree, order), never per form.  The exact finish gets the dense raw
 rows of the same builder.  The columns are ordered by the reversed
@@ -71,7 +72,7 @@ from functools import lru_cache
 from math import comb
 
 from .fields import GAUSSIAN, RATIONAL
-from .linalg import _CHECK_PRIME, _exact_rank, _rank_mod_p, _residue_rows
+from .linalg import _exact_rank, _image_rank, _residue_rows
 from .poly import Poly, monomials_of_degree
 
 YES = "yes"
@@ -180,11 +181,11 @@ def _macaulay_rows(system, e, values, order=None):
 
 
 def _residue_values(system):
-    """Each generator's (exponents, nonzero residue) pairs in the prime image, or None.
+    """Each generator's (exponents, nonzero image) pairs over a finite field, or None.
 
     One ``linalg._residue_rows`` call maps every generator's
     coefficients, so the Macaulay rows built from them are the image of
-    the raw rows; None when there is no image.
+    the raw rows; None when a denominator is divisible by the prime.
     """
     gens = system.generators
     image = _residue_rows([list(g.raw.values()) for g in gens], system.field)
@@ -197,11 +198,11 @@ def _residue_values(system):
 
 
 def _prime_macaulay_rank(system, e, order=None):
-    """(rank, row count) of the image of the Macaulay rows in a prime field, or None.
+    """(rank, row count) of the image of the Macaulay rows over a finite field, or None.
 
     The rows are those of ``_macaulay_rows`` (with ``order``, the
-    square submatrix) on residues, ranked by ``linalg._rank_mod_p``:
-    exact over fp and over fp2 in the subfield, a lower bound over q
+    square submatrix) on the images of ``_residue_values``, ranked by
+    ``linalg._image_rank``: exact over fp and fp2, a lower bound over q
     and qi, where the prime is _CHECK_PRIME.  None without an image.
     """
     values = _residue_values(system)
@@ -209,8 +210,7 @@ def _prime_macaulay_rank(system, e, order=None):
         return None
     rows = _macaulay_rows(system, e, values, order)
     count = len(rows)
-    p = system.field.p or _CHECK_PRIME
-    return _rank_mod_p(rows, p, graded_dimension(system.nvars, e)), count
+    return _image_rank(rows, system.field, graded_dimension(system.nvars, e)), count
 
 
 def _square_order(f):
@@ -348,14 +348,13 @@ def is_smooth_hypersurface(f, e_max=None, seed=0):
     smooth or inconclusive.
 
     From the socle bound on, with all n+1 partials present, the square
-    Macaulay submatrix is ranked first in a prime field: a full rank
+    Macaulay submatrix is ranked first over a finite field: a full rank
     there proves the Hilbert value 0, as any full-rank subset of the
     rows does, and so proves smoothness.  The variables whose pure power
     x_i^D is missing from f go last in the square's order: its
     extraneous minor holds no multiple of the last partial, so a missing
     pure power there cannot make it vanish.  A deficiency decides nothing
-    (the extraneous minor, or over q and qi the prime, may be to blame),
-    and neither does a genuine fp2 matrix, which has no prime image;
+    (the extraneous minor, or over q and qi the prime, may be to blame);
     then the full Macaulay matrix decides, as ``hilbert_value``.
     """
     if f.is_zero or not f.is_homogeneous():

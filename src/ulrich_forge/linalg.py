@@ -3,58 +3,52 @@
 Four elimination routines do all the work:
 
 - ``_rank_mod_p``, elimination mod a prime on packed rows, takes every
-  rank it can finish in a prime field: fp matrices, fp2 and qi matrices
-  whose entries lie in the subfield (rank does not change under a field
-  extension), and the first try over q and qi, whose rows are reduced
-  mod the word-size prime _CHECK_PRIME (i goes to a square root of -1
-  there).  A nonzero minor mod the prime lifts, so a full rank mod the
-  prime is the exact rank.  Rows come in as sparse dicts of residues,
-  and each is packed into one integer, a slot of 64-bit words per
-  column from its leading column on, so a row update is one
-  multiply-add of integers, reduced mod p only when the row becomes a
-  pivot (delayed reduction, as in Dumas-Fousse-Salvy 2011).  The
-  pivot of each column is the row that ends first, which limits
-  fill-in.  ``_residue_rows`` alone maps raw rows to their residues;
-  ``resultants`` reads the image of a coefficient list through it, and
-  ``graded`` the images of the generators of a Macaulay matrix.
+  fp and fp2 rank, and the first try over q and qi, whose rows are
+  reduced mod the word-size prime _CHECK_PRIME (i goes to a square root
+  of -1 there); a nonzero minor mod the prime lifts, so a full rank mod
+  the prime is the exact rank.  Each sparse row of residues is packed
+  into one integer, a slot of 64-bit words per column from its leading
+  column on, so a row update is one multiply-add of integers, reduced
+  mod p only when the row becomes a pivot (delayed reduction, as in
+  Dumas-Fousse-Salvy 2011); the pivot of each column is the row that
+  ends first, which limits fill-in.  ``_residue_rows`` alone maps raw
+  rows to their images (``resultants`` and ``graded`` read theirs
+  through it), and ``_image_rank`` alone ranks them: an fp2 matrix off
+  the subfield F_p is realified there, ranked over F_p at twice the size.
 - ``_bareiss``, fraction-free elimination on denominator-cleared integer
   rows, gives q determinants and the q ranks the prime cannot settle
   (rank deficient mod the prime, or a denominator divisible by it); it
   keeps intermediate entries at minor size instead of letting Fraction
-  reduction thrash.  It also takes every polynomial determinant, in
-  every field: ``poly_matrix_det`` packs each polynomial entry into one
-  integer by Kronecker substitution and reads the determinant back from
-  the digits of the integer one.
-- ``_bareiss_gaussian``, the same elimination over the Gaussian
-  integers Z[i] on rows of integer pairs, gives qi determinants and the
-  ranks of genuine qi matrices that the prime cannot settle.
-- ``_eliminate``, dense Gaussian elimination on raw entries (residues,
-  residue pairs, Fractions or Fraction pairs), does the rest: the
-  determinant over fp and fp2 (and the point determinants of
-  ``clifford``'s sampled certificate, in every field), the rank of a
-  genuine fp2 matrix, and ``solve`` and ``invert`` in every field,
-  through Gauss-Jordan, on ``field.arith``.
+  reduction thrash.  ``poly_matrix_det`` packs each polynomial entry
+  into an integer by Kronecker substitution and takes the determinant
+  over fp and q here.
+- ``_bareiss_quadratic``, the same elimination over Z[sqrt(nu)] on rows
+  of integer pairs, serves qi and fp2 (nu = -1, or the lifted
+  nonresidue): qi determinants, the qi ranks that the prime cannot
+  settle, and the polynomial determinants over qi and fp2.
+- ``_eliminate``, dense Gaussian elimination on raw entries, ranks
+  nothing: it gives the determinant over fp and fp2 (and the point
+  determinants of ``clifford``'s sampled certificate, in every field),
+  and ``solve`` and ``invert`` in every field, through Gauss-Jordan, on
+  ``field.arith``.
 
 Ranks run on raw rows in ``_rank_raw``: Gram records and Macaulay
 matrices pass theirs directly, and ``rank`` unwraps scalar rows once.
-``_rank_raw`` first asks ``_prime_rank`` for the rank of the rows' image
-in a prime field through ``_rank_mod_p``: exact over fp and for fp2
-matrices in the subfield, a lower bound over q and qi (mod
-_CHECK_PRIME), and None without a prime image (a genuine fp2 matrix, or
-a denominator divisible by the prime).  Only when that answer is not
-exact and not full does ``_exact_rank`` go on to Bareiss over Z (q, and
-qi in the subfield), over Z[i] (genuine qi) or ``_eliminate`` (genuine
-fp2).  ``graded`` builds the residue rows of its Macaulay matrices
-itself and calls ``_rank_mod_p`` directly, then ``_exact_rank`` on the
-raw rows when the prime leaves the rank open.  All results are exact;
-nothing here is approximate.
+``_prime_rank`` gives the rank of the rows' image: exact over fp and
+fp2, a lower bound over q and qi, and None when a denominator is
+divisible by _CHECK_PRIME.  Only when that answer is not exact and not
+full does ``_exact_rank`` go on to Bareiss over Z (q) or over Z[i]
+(qi).  ``graded`` builds the image rows of its Macaulay matrices itself,
+ranks them through ``_image_rank``, and calls ``_exact_rank`` when the
+prime leaves the rank open.  All results are exact; nothing here is
+approximate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import isqrt, lcm
 from struct import pack, unpack
 
 from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, RATIONAL, raw_parts, sqrt_mod_p
@@ -125,20 +119,20 @@ def _bareiss(rows):
     return rank, sign * prev
 
 
-def _bareiss_gaussian(rows):
-    """``_bareiss`` over Z[i], on rows of integer pairs (a, b) for a + b*i.
+def _bareiss_quadratic(rows, nu):
+    """``_bareiss`` over Z[sqrt(nu)], on rows of integer pairs (a, b) for a + b*sqrt(nu).
 
-    The pivoting and the update are those of ``_bareiss``, so again
-    (rank, signed last pivot) comes back, the pivot as a pair.  Each
-    update is divisible by the previous pivot q in Z[i], and it is
-    divided as x * conj(q) / N(q), where the norm N(q) = q * conj(q)
-    divides both integer parts exactly.
+    nu is not a square (-1 for qi; for fp2 the lifted nonresidue, a
+    prime), so Z[sqrt(nu)] is a domain and each Bareiss division is
+    exact: an update x is divided by the previous pivot q as
+    x * conj(q) / N(q), with the norm N(q) = a^2 - nu*b^2.  Products are
+    (ac + nu*bd, ad + bc); the pivot comes back as a pair.
     """
     rows = [row[:] for row in rows]
     m = len(rows)
     n = len(rows[0]) if m else 0
     rank, sign = 0, 1
-    qa, qb, norm = 1, 0, 1  # the previous pivot qa + qb*i and its norm
+    qa, qb, norm = 1, 0, 1  # the previous pivot qa + qb*sqrt(nu) and its norm
     for col in range(n):
         if rank == m:
             break
@@ -155,11 +149,11 @@ def _bareiss_gaussian(rows):
             fa, fb = ri[col]
             # (p*u - f*v) for the pivot p and the row's lead f
             update = [
-                (pa * ua - pb * ub - fa * va + fb * vb, pa * ub + pb * ua - fa * vb - fb * va)
+                (pa * ua - fa * va + nu * (pb * ub - fb * vb), pa * ub + pb * ua - fa * vb - fb * va)
                 for (ua, ub), (va, vb) in zip(ri[col:], top[col:])
             ]
-            ri[col:] = [((x * qa + y * qb) // norm, (y * qa - x * qb) // norm) for x, y in update]
-        qa, qb, norm = pa, pb, pa * pa + pb * pb
+            ri[col:] = [((x * qa - nu * y * qb) // norm, (y * qa - x * qb) // norm) for x, y in update]
+        qa, qb, norm = pa, pb, pa * pa - nu * pb * pb
         rank += 1
     return rank, (sign * qa, sign * qb)
 
@@ -292,20 +286,20 @@ def _eliminate(rows, ar, ncols, reduced=False):
 
 
 def _residue_rows(rows, field):
-    """The image of raw rows in a prime field, as sparse rows column -> nonzero residue; or None.
+    """The image of raw rows over a finite field, as sparse rows column -> nonzero value; or None.
 
     Over fp the entries are their own residues, and so are fp2 entries
-    in the subfield.  Over q and qi the image is mod _CHECK_PRIME:
-    n/d goes to n * d^-1, and a + b*i to a + b*_I in the same pass.
-    None when there is no image: a genuine fp2 entry, or a denominator
-    divisible by _CHECK_PRIME.
+    if all lie in the subfield; otherwise fp2 rows keep residue pairs.
+    Over q and qi the image is mod _CHECK_PRIME: n/d goes to n * d^-1,
+    and a + b*i to a + b*_I in the same pass.  None only when a
+    denominator is divisible by _CHECK_PRIME.
     """
     kind = field.kind
     if kind == PRIME:
         return [{j: v for j, v in enumerate(row) if v} for row in rows]
     if kind == PRIME_QUADRATIC:
         if any(v[1] for row in rows for v in row):
-            return None
+            return [{j: v for j, v in enumerate(row) if v[0] or v[1]} for row in rows]
         return [{j: v[0] for j, v in enumerate(row) if v[0]} for row in rows]
     p, inverses = _CHECK_PRIME, {1: 1}
 
@@ -328,32 +322,54 @@ def _residue_rows(rows, field):
         return None
 
 
+def _image_rank(rows, field, width):
+    """Rank of the image rows of ``_residue_rows`` by ``_rank_mod_p``; the rows are consumed.
+
+    Rows of fp2 residue pairs (an fp2 matrix off the subfield; the first
+    value tells) are realified: with w*w = nu, a row r gives the F_p rows
+    of r and of w*r, w*(a + b*w) = nu*b + a*w, the parts of column j in
+    columns 2j and 2j + 1; their F_p rank is twice the rank over F_{p^2}.
+    """
+    p = field.p or _CHECK_PRIME
+    if type(next((v for row in rows for v in row.values()), 0)) is tuple:
+        nu, real = field.nu, []
+        for row in rows:
+            r, wr = {}, {}
+            for j, (a, b) in row.items():
+                if a:
+                    r[2 * j] = wr[2 * j + 1] = a
+                if b:
+                    r[2 * j + 1], wr[2 * j] = b, nu * b % p
+            real += (r, wr)
+        return _rank_mod_p(real, p, 2 * width) // 2
+    return _rank_mod_p(rows, p, width)
+
+
 def rank(rows, field):
     """Rank of a matrix given as a list of scalar rows; see ``_rank_raw``."""
     return _rank_raw([list(map(field.arith.of, row)) for row in rows], field)
 
 
 def _prime_rank(rows, field):
-    """Rank of the image of raw rows in a prime field, or None; the rows are not changed.
+    """Rank of the image of raw rows over a finite field, or None; the rows are not changed.
 
-    Over fp, and over fp2 when every entry lies in the subfield (rank
-    does not change under a field extension), this is the exact rank.
-    Over q and qi the rows are reduced mod _CHECK_PRIME, with i sent to
-    a square root _I of -1 there, and the rank can only drop: the answer
-    is a lower bound, exact when it is full.  None when there is no
-    prime image (see ``_residue_rows``).
+    Over fp and fp2 this is the exact rank.  Over q and qi the rows are
+    reduced mod _CHECK_PRIME, with i sent to a square root _I of -1
+    there, and the rank can only drop: the answer is a lower bound,
+    exact when it is full.  None when a denominator is divisible by the
+    prime (see ``_residue_rows``).
     """
     width = len(rows[0]) if rows else 0
     sparse = _residue_rows(rows, field)
-    return None if sparse is None else _rank_mod_p(sparse, field.p or _CHECK_PRIME, width)
+    return None if sparse is None else _image_rank(sparse, field, width)
 
 
 def _rank_raw(rows, field):
     """Rank of a matrix of raw entries; the rows are not changed.
 
-    ``_prime_rank`` goes first.  Its answer stands when it is exact (fp,
-    and fp2 entries in the subfield) or full; otherwise ``_exact_rank``
-    decides.  Ragged rows raise ValueError.
+    ``_prime_rank`` goes first.  Its answer stands when it is exact (fp
+    and fp2) or full; otherwise ``_exact_rank`` decides.  Ragged rows
+    raise ValueError.
     """
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
@@ -367,20 +383,12 @@ def _rank_raw(rows, field):
 
 
 def _exact_rank(rows, field):
-    """Rank of raw rows by exact elimination, for ranks the prime image leaves open.
+    """Rank of q or qi raw rows by Bareiss over Z or Z[i], for ranks the prime image leaves open.
 
-    Bareiss over Z (q, and qi in the subfield), Bareiss over Z[i]
-    (genuine qi) or dense elimination (fp and fp2); the rows are not
-    changed.
+    The rows are not changed.
     """
-    width = len(rows[0]) if rows else 0
-    kind = field.kind
-    if field.p:
-        return len(_eliminate([list(row) for row in rows], field.arith, width)[0])
-    if kind == GAUSSIAN:
-        if any(v[1] for row in rows for v in row):
-            return _bareiss_gaussian(_as_int_rows(rows, gaussian=True)[0])[0]
-        rows = [[v[0] for v in row] for row in rows]
+    if field.kind == GAUSSIAN:
+        return _bareiss_quadratic(_as_int_rows(rows, gaussian=True)[0], -1)[0]
     return _bareiss(_as_int_rows(rows)[0])[0]
 
 
@@ -399,7 +407,7 @@ def det(rows, field):
         return field.scalar(Fraction(value, scale) if full == n else 0)
     if field.kind == GAUSSIAN:
         int_rows, scale = _as_int_rows(rows, gaussian=True)
-        full, (a, b) = _bareiss_gaussian(int_rows)
+        full, (a, b) = _bareiss_quadratic(int_rows, -1)
         return field.scalar(Fraction(a, scale), Fraction(b, scale)) if full == n else field.zero
     return ar.box(_det_raw(rows, ar))
 
@@ -482,13 +490,14 @@ def transpose(a):
 def poly_matrix_det(rows):
     """Determinant of a square matrix of polynomials, by Kronecker substitution.
 
-    The entries are packed into integers, ``_bareiss`` takes the integer
-    determinant, and its base-2**k digits are read back as coefficients.
-    It backs the Keem pencil determinant and ``sylvester_resultant``,
-    and with it every transversality certificate.  The packing is dense
-    in every variable that occurs, so the integers grow with the product
-    of the degree bounds; over fp2 and qi the generator is one more
-    variable, of degree up to the size of the matrix.
+    Each entry is packed into one integer, over fp2 and qi each of its
+    two components by itself; ``_bareiss``, or over fp2 and qi
+    ``_bareiss_quadratic`` on the pairs, takes the determinant, whose
+    base-2**k digits are read back as coefficients.  It backs the Keem
+    pencil determinant and ``sylvester_resultant``, and with it every
+    transversality certificate.  The packing is dense in every variable
+    that occurs, so the integers grow with the product of the degree
+    bounds.
     """
     n = len(rows)
     if n == 0:
@@ -498,12 +507,13 @@ def poly_matrix_det(rows):
     field, nvars = rows[0][0].field, rows[0][0].nvars
     if any(e.field is not field or e.nvars != nvars for row in rows for e in row):
         raise ValueError("polynomial matrix over mixed rings")
-    p = field.p
-    # Pack: every coefficient a + b*g becomes integer terms, with the
-    # generator g (w over fp2, i over qi) as one more variable, last.
-    # Residues are lifted to (-p/2, p/2]; over q and qi each row is
-    # cleared of denominators, which multiplies the determinant by its
-    # scale.
+    p, two = field.p, field.kind in (GAUSSIAN, PRIME_QUADRATIC)
+    nu = field.nu if field.kind == PRIME_QUADRATIC else -1
+    # Lift: every coefficient a + b*g (w over fp2, i over qi) becomes the
+    # integer terms (exps, 0, a) and (exps, 1, b), for a + b*sqrt(nu) in
+    # Z[sqrt(nu)], nu = g*g lifted.  Residues are lifted to (-p/2, p/2];
+    # over q and qi each row is cleared of denominators, which multiplies
+    # the determinant by its scale.
     int_rows, scale = [], 1
     for row in rows:
         row_parts = [[(exps, raw_parts(field, v)) for exps, v in e.raw.items()] for e in row]
@@ -514,7 +524,7 @@ def poly_matrix_det(rows):
         int_rows.append(
             [
                 [
-                    (exps + (t,), (x - p if 2 * x > p else x) if p else int(x * row_scale))
+                    (exps, t, (x - p if 2 * x > p else x) if p else int(x * row_scale))
                     for exps, ab in terms
                     for t, x in enumerate(ab)
                     if x
@@ -524,21 +534,23 @@ def poly_matrix_det(rows):
         )
     # det = sum over permutations of +-prod a_{i,sigma(i)}, so its degree
     # in each variable is at most the sum over rows of the row's largest
-    # degree, and, the L1 norm of coefficients being submultiplicative,
-    # its every coefficient is at most B = prod over rows of the summed
-    # L1 norms of the row's entries.  Both bounds hold for columns too,
-    # as det(A) = det(A^T); the smaller one is taken.  With
-    # x_j -> 2**(k*s_j) for the mixed-radix strides s_j of the degree
-    # bounds and 2**(k-1) > B, distinct monomials land on distinct
-    # base-2**k digits and each balanced digit is one coefficient.
+    # degree, and, the norm |a| + r*|b| of a + b*sqrt(nu), r = ceil(sqrt(|nu|)),
+    # summed over the coefficients being submultiplicative, both parts of
+    # its every coefficient are at most B = prod over rows of the summed
+    # norms of the row's entries.  Both bounds hold for columns too, as
+    # det(A) = det(A^T); the smaller one is taken.  With x_j -> 2**(k*s_j)
+    # for the mixed-radix strides s_j of the degree bounds and 2**(k-1) > B,
+    # distinct monomials land on distinct base-2**k digits and each
+    # balanced digit is one coefficient.
+    weights = (1, isqrt(abs(nu) - 1) + 1)
 
     def line_bounds(lines):
-        degrees, bound = [0] * (nvars + 1), 1
+        degrees, bound = [0] * nvars, 1
         for line in lines:
             line_terms = [term for terms in line for term in terms]
-            for j in range(nvars + 1):
-                degrees[j] += max((exps[j] for exps, _ in line_terms), default=0)
-            bound *= sum(abs(c) for _, c in line_terms)
+            for j in range(nvars):
+                degrees[j] += max((exps[j] for exps, _, _ in line_terms), default=0)
+            bound *= sum(weights[t] * abs(c) for _, t, c in line_terms)
         return degrees, bound
 
     (by_rows, row_bound), (by_cols, col_bound) = map(line_bounds, (int_rows, zip(*int_rows)))
@@ -551,35 +563,35 @@ def poly_matrix_det(rows):
         strides.append(stride)
         stride *= d + 1
 
-    def pack(terms):
-        return sum(c << k * sum(x * s for x, s in zip(exps, strides)) for exps, c in terms)
+    def pack(terms, part):
+        return sum(c << k * sum(x * s for x, s in zip(exps, strides)) for exps, t, c in terms if t == part)
 
-    full, value = _bareiss([[pack(terms) for terms in row] for row in int_rows])
+    if two:
+        full, values = _bareiss_quadratic([[(pack(e, 0), pack(e, 1)) for e in row] for row in int_rows], nu)
+    else:
+        full, *values = _bareiss([[pack(e, 0) for e in row] for row in int_rows])
     if full < n:
         return Poly.zero(field, nvars)
-    # Unpack: balanced digits, then g*g = nu over fp2 and i*i = -1 over qi.
-    square = field.nu if field.kind == PRIME_QUADRATIC else -1
+    # Unpack: the balanced digits of each component.
     radix = [(j, strides[j], d + 1) for j, d in enumerate(degrees) if d]
-    acc = {}
-    position, half, base = 0, 1 << (k - 1), 1 << k
-    while value:
-        c = value & (base - 1)
-        if c >= half:
-            c -= base
-        value = (value - c) >> k
-        if c:
-            exps = [0] * (nvars + 1)
-            for j, s, r in radix:
-                exps[j] = position // s % r
-            t = exps.pop()
-            pair = acc.setdefault(tuple(exps), [0, 0])
-            pair[t & 1] += c * square ** (t >> 1)
-        position += 1
-    two, zero = field.kind in (GAUSSIAN, PRIME_QUADRATIC), field.arith.zero
+    acc, half, base = {}, 1 << (k - 1), 1 << k
+    for t, value in enumerate(values):
+        position = 0
+        while value:
+            c = value & (base - 1)
+            if c >= half:
+                c -= base
+            value = (value - c) >> k
+            if c:
+                exps = [0] * nvars
+                for j, s, r in radix:
+                    exps[j] = position // s % r
+                acc.setdefault(tuple(exps), [0, 0])[t] = c
+            position += 1
     raw = {}
     for exps, (a, b) in acc.items():
         c = (a % p, b % p) if p else (Fraction(a, scale), Fraction(b, scale))
         c = c if two else c[0]
-        if c != zero:
+        if c != field.arith.zero:
             raw[exps] = c
     return Poly._make(field, nvars, raw)

@@ -49,10 +49,6 @@ def monomials_of_degree(nvars, d):
     return out
 
 
-def monomial_mul(e1, e2):
-    return tuple(a + b for a, b in zip(e1, e2))
-
-
 def term_key(exps):
     """Sort key putting graded-lex largest terms first under reverse=True."""
     return (sum(exps), exps)
@@ -465,10 +461,11 @@ def _variable_index(name, nvars):
 
 
 def infer_nvars(text):
-    """Smallest arity covering the variables appearing in the text."""
-    best = 0
+    """Smallest arity covering the variables outside the text's parenthesized coefficients."""
+    best, scalar = 0, False
     for kind, value in _tokenize(text):
-        if kind != "name":
+        scalar = value == "(" or scalar and value != ")"
+        if kind != "name" or scalar:
             continue
         m = re.fullmatch(r"x(\d+)", value)
         if m:

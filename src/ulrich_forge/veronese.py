@@ -453,15 +453,3 @@ def normalize_plane_decomposition(F, decomp, seed=0, max_trials=20):
     )
     return out
 
-
-def induction_rank(n, base_rank):
-    """Rank after inducting a base-curve bundle up to dimension n.
-
-    One doubling per dimension: base_rank * 2^(n-1).  Integers are
-    arbitrary precision, so the product is always exact.
-    """
-    if not isinstance(n, int) or not isinstance(base_rank, int):
-        raise TypeError("arguments must be integers")
-    if n < 2 or base_rank < 1:
-        raise ValueError("need n >= 2 and base_rank >= 1")
-    return base_rank * 2 ** (n - 1)

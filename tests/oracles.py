@@ -7,7 +7,6 @@ from math import comb
 
 from ulrich_forge import DeterminantCertificate, Poly, monomials_of_degree
 from ulrich_forge.linalg import _rank_raw, det
-from ulrich_forge.poly import monomial_mul
 
 
 def poly_det_cofactor(rows):
@@ -22,6 +21,23 @@ def poly_det_cofactor(rows):
         term = rows[0][j] * poly_det_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def rank_in_extension(rows, field):
+    """Dense Gaussian elimination on scalars, the reference for fp2 and qi rank."""
+    rows = [list(row) for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inv
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
 
 
 def clifford_entries(pairs, start=None):
@@ -168,6 +184,10 @@ def is_ulrich_presentation(entries, F, d):
         cover_module_hilbert_value(entries, F, d, t) == s * comb(t + n, n)
         for t in range(2 * d + 2)
     )
+
+
+def monomial_mul(e1, e2):
+    return tuple(a + b for a, b in zip(e1, e2))
 
 
 def macaulay_rows(system, e, order=None):

@@ -466,6 +466,14 @@ def test_smooth_check_verdicts(capsys):
     assert payload["result"]["witness"] == ["0", "1", "0"]
 
 
+def test_smooth_check_reads_an_fp2_coefficient_as_a_scalar(capsys):
+    # the w inside (1+w) is the generator of fp2, not a fifth variable
+    code, payload = _run(capsys, ["smooth", "check", "(1+w)*x^4 + y^4 + z^4", "--field", "fp2:13"])
+    assert code == 0
+    assert payload["config"]["nvars"] == 3
+    assert payload["result"]["verdict"] == "smooth"
+
+
 def test_cover_rh(capsys):
     code, payload = _run(capsys, ["cover", "rh", "--h", "2", "--d", "5"])
     assert code == 0

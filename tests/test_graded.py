@@ -26,7 +26,7 @@ from ulrich_forge.graded import INCONCLUSIVE, NO, SINGULAR, SMOOTH, YES, find_pr
 from ulrich_forge.linalg import _CHECK_PRIME, _prime_rank, _residue_rows
 from ulrich_forge.poly import monomials_of_degree
 
-from oracles import macaulay_rows
+from oracles import macaulay_rows, rank_in_extension
 
 
 def _monomial_quotient_count(gens, nvars, e):
@@ -278,9 +278,10 @@ def _singular_plane_form(field, degree, rng, at_coordinate_point):
 
 
 # Largest degree of the singular forms per field kind: a singular matrix
-# is ranked in full, by elimination on pairs over fp2 and exactly over q
-# and qi (Bareiss over Z and Z[i]), which takes seconds past these degrees.
-_SINGULAR_DEGREE_MAX = {"fp": 8, "fp2": 6, "q": 4, "qi": 4}
+# is ranked in full, mod p over fp and fp2 (realified over fp2) but
+# exactly over q and qi (Bareiss over Z and Z[i]), which takes seconds
+# past degree 4.
+_SINGULAR_DEGREE_MAX = {"fp": 8, "fp2": 8, "q": 4, "qi": 4}
 
 
 @pytest.mark.parametrize("spec", ["fp:101", "fp:32003", "fp2:101", "q", "qi"])
@@ -291,9 +292,10 @@ def test_square_route_agrees_with_the_full_hilbert_value(spec, monkeypatch):
     for degree in (4, 6, 8):
         smooth = random_homogeneous(field, 3, degree, rng, span=3)
         if field.kind == "fp2":
-            # genuine w coefficients: the square has no prime image, so the full route runs
+            # genuine w coefficients: the realified square proves the form smooth
             assert any(c.b for c in smooth.terms.values())
-            assert _square_rank(smooth)[0] is None
+            square, width = _square_rank(smooth)
+            assert square == width
         forms = [(SMOOTH, False, smooth)]
         if degree <= _SINGULAR_DEGREE_MAX[field.kind]:
             forms += [(SINGULAR, at, _singular_plane_form(field, degree, rng, at)) for at in (True, False)]
@@ -399,10 +401,16 @@ def test_macaulay_rows_match_the_dense_builder(spec, nvars):
             values = graded._residue_values(system)
             assert values is not None
             assert graded._macaulay_rows(system, e, values, order) == _residue_rows(dense, field)
-    # no image: a genuine fp2 coefficient, or a denominator divisible by P
-    if field.kind != "fp":
-        unit = field.scalar(0, 1) if field.kind == "fp2" else field.scalar(Fraction(1, _CHECK_PRIME))
-        bad = x * x * unit
+    if field.kind == "fp2":
+        # a genuine w coefficient has an image, ranked realified: the dense rank
+        system = GradedSystem([x * x * field.scalar(0, 1) + y * y, x * z])
+        dense = macaulay_rows(system, 3)
+        expected = rank_in_extension([[field.arith.box(v) for v in row] for row in dense], field)
+        assert graded._prime_macaulay_rank(system, 3) == (expected, len(dense))
+        assert _prime_rank(dense, field) == expected
+    elif field.kind != "fp":
+        # no image: a denominator divisible by P
+        bad = x * x * field.scalar(Fraction(1, _CHECK_PRIME))
         system = GradedSystem([bad + y * y, x * z])
         assert graded._residue_values(system) is None
         assert _residue_rows(macaulay_rows(system, 3), field) is None

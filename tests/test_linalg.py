@@ -27,7 +27,7 @@ from ulrich_forge.linalg import (
     transpose,
 )
 
-from oracles import poly_det_cofactor
+from oracles import poly_det_cofactor, rank_in_extension
 
 
 def identity(field, n):
@@ -277,7 +277,9 @@ def test_poly_matrix_det_commutes_with_evaluation():
         assert symbolic.evaluate(point) == det(values, f13)
 
 
-@pytest.mark.parametrize("spec", ["fp:3", "fp:101", "fp:2147483629", "fp2:3", "fp2:7", "q", "qi"])
+@pytest.mark.parametrize(
+    "spec", ["fp:3", "fp:101", "fp:2147483629", "fp2:3", "fp2:7", "fp2:23", "fp2:2147483647", "q", "qi"]
+)
 def test_poly_matrix_det_matches_cofactor_expansion(spec):
     # Kronecker substitution into Bareiss against the cofactor expansion:
     # residues near p/2 and negative coefficients exercise the balanced
@@ -346,23 +348,6 @@ def _dense_rank_mod_p(rows, p):
         for i in range(r + 1, len(rows)):
             f = rows[i][c] * inv % p
             rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
-
-
-def _rank_in_extension(rows, field):
-    """Dense Gaussian elimination on scalars, the reference for fp2 and qi rank."""
-    rows = [list(row) for row in rows]
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c] * inv
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         r += 1
     return r
 
@@ -440,7 +425,7 @@ def test_rank_descends_to_the_subfield():
             ]
             rows += rows[:1]
             embedded = [[ext.embed(c) for c in row] for row in rows]
-            assert rank(embedded, ext) == rank(rows, base) == _rank_in_extension(embedded, ext)
+            assert rank(embedded, ext) == rank(rows, base) == rank_in_extension(embedded, ext)
 
 
 def test_rank_of_mixed_extension_matrices_is_unchanged():
@@ -454,16 +439,16 @@ def test_rank_of_mixed_extension_matrices_is_unchanged():
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             rows = _random_matrix(ext, rng, m, n)
             rows[0][0] = ext.scalar(1, 1)
-            assert rank(rows, ext) == _rank_in_extension(rows, ext)
+            assert rank(rows, ext) == rank_in_extension(rows, ext)
 
 
 def test_rank_over_qi_finishes_mod_p_when_full(qi, monkeypatch):
     calls = []
-    original = linalg._bareiss_gaussian
-    monkeypatch.setattr(linalg, "_bareiss_gaussian", lambda rows: calls.append(rows) or original(rows))
+    original = linalg._bareiss_quadratic
+    monkeypatch.setattr(linalg, "_bareiss_quadratic", lambda rows, nu: calls.append(rows) or original(rows, nu))
     rng = random.Random(81)
     rows = _random_matrix(qi, rng, 9, 6)
-    assert rank(rows, qi) == 6 == _rank_in_extension(rows, qi)
+    assert rank(rows, qi) == 6 == rank_in_extension(rows, qi)
     assert calls == []
 
 
@@ -471,8 +456,8 @@ def test_rank_over_qi_falls_back_to_exact_elimination(qi, monkeypatch):
     s = linalg._I
     assert s * s % P == P - 1
     calls = []
-    original = linalg._bareiss_gaussian
-    monkeypatch.setattr(linalg, "_bareiss_gaussian", lambda rows: calls.append(rows) or original(rows))
+    original = linalg._bareiss_quadratic
+    monkeypatch.setattr(linalg, "_bareiss_quadratic", lambda rows, nu: calls.append(rows) or original(rows, nu))
     # i - s vanishes mod P, so only the exact elimination over Z[i] sees the full rank
     assert rank([[qi.one, qi.zero], [qi.zero, qi.scalar(-s, 1)]], qi) == 2
     assert len(calls) == 1
@@ -551,6 +536,9 @@ def test_prime_rank_against_sympy_domain_matrix(spec, monkeypatch):
             return QQ(x.numerator, x.denominator)
 
         if pairs and any(v[1] for row in rows for v in row):
+            if p:
+                # sympy has no GF(p^2): the scalar dense reference decides
+                return rank_in_extension([[ar.box(v) for v in row] for row in rows], field)
             domain, entries = QQ_I, [[QQ_I(qq(a), qq(b)) for a, b in row] for row in rows]
         else:
             real = [[v[0] for v in row] for row in rows] if pairs else rows
@@ -560,14 +548,15 @@ def test_prime_rank_against_sympy_domain_matrix(spec, monkeypatch):
 
     # the genuine qi ranks the prime image leaves open reach Bareiss over Z[i]
     gaussian_ranks = []
-    original = linalg._bareiss_gaussian
+    original = linalg._bareiss_quadratic
 
-    def counted(rows):
-        out = original(rows)
+    def counted(rows, nu):
+        assert nu == -1
+        out = original(rows, nu)
         gaussian_ranks.append(out[0])
         return out
 
-    monkeypatch.setattr(linalg, "_bareiss_gaussian", counted)
+    monkeypatch.setattr(linalg, "_bareiss_quadratic", counted)
 
     @hypothesis.given(matrices(), st.data())
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
@@ -575,9 +564,6 @@ def test_prime_rank_against_sympy_domain_matrix(spec, monkeypatch):
         before = [list(row) for row in rows]
         r = _prime_rank(rows, field)
         assert rows == before
-        if field.kind == "fp2" and any(v[1] for row in rows for v in row):
-            assert r is None
-            return
         exact = exact_rank(rows)
         assert _rank_raw(rows, field) == exact
         if p:
@@ -719,7 +705,7 @@ def test_rank_kernel_stops_at_the_width(p):
 
 
 def test_rank_kernel_receives_canonical_residues(monkeypatch):
-    from ulrich_forge import graded, is_smooth_hypersurface, random_homogeneous
+    from ulrich_forge import is_smooth_hypersurface, random_homogeneous
 
     seen = set()
 
@@ -733,16 +719,17 @@ def test_rank_kernel_receives_canonical_residues(monkeypatch):
         return original(rows, p, width)
 
     original = linalg._rank_mod_p
+    # graded ranks its Macaulay matrices through linalg._image_rank, so this sees them too
     monkeypatch.setattr(linalg, "_rank_mod_p", checking)
-    monkeypatch.setattr(graded, "_rank_mod_p", checking)
     rng = random.Random(5)
     for spec in ("fp:7", "fp:101", "fp2:13", "q", "qi"):
         field = FieldSpec.parse(spec)
-        # fp2 forms in the subfield have a prime image; random ones do not
-        base = FieldSpec.prime(field.p) if field.kind == "fp2" else field
-        for degree in (3, 4):
-            form = parse_poly(str(random_homogeneous(base, 3, degree, rng, span=3)), field)
-            is_smooth_hypersurface(form)
+        # fp2 forms in the subfield are ranked over fp, genuine ones realified
+        bases = (FieldSpec.prime(field.p), field) if field.kind == "fp2" else (field,)
+        for base in bases:
+            for degree in (3, 4):
+                form = parse_poly(str(random_homogeneous(base, 3, degree, rng, span=3)), field)
+                is_smooth_hypersurface(form)
         rows = [[field.random_scalar(rng, 4) for _ in range(5)] for _ in range(4)]
         rank(rows + rows[:2], field)
     assert seen == {7, 101, 13, P}
@@ -785,9 +772,9 @@ def test_dense_routines_match_oracles(spec, monkeypatch):
 
     # every qi determinant goes through Bareiss over Z[i]
     gaussian_dets = []
-    original = linalg._bareiss_gaussian
+    original = linalg._bareiss_quadratic
     monkeypatch.setattr(
-        linalg, "_bareiss_gaussian", lambda rows: gaussian_dets.append(len(rows)) or original(rows)
+        linalg, "_bareiss_quadratic", lambda rows, nu: gaussian_dets.append(len(rows)) or original(rows, nu)
     )
 
     @hypothesis.given(systems())
@@ -798,7 +785,7 @@ def test_dense_routines_match_oracles(spec, monkeypatch):
         assert det(twin, field) == _det_permanent_style(twin, field) == field.zero
         d = det(a, field)
         assert d == _det_permanent_style(a, field)
-        assert rank(a, field) == _rank_in_extension(a, field)
+        assert rank(a, field) == rank_in_extension(a, field)
         if d:
             assert mat_mul(invert(a, field), a, field) == identity(field, n)
         else:

@@ -119,6 +119,38 @@ def test_parse_of_printed_polynomial_is_the_polynomial(spec):
     check()
 
 
+@pytest.mark.parametrize("spec", ["q", "qi", "fp:13", "fp2:13"])
+def test_parse_without_nvars_reads_the_arity_of_the_printed_polynomial(spec):
+    # the w of an fp2 coefficient, inside its parentheses, is no variable;
+    # with nvars 5 the alias w is the last variable as well
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    field = FieldSpec.parse(spec)
+    if field.characteristic:
+        part = st.integers(-field.p, field.p)
+    else:
+        part = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+    extension = field.kind in ("fp2", "qi")
+    scalars = st.builds(field.scalar, part, part if extension else st.just(0))
+
+    @st.composite
+    def polys(draw):
+        nvars = draw(st.integers(1, 5))
+        exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+        terms = draw(st.dictionaries(exponents, scalars, max_size=4))
+        # one term in the last variable, so the arity is nvars
+        last = draw(st.tuples(*[st.integers(0, 3)] * (nvars - 1), st.integers(1, 3)))
+        terms[last] = draw(scalars.filter(bool))
+        return Poly(field, nvars, terms)
+
+    @hypothesis.given(polys())
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    def check(p):
+        assert parse_poly(str(p), field) == p
+
+    check()
+
+
 def test_constructors_read_fractions_as_the_parser_does():
     f7 = FieldSpec.prime(7)
     assert Poly(f7, 1, {(1,): Fraction(1, 2)}).coefficient((1,)) == f7.from_int(4)

@@ -14,7 +14,6 @@ from ulrich_forge import (
     Poly,
     VeroneseMap,
     decompose_form,
-    induction_rank,
     is_smooth_hypersurface,
     lift_form,
     normalize_plane_decomposition,
@@ -360,13 +359,10 @@ def test_achieved_rank_matches_factorization_random(f101):
         checked += 1
 
 
-def test_conic_route_matches_induction_rank(f13):
-    # a plane conic handled directly or through one induction step: the
-    # direct route gives the rank-one bundle whose induction doubles it
+def test_conic_route_gives_the_rank_one_bundle(f13):
     F = parse_poly("x^2 + y^2 + z^2", f13)
     mf, _ = ulrich_presentation(F)
     assert mf.ulrich_rank == 1
-    assert induction_rank(2, mf.ulrich_rank) == 2
 
 
 def test_normalize_plane_decomposition_success(f13):
@@ -497,19 +493,6 @@ def test_normalize_deterministic(f13):
     assert [(str(l), str(m)) for l, m in a.summands] == [
         (str(l), str(m)) for l, m in b.summands
     ]
-
-
-def test_induction_rank_values_and_guards():
-    assert induction_rank(2, 1) == 2
-    assert induction_rank(3, 2) == 8
-    assert induction_rank(4, 2) == 16
-    assert induction_rank(10, 3) == 3 * 2**9
-    with pytest.raises(TypeError):
-        induction_rank(2.0, 1)
-    with pytest.raises(ValueError):
-        induction_rank(1, 1)
-    with pytest.raises(ValueError):
-        induction_rank(2, 0)
 
 
 def _perturbed(entries, i, j, extra):

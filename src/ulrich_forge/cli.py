@@ -25,7 +25,7 @@ from .cover import (
 )
 from .fields import ExtensionNeeded, FieldSpec
 from .graded import SMOOTH, GradedSystem, hilbert_value, is_smooth_hypersurface
-from .poly import infer_nvars, parse_poly
+from .poly import Poly, infer_nvars, parse_poly
 from .quadform import diagonalize, gram_from_poly, pencil_determinant, sum_of_products
 from .resultants import certify_transversal
 from .veronese import (
@@ -39,7 +39,7 @@ from .veronese import (
 )
 
 
-def _read_poly_texts(args, expected=None, minimum=None, floor_nvars=1):
+def _read_poly_texts(args, expected=None, minimum=None):
     """Collect polynomial sources from --file lines and positionals."""
     texts = []
     if getattr(args, "file", None):
@@ -55,20 +55,48 @@ def _read_poly_texts(args, expected=None, minimum=None, floor_nvars=1):
         raise ValueError(f"expected at least {minimum} polynomial(s), got {len(texts)}")
     if not texts:
         raise ValueError("no polynomials given")
-    nvars = args.nvars
+    return texts
+
+
+def _parse_texts(texts, field, nvars, config, floor_nvars=1, **known):
+    """The texts parsed once each; their arity and ``known`` then enter config.
+
+    With ``nvars`` None (no --nvars) each text is parsed at the arity
+    its own variables name, and all are padded to the largest of these
+    and ``floor_nvars``.  When a text fails, a tokenization error in any
+    text comes first if the arity is inferred, and leaves config as it
+    was; otherwise the first error of the texts in order, at their
+    common arity, is raised with that arity and ``known`` in config.
+    Only this error path reads a text twice.
+    """
+    try:
+        polys = [parse_poly(t, field, nvars) for t in texts]
+    except ValueError:
+        if nvars is None:
+            nvars = max(max(map(infer_nvars, texts)), floor_nvars)
+        config.update(nvars=nvars, **known)
+        for t in texts:
+            parse_poly(t, field, nvars)
+        raise
     if nvars is None:
-        nvars = max(max(infer_nvars(t) for t in texts), floor_nvars)
-    return texts, nvars
+        nvars = max(max(p.nvars for p in polys), floor_nvars)
+        polys = [_padded(p, nvars) for p in polys]
+    config.update(nvars=nvars, **known)
+    return polys
 
 
-def _parse_all(texts, field, nvars):
-    return [parse_poly(t, field, nvars=nvars) for t in texts]
+def _padded(poly, nvars):
+    """The polynomial in ``nvars`` variables, the ones it lacks unused."""
+    pad = (0,) * (nvars - poly.nvars)
+    if not pad:
+        return poly
+    return Poly._make(poly.field, nvars, {e + pad: v for e, v in poly.raw.items()})
 
 
-def _read_polys(args, field, config, **counts):
-    """The polynomials of ``_read_poly_texts``, parsed after their variable count enters config."""
-    texts, config["nvars"] = _read_poly_texts(args, **counts)
-    return _parse_all(texts, field, config["nvars"])
+def _read_polys(args, field, config, expected=None, minimum=None, floor_nvars=1):
+    """The polynomials of ``_read_poly_texts``, parsed by ``_parse_texts``."""
+    texts = _read_poly_texts(args, expected=expected, minimum=minimum)
+    return _parse_texts(texts, field, args.nvars, config, floor_nvars)
 
 
 def _gram_strings(gram):
@@ -137,15 +165,16 @@ def _cmd_mf_build(args, field, config):
 
 
 def _matrix_from_texts(args, field, config):
-    texts, nvars = _read_poly_texts(args, minimum=2)
-    quadric, *entries = _parse_all(texts, field, nvars)
+    texts = _read_poly_texts(args, minimum=2)
+    # the arity enters config only once every text has parsed
+    quadric, *entries = _parse_texts(texts, field, args.nvars, {})
     size = len(entries)
     side = int(round(size**0.5))
     if side * side != size:
         raise ValueError(f"entry count {size} is not a perfect square")
     rows = [entries[i * side : (i + 1) * side] for i in range(side)]
     mf = MatrixFactorization(rows, quadric)
-    config["nvars"] = nvars
+    config["nvars"] = quadric.nvars
     return mf
 
 
@@ -256,11 +285,9 @@ def _cmd_ulrich_bounds(args, field, config):
 
 
 def _cmd_ulrich_normalize(args, field, config):
-    texts, nvars = _read_poly_texts(args, expected=5, floor_nvars=3)
-    config["nvars"] = nvars
+    texts = _read_poly_texts(args, expected=5)
     trials = args.max_trials if args.max_trials is not None else 20
-    config["max_trials"] = trials
-    F, f1, g1, f2, g2 = _parse_all(texts, field, nvars)
+    F, f1, g1, f2, g2 = _parse_texts(texts, field, args.nvars, config, 3, max_trials=trials)
     decomp = FormDecomposition(F, ((f1, g1), (f2, g2)))
     out = normalize_plane_decomposition(F, decomp, seed=args.seed, max_trials=trials)
     certs = out.certificates
@@ -315,11 +342,9 @@ def _cmd_cover_split_check(args, field, config):
 
 
 def _cmd_cover_transversal(args, field, config):
-    texts, nvars = _read_poly_texts(args, expected=2, floor_nvars=3)
-    config["nvars"] = nvars
+    texts = _read_poly_texts(args, expected=2)
     trials = args.max_trials if args.max_trials is not None else 8
-    config["max_trials"] = trials
-    f, g = _parse_all(texts, field, nvars)
+    f, g = _parse_texts(texts, field, args.nvars, config, 3, max_trials=trials)
     res = certify_transversal(f, g, seed=args.seed, max_trials=trials)
     return {
         "verdict": res.verdict,

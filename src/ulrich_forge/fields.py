@@ -329,7 +329,9 @@ class FieldSpec:
     def _component(self, text):
         """A literal n or n/d as one raw component; p may not divide d as written."""
         n, _, d = text.partition("/")
-        d = int(d or 1)
+        if not d:
+            return int(n)
+        d = int(d)
         if self.p and not d % self.p:
             raise ValueError(f"denominator of {text!r} is not invertible over {self}")
         if not d:

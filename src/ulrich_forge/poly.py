@@ -15,11 +15,18 @@ scalars, enter through ``FieldSpec.coerce``, so a Fraction reads as the
 parser reads it and a scalar of another field is a ValueError.
 
 Text grammar (used by the CLI and the tests): terms joined by + or -,
-each term a '*'-separated product of an optional coefficient and
-variable powers like ``x0^2`` or ``y``.  Variables are ``x0..xk`` or,
-for up to five variables, the aliases x y z t w.  Coefficients with two
-field components must be parenthesized, e.g. ``(1+2i)*x*y``; a bare
-``i`` over the Gaussian rationals is accepted as a factor.
+each term a '*'-separated product of numbers, coefficients and variable
+powers like ``x0^2`` or ``y``.  Variables are ``x0..xk`` or, for up to
+five variables, the aliases x y z t w.  Coefficients with two field
+components must be parenthesized, e.g. ``(1+2i)*x*y``; parentheses
+delimit such scalar literals only and never group.  A bare ``i`` over
+the Gaussian rationals is accepted as a factor.
+
+``parse_poly`` reads a text in one pass over one token list: the
+inferred arity comes from the same tokens, counting only names outside
+parenthesized coefficients, and each term enters one raw map through
+``_accumulate`` as its coefficient (the product of its numeric factors,
+each distinct literal parsed once) and its summed exponents.
 """
 
 from __future__ import annotations
@@ -425,138 +432,135 @@ def random_homogeneous(field, nvars, degree, rng, span=9):
     return Poly(field, nvars, terms)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z]\w*)|([-+*^()]))")
+_TOKEN = re.compile(r"\d+(?:/\d+)?|[A-Za-z]\w*|[-+*^()]")
+_OPERATORS = frozenset("+-*^()")
+_ALIAS_INDEX = {name: i for i, name in enumerate(_ALIASES)}
 
 
 def _tokenize(text):
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            rest = text[pos:].strip()
-            if not rest:
+    """The text's numbers, names and operators, in order; whitespace only separates them."""
+    tokens = _TOKEN.findall(text)
+    if "".join(tokens) != "".join(text.split()):
+        # findall skipped a character no token starts with: find the first one
+        pos = 0
+        for token in tokens:
+            start = text.find(token, pos)
+            if text[pos:start].strip():
                 break
-            raise ValueError(f"cannot tokenize polynomial near {rest[:12]!r}")
-        if m.group(1):
-            tokens.append(("num", m.group(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
-    tokens.append(("end", ""))
+            pos = start + len(token)
+        raise ValueError(f"cannot tokenize polynomial near {text[pos:].strip()[:12]!r}")
     return tokens
 
 
+def _name_index(name):
+    """The index a variable name stands for (x0, x1, ... or an alias); None for other tokens."""
+    index = _ALIAS_INDEX.get(name)
+    if index is None and name[:1] == "x" and name[1:].isdecimal():
+        index = int(name[1:])
+    return index
+
+
 def _variable_index(name, nvars):
-    m = re.fullmatch(r"x(\d+)", name)
-    if m:
-        idx = int(m.group(1))
-        if idx >= nvars:
-            raise ValueError(f"variable {name} exceeds arity {nvars}")
-        return idx
-    if len(name) == 1 and name in _ALIASES[: min(nvars, len(_ALIASES))]:
-        return _ALIASES.index(name)
+    index = _name_index(name)
+    if index is not None and index < nvars:
+        return index
+    if index is not None and name not in _ALIAS_INDEX:
+        raise ValueError(f"variable {name} exceeds arity {nvars}")
     raise ValueError(f"unknown variable {name!r} for arity {nvars}")
+
+
+def _arity(tokens):
+    """Smallest arity covering the variable names outside parenthesized coefficients."""
+    outside = tokens
+    if "(" in tokens:
+        outside, group = [], False
+        for token in tokens:
+            group = token == "(" or group and token != ")"
+            if not group:
+                outside.append(token)
+    best = 0
+    for name in set(outside):
+        index = _name_index(name)
+        if index is not None and index >= best:
+            best = index + 1
+    return max(best, 1)
 
 
 def infer_nvars(text):
     """Smallest arity covering the variables outside the text's parenthesized coefficients."""
-    best, scalar = 0, False
-    for kind, value in _tokenize(text):
-        scalar = value == "(" or scalar and value != ")"
-        if kind != "name" or scalar:
-            continue
-        m = re.fullmatch(r"x(\d+)", value)
-        if m:
-            best = max(best, int(m.group(1)) + 1)
-        elif len(value) == 1 and value in _ALIASES:
-            best = max(best, _ALIASES.index(value) + 1)
-    return max(best, 1)
+    return _arity(_tokenize(text))
 
 
-class _Parser:
-    def __init__(self, text, field, nvars):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.field = field
-        self.nvars = nvars
-        self.text = text
+def _unexpected(token):
+    if not token:
+        return ValueError("unexpected end of polynomial")
+    return ValueError(f"unexpected {token!r} in polynomial")
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _parse_terms(tokens, field, nvars):
+    """The raw term map of a token list that ends in the marker "".
 
-    def parse(self):
-        poly = self.parse_term(self.parse_sign())
+    Each term's coefficient is the product of its numeric factors and
+    coefficient groups, its exponents the sum of its variable powers;
+    every literal goes through ``field.parse_scalar`` once per call.
+    """
+    ar = field.arith
+    mul, neg, zero, one = ar.mul, ar.neg, ar.zero, ar.one
+    # the raw i of a bare "i" factor over qi
+    unit = (zero[0], one[0]) if field.kind == GAUSSIAN else None
+    scalars, indices, terms = {}, {}, []
+
+    def scalar(literal):
+        value = scalars.get(literal)
+        if value is None:
+            value = scalars[literal] = ar.of(field.parse_scalar(literal))
+        return value
+
+    negative = tokens[0] == "-"
+    pos = 1 if negative or tokens[0] == "+" else 0
+    while True:
+        coeff, exps = one, [0] * nvars
         while True:
-            kind, value = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                poly = poly + self.parse_term(-1 if value == "-" else 1)
-            elif kind == "end":
-                return poly
+            token = tokens[pos]
+            pos += 1
+            if token == "(":
+                try:
+                    end = tokens.index(")", pos)
+                except ValueError:
+                    raise ValueError("unbalanced parenthesis in polynomial") from None
+                coeff = mul(coeff, scalar("".join(tokens[pos:end])))
+                pos = end + 1
+            elif token in _OPERATORS or not token:
+                raise _unexpected(token)
+            elif token[0].isdecimal():
+                coeff = mul(coeff, scalar(token))
+            elif token == "i" and unit:
+                coeff = mul(coeff, unit)
             else:
-                raise ValueError(f"unexpected {value!r} in polynomial")
-
-    def parse_sign(self):
-        kind, value = self.peek()
-        if kind == "op" and value in "+-":
-            self.take()
-            return -1 if value == "-" else 1
-        return 1
-
-    def parse_term(self, sign):
-        poly = self.parse_factor()
-        while True:
-            kind, value = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-                poly = poly * self.parse_factor()
-            else:
+                index = indices.get(token)
+                if index is None:
+                    index = indices[token] = _variable_index(token, nvars)
+                if tokens[pos] == "^":
+                    exponent = tokens[pos + 1]
+                    if not exponent[:1].isdecimal() or "/" in exponent:
+                        raise ValueError("exponent must be a nonnegative integer")
+                    exps[index] += int(exponent)
+                    pos += 2
+                else:
+                    exps[index] += 1
+            if tokens[pos] != "*":
                 break
-        if sign < 0:
-            poly = -poly
-        return poly
-
-    def parse_factor(self):
-        kind, value = self.take()
-        if kind == "num":
-            return Poly.constant(self.field, self.nvars, self.field.parse_scalar(value))
-        if kind == "op" and value == "(":
-            return self.parse_scalar_group()
-        if kind != "name":
-            raise ValueError(f"unexpected {value!r} in polynomial")
-        if value == "i" and self.field.kind == GAUSSIAN:
-            return Poly.constant(self.field, self.nvars, self.field.scalar(0, 1))
-        index = _variable_index(value, self.nvars)
-        exponent = 1
-        kind, value = self.peek()
-        if kind == "op" and value == "^":
-            self.take()
-            kind, value = self.take()
-            if kind != "num" or "/" in value:
-                raise ValueError("exponent must be a nonnegative integer")
-            exponent = int(value)
-        exps = tuple(exponent if i == index else 0 for i in range(self.nvars))
-        return Poly._make(self.field, self.nvars, {exps: self.field.arith.one})
-
-    def parse_scalar_group(self):
-        pieces = []
-        while True:
-            kind, value = self.take()
-            if kind == "end":
-                raise ValueError("unbalanced parenthesis in polynomial")
-            if kind == "op" and value == ")":
-                break
-            pieces.append(value)
-        return Poly.constant(
-            self.field, self.nvars, self.field.parse_scalar("".join(pieces))
-        )
+            pos += 1
+        if coeff != zero:
+            terms.append((tuple(exps), neg(coeff) if negative else coeff))
+        token = tokens[pos]
+        if token == "+" or token == "-":
+            negative = token == "-"
+            pos += 1
+        elif token:
+            raise _unexpected(token)
+        else:
+            return _accumulate(ar, {}, terms)
 
 
 def parse_poly(text, field, nvars=None):
@@ -565,10 +569,13 @@ def parse_poly(text, field, nvars=None):
     When ``nvars`` is omitted it is inferred from the variables used,
     which makes ``x^2+y^2`` two-variable; pass the arity explicitly when
     trailing variables do not appear; an explicit ``nvars`` below 1 is a
-    ValueError.
+    ValueError.  The text is tokenized once, and the inferred arity is
+    read from the same tokens.
     """
-    if nvars is None:
-        nvars = infer_nvars(text)
-    elif nvars < 1:
+    if nvars is not None and nvars < 1:
         raise ValueError(f"need at least one variable, got {nvars}")
-    return _Parser(text, field, nvars).parse()
+    tokens = _tokenize(text)
+    if nvars is None:
+        nvars = _arity(tokens)
+    tokens.append("")
+    return Poly._make(field, nvars, _parse_terms(tokens, field, nvars))

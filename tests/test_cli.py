@@ -565,7 +565,171 @@ def test_prime_beyond_the_certified_range_is_usage_error(capsys):
 def test_parse_error_is_usage_error(capsys):
     code, payload = _run(capsys, ["quad", "rank", "x^2 +", "--field", "q"])
     assert code == 2
-    assert "polynomial" in payload["error"]
+    assert payload["error"] == "unexpected end of polynomial"
+
+
+# (argv, exit code, config.nvars, config.max_trials, error), recorded from
+# the parser that tokenized each text twice, once for its arity and once
+# for its terms; only the end-of-text message changed since, from
+# "unexpected '' in polynomial".  A tokenization error in any text comes
+# before a grammar error in an earlier one and leaves config.nvars null.
+ENVELOPE_CORPUS = [
+    (["quad", "rank", "2^2*x^2"], 2, 1, None, "unexpected '^' in polynomial"),
+    (["quad", "rank", "x^2--y^2"], 2, 2, None, "unexpected '-' in polynomial"),
+    (["quad", "rank", "(x)*x"], 2, 1, None, "cannot parse scalar 'x' over q"),
+    (["quad", "rank", "()*x^2"], 2, 1, None, "empty scalar literal"),
+    (["quad", "rank", "(2)(3)*x^2"], 2, 1, None, "unexpected '(' in polynomial"),
+    (["quad", "rank", "x^2 + 1e5*y^2"], 2, 2, None, "unexpected 'e5' in polynomial"),
+    (["quad", "rank", "x²"], 2, 1, None, "unknown variable 'x²' for arity 1"),
+    (["quad", "rank", "x^2 + y^2 # c"], 2, None, None, "cannot tokenize polynomial near '# c'"),
+    (["quad", "rank", "y^2", "--nvars", "1"], 2, 1, None, "unknown variable 'y' for arity 1"),
+    (["quad", "rank", "1/0*x^2"], 2, 1, None, "zero denominator in '1/0'"),
+    (["quad", "rank", "7/14*y^2", "--field", "fp:7"],
+     2, 2, None, "denominator of '7/14' is not invertible over fp:7"),
+    (["quad", "rank", "x^2 + (i)*y^2", "--field", "q"],
+     2, 2, None, "cannot parse scalar 'i' over q"),
+    (["quad", "pencil-det", "x^2 + q*y", "z^2 + !"],
+     2, None, None, "cannot tokenize polynomial near '!'"),
+    (["quad", "pencil-det", "x^2 +", "z^2 $ y"],
+     2, None, None, "cannot tokenize polynomial near '$ y'"),
+    (["quad", "rank", "x^2 +", "--field", "q"], 2, 1, None, "unexpected end of polynomial"),
+    (["quad", "rank", ""], 2, 1, None, "unexpected end of polynomial"),
+    (["quad", "rank", "x^2 + y^"], 2, 2, None, "exponent must be a nonnegative integer"),
+    (["quad", "rank", "x^2 + y^1/2"], 2, 2, None, "exponent must be a nonnegative integer"),
+    (["quad", "rank", "x^2 + (1+2i*y^2", "--field", "qi"],
+     2, 1, None, "unbalanced parenthesis in polynomial"),
+    (["quad", "rank", "x^2 + i^2*y^2", "--field", "qi"],
+     2, 2, None, "unexpected '^' in polynomial"),
+    (["quad", "rank", "x^2 + q*z"], 2, 3, None, "unknown variable 'q' for arity 3"),
+    (["quad", "pencil-det", "x^2 + q", "z^2"], 2, 3, None, "unknown variable 'q' for arity 3"),
+    (["quad", "pencil-det", "y^2", "x6^2"], 0, 7, None, None),
+    (["quad", "pencil-det", "x0*x6", "y^2 + )"], 2, 7, None, "unexpected ')' in polynomial"),
+    (["quad", "rank", "x^2 + x3*y", "--nvars", "2"], 2, 2, None, "variable x3 exceeds arity 2"),
+    (["quad", "rank", "x*y*z", "--nvars", "2"], 2, 2, None, "unknown variable 'z' for arity 2"),
+    (["quad", "rank", "x^2 ) y"], 2, 2, None, "unexpected ')' in polynomial"),
+    (["quad", "rank", "x^2 + + y^2"], 2, 2, None, "unexpected '+' in polynomial"),
+    (["quad", "rank", "x y"], 2, 2, None, "unexpected 'y' in polynomial"),
+    (["quad", "rank", "x^2 + 2 3*y^2"], 2, 2, None, "unexpected '3' in polynomial"),
+    (["quad", "rank", "x^2 + (1+w)*y^2", "--field", "fp2:13"], 0, 2, None, None),
+    (["quad", "rank", "x^2 + (1+w*y^2", "--field", "fp2:13"],
+     2, 1, None, "unbalanced parenthesis in polynomial"),
+    (["mf", "verify", "x*y", "x", "y +", "y", "x"], 2, None, None, "unexpected end of polynomial"),
+    (["mf", "verify", "x*y", "x", "y", "y", "x @"],
+     2, None, None, "cannot tokenize polynomial near '@'"),
+    (["mf", "det-cert", "x*y", "x", "y*q", "y", "x"],
+     2, None, None, "unknown variable 'q' for arity 2"),
+    (["ulrich", "normalize", "x^4", "x^2 +", "y^2", "z^2", "x*y"],
+     2, 3, 20, "unexpected end of polynomial"),
+    (["ulrich", "normalize", "x^4", "x^2", "y^2 &", "z^2", "x*y"],
+     2, None, None, "cannot tokenize polynomial near '&'"),
+    (["cover", "transversal", "x^2 - y*z", "y^2 -"], 2, 3, 8, "unexpected end of polynomial"),
+    (["cover", "transversal", "x^2 - y*z", "y^2 - ;"],
+     2, None, None, "cannot tokenize polynomial near ';'"),
+    (["ulrich", "pipeline", "x^4 + y^4 +", "--field", "fp:13"],
+     2, 2, None, "unexpected end of polynomial"),
+    (["hilbert", "value", "x^2", "y^", "-e", "2"],
+     2, 2, None, "exponent must be a nonnegative integer"),
+    (["smooth", "check", "x^3 + y^3 + z^3 + 1/0*x*y*z"], 2, 3, None, "zero denominator in '1/0'"),
+    (["cover", "split-check", "x", "x^2", "x", "x", "x +"],
+     2, 3, None, "unexpected end of polynomial"),
+    (["ulrich", "normalize", "x^4", "x^2", "y^2 &", "z^2", "x*y", "--nvars", "3"],
+     2, 3, 20, "cannot tokenize polynomial near '&'"),
+    (["cover", "transversal", "x^2 - y*z", "y^2 -", "--nvars", "4"],
+     2, 4, 8, "unexpected end of polynomial"),
+    (["mf", "verify", "x*y", "x", "y +", "y", "x", "--nvars", "2"],
+     2, 2, None, "unexpected end of polynomial"),
+    (["quad", "pencil-det", "x^2 + ", "y^2 + 1/0*z^2"], 2, 3, None, "unexpected end of polynomial"),
+    (["quad", "pencil-det", "x^2 + 1/0*y^2", "y^2 +"], 2, 2, None, "zero denominator in '1/0'"),
+    (["quad", "rank", "-x^2 - - y^2"], 2, 2, None, "unexpected '-' in polynomial"),
+    (["quad", "rank", "x^2 + y^2 *"], 2, 2, None, "unexpected end of polynomial"),
+    (["quad", "rank", "x^2 + ((1))*y^2"], 2, 2, None, "cannot parse scalar '(1' over q"),
+]
+
+
+@pytest.mark.parametrize("argv, code, nvars, max_trials, error", ENVELOPE_CORPUS)
+def test_text_error_envelopes_are_frozen(capsys, argv, code, nvars, max_trials, error):
+    got, payload = _run(capsys, argv)
+    assert (got, payload["config"]["nvars"], payload["config"]["max_trials"]) == (
+        code,
+        nvars,
+        max_trials,
+    )
+    assert payload.get("error") == error
+
+
+def _read_back(texts, where, nvars):
+    return [parse_poly(t, where, nvars=nvars) for t in texts]
+
+
+@pytest.mark.parametrize(
+    "field, form, nvars",
+    [
+        ("q", "x*y + z*t + x^2 - 3/2*x*y", None),
+        ("q", "x*y", "3"),
+        ("qi", "x^2 + y^2 + (2i)*z*t", None),
+        # the working field moves to fp2:13
+        ("fp:13", "x^2 + 2*x*y - y^2 + x*t - z^2", None),
+        ("fp2:13", "(1+w)*x^2 + y^2 + z*t", None),
+    ],
+)
+def test_quadric_texts_read_back_into_the_library_polynomials(capsys, field, form, nvars):
+    from ulrich_forge import build_clifford_factorization, gram_from_poly, sum_of_products
+
+    where = FieldSpec.parse(field)
+    extra = ["--nvars", nvars] if nvars else []
+    q = parse_poly(form, where, nvars=nvars and int(nvars))
+    sop = sum_of_products(gram_from_poly(q))
+    mf = build_clifford_factorization(sop)
+    for verb in ("sop", "build"):
+        command = ["quad", "sop"] if verb == "sop" else ["mf", "build"]
+        code, payload = _run(capsys, [*command, form, "--field", field, *extra])
+        assert code == 0
+        result, arity = payload["result"], payload["config"]["nvars"]
+        working = FieldSpec.parse(result["working_field"])
+        assert (working, arity) == (sop.quadric.field, q.nvars)
+        assert _read_back([result["quadric"]], working, arity) == [sop.quadric]
+        pairs = [_read_back(pair, working, arity) for pair in result["pairs"]]
+        assert pairs == [list(pair) for pair in sop.pairs]
+        if verb == "build":
+            entries = [_read_back(row, working, arity) for row in result["entries"]]
+            assert entries == [list(row) for row in mf.entries]
+
+
+@pytest.mark.parametrize("field, form", [golden[:2] for golden in GOLDEN_PLANE_FORMS[:4]])
+def test_pipeline_texts_read_back_into_the_library_polynomials(capsys, field, form):
+    from ulrich_forge import VeroneseMap, decompose_form, lift_form, ulrich_presentation
+
+    F = parse_poly(form, FieldSpec.parse(field))
+    vmap = VeroneseMap(F.nvars - 1, F.homogeneous_degree() // 2)
+    decomp = decompose_form(F, vmap, lift_form(F, vmap))
+    mf, _ = ulrich_presentation(F, decomp)
+    code, payload = _run(capsys, ["ulrich", "pipeline", "--field", field, form])
+    assert code == 0
+    result, arity = payload["result"], payload["config"]["nvars"]
+    where = FieldSpec.parse(result["decomposition"]["field"])
+    assert (where, arity) == (decomp.F.field, F.nvars)
+    summands = [_read_back(pair, where, arity) for pair in result["decomposition"]["summands"]]
+    assert summands == [list(pair) for pair in decomp.summands]
+    entries = [_read_back(row, where, arity) for row in result["factorization"]["entries"]]
+    assert entries == [list(row) for row in mf.entries]
+
+
+def test_normalize_texts_read_back_into_the_library_polynomials(capsys):
+    from ulrich_forge import FormDecomposition, normalize_plane_decomposition
+
+    texts = [
+        "x^3*z + x^2*y^2 + x^2*z^2 + x*y^2*z + x*z^3 + y^4 + y^2*z^2",
+        "x^2", "z^2", "y^2 + x*z", "x^2 + y^2 + z^2",
+    ]
+    for field in ("q", "fp:101"):
+        where = FieldSpec.parse(field)
+        F, f1, g1, f2, g2 = _read_back(texts, where, 3)
+        out = normalize_plane_decomposition(F, FormDecomposition(F, ((f1, g1), (f2, g2))))
+        code, payload = _run(capsys, ["ulrich", "normalize", *texts, "--field", field])
+        assert code == 0
+        arity = payload["config"]["nvars"]
+        summands = [_read_back(pair, where, arity) for pair in payload["result"]["summands"]]
+        assert summands == [list(pair) for pair in out.summands]
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -715,6 +879,29 @@ def test_pipeline_lifts_once_and_reads_the_matrix_once(capsys, monkeypatch):
     # the entries' text is placed from the pencil's signed positions, so
     # the matrix is never expanded into polynomials
     assert code == 0 and calls == {"lift": 1, "entries": 0}
+
+
+def test_each_text_is_tokenized_and_parsed_once(capsys, monkeypatch):
+    import ulrich_forge.cli as cli
+
+    calls = {"parse": [], "infer": []}
+    parse_poly, infer_nvars = cli.parse_poly, cli.infer_nvars
+
+    def counting_parse(text, field, nvars=None):
+        calls["parse"].append((text, nvars))
+        return parse_poly(text, field, nvars)
+
+    def counting_infer(text):
+        calls["infer"].append(text)
+        return infer_nvars(text)
+
+    monkeypatch.setattr(cli, "parse_poly", counting_parse)
+    monkeypatch.setattr(cli, "infer_nvars", counting_infer)
+    texts = ["x^2 - y*z", "y^2 - x*z"]
+    code, payload = _run(capsys, ["cover", "transversal", *texts])
+    # each text at its own arity, padded to the floor of three variables
+    assert (code, payload["config"]["nvars"]) == (0, 3)
+    assert calls == {"parse": [(t, None) for t in texts], "infer": []}
 
 
 def test_internal_assertion_is_exit_one_envelope(capsys, monkeypatch):

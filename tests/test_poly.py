@@ -241,6 +241,116 @@ def test_parse_errors(q):
             parse_poly(text, q)
 
 
+@pytest.mark.parametrize("spec", ["q", "qi", "fp:13", "fp:101", "fp2:13"])
+def test_parse_of_non_canonical_text_is_the_expanded_sum(spec, monkeypatch):
+    # repeated variables, several numeric factors in one term, terms that
+    # cancel, a leading sign, x0..x7 mixed with the aliases and, over qi
+    # and fp2, parenthesized coefficients; q is expanded by sympy, the
+    # other fields by a term-by-term product of scalars
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from ulrich_forge import fields
+
+    st = hypothesis.strategies
+    field = FieldSpec.parse(spec)
+    unit = {"qi": "i", "fp2": "w"}.get(field.kind)
+
+    def fraction(n, d):
+        return (str(n) if d == 1 else f"{n}/{d}"), Fraction(n, d)
+
+    numbers = st.builds(fraction, st.integers(0, 40), st.integers(1, 12))
+    signed = st.builds(fraction, st.integers(-40, 40), st.integers(1, 12))
+
+    def group(real, imag, gap):
+        (rt, rv), (it, iv) = real, imag
+        plus = "" if it.startswith("-") else "+"
+        return f"({gap}{rt}{gap}{plus}{it}{gap}{unit}{gap})", (rv, iv)
+
+    literal = numbers.map(lambda n: ("num", n[0], (n[1], 0)))
+    if unit:
+        groups = st.builds(group, signed, signed, st.sampled_from(["", " "]))
+        literal |= groups.map(lambda g: ("group", g[0], g[1]))
+    if field.kind == "qi":
+        literal |= st.just(("i", "i", (0, 1)))
+
+    @st.composite
+    def variable(draw):
+        index = draw(st.integers(0, 7))
+        names = [f"x{index}"] + (["xyztw"[index]] if index < 5 else [])
+        exponent = draw(st.integers(0, 3))
+        written = draw(st.sampled_from([f"^{exponent}"] + ([""] if exponent == 1 else [])))
+        return ("var", draw(st.sampled_from(names)) + written, (index, exponent))
+
+    term = st.tuples(st.sampled_from("+-"), st.lists(literal | variable(), min_size=1, max_size=5))
+
+    @st.composite
+    def texts(draw):
+        terms = draw(st.lists(term, min_size=1, max_size=5))
+        # the same products again with the other sign, factors reordered
+        for sign, factors in draw(st.lists(st.sampled_from(terms), max_size=2)):
+            terms.append(("-" if sign == "+" else "+", draw(st.permutations(factors))))
+        pieces = []
+        for k, (sign, factors) in enumerate(terms):
+            body = draw(st.sampled_from(["*", " * "])).join(f[1] for f in factors)
+            if k or sign == "-" or draw(st.booleans()):
+                body = sign + draw(st.sampled_from(["", " "])) + body
+            pieces.append(body)
+        return " ".join(pieces), terms
+
+    def expected(terms, nvars):
+        total = {}
+        if field.kind == "q":
+            xs = sympy.symbols(f"v0:{nvars}")
+            expr = 0
+            for sign, factors in terms:
+                product = sympy.Integer(-1 if sign == "-" else 1)
+                for kind, _, value in factors:
+                    if kind == "var":
+                        product *= xs[value[0]] ** value[1]
+                    else:
+                        product *= sympy.Rational(value[0].numerator, value[0].denominator)
+                expr += product
+            for exps, c in sympy.Poly(sympy.expand(expr), *xs).terms():
+                total[exps] = Fraction(int(c.p), int(c.q))
+            return Poly(field, nvars, total)
+        for sign, factors in terms:
+            exps, coeff = [0] * nvars, field.from_int(-1 if sign == "-" else 1)
+            for kind, _, value in factors:
+                if kind == "var":
+                    exps[value[0]] += value[1]
+                else:
+                    coeff = coeff * field.scalar(*value)
+            key = tuple(exps)
+            total[key] = total.get(key, field.zero) + coeff
+        return Poly(field, nvars, total)
+
+    boxed = []
+    init = fields.Scalar.__init__
+
+    def counting_init(self, *args):
+        boxed.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(fields.Scalar, "__init__", counting_init)
+
+    @hypothesis.given(texts(), st.integers(0, 2))
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+    def check(drawn, extra):
+        text, terms = drawn
+        factors = [f for _, fs in terms for f in fs]
+        arity = 1 + max([f[2][0] for f in factors if f[0] == "var"], default=0)
+        nvars = None if extra == 2 else arity + extra
+        literals = {f[1].replace(" ", "").strip("()") for f in factors if f[0] in ("num", "group")}
+        boxed.clear()
+        p = parse_poly(text, field, nvars)
+        assert len(boxed) <= len(literals), (text, boxed)
+        assert p.nvars == (nvars or arity)
+        assert p == expected(terms, p.nvars), text
+        _assert_raw_nonzero(p)
+
+    check()
+
+
 def _assert_raw_nonzero(*polys):
     # over qi and fp2 the raw zero (0, 0) is truthy, so only == ar.zero finds it
     for p in polys:
@@ -335,6 +445,12 @@ def test_parsing_without_numbers_boxes_no_scalar(monkeypatch):
         p = parse_poly("x^2*y - y*z^3 + z^4 - x*y*z + x0^0", field, nvars=3)
         assert len(p.raw) == 5
     assert built == []
+    # each distinct literal is boxed once per call: "(3/4)" reads as "3/4"
+    for field in fields_used:
+        p = parse_poly("2*x^2 - 2*y^2 + 3/4*x*y + 2*3/4*z^2 + (3/4)*z + ( 3/4 )", field)
+        assert len(p.raw) == 6
+        assert len(built) <= 2
+        built.clear()
 
 
 def test_product_degree_and_homogeneity():

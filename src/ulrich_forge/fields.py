@@ -21,6 +21,15 @@ call the record and box the result once.  Over qi and fp2 the raw zero
 ``(0, 0)`` is truthy, so a raw value is tested against ``arith.zero``,
 never by ``if x``.
 
+A raw value is canonical: over fp an int in [0, p), over fp2 two such
+ints, over q a Fraction, over qi two Fractions.  A ``Scalar`` holds
+canonical parts (a, b), with b = 0 over fp and b = ``Fraction(0)``
+over q, and is made by one of two routes.  ``Scalar(field, a, b)``,
+``FieldSpec.scalar`` and ``FieldSpec.coerce`` validate and normalize
+values from outside; ``field.arith.box`` wraps a raw value that is
+already canonical, without checking it again, and is how the arithmetic
+and the library's own constructions box their results.
+
 ``FieldSpec.coerce`` is the one way into a field for an int, a Fraction
 or a Scalar: n/d enters as the polynomial parser reads it, n * d^-1 mod
 p over fp and fp2, and a denominator divisible by p is a ValueError.
@@ -34,7 +43,6 @@ no square root in its own field, ``sqrt_in_field`` raises
 
 from __future__ import annotations
 
-import functools
 import operator
 import re
 from fractions import Fraction
@@ -239,6 +247,8 @@ class FieldSpec:
             if value.field is not self:
                 raise ValueError(f"field mismatch: {self} vs {value.field}")
             return value
+        if isinstance(value, int) and self.p:
+            return self._box_real(value % self.p)
         return Scalar(self, self._part(value))
 
     def _part(self, x):
@@ -258,6 +268,12 @@ class FieldSpec:
     def from_int(self, n):
         return self.coerce(n)
 
+    def _box_real(self, a):
+        """The element a + 0*g, boxed from one canonical component a."""
+        if self.kind in (GAUSSIAN, PRIME_QUADRATIC):
+            return self.arith.box((a, self.zero.b))
+        return self.arith.box(a)
+
     def imaginary_unit(self):
         """sqrt(-1) when the field contains one, else ExtensionNeeded."""
         return sqrt_in_field(-self.one)
@@ -276,20 +292,18 @@ class FieldSpec:
             return s
         if self is not s.field.extension():
             raise ValueError(f"cannot embed {s.field} into {self}")
-        return Scalar(self, s.a, 0)
+        return self._box_real(s.a)
 
     def random_scalar(self, rng, span=9):
+        box = self.arith.box
         if self.kind == RATIONAL:
-            return Scalar(self, Fraction(rng.randint(-span, span), rng.randint(1, span)))
+            return box(Fraction(rng.randint(-span, span), rng.randint(1, span)))
         if self.kind == GAUSSIAN:
-            return Scalar(
-                self,
-                Fraction(rng.randint(-span, span), rng.randint(1, span)),
-                Fraction(rng.randint(-span, span), rng.randint(1, span)),
-            )
+            a = Fraction(rng.randint(-span, span), rng.randint(1, span))
+            return box((a, Fraction(rng.randint(-span, span), rng.randint(1, span))))
         if self.kind == PRIME:
-            return Scalar(self, rng.randrange(self.p))
-        return Scalar(self, rng.randrange(self.p), rng.randrange(self.p))
+            return box(rng.randrange(self.p))
+        return box((rng.randrange(self.p), rng.randrange(self.p)))
 
     def random_nonzero_scalar(self, rng, span=9):
         while True:
@@ -304,39 +318,50 @@ class FieldSpec:
         text = text.replace(" ", "")
         if not text:
             raise ValueError("empty scalar literal")
-        unit = "i" if self.kind in (RATIONAL, GAUSSIAN) else "w"
-        num = r"[+-]?\d+(?:/\d+)?"
-        part = rf"[+-]?(?:\d+(?:/\d+)?)?{unit}"
-        if re.fullmatch(num, text):
-            return Scalar(self, self._component(text))
+        real, imag, both = _LITERALS["i" if self.kind in (RATIONAL, GAUSSIAN) else "w"]
+        if real.fullmatch(text):
+            return self._box_real(self._component(text))
         if self.kind in (GAUSSIAN, PRIME_QUADRATIC):
-            if re.fullmatch(part, text):
-                return Scalar(self, 0, self._imag_component(text[:-1]))
-            m = re.fullmatch(rf"({num})({part})", text)
+            if imag.fullmatch(text):
+                return self.arith.box((self.zero.b, self._imag_component(text[:-1])))
+            m = both.fullmatch(text)
             if m:
-                real = self._component(m.group(1))
-                imag = self._imag_component(m.group(2)[:-1])
-                return Scalar(self, real, imag)
+                a = self._component(m.group(1))
+                return self.arith.box((a, self._imag_component(m.group(2)[:-1])))
         raise ValueError(f"cannot parse scalar {text!r} over {self}")
 
     def _imag_component(self, text):
         if text in ("", "+"):
-            return 1
-        if text == "-":
-            return -1
+            text = "1"
+        elif text == "-":
+            text = "-1"
         return self._component(text)
 
     def _component(self, text):
-        """A literal n or n/d as one raw component; p may not divide d as written."""
+        """A literal n or n/d as one canonical component; p may not divide d as written."""
+        p = self.p
         n, _, d = text.partition("/")
         if not d:
-            return int(n)
+            return int(n) % p if p else Fraction(int(n))
         d = int(d)
-        if self.p and not d % self.p:
+        if p and not d % p:
             raise ValueError(f"denominator of {text!r} is not invertible over {self}")
         if not d:
             raise ValueError(f"zero denominator in {text!r}")
-        return self._part(Fraction(int(n), d))
+        return int(n) * pow(d, -1, p) % p if p else Fraction(int(n), d)
+
+
+_NUMBER = r"[+-]?\d+(?:/\d+)?"
+
+
+def _literal_patterns(unit):
+    """The compiled scalar literals n, n*g and n+n*g of a field whose generator prints as unit."""
+    imag = rf"[+-]?(?:\d+(?:/\d+)?)?{unit}"
+    return re.compile(_NUMBER), re.compile(imag), re.compile(rf"({_NUMBER})({imag})")
+
+
+# by unit: i over q and qi, w over fp and fp2
+_LITERALS = {unit: _literal_patterns(unit) for unit in "iw"}
 
 
 class Arith(NamedTuple):
@@ -346,7 +371,8 @@ class Arith(NamedTuple):
     ``pow(x, e)`` is x^e for e >= 0.  ``sub(x, y, t)`` is the row update
     x - f*y with f = x[0]*t, which clears x[0] when t is the inverse of
     y[0].  ``of`` unwraps a ``Scalar`` into its raw value and ``box``
-    wraps a raw value back into a ``Scalar``.
+    wraps a canonical raw value back into a ``Scalar``, without
+    validating it again.
     """
 
     zero: object
@@ -387,12 +413,17 @@ def _build_arith(field):
     kind, p, nu = field.kind, field.p, field.nu
     if kind in (PRIME, RATIONAL):
         of = operator.attrgetter("a")
-        box = functools.partial(Scalar, field)
+        b = 0 if kind == PRIME else Fraction(0)
+
+        def box(x):
+            return _boxed(field, x, b)
+
     else:
         of = operator.attrgetter("a", "b")
 
         def box(x):
-            return Scalar(field, *x)
+            a, b = x
+            return _boxed(field, a, b)
 
     if kind == PRIME:
         zero, one = 0, 1
@@ -481,10 +512,16 @@ class Scalar:
 
     Components: over q the value is ``a`` (Fraction); over qi it is
     ``a + b*i``; over fp it is the residue ``a``; over fp2 it is
-    ``a + b*w`` with w*w = nu.  The constructor takes raw components,
-    ints or, over q and qi, Fractions, and only normalizes them; other
-    values come in through ``FieldSpec.coerce``.  Arithmetic is exact
-    and closed, and computed by the field's ``Arith`` record.
+    ``a + b*w`` with w*w = nu.  Over q and qi both parts are Fractions,
+    over fp and fp2 ints in [0, p), and b is zero over q and fp.
+
+    The constructor validates: it takes ints or, over q and qi,
+    Fractions, normalizes them and refuses a nonzero b over q or fp;
+    other values come in through ``FieldSpec.coerce``.  The arithmetic
+    and the library's constructions box raw values that are already
+    canonical through ``field.arith.box``, which skips the constructor.
+    Arithmetic is exact and closed, and computed by the field's
+    ``Arith`` record; an operand of the same field goes straight to it.
     """
 
     __slots__ = ("field", "a", "b")
@@ -503,9 +540,9 @@ class Scalar:
                 b = Fraction(b)
             if b and field.kind == RATIONAL:
                 raise ValueError("rational scalar with imaginary part")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_field(self, field)
+        _set_a(self, a)
+        _set_b(self, b)
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
@@ -536,13 +573,14 @@ class Scalar:
         (``FieldSpec.prime(7).one == 8``), so no hash agrees with every
         int a scalar equals; sets and dicts mixing the two may miss.
         """
-        if not isinstance(other, _COERCIBLE):
-            return NotImplemented
-        try:
-            o = self.field.coerce(other)
-        except ValueError:
-            return False
-        return self.a == o.a and self.b == o.b
+        if type(other) is not Scalar or other.field is not self.field:
+            if not isinstance(other, _COERCIBLE):
+                return NotImplemented
+            try:
+                other = self.field.coerce(other)
+            except ValueError:
+                return False
+        return self.a == other.a and self.b == other.b
 
     def __hash__(self):
         if not self.field.p and not self.b:
@@ -550,13 +588,17 @@ class Scalar:
         return hash((self.field, self.a, self.b))
 
     # -- arithmetic -----------------------------------------------------
+    # a Scalar of the same field skips _operand; any other operand goes
+    # through it, so mixed operations behave as coerce reads them
 
     def __add__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        ar = self.field.arith
-        return ar.box(ar.add(ar.of(self), ar.of(o)))
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+        ar = field.arith
+        return ar.box(ar.add(ar.of(self), ar.of(other)))
 
     __radd__ = __add__
 
@@ -565,11 +607,13 @@ class Scalar:
         return ar.box(ar.neg(ar.of(self)))
 
     def __sub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        ar = self.field.arith
-        return ar.box(ar.add(ar.of(self), ar.neg(ar.of(o))))
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+        ar = field.arith
+        return ar.box(ar.add(ar.of(self), ar.neg(ar.of(other))))
 
     def __rsub__(self, other):
         o = self._operand(other)
@@ -578,25 +622,28 @@ class Scalar:
         return o - self
 
     def __mul__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        ar = self.field.arith
-        return ar.box(ar.mul(ar.of(self), ar.of(o)))
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+        ar = field.arith
+        return ar.box(ar.mul(ar.of(self), ar.of(other)))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self:
+        if not (self.a or self.b):
             raise ZeroDivisionError("scalar inverse of zero")
         ar = self.field.arith
         return ar.box(ar.inv(ar.of(self)))
 
     def __truediv__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if type(other) is not Scalar or other.field is not self.field:
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         o = self._operand(other)
@@ -622,6 +669,24 @@ class Scalar:
 
 # the types FieldSpec.coerce accepts
 _COERCIBLE = (Scalar, int, Fraction)
+
+_new_scalar = object.__new__
+_set_field = Scalar.field.__set__
+_set_a = Scalar.a.__set__
+_set_b = Scalar.b.__set__
+
+
+def _boxed(field, a, b):
+    """A new Scalar of field with the canonical parts a and b, written as they are.
+
+    Every ``Arith.box`` calls it, looked up at call time; only canonical
+    parts may come in, since nothing here checks or normalizes them.
+    """
+    s = _new_scalar(Scalar)
+    _set_field(s, field)
+    _set_a(s, a)
+    _set_b(s, b)
+    return s
 
 
 def raw_parts(field, x):
@@ -664,14 +729,14 @@ def sqrt_in_field(s):
         r = _fraction_sqrt(s.a)
         if r is None:
             raise ExtensionNeeded(s)
-        return Scalar(f, r)
+        return f.arith.box(r)
     if kind == GAUSSIAN:
         return _sqrt_gaussian(s)
     if kind == PRIME:
         r = sqrt_mod_p(s.a, f.p)
         if r is None:
             raise ExtensionNeeded(s)
-        return Scalar(f, r)
+        return f.arith.box(r)
     return _sqrt_quadratic(s)
 
 
@@ -682,7 +747,8 @@ def _sqrt_gaussian(s):
         r = _fraction_sqrt(a if a > 0 else -a)
         if r is None:
             raise ExtensionNeeded(s)
-        root = Scalar(f, r) if a > 0 else Scalar(f, 0, r)
+        # b is the zero part here
+        root = f.arith.box((r, b) if a > 0 else (b, r))
     else:
         norm_root = _fraction_sqrt(a * a + b * b)
         if norm_root is None:
@@ -690,7 +756,7 @@ def _sqrt_gaussian(s):
         x = _fraction_sqrt((a + norm_root) / 2)
         if x is None or not x:
             raise ExtensionNeeded(s)
-        root = Scalar(f, x, b / (2 * x))
+        root = f.arith.box((x, b / (2 * x)))
     if root.a < 0 or (not root.a and root.b < 0):
         root = -root
     return root
@@ -703,11 +769,11 @@ def _sqrt_quadratic(s):
     if not b:
         r = sqrt_mod_p(a, p)
         if r is not None:
-            root = Scalar(f, r)
+            root = f.arith.box((r, 0))
         else:
             # a = nu * t^2 for a nonresidue a, so the root is t*w
             t = sqrt_mod_p(a * pow(nu, p - 2, p) % p, p)
-            root = Scalar(f, 0, t)
+            root = f.arith.box((0, t))
     else:
         norm = (a * a - nu * b * b) % p
         srn = sqrt_mod_p(norm, p)
@@ -722,7 +788,7 @@ def _sqrt_quadratic(s):
         if c is None or c == 0:
             raise ExtensionNeeded(s)
         d = b * half % p * pow(c, p - 2, p) % p
-        root = Scalar(f, c, d)
+        root = f.arith.box((c, d))
     neg = -root
     return root if (root.a, root.b) <= (neg.a, neg.b) else neg
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from ulrich_forge import ExtensionNeeded, FieldSpec, is_square, sqrt_in_field
 from ulrich_forge import fields
-from ulrich_forge.fields import _is_prime, legendre, smallest_nonresidue, sqrt_mod_p
+from ulrich_forge.fields import Scalar, _is_prime, legendre, smallest_nonresidue, sqrt_mod_p
 
 
 def _all_fields():
@@ -478,3 +479,294 @@ def test_zero_inverse_fails():
     for field in _all_fields():
         with pytest.raises(ZeroDivisionError):
             field.zero.inverse()
+
+
+def _assert_canonical(s, field):
+    """s is a Scalar of field whose parts have the canonical types and range."""
+    assert type(s) is Scalar and s.field is field
+    if field.p:
+        assert all(type(v) is int and 0 <= v < field.p for v in (s.a, s.b))
+    else:
+        assert type(s.a) is Fraction and type(s.b) is Fraction
+    if field.kind in ("q", "fp"):
+        assert not s.b
+
+
+@pytest.mark.parametrize("spec", ["fp:13", "fp2:13", "q", "qi"])
+def test_box_agrees_with_the_validating_constructor(spec):
+    # field.arith.box writes canonical raw values without Scalar.__init__;
+    # what it makes must be the scalar the validating route makes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    field = FieldSpec.parse(spec)
+    ar = field.arith
+    if field.p:
+        part = st.integers(0, field.p - 1)
+    else:
+        part = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**3))
+    values = st.tuples(part, part) if field.kind in ("qi", "fp2") else part
+
+    @hypothesis.given(values, values, st.integers(0, 9))
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    def check(x, y, e):
+        results = [x, y, ar.add(x, y), ar.neg(x), ar.mul(x, y), ar.pow(x, e), *ar.sub([x, y], [y, x], y)]
+        if x != ar.zero:
+            results.append(ar.inv(x))
+        for r in results:
+            boxed, made = ar.box(r), Scalar(field, *fields.raw_parts(field, r))
+            _assert_canonical(boxed, field)
+            _assert_canonical(made, field)
+            assert (boxed.a, boxed.b) == (made.a, made.b)
+            assert boxed == made and made == boxed and hash(boxed) == hash(made)
+            assert str(boxed) == str(made)
+            for s in (boxed, made):
+                with pytest.raises(AttributeError):
+                    s.a = s.b
+                with pytest.raises(AttributeError):
+                    setattr(s, "field", field)
+
+    check()
+
+
+def test_validation_stays_and_every_library_box_is_canonical():
+    fp, q, qi = FieldSpec.prime(13), FieldSpec.rationals(), FieldSpec.gaussian_rationals()
+    with pytest.raises(ValueError, match="prime-field scalar with extension part"):
+        Scalar(fp, 3, 1)
+    with pytest.raises(ValueError, match="rational scalar with imaginary part"):
+        Scalar(q, 0, 1)
+    with pytest.raises(TypeError):
+        Scalar(fp, Fraction(1, 2))
+    _assert_canonical(Scalar(fp, -1), fp)
+    _assert_canonical(Scalar(q, 3), q)
+    assert (Scalar(fp, -1).a, Scalar(q, 3).a) == (12, Fraction(3))
+    # the library's own boxes are canonical too
+    embedded = qi.embed(q.scalar(Fraction(3, 4)))
+    _assert_canonical(embedded, qi)
+    assert (embedded.a, embedded.b) == (Fraction(3, 4), Fraction(0))
+    e13 = FieldSpec.quadratic(13)
+    _assert_canonical(e13.embed(fp.from_int(-2)), e13)
+    for field in _all_fields():
+        rng = random.Random(7)
+        for _ in range(20):
+            s = field.random_scalar(rng)
+            _assert_canonical(s, field)
+            _assert_canonical(field.from_int(rng.randint(-99, 99)), field)
+            if is_square(s):
+                _assert_canonical(sqrt_in_field(s), field)
+        texts = ["-3/4", "7", "-15/2"]
+        if field.kind in ("qi", "fp2"):
+            unit = "i" if field.kind == "qi" else "w"
+            texts += [f"2-5/3{unit}", f"-{unit}", unit, f"-1/2{unit}", f"4+{unit}"]
+        for text in texts:
+            _assert_canonical(field.parse_scalar(text), field)
+
+
+# Recorded on the implementation before Arith.box skipped Scalar.__init__.
+# Each (field, operand y) with x = 3/4 over q, 3/4+2i over qi, 3 over fp:7
+# and 3+2w over fp2:7: the outcomes of x+y, y+x, x-y, y-x, x*y, y*x, x/y,
+# y/x, x==y and y==x, as the printed result or "Type: message".
+_MIXED_OUTCOMES = {
+    ("q", "8"): ("35/4", "35/4", "-29/4", "29/4", "6", "6", "3/32", "32/3", False, False),
+    ("q", "10"): ("43/4", "43/4", "-37/4", "37/4", "15/2", "15/2", "3/40", "40/3", False, False),
+    ("q", "0"): (
+        "3/4", "3/4", "3/4", "-3/4", "0", "0", "ZeroDivisionError: scalar inverse of zero", "0",
+        False, False,
+    ),
+    ("q", "3/4"): ("3/2", "3/2", "0", "0", "9/16", "9/16", "1", "1", True, True),
+    ("q", "1/2"): ("5/4", "5/4", "1/4", "-1/4", "3/8", "3/8", "3/2", "2/3", False, False),
+    ("q", "1/7"): (
+        "25/28", "25/28", "17/28", "-17/28", "3/28", "3/28", "21/4", "4/21", False, False,
+    ),
+    ("q", "2.5"): (
+        "TypeError: unsupported operand type(s) for +: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for +: 'float' and 'Scalar'",
+        "TypeError: unsupported operand type(s) for -: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for -: 'float' and 'Scalar'",
+        "TypeError: unsupported operand type(s) for *: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for *: 'float' and 'Scalar'",
+        "TypeError: unsupported operand type(s) for /: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for /: 'float' and 'Scalar'", False, False,
+    ),
+    ("q", "5 here"): (
+        "23/4", "23/4", "-17/4", "17/4", "15/4", "15/4", "3/20", "20/3", False, False,
+    ),
+    ("q", "0 here"): (
+        "3/4", "3/4", "3/4", "-3/4", "0", "0", "ZeroDivisionError: scalar inverse of zero", "0",
+        False, False,
+    ),
+    ("q", "2 in fp:11"): (
+        "ValueError: field mismatch: q vs fp:11", "ValueError: field mismatch: fp:11 vs q",
+        "ValueError: field mismatch: q vs fp:11", "ValueError: field mismatch: fp:11 vs q",
+        "ValueError: field mismatch: q vs fp:11", "ValueError: field mismatch: fp:11 vs q",
+        "ValueError: field mismatch: q vs fp:11", "ValueError: field mismatch: fp:11 vs q", False,
+        False,
+    ),
+    ("qi", "8"): (
+        "35/4+2i", "35/4+2i", "-29/4+2i", "29/4-2i", "6+16i", "6+16i", "3/32+1/4i",
+        "96/73-256/73i", False, False,
+    ),
+    ("qi", "10"): (
+        "43/4+2i", "43/4+2i", "-37/4+2i", "37/4-2i", "15/2+20i", "15/2+20i", "3/40+1/5i",
+        "120/73-320/73i", False, False,
+    ),
+    ("qi", "0"): (
+        "3/4+2i", "3/4+2i", "3/4+2i", "-3/4-2i", "0", "0",
+        "ZeroDivisionError: scalar inverse of zero", "0", False, False,
+    ),
+    ("qi", "3/4"): (
+        "3/2+2i", "3/2+2i", "2i", "-2i", "9/16+3/2i", "9/16+3/2i", "1+8/3i", "9/73-24/73i", False,
+        False,
+    ),
+    ("qi", "1/2"): (
+        "5/4+2i", "5/4+2i", "1/4+2i", "-1/4-2i", "3/8+i", "3/8+i", "3/2+4i", "6/73-16/73i", False,
+        False,
+    ),
+    ("qi", "1/7"): (
+        "25/28+2i", "25/28+2i", "17/28+2i", "-17/28-2i", "3/28+2/7i", "3/28+2/7i", "21/4+14i",
+        "12/511-32/511i", False, False,
+    ),
+    ("qi", "2.5"): (
+        "TypeError: unsupported operand type(s) for +: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for +: 'float' and 'Scalar'",
+        "TypeError: unsupported operand type(s) for -: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for -: 'float' and 'Scalar'",
+        "TypeError: unsupported operand type(s) for *: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for *: 'float' and 'Scalar'",
+        "TypeError: unsupported operand type(s) for /: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for /: 'float' and 'Scalar'", False, False,
+    ),
+    ("qi", "5 here"): (
+        "23/4+2i", "23/4+2i", "-17/4+2i", "17/4-2i", "15/4+10i", "15/4+10i", "3/20+2/5i",
+        "60/73-160/73i", False, False,
+    ),
+    ("qi", "0 here"): (
+        "3/4+2i", "3/4+2i", "3/4+2i", "-3/4-2i", "0", "0",
+        "ZeroDivisionError: scalar inverse of zero", "0", False, False,
+    ),
+    ("qi", "2 in fp:11"): (
+        "ValueError: field mismatch: qi vs fp:11", "ValueError: field mismatch: fp:11 vs qi",
+        "ValueError: field mismatch: qi vs fp:11", "ValueError: field mismatch: fp:11 vs qi",
+        "ValueError: field mismatch: qi vs fp:11", "ValueError: field mismatch: fp:11 vs qi",
+        "ValueError: field mismatch: qi vs fp:11", "ValueError: field mismatch: fp:11 vs qi",
+        False, False,
+    ),
+    ("fp:7", "8"): ("4", "4", "2", "5", "3", "3", "3", "5", False, False),
+    ("fp:7", "10"): ("6", "6", "0", "0", "2", "2", "1", "1", True, True),
+    ("fp:7", "0"): (
+        "3", "3", "3", "4", "0", "0", "ZeroDivisionError: scalar inverse of zero", "0", False,
+        False,
+    ),
+    ("fp:7", "3/4"): ("2", "2", "4", "3", "4", "4", "4", "2", False, False),
+    ("fp:7", "1/2"): ("0", "0", "6", "1", "5", "5", "6", "6", False, False),
+    ("fp:7", "1/7"): (
+        "ValueError: denominator of 1/7 is not invertible over fp:7",
+        "ValueError: denominator of 1/7 is not invertible over fp:7",
+        "ValueError: denominator of 1/7 is not invertible over fp:7",
+        "ValueError: denominator of 1/7 is not invertible over fp:7",
+        "ValueError: denominator of 1/7 is not invertible over fp:7",
+        "ValueError: denominator of 1/7 is not invertible over fp:7",
+        "ValueError: denominator of 1/7 is not invertible over fp:7",
+        "ValueError: denominator of 1/7 is not invertible over fp:7", False, False,
+    ),
+    ("fp:7", "2.5"): (
+        "TypeError: unsupported operand type(s) for +: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for +: 'float' and 'Scalar'",
+        "TypeError: unsupported operand type(s) for -: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for -: 'float' and 'Scalar'",
+        "TypeError: unsupported operand type(s) for *: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for *: 'float' and 'Scalar'",
+        "TypeError: unsupported operand type(s) for /: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for /: 'float' and 'Scalar'", False, False,
+    ),
+    ("fp:7", "5 here"): ("1", "1", "5", "2", "1", "1", "2", "4", False, False),
+    ("fp:7", "0 here"): (
+        "3", "3", "3", "4", "0", "0", "ZeroDivisionError: scalar inverse of zero", "0", False,
+        False,
+    ),
+    ("fp:7", "2 in fp:11"): (
+        "ValueError: field mismatch: fp:7 vs fp:11", "ValueError: field mismatch: fp:11 vs fp:7",
+        "ValueError: field mismatch: fp:7 vs fp:11", "ValueError: field mismatch: fp:11 vs fp:7",
+        "ValueError: field mismatch: fp:7 vs fp:11", "ValueError: field mismatch: fp:11 vs fp:7",
+        "ValueError: field mismatch: fp:7 vs fp:11", "ValueError: field mismatch: fp:11 vs fp:7",
+        False, False,
+    ),
+    ("fp2:7", "8"): ("4+2w", "4+2w", "2+2w", "5+5w", "3+2w", "3+2w", "3+2w", "6+3w", False, False),
+    ("fp2:7", "10"): ("6+2w", "6+2w", "2w", "5w", "2+6w", "2+6w", "1+3w", "4+2w", False, False),
+    ("fp2:7", "0"): (
+        "3+2w", "3+2w", "3+2w", "4+5w", "0", "0", "ZeroDivisionError: scalar inverse of zero", "0",
+        False, False,
+    ),
+    ("fp2:7", "3/4"): (
+        "2+2w", "2+2w", "4+2w", "3+5w", "4+5w", "4+5w", "4+5w", "1+4w", False, False,
+    ),
+    ("fp2:7", "1/2"): ("2w", "2w", "6+2w", "1+5w", "5+w", "5+w", "6+4w", "3+5w", False, False),
+    ("fp2:7", "1/7"): (
+        "ValueError: denominator of 1/7 is not invertible over fp2:7",
+        "ValueError: denominator of 1/7 is not invertible over fp2:7",
+        "ValueError: denominator of 1/7 is not invertible over fp2:7",
+        "ValueError: denominator of 1/7 is not invertible over fp2:7",
+        "ValueError: denominator of 1/7 is not invertible over fp2:7",
+        "ValueError: denominator of 1/7 is not invertible over fp2:7",
+        "ValueError: denominator of 1/7 is not invertible over fp2:7",
+        "ValueError: denominator of 1/7 is not invertible over fp2:7", False, False,
+    ),
+    ("fp2:7", "2.5"): (
+        "TypeError: unsupported operand type(s) for +: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for +: 'float' and 'Scalar'",
+        "TypeError: unsupported operand type(s) for -: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for -: 'float' and 'Scalar'",
+        "TypeError: unsupported operand type(s) for *: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for *: 'float' and 'Scalar'",
+        "TypeError: unsupported operand type(s) for /: 'Scalar' and 'float'",
+        "TypeError: unsupported operand type(s) for /: 'float' and 'Scalar'", False, False,
+    ),
+    ("fp2:7", "5 here"): (
+        "1+2w", "1+2w", "5+2w", "2+5w", "1+3w", "1+3w", "2+6w", "2+w", False, False,
+    ),
+    ("fp2:7", "0 here"): (
+        "3+2w", "3+2w", "3+2w", "4+5w", "0", "0", "ZeroDivisionError: scalar inverse of zero", "0",
+        False, False,
+    ),
+    ("fp2:7", "2 in fp:11"): (
+        "ValueError: field mismatch: fp2:7 vs fp:11", "ValueError: field mismatch: fp:11 vs fp2:7",
+        "ValueError: field mismatch: fp2:7 vs fp:11", "ValueError: field mismatch: fp:11 vs fp2:7",
+        "ValueError: field mismatch: fp2:7 vs fp:11", "ValueError: field mismatch: fp:11 vs fp2:7",
+        "ValueError: field mismatch: fp2:7 vs fp:11", "ValueError: field mismatch: fp:11 vs fp2:7",
+        False, False,
+    ),
+}
+
+
+_OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq)
+
+
+def _mixed_outcomes():
+    fp11 = FieldSpec.prime(11)
+    table = {}
+    for spec, a, b in (("q", Fraction(3, 4), 0), ("qi", Fraction(3, 4), 2), ("fp:7", 3, 0), ("fp2:7", 3, 2)):
+        field = FieldSpec.parse(spec)
+        x = field.scalar(a, b)
+        operands = {
+            "8": 8, "10": 10, "0": 0, "3/4": Fraction(3, 4), "1/2": Fraction(1, 2),
+            "1/7": Fraction(1, 7), "2.5": 2.5, "5 here": field.from_int(5),
+            "0 here": field.zero, "2 in fp:11": fp11.from_int(2),
+        }
+        for label, y in operands.items():
+            outcomes = []
+            for op in _OPERATORS:
+                for left, right in ((x, y), (y, x)):
+                    try:
+                        r = op(left, right)
+                    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+                        r = f"{type(exc).__name__}: {exc}"
+                    else:
+                        if isinstance(r, Scalar):
+                            _assert_canonical(r, field)
+                            r = str(r)
+                    outcomes.append(r)
+            table[spec, label] = tuple(outcomes)
+    return table
+
+
+def test_mixed_operands_keep_their_recorded_outcomes():
+    assert _mixed_outcomes() == _MIXED_OUTCOMES

@@ -242,14 +242,13 @@ def test_parse_errors(q):
 
 
 @pytest.mark.parametrize("spec", ["q", "qi", "fp:13", "fp:101", "fp2:13"])
-def test_parse_of_non_canonical_text_is_the_expanded_sum(spec, monkeypatch):
+def test_parse_of_non_canonical_text_is_the_expanded_sum(spec, count_scalars):
     # repeated variables, several numeric factors in one term, terms that
     # cancel, a leading sign, x0..x7 mixed with the aliases and, over qi
     # and fp2, parenthesized coefficients; q is expanded by sympy, the
     # other fields by a term-by-term product of scalars
     hypothesis = pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
-    from ulrich_forge import fields
 
     st = hypothesis.strategies
     field = FieldSpec.parse(spec)
@@ -324,14 +323,12 @@ def test_parse_of_non_canonical_text_is_the_expanded_sum(spec, monkeypatch):
             total[key] = total.get(key, field.zero) + coeff
         return Poly(field, nvars, total)
 
-    boxed = []
-    init = fields.Scalar.__init__
-
-    def counting_init(self, *args):
-        boxed.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(fields.Scalar, "__init__", counting_init)
+    three_terms = parse_poly("x + 2*y - 3*z", field)
+    boxed = count_scalars()
+    # positive controls, one per route: reading the terms boxes one scalar
+    # per term, and field.scalar validates one
+    assert len(three_terms.terms) == 3 and len(boxed) == 3
+    assert field.scalar(5) and len(boxed) == 4
 
     @hypothesis.given(texts(), st.integers(0, 2))
     @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
@@ -428,19 +425,18 @@ def test_poly_times_fraction_in_either_order():
     assert parse_poly("x", FieldSpec.rationals()) * Other() == "other"
 
 
-def test_parsing_without_numbers_boxes_no_scalar(monkeypatch):
-    from ulrich_forge import fields
-
+def test_parsing_without_numbers_boxes_no_scalar(count_scalars):
     fields_used = [FieldSpec.rationals(), FieldSpec.gaussian_rationals(),
                    FieldSpec.prime(13), FieldSpec.quadratic(13)]
-    built = []
-    init = fields.Scalar.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(fields.Scalar, "__init__", counting_init)
+    three_terms = [parse_poly("x + 2*y - 3*z", field) for field in fields_used]
+    built = count_scalars()
+    # positive controls, one per route: reading the terms boxes one scalar
+    # per term, and field.scalar validates one
+    for p in three_terms:
+        built.clear()
+        assert len(p.terms) == 3 and len(built) == 3
+        assert p.field.scalar(5) and len(built) == 4
+    built.clear()
     for field in fields_used:
         p = parse_poly("x^2*y - y*z^3 + z^4 - x*y*z + x0^0", field, nvars=3)
         assert len(p.raw) == 5

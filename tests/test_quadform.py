@@ -132,23 +132,8 @@ def test_record_from_gram_checks_the_shape_and_coerces_entries(q, f13):
     assert rec.rank == 2 and rec.poly == parse_poly("2*x*y", f13)
 
 
-def _count_scalars(monkeypatch):
-    """A list that collects the arguments of every ``Scalar`` built from now on."""
-    from ulrich_forge import fields
-
-    built = []
-    init = fields.Scalar.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(fields.Scalar, "__init__", counting_init)
-    return built
-
-
 @pytest.mark.parametrize("text", ["q", "qi", "fp:101", "fp2:13"])
-def test_records_ranks_and_the_gcd_box_no_scalar(text, monkeypatch):
+def test_records_ranks_and_the_gcd_box_no_scalar(text, count_scalars):
     field = FieldSpec.parse(text)
     forms = ["x*y + y*z + z*t", "x^2 + 4*x*y + 3*y^2 + z^2"]
     small = [parse_poly(form, field) for form in forms]
@@ -156,7 +141,13 @@ def test_records_ranks_and_the_gcd_box_no_scalar(text, monkeypatch):
     system = GradedSystem([parse_poly(t, field) for t in ("x^2 - y*z", "y^2 - x*z", "z^2 + x*y")])
     univariate = parse_poly("x^4 - 2*x^2 + 1", field, nvars=1)
     records = [gram_from_poly(p) for p in small + padded]
-    built = _count_scalars(monkeypatch)
+    three_terms = parse_poly("x + 2*y - 3*z", field)
+    built = count_scalars()
+    # positive controls, one per route: reading the terms boxes one scalar
+    # per term, and field.scalar validates one
+    assert len(three_terms.terms) == 3 and len(built) == 3
+    assert field.scalar(5) and len(built) == 4
+    built.clear()
     for p in small + padded:
         gram_from_poly(p)
     hilbert_value(system, 3)

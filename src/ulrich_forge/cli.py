@@ -58,30 +58,31 @@ def _read_poly_texts(args, expected=None, minimum=None):
     return texts
 
 
-def _parse_texts(texts, field, nvars, config, floor_nvars=1, **known):
-    """The texts parsed once each; their arity and ``known`` then enter config.
+def _parse_texts(texts, field, nvars, config, floor_nvars=1):
+    """The texts parsed once each; their arity then enters config.
 
     With ``nvars`` None (no --nvars) each text is parsed at the arity
     its own variables name, and all are padded to the largest of these
     and ``floor_nvars``.  When a text fails, a tokenization error in any
     text comes first if the arity is inferred, and leaves config as it
     was; otherwise the first error of the texts in order, at their
-    common arity, is raised with that arity and ``known`` in config.
-    Only this error path reads a text twice.
+    common arity, is raised with that arity in config.  Only this error
+    path reads a text twice.  A handler's default --max-trials enters
+    config before it reads any text, so every error envelope shows it.
     """
     try:
         polys = [parse_poly(t, field, nvars) for t in texts]
     except ValueError:
         if nvars is None:
             nvars = max(max(map(infer_nvars, texts)), floor_nvars)
-        config.update(nvars=nvars, **known)
+        config["nvars"] = nvars
         for t in texts:
             parse_poly(t, field, nvars)
         raise
     if nvars is None:
         nvars = max(max(p.nvars for p in polys), floor_nvars)
         polys = [_padded(p, nvars) for p in polys]
-    config.update(nvars=nvars, **known)
+    config["nvars"] = nvars
     return polys
 
 
@@ -166,16 +167,13 @@ def _cmd_mf_build(args, field, config):
 
 def _matrix_from_texts(args, field, config):
     texts = _read_poly_texts(args, minimum=2)
-    # the arity enters config only once every text has parsed
-    quadric, *entries = _parse_texts(texts, field, args.nvars, {})
+    quadric, *entries = _parse_texts(texts, field, args.nvars, config)
     size = len(entries)
     side = int(round(size**0.5))
     if side * side != size:
         raise ValueError(f"entry count {size} is not a perfect square")
     rows = [entries[i * side : (i + 1) * side] for i in range(side)]
-    mf = MatrixFactorization(rows, quadric)
-    config["nvars"] = quadric.nvars
-    return mf
+    return MatrixFactorization(rows, quadric)
 
 
 def _cmd_mf_verify(args, field, config):
@@ -185,9 +183,9 @@ def _cmd_mf_verify(args, field, config):
 
 
 def _cmd_mf_det_cert(args, field, config):
-    mf = _matrix_from_texts(args, field, config)
     trials = args.max_trials if args.max_trials is not None else 50
     config["max_trials"] = trials
+    mf = _matrix_from_texts(args, field, config)
     cert = determinant_certificate(mf, trials=trials, seed=args.seed)
     return {
         "certified": cert.ok,
@@ -285,9 +283,10 @@ def _cmd_ulrich_bounds(args, field, config):
 
 
 def _cmd_ulrich_normalize(args, field, config):
-    texts = _read_poly_texts(args, expected=5)
     trials = args.max_trials if args.max_trials is not None else 20
-    F, f1, g1, f2, g2 = _parse_texts(texts, field, args.nvars, config, 3, max_trials=trials)
+    config["max_trials"] = trials
+    texts = _read_poly_texts(args, expected=5)
+    F, f1, g1, f2, g2 = _parse_texts(texts, field, args.nvars, config, 3)
     decomp = FormDecomposition(F, ((f1, g1), (f2, g2)))
     out = normalize_plane_decomposition(F, decomp, seed=args.seed, max_trials=trials)
     certs = out.certificates
@@ -342,9 +341,10 @@ def _cmd_cover_split_check(args, field, config):
 
 
 def _cmd_cover_transversal(args, field, config):
-    texts = _read_poly_texts(args, expected=2)
     trials = args.max_trials if args.max_trials is not None else 8
-    f, g = _parse_texts(texts, field, args.nvars, config, 3, max_trials=trials)
+    config["max_trials"] = trials
+    texts = _read_poly_texts(args, expected=2)
+    f, g = _parse_texts(texts, field, args.nvars, config, 3)
     res = certify_transversal(f, g, seed=args.seed, max_trials=trials)
     return {
         "verdict": res.verdict,

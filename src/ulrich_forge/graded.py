@@ -46,17 +46,15 @@ The rank of a Macaulay matrix is exact in every field and is finished
 over a finite field where it can: always over fp and fp2, and over q a
 smooth F gives a full rank modulo a word-size prime, which already is
 the rational rank, so smoothness over q is certified there; only a
-singular F goes on to Bareiss elimination over the integers
-(``linalg._exact_rank``).  The image rows are built straight from
-residues: each generator's coefficients are mapped once by
-``linalg._residue_rows``, and the row gamma * g is the sparse map from
-the columns of gamma * x^a to those images, ranked (over fp2 off the
-subfield, realified) by ``linalg._image_rank``.  Monomials are coded as
+singular F goes on to Bareiss elimination over the integers.  That rule
+lives in ``linalg._rank_raw``, which takes the rows as built here:
+``_macaulay_rows`` maps each row gamma * g from the columns of
+gamma * x^a to g's raw coefficients, and the square check reads the
+image rank alone, ``linalg._prime_rank``.  Monomials are coded as
 integers in base e + 1, so the code of gamma * x^a is the sum of the
 codes and its column is one dict lookup; the column map and the
 multipliers gamma are cached per shape (variables, degree e, generator
-degree, order), never per form.  The exact finish gets the dense raw
-rows of the same builder.  The columns are ordered by the reversed
+degree, order), never per form.  The columns are ordered by the reversed
 exponent tuple (the last variable's exponent first), which keeps the
 fill-in of the elimination low: on a seeded octic over fp:32003 the
 square submatrix in this order takes under a third of the entry updates
@@ -72,7 +70,7 @@ from functools import lru_cache
 from math import comb
 
 from .fields import GAUSSIAN, RATIONAL
-from .linalg import _exact_rank, _image_rank, _residue_rows
+from .linalg import _prime_rank, _rank_raw
 from .poly import Poly, monomials_of_degree
 
 YES = "yes"
@@ -153,64 +151,31 @@ def _multipliers(nvars, e, degree, earlier):
     )
 
 
-def _macaulay_rows(system, e, values, order=None):
-    """Rows gamma * g of the Macaulay matrix in degree e, as sparse maps column -> value.
+def _macaulay_rows(system, e, order=None):
+    """Rows gamma * g of the Macaulay matrix in degree e, as sparse maps column -> raw value.
 
-    ``values`` holds each generator's (exponents, value) pairs: its raw
-    coefficients, or their residues (``_residue_values``).  The columns
-    are those of ``_columns``, and only the multipliers depend on the
-    generators' shape, so both come from caches keyed by the shape.
-    With ``order``, a permutation of the generators, all of one degree d
-    and generator j paired with variable j, the rows come generator by
-    generator in that order, and the generator in place k keeps only the
-    multiples with gamma_j < d for each j placed before it: the Macaulay
-    submatrix with one row per column, once e is past the socle bound.
+    The columns are those of ``_columns``, and only the multipliers
+    depend on the generators' shape, so both come from caches keyed by
+    the shape.  With ``order``, a permutation of the generators, all of
+    one degree d and generator j paired with variable j, the rows come
+    generator by generator in that order, and the generator in place k
+    keeps only the multiples with gamma_j < d for each j placed before
+    it: the Macaulay submatrix with one row per column, once e is past
+    the socle bound.
     """
     nvars, gens = system.nvars, system.generators
     column = _columns(nvars, e)
     rows = []
     for k, i in enumerate(range(len(gens)) if order is None else order):
+        raw = gens[i].raw
         # generators are homogeneous, so any term gives the degree
-        degree = sum(next(iter(gens[i].raw)))
+        degree = sum(next(iter(raw)))
         if degree > e:
             continue
         earlier = () if order is None else tuple(sorted(order[:k]))
-        terms = [(_code(a, e + 1), v) for a, v in values[i]]
+        terms = [(_code(a, e + 1), v) for a, v in raw.items()]
         rows += [{column[g + c]: v for c, v in terms} for g in _multipliers(nvars, e, degree, earlier)]
     return rows
-
-
-def _residue_values(system):
-    """Each generator's (exponents, nonzero image) pairs over a finite field, or None.
-
-    One ``linalg._residue_rows`` call maps every generator's
-    coefficients, so the Macaulay rows built from them are the image of
-    the raw rows; None when a denominator is divisible by the prime.
-    """
-    gens = system.generators
-    image = _residue_rows([list(g.raw.values()) for g in gens], system.field)
-    if image is None:
-        return None
-    return [
-        [(keys[j], v) for j, v in row.items()]
-        for keys, row in zip((list(g.raw) for g in gens), image)
-    ]
-
-
-def _prime_macaulay_rank(system, e, order=None):
-    """(rank, row count) of the image of the Macaulay rows over a finite field, or None.
-
-    The rows are those of ``_macaulay_rows`` (with ``order``, the
-    square submatrix) on the images of ``_residue_values``, ranked by
-    ``linalg._image_rank``: exact over fp and fp2, a lower bound over q
-    and qi, where the prime is _CHECK_PRIME.  None without an image.
-    """
-    values = _residue_values(system)
-    if values is None:
-        return None
-    rows = _macaulay_rows(system, e, values, order)
-    count = len(rows)
-    return _image_rank(rows, system.field, graded_dimension(system.nvars, e)), count
 
 
 def _square_order(f):
@@ -230,20 +195,7 @@ def hilbert_value(system, e):
     if e < 0:
         raise ValueError("degree must be nonnegative")
     width = graded_dimension(system.nvars, e)
-    field = system.field
-    image = _prime_macaulay_rank(system, e)
-    if image is not None:
-        rank, count = image
-        if field.p or rank == min(count, width):
-            return width - rank
-    rows = _macaulay_rows(system, e, [g.raw.items() for g in system])
-    zero, dense = field.arith.zero, []
-    for row in rows:
-        line = [zero] * width
-        for c, v in row.items():
-            line[c] = v
-        dense.append(line)
-    return width - _exact_rank(dense, field)
+    return width - _rank_raw(_macaulay_rows(system, e), system.field, width)
 
 
 @dataclass
@@ -380,8 +332,9 @@ def is_smooth_hypersurface(f, e_max=None, seed=0):
         witness = find_projective_zero(system, seed=seed, trials=200)
         return SmoothnessResult(SINGULAR, witness=witness)
     if e_used >= bound:
-        image = _prime_macaulay_rank(system, e_used, order=_square_order(f))
-        if image is not None and image[0] == graded_dimension(f.nvars, e_used):
+        width = graded_dimension(f.nvars, e_used)
+        square = _macaulay_rows(system, e_used, _square_order(f))
+        if _prime_rank(square, f.field, width) == width:
             return SmoothnessResult(SMOOTH, e_used=e_used)
     value = hilbert_value(system, e_used)
     if value == 0:

@@ -12,9 +12,9 @@ Four elimination routines do all the work:
   mod p only when the row becomes a pivot (delayed reduction, as in
   Dumas-Fousse-Salvy 2011); the pivot of each column is the row that
   ends first, which limits fill-in.  ``_residue_rows`` alone maps raw
-  rows to their images (``resultants`` and ``graded`` read theirs
-  through it), and ``_image_rank`` alone ranks them: an fp2 matrix off
-  the subfield F_p is realified there, ranked over F_p at twice the size.
+  rows to their images (``resultants`` reads its one row through it),
+  and ``_prime_rank`` alone ranks them: an fp2 matrix off the subfield
+  F_p is realified there, ranked over F_p at twice the size.
 - ``_bareiss``, fraction-free elimination on denominator-cleared integer
   rows, gives q determinants and the q ranks the prime cannot settle
   (rank deficient mod the prime, or a denominator divisible by it); it
@@ -32,15 +32,16 @@ Four elimination routines do all the work:
   and ``solve`` and ``invert`` in every field, through Gauss-Jordan, on
   ``field.arith``.
 
-Ranks run on raw rows in ``_rank_raw``: Gram records and Macaulay
-matrices pass theirs directly, and ``rank`` unwraps scalar rows once.
-``_prime_rank`` gives the rank of the rows' image: exact over fp and
-fp2, a lower bound over q and qi, and None when a denominator is
-divisible by _CHECK_PRIME.  Only when that answer is not exact and not
-full does ``_exact_rank`` go on to Bareiss over Z (q) or over Z[i]
-(qi).  ``graded`` builds the image rows of its Macaulay matrices itself,
-ranks them through ``_image_rank``, and calls ``_exact_rank`` when the
-prime leaves the rank open.  All results are exact; nothing here is
+Every rank goes through ``_rank_raw(rows, field, width)``, on sparse raw
+rows: each row maps a column to a nonzero raw value.  Gram records,
+Macaulay matrices and the Keem witnesses off qi pass theirs directly, and
+``rank`` unwraps scalar rows once.  ``_prime_rank`` gives the rank of
+the rows' image: exact over fp and fp2, a lower bound over q and qi,
+and None when a denominator is divisible by _CHECK_PRIME; ``graded``
+reads it alone for its square Macaulay submatrix, whose deficiency
+decides nothing.  ``_rank_raw`` keeps that answer when it is exact or
+full, and only otherwise fills the rows in densely for Bareiss over Z
+(q) or over Z[i] (qi).  All results are exact; nothing here is
 approximate.
 """
 
@@ -174,7 +175,7 @@ def _rank_mod_p(rows, p, width):
     exceeds p + width * (p - 1)^2, and w is taken to hold that.  A slot
     that is a nonzero multiple of p is never a lead: when one comes
     first, the whole row is reduced, which clears it.  Stops once the
-    rank reaches ``width``.  The rows are consumed.
+    rank reaches ``width``.  The rows are not changed.
     """
     words = -(-(p + width * (p - 1) ** 2).bit_length() // 64)
     slot = 64 * words
@@ -286,21 +287,22 @@ def _eliminate(rows, ar, ncols, reduced=False):
 
 
 def _residue_rows(rows, field):
-    """The image of raw rows over a finite field, as sparse rows column -> nonzero value; or None.
+    """The image of sparse raw rows over a finite field, as sparse rows column -> nonzero value; or None.
 
-    Over fp the entries are their own residues, and so are fp2 entries
-    if all lie in the subfield; otherwise fp2 rows keep residue pairs.
-    Over q and qi the image is mod _CHECK_PRIME: n/d goes to n * d^-1,
-    and a + b*i to a + b*_I in the same pass.  None only when a
-    denominator is divisible by _CHECK_PRIME.
+    Over fp the raw values are already nonzero residues, and the rows
+    come back unchanged.  fp2 rows do too unless all their entries lie
+    in the subfield, where they keep the first part alone.  Over q and
+    qi the image is mod _CHECK_PRIME: n/d goes to n * d^-1, and a + b*i
+    to a + b*_I in the same pass, and entries that vanish there drop
+    out.  None only when a denominator is divisible by _CHECK_PRIME.
     """
     kind = field.kind
     if kind == PRIME:
-        return [{j: v for j, v in enumerate(row) if v} for row in rows]
+        return rows
     if kind == PRIME_QUADRATIC:
-        if any(v[1] for row in rows for v in row):
-            return [{j: v for j, v in enumerate(row) if v[0] or v[1]} for row in rows]
-        return [{j: v[0] for j, v in enumerate(row) if v[0]} for row in rows]
+        if any(v[1] for row in rows for v in row.values()):
+            return rows
+        return [{j: v[0] for j, v in row.items()} for row in rows]
     p, inverses = _CHECK_PRIME, {1: 1}
 
     def lift(x):
@@ -313,27 +315,32 @@ def _residue_rows(rows, field):
 
     try:
         if kind == GAUSSIAN:
-            return [
-                {j: x for j, (a, b) in enumerate(row) if (a or b) and (x := (lift(a) + _I * lift(b)) % p)}
-                for row in rows
-            ]
-        return [{j: x for j, v in enumerate(row) if v and (x := lift(v) % p)} for row in rows]
+            return [{j: x for j, (a, b) in row.items() if (x := (lift(a) + _I * lift(b)) % p)} for row in rows]
+        return [{j: x for j, v in row.items() if (x := lift(v) % p)} for row in rows]
     except ValueError:
         return None
 
 
-def _image_rank(rows, field, width):
-    """Rank of the image rows of ``_residue_rows`` by ``_rank_mod_p``; the rows are consumed.
+def _prime_rank(rows, field, width):
+    """Rank of the image of sparse raw rows over a finite field, or None; the rows are not changed.
 
-    Rows of fp2 residue pairs (an fp2 matrix off the subfield; the first
-    value tells) are realified: with w*w = nu, a row r gives the F_p rows
-    of r and of w*r, w*(a + b*w) = nu*b + a*w, the parts of column j in
-    columns 2j and 2j + 1; their F_p rank is twice the rank over F_{p^2}.
+    Over fp and fp2 this is the exact rank.  Over q and qi the rows are
+    reduced mod _CHECK_PRIME, with i sent to a square root _I of -1
+    there, and the rank can only drop: the answer is a lower bound,
+    exact when it is full.  None when a denominator is divisible by the
+    prime (see ``_residue_rows``).  The image of an fp2 matrix off the
+    subfield keeps residue pairs, and is realified: with w*w = nu, a row
+    r gives the F_p rows of r and of w*r, w*(a + b*w) = nu*b + a*w, the
+    parts of column j in columns 2j and 2j + 1; their F_p rank is twice
+    the rank over F_{p^2}.
     """
+    image = _residue_rows(rows, field)
+    if image is None:
+        return None
     p = field.p or _CHECK_PRIME
-    if type(next((v for row in rows for v in row.values()), 0)) is tuple:
+    if type(next((v for row in image for v in row.values()), 0)) is tuple:
         nu, real = field.nu, []
-        for row in rows:
+        for row in image:
             r, wr = {}, {}
             for j, (a, b) in row.items():
                 if a:
@@ -342,54 +349,37 @@ def _image_rank(rows, field, width):
                     r[2 * j + 1], wr[2 * j] = b, nu * b % p
             real += (r, wr)
         return _rank_mod_p(real, p, 2 * width) // 2
-    return _rank_mod_p(rows, p, width)
+    return _rank_mod_p(image, p, width)
+
+
+def _rank_raw(rows, field, width):
+    """Rank of sparse raw rows in ``width`` columns, each a map column -> nonzero raw value.
+
+    The rows are not changed.  ``_prime_rank`` goes first, and its
+    answer stands when it is exact (fp and fp2) or full.  Otherwise,
+    over q and qi, the rows are filled in densely, cleared of
+    denominators, and ranked by Bareiss over Z or over Z[i].
+    """
+    r = _prime_rank(rows, field, width)
+    if r is not None and (field.p or r == min(len(rows), width)):
+        return r
+    zero = field.arith.zero
+    dense = [[row.get(j, zero) for j in range(width)] for row in rows]
+    if field.kind == GAUSSIAN:
+        return _bareiss_quadratic(_as_int_rows(dense, gaussian=True)[0], -1)[0]
+    return _bareiss(_as_int_rows(dense)[0])[0]
 
 
 def rank(rows, field):
-    """Rank of a matrix given as a list of scalar rows; see ``_rank_raw``."""
-    return _rank_raw([list(map(field.arith.of, row)) for row in rows], field)
+    """Rank of a matrix given as a list of scalar rows; see ``_rank_raw``.
 
-
-def _prime_rank(rows, field):
-    """Rank of the image of raw rows over a finite field, or None; the rows are not changed.
-
-    Over fp and fp2 this is the exact rank.  Over q and qi the rows are
-    reduced mod _CHECK_PRIME, with i sent to a square root _I of -1
-    there, and the rank can only drop: the answer is a lower bound,
-    exact when it is full.  None when a denominator is divisible by the
-    prime (see ``_residue_rows``).
-    """
-    width = len(rows[0]) if rows else 0
-    sparse = _residue_rows(rows, field)
-    return None if sparse is None else _image_rank(sparse, field, width)
-
-
-def _rank_raw(rows, field):
-    """Rank of a matrix of raw entries; the rows are not changed.
-
-    ``_prime_rank`` goes first.  Its answer stands when it is exact (fp
-    and fp2) or full; otherwise ``_exact_rank`` decides.  Ragged rows
-    raise ValueError.
+    Ragged rows raise ValueError.
     """
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise ValueError("rank of a matrix with rows of different lengths")
-    if not width:
-        return 0
-    r = _prime_rank(rows, field)
-    if r is not None and (field.p or r == min(len(rows), width)):
-        return r
-    return _exact_rank(rows, field)
-
-
-def _exact_rank(rows, field):
-    """Rank of q or qi raw rows by Bareiss over Z or Z[i], for ranks the prime image leaves open.
-
-    The rows are not changed.
-    """
-    if field.kind == GAUSSIAN:
-        return _bareiss_quadratic(_as_int_rows(rows, gaussian=True)[0], -1)[0]
-    return _bareiss(_as_int_rows(rows)[0])[0]
+    of = field.arith.of
+    return _rank_raw([{j: of(v) for j, v in enumerate(row) if v} for row in rows], field, width)
 
 
 def det(rows, field):

@@ -39,15 +39,15 @@ class QuadraticFormRecord:
             raise ValueError("quadratic form must be homogeneous of degree 2")
         field, n, ar = poly.field, poly.nvars, poly.field.arith
         half = ar.inv(ar.add(ar.one, ar.one))
-        rows = [[ar.zero] * n for _ in range(n)]
+        rows = [{} for _ in range(n)]
         for exps, v in poly.raw.items():
             i, j = [k for k, e in enumerate(exps) for _ in range(e)]  # x_i * x_j, maybe i == j
             rows[i][j] = rows[j][i] = v if i == j else ar.mul(v, half)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", n)
         object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "raw", tuple(map(tuple, rows)))
-        object.__setattr__(self, "rank", _rank_raw(rows, field))
+        object.__setattr__(self, "raw", tuple(tuple(row.get(j, ar.zero) for j in range(n)) for row in rows))
+        object.__setattr__(self, "rank", _rank_raw(rows, field, n))
 
     def __setattr__(self, *_):
         raise AttributeError("QuadraticFormRecord is immutable")

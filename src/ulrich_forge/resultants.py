@@ -19,11 +19,11 @@ two chart polynomials, whose 2d x 2d determinant over K[y] is taken by
 coefficients decides squarefreeness.
 
 Over q and qi that gcd runs mod the prime P = ``linalg._CHECK_PRIME``
-first, on the image that ``linalg._residue_rows`` gives (i goes to a
-square root of -1 mod P).  A squarefree image of full degree proves the
-polynomial squarefree (see ``_squarefree``); any other image leaves the
-decision to Euclid on the exact coefficients, so no answer depends on
-the prime.
+first, on the image that ``linalg._residue_rows`` gives of the
+coefficients as one sparse row (i goes to a square root of -1 mod P).
+A squarefree image of full degree proves the polynomial squarefree (see
+``_squarefree``); any other image leaves the decision to Euclid on the
+exact coefficients, so no answer depends on the prime.
 """
 
 from __future__ import annotations
@@ -129,7 +129,8 @@ def _squarefree(coeffs, field):
     answer to Euclid on the exact coefficients.
     """
     if not field.p:
-        image = _residue_rows([coeffs], field)
+        zero = field.arith.zero
+        image = _residue_rows([{j: c for j, c in enumerate(coeffs) if c != zero}], field)
         top = len(coeffs) - 1
         if image is not None and top in image[0]:
             residues = [image[0].get(j, 0) for j in range(top + 1)]

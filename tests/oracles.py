@@ -170,11 +170,8 @@ def cover_module_hilbert_value(entries, F, d, t):
                     for a, v in entries[i][j].raw.items():
                         key = (i, part, shift(a, c))
                         row[key] = ar.add(row[key], neg(v)) if key in row else neg(v)
-                dense = [ar.zero] * len(columns)
-                for key, v in row.items():
-                    dense[columns[key]] = v
-                rows.append(dense)
-    return len(columns) - (_rank_raw(rows, field) if rows else 0)
+                rows.append({columns[key]: v for key, v in row.items() if v != ar.zero})
+    return len(columns) - _rank_raw(rows, field, len(columns))
 
 
 def is_ulrich_presentation(entries, F, d):

@@ -613,18 +613,18 @@ ENVELOPE_CORPUS = [
     (["quad", "rank", "x^2 + (1+w)*y^2", "--field", "fp2:13"], 0, 2, None, None),
     (["quad", "rank", "x^2 + (1+w*y^2", "--field", "fp2:13"],
      2, 1, None, "unbalanced parenthesis in polynomial"),
-    (["mf", "verify", "x*y", "x", "y +", "y", "x"], 2, None, None, "unexpected end of polynomial"),
+    (["mf", "verify", "x*y", "x", "y +", "y", "x"], 2, 2, None, "unexpected end of polynomial"),
     (["mf", "verify", "x*y", "x", "y", "y", "x @"],
      2, None, None, "cannot tokenize polynomial near '@'"),
     (["mf", "det-cert", "x*y", "x", "y*q", "y", "x"],
-     2, None, None, "unknown variable 'q' for arity 2"),
+     2, 2, 50, "unknown variable 'q' for arity 2"),
     (["ulrich", "normalize", "x^4", "x^2 +", "y^2", "z^2", "x*y"],
      2, 3, 20, "unexpected end of polynomial"),
     (["ulrich", "normalize", "x^4", "x^2", "y^2 &", "z^2", "x*y"],
-     2, None, None, "cannot tokenize polynomial near '&'"),
+     2, None, 20, "cannot tokenize polynomial near '&'"),
     (["cover", "transversal", "x^2 - y*z", "y^2 -"], 2, 3, 8, "unexpected end of polynomial"),
     (["cover", "transversal", "x^2 - y*z", "y^2 - ;"],
-     2, None, None, "cannot tokenize polynomial near ';'"),
+     2, None, 8, "cannot tokenize polynomial near ';'"),
     (["ulrich", "pipeline", "x^4 + y^4 +", "--field", "fp:13"],
      2, 2, None, "unexpected end of polynomial"),
     (["hilbert", "value", "x^2", "y^", "-e", "2"],
@@ -643,6 +643,8 @@ ENVELOPE_CORPUS = [
     (["quad", "rank", "-x^2 - - y^2"], 2, 2, None, "unexpected '-' in polynomial"),
     (["quad", "rank", "x^2 + y^2 *"], 2, 2, None, "unexpected end of polynomial"),
     (["quad", "rank", "x^2 + ((1))*y^2"], 2, 2, None, "cannot parse scalar '(1' over q"),
+    (["mf", "verify", "x*y", "x", "y", "y", "x", "z"],
+     2, 3, None, "entry count 5 is not a perfect square"),
 ]
 
 

@@ -23,7 +23,7 @@ from ulrich_forge import (
     random_homogeneous,
 )
 from ulrich_forge.graded import INCONCLUSIVE, NO, SINGULAR, SMOOTH, YES, find_projective_zero
-from ulrich_forge.linalg import _CHECK_PRIME, _prime_rank, _residue_rows
+from ulrich_forge.linalg import _CHECK_PRIME, _I, _prime_rank, _rank_raw, _residue_rows
 from ulrich_forge.poly import monomials_of_degree
 
 from oracles import macaulay_rows, rank_in_extension
@@ -256,7 +256,7 @@ def _square_rank(f, order=None):
     order = graded._square_order(f) if order is None else order
     rows = macaulay_rows(jacobian_system(f), e, order=order)
     assert len(rows) == graded_dimension(f.nvars, e)
-    return _prime_rank(rows, f.field), len(rows)
+    return _prime_rank(_sparse(rows, f.field), f.field, len(rows)), len(rows)
 
 
 def _count_hilbert_calls(monkeypatch):
@@ -370,6 +370,24 @@ def _sparse(dense, field):
     return [{j: v for j, v in enumerate(row) if v != field.arith.zero} for row in dense]
 
 
+def _image(rows, field):
+    """The image mod the prime of sparse raw rows, entry by entry: the reference for ``_residue_rows``."""
+    if field.kind == "fp":
+        return rows
+    if field.kind == "fp2":
+        if any(v[1] for row in rows for v in row.values()):
+            return rows
+        return [{j: v[0] for j, v in row.items()} for row in rows]
+
+    def residue(x):
+        return x.numerator * pow(x.denominator, -1, _CHECK_PRIME) % _CHECK_PRIME
+
+    def image(v):
+        return (residue(v[0]) + _I * residue(v[1])) % _CHECK_PRIME if field.kind == "qi" else residue(v)
+
+    return [{j: x for j, v in row.items() if (x := image(v))} for row in rows]
+
+
 @pytest.mark.parametrize("nvars", [3, 4])
 @pytest.mark.parametrize("spec", ["fp:101", "fp2:13", "q", "qi"])
 def test_macaulay_rows_match_the_dense_builder(spec, nvars):
@@ -385,7 +403,9 @@ def test_macaulay_rows_match_the_dense_builder(spec, nvars):
         # a coefficient that vanishes mod P drops out of the image
         text = f"x^3 + {_CHECK_PRIME}*y^3 + z^3 + x*y*z" + (" + t^3" if nvars == 4 else "")
         forms.append(parse_poly(text, field, nvars=nvars))
-        assert len(graded._residue_values(jacobian_system(forms[-1]))[1]) == 1
+        partials = graded._macaulay_rows(jacobian_system(forms[-1]), 2)
+        assert [len(row) for row in partials][:2] == [2, 2]
+        assert len(_residue_rows(partials, field)[1]) == 1
     systems = [
         (jacobian_system(f), nvars * (f.homogeneous_degree() - 2) + 1, graded._square_order(f))
         for f in forms
@@ -396,21 +416,25 @@ def test_macaulay_rows_match_the_dense_builder(spec, nvars):
     for system, e, square in systems:
         for order in (None, square):
             dense = macaulay_rows(system, e, order=order)
-            raw = graded._macaulay_rows(system, e, [g.raw.items() for g in system], order)
+            raw = graded._macaulay_rows(system, e, order)
             assert raw == _sparse(dense, field)
-            values = graded._residue_values(system)
-            assert values is not None
-            assert graded._macaulay_rows(system, e, values, order) == _residue_rows(dense, field)
+            assert _residue_rows(raw, field) == _image(raw, field)
+    width = graded_dimension(nvars, 3)
     if field.kind == "fp2":
         # a genuine w coefficient has an image, ranked realified: the dense rank
         system = GradedSystem([x * x * field.scalar(0, 1) + y * y, x * z])
         dense = macaulay_rows(system, 3)
         expected = rank_in_extension([[field.arith.box(v) for v in row] for row in dense], field)
-        assert graded._prime_macaulay_rank(system, 3) == (expected, len(dense))
-        assert _prime_rank(dense, field) == expected
+        rows = graded._macaulay_rows(system, 3)
+        assert _prime_rank(rows, field, width) == _rank_raw(rows, field, width) == expected
+        assert hilbert_value(system, 3) == width - expected
     elif field.kind != "fp":
-        # no image: a denominator divisible by P
+        # no image: a denominator divisible by P; the exact rank decides
         bad = x * x * field.scalar(Fraction(1, _CHECK_PRIME))
         system = GradedSystem([bad + y * y, x * z])
-        assert graded._residue_values(system) is None
-        assert _residue_rows(macaulay_rows(system, 3), field) is None
+        rows = graded._macaulay_rows(system, 3)
+        assert _residue_rows(rows, field) is None
+        assert _prime_rank(rows, field, width) is None
+        dense = macaulay_rows(system, 3)
+        expected = rank_in_extension([[field.arith.box(v) for v in row] for row in dense], field)
+        assert hilbert_value(system, 3) == width - expected

@@ -335,6 +335,12 @@ def test_poly_matrix_det_matches_cofactor_expansion(spec):
 P = linalg._CHECK_PRIME
 
 
+def _sparse_raw(rows, field):
+    """Sparse raw rows column -> nonzero raw value of dense raw rows."""
+    zero = field.arith.zero
+    return [{j: v for j, v in enumerate(row) if v != zero} for row in rows]
+
+
 def _dense_rank_mod_p(rows, p):
     """Dense Gaussian elimination mod p, the reference for the sparse kernel."""
     rows = [[v % p for v in row] for row in rows]
@@ -403,7 +409,7 @@ def test_rank_over_q_falls_back_to_bareiss(q, monkeypatch):
     assert rank([[q.from_int(2 * P), q.from_int(P)], [q.from_int(4), q.from_int(2)]], q) == 1
     # a denominator divisible by P cannot be reduced at all
     inverse_p = [[q.scalar(Fraction(1, P)), q.zero], [q.zero, q.one]]
-    assert _residue_rows([[c.a for c in row] for row in inverse_p], q) is None
+    assert _residue_rows([{0: Fraction(1, P)}, {1: Fraction(1)}], q) is None
     calls = []
     original = linalg._bareiss
     monkeypatch.setattr(linalg, "_bareiss", lambda rows: calls.append(rows) or original(rows))
@@ -463,7 +469,7 @@ def test_rank_over_qi_falls_back_to_exact_elimination(qi, monkeypatch):
     assert len(calls) == 1
     # a denominator divisible by P cannot be reduced at all
     inverse_p = [[qi.scalar(Fraction(1, P), 1), qi.zero], [qi.zero, qi.one]]
-    assert _residue_rows([[(c.a, c.b) for c in row] for row in inverse_p], qi) is None
+    assert _residue_rows([{0: (Fraction(1, P), Fraction(1))}, {1: (Fraction(1), Fraction(0))}], qi) is None
     assert rank(inverse_p, qi) == 2
     assert len(calls) == 2
 
@@ -561,23 +567,26 @@ def test_prime_rank_against_sympy_domain_matrix(spec, monkeypatch):
     @hypothesis.given(matrices(), st.data())
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
     def check(rows, data):
-        before = [list(row) for row in rows]
-        r = _prime_rank(rows, field)
-        assert rows == before
+        width = len(rows[0])
+        sparse = _sparse_raw(rows, field)
+        before = [dict(row) for row in sparse]
+        r = _prime_rank(sparse, field, width)
+        assert sparse == before
         exact = exact_rank(rows)
-        assert _rank_raw(rows, field) == exact
+        assert _rank_raw(sparse, field, width) == exact
         if p:
             assert r == exact
             return
         assert r is not None and r <= exact
         # a denominator divisible by P, in either part, leaves no image mod P
-        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows[0]) - 1))
+        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, width - 1))
         bad = Fraction(1, P)
         if pairs:
             bad = data.draw(st.sampled_from([(bad, zero_part), (zero_part, bad)]))
         rows[i][j] = bad
-        assert _prime_rank(rows, field) is None
-        assert _rank_raw(rows, field) == exact_rank(rows)
+        sparse = _sparse_raw(rows, field)
+        assert _prime_rank(sparse, field, width) is None
+        assert _rank_raw(sparse, field, width) == exact_rank(rows)
 
     check()
     if field.kind == "qi":
@@ -587,8 +596,74 @@ def test_prime_rank_against_sympy_domain_matrix(spec, monkeypatch):
         # the rank drops mod P on an entry that vanishes there: P, or i - _I
         one = (Fraction(1), Fraction(0)) if pairs else Fraction(1)
         vanishing = (Fraction(-linalg._I), Fraction(1)) if pairs else Fraction(P)
-        assert _prime_rank([[vanishing, ar.zero], [ar.zero, one]], field) == 1
+        assert _prime_rank([{0: vanishing}, {1: one}], field, 2) == 1
         assert rank([[ar.box(vanishing), field.zero], [field.zero, field.one]], field) == 2
+
+
+@pytest.mark.parametrize("spec", ["q", "qi", "fp:13", "fp2:13"])
+def test_rank_raw_on_sparse_rows(spec, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    field = FieldSpec.parse(spec)
+    ar, p, pairs = field.arith, field.p, field.kind in ("fp2", "qi")
+    if p:
+        part = st.integers(0, p - 1)
+    else:
+        # P and 2P vanish mod P; a denominator P leaves no image at all
+        part = st.builds(
+            Fraction, st.integers(-3, 3) | st.sampled_from([P, 2 * P]), st.sampled_from([1, 2, 3, P])
+        )
+    zero_part = ar.zero[0] if pairs else ar.zero
+    value = st.tuples(part, part | st.just(zero_part)) if pairs else part
+    if field.kind == "qi":
+        # i - _I vanishes mod P
+        value = value | st.just((Fraction(-linalg._I), Fraction(1)))
+
+    @st.composite
+    def sparse_rows(draw):
+        m, n = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+        if draw(st.booleans()):
+            # (m x k)(k x n) products: rank at most k
+            k = draw(st.integers(0, min(m, n)))
+            a = [[draw(value) for _ in range(k)] for _ in range(m)]
+            b = [[draw(value) for _ in range(n)] for _ in range(k)]
+            dense = [[reduce(ar.add, map(ar.mul, row, col), ar.zero) for col in zip(*b)] for row in a]
+        else:
+            dense = [[ar.zero if draw(st.booleans()) else draw(value) for _ in range(n)] for _ in range(m)]
+        rows = _sparse_raw(dense, field)
+        # repeated rows and empty rows
+        rows += [dict(row) for row in rows[: draw(st.integers(0, 2))]]
+        rows += [{} for _ in range(draw(st.integers(0, 1)))]
+        return draw(st.permutations(rows)), n
+
+    def undefined(rows):
+        # some part of some entry has a denominator divisible by P
+        return any(x.denominator % P == 0 for row in rows for v in row.values() for x in (v if pairs else (v,)))
+
+    calls = []
+    for name in ("_bareiss", "_bareiss_quadratic"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, original=original: calls.append(args) or original(*args))
+
+    @hypothesis.given(sparse_rows())
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    def check(drawn):
+        rows, width = drawn
+        before = [dict(row) for row in rows]
+        exact = rank_in_extension([[ar.box(row.get(j, ar.zero)) for j in range(width)] for row in rows], field)
+        calls.clear()
+        r = _prime_rank(rows, field, width)
+        assert calls == []
+        assert (r is None) == (not p and undefined(rows))
+        assert r is None or r <= exact
+        if p:
+            assert r == exact
+        assert _rank_raw(rows, field, width) == exact
+        # Bareiss runs only when the image is neither exact nor full
+        assert bool(calls) == (not p and r != min(len(rows), width))
+        assert rows == before
+
+    check()
 
 
 def test_sparse_kernel_matches_dense_reference():
@@ -719,7 +794,7 @@ def test_rank_kernel_receives_canonical_residues(monkeypatch):
         return original(rows, p, width)
 
     original = linalg._rank_mod_p
-    # graded ranks its Macaulay matrices through linalg._image_rank, so this sees them too
+    # graded ranks its Macaulay matrices through linalg._prime_rank, so this sees them too
     monkeypatch.setattr(linalg, "_rank_mod_p", checking)
     rng = random.Random(5)
     for spec in ("fp:7", "fp:101", "fp2:13", "q", "qi"):

@@ -411,7 +411,7 @@ def determinant_certificate(mf, trials=50, seed=0):
             for out, row in zip(numeric, rows):
                 for j, v in _items(row):
                     out[j] = add(out[j], mul(power, v))
-        dv = _det_raw(numeric, ar)
+        dv = _det_raw(numeric, field)
         expected = ar.pow(qv, half)
         if dv == expected:
             point_sign = 1

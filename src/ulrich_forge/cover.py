@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .fields import GAUSSIAN, ExtensionNeeded, sqrt_in_field
-from .linalg import _as_int_rows, _bareiss_quadratic, _rank_raw, solve
+from .fields import ExtensionNeeded, sqrt_in_field
+from .linalg import _rank_raw, solve
 from .poly import Poly, monomials_of_degree
 from .quadform import gram_from_poly, pencil_determinant
 
@@ -127,35 +127,19 @@ def check_branch_splitting(F1, r, l, m, a):
 def _split_rank(field, l, m, a):
     """The exact rank of l*m + a^2, from the raw coefficient vectors of the linear forms.
 
-    Its Gram matrix G has 2G = l m^T + m l^T + 2 a a^T, of the same rank
-    (the characteristic is odd or zero), so no polynomial is formed.
-    Over qi the vectors are cleared of denominators first, l = l'/L_l and
-    so on, and the matrix 2 L_l L_m L_a^2 G of Gaussian integers
-    L_a^2 (l' m'^T + m' l'^T) + 2 L_l L_m a' a'^T goes to Bareiss over Z[i].
-    The other fields pass sparse raw rows to ``linalg._rank_raw``.  The
-    qi branch stays: a witness has rank 3 of 4, so the prime image never
-    settles it, and the generic route would also build G from Fraction
-    pairs and lift each entry mod the prime first.  On 100 seeded qi
-    witnesses (one Xeon core, best of 7) the generic route took 72 ms
-    against 6.3 ms here, where the whole Keem certificate takes 12 ms.
+    Its Gram matrix G has 2G = l m^T + m l^T + 2 a a^T = V J V^T, with
+    V = [l | m | a] (4 x 3) and J = [[0, 1, 0], [1, 0, 0], [0, 0, 2]].
+    J is invertible, the characteristic being odd or zero, so when the
+    three vectors are independent V is injective and J V^T is onto, and
+    G has rank 3.  Only dependent vectors build G; both ranks go through
+    ``linalg._rank_raw`` on sparse raw rows, and no polynomial is formed.
     """
-    if field.kind == GAUSSIAN:
-        ([l], sl), ([m], sm), ([a], sa) = (_as_int_rows([v], gaussian=True) for v in (l, m, a))
-        s, t = sa * sa, 2 * sl * sm
-        # entry (j, k), with l_j = l0 + l1*i and so on, and l_k, m_k, a_k = u, v, w
-        rows = [
-            [
-                (
-                    s * (l0 * v0 - l1 * v1 + m0 * u0 - m1 * u1) + t * (a0 * w0 - a1 * w1),
-                    s * (l0 * v1 + l1 * v0 + m0 * u1 + m1 * u0) + t * (a0 * w1 + a1 * w0),
-                )
-                for (u0, u1), (v0, v1), (w0, w1) in zip(l, m, a)
-            ]
-            for (l0, l1), (m0, m1), (a0, a1) in zip(l, m, a)
-        ]
-        return _bareiss_quadratic(rows, -1)[0]
     ar = field.arith
     add, mul, two, zero = ar.add, ar.mul, ar.add(ar.one, ar.one), ar.zero
+    width = len(l)
+    vectors = [{j: x for j, x in enumerate(v) if x != zero} for v in (l, m, a)]
+    if _rank_raw(vectors, field, width) == 3:
+        return 3
     rows = [
         {
             k: x
@@ -164,7 +148,7 @@ def _split_rank(field, l, m, a):
         }
         for lj, mj, aj in zip(l, m, a)
     ]
-    return _rank_raw(rows, field, len(l))
+    return _rank_raw(rows, field, width)
 
 
 @dataclass
@@ -187,10 +171,11 @@ def keem_counterexample_certificate(field, trials=100, seed=0):
     r = xy + i*ty + zt has det(Gram(r) - alpha*Gram(Q)) equal to a
     nonzero constant, so every pencil member has full rank 4; any
     lm + a^2 has rank at most 3, and each random witness's rank is
-    computed exactly, not assumed, from the Gram matrix its coefficient
-    vectors give (``_split_rank``).  Since r - (lm + a^2) would have to
-    be a scalar multiple of Q (an input fact, not recomputed here), no
-    splitting exists.  The certificate carries each step as a named,
+    computed exactly, not assumed (``_split_rank``): independent
+    coefficient vectors give rank 3, as 2*Gram = V J V^T with J
+    invertible, and dependent ones rank their Gram matrix.  Since
+    r - (lm + a^2) would have to be a scalar multiple of Q (an input
+    fact, not recomputed here), no splitting exists.  The certificate carries each step as a named,
     re-checkable assertion.
     """
     if trials < 1:

@@ -27,15 +27,16 @@ Four elimination routines do all the work:
   nonresidue): qi determinants, the qi ranks that the prime cannot
   settle, and the polynomial determinants over qi and fp2.
 - ``_eliminate``, dense Gaussian elimination on raw entries, ranks
-  nothing: it gives the determinant over fp and fp2 (and the point
-  determinants of ``clifford``'s sampled certificate, in every field),
-  and ``solve`` and ``invert`` in every field, through Gauss-Jordan, on
-  ``field.arith``.
+  nothing: it gives the determinant over fp and fp2, and ``solve`` and
+  ``invert`` in every field, through Gauss-Jordan, on ``field.arith``.
 
-Every rank goes through ``_rank_raw(rows, field, width)``, on sparse raw
-rows: each row maps a column to a nonzero raw value.  Gram records,
-Macaulay matrices and the Keem witnesses off qi pass theirs directly, and
-``rank`` unwraps scalar rows once.  ``_prime_rank`` gives the rank of
+``_exact_bareiss`` alone clears q or qi rows of denominators and picks
+``_bareiss`` or ``_bareiss_quadratic``.  Every scalar determinant goes
+through ``_det_raw(rows, field)``, on raw rows, and every rank through
+``_rank_raw(rows, field, width)``, on sparse raw rows: each row maps a
+column to a nonzero raw value.  ``det`` and ``rank`` unwrap scalar rows
+once; ``clifford``'s point matrices, Gram records, Macaulay matrices and
+the Keem witnesses pass theirs directly.  ``_prime_rank`` gives the rank of
 the rows' image: exact over fp and fp2, a lower bound over q and qi,
 and None when a denominator is divisible by _CHECK_PRIME; ``graded``
 reads it alone for its square Macaulay submatrix, whose deficiency
@@ -52,7 +53,7 @@ from heapq import heapify, heappop, heappush
 from math import isqrt, lcm
 from struct import pack, unpack
 
-from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, RATIONAL, raw_parts, sqrt_mod_p
+from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, raw_parts, sqrt_mod_p
 from .poly import Poly
 
 # Word-size prime for the mod-p-first rank over q and qi; it is 1 mod 4,
@@ -157,6 +158,21 @@ def _bareiss_quadratic(rows, nu):
         qa, qb, norm = pa, pb, pa * pa - nu * pb * pb
         rank += 1
     return rank, (sign * qa, sign * qb)
+
+
+def _exact_bareiss(rows, field):
+    """Bareiss over Z or Z[i] of dense q or qi raw rows cleared of denominators: (rank, last pivot).
+
+    The signed last pivot comes back as a raw value, divided by the row
+    scales, so for a square matrix of full rank it is the determinant.
+    """
+    if field.kind == GAUSSIAN:
+        int_rows, scale = _as_int_rows(rows, gaussian=True)
+        rank, (a, b) = _bareiss_quadratic(int_rows, -1)
+        return rank, (Fraction(a, scale), Fraction(b, scale))
+    int_rows, scale = _as_int_rows(rows)
+    rank, value = _bareiss(int_rows)
+    return rank, Fraction(value, scale)
 
 
 def _rank_mod_p(rows, p, width):
@@ -357,17 +373,14 @@ def _rank_raw(rows, field, width):
 
     The rows are not changed.  ``_prime_rank`` goes first, and its
     answer stands when it is exact (fp and fp2) or full.  Otherwise,
-    over q and qi, the rows are filled in densely, cleared of
-    denominators, and ranked by Bareiss over Z or over Z[i].
+    over q and qi, the rows are filled in densely and ranked by
+    ``_exact_bareiss``.
     """
     r = _prime_rank(rows, field, width)
     if r is not None and (field.p or r == min(len(rows), width)):
         return r
     zero = field.arith.zero
-    dense = [[row.get(j, zero) for j in range(width)] for row in rows]
-    if field.kind == GAUSSIAN:
-        return _bareiss_quadratic(_as_int_rows(dense, gaussian=True)[0], -1)[0]
-    return _bareiss(_as_int_rows(dense)[0])[0]
+    return _exact_bareiss([[row.get(j, zero) for j in range(width)] for row in rows], field)[0]
 
 
 def rank(rows, field):
@@ -383,28 +396,23 @@ def rank(rows, field):
 
 
 def det(rows, field):
-    """Exact determinant of a square scalar matrix."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    """Exact determinant of a square scalar matrix; see ``_det_raw``."""
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return field.one
-    ar = field.arith
-    rows = [list(map(ar.of, row)) for row in rows]
-    if field.kind == RATIONAL:
-        int_rows, scale = _as_int_rows(rows)
-        full, value = _bareiss(int_rows)
-        return field.scalar(Fraction(value, scale) if full == n else 0)
-    if field.kind == GAUSSIAN:
-        int_rows, scale = _as_int_rows(rows, gaussian=True)
-        full, (a, b) = _bareiss_quadratic(int_rows, -1)
-        return field.scalar(Fraction(a, scale), Fraction(b, scale)) if full == n else field.zero
-    return ar.box(_det_raw(rows, ar))
+    of = field.arith.of
+    return field.arith.box(_det_raw([list(map(of, row)) for row in rows], field))
 
 
-def _det_raw(rows, ar):
-    """Determinant of a square matrix of raw entries by ``_eliminate``; the rows are consumed."""
+def _det_raw(rows, field):
+    """Determinant of a square matrix of raw entries, as a raw value; the rows may be consumed.
+
+    ``_exact_bareiss`` takes it over q and qi, ``_eliminate`` over fp and fp2.
+    """
     n = len(rows)
+    if not field.p:
+        full, value = _exact_bareiss(rows, field)
+        return value if full == n else field.arith.zero
+    ar = field.arith
     pivots, sign = _eliminate(rows, ar, n)
     if len(pivots) < n:
         return ar.zero

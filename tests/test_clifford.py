@@ -22,6 +22,7 @@ from ulrich_forge import (
     ulrich_presentation,
     verify_clifford,
 )
+from ulrich_forge import linalg
 from ulrich_forge.clifford import _squares_to_quadric
 from ulrich_forge.linalg import invert, mat_mul, transpose
 from ulrich_forge.poly import monomials_of_degree
@@ -390,10 +391,19 @@ def test_certificate_matches_the_oracle_on_sign_flips_and_high_powers():
     assert "sign flipped between sample points" in reasons
 
 
-def test_higher_degree_factorizations_are_proven():
+def test_higher_degree_factorizations_are_proven(monkeypatch):
     # A * A = q * Id with entries of degree 2: verify_clifford refuses them
     # for their degree, the certificate proves them by the general relation
     # check, and one point gives the sign the evaluation oracle samples
+    routines = []
+    for name in ("_bareiss", "_bareiss_quadratic", "_eliminate"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(
+            linalg, name, lambda *args, _name=name, _f=original: routines.append(_name) or _f(*args)
+        )
+    # the point determinants of a sampled certificate: Bareiss over Z or
+    # Z[i] for q and qi, never the dense kernel
+    routine = {"fp": "_eliminate", "qi": "_bareiss_quadratic", "q": "_bareiss"}
     rng = random.Random(11)
     f13, qi, q = FieldSpec.prime(13), FieldSpec.gaussian_rationals(), FieldSpec.rationals()
     f, g = (random_homogeneous(f13, 3, 2, rng, 5) for _ in range(2))
@@ -436,7 +446,9 @@ def test_higher_degree_factorizations_are_proven():
         rows[0][1] = -rows[0][1]
         tampered = MatrixFactorization(rows, mf.quadric)
         assert not squares_to_quadric(tampered)
+        routines.clear()
         cert = determinant_certificate(tampered, trials=10, seed=0)
+        assert set(routines) == {routine[mf.field.kind]}
         assert cert == determinant_certificate_by_evaluation(tampered, trials=10, seed=0)
         assert cert.proof is False
 

@@ -17,8 +17,12 @@ from ulrich_forge import (
     random_homogeneous,
     riemann_hurwitz,
 )
+from ulrich_forge import cover
 from ulrich_forge.cover import _split_rank
+from ulrich_forge.linalg import _rank_raw
 from ulrich_forge.quadform import gram_from_poly
+
+from oracles import rank_in_extension
 
 
 def test_riemann_hurwitz_table():
@@ -221,9 +225,20 @@ def test_keem_deterministic(qi):
     assert [l["value"] for l in a.chain] == [l["value"] for l in b.chain]
 
 
-@pytest.mark.parametrize("spec", ["fp:13", "fp2:7", "qi"])
-def test_split_rank_from_vectors_matches_the_gram_of_the_product(spec):
+@pytest.mark.parametrize("spec", ["fp:13", "fp2:7", "qi", "q", "fp:3", "fp2:3"])
+def test_split_rank_from_vectors_matches_the_gram_of_the_product(spec, monkeypatch):
+    """Both routes of ``_split_rank`` agree with the Gram rank of the product polynomial.
+
+    A spy on ``cover._rank_raw`` sees the three coefficient vectors
+    ranked for every witness, and the 4 x 4 Gram rows ranked exactly
+    when the vectors are dependent; in the small fields fp:3 and fp2:3
+    random witnesses are often dependent.
+    """
     field = FieldSpec.parse(spec)
+    calls = []
+    monkeypatch.setattr(
+        cover, "_rank_raw", lambda rows, *rest: calls.append(len(rows)) or _rank_raw(rows, *rest)
+    )
     rng = random.Random(19)
     zero = [field.zero] * 4
     witnesses = []
@@ -234,10 +249,15 @@ def test_split_rank_from_vectors_matches_the_gram_of_the_product(spec):
     # l = a and m = -a: l*m + a^2 is the zero form
     witnesses += [(a, [-v for v in a], a) for _, _, a in witnesses[:5]] + [(zero, zero, zero)]
     of = field.arith.of
-    ranks = set()
+    ranks, routes = set(), set()
     for l, m, a in witnesses:
         lf, mf, af = (Poly.linear_form(field, v) for v in (l, m, a))
         expected = gram_from_poly(lf * mf + af * af).rank
+        calls.clear()
         assert _split_rank(field, *([of(v) for v in w] for w in (l, m, a))) == expected
+        dependent = rank_in_extension([l, m, a], field) < 3
+        assert calls == ([3, 4] if dependent else [3])
         ranks.add(expected)
+        routes.add(dependent)
     assert ranks == {0, 1, 2, 3}
+    assert routes == {False, True}

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from ulrich_forge import linalg
 from ulrich_forge.linalg import (
     _as_int_rows,
     _bareiss,
+    _det_raw,
     _prime_rank,
     _rank_mod_p,
     _rank_raw,
@@ -118,19 +121,27 @@ def test_rank_drops_after_duplicating_a_row():
 
 
 def test_det_against_leibniz_oracle():
+    # both the boxed det and the raw entry _det_raw, which consumes its rows
     rng = random.Random(27)
     for field in _all_fields():
-        for n in (1, 2, 3, 4):
-            m = _random_matrix(field, rng, n, n)
-            assert det([list(r) for r in m], field) == _det_permanent_style(m, field)
+        ar = field.arith
+
+        def check(m):
+            expected = _det_permanent_style(m, field)
+            assert det([list(r) for r in m], field) == expected
+            assert ar.box(_det_raw([list(map(ar.of, r)) for r in m], field)) == expected
+
+        for n in (0, 1, 2, 3, 4):
+            check(_random_matrix(field, rng, n, n))
         # mostly zero entries: row swaps, zero columns and singular matrices
         for n in (2, 3, 4, 5):
             for _ in range(6):
-                m = [
-                    [field.random_scalar(rng) if rng.random() < 0.4 else field.zero for _ in range(n)]
-                    for _ in range(n)
-                ]
-                assert det([list(r) for r in m], field) == _det_permanent_style(m, field)
+                check(
+                    [
+                        [field.random_scalar(rng) if rng.random() < 0.4 else field.zero for _ in range(n)]
+                        for _ in range(n)
+                    ]
+                )
 
 
 def test_det_is_multiplicative():
@@ -875,3 +886,26 @@ def test_dense_routines_match_oracles(spec, monkeypatch):
 
     check()
     assert bool(gaussian_dets) == (field.kind == "qi")
+
+
+def test_only_linalg_names_its_elimination_kernels():
+    # the choice of an exact elimination routine is made in linalg alone:
+    # no other module imports or names the kernels or the denominator clearing
+    private = {"_bareiss", "_bareiss_quadratic", "_as_int_rows", "_eliminate"}
+    modules = sorted(Path(linalg.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    offenders = []
+    for path in modules:
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.alias):
+                names = {node.name.rsplit(".", 1)[-1], node.asname}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {n}" for n in names & private]
+    assert offenders == []

@@ -249,7 +249,7 @@ def _cmd_ulrich_pipeline(args, field, config):
     lift = lift_form(F, vmap)
     decomp = decompose_form(F, vmap, lift)
     mf, report = ulrich_presentation(F, decomp)
-    bounds = rank_bounds(decomp.F, decomp, e_max=args.e_max, seed=args.seed)
+    bounds = rank_bounds(F, decomp, e_max=args.e_max, seed=args.seed)
     ok = bounds.achieved == mf.ulrich_rank and _lower_check_ok(bounds.lower_check)
     return {
         "lift": {
@@ -274,7 +274,7 @@ def _cmd_ulrich_pipeline(args, field, config):
 def _cmd_ulrich_bounds(args, field, config):
     F, vmap = _pipeline_setup(args, field, config)
     decomp = decompose_form(F, vmap)
-    bounds = rank_bounds(decomp.F, decomp, e_max=args.e_max, seed=args.seed)
+    bounds = rank_bounds(F, decomp, e_max=args.e_max, seed=args.seed)
     ok = _lower_check_ok(bounds.lower_check)
     return {
         "decomposition": _decomposition_result(decomp),

@@ -13,8 +13,10 @@ Four elimination routines do all the work:
   Dumas-Fousse-Salvy 2011); the pivot of each column is the row that
   ends first, which limits fill-in.  ``_residue_rows`` alone maps raw
   rows to their images (``resultants`` reads its one row through it),
-  and ``_prime_rank`` alone ranks them: an fp2 matrix off the subfield
-  F_p is realified there, ranked over F_p at twice the size.
+  and ``_prime_rank`` alone ranks them: every fp2 matrix is realified
+  there, ranked over F_p at twice the size.  No routine here descends
+  from an extension to its base field: a matrix is ranked in the field
+  it is given in.
 - ``_bareiss``, fraction-free elimination on denominator-cleared integer
   rows, gives q determinants and the q ranks the prime cannot settle
   (rank deficient mod the prime, or a denominator divisible by it); it
@@ -27,8 +29,8 @@ Four elimination routines do all the work:
   nonresidue): qi determinants, the qi ranks that the prime cannot
   settle, and the polynomial determinants over qi and fp2.
 - ``_eliminate``, dense Gaussian elimination on raw entries, ranks
-  nothing: it gives the determinant over fp and fp2, and ``solve`` and
-  ``invert`` in every field, through Gauss-Jordan, on ``field.arith``.
+  nothing: it gives the determinant over fp and fp2, and ``solve`` in
+  every field, through Gauss-Jordan, on ``field.arith``.
 
 ``_exact_bareiss`` alone clears q or qi rows of denominators and picks
 ``_bareiss`` or ``_bareiss_quadratic``.  Every scalar determinant goes
@@ -53,7 +55,7 @@ from heapq import heapify, heappop, heappush
 from math import isqrt, lcm
 from struct import pack, unpack
 
-from .fields import GAUSSIAN, PRIME, PRIME_QUADRATIC, raw_parts, sqrt_mod_p
+from .fields import GAUSSIAN, PRIME_QUADRATIC, raw_parts, sqrt_mod_p
 from .poly import Poly
 
 # Word-size prime for the mod-p-first rank over q and qi; it is 1 mod 4,
@@ -270,11 +272,11 @@ def _eliminate(rows, ar, ncols, reduced=False):
     """Dense Gaussian elimination of raw rows in place: (pivot columns, sign).
 
     ``ar`` is the field's ``Arith`` record (``field.arith``).  Pivots are
-    sought in the first ``ncols`` columns only, so extra columns
-    (right-hand sides, an identity) ride along.  ``sign`` is the
-    sign of the row permutation.  With ``reduced`` each pivot row is
-    scaled to lead with one and cleared above as well as below
-    (Gauss-Jordan), which leaves the reduced row echelon form.
+    sought in the first ``ncols`` columns only, so an extra column (a
+    right-hand side) rides along.  ``sign`` is the sign of the row
+    permutation.  With ``reduced`` each pivot row is scaled to lead with
+    one and cleared above as well as below (Gauss-Jordan), which leaves
+    the reduced row echelon form.
     """
     zero, one, mul, inv, sub = ar.zero, ar.one, ar.mul, ar.inv, ar.sub
     m = len(rows)
@@ -305,20 +307,14 @@ def _eliminate(rows, ar, ncols, reduced=False):
 def _residue_rows(rows, field):
     """The image of sparse raw rows over a finite field, as sparse rows column -> nonzero value; or None.
 
-    Over fp the raw values are already nonzero residues, and the rows
-    come back unchanged.  fp2 rows do too unless all their entries lie
-    in the subfield, where they keep the first part alone.  Over q and
-    qi the image is mod _CHECK_PRIME: n/d goes to n * d^-1, and a + b*i
-    to a + b*_I in the same pass, and entries that vanish there drop
-    out.  None only when a denominator is divisible by _CHECK_PRIME.
+    Over fp and fp2 the raw values are already nonzero residues or
+    residue pairs, and the rows come back unchanged.  Over q and qi the
+    image is mod _CHECK_PRIME: n/d goes to n * d^-1, and a + b*i to
+    a + b*_I in the same pass, and entries that vanish there drop out.
+    None only when a denominator is divisible by _CHECK_PRIME.
     """
-    kind = field.kind
-    if kind == PRIME:
+    if field.p:
         return rows
-    if kind == PRIME_QUADRATIC:
-        if any(v[1] for row in rows for v in row.values()):
-            return rows
-        return [{j: v[0] for j, v in row.items()} for row in rows]
     p, inverses = _CHECK_PRIME, {1: 1}
 
     def lift(x):
@@ -330,7 +326,7 @@ def _residue_rows(rows, field):
         return x.numerator * inv
 
     try:
-        if kind == GAUSSIAN:
+        if field.kind == GAUSSIAN:
             return [{j: x for j, (a, b) in row.items() if (x := (lift(a) + _I * lift(b)) % p)} for row in rows]
         return [{j: x for j, v in row.items() if (x := lift(v) % p)} for row in rows]
     except ValueError:
@@ -344,17 +340,16 @@ def _prime_rank(rows, field, width):
     reduced mod _CHECK_PRIME, with i sent to a square root _I of -1
     there, and the rank can only drop: the answer is a lower bound,
     exact when it is full.  None when a denominator is divisible by the
-    prime (see ``_residue_rows``).  The image of an fp2 matrix off the
-    subfield keeps residue pairs, and is realified: with w*w = nu, a row
-    r gives the F_p rows of r and of w*r, w*(a + b*w) = nu*b + a*w, the
-    parts of column j in columns 2j and 2j + 1; their F_p rank is twice
-    the rank over F_{p^2}.
+    prime (see ``_residue_rows``).  An fp2 matrix is realified: with
+    w*w = nu, a row r gives the F_p rows of r and of w*r,
+    w*(a + b*w) = nu*b + a*w, the parts of column j in columns 2j and
+    2j + 1; their F_p rank is twice the rank over F_{p^2}.
     """
     image = _residue_rows(rows, field)
     if image is None:
         return None
     p = field.p or _CHECK_PRIME
-    if type(next((v for row in image for v in row.values()), 0)) is tuple:
+    if field.kind == PRIME_QUADRATIC:
         nu, real = field.nu, []
         for row in image:
             r, wr = {}, {}
@@ -443,22 +438,6 @@ def solve(rows, rhs, field):
     for row, col in zip(aug, pivots):
         x[col] = ar.box(row[n])
     return x
-
-
-def invert(rows, field):
-    """Exact inverse of a square matrix; ValueError when singular or not square."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("inverse of a non-square matrix")
-    ar = field.arith
-    aug = [
-        [*map(ar.of, row)] + [ar.one if j == i else ar.zero for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    pivots, _ = _eliminate(aug, ar, n, reduced=True)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
-    return [[ar.box(v) for v in row[n:]] for row in aug]
 
 
 def mat_mul(a, b, field):

@@ -299,8 +299,11 @@ def rank_bounds(F, decomp, e_max=None, seed=0):
     equality for a full-rank lift.
     When F is smooth the factor ideal must be zero-dimensional and
     2k >= n+1 must hold; a singular F downgrades the check to
-    not-applicable with the witness attached.  The decomposition must
-    present F, over F's field or its extension.
+    not-applicable with the witness attached.  Smoothness is decided in
+    the field of the F given, and the witness is a point there; rank is
+    unchanged by field extension, so F and its embedding get the same
+    verdict.  The decomposition must present F, over F's field or its
+    extension.
     """
     _check_presents(decomp, F)
     n = F.nvars - 1

@@ -407,6 +407,49 @@ def test_ulrich_bounds(capsys):
     assert report["achieved"] == 1
 
 
+def test_pipeline_decides_smoothness_in_the_input_field(capsys, monkeypatch):
+    # the branch form is ranked in its own field, fp:101, though its
+    # decomposition lives in fp2:101; only genuine fp2 matrices reach fp2
+    from ulrich_forge import graded, linalg
+    from ulrich_forge.graded import graded_dimension
+
+    calls, original = [], linalg._prime_rank
+
+    def spying(rows, field, width):
+        genuine = any(v[1] for row in rows for v in row.values()) if field.kind == "fp2" else None
+        calls.append((str(field), width, genuine))
+        return original(rows, field, width)
+
+    for module in (linalg, graded):
+        monkeypatch.setattr(module, "_prime_rank", spying)
+    field, form = GOLDEN_PLANE_FORMS[0][:2]
+    code, payload = _run(capsys, ["ulrich", "pipeline", "--field", field, form])
+    assert code == 0
+    assert payload["result"]["decomposition"]["field"] == "fp2:101"
+    assert payload["result"]["rank_report"]["lower_check"]["status"] == "certified"
+    # the smoothness square of a plane quartic: degree 3 * (4 - 2) + 1 = 7
+    assert ("fp:101", graded_dimension(3, 7), None) in calls
+    fp2_calls = [genuine for where, _, genuine in calls if where == "fp2:101"]
+    assert fp2_calls and all(fp2_calls)
+
+
+@pytest.mark.parametrize("verb", ["pipeline", "bounds"])
+def test_singular_witness_is_a_point_of_the_input_field(capsys, verb):
+    # the decomposition needs fp2:13, but the singular point is found in fp:13
+    form = "7*x^2 + 2*x*y + 3*x*z + 9*y^2 + 10*y*z + 6*z^2"
+    code, payload = _run(capsys, ["ulrich", verb, "--field", "fp:13", form])
+    assert code == 0
+    result = payload["result"]
+    assert result["decomposition"]["field"] == "fp2:13"
+    check = result["rank_report"]["lower_check"]
+    assert check["status"] == "not applicable: F singular"
+    assert check["witness"] == ["2", "1", "3"]
+    fp13 = FieldSpec.prime(13)
+    F = parse_poly(form, fp13)
+    point = [fp13.parse_scalar(c) for c in check["witness"]]
+    assert all(F.partial_derivative(i).evaluate(point) == fp13.zero for i in range(3))
+
+
 def test_ulrich_pipeline_lone_square(capsys):
     code, payload = _run(capsys, ["ulrich", "pipeline", "x^2", "--nvars", "3", "--field", "q"])
     assert code == 0

@@ -24,7 +24,7 @@ from ulrich_forge import (
 )
 from ulrich_forge import linalg
 from ulrich_forge.clifford import _squares_to_quadric
-from ulrich_forge.linalg import invert, mat_mul, transpose
+from ulrich_forge.linalg import mat_mul, transpose
 from ulrich_forge.poly import monomials_of_degree
 from ulrich_forge.quadform import record_from_gram
 

@@ -372,12 +372,9 @@ def _sparse(dense, field):
 
 def _image(rows, field):
     """The image mod the prime of sparse raw rows, entry by entry: the reference for ``_residue_rows``."""
-    if field.kind == "fp":
+    if field.p:
+        # residues and residue pairs are their own image, in the subfield too
         return rows
-    if field.kind == "fp2":
-        if any(v[1] for row in rows for v in row.values()):
-            return rows
-        return [{j: v[0] for j, v in row.items()} for row in rows]
 
     def residue(x):
         return x.numerator * pow(x.denominator, -1, _CHECK_PRIME) % _CHECK_PRIME

@@ -24,7 +24,7 @@ from ulrich_forge import (
     record_from_gram,
     sum_of_products,
 )
-from ulrich_forge.linalg import invert, mat_mul, transpose
+from ulrich_forge.linalg import mat_mul, transpose
 from ulrich_forge.linalg import rank as rank_of
 
 from oracles import poly_det_cofactor
@@ -104,8 +104,13 @@ def test_diagonalize_congruence_and_recombination():
                 for j in range(nvars):
                     expected = diag.diagonal[i] if i == j else field.zero
                     assert lhs[i][j] == expected
-            # the carried P^{-1} is the inverse of P, row by row
-            assert diag.lambdas == [Poly.linear_form(field, row) for row in invert(p, field)]
+            # the carried P^{-1} is the inverse of P, row by row: the
+            # lambdas are linear forms whose coefficient matrix L has L*P = I
+            units = [tuple(int(k == j) for k in range(nvars)) for j in range(nvars)]
+            coeffs = [[form.coefficient(e) for e in units] for form in diag.lambdas]
+            assert diag.lambdas == [Poly.linear_form(field, row) for row in coeffs]
+            one = [[field.one if j == i else field.zero for j in range(nvars)] for i in range(nvars)]
+            assert mat_mul(coeffs, p, field) == one
             # q = sum d_i * lambda_i^2 as polynomials
             total = Poly.zero(field, nvars)
             for value, lam in zip(diag.diagonal, diag.lambdas):

@@ -1,0 +1,30 @@
+"""tools/replay.py: a fixed corpus whose lines repeat from run to run."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "replay.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("replay", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_replay_lines_repeat(monkeypatch):
+    monkeypatch.delenv("ULRICH_FORGE_SEED", raising=False)
+    replay = _load()
+    corpus = replay.corpus()
+    assert len(corpus) >= 300
+    assert corpus == replay.corpus()
+    head = corpus[:5]
+    first = [replay.replay(argv) for argv in head]
+    assert first == [replay.replay(argv) for argv in head]
+    for line, argv in zip(first, head):
+        code, digest, text = line.split(" ", 2)
+        assert code in {"0", "1", "2"} and len(digest) == 64 and json.loads(text) == argv

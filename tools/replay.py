@@ -1,0 +1,233 @@
+"""Replay a fixed, seeded corpus of CLI calls and print one line per call.
+
+Run from the repository root:
+
+    python tools/replay.py > replay.txt
+
+Each line is ``exit sha256(stdout) argv-json`` for one argv, run
+in-process through ``ulrich_forge.cli.main``.  The corpus is built from
+``random.Random(0)`` with the script's own arithmetic, never the
+library's, so two checkouts replay the same argvs and ``diff`` of their
+outputs lists exactly the calls whose exit code or stdout changed.  It
+covers ``ulrich pipeline``/``bounds`` on smooth, reducible and singular
+forms, ``smooth check``, ``hilbert value``, ``quad pencil-det``,
+``mf det-cert``, ``cover transversal`` and ``cover keem-counterexample``
+over fp:13, fp:101, fp:32003, fp2:13, q and qi.  The script takes no
+options and clears ULRICH_FORGE_SEED, which would override every seed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+from fractions import Fraction
+from functools import partial
+from itertools import combinations_with_replacement
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ulrich_forge.cli import main as cli_main  # noqa: E402
+
+FIELDS = ("fp:13", "fp:101", "fp:32003", "fp2:13", "q", "qi")
+VARIABLES = "xyzt"
+
+
+class Ring:
+    """Coefficients a + b*g of one field as pairs, g*g = ``square``; b = 0 off fp2 and qi."""
+
+    def __init__(self, spec):
+        kind, _, p = spec.partition(":")
+        self.p = int(p) if p else 0
+        self.two = kind in ("fp2", "qi")
+        self.generator = "w" if kind == "fp2" else "i"
+        if kind == "fp2":
+            # the smallest nonresidue, by Euler's criterion
+            self.square = next(a for a in range(2, self.p) if pow(a, self.p // 2, self.p) == self.p - 1)
+        else:
+            self.square = -1
+
+    def norm(self, a, b):
+        return (a % self.p, b % self.p) if self.p else (a, b)
+
+    def random(self, rng):
+        """A small random coefficient; zero about one time in five."""
+        if rng.random() < 0.2:
+            return (0, 0)
+        if self.p:
+            part = lambda: rng.randrange(self.p)  # noqa: E731
+        else:
+            part = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))  # noqa: E731
+        return self.norm(part(), part() if self.two else 0)
+
+    def mul(self, x, y):
+        return self.norm(x[0] * y[0] + self.square * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def text(self, c):
+        """(negative, text of the absolute value); a pair keeps its signs inside parentheses."""
+        a, b = c
+        if not b:
+            return a < 0, str(abs(a))
+        imag = f"{b}{self.generator}"
+        return False, f"({a}{'' if b < 0 else '+'}{imag})" if a else f"({imag})"
+
+
+def _monomials(nvars, degree):
+    """The exponent tuples of a degree."""
+    combos = combinations_with_replacement(range(nvars), degree)
+    return [tuple(combo.count(v) for v in range(nvars)) for combo in combos]
+
+
+PRIME_13 = Ring("fp:13")
+
+
+def _form(ring, rng, nvars, degree):
+    """A random form as a map exponent tuple -> coefficient pair."""
+    out = {}
+    for exps in _monomials(nvars, degree):
+        c = ring.random(rng)
+        if c != (0, 0):
+            out[exps] = c
+    return out or {(degree,) + (0,) * (nvars - 1): (1, 0)}
+
+
+def _scaled_sum(ring, terms):
+    """The sum of c * f over (c, f) pairs."""
+    out = {}
+    for c, f in terms:
+        for k, v in f.items():
+            s = ring.mul(c, v)
+            t = out.get(k, (0, 0))
+            out[k] = ring.norm(t[0] + s[0], t[1] + s[1])
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def _product(ring, f, g):
+    """f * g, as the sum over the terms a*M of f of a * M*g."""
+    shifted = lambda e: {tuple(x + y for x, y in zip(e, h)): b for h, b in g.items()}  # noqa: E731
+    return _scaled_sum(ring, [(a, shifted(e)) for e, a in f.items()])
+
+
+def _text(ring, f):
+    if not f:
+        return "0"
+    out = ""
+    for exps in sorted(f, reverse=True):
+        monomial = "*".join(
+            VARIABLES[j] if e == 1 else f"{VARIABLES[j]}^{e}" for j, e in enumerate(exps) if e
+        )
+        negative, coeff = ring.text(f[exps])
+        term = coeff if not monomial else monomial if coeff == "1" else f"{coeff}*{monomial}"
+        sign = (" - " if negative else " + ") if out else ("-" if negative else "")
+        out += sign + term
+    return out
+
+
+def _unit(ring, rng):
+    c = ring.random(rng)
+    return c if c != (0, 0) else (1, 0)
+
+
+def _pipeline_forms(ring, rng):
+    """Plane and surface forms of even degree: smooth, reducible, squared and rank-two ones."""
+    quartics = [_form(ring, rng, 3, 4) for _ in range(4)]
+    conics = [_form(ring, rng, 3, 2) for _ in range(3)]
+    surface = [_form(ring, rng, 4, 2)]
+    reducible = [_product(ring, _form(ring, rng, 3, 2), _form(ring, rng, 3, 2)) for _ in range(2)]
+    square = [_product(ring, g, g) for g in [_form(ring, rng, 3, 2)]]
+    # a*l^2 + c*m^2: a pair of lines, over the field or conjugate over its extension
+    rank_two = []
+    for _ in range(3):
+        l, m = _form(ring, rng, 3, 1), _form(ring, rng, 3, 1)
+        squares = [(_unit(ring, rng), _product(ring, l, l)), (_unit(ring, rng), _product(ring, m, m))]
+        rank_two.append(_scaled_sum(ring, squares))
+    # coefficients 0 and +-1 leave the square roots the pipeline takes
+    # often in q and qi, so these reach the rank report there too
+    signs = [
+        {e: ring.norm(c, 0) for e in _monomials(3, degree) if (c := rng.choice((-1, 0, 0, 1)))}
+        for degree in (2, 2, 2, 4, 4, 4)
+    ]
+    return [f for f in quartics + conics + surface + reducible + square + rank_two + signs if f]
+
+
+def _linear(ring, rng):
+    return _form(ring, rng, 3, 1)
+
+
+def _det_cert_argvs(ring, rng):
+    """The Clifford matrix of l1*m1 + l2*m2, the same with one entry tampered, and that of l*m."""
+    t = partial(_text, ring)
+    one, minus = (1, 0), (-1, 0)
+    l1, m1, l2, m2 = (_linear(ring, rng) for _ in range(4))
+    quadric = _scaled_sum(ring, [(one, _product(ring, l1, m1)), (one, _product(ring, l2, m2))])
+    minus_l2, minus_m2 = (t(_scaled_sum(ring, [(minus, f)])) for f in (l2, m2))
+    # row by row, so that its square is (l1*m1 + l2*m2) * Id
+    four = [
+        "0", "0", t(l1), t(l2),
+        "0", "0", minus_m2, t(m1),
+        t(m1), minus_l2, "0", "0",
+        t(m2), t(l1), "0", "0",
+    ]
+    l, m = _linear(ring, rng), _linear(ring, rng)
+    two = ["0", t(l), t(m), "0"]
+    tampered = four[:]
+    tampered[2] = t(_scaled_sum(ring, [(one, l1), (one, _linear(ring, rng))]))
+    out = []
+    for q, entries in ((t(quadric), four), (t(quadric), tampered), (t(_product(ring, l, m)), two)):
+        out.append(["mf", "det-cert", q, *entries, "--max-trials", "12", "--seed", str(rng.randrange(100))])
+    return out
+
+
+def corpus():
+    """The argvs, in a fixed order."""
+    rng = random.Random(0)
+    argvs = []
+    for spec in FIELDS:
+        ring = Ring(spec)
+        field = ["--field", spec]
+        for f in _pipeline_forms(ring, rng):
+            for verb in ("pipeline", "bounds"):
+                argvs.append(["ulrich", verb, _text(ring, f), *field])
+        for nvars, degree in ((3, 3), (3, 4), (3, 4), (4, 3)):
+            argvs.append(["smooth", "check", _text(ring, _form(ring, rng, nvars, degree)), *field])
+        reducible = _product(ring, _linear(ring, rng), _form(ring, rng, 3, 2))
+        argvs.append(["smooth", "check", _text(ring, reducible), *field])
+        # integer coefficients: a form over the prime field, read in every field
+        argvs.append(["smooth", "check", _text(PRIME_13, _form(PRIME_13, rng, 3, 4)), *field])
+        for degree, count in ((2, 3), (3, 2)):
+            for e in (degree, 2 * degree - 1):
+                gens = [_text(ring, _form(ring, rng, 3, degree)) for _ in range(count)]
+                argvs.append(["hilbert", "value", *gens, "-e", str(e), *field])
+        for nvars in (3, 3, 4, 4):
+            quadrics = [_text(ring, _form(ring, rng, nvars, 2)) for _ in range(2)]
+            argvs.append(["quad", "pencil-det", *quadrics, "--nvars", str(nvars), *field])
+        argvs += [argv + field for argv in _det_cert_argvs(ring, rng)]
+        for degree in (1, 2, 2, 3):
+            pair = [_text(ring, _form(ring, rng, 3, degree)) for _ in range(2)]
+            argvs.append(["cover", "transversal", *pair, "--seed", str(rng.randrange(100)), *field])
+        for seed in range(3):
+            argvs.append(["cover", "keem-counterexample", "--max-trials", "20", "--seed", str(seed), *field])
+    return argvs
+
+
+def replay(argv):
+    """One output line for one argv: exit code, sha256 of stdout, the argv as JSON."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv)
+    return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()} {json.dumps(argv)}"
+
+
+def main():
+    os.environ.pop("ULRICH_FORGE_SEED", None)
+    for argv in corpus():
+        print(replay(argv))
+
+
+if __name__ == "__main__":
+    main()

@@ -43,13 +43,33 @@ read from text: the pencil and q are read-only, so each
 ``MatrixFactorization`` decides it at most once, on first use, and
 keeps the answer, which a built matrix holds from its build.
 
-When the relations hold, det(A)^2 = q^size in the domain k[x], so
-det A = sign * q^(size/2) with one sign everywhere (Eisenbud 1980),
-and one point with q != 0 fixes that sign (+1 in characteristic 2):
-the certificate is a proof.  A matrix that fails the relations is
-only sampled: random points check det A = sign * q^(size/2) with one
-consistent sign.  At each point q, and A summed from its pencil, are
-evaluated on raw values.
+The determinant certificate det A = sign * q^(size/2) has two routes.
+A built matrix carries its sign from the build, fixed by its shape.
+Write U_k for the recursion after k pairs and Q_k for its quadric;
+U_k * U_k = Q_k * Id follows from the proved U * U = Q_s * Id by
+setting the later pairs to zero, which leaves +-U_k in the diagonal
+blocks.  In U_{k+1} = [[U_k, y * I], [y' * I, -U_k]] the lower-left
+block commutes with -U_k, so (Silvester 2000, "Determinants of block
+matrices")
+
+    det U_{k+1} = det(-U_k^2 - y * y' * I) = det(-Q_{k+1} * I)
+                = (-Q_{k+1})^(2^k),
+
+that is det U = -Q_s at size 2 and Q_s^(size/2) from size 4 on.  As
+sigma is a ring map, det sigma(U) = sigma(det U): every built matrix
+has det N = sign * q^(size/2) with sign -1 at size 2 and +1 from size
+4 on, in every field here (odd or zero characteristic), and its
+certificate draws no point.  Only q = 0, where either sign holds, goes
+the way of a matrix read as entries, and no point can fix a sign.
+
+A matrix read as entries gets its sign from the relation check and
+one point.  When the relations hold, det(A)^2 = q^size in the domain
+k[x], so det A = sign * q^(size/2) with one sign everywhere (Eisenbud
+1980), and one point with q != 0 fixes that sign: the certificate is a
+proof.  A matrix that fails the relations is only sampled: random
+points check det A = sign * q^(size/2) with one consistent sign.  At
+each point q, and A summed from its pencil, are evaluated on raw
+values.
 """
 
 from __future__ import annotations
@@ -87,12 +107,13 @@ class MatrixFactorization:
     decides it by the relation check on its first read and keeps it; a
     built matrix holds it from its build, which proved its generic
     shape once and substituted exactly recombining pairs (see the
-    module docstring), so the check never runs on it.  ``entries``
+    module docstring), so the check never runs on it; it holds the sign
+    of its determinant from the build as well.  ``entries``
     gives the matrix back as polynomials, computed on each read from
     the same raw values.
     """
 
-    __slots__ = ("field", "nvars", "size", "pencil", "quadric", "source", "_squares")
+    __slots__ = ("field", "nvars", "size", "pencil", "quadric", "source", "_squares", "_sign")
 
     def __init__(self, entries, quadric, source=None):
         size = len(entries)
@@ -115,13 +136,17 @@ class MatrixFactorization:
         self._set(size, pencil, quadric, source)
 
     @classmethod
-    def _from_pencil(cls, size, pencil, quadric, source, squares=None):
-        """A factorization from its pencil; ``squares`` True records a proof made elsewhere."""
+    def _from_pencil(cls, size, pencil, quadric, source, sign=None):
+        """A factorization from its pencil; a ``sign`` records proofs made elsewhere.
+
+        With a sign, A * A = quadric * Id and det A = sign * quadric^(size/2)
+        are both taken as proved, as ``_clifford_image`` proves them.
+        """
         self = object.__new__(cls)
-        self._set(size, pencil, quadric, source, squares)
+        self._set(size, pencil, quadric, source, sign)
         return self
 
-    def _set(self, size, pencil, quadric, source, squares=None):
+    def _set(self, size, pencil, quadric, source, sign=None):
         object.__setattr__(self, "field", quadric.field)
         object.__setattr__(self, "nvars", quadric.nvars)
         object.__setattr__(self, "size", size)
@@ -130,7 +155,8 @@ class MatrixFactorization:
         object.__setattr__(self, "pencil", MappingProxyType(pencil))
         object.__setattr__(self, "quadric", quadric)
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "_squares", squares)
+        object.__setattr__(self, "_squares", None if sign is None else True)
+        object.__setattr__(self, "_sign", sign)
 
     def __setattr__(self, *_):
         raise AttributeError("MatrixFactorization is immutable")
@@ -242,14 +268,17 @@ def _clifford_image(pairs, start, quadric, source):
 
     The caller vouches that sum l_i * m_i (+ start^2) is ``quadric``
     exactly; with the generic shape proved, the result records
-    N * N = quadric * Id as proved.
+    N * N = quadric * Id as proved, and with it the sign of
+    det N = sign * quadric^(size/2) that the shape fixes: -1 at size 2,
+    +1 from size 4 on (see the module docstring).
     """
     square = start is not None
     forms = [h.raw for pair in pairs for h in pair] + ([start.raw] if square else [])
     size = 2 ** len(pairs)
     signed = _generic_pencil(len(pairs), square)
     pencil = _substituted(signed, forms, quadric.field.arith, size)
-    return MatrixFactorization._from_pencil(size, pencil, quadric, source, squares=True)
+    sign = -1 if size == 2 else 1
+    return MatrixFactorization._from_pencil(size, pencil, quadric, source, sign)
 
 
 def _image_texts(pairs, start):
@@ -353,6 +382,17 @@ def verify_clifford(mf):
 
 @dataclass
 class DeterminantCertificate:
+    """The outcome of det A = sign * quadric^(size/2), and how it was reached.
+
+    With ``proof`` true the identity is proved: a built matrix with
+    q != 0 carries the sign its shape fixes (no point drawn, ``tested``
+    and ``skipped`` 0), and a matrix read as entries that passes the
+    relation check takes its sign from one point with q != 0
+    (``tested`` 1).  Otherwise ``ok`` means that all ``tested`` points
+    agreed on ``sign``, a sampled check.  ``skipped`` counts the points
+    drawn with q = 0, and ``reason`` says why a failed certificate failed.
+    """
+
     ok: bool
     sign: int | None
     tested: int
@@ -365,15 +405,16 @@ def determinant_certificate(mf, trials=50, seed=0):
     """Certificate that det A = sign * quadric^(size/2) with one sign.
 
     Only an even size is certified: for an odd one the certificate
-    fails before any point is drawn.  Then it reads
-    ``mf.squares_to_quadric``: the proof a built matrix holds from its
-    build, or the exact relation check on a matrix read as entries.
-    When A * A = q * Id holds in k[x], det(A)^2 = q^size, and k[x] is a
-    domain, so (det A - q^(size/2)) (det A + q^(size/2)) = 0 forces
-    det A = sign * q^(size/2) with one sign for all x (Eisenbud 1980).  One
-    point with q != 0 then fixes the sign, and the certificate is a
-    proof (``proof`` true, ``tested`` at most 1); in characteristic 2
-    the two signs agree and the sign is +1.  A matrix that fails the
+    fails before any point is drawn.  A built matrix with q != 0 then
+    returns the sign its build recorded, -1 at size 2 and +1 from size
+    4 on, as a proof with no point drawn (see the module docstring).
+    A matrix read as entries gets the exact relation check of
+    ``mf.squares_to_quadric``.  When A * A = q * Id holds in k[x],
+    det(A)^2 = q^size, and k[x] is a domain, so
+    (det A - q^(size/2)) (det A + q^(size/2)) = 0 forces
+    det A = sign * q^(size/2) with one sign for all x (Eisenbud 1980).
+    One point with q != 0 then fixes the sign, and the certificate is a
+    proof (``proof`` true, ``tested`` at most 1).  A matrix that fails the
     relations may still have det A = +-q^(size/2) (diag(x, y) with
     q = x*y), so it is sampled at ``trials`` points, and the sign must
     be the same at every one of them.  Points with q = 0 are skipped
@@ -388,6 +429,9 @@ def determinant_certificate(mf, trials=50, seed=0):
     if size % 2:
         reason = f"odd size {size}: det A = sign*q^(size/2) needs an even size"
         return DeterminantCertificate(False, None, 0, 0, reason=reason)
+    if mf._sign is not None and mf.quadric.raw:
+        # with q = 0 either sign holds, and the points below refuse it
+        return DeterminantCertificate(True, mf._sign, 0, 0, proof=True)
     proof = mf.squares_to_quadric
     wanted = 1 if proof else trials
     field = mf.field

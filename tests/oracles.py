@@ -89,9 +89,12 @@ def clifford_square(mf):
 def determinant_certificate_by_evaluation(mf, trials=50, seed=0):
     """``determinant_certificate`` through ``Poly.evaluate`` of every entry and ``linalg.det``.
 
-    ``det`` and the library's certificate share ``linalg._det_raw`` in
-    every field, so this oracle is independent in the evaluation only;
-    the Leibniz tests of ``tests/test_linalg.py`` guard the determinant.
+    For a built matrix the library's certificate draws no point and
+    calls no ``linalg._det_raw``: it reads the sign the shape fixed, so
+    there this oracle is fully independent of it.  For a matrix read as
+    entries ``det`` and the library share ``_det_raw`` in every field,
+    so the oracle is independent in the evaluation only; the Leibniz
+    tests of ``tests/test_linalg.py`` guard the determinant.
     """
     if mf.size % 2:
         # det A = sign * q^(size/2) has no meaning for an odd size

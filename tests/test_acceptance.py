@@ -232,9 +232,16 @@ def test_criterion_5_lower_bound_certificates():
     print(f"criterion 5 PASS: lower bounds certified in {elapsed:.2f}s")
 
 
-def test_criterion_6_determinant_certificates():
-    # the factorizations come from c1 and c2; building them is not timed here
+def test_criterion_6_determinant_certificates(monkeypatch):
+    # the factorizations come from c1 and c2; building them is not timed
+    # here.  Each is built, so its certificate reads the sign of its shape
+    # and draws no point
     family, pipelines = _clifford_family(), _quartic_pipelines()
+    drawn = []
+    random_scalar = FieldSpec.random_scalar
+    monkeypatch.setattr(
+        FieldSpec, "random_scalar", lambda *args: drawn.append(args) or random_scalar(*args)
+    )
     start = time.perf_counter()
     signs = set()
     proofs = 0
@@ -242,18 +249,21 @@ def test_criterion_6_determinant_certificates():
         cert = determinant_certificate(mf, trials=50, seed=rank)
         assert cert.ok, cert.reason
         assert cert.sign in (-1, 1)
+        assert (cert.tested, cert.skipped) == (0, 0)
         signs.add(cert.sign)
         proofs += cert.proof
     for F, vmap, lift, decomp, mf, report in pipelines:
         cert = determinant_certificate(mf, trials=50, seed=0)
         assert cert.ok, cert.reason
         assert cert.sign in (-1, 1)
+        assert (cert.tested, cert.skipped) == (0, 0)
         proofs += cert.proof
     assert signs  # at least one sign actually observed
     assert proofs == 725  # every certificate rests on A * A = q * Id
+    assert drawn == []
     elapsed = time.perf_counter() - start
-    assert elapsed < 2.0
-    print(f"criterion 6 PASS: 725 determinant certificates in {elapsed:.2f}s")
+    assert elapsed < 0.1
+    print(f"criterion 6 PASS: 725 determinant certificates in {elapsed:.3f}s")
 
 
 def test_criterion_7_normalization_over_the_rationals():

@@ -170,7 +170,8 @@ def test_determinant_certificate_base(f13):
     cert = determinant_certificate(mf, trials=30, seed=1)
     assert cert.ok
     assert cert.sign == -1
-    assert cert.tested == 1
+    assert (cert.tested, cert.skipped) == (0, 0)
+    assert cert.sign == determinant_certificate_by_evaluation(mf, trials=30, seed=1).sign
     assert cert.proof
     assert cert.skipped >= 0
     assert cert.reason is None
@@ -187,7 +188,8 @@ def test_determinant_certificate_four_by_four(f13):
     cert = determinant_certificate(mf, trials=25, seed=3)
     assert cert.ok
     assert cert.sign in (-1, 1)
-    assert cert.tested == 1
+    assert (cert.tested, cert.skipped) == (0, 0)
+    assert cert.sign == determinant_certificate_by_evaluation(mf, trials=25, seed=3).sign
     assert cert.proof
 
 
@@ -466,14 +468,18 @@ def test_a_determinant_without_the_relations_is_sampled(f13):
 
 def test_a_proof_keeps_the_skip_budget_of_the_requested_trials(q):
     # the zero matrix with q = 0 satisfies A * A = q * Id, but no point has
-    # q != 0: the certificate fails after 20 * trials skipped points
+    # q != 0: the certificate fails after 20 * trials skipped points.  So
+    # does a built matrix whose pairs cancel (x*y + x*(-y) = 0): either
+    # sign holds, and its shape's sign is not reported
     zero = Poly.zero(q, 2)
-    mf = MatrixFactorization([[zero, zero], [zero, zero]], zero)
-    assert squares_to_quadric(mf)
-    cert = determinant_certificate(mf, trials=7, seed=1)
+    x, y = parse_poly("x", q, nvars=2), parse_poly("y", q, nvars=2)
+    cancelled = build_clifford_factorization(SumOfProducts(((x, y), (x, -y)), False, zero))
     reason = "no sample point had q nonzero"
-    assert cert == DeterminantCertificate(False, None, 0, 140, reason=reason)
-    assert cert == determinant_certificate_by_evaluation(mf, trials=7, seed=1)
+    for mf in (MatrixFactorization([[zero, zero], [zero, zero]], zero), cancelled):
+        assert squares_to_quadric(mf)
+        cert = determinant_certificate(mf, trials=7, seed=1)
+        assert cert == DeterminantCertificate(False, None, 0, 140, reason=reason)
+        assert cert == determinant_certificate_by_evaluation(mf, trials=7, seed=1)
 
 
 def test_the_relation_check_runs_once_per_factorization(monkeypatch):
@@ -504,7 +510,8 @@ def test_the_relation_check_runs_once_per_factorization(monkeypatch):
     for mf in built:
         assert verify_clifford(mf)
         cert = determinant_certificate(mf, trials=5, seed=2)
-        assert (cert.ok, cert.proof, cert.tested) == (True, True, 1)
+        assert (cert.ok, cert.proof, cert.tested, cert.skipped) == (True, True, 0, 0)
+        assert cert.sign == determinant_certificate_by_evaluation(mf, trials=5, seed=2).sign
     assert calls == [generic]
     mf = built[0]
     exps = next(iter(mf.pencil))
@@ -614,3 +621,60 @@ def test_a_wrong_generic_sign_is_refused_and_not_kept(monkeypatch, f13):
     assert squares_to_quadric(mf) and mf.entries == clifford_entries(sop.pairs)
     presentation, _ = ulrich_presentation(F)
     assert squares_to_quadric(presentation)
+
+
+@pytest.mark.parametrize("spec", ["fp:13", "fp2:13", "q", "qi"])
+def test_built_certificates_carry_the_shape_sign(monkeypatch, spec):
+    # every shape with 1..5 pairs, with and without a square start (sizes
+    # 2..32), and presentations of plane quartics in cases a and b: the
+    # built certificate draws no point and computes no determinant, and
+    # its sign is the one the evaluation oracle samples on the matrix and
+    # on its read-back, whose certificate still tests one point
+    import ulrich_forge.clifford as clifford
+
+    calls = []
+
+    def spied(name, original):
+        return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+    monkeypatch.setattr(clifford, "_det_raw", spied("_det_raw", clifford._det_raw))
+    monkeypatch.setattr(linalg, "_det_raw", spied("_det_raw", linalg._det_raw))
+    monkeypatch.setattr(
+        FieldSpec, "random_scalar", spied("random_scalar", FieldSpec.random_scalar)
+    )
+    field = FieldSpec.parse(spec)
+    rng = random.Random(31)
+
+    def form(nvars, degree):
+        while True:
+            h = random_homogeneous(field, nvars, degree, rng, 3)
+            if h:
+                return h
+
+    def presentation(pairs, start=None):
+        summands = pairs + ([(start, start)] if start is not None else [])
+        F = sum((l * m for l, m in summands), Poly.zero(field, pairs[0][0].nvars))
+        return ulrich_presentation(F, FormDecomposition(F, summands))[0]
+
+    built = []
+    for s in range(1, 6):
+        pairs = [(form(4, 1), form(4, 1)) for _ in range(s)]
+        quadric = sum((l * m for l, m in pairs), Poly.zero(field, 4))
+        built.append(build_clifford_factorization(SumOfProducts(pairs, False, quadric)))
+        built.append(presentation(pairs, form(4, 1)))
+    quartic_a = presentation([(form(3, 2), form(3, 2)) for _ in range(3)])
+    quartic_b = presentation([(form(3, 2), form(3, 2)) for _ in range(2)], form(3, 2))
+    built += [quartic_a, quartic_b]
+    assert sorted(mf.size for mf in built) == sorted([2, 4, 8, 16, 32] * 2 + [8, 4])
+    for seed, mf in enumerate(built):
+        calls.clear()
+        cert = determinant_certificate(mf, trials=3, seed=seed)
+        assert calls == []
+        assert (cert.ok, cert.proof, cert.tested, cert.skipped) == (True, True, 0, 0)
+        read = MatrixFactorization(mf.entries, mf.quadric)
+        again = determinant_certificate(read, trials=3, seed=seed)
+        assert {"_det_raw", "random_scalar"} <= set(calls)
+        assert (again.ok, again.proof, again.tested, again.sign) == (True, True, 1, cert.sign)
+        for matrix in (mf, read):
+            sampled = determinant_certificate_by_evaluation(matrix, trials=2, seed=seed)
+            assert (sampled.ok, sampled.sign) == (True, cert.sign)

@@ -29,7 +29,7 @@ from ulrich_forge import (
 )
 from ulrich_forge.cli import main
 
-from oracles import is_ulrich_presentation
+from oracles import determinant_certificate_by_evaluation, is_ulrich_presentation
 
 
 def test_veronese_map_basis_frozen():
@@ -535,7 +535,8 @@ def test_case_b_over_q_passes_the_hilbert_function_oracle(q):
     y2 = Poly.monomial(q, (0, 2, 0))
     assert not is_ulrich_presentation(_perturbed(mf.entries, 2, 2, y2), F, 2)
     cert = determinant_certificate(mf, trials=5)
-    assert cert.ok and cert.proof and cert.tested == 1
+    assert cert.ok and cert.proof and (cert.tested, cert.skipped) == (0, 0)
+    assert cert.sign == determinant_certificate_by_evaluation(mf, trials=5).sign
     # the greedy decomposition of a form over q with a square pair
     G = parse_poly("x^4 - y^4 + z^4", q)
     mf, rep = ulrich_presentation(G)
@@ -589,5 +590,6 @@ def test_presentation_is_proved_once(monkeypatch, f13):
     assert str(generic.quadric) == "x*y + z^2"
     for built in (mf, other):
         cert = determinant_certificate(built, trials=5)
-        assert (cert.ok, cert.proof, cert.tested) == (True, True, 1)
+        assert (cert.ok, cert.proof, cert.tested, cert.skipped) == (True, True, 0, 0)
+        assert cert.sign == determinant_certificate_by_evaluation(built, trials=5).sign
     assert calls == [generic]

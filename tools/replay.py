@@ -12,8 +12,11 @@ outputs lists exactly the calls whose exit code or stdout changed.  It
 covers ``ulrich pipeline``/``bounds`` on smooth, reducible and singular
 forms, ``smooth check``, ``hilbert value``, ``quad pencil-det``,
 ``mf det-cert``, ``cover transversal`` and ``cover keem-counterexample``
-over fp:13, fp:101, fp:32003, fp2:13, q and qi.  The script takes no
-options and clears ULRICH_FORGE_SEED, which would override every seed.
+over fp:13, fp:101, fp:32003, fp2:13, q and qi.  After them come
+``mf build`` calls on quadrics of rank 1 to 6 over the same fields,
+drawn from their own ``random.Random(1)`` so that the earlier lines keep
+their argvs.  The script takes no options and clears ULRICH_FORGE_SEED,
+which would override every seed.
 """
 
 from __future__ import annotations
@@ -113,13 +116,13 @@ def _product(ring, f, g):
     return _scaled_sum(ring, [(a, shifted(e)) for e, a in f.items()])
 
 
-def _text(ring, f):
+def _text(ring, f, names=VARIABLES):
     if not f:
         return "0"
     out = ""
     for exps in sorted(f, reverse=True):
         monomial = "*".join(
-            VARIABLES[j] if e == 1 else f"{VARIABLES[j]}^{e}" for j, e in enumerate(exps) if e
+            names[j] if e == 1 else f"{names[j]}^{e}" for j, e in enumerate(exps) if e
         )
         negative, coeff = ring.text(f[exps])
         term = coeff if not monomial else monomial if coeff == "1" else f"{coeff}*{monomial}"
@@ -183,6 +186,43 @@ def _det_cert_argvs(ring, rng):
     return out
 
 
+def _quadric_of_rank(ring, rng, rank, plain):
+    """A quadric of rank ``rank`` in rank..6 variables x0, x1, ..., as (text, nvars).
+
+    The forms y_i = x_i (plus random multiples of later variables unless
+    ``plain``) are independent, so both c * (y_0^2 - y_1^2 + y_2^2 - ...)
+    and y_0*y_1 + y_2*y_3 + ... (+ c * y_last^2) have rank ``rank`` for
+    nonzero c in odd or zero characteristic.
+    """
+    nvars = rng.randint(rank, 6)
+    unit = lambda i: tuple(int(j == i) for j in range(nvars))  # noqa: E731
+    ys = [{unit(i): (1, 0)} for i in range(rank)]
+    for i, y in enumerate([] if plain else ys):
+        y.update({unit(j): c for j in range(i + 1, nvars) if (c := ring.random(rng)) != (0, 0)})
+    if rng.random() < 0.5:
+        c = _unit(ring, rng)
+        terms = [(ring.norm(-c[0], -c[1]) if i % 2 else c, _product(ring, y, y)) for i, y in enumerate(ys)]
+    else:
+        terms = [((1, 0), _product(ring, ys[i], ys[i + 1])) for i in range(0, rank - 1, 2)]
+        if rank % 2:
+            terms.append((_unit(ring, rng), _product(ring, ys[-1], ys[-1])))
+    return _text(ring, _scaled_sum(ring, terms), [f"x{j}" for j in range(nvars)]), nvars
+
+
+def _build_argvs():
+    """``mf build`` of two quadrics per rank 1..6 and field, one in plain variables, then x*y + z^2 over q."""
+    rng = random.Random(1)
+    argvs = []
+    for spec in FIELDS:
+        ring = Ring(spec)
+        for rank in range(1, 7):
+            for plain in (False, True):
+                text, nvars = _quadric_of_rank(ring, rng, rank, plain)
+                argvs.append(["mf", "build", text, "--nvars", str(nvars), "--field", spec])
+    argvs.append(["mf", "build", "x*y + z^2", "--field", "q"])
+    return argvs
+
+
 def corpus():
     """The argvs, in a fixed order."""
     rng = random.Random(0)
@@ -212,7 +252,7 @@ def corpus():
             argvs.append(["cover", "transversal", *pair, "--seed", str(rng.randrange(100)), *field])
         for seed in range(3):
             argvs.append(["cover", "keem-counterexample", "--max-trials", "20", "--seed", str(seed), *field])
-    return argvs
+    return argvs + _build_argvs()
 
 
 def replay(argv):

@@ -17,7 +17,12 @@ import os
 import sys
 
 from . import __version__
-from .clifford import MatrixFactorization, determinant_certificate, verify_clifford
+from .clifford import (
+    MatrixFactorization,
+    build_clifford_factorization,
+    determinant_certificate,
+    verify_clifford,
+)
 from .cover import (
     check_branch_splitting,
     keem_counterexample_certificate,
@@ -151,8 +156,6 @@ def _cmd_quad_pencil_det(args, field, config):
 
 def _cmd_mf_build(args, field, config):
     (q,) = _read_polys(args, field, config, expected=1)
-    from .clifford import build_clifford_factorization
-
     sop = sum_of_products(gram_from_poly(q))
     mf = build_clifford_factorization(sop)
     return {
@@ -166,8 +169,7 @@ def _cmd_mf_build(args, field, config):
 
 
 def _matrix_from_texts(args, field, config):
-    texts = _read_poly_texts(args, minimum=2)
-    quadric, *entries = _parse_texts(texts, field, args.nvars, config)
+    quadric, *entries = _read_polys(args, field, config, minimum=2)
     size = len(entries)
     side = int(round(size**0.5))
     if side * side != size:
@@ -285,8 +287,7 @@ def _cmd_ulrich_bounds(args, field, config):
 def _cmd_ulrich_normalize(args, field, config):
     trials = args.max_trials if args.max_trials is not None else 20
     config["max_trials"] = trials
-    texts = _read_poly_texts(args, expected=5)
-    F, f1, g1, f2, g2 = _parse_texts(texts, field, args.nvars, config, 3)
+    F, f1, g1, f2, g2 = _read_polys(args, field, config, expected=5, floor_nvars=3)
     decomp = FormDecomposition(F, ((f1, g1), (f2, g2)))
     out = normalize_plane_decomposition(F, decomp, seed=args.seed, max_trials=trials)
     certs = out.certificates
@@ -343,8 +344,7 @@ def _cmd_cover_split_check(args, field, config):
 def _cmd_cover_transversal(args, field, config):
     trials = args.max_trials if args.max_trials is not None else 8
     config["max_trials"] = trials
-    texts = _read_poly_texts(args, expected=2)
-    f, g = _parse_texts(texts, field, args.nvars, config, 3)
+    f, g = _read_polys(args, field, config, expected=2, floor_nvars=3)
     res = certify_transversal(f, g, seed=args.seed, max_trials=trials)
     return {
         "verdict": res.verdict,

@@ -103,7 +103,7 @@ def check_branch_splitting(F1, r, l, m, a):
             raise ValueError(f"{name} from the wrong ring")
     d = F1.homogeneous_degree()
     _check_degree(F1, d, "F1")
-    if d is None or d < 1:
+    if d < 1:
         raise ValueError("F1 must have positive degree")
     _check_degree(r, 2 * d, "r")
     _check_degree(l, d, "l", allow_zero=True)

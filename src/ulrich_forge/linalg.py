@@ -1,6 +1,6 @@
 """Exact linear algebra over the scalar fields.
 
-Four elimination routines do all the work:
+Four elimination kernels do all the work:
 
 - ``_rank_mod_p``, elimination mod a prime on packed rows, takes every
   fp and fp2 rank, and the first try over q and qi, whose rows are
@@ -17,35 +17,36 @@ Four elimination routines do all the work:
   there, ranked over F_p at twice the size.  No routine here descends
   from an extension to its base field: a matrix is ranked in the field
   it is given in.
-- ``_bareiss``, fraction-free elimination on denominator-cleared integer
-  rows, gives q determinants and the q ranks the prime cannot settle
-  (rank deficient mod the prime, or a denominator divisible by it); it
-  keeps intermediate entries at minor size instead of letting Fraction
-  reduction thrash.  ``poly_matrix_det`` packs each polynomial entry
-  into an integer by Kronecker substitution and takes the determinant
-  over fp and q here.
+- ``_bareiss``, fraction-free elimination on integer rows, gives q
+  determinants, the q ranks the prime cannot settle (rank deficient mod
+  the prime, or a denominator divisible by it) and the polynomial
+  determinants over fp and q; it keeps intermediate entries at minor
+  size instead of letting Fraction reduction thrash.
 - ``_bareiss_quadratic``, the same elimination over Z[sqrt(nu)] on rows
-  of integer pairs, serves qi and fp2 (nu = -1, or the lifted
-  nonresidue): qi determinants, the qi ranks that the prime cannot
-  settle, and the polynomial determinants over qi and fp2.
+  of integer pairs, serves qi and fp2 (nu = -1, or the nonresidue): qi
+  determinants, the qi ranks that the prime cannot settle, and the
+  polynomial determinants over qi and fp2.
 - ``_eliminate``, dense Gaussian elimination on raw entries, ranks
   nothing: it gives the determinant over fp and fp2, and ``solve`` in
   every field, through Gauss-Jordan, on ``field.arith``.
 
-``_exact_bareiss`` alone clears q or qi rows of denominators and picks
-``_bareiss`` or ``_bareiss_quadratic``.  Every scalar determinant goes
-through ``_det_raw(rows, field)``, on raw rows, and every rank through
-``_rank_raw(rows, field, width)``, on sparse raw rows: each row maps a
-column to a nonzero raw value.  ``det`` and ``rank`` unwrap scalar rows
-once; ``clifford``'s point matrices, Gram records, Macaulay matrices and
-the Keem witnesses pass theirs directly.  ``_prime_rank`` gives the rank of
-the rows' image: exact over fp and fp2, a lower bound over q and qi,
-and None when a denominator is divisible by _CHECK_PRIME; ``graded``
-reads it alone for its square Macaulay submatrix, whose deficiency
-decides nothing.  ``_rank_raw`` keeps that answer when it is exact or
-full, and only otherwise fills the rows in densely for Bareiss over Z
-(q) or over Z[i] (qi).  All results are exact; nothing here is
-approximate.
+Exact elimination has one rule per step, shared by ``_exact_bareiss``
+(q and qi determinants and ranks) and ``poly_matrix_det``: ``_lifted``
+maps a raw row to integers, ``_fraction_free`` picks the Bareiss
+kernel, and ``_dropped`` maps the result back to a raw value.
+
+Every scalar determinant goes through ``_det_raw(rows, field)``, on raw
+rows, and every rank through ``_rank_raw(rows, field, width)``, on
+sparse raw rows: each row maps a column to a nonzero raw value.  ``det``
+and ``rank`` unwrap scalar rows once; ``clifford``'s point matrices,
+Gram records, Macaulay matrices and the Keem witnesses pass theirs
+directly.  ``_prime_rank`` gives the rank of the rows' image: exact over
+fp and fp2, a lower bound over q and qi, and None when a denominator is
+divisible by _CHECK_PRIME; ``graded`` reads it alone for its square
+Macaulay submatrix, whose deficiency decides nothing.  ``_rank_raw``
+keeps that answer when it is exact or full, and only otherwise fills the
+rows in densely for Bareiss over Z (q) or over Z[i] (qi).  All results
+are exact; nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from heapq import heapify, heappop, heappush
 from math import isqrt, lcm
 from struct import pack, unpack
 
-from .fields import GAUSSIAN, PRIME_QUADRATIC, raw_parts, sqrt_mod_p
+from .fields import GAUSSIAN, PRIME_QUADRATIC, sqrt_mod_p
 from .poly import Poly
 
 # Word-size prime for the mod-p-first rank over q and qi; it is 1 mod 4,
@@ -67,30 +68,36 @@ _I = sqrt_mod_p(-1, _CHECK_PRIME)
 _WORD = 2**64 - 1
 
 
-def _scaled(x, scale):
-    """The integer x * scale of a Fraction x whose denominator divides scale."""
-    return x.numerator * (scale // x.denominator)
+def _lifted(row, field):
+    """A row of raw values as integers, or over qi and fp2 integer pairs, and the row's scale.
 
-
-def _as_int_rows(rows, gaussian=False):
-    """Clear denominators of raw Fraction rows row by row; rank and row space are unchanged.
-
-    With ``gaussian`` the entries are qi pairs (a, b), the scale of a row
-    is the lcm over both parts, and the rows come back as pairs of
-    integers, the Gaussian integers a + b*i.  Also returns the product
-    of the row scales, the factor by which the determinant of a square
-    matrix grows.
+    A pair (a, b) stands for a + b*sqrt(nu), nu = -1 over qi and the
+    nonresidue over fp2.  Residues go to (-p/2, p/2] with scale 1; a q
+    or qi row is multiplied by its scale, the lcm of its denominators,
+    which keeps rank and row space and multiplies a determinant by it.
     """
-    out, total = [], 1
-    for row in rows:
-        if gaussian:
-            scale = lcm(*(x.denominator for v in row for x in v)) if row else 1
-            out.append([(_scaled(a, scale), _scaled(b, scale)) for a, b in row])
-        else:
-            scale = lcm(*(c.denominator for c in row)) if row else 1
-            out.append([_scaled(c, scale) for c in row])
-        total *= scale
-    return out, total
+    p, pairs = field.p, field.kind in (GAUSSIAN, PRIME_QUADRATIC)
+    parts = [x for v in row for x in v] if pairs else row
+    if p:
+        scale, half = 1, p // 2
+        ints = [x - p if x > half else x for x in parts]
+    else:
+        scale = lcm(*(x.denominator for x in parts))
+        ints = [x.numerator * (scale // x.denominator) for x in parts]
+    return (list(zip(ints[::2], ints[1::2])) if pairs else ints), scale
+
+
+def _dropped(value, scale, field):
+    """The raw value of an integer result on lifted rows: mod p, or divided by the rows' scale.
+
+    ``value`` is an integer, or a pair over qi and fp2; ``scale`` is the
+    product of the row scales, by which a determinant grew.
+    """
+    p = field.p
+    if field.kind in (GAUSSIAN, PRIME_QUADRATIC):
+        a, b = value
+        return (a % p, b % p) if p else (Fraction(a, scale), Fraction(b, scale))
+    return value % p if p else Fraction(value, scale)
 
 
 def _bareiss(rows):
@@ -162,19 +169,32 @@ def _bareiss_quadratic(rows, nu):
     return rank, (sign * qa, sign * qb)
 
 
+def _fraction_free(rows, field):
+    """Bareiss on lifted rows of ``field``: (rank, signed last pivot).
+
+    ``_bareiss`` over Z for q and fp, ``_bareiss_quadratic`` over
+    Z[sqrt(nu)] with nu = -1 for qi and the nonresidue for fp2.
+    """
+    if field.kind == GAUSSIAN:
+        return _bareiss_quadratic(rows, -1)
+    if field.kind == PRIME_QUADRATIC:
+        return _bareiss_quadratic(rows, field.nu)
+    return _bareiss(rows)
+
+
 def _exact_bareiss(rows, field):
-    """Bareiss over Z or Z[i] of dense q or qi raw rows cleared of denominators: (rank, last pivot).
+    """Bareiss of dense q or qi raw rows, lifted row by row: (rank, last pivot).
 
     The signed last pivot comes back as a raw value, divided by the row
     scales, so for a square matrix of full rank it is the determinant.
     """
-    if field.kind == GAUSSIAN:
-        int_rows, scale = _as_int_rows(rows, gaussian=True)
-        rank, (a, b) = _bareiss_quadratic(int_rows, -1)
-        return rank, (Fraction(a, scale), Fraction(b, scale))
-    int_rows, scale = _as_int_rows(rows)
-    rank, value = _bareiss(int_rows)
-    return rank, Fraction(value, scale)
+    int_rows, scale = [], 1
+    for row in rows:
+        ints, row_scale = _lifted(row, field)
+        int_rows.append(ints)
+        scale *= row_scale
+    rank, value = _fraction_free(int_rows, field)
+    return rank, _dropped(value, scale, field)
 
 
 def _rank_mod_p(rows, p, width):
@@ -467,10 +487,10 @@ def transpose(a):
 def poly_matrix_det(rows):
     """Determinant of a square matrix of polynomials, by Kronecker substitution.
 
-    Each entry is packed into one integer, over fp2 and qi each of its
-    two components by itself; ``_bareiss``, or over fp2 and qi
-    ``_bareiss_quadratic`` on the pairs, takes the determinant, whose
-    base-2**k digits are read back as coefficients.  It backs the Keem
+    The coefficients of each row go through ``_lifted``, and each entry
+    is packed into one integer, over fp2 and qi one per component;
+    ``_fraction_free`` takes the determinant, whose base-2**k digits are
+    read back as coefficients through ``_dropped``.  It backs the Keem
     pencil determinant and ``sylvester_resultant``, and with it every
     transversality certificate.  The packing is dense in every variable
     that occurs, so the integers grow with the product of the degree
@@ -484,54 +504,30 @@ def poly_matrix_det(rows):
     field, nvars = rows[0][0].field, rows[0][0].nvars
     if any(e.field is not field or e.nvars != nvars for row in rows for e in row):
         raise ValueError("polynomial matrix over mixed rings")
-    p, two = field.p, field.kind in (GAUSSIAN, PRIME_QUADRATIC)
-    nu = field.nu if field.kind == PRIME_QUADRATIC else -1
-    # Lift: every coefficient a + b*g (w over fp2, i over qi) becomes the
-    # integer terms (exps, 0, a) and (exps, 1, b), for a + b*sqrt(nu) in
-    # Z[sqrt(nu)], nu = g*g lifted.  Residues are lifted to (-p/2, p/2];
-    # over q and qi each row is cleared of denominators, which multiplies
-    # the determinant by its scale.
-    int_rows, scale = [], 1
-    for row in rows:
-        row_parts = [[(exps, raw_parts(field, v)) for exps, v in e.raw.items()] for e in row]
-        row_scale = 1
-        if not p:
-            row_scale = lcm(*(x.denominator for terms in row_parts for _, ab in terms for x in ab))
-            scale *= row_scale
-        int_rows.append(
-            [
-                [
-                    (exps, t, (x - p if 2 * x > p else x) if p else int(x * row_scale))
-                    for exps, ab in terms
-                    for t, x in enumerate(ab)
-                    if x
-                ]
-                for terms in row_parts
-            ]
-        )
+    pairs = field.kind in (GAUSSIAN, PRIME_QUADRATIC)
     # det = sum over permutations of +-prod a_{i,sigma(i)}, so its degree
     # in each variable is at most the sum over rows of the row's largest
     # degree, and, the norm |a| + r*|b| of a + b*sqrt(nu), r = ceil(sqrt(|nu|)),
     # summed over the coefficients being submultiplicative, both parts of
     # its every coefficient are at most B = prod over rows of the summed
-    # norms of the row's entries.  Both bounds hold for columns too, as
-    # det(A) = det(A^T); the smaller one is taken.  With x_j -> 2**(k*s_j)
-    # for the mixed-radix strides s_j of the degree bounds and 2**(k-1) > B,
-    # distinct monomials land on distinct base-2**k digits and each
-    # balanced digit is one coefficient.
-    weights = (1, isqrt(abs(nu) - 1) + 1)
-
-    def line_bounds(lines):
-        degrees, bound = [0] * nvars, 1
-        for line in lines:
-            line_terms = [term for terms in line for term in terms]
-            for j in range(nvars):
-                degrees[j] += max((exps[j] for exps, _, _ in line_terms), default=0)
-            bound *= sum(weights[t] * abs(c) for _, t, c in line_terms)
-        return degrees, bound
-
-    (by_rows, row_bound), (by_cols, col_bound) = map(line_bounds, (int_rows, zip(*int_rows)))
-    degrees, bound = list(map(min, by_rows, by_cols)), min(row_bound, col_bound)
+    # norms of the row's lifted coefficients.  The rows alone set both
+    # bounds: a pencil R - aQ is symmetric, so its columns give the same
+    # ones, and on a Sylvester matrix a column pass costs more than its
+    # tighter bound saves.  With x_j -> 2**(k*s_j) for the mixed-radix
+    # strides s_j of the degree bounds and 2**(k-1) > B, distinct
+    # monomials land on distinct base-2**k digits and each balanced
+    # digit is one coefficient.
+    r = isqrt((field.nu or 1) - 1) + 1  # |nu| = 1 over qi
+    int_rows, scale, degrees, bound = [], 1, [0] * nvars, 1
+    for row in rows:
+        ints, row_scale = _lifted([c for e in row for c in e.raw.values()], field)
+        scale *= row_scale
+        # the lifted coefficients, entry by entry, with their exponents
+        coefficients = iter(ints)
+        int_rows.append([list(zip(e.raw, coefficients)) for e in row])
+        for j, d in enumerate(map(max, zip(*(exps for e in row for exps in e.raw)))):
+            degrees[j] += d
+        bound *= sum(abs(a) + r * abs(b) for a, b in ints) if pairs else sum(map(abs, ints))
     if not bound:
         return Poly.zero(field, nvars)
     k = bound.bit_length() + 1
@@ -540,35 +536,34 @@ def poly_matrix_det(rows):
         strides.append(stride)
         stride *= d + 1
 
-    def pack(terms, part):
-        return sum(c << k * sum(x * s for x, s in zip(exps, strides)) for exps, t, c in terms if t == part)
+    def pack(terms):
+        shifted = [(k * sum(x * s for x, s in zip(exps, strides)), c) for exps, c in terms]
+        if pairs:
+            return sum(a << t for t, (a, _) in shifted), sum(b << t for t, (_, b) in shifted)
+        return sum(c << t for t, c in shifted)
 
-    if two:
-        full, values = _bareiss_quadratic([[(pack(e, 0), pack(e, 1)) for e in row] for row in int_rows], nu)
-    else:
-        full, *values = _bareiss([[pack(e, 0) for e in row] for row in int_rows])
+    full, value = _fraction_free([[pack(terms) for terms in row] for row in int_rows], field)
     if full < n:
         return Poly.zero(field, nvars)
     # Unpack: the balanced digits of each component.
     radix = [(j, strides[j], d + 1) for j, d in enumerate(degrees) if d]
     acc, half, base = {}, 1 << (k - 1), 1 << k
-    for t, value in enumerate(values):
+    for t, part in enumerate(value if pairs else (value,)):
         position = 0
-        while value:
-            c = value & (base - 1)
+        while part:
+            c = part & (base - 1)
             if c >= half:
                 c -= base
-            value = (value - c) >> k
+            part = (part - c) >> k
             if c:
                 exps = [0] * nvars
-                for j, s, r in radix:
-                    exps[j] = position // s % r
+                for j, s, m in radix:
+                    exps[j] = position // s % m
                 acc.setdefault(tuple(exps), [0, 0])[t] = c
             position += 1
-    raw = {}
+    raw, zero = {}, field.arith.zero
     for exps, (a, b) in acc.items():
-        c = (a % p, b % p) if p else (Fraction(a, scale), Fraction(b, scale))
-        c = c if two else c[0]
-        if c != field.arith.zero:
+        c = _dropped((a, b) if pairs else a, scale, field)
+        if c != zero:
             raw[exps] = c
     return Poly._make(field, nvars, raw)

@@ -400,8 +400,6 @@ def normalize_plane_decomposition(F, decomp, seed=0, max_trials=20):
             continue
         first_smooth = is_smooth_hypersurface(f_alpha)
         if first_smooth.verdict != SMOOTH:
-            if best_depth < 0:
-                best_depth, best = 0, {}
             continue
         g_alpha = g2 - g1.scale(alpha)
         if best_depth < 1:

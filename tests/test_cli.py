@@ -950,12 +950,12 @@ def test_each_text_is_tokenized_and_parsed_once(capsys, monkeypatch):
 
 
 def test_internal_assertion_is_exit_one_envelope(capsys, monkeypatch):
-    import ulrich_forge.clifford
+    import ulrich_forge.cli
 
     def failing_build(sop):
         raise AssertionError("clifford construction failed its symbolic check")
 
-    monkeypatch.setattr(ulrich_forge.clifford, "build_clifford_factorization", failing_build)
+    monkeypatch.setattr(ulrich_forge.cli, "build_clifford_factorization", failing_build)
     code, payload = _run(capsys, ["mf", "build", "x*y", "--field", "q"])
     assert code == 1
     assert payload["ok"] is False

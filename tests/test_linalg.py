@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,10 @@ import pytest
 from ulrich_forge import FieldSpec, Poly, parse_poly
 from ulrich_forge import linalg
 from ulrich_forge.linalg import (
-    _as_int_rows,
     _bareiss,
     _det_raw,
+    _dropped,
+    _lifted,
     _prime_rank,
     _rank_mod_p,
     _rank_raw,
@@ -288,17 +290,35 @@ def test_poly_matrix_det_matches_cofactor_expansion(spec):
     @st.composite
     def matrices(draw):
         n, nvars = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-        exponents = st.tuples(*[st.integers(0, 2)] * nvars)
 
-        def polys(size):
+        def polys(size, top=2):
             return st.builds(
                 lambda terms: Poly(field, nvars, terms),
-                st.dictionaries(exponents, scalars, max_size=size),
+                st.dictionaries(st.tuples(*[st.integers(0, top)] * nvars), scalars, max_size=size),
             )
 
-        rows = [[draw(polys(2)) for _ in range(n)] for _ in range(n)]
-        shape = draw(st.sampled_from(["free", "zero row", "dependent"]))
-        if shape == "zero row":
+        shape = draw(st.sampled_from(["free", "zero row", "dependent", "heavy row", "heavy column", "sylvester"]))
+        rows = [[draw(polys(2)) for _ in range(n)] for _ in range(n)] if shape != "sylvester" else []
+        # the degree and coefficient bounds come from the rows alone; a heavy
+        # column, and the Sylvester matrices of the resultants, are where
+        # the columns would give the smaller bound
+        if shape == "heavy row":
+            rows[draw(st.integers(0, n - 1))] = [draw(polys(4, 3)) for _ in range(n)]
+        elif shape == "heavy column":
+            j = draw(st.integers(0, n - 1))
+            for row in rows:
+                row[j] = draw(polys(4, 3))
+        elif shape == "sylvester":
+            # the rows of f and g, shifted, for deg f + deg g = n
+            df = draw(st.integers(0, n))
+            fc, gc = ([draw(polys(3, 3)) for _ in range(d + 1)] for d in (df, n - df))
+            zero = Poly.zero(field, nvars)
+            rows = [
+                [zero] * i + c + [zero] * (n - i - len(c))
+                for c, shifts in ((fc, n - df), (gc, df))
+                for i in range(shifts)
+            ]
+        elif shape == "zero row":
             rows[draw(st.integers(0, n - 1))] = [Poly.zero(field, nvars)] * n
         elif shape == "dependent":
             # the last row is a K[x]-combination of the others
@@ -310,7 +330,7 @@ def test_poly_matrix_det_matches_cofactor_expansion(spec):
         return rows
 
     @hypothesis.given(matrices())
-    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.settings(max_examples=90, deadline=None, derandomize=True)
     def check(rows):
         assert poly_matrix_det(rows) == poly_det_cofactor(rows)
 
@@ -378,7 +398,46 @@ def _seeded_rational_matrices():
 def test_rank_over_q_matches_bareiss(q):
     for values in _seeded_rational_matrices():
         rows = [[q.scalar(v) for v in row] for row in values]
-        assert rank(rows, q) == _bareiss(_as_int_rows(values)[0])[0]
+        assert rank(rows, q) == _bareiss([_lifted(row, q)[0] for row in values])[0]
+
+
+@pytest.mark.parametrize("spec", ["fp:3", "fp:2147483629", "fp2:3", "fp2:23", "q", "qi"])
+def test_dropped_inverts_lifted(spec):
+    # the one lift of a raw row to integers and the one way back: every
+    # value comes back, residues lift into (-p/2, p/2], and the scale of a
+    # q or qi row is the lcm of its denominators, 1 for an integer row
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    field = FieldSpec.parse(spec)
+    p, pairs = field.p, field.kind in ("fp2", "qi")
+    if p:
+        edge = [0, 1, p - 1, p // 2, p // 2 + 1]
+        part = st.sampled_from(edge) | st.integers(0, p - 1)
+    else:
+        numerators = st.integers(-(10**12), 10**12)
+        edge = [Fraction(0), Fraction(1), Fraction(-(10**12)), Fraction(10**12 - 1)]
+        fractions = st.builds(Fraction, numerators, st.integers(1, 10**9))
+        part = st.sampled_from(edge) | st.builds(Fraction, numerators) | fractions
+    value = st.tuples(part, part) if pairs else part
+    # the edge values, zero among them, in one row whose scale is 1
+    integer_row = list(zip(edge, edge[::-1])) + [(edge[0], edge[0])] if pairs else edge
+
+    @hypothesis.given(st.lists(value, max_size=6))
+    @hypothesis.example(integer_row)
+    @hypothesis.example([])
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    def check(row):
+        ints, scale = _lifted(row, field)
+        assert [_dropped(v, scale, field) for v in ints] == row
+        values = [x for v in row for x in v] if pairs else row
+        lifted = [x for v in ints for x in v] if pairs else ints
+        assert all(isinstance(x, int) for x in lifted)
+        if p:
+            assert scale == 1 and all(-p < 2 * x <= p for x in lifted)
+        else:
+            assert scale == lcm(*(x.denominator for x in values))
+
+    check()
 
 
 def test_rank_over_q_finishes_mod_p_when_full(q, monkeypatch):
@@ -879,8 +938,9 @@ def test_dense_routines_match_oracles(spec, monkeypatch):
 
 def test_only_linalg_names_its_elimination_kernels():
     # the choice of an exact elimination routine is made in linalg alone:
-    # no other module imports or names the kernels or the denominator clearing
-    private = {"_bareiss", "_bareiss_quadratic", "_as_int_rows", "_eliminate"}
+    # no other module imports or names the kernels, the lift to integers,
+    # the way back or the choice between the Bareiss kernels
+    private = {"_bareiss", "_bareiss_quadratic", "_eliminate", "_lifted", "_dropped", "_fraction_free"}
     modules = sorted(Path(linalg.__file__).parent.glob("*.py"))
     assert len(modules) > 5
     offenders = []

@@ -405,7 +405,7 @@ def test_transversal_degree_eight_within_budget():
     res = certify_transversal(f, g)
     elapsed = time.perf_counter() - start
     assert res.verdict == TRANSVERSAL and res.points == 64
-    assert elapsed < 5.0, f"degree-8 certificate took {elapsed:.2f}s"
+    assert elapsed < 1.0, f"degree-8 certificate took {elapsed:.2f}s"
 
 
 def test_small_characteristic_degree_six_within_budget():
@@ -419,7 +419,7 @@ def test_small_characteristic_degree_six_within_budget():
         res = certify_transversal(f, g)
         elapsed = time.perf_counter() - start
         assert res.verdict == TRANSVERSAL and res.points == 36
-        assert elapsed < 1.0, f"fp:{p} degree-6 certificate took {elapsed:.2f}s"
+        assert elapsed < 0.25, f"fp:{p} degree-6 certificate took {elapsed:.2f}s"
         if res.change is not None:
             f, g = apply_linear_change(f, res.change), apply_linear_change(g, res.change)
         expected = _sympy_chart(f, g)

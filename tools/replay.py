@@ -15,8 +15,12 @@ forms, ``smooth check``, ``hilbert value``, ``quad pencil-det``,
 over fp:13, fp:101, fp:32003, fp2:13, q and qi.  After them come
 ``mf build`` calls on quadrics of rank 1 to 6 over the same fields,
 drawn from their own ``random.Random(1)`` so that the earlier lines keep
-their argvs.  The script takes no options and clears ULRICH_FORGE_SEED,
-which would override every seed.
+their argvs, and last, from ``random.Random(2)``, the calls that reach
+the polynomial determinants: ``ulrich normalize`` over q, qi and
+fp:101, ``cover transversal`` of cubics over fp:5 and fp:7 (d*d >= p),
+and ``quad pencil-det`` in 8 to 12 variables over the six fields.  The
+script takes no options and clears ULRICH_FORGE_SEED, which would
+override every seed.
 """
 
 from __future__ import annotations
@@ -223,6 +227,31 @@ def _build_argvs():
     return argvs
 
 
+def _determinant_argvs():
+    """``ulrich normalize``, small-characteristic ``cover transversal`` and large ``quad pencil-det`` calls."""
+    rng = random.Random(2)
+    argvs = []
+    for spec in ("q", "qi", "fp:101"):
+        ring = Ring(spec)
+        for degree in (2, 2, 3):
+            f1, g1, f2, g2 = (_form(ring, rng, 3, degree) for _ in range(4))
+            F = _scaled_sum(ring, [((1, 0), _product(ring, f1, g1)), ((1, 0), _product(ring, f2, g2))])
+            texts = [_text(ring, h) for h in (F, f1, g1, f2, g2)]
+            argvs.append(["ulrich", "normalize", *texts, "--seed", str(rng.randrange(100)), "--field", spec])
+    for spec in ("fp:5", "fp:7"):
+        ring = Ring(spec)
+        for _ in range(3):
+            pair = [_text(ring, _form(ring, rng, 3, 3)) for _ in range(2)]
+            argvs.append(["cover", "transversal", *pair, "--seed", str(rng.randrange(100)), "--field", spec])
+    for spec in FIELDS:
+        ring = Ring(spec)
+        for nvars in (8, 10, 12):
+            names = [f"x{j}" for j in range(nvars)]
+            quadrics = [_text(ring, _form(ring, rng, nvars, 2), names) for _ in range(2)]
+            argvs.append(["quad", "pencil-det", *quadrics, "--nvars", str(nvars), "--field", spec])
+    return argvs
+
+
 def corpus():
     """The argvs, in a fixed order."""
     rng = random.Random(0)
@@ -252,7 +281,7 @@ def corpus():
             argvs.append(["cover", "transversal", *pair, "--seed", str(rng.randrange(100)), *field])
         for seed in range(3):
             argvs.append(["cover", "keem-counterexample", "--max-trials", "20", "--seed", str(seed), *field])
-    return argvs + _build_argvs()
+    return argvs + _build_argvs() + _determinant_argvs()
 
 
 def replay(argv):

@@ -5,7 +5,10 @@ Exit codes: 0 for a verified success, 1 for a mathematical failure
 internal self-check that fails), 2 for usage and parse errors,
 including a stray division by zero.  Reports carry {version, command, config, ok,
 result|error}; the same argv and seed always produce byte-identical
-output.  ULRICH_FORGE_SEED in the environment overrides --seed.
+output.  ULRICH_FORGE_SEED in the environment overrides --seed.  Each
+subcommand is one row of ``COMMANDS``: its handler, the polynomial texts
+it reads, its own options and its default --max-trials, which
+``config.max_trials`` carries in every envelope.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import functools
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .clifford import (
@@ -44,23 +48,23 @@ from .veronese import (
 )
 
 
-def _read_poly_texts(args, expected=None, minimum=None):
-    """Collect polynomial sources from --file lines and positionals."""
+def _read_polys(args, field, config, expected=None, minimum=None, floor_nvars=1):
+    """The polynomials of the --file lines and positionals, by ``_parse_texts``."""
     texts = []
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file, encoding="utf-8") as fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
                 if line:
                     texts.append(line)
-    texts.extend(getattr(args, "poly", []) or [])
+    texts.extend(args.poly)
     if expected is not None and len(texts) != expected:
         raise ValueError(f"expected {expected} polynomial(s), got {len(texts)}")
     if minimum is not None and len(texts) < minimum:
         raise ValueError(f"expected at least {minimum} polynomial(s), got {len(texts)}")
     if not texts:
         raise ValueError("no polynomials given")
-    return texts
+    return _parse_texts(texts, field, args.nvars, config, floor_nvars)
 
 
 def _parse_texts(texts, field, nvars, config, floor_nvars=1):
@@ -72,8 +76,8 @@ def _parse_texts(texts, field, nvars, config, floor_nvars=1):
     text comes first if the arity is inferred, and leaves config as it
     was; otherwise the first error of the texts in order, at their
     common arity, is raised with that arity in config.  Only this error
-    path reads a text twice.  A handler's default --max-trials enters
-    config before it reads any text, so every error envelope shows it.
+    path reads a text twice.  A subcommand's default --max-trials is in
+    config before any text is read, so every error envelope shows it.
     """
     try:
         polys = [parse_poly(t, field, nvars) for t in texts]
@@ -99,12 +103,6 @@ def _padded(poly, nvars):
     return Poly._make(poly.field, nvars, {e + pad: v for e, v in poly.raw.items()})
 
 
-def _read_polys(args, field, config, expected=None, minimum=None, floor_nvars=1):
-    """The polynomials of ``_read_poly_texts``, parsed by ``_parse_texts``."""
-    texts = _read_poly_texts(args, expected=expected, minimum=minimum)
-    return _parse_texts(texts, field, args.nvars, config, floor_nvars)
-
-
 def _gram_strings(gram):
     return [[str(v) for v in row] for row in gram]
 
@@ -116,14 +114,12 @@ def _point_strings(point):
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_quad_rank(args, field, config):
-    (q,) = _read_polys(args, field, config, expected=1)
+def _cmd_quad_rank(args, field, q):
     rec = gram_from_poly(q)
     return {"rank": rec.rank, "gram": _gram_strings(rec.gram)}, True
 
 
-def _cmd_quad_diag(args, field, config):
-    (q,) = _read_polys(args, field, config, expected=1)
+def _cmd_quad_diag(args, field, q):
     diag = diagonalize(gram_from_poly(q))
     return {
         "diagonal": [str(v) for v in diag.diagonal],
@@ -132,8 +128,7 @@ def _cmd_quad_diag(args, field, config):
     }, True
 
 
-def _cmd_quad_sop(args, field, config):
-    (q,) = _read_polys(args, field, config, expected=1)
+def _cmd_quad_sop(args, field, q):
     sop = sum_of_products(gram_from_poly(q))
     return {
         "pairs": [[str(l), str(m)] for l, m in sop.pairs],
@@ -143,8 +138,7 @@ def _cmd_quad_sop(args, field, config):
     }, True
 
 
-def _cmd_quad_pencil_det(args, field, config):
-    r, q = _read_polys(args, field, config, expected=2)
+def _cmd_quad_pencil_det(args, field, r, q):
     det = pencil_determinant(gram_from_poly(r), gram_from_poly(q))
     coeffs = det.univariate_coefficients()
     return {
@@ -154,8 +148,7 @@ def _cmd_quad_pencil_det(args, field, config):
     }, True
 
 
-def _cmd_mf_build(args, field, config):
-    (q,) = _read_polys(args, field, config, expected=1)
+def _cmd_mf_build(args, field, q):
     sop = sum_of_products(gram_from_poly(q))
     mf = build_clifford_factorization(sop)
     return {
@@ -168,8 +161,7 @@ def _cmd_mf_build(args, field, config):
     }, True
 
 
-def _matrix_from_texts(args, field, config):
-    quadric, *entries = _read_polys(args, field, config, minimum=2)
+def _matrix(quadric, entries):
     size = len(entries)
     side = int(round(size**0.5))
     if side * side != size:
@@ -178,17 +170,15 @@ def _matrix_from_texts(args, field, config):
     return MatrixFactorization(rows, quadric)
 
 
-def _cmd_mf_verify(args, field, config):
-    mf = _matrix_from_texts(args, field, config)
+def _cmd_mf_verify(args, field, quadric, *entries):
+    mf = _matrix(quadric, entries)
     verified = verify_clifford(mf)
     return {"verified": verified, "size": mf.size}, verified
 
 
-def _cmd_mf_det_cert(args, field, config):
-    trials = args.max_trials if args.max_trials is not None else 50
-    config["max_trials"] = trials
-    mf = _matrix_from_texts(args, field, config)
-    cert = determinant_certificate(mf, trials=trials, seed=args.seed)
+def _cmd_mf_det_cert(args, field, quadric, *entries):
+    mf = _matrix(quadric, entries)
+    cert = determinant_certificate(mf, trials=args.max_trials, seed=args.seed)
     return {
         "certified": cert.ok,
         "sign": cert.sign,
@@ -234,8 +224,7 @@ def _bounds_result(bounds):
     }
 
 
-def _pipeline_setup(args, field, config):
-    (F,) = _read_polys(args, field, config, expected=1)
+def _veronese_map(args, F):
     if F.is_zero or not F.is_homogeneous():
         raise ValueError("need a nonzero homogeneous form")
     deg = F.homogeneous_degree()
@@ -243,11 +232,11 @@ def _pipeline_setup(args, field, config):
         raise ValueError(f"--deg {args.deg} does not match the form degree {deg}")
     if deg % 2:
         raise ValueError("form degree must be even")
-    return F, VeroneseMap(F.nvars - 1, deg // 2)
+    return VeroneseMap(F.nvars - 1, deg // 2)
 
 
-def _cmd_ulrich_pipeline(args, field, config):
-    F, vmap = _pipeline_setup(args, field, config)
+def _cmd_ulrich_pipeline(args, field, F):
+    vmap = _veronese_map(args, F)
     lift = lift_form(F, vmap)
     decomp = decompose_form(F, vmap, lift)
     mf, report = ulrich_presentation(F, decomp)
@@ -273,9 +262,8 @@ def _cmd_ulrich_pipeline(args, field, config):
     }, ok
 
 
-def _cmd_ulrich_bounds(args, field, config):
-    F, vmap = _pipeline_setup(args, field, config)
-    decomp = decompose_form(F, vmap)
+def _cmd_ulrich_bounds(args, field, F):
+    decomp = decompose_form(F, _veronese_map(args, F))
     bounds = rank_bounds(F, decomp, e_max=args.e_max, seed=args.seed)
     ok = _lower_check_ok(bounds.lower_check)
     return {
@@ -284,12 +272,9 @@ def _cmd_ulrich_bounds(args, field, config):
     }, ok
 
 
-def _cmd_ulrich_normalize(args, field, config):
-    trials = args.max_trials if args.max_trials is not None else 20
-    config["max_trials"] = trials
-    F, f1, g1, f2, g2 = _read_polys(args, field, config, expected=5, floor_nvars=3)
+def _cmd_ulrich_normalize(args, field, F, f1, g1, f2, g2):
     decomp = FormDecomposition(F, ((f1, g1), (f2, g2)))
-    out = normalize_plane_decomposition(F, decomp, seed=args.seed, max_trials=trials)
+    out = normalize_plane_decomposition(F, decomp, seed=args.seed, max_trials=args.max_trials)
     certs = out.certificates
     failed = certs.get("failed_certificate")
     tv = certs.get("transversality")
@@ -305,14 +290,12 @@ def _cmd_ulrich_normalize(args, field, config):
     return result, failed is None
 
 
-def _cmd_hilbert_value(args, field, config):
-    gens = _read_polys(args, field, config, minimum=1)
+def _cmd_hilbert_value(args, field, *gens):
     value = hilbert_value(GradedSystem(gens), args.degree)
     return {"degree": args.degree, "value": value}, True
 
 
-def _cmd_smooth_check(args, field, config):
-    (F,) = _read_polys(args, field, config, expected=1)
+def _cmd_smooth_check(args, field, F):
     res = is_smooth_hypersurface(F, e_max=args.e_max, seed=args.seed)
     return {
         "verdict": res.verdict,
@@ -321,31 +304,31 @@ def _cmd_smooth_check(args, field, config):
     }, res.verdict == SMOOTH
 
 
-def _cmd_cover_rh(args, field, config):
-    profile = riemann_hurwitz(args.h, args.d)
+def _profile_result(profile):
     return {
         "h": profile.h,
         "d": profile.d,
         "g": profile.g,
         "branch_degree": profile.branch_degree,
         "hypothesis_flag": profile.hypothesis_flag,
-        "identity": f"2*{profile.g}-2 = 2*(2*{profile.h}-2)+2*{profile.d}",
-    }, True
+    }
 
 
-def _cmd_cover_split_check(args, field, config):
-    F1, r, l, m, a = _read_polys(args, field, config, expected=5, floor_nvars=3)
+def _cmd_cover_rh(args, field):
+    profile = riemann_hurwitz(args.h, args.d)
+    identity = f"2*{profile.g}-2 = 2*(2*{profile.h}-2)+2*{profile.d}"
+    return {**_profile_result(profile), "identity": identity}, True
+
+
+def _cmd_cover_split_check(args, field, F1, r, l, m, a):
     res = check_branch_splitting(F1, r, l, m, a)
     if res:
         return {"witness": str(res.witness)}, True
     return {"witness": None, "reason": res.reason}, False
 
 
-def _cmd_cover_transversal(args, field, config):
-    trials = args.max_trials if args.max_trials is not None else 8
-    config["max_trials"] = trials
-    f, g = _read_polys(args, field, config, expected=2, floor_nvars=3)
-    res = certify_transversal(f, g, seed=args.seed, max_trials=trials)
+def _cmd_cover_transversal(args, field, f, g):
+    res = certify_transversal(f, g, seed=args.seed, max_trials=args.max_trials)
     return {
         "verdict": res.verdict,
         "points": res.points,
@@ -354,31 +337,79 @@ def _cmd_cover_transversal(args, field, config):
     }, res.verdict == "transversal"
 
 
-def _cmd_cover_keem(args, field, config):
-    trials = args.max_trials if args.max_trials is not None else 100
-    config["max_trials"] = trials
-    cert = keem_counterexample_certificate(field, trials=trials, seed=args.seed)
+def _cmd_cover_keem(args, field):
+    cert = keem_counterexample_certificate(field, trials=args.max_trials, seed=args.seed)
     return {
         "certified": cert.ok,
         "field": cert.field,
         "i": cert.i_value,
         "pencil_determinant": cert.pencil_determinant,
         "chain": cert.chain,
-        "profile": {
-            "h": cert.profile.h,
-            "d": cert.profile.d,
-            "g": cert.profile.g,
-            "branch_degree": cert.profile.branch_degree,
-            "hypothesis_flag": cert.profile.hypothesis_flag,
-        },
+        "profile": _profile_result(cert.profile),
         "dependencies": list(cert.dependencies),
     }, cert.ok
+
+
+# ---------------------------------------------------------------- commands
+
+
+class Command(NamedTuple):
+    """A subcommand's ``handler(args, field, *polys)``, the ``_read_polys``
+    arguments for its texts (None if it reads none), the (flags, keywords)
+    of its own options and its default --max-trials.
+    """
+
+    handler: Callable
+    texts: dict | None = None
+    options: tuple = ()
+    budget: int | None = None
+
+
+def _option(*flags, **kwargs):
+    return flags, kwargs
+
+
+GROUPS = {
+    "quad": "quadratic form operations",
+    "mf": "matrix factorizations",
+    "ulrich": "double-cover pipelines",
+    "hilbert": "graded dimensions",
+    "smooth": "smoothness decision",
+    "cover": "double covers of curves",
+}
+
+_ONE_TEXT = {"expected": 1}
+_FORM_DEGREE = (_option("--deg", type=int, default=None),)
+
+COMMANDS = {
+    "quad rank": Command(_cmd_quad_rank, _ONE_TEXT),
+    "quad diag": Command(_cmd_quad_diag, _ONE_TEXT),
+    "quad sop": Command(_cmd_quad_sop, _ONE_TEXT),
+    "quad pencil-det": Command(_cmd_quad_pencil_det, {"expected": 2}),
+    "mf build": Command(_cmd_mf_build, _ONE_TEXT),
+    "mf verify": Command(_cmd_mf_verify, {"minimum": 2}),
+    "mf det-cert": Command(_cmd_mf_det_cert, {"minimum": 2}, budget=50),
+    "ulrich pipeline": Command(_cmd_ulrich_pipeline, _ONE_TEXT, _FORM_DEGREE),
+    "ulrich bounds": Command(_cmd_ulrich_bounds, _ONE_TEXT, _FORM_DEGREE),
+    "ulrich normalize": Command(_cmd_ulrich_normalize, {"expected": 5, "floor_nvars": 3}, budget=20),
+    "hilbert value": Command(
+        _cmd_hilbert_value, {"minimum": 1}, (_option("-e", "--degree", type=int, required=True),)
+    ),
+    "smooth check": Command(_cmd_smooth_check, _ONE_TEXT),
+    "cover rh": Command(
+        _cmd_cover_rh,
+        options=(_option("--h", type=int, required=True), _option("--d", type=int, required=True)),
+    ),
+    "cover split-check": Command(_cmd_cover_split_check, {"expected": 5, "floor_nvars": 3}),
+    "cover transversal": Command(_cmd_cover_transversal, {"expected": 2, "floor_nvars": 3}, budget=8),
+    "cover keem-counterexample": Command(_cmd_cover_keem, budget=100),
+}
 
 
 # ---------------------------------------------------------------- plumbing
 
 
-def _add_common(sub, polys=None):
+def _add_common(sub, reads_texts):
     sub.add_argument("--field", default="q", help="q, qi, fp:P, or fp2:P")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--nvars", type=int, default=None)
@@ -386,8 +417,8 @@ def _add_common(sub, polys=None):
     sub.add_argument("--max-trials", dest="max_trials", type=int, default=None)
     sub.add_argument("--file", default=None, help="one polynomial per line, # comments")
     sub.add_argument("--output", choices=("json", "text"), default="json")
-    if polys is not None:
-        sub.add_argument("poly", nargs=polys, help="polynomial text")
+    if reads_texts:
+        sub.add_argument("poly", nargs="*", help="polynomial text")
 
 
 def build_parser():
@@ -396,80 +427,17 @@ def build_parser():
         description="exact matrix factorizations of quadrics and double-cover pipelines",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    quad = top.add_parser("quad", help="quadratic form operations").add_subparsers(
-        dest="verb", required=True
-    )
-    for name, handler, count in (
-        ("rank", _cmd_quad_rank, "*"),
-        ("diag", _cmd_quad_diag, "*"),
-        ("sop", _cmd_quad_sop, "*"),
-        ("pencil-det", _cmd_quad_pencil_det, "*"),
-    ):
-        sub = quad.add_parser(name)
-        _add_common(sub, polys=count)
-        sub.set_defaults(handler=handler, command=f"quad {name}")
-
-    mf = top.add_parser("mf", help="matrix factorizations").add_subparsers(
-        dest="verb", required=True
-    )
-    for name, handler in (
-        ("build", _cmd_mf_build),
-        ("verify", _cmd_mf_verify),
-        ("det-cert", _cmd_mf_det_cert),
-    ):
-        sub = mf.add_parser(name)
-        _add_common(sub, polys="*")
-        sub.set_defaults(handler=handler, command=f"mf {name}")
-
-    ulrich = top.add_parser("ulrich", help="double-cover pipelines").add_subparsers(
-        dest="verb", required=True
-    )
-    for name, handler in (
-        ("pipeline", _cmd_ulrich_pipeline),
-        ("bounds", _cmd_ulrich_bounds),
-        ("normalize", _cmd_ulrich_normalize),
-    ):
-        sub = ulrich.add_parser(name)
-        _add_common(sub, polys="*")
-        if name in ("pipeline", "bounds"):
-            sub.add_argument("--deg", type=int, default=None)
-        sub.set_defaults(handler=handler, command=f"ulrich {name}")
-
-    hilbert = top.add_parser("hilbert", help="graded dimensions").add_subparsers(
-        dest="verb", required=True
-    )
-    sub = hilbert.add_parser("value")
-    _add_common(sub, polys="*")
-    sub.add_argument("-e", "--degree", type=int, required=True)
-    sub.set_defaults(handler=_cmd_hilbert_value, command="hilbert value")
-
-    smooth = top.add_parser("smooth", help="smoothness decision").add_subparsers(
-        dest="verb", required=True
-    )
-    sub = smooth.add_parser("check")
-    _add_common(sub, polys="*")
-    sub.set_defaults(handler=_cmd_smooth_check, command="smooth check")
-
-    cover = top.add_parser("cover", help="double covers of curves").add_subparsers(
-        dest="verb", required=True
-    )
-    sub = cover.add_parser("rh")
-    _add_common(sub)
-    sub.add_argument("--h", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub.set_defaults(handler=_cmd_cover_rh, command="cover rh")
-    for name, handler in (
-        ("split-check", _cmd_cover_split_check),
-        ("transversal", _cmd_cover_transversal),
-    ):
-        sub = cover.add_parser(name)
-        _add_common(sub, polys="*")
-        sub.set_defaults(handler=handler, command=f"cover {name}")
-    sub = cover.add_parser("keem-counterexample")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_cover_keem, command="cover keem-counterexample")
-
+    groups = {
+        group: top.add_parser(group, help=text).add_subparsers(dest="verb", required=True)
+        for group, text in GROUPS.items()
+    }
+    for name, command in COMMANDS.items():
+        group, verb = name.split(" ")
+        sub = groups[group].add_parser(verb)
+        _add_common(sub, command.texts is not None)
+        for flags, kwargs in command.options:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(command=name, max_trials=command.budget)
     return parser
 
 
@@ -571,18 +539,20 @@ def main(argv=None):
         "field": args.field,
         "seed": args.seed,
         "nvars": args.nvars,
-        "e_max": getattr(args, "e_max", None),
-        "max_trials": getattr(args, "max_trials", None),
+        "e_max": args.e_max,
+        "max_trials": args.max_trials,
         "output": args.output,
     }
     envelope = {"version": __version__, "command": args.command, "config": config}
+    command = COMMANDS[args.command]
     try:
         if args.max_trials is not None and args.max_trials < 1:
             raise ValueError(f"--max-trials must be at least 1, got {args.max_trials}")
         if args.nvars is not None and args.nvars < 1:
             raise ValueError(f"--nvars must be at least 1, got {args.nvars}")
         field = FieldSpec.parse(args.field)
-        result, ok = args.handler(args, field, config)
+        polys = () if command.texts is None else _read_polys(args, field, config, **command.texts)
+        result, ok = command.handler(args, field, *polys)
     except ExtensionNeeded as exc:
         envelope["ok"] = False
         envelope["error"] = f"extension needed: no square root of {exc.element}"

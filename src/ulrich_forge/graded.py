@@ -215,16 +215,12 @@ def _candidate_points(field, nvars, rng, trials):
     if field.kind in (RATIONAL, GAUSSIAN):
         small = [field.from_int(v) for v in (0, 1, -1, 2, -2)]
         if nvars <= 4:
-            count = 0
             for combo in itertools.product(range(len(small)), repeat=nvars):
                 point = tuple(small[c] for c in combo)
                 nz = [v for v in point if v]
                 if not nz or nz[0] != one:
                     continue
                 yield point
-                count += 1
-                if count >= 1500:
-                    break
         for _ in range(trials):
             yield tuple(field.from_int(rng.randint(-6, 6)) for _ in range(nvars))
     else:

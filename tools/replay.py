@@ -18,9 +18,16 @@ drawn from their own ``random.Random(1)`` so that the earlier lines keep
 their argvs, and last, from ``random.Random(2)``, the calls that reach
 the polynomial determinants: ``ulrich normalize`` over q, qi and
 fp:101, ``cover transversal`` of cubics over fp:5 and fp:7 (d*d >= p),
-and ``quad pencil-det`` in 8 to 12 variables over the six fields.  The
+and ``quad pencil-det`` in 8 to 12 variables over the six fields.  At
+the end, one fixed call of every subcommand with ``--field fp:4`` and
+once with ``--nvars 0``: the errors raised before any handler runs.  The
 script takes no options and clears ULRICH_FORGE_SEED, which would
 override every seed.
+
+``tests/replay_digests.txt`` freezes the first two columns, one line per
+argv; after a deliberate change to an envelope, regenerate it with
+
+    python tools/replay.py | cut -d " " -f 1,2 > tests/replay_digests.txt
 """
 
 from __future__ import annotations
@@ -252,6 +259,33 @@ def _determinant_argvs():
     return argvs
 
 
+# one call of every subcommand; its texts are never read, since a bad
+# field or arity is a usage error before any handler runs
+SUBCOMMANDS = (
+    ["quad", "rank", "x*y + z^2"],
+    ["quad", "diag", "x*y + z^2"],
+    ["quad", "sop", "x*y + z^2"],
+    ["quad", "pencil-det", "x*y", "z^2"],
+    ["mf", "build", "x*y + z^2"],
+    ["mf", "verify", "x*y", "0", "x", "y", "0"],
+    ["mf", "det-cert", "x*y", "0", "x", "y", "0"],
+    ["ulrich", "pipeline", "x^4 + y^4 + z^4"],
+    ["ulrich", "bounds", "x^4 + y^4 + z^4"],
+    ["ulrich", "normalize", "x^2*y^2 + z^4", "x*y", "x*y", "z^2", "z^2"],
+    ["hilbert", "value", "x^2", "y^2", "-e", "2"],
+    ["smooth", "check", "x^3 + y^3 + z^3"],
+    ["cover", "rh", "--h", "1", "--d", "3"],
+    ["cover", "split-check", "x", "y", "x", "y", "z"],
+    ["cover", "transversal", "x^2 - y*z", "y^2 - x*z"],
+    ["cover", "keem-counterexample"],
+)
+
+
+def _pre_handler_argvs():
+    """Every subcommand with a field that is no field, then with no variables."""
+    return [argv + flag for argv in SUBCOMMANDS for flag in (["--field", "fp:4"], ["--nvars", "0"])]
+
+
 def corpus():
     """The argvs, in a fixed order."""
     rng = random.Random(0)
@@ -281,15 +315,20 @@ def corpus():
             argvs.append(["cover", "transversal", *pair, "--seed", str(rng.randrange(100)), *field])
         for seed in range(3):
             argvs.append(["cover", "keem-counterexample", "--max-trials", "20", "--seed", str(seed), *field])
-    return argvs + _build_argvs() + _determinant_argvs()
+    return argvs + _build_argvs() + _determinant_argvs() + _pre_handler_argvs()
+
+
+def digest(argv):
+    """Exit code and sha256 of stdout of one argv, as "exit sha256"."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv)
+    return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
 
 
 def replay(argv):
     """One output line for one argv: exit code, sha256 of stdout, the argv as JSON."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main(argv)
-    return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()} {json.dumps(argv)}"
+    return f"{digest(argv)} {json.dumps(argv)}"
 
 
 def main():

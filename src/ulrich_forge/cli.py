@@ -415,10 +415,10 @@ def _add_common(sub, reads_texts):
     sub.add_argument("--nvars", type=int, default=None)
     sub.add_argument("--e-max", dest="e_max", type=int, default=None)
     sub.add_argument("--max-trials", dest="max_trials", type=int, default=None)
-    sub.add_argument("--file", default=None, help="one polynomial per line, # comments")
-    sub.add_argument("--output", choices=("json", "text"), default="json")
     if reads_texts:
+        sub.add_argument("--file", default=None, help="one polynomial per line, # comments")
         sub.add_argument("poly", nargs="*", help="polynomial text")
+    sub.add_argument("--output", choices=("json", "text"), default="json")
 
 
 def build_parser():

@@ -27,8 +27,8 @@ Four elimination kernels do all the work:
   determinants, the qi ranks that the prime cannot settle, and the
   polynomial determinants over qi and fp2.
 - ``_eliminate``, dense Gaussian elimination on raw entries, ranks
-  nothing: it gives the determinant over fp and fp2, and ``solve`` in
-  every field, through Gauss-Jordan, on ``field.arith``.
+  nothing: it gives the determinant over fp and fp2, and ``solve`` and
+  ``inverse`` in every field, through Gauss-Jordan, on ``field.arith``.
 
 Exact elimination has one rule per step, shared by ``_exact_bareiss``
 (q and qi determinants and ranks) and ``poly_matrix_det``: ``_lifted``
@@ -458,6 +458,23 @@ def solve(rows, rhs, field):
     for row, col in zip(aug, pivots):
         x[col] = ar.box(row[n])
     return x
+
+
+def inverse(rows, field):
+    """The exact inverse of a square scalar matrix, by Gauss-Jordan on [A | I]; None when singular.
+
+    Ragged or non-square rows raise ValueError.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("only a square matrix has an inverse")
+    ar = field.arith
+    zero, one = ar.zero, ar.one
+    aug = [[*map(ar.of, row), *(one if j == i else zero for j in range(n))] for i, row in enumerate(rows)]
+    pivots, _ = _eliminate(aug, ar, n, reduced=True)
+    if len(pivots) < n:
+        return None
+    return [list(map(ar.box, row[n:])) for row in aug]
 
 
 def mat_mul(a, b, field):

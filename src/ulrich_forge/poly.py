@@ -27,6 +27,12 @@ inferred arity comes from the same tokens, counting only names outside
 parenthesized coefficients, and each term enters one raw map through
 ``_accumulate`` as its coefficient (the product of its numeric factors,
 each distinct literal parsed once) and its summed exponents.
+
+``_recombines(pairs, target)`` is the one exact check that a sum of
+products l*m is a given polynomial (``quadform.SumOfProducts`` and
+``veronese.FormDecomposition`` rest on it): every term product goes
+into one map keyed by integer monomial codes, never through a ``Poly``
+per pair.
 """
 
 from __future__ import annotations
@@ -74,6 +80,68 @@ def _accumulate(ar, acc, pairs):
                 continue
         acc[exps] = v
     return acc
+
+
+def _product_codes(pairs, field, nvars, top=0):
+    """(base, {code: raw}): sum(l * m) over a sequence of polynomial pairs, in one accumulation.
+
+    A monomial a enters as its code, sum a_i * base^i (as ``graded._code``
+    does), so a product's code is the sum of its factors' codes.  base
+    exceeds deg l + deg m for every pair, and ``top``; it thus exceeds
+    every exponent of the products and of a polynomial of degree at most
+    ``top``, and two such polynomials are equal exactly when their code
+    maps are.  A factor from another ring is a ValueError.
+    """
+    ar = field.arith
+    add, mul, zero = ar.add, ar.mul, ar.zero
+    degree = top
+    for l, m in pairs:
+        if any(h.field != field or h.nvars != nvars for h in (l, m)):
+            raise ValueError("polynomials from different rings")
+        degree = max(degree, max(map(sum, l.raw), default=0) + max(map(sum, m.raw), default=0))
+    base = degree + 1
+    weights = [base**i for i in range(nvars)]
+    acc, codes = {}, {}
+
+    def encoded(raw):
+        out = []
+        for e, v in raw.items():
+            code = codes.get(e)
+            if code is None:
+                code = codes[e] = sum(map(operator.mul, e, weights))
+            out.append((code, v))
+        return out
+
+    for l, m in pairs:
+        right = encoded(m.raw)
+        for a, u in encoded(l.raw):
+            for b, v in right:
+                c = a + b
+                if c in acc:
+                    acc[c] = add(acc[c], mul(u, v))
+                else:
+                    acc[c] = mul(u, v)
+    return base, {c: v for c, v in acc.items() if v != zero}
+
+
+def _recombines(pairs, target):
+    """Whether sum(l * m) over the pairs is exactly the polynomial target, compared on codes."""
+    base, acc = _product_codes(pairs, target.field, target.nvars, max(map(sum, target.raw), default=0))
+    weights = [base**i for i in range(target.nvars)]
+    return acc == {sum(map(operator.mul, e, weights)): v for e, v in target.raw.items()}
+
+
+def _product_sum(pairs, field, nvars):
+    """The polynomial sum(l * m) over the pairs, its codes read back into exponents."""
+    base, acc = _product_codes(pairs, field, nvars)
+    raw = {}
+    for code, v in acc.items():
+        exps = []
+        for _ in range(nvars):
+            code, a = divmod(code, base)
+            exps.append(a)
+        raw[tuple(exps)] = v
+    return Poly._make(field, nvars, raw)
 
 
 def _term_values(raw, coords, ar):

@@ -3,9 +3,10 @@
 A quadratic form q in n variables is carried as a symmetric Gram matrix
 of raw values, in odd or zero characteristic, so q(x) = x^T G x with
 the off-diagonal entries holding half the mixed coefficients.  Congruence
-diagonalization produces an invertible P with P^T G P diagonal and
-carries P^{-1} along; its rows rewrite q as sum d_i * lambda_i^2, and
-pairing consecutive diagonal terms with the canonical square roots
+diagonalization produces an invertible P with P^T G P diagonal, and it
+builds only P^{-1}, whose rows rewrite q as sum d_i * lambda_i^2; P
+itself is the exact inverse of P^{-1}, computed when it is first read.
+Pairing consecutive diagonal terms with the canonical square roots
 
     d1*a^2 + d2*b^2 = (c1*a + c2*b) * (c1*a - c2*b),  c1^2 = d1, c2^2 = -d2
 
@@ -14,15 +15,18 @@ pair being a doubled square exactly when the rank is odd.  The work
 stays in the input field.  Only when a root is missing from a prime
 field fp:p does it move, once, to fp2:p, where every fp:p element has a
 root; over the other fields a missing root raises ExtensionNeeded.
+Everything from the Gram rows to the pairs runs on raw values, and the
+pairs' recombination is checked exactly, once, by ``poly._recombines``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .fields import PRIME, ExtensionNeeded, sqrt_in_field
-from .linalg import _rank_raw, poly_matrix_det
-from .poly import Poly, _accumulate
+from .linalg import _rank_raw, inverse, poly_matrix_det
+from .poly import Poly, _accumulate, _product_sum, _recombines
 
 
 class QuadraticFormRecord:
@@ -89,48 +93,80 @@ def record_from_gram(field, gram):
 
 @dataclass
 class Diagonalization:
-    """P^T G P = diag(d); ``p_matrix`` and ``diagonal`` box the raw values on each read."""
+    """P^T G P = diag(d), held as the diagonal and the rows of P^{-1}, in raw values.
+
+    ``diagonal`` boxes the values on each read, and ``lambdas`` is a view
+    built on each read: the linear forms whose coefficients are the rows
+    of P^{-1}, so that q = sum d_i * lambda_i^2.  P is not carried; it is
+    the exact inverse of P^{-1}: ``linalg.inverse`` computes it on the
+    first read of ``p_matrix``, and every read returns a fresh copy.
+    """
 
     field: object
-    p_raw: list
+    p_inv_raw: list
     diagonal_raw: list
-    lambdas: list
-
-    @property
-    def p_matrix(self):
-        return [list(map(self.field.arith.box, row)) for row in self.p_raw]
 
     @property
     def diagonal(self):
         return list(map(self.field.arith.box, self.diagonal_raw))
 
+    @property
+    def lambdas(self):
+        return [_linear_form(self.field, row) for row in self.p_inv_raw]
+
+    @cached_property
+    def _p_rows(self):
+        box = self.field.arith.box
+        return inverse([list(map(box, row)) for row in self.p_inv_raw], self.field)
+
+    @property
+    def p_matrix(self):
+        return [row[:] for row in self._p_rows]
+
+
+def _linear_form(field, row):
+    """The linear form sum row[i] * x_i of a row of raw values."""
+    n, zero = len(row), field.arith.zero
+    units = _units(n)
+    return Poly._make(field, n, {units[i]: v for i, v in enumerate(row) if v != zero})
+
+
+@lru_cache(maxsize=None)
+def _units(n):
+    """The exponent tuples of x_0, ..., x_{n-1}."""
+    return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+
 
 def diagonalize(record):
     """Congruence diagonalization P^T G P = D with invertible P, on raw values.
 
-    The substitution behind P is x = P y.  An all-zero diagonal block is
-    opened up with x_i -> u + v, x_j -> u - v on the first nonzero mixed
-    entry.  P^{-1} is carried along: each column operation E on P is the
-    row operation E^{-1} on P^{-1}, so a swap swaps rows, the split sets
-    rows (k, j) to ((r_k + r_j)/2, (r_k - r_j)/2), and c_i -= f*c_k adds
-    f*r_i to r_k.
+    The substitution behind P is x = P y, and only P^{-1} is built: each
+    column operation E on P is the row operation E^{-1} on P^{-1}.  A
+    zero pivot g_kk is first traded for a later nonzero diagonal entry,
+    a swap of rows and columns that swaps rows of P^{-1}; failing that,
+    an all-zero diagonal block is opened up with x_k -> u + v,
+    x_j -> u - v on the first nonzero mixed entry, which sets rows
+    (k, j) of P^{-1} to ((r_k + r_j)/2, (r_k - r_j)/2).  The pivot then
+    clears its row and column: with f_i = g_ki / g_kk, each g_ij of the
+    trailing block becomes g_ij - f_i * g_kj, computed on the upper
+    triangle and mirrored, and r_k gains f_i * r_i.  Rows and columns
+    before k are never read again, so the swap and split leave them.
     """
     field, n, ar = record.field, record.nvars, record.field.arith
     zero, one, add, neg, mul = ar.zero, ar.one, ar.add, ar.neg, ar.mul
     half = ar.inv(add(one, one))
     m = [list(row) for row in record.raw]
-    p = [[one if j == i else zero for j in range(n)] for i in range(n)]
-    p_inv = [row[:] for row in p]
+    p_inv = [[one if j == i else zero for j in range(n)] for i in range(n)]
 
     def swap(k, j):
-        for row in m + p:
+        for row in m[k:]:
             row[k], row[j] = row[j], row[k]
         m[k], m[j] = m[j], m[k]
         p_inv[k], p_inv[j] = p_inv[j], p_inv[k]
 
     def split(k, j):
         # columns (k, j) <- (k + j, k - j), rows alike: x_k = u+v, x_j = u-v
-        for row in m + p:
+        for row in m[k:]:
             a, b = row[k], row[j]
             row[k], row[j] = add(a, b), add(a, neg(b))
         mk, mj, rk, rj = m[k], m[j], p_inv[k], p_inv[j]
@@ -138,15 +174,6 @@ def diagonalize(record):
         m[j] = [add(a, neg(b)) for a, b in zip(mk, mj)]
         p_inv[k] = [mul(add(a, b), half) for a, b in zip(rk, rj)]
         p_inv[j] = [mul(add(a, neg(b)), half) for a, b in zip(rk, rj)]
-
-    def eliminate(k, i, f):
-        # column i -= f * column k, then the same for the rows of G
-        g = neg(f)
-        for row in m + p:
-            if row[k] != zero:
-                row[i] = add(row[i], mul(g, row[k]))
-        m[i] = [add(a, mul(g, b)) if b != zero else a for a, b in zip(m[i], m[k])]
-        p_inv[k] = [add(a, mul(f, b)) if b != zero else a for a, b in zip(p_inv[k], p_inv[i])]
 
     for k in range(n):
         if m[k][k] == zero:
@@ -158,25 +185,30 @@ def diagonalize(record):
                 if j is None:
                     continue
                 split(k, j)
-        t = ar.inv(m[k][k])
-        for i in range(k + 1, n):
-            if m[k][i] != zero:
-                eliminate(k, i, mul(m[k][i], t))
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    lambdas = [Poly._make(field, n, {u: v for u, v in zip(units, r) if v != zero}) for r in p_inv]
-    return Diagonalization(field, p, [m[i][i] for i in range(n)], lambdas)
+        pivot, rk = m[k], p_inv[k]
+        t = ar.inv(pivot[k])
+        support = [(i, pivot[i]) for i in range(k + 1, n) if pivot[i] != zero]
+        for start, (i, gi) in enumerate(support):
+            f = mul(gi, t)
+            g, mi = neg(f), m[i]
+            for j, gj in support[start:]:
+                mi[j] = m[j][i] = add(mi[j], mul(g, gj))
+            for c, b in enumerate(p_inv[i]):
+                if b != zero:
+                    rk[c] = add(rk[c], mul(f, b))
+    return Diagonalization(field, p_inv, [m[i][i] for i in range(n)])
 
 
 @dataclass(frozen=True)
 class SumOfProducts:
-    """Pairs (l_i, m_i) of linear forms with sum(l_i * m_i) = quadric exactly.
+    """Pairs (l_i, m_i) of polynomials with sum(l_i * m_i) = quadric exactly.
 
-    The constructor checks the recombination exactly and raises
-    ValueError when it fails; the instance is frozen and its pairs a
-    tuple, so ``clifford.build_clifford_factorization`` can rest its
-    proof on that identity.  ``square_term_flag`` records an equal pair
-    l = m coming from an odd rank; the factory below places that pair
-    last.
+    The constructor checks the recombination exactly, with
+    ``poly._recombines``, and raises ValueError when it fails; the
+    instance is frozen and its pairs a tuple, so
+    ``clifford.build_clifford_factorization`` can rest its proof on that
+    identity.  ``square_term_flag`` records an equal pair l = m coming
+    from an odd rank; the factory below places that pair last.
     """
 
     pairs: tuple
@@ -185,7 +217,7 @@ class SumOfProducts:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple((l, m) for l, m in self.pairs))
-        if self.recombine() != self.quadric:
+        if not _recombines(self.pairs, self.quadric):
             raise ValueError("pairs do not recombine to the quadric")
 
     @property
@@ -193,15 +225,13 @@ class SumOfProducts:
         return len(self.pairs)
 
     def recombine(self):
-        total = Poly.zero(self.quadric.field, self.quadric.nvars)
-        for l, m in self.pairs:
-            total = total + l * m
-        return total
+        return _product_sum(self.pairs, self.quadric.field, self.quadric.nvars)
 
 
-def _roots(items):
-    """Canonical roots c_i of d_i for even i and of -d_i for odd i, items = (d_i, lambda_i)."""
-    return [sqrt_in_field(-d if i % 2 else d) for i, (d, _) in enumerate(items)]
+def _roots(field, values):
+    """Canonical raw roots c_i of d_i for even i and of -d_i for odd i, from raw values d_i."""
+    ar = field.arith
+    return [ar.of(sqrt_in_field(ar.box(ar.neg(d) if i % 2 else d))) for i, d in enumerate(values)]
 
 
 def sum_of_products(record):
@@ -209,28 +239,36 @@ def sum_of_products(record):
 
     The record is diagonalized once, in its own field, and the roots are
     taken there.  Only when a root is missing from a prime field fp:p are
-    the nonzero diagonal values, their linear forms and the quadric
+    the nonzero diagonal values, their rows of P^{-1} and the quadric
     embedded into fp2:p and every root taken there; over the other
-    fields ExtensionNeeded propagates.
+    fields ExtensionNeeded propagates.  The products c_i * r_i of roots
+    and rows, and their sums and differences, are taken on raw rows, and
+    each factor becomes a ``Poly`` once, at the end.
     """
     diag = diagonalize(record)
-    zero, box = record.field.arith.zero, record.field.arith.box
-    items = [(box(d), lam) for d, lam in zip(diag.diagonal_raw, diag.lambdas) if d != zero]
-    quadric = record.poly
+    field, quadric = record.field, record.poly
+    zero = field.arith.zero
+    items = [(d, row) for d, row in zip(diag.diagonal_raw, diag.p_inv_raw) if d != zero]
     try:
-        roots = _roots(items)
+        roots = _roots(field, [d for d, _ in items])
     except ExtensionNeeded:
-        if record.field.kind != PRIME:
+        if field.kind != PRIME:
             raise
-        field = record.field.extension()
-        items = [(field.embed(d), lam.embed(field)) for d, lam in items]
+        field = field.extension()
+        pad = field.arith.zero[1]
+        items = [((d, pad), [(v, pad) for v in row]) for d, row in items]
         quadric = quadric.embed(field)
-        roots = _roots(items)
-    terms = [c * lam for c, (_, lam) in zip(roots, items)]
-    pairs = [(a + b, a - b) for a, b in zip(terms[0::2], terms[1::2])]
+        roots = _roots(field, [d for d, _ in items])
+    add, neg, mul = field.arith.add, field.arith.neg, field.arith.mul
+    terms = [[mul(c, v) for v in row] for c, (_, row) in zip(roots, items)]
+    sums = [
+        (list(map(add, a, b)), [add(u, neg(v)) for u, v in zip(a, b)]) for a, b in zip(terms[0::2], terms[1::2])
+    ]
+    pairs = [(_linear_form(field, s), _linear_form(field, d)) for s, d in sums]
     square = bool(len(terms) % 2)
     if square:
-        pairs.append((terms[-1], terms[-1]))
+        last = _linear_form(field, terms[-1])
+        pairs.append((last, last))
     try:
         return SumOfProducts(tuple(pairs), square, quadric)
     except ValueError as exc:  # the pairing is at fault, not the input

@@ -26,7 +26,7 @@ from .graded import (
     is_smooth_hypersurface,
     is_zero_dimensional,
 )
-from .poly import Poly, monomials_of_degree
+from .poly import Poly, _recombines, monomials_of_degree
 from .quadform import gram_from_poly, sum_of_products
 from .resultants import TRANSVERSAL, certify_transversal
 
@@ -137,10 +137,7 @@ class FormDecomposition:
                 degrees.add(h.homogeneous_degree())
         if len(degrees) != 1:
             raise ValueError("factors must share one degree")
-        total = Poly.zero(field, nvars)
-        for l, m in summands:
-            total = total + l * m
-        if total != F:
+        if not _recombines(summands, F):
             raise ValueError("summands do not recombine to F")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "summands", summands)

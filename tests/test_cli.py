@@ -782,6 +782,17 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["cover", "rh", "--h", "1", "--d", "3"], ["cover", "keem-counterexample"]]
+)
+@pytest.mark.parametrize("flag", ["--file", "--bogus"])
+def test_file_is_refused_where_no_text_is_read(capsys, argv, flag):
+    # these subcommands read no polynomial, so --file is as unknown to them as --bogus
+    code, out, err = _call(capsys, argv + [flag, "/nonexistent.txt"])
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag} /nonexistent.txt" in err
+
+
 def test_output_is_byte_identical_across_runs(capsys):
     argv = ["ulrich", "pipeline", "x^4 + y^4 + z^4", "--field", "fp:13", "--seed", "3"]
     main(argv)

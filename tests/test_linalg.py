@@ -24,6 +24,7 @@ from ulrich_forge.linalg import (
     _rank_raw,
     _residue_rows,
     det,
+    inverse,
     mat_mul,
     poly_matrix_det,
     rank,
@@ -230,6 +231,23 @@ def test_solve_rejects_extra_right_hand_side_values(q):
 def test_solve_rejects_missing_right_hand_side_values(q):
     with pytest.raises(ValueError):
         solve([[q.one], [q.one]], [q.one], q)
+
+
+def test_inverse_is_a_two_sided_inverse():
+    rng = random.Random(47)
+    for field in _all_fields():
+        for n in (1, 2, 4):
+            a = _random_invertible(field, rng, n)
+            b = inverse([list(r) for r in a], field)
+            one = [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
+            assert mat_mul(a, b, field) == one and mat_mul(b, a, field) == one
+    assert inverse([], FieldSpec.prime(101)) == []
+
+
+def test_inverse_of_a_singular_matrix_is_none(q):
+    assert inverse([[q.one, q.one], [q.one, q.one]], q) is None
+    with pytest.raises(ValueError):
+        inverse([[q.one, q.zero]], q)
 
 
 def test_transpose_and_identity(q):

@@ -12,6 +12,7 @@ from ulrich_forge import (
     FieldSpec,
     GradedSystem,
     Poly,
+    SumOfProducts,
     diagonalize,
     gram_from_poly,
     hilbert_value,
@@ -118,6 +119,74 @@ def test_diagonalize_congruence_and_recombination():
             assert total == rec.poly
             nonzero = sum(1 for v in diag.diagonal if not v.is_zero)
             assert nonzero == rec.rank
+
+
+_CORPUS_FIELDS = ("fp:13", "fp:101", "fp:32003", "fp2:13", "q", "qi")
+# no square terms, or a zero diagonal block: these reach the swap and the
+# split x_k -> u + v, x_j -> u - v
+_HOLLOW = ("x*y", "x*y + z*t", "x*y + y*z + z*t", "x*z + y*t + x*t", "x*y + 2*z^2", "y*z + x^2")
+
+
+@pytest.mark.parametrize("text", _CORPUS_FIELDS)
+def test_p_matrix_is_the_inverse_of_the_lambda_rows(text):
+    field = FieldSpec.parse(text)
+    rng = random.Random(61)
+    records = [_random_record(field, nvars, rng) for nvars in (1, 3, 5)]
+    records += [gram_from_poly(parse_poly(form, field, nvars=4)) for form in _HOLLOW]
+    records.append(_record_of_rank(field, 5, 2, rng))
+    for rec in records:
+        n = rec.nvars
+        diag = diagonalize(rec)
+        p = diag.p_matrix
+        units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        rows = [[form.coefficient(e) for e in units] for form in diag.lambdas]
+        one = [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
+        assert mat_mul(p, rows, field) == one and mat_mul(rows, p, field) == one
+        d = [[diag.diagonal[i] if i == j else field.zero for j in range(n)] for i in range(n)]
+        assert mat_mul(mat_mul(transpose(p), [list(r) for r in rec.gram], field), p, field) == d
+        # each read is a fresh matrix
+        p[0][0] = p[0][0] + field.one
+        assert diag.p_matrix != p and mat_mul(diag.p_matrix, rows, field) == one
+
+
+def test_sum_of_products_refuses_pairs_one_coefficient_off(q, f13):
+    for field in (q, f13, FieldSpec.quadratic(13)):
+        x, y, z = (Poly.variable(field, 3, i) for i in range(3))
+        cases = [
+            ((x, y), (z, z)),
+            ((x * x, y * z), (x * y, x * z - y * y)),  # degree 2 factors
+            ((x * y * z, x), (z**3, y - x)),  # degrees 3 and 1
+        ]
+        for pairs in cases:
+            total = Poly.zero(field, 3)
+            for l, m in pairs:
+                total = total + l * m
+            sop = SumOfProducts(pairs, False, total)
+            assert sop.recombine() == total
+            for exps in total.raw:
+                off = total + Poly.monomial(field, exps, 1)
+                with pytest.raises(ValueError, match="recombine"):
+                    SumOfProducts(pairs, False, off)
+            with pytest.raises(ValueError, match="recombine"):
+                SumOfProducts(pairs, False, total + Poly.monomial(field, (0, 0, 2), 1))
+
+
+def test_recombination_codes_do_not_collide_at_the_base(q):
+    # monomial codes sum a_i * b^i need b above every exponent, of the
+    # products and of the quadric: x^2 against y (b = 2), x*y against x^4
+    # (b = 3 from the products alone) and x^b against y for larger b
+    x, y = Poly.variable(q, 2, 0), Poly.variable(q, 2, 1)
+    with pytest.raises(ValueError, match="recombine"):
+        SumOfProducts(((x, x),), False, y)
+    with pytest.raises(ValueError, match="recombine"):
+        SumOfProducts(((x, y),), False, x**4)
+    for b in range(2, 7):
+        with pytest.raises(ValueError, match="recombine"):
+            SumOfProducts(((x ** (b - 1), x),), False, y)
+        assert SumOfProducts(((x ** (b - 1), x),), False, x**b).recombine() == x**b
+    # a factor from another ring is refused as before
+    with pytest.raises(ValueError):
+        SumOfProducts(((x, Poly.variable(q, 3, 0)),), False, x * x)
 
 
 def test_record_from_gram_checks_the_shape_and_coerces_entries(q, f13):

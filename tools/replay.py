@@ -18,11 +18,14 @@ drawn from their own ``random.Random(1)`` so that the earlier lines keep
 their argvs, and last, from ``random.Random(2)``, the calls that reach
 the polynomial determinants: ``ulrich normalize`` over q, qi and
 fp:101, ``cover transversal`` of cubics over fp:5 and fp:7 (d*d >= p),
-and ``quad pencil-det`` in 8 to 12 variables over the six fields.  At
-the end, one fixed call of every subcommand with ``--field fp:4`` and
-once with ``--nvars 0``: the errors raised before any handler runs.  The
-script takes no options and clears ULRICH_FORGE_SEED, which would
-override every seed.
+and ``quad pencil-det`` in 8 to 12 variables over the six fields.  Then
+one fixed call of every subcommand with ``--field fp:4`` and once with
+``--nvars 0``: the errors raised before any handler runs.  Last, from
+``random.Random(3)``, ``quad diag`` and ``quad sop`` over the six fields
+on random quadrics, quadrics of known rank, forms with mixed terms only
+and fixed forms with a zero diagonal such as ``x*y + z*t``.  The script
+takes no options and clears ULRICH_FORGE_SEED, which would override
+every seed.
 
 ``tests/replay_digests.txt`` freezes the first two columns, one line per
 argv; after a deliberate change to an envelope, regenerate it with
@@ -281,6 +284,36 @@ SUBCOMMANDS = (
 )
 
 
+def _quadform_argvs():
+    """``quad diag`` and ``quad sop`` over the six fields, from their own ``random.Random(3)``.
+
+    Per field: random quadrics in 1 to 6 variables, quadrics of rank 1
+    to 6 in up to 6 variables (some of lower rank than their arity),
+    random forms with mixed terms only, and fixed forms whose diagonal
+    is zero, which open the congruence with x_i -> u + v, x_j -> u - v.
+    """
+    rng = random.Random(3)
+    fixed = ("x*y", "x*y + z*t", "x*y + y*z + z*t", "x*z + y*t + x*t", "x*y + 2*z^2")
+    argvs = []
+    for spec in FIELDS:
+        ring = Ring(spec)
+        forms = []
+        for _ in range(4):
+            nvars = rng.randint(1, 6)
+            forms.append((_text(ring, _form(ring, rng, nvars, 2), [f"x{j}" for j in range(nvars)]), nvars))
+        for _ in range(4):
+            forms.append(_quadric_of_rank(ring, rng, rng.randint(1, 6), rng.random() < 0.5))
+        for _ in range(3):
+            nvars = rng.randint(2, 6)
+            mixed = {e: c for e, c in _form(ring, rng, nvars, 2).items() if max(e) == 1}
+            forms.append((_text(ring, mixed, [f"x{j}" for j in range(nvars)]), nvars))
+        forms += [(text, 4) for text in fixed]
+        for text, nvars in forms:
+            for verb in ("diag", "sop"):
+                argvs.append(["quad", verb, text, "--nvars", str(nvars), "--field", spec])
+    return argvs
+
+
 def _pre_handler_argvs():
     """Every subcommand with a field that is no field, then with no variables."""
     return [argv + flag for argv in SUBCOMMANDS for flag in (["--field", "fp:4"], ["--nvars", "0"])]
@@ -315,7 +348,7 @@ def corpus():
             argvs.append(["cover", "transversal", *pair, "--seed", str(rng.randrange(100)), *field])
         for seed in range(3):
             argvs.append(["cover", "keem-counterexample", "--max-trials", "20", "--seed", str(seed), *field])
-    return argvs + _build_argvs() + _determinant_argvs() + _pre_handler_argvs()
+    return argvs + _build_argvs() + _determinant_argvs() + _pre_handler_argvs() + _quadform_argvs()
 
 
 def digest(argv):

@@ -342,6 +342,55 @@ def test_quadratic_extension_sqrt_canonical_choice():
         sqrt_in_field(e13.scalar(0, 1))
 
 
+def _canonical_root(r):
+    """Whether r is the root ``sqrt_in_field`` may return: the nonnegative one
+    over q, residues in [0, (p-1)/2] over fp, the lexicographically smaller
+    of (a, b) and (-a, -b) over fp2, and a > 0, or a = 0 and b >= 0, over qi."""
+    kind, p = r.field.kind, r.field.p
+    if kind == "q":
+        return r.a >= 0
+    if kind == "fp":
+        return 2 * r.a < p
+    if kind == "fp2":
+        return (r.a, r.b) <= (-r.a % p, -r.b % p)
+    return r.a > 0 or (r.a == 0 and r.b >= 0)
+
+
+def _assert_sqrt(s, squares):
+    """sqrt_in_field(s) is a canonical root when s is in ``squares``, else ExtensionNeeded on s."""
+    if s in squares:
+        r = sqrt_in_field(s)
+        assert r * r == s and _canonical_root(r), (s, r)
+        assert is_square(s)
+    else:
+        with pytest.raises(ExtensionNeeded) as info:
+            sqrt_in_field(s)
+        assert info.value.element == s
+        assert not is_square(s)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_sqrt_in_field_is_exact_on_every_element_of_fp_and_fp2(p):
+    for field in (FieldSpec.prime(p), FieldSpec.quadratic(p)):
+        pairs = [(a, b) for a in range(p) for b in (range(p) if field.kind == "fp2" else (0,))]
+        elements = [field.scalar(a, b) for a, b in pairs]
+        squares = {s * s for s in elements}
+        for s in elements:
+            _assert_sqrt(s, squares)
+
+
+def test_sqrt_in_field_over_qi_on_a_grid_of_squares():
+    qi = FieldSpec.gaussian_rationals()
+    parts = sorted({Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)})
+    for a in parts:
+        for b in parts:
+            z = qi.scalar(a, b)
+            r = sqrt_in_field(z * z)
+            assert r in (z, -z) and _canonical_root(r), (z, r)
+    for s in (qi.scalar(2), qi.scalar(-3), qi.scalar(0, 1), qi.scalar(1, 1)):
+        _assert_sqrt(s, set())
+
+
 def test_sqrt_consistent_with_is_square():
     rng = random.Random(5)
     for field in _all_fields():

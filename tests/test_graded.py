@@ -45,6 +45,16 @@ def test_graded_dimension_is_binomial():
             assert graded_dimension(nvars, e) == comb(nvars + e - 1, e)
 
 
+@pytest.mark.parametrize("nvars, e", [(1, 3), (2, 4), (3, 2), (3, 5), (4, 3)])
+def test_macaulay_columns_go_in_reversed_exponent_order(nvars, e):
+    # the column order sets the fill-in of the Macaulay eliminations; the
+    # codes are sum a_i * (e + 1)^i, computed here independently
+    monomials = sorted(monomials_of_degree(nvars, e), key=lambda m: m[::-1])
+    codes = [sum(a * (e + 1) ** i for i, a in enumerate(m)) for m in monomials]
+    assert graded._columns(nvars, e) == {c: k for k, c in enumerate(codes)}
+    assert list(graded._columns(nvars, e)) == codes
+
+
 def test_graded_system_rejects_empty(q):
     with pytest.raises(ValueError):
         GradedSystem([])

@@ -20,12 +20,15 @@ the polynomial determinants: ``ulrich normalize`` over q, qi and
 fp:101, ``cover transversal`` of cubics over fp:5 and fp:7 (d*d >= p),
 and ``quad pencil-det`` in 8 to 12 variables over the six fields.  Then
 one fixed call of every subcommand with ``--field fp:4`` and once with
-``--nvars 0``: the errors raised before any handler runs.  Last, from
+``--nvars 0``: the errors raised before any handler runs.  Then, from
 ``random.Random(3)``, ``quad diag`` and ``quad sop`` over the six fields
 on random quadrics, quadrics of known rank, forms with mixed terms only
-and fixed forms with a zero diagonal such as ``x*y + z*t``.  The script
-takes no options and clears ULRICH_FORGE_SEED, which would override
-every seed.
+and fixed forms with a zero diagonal such as ``x*y + z*t``.  After them,
+from ``random.Random(4)``, the subcommands no earlier line runs to a
+result: ``cover split-check`` on forms with and without a witness,
+``mf verify`` on Clifford matrices, tampered ones and a wrong quadric,
+``quad rank`` and ``cover rh``.  The script takes no options and
+clears ULRICH_FORGE_SEED, which would override every seed.
 
 ``tests/replay_digests.txt`` freezes the first two columns, one line per
 argv; after a deliberate change to an envelope, regenerate it with
@@ -176,8 +179,8 @@ def _linear(ring, rng):
     return _form(ring, rng, 3, 1)
 
 
-def _det_cert_argvs(ring, rng):
-    """The Clifford matrix of l1*m1 + l2*m2, the same with one entry tampered, and that of l*m."""
+def _clifford_matrices(ring, rng):
+    """(quadric, entries) of the Clifford matrix of l1*m1 + l2*m2, of it with one entry tampered, and of l*m."""
     t = partial(_text, ring)
     one, minus = (1, 0), (-1, 0)
     l1, m1, l2, m2 = (_linear(ring, rng) for _ in range(4))
@@ -194,10 +197,15 @@ def _det_cert_argvs(ring, rng):
     two = ["0", t(l), t(m), "0"]
     tampered = four[:]
     tampered[2] = t(_scaled_sum(ring, [(one, l1), (one, _linear(ring, rng))]))
-    out = []
-    for q, entries in ((t(quadric), four), (t(quadric), tampered), (t(_product(ring, l, m)), two)):
-        out.append(["mf", "det-cert", q, *entries, "--max-trials", "12", "--seed", str(rng.randrange(100))])
-    return out
+    return [(t(quadric), four), (t(quadric), tampered), (t(_product(ring, l, m)), two)]
+
+
+def _det_cert_argvs(ring, rng):
+    """``mf det-cert`` of the three matrices of ``_clifford_matrices``, each with a seed drawn after them."""
+    return [
+        ["mf", "det-cert", q, *entries, "--max-trials", "12", "--seed", str(rng.randrange(100))]
+        for q, entries in _clifford_matrices(ring, rng)
+    ]
 
 
 def _quadric_of_rank(ring, rng, rank, plain):
@@ -314,6 +322,42 @@ def _quadform_argvs():
     return argvs
 
 
+def _untested_argvs():
+    """``cover split-check``, ``mf verify``, ``quad rank`` and ``cover rh``, from their own ``random.Random(4)``.
+
+    Per field: ``cover split-check`` for d = 1 and 2 on r = h*F1 + l*m + a^2,
+    which has the witness h, and on r plus a random form of degree 2d,
+    which almost never has one; ``mf verify`` on the three matrices of
+    ``_clifford_matrices`` and on the 2 x 2 one against another quadric;
+    ``quad rank`` on two random quadrics and two of known rank.  Then
+    ``cover rh`` once per field on a random (h, d), and on d = 0 and on
+    h = -1, which it refuses.
+    """
+    rng = random.Random(4)
+    one = (1, 0)
+    argvs = []
+    for spec in FIELDS:
+        ring = Ring(spec)
+        field = ["--field", spec]
+        for d in (1, 2):
+            F1, h, l, m, a = (_form(ring, rng, 3, d) for _ in range(5))
+            r = _scaled_sum(ring, [(one, _product(ring, *pair)) for pair in ((h, F1), (l, m), (a, a))])
+            wrong = _scaled_sum(ring, [(one, r), (one, _form(ring, rng, 3, 2 * d))])
+            for target in (r, wrong):
+                texts = [_text(ring, g) for g in (F1, target, l, m, a)]
+                argvs.append(["cover", "split-check", *texts, *field])
+        matrices = _clifford_matrices(ring, rng)
+        matrices.append((_text(ring, _form(ring, rng, 3, 2)), matrices[-1][1]))
+        argvs += [["mf", "verify", q, *entries, *field] for q, entries in matrices]
+        forms = [(_text(ring, _form(ring, rng, 3, 2)), 3) for _ in range(2)]
+        forms += [_quadric_of_rank(ring, rng, rng.randint(1, 6), rng.random() < 0.5) for _ in range(2)]
+        argvs += [["quad", "rank", text, "--nvars", str(nvars), *field] for text, nvars in forms]
+    for spec in FIELDS:
+        argvs.append(["cover", "rh", "--h", str(rng.randint(0, 4)), "--d", str(rng.randint(1, 6)), "--field", spec])
+    argvs += [["cover", "rh", "--h", "1", "--d", "0"], ["cover", "rh", "--h", "-1", "--d", "3"]]
+    return argvs
+
+
 def _pre_handler_argvs():
     """Every subcommand with a field that is no field, then with no variables."""
     return [argv + flag for argv in SUBCOMMANDS for flag in (["--field", "fp:4"], ["--nvars", "0"])]
@@ -348,7 +392,9 @@ def corpus():
             argvs.append(["cover", "transversal", *pair, "--seed", str(rng.randrange(100)), *field])
         for seed in range(3):
             argvs.append(["cover", "keem-counterexample", "--max-trials", "20", "--seed", str(seed), *field])
-    return argvs + _build_argvs() + _determinant_argvs() + _pre_handler_argvs() + _quadform_argvs()
+    return (
+        argvs + _build_argvs() + _determinant_argvs() + _pre_handler_argvs() + _quadform_argvs() + _untested_argvs()
+    )
 
 
 def digest(argv):

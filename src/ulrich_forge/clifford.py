@@ -29,8 +29,10 @@ writes c or -c for each coefficient c of each pair and multiplies
 nothing, and no built matrix is checked again.
 
 A matrix is kept as a pencil A = sum_m x^m A_m of scalar matrices, one
-per monomial, whose entries are raw values (see ``fields``).  For any
-pencil,
+per monomial, whose entries are raw values (see ``fields``), and
+``_substituted`` assembles every pencil: sigma(U) from the signed
+positions of each U_a, a matrix read as entries from one unsigned
+position per entry.  For any pencil,
 
     A * A = sum_mu x^mu sum_{m + m' = mu} A_m A_m',
 
@@ -82,7 +84,7 @@ from types import MappingProxyType
 
 from .fields import FieldSpec
 from .linalg import _det_raw
-from .poly import Poly, _term_values
+from .poly import Poly, _term_values, _units
 from .quadform import SumOfProducts
 
 def _items(row):
@@ -120,20 +122,11 @@ class MatrixFactorization:
         if size == 0 or any(len(row) != size for row in entries):
             raise ValueError("entries must form a square matrix")
         field, nvars = quadric.field, quadric.nvars
-        for row in entries:
-            for e in row:
-                if e.field != field or e.nvars != nvars:
-                    raise ValueError("entry from the wrong ring")
-        pencil = {}
-        for i, row in enumerate(entries):
-            for j, e in enumerate(row):
-                for exps, v in e.raw.items():
-                    rows = pencil.get(exps)
-                    if rows is None:
-                        rows = pencil[exps] = [[] for _ in range(size)]
-                    rows[i] += (j, v)
-        pencil = {exps: tuple(map(tuple, rows)) for exps, rows in pencil.items()}
-        self._set(size, pencil, quadric, source)
+        flat = [e for row in entries for e in row]
+        if any(e.field != field or e.nvars != nvars for e in flat):
+            raise ValueError("entry from the wrong ring")
+        positions = [((i, j, False),) for i in range(size) for j in range(size)]
+        self._set(size, _substituted(positions, [e.raw for e in flat], field.arith, size), quadric, source)
 
     @classmethod
     def _from_pencil(cls, size, pencil, quadric, source, sign=None):
@@ -218,10 +211,10 @@ def _recursion(s, square):
 
 
 def _substituted(signed, forms, ar, size):
-    """The pencil of sigma(U): the raw map forms[a] at the positions of U_a, negated at its -1s.
+    """The pencil with the raw map forms[a] at the (row, column, negated) positions signed[a].
 
-    No two variables share a position, so each coefficient c of a form
-    is written as c or -c, and nothing is multiplied or added.
+    For sigma(U) these are the positions of U_a, negated at its -1s; no
+    two forms share a position, so nothing is multiplied or added.
     """
     neg = ar.neg
     pencil = {}
@@ -253,8 +246,7 @@ def _generic_pencil(s, square):
             signed[a].append((i, j, negated))
     signed = tuple(map(tuple, signed))
     q = FieldSpec.rationals()
-    one = q.arith.one
-    units = [tuple(int(b == a) for b in range(nvars)) for a in range(nvars)]
+    one, units = q.arith.one, _units(nvars)
     halves = [(a, a + 1) for a in range(0, 2 * s, 2)] + ([(2 * s, 2 * s)] if square else [])
     generic = Poly._make(q, nvars, {tuple(map(_add, units[a], units[b])): one for a, b in halves})
     pencil = _substituted(signed, [{u: one} for u in units], q.arith, 2**s)

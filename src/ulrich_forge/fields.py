@@ -34,11 +34,12 @@ and the library's own constructions box their results.
 or a Scalar: n/d enters as the polynomial parser reads it, n * d^-1 mod
 p over fp and fp2, and a denominator divisible by p is a ValueError.
 
-Square roots are canonical and deterministic: the nonnegative root over
-the rationals, the residue in [1, (p-1)/2] over a prime field, and a
-fixed lexicographic choice in the extension field.  When an element has
-no square root in its own field, ``sqrt_in_field`` raises
-``ExtensionNeeded`` carrying the offending element.
+Square roots are the ``Arith`` operation ``sqrt``: the canonical raw
+root, nonnegative over q and in [0, (p-1)/2] over fp, or None.  Over qi
+and fp2 one routine on the base field's raw values finds it, and its
+first nonzero part is a canonical base root.  ``sqrt_in_field`` and
+``is_square`` box it; ``sqrt_in_field`` raises ``ExtensionNeeded``,
+carrying the element, where no root exists in the field.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 RATIONAL = "q"
@@ -367,12 +369,13 @@ _LITERALS = {unit: _literal_patterns(unit) for unit in "iw"}
 class Arith(NamedTuple):
     """Arithmetic on the raw values of one field.
 
-    ``add``, ``neg``, ``mul`` and ``inv`` are the field operations and
-    ``pow(x, e)`` is x^e for e >= 0.  ``sub(x, y, t)`` is the row update
-    x - f*y with f = x[0]*t, which clears x[0] when t is the inverse of
-    y[0].  ``of`` unwraps a ``Scalar`` into its raw value and ``box``
-    wraps a canonical raw value back into a ``Scalar``, without
-    validating it again.
+    ``add``, ``neg``, ``mul`` and ``inv`` are the field operations,
+    ``pow(x, e)`` is x^e for e >= 0 and ``sqrt(x)`` the canonical root
+    of x, or None.  ``sub(x, y, t)`` is the row update x - f*y with
+    f = x[0]*t, which clears x[0] when t is the inverse of y[0].  ``of``
+    unwraps a ``Scalar`` into its raw value and ``box`` wraps a
+    canonical raw value back into a ``Scalar``, without validating it
+    again.
     """
 
     zero: object
@@ -382,6 +385,7 @@ class Arith(NamedTuple):
     mul: object
     inv: object
     pow: object
+    sqrt: object
     sub: object
     of: object
     box: object
@@ -406,6 +410,37 @@ def _power(mul, one):
         return acc
 
     return power
+
+
+def _quadratic_sqrt(base, nu):
+    """The canonical root of a + b*g, g*g = nu, from the raw values (a, b) of the base field, or None.
+
+    With b = 0 it is sqrt(a), or sqrt(a/nu)*g.  Otherwise its part c
+    has c^2 = (a + n)/2 or (a - n)/2 for a root n of the norm
+    a^2 - nu*b^2, and its part d = b/(2c).  c, a canonical base root
+    and nonzero, is the first part, so the root is canonical as found.
+    """
+    sqrt, add, neg, mul, inv, zero = base.sqrt, base.add, base.neg, base.mul, base.inv, base.zero
+    half, over_nu = inv(add(base.one, base.one)), inv(nu)
+
+    def root(x):
+        a, b = x
+        if b == zero:
+            c = sqrt(a)
+            if c is not None:
+                return c, zero
+            d = sqrt(mul(a, over_nu))
+            return None if d is None else (zero, d)
+        n = sqrt(add(mul(a, a), neg(mul(nu, mul(b, b)))))
+        if n is None:
+            return None
+        for m in (n, neg(n)):
+            c = sqrt(mul(add(a, m), half))
+            if c is not None and c != zero:
+                return c, mul(mul(b, half), inv(c))
+        return None
+
+    return root
 
 
 def _build_arith(field):
@@ -440,13 +475,15 @@ def _build_arith(field):
         def inv(x):
             return pow(x, p - 2, p)
 
+        sqrt = partial(sqrt_mod_p, p=p)
+
         def sub(x, y, t):
             f = x[0] * t % p
             return [(u - f * v) % p for u, v in zip(x, y)]
 
     elif kind == RATIONAL:
         zero, one = Fraction(0), Fraction(1)
-        add, neg, mul = operator.add, operator.neg, operator.mul
+        add, neg, mul, sqrt = operator.add, operator.neg, operator.mul, _fraction_sqrt
 
         def inv(x):
             return 1 / x
@@ -471,6 +508,8 @@ def _build_arith(field):
             a, b = x
             n = pow((a * a - nu * b * b) % p, p - 2, p)
             return a * n % p, -b * n % p
+
+        sqrt = _quadratic_sqrt(FieldSpec.prime(p).arith, nu)
 
         def sub(x, y, t):
             f0, f1 = mul(x[0], t)
@@ -497,6 +536,8 @@ def _build_arith(field):
             n = a * a + b * b
             return a / n, -b / n
 
+        sqrt = _quadratic_sqrt(FieldSpec.rationals().arith, Fraction(-1))
+
         def sub(x, y, t):
             f0, f1 = mul(x[0], t)
             return [
@@ -504,7 +545,7 @@ def _build_arith(field):
                 for (u0, u1), (v0, v1) in zip(x, y)
             ]
 
-    return Arith(zero, one, add, neg, mul, inv, _power(mul, one), sub, of, box)
+    return Arith(zero, one, add, neg, mul, inv, _power(mul, one), sqrt, sub, of, box)
 
 
 class Scalar:
@@ -716,86 +757,18 @@ def scalar_text(kind, a, b=0):
 
 
 def sqrt_in_field(s):
-    """Canonical square root of a scalar within its own field.
+    """Canonical square root of a scalar within its own field, by ``arith.sqrt``.
 
     Raises ExtensionNeeded when no root exists; the exception carries
     the element so callers can decide which extension to move to.
     """
-    f = s.field
-    kind = f.kind
-    if not s:
-        return f.zero
-    if kind == RATIONAL:
-        r = _fraction_sqrt(s.a)
-        if r is None:
-            raise ExtensionNeeded(s)
-        return f.arith.box(r)
-    if kind == GAUSSIAN:
-        return _sqrt_gaussian(s)
-    if kind == PRIME:
-        r = sqrt_mod_p(s.a, f.p)
-        if r is None:
-            raise ExtensionNeeded(s)
-        return f.arith.box(r)
-    return _sqrt_quadratic(s)
-
-
-def _sqrt_gaussian(s):
-    f = s.field
-    a, b = s.a, s.b
-    if not b:
-        r = _fraction_sqrt(a if a > 0 else -a)
-        if r is None:
-            raise ExtensionNeeded(s)
-        # b is the zero part here
-        root = f.arith.box((r, b) if a > 0 else (b, r))
-    else:
-        norm_root = _fraction_sqrt(a * a + b * b)
-        if norm_root is None:
-            raise ExtensionNeeded(s)
-        x = _fraction_sqrt((a + norm_root) / 2)
-        if x is None or not x:
-            raise ExtensionNeeded(s)
-        root = f.arith.box((x, b / (2 * x)))
-    if root.a < 0 or (not root.a and root.b < 0):
-        root = -root
-    return root
-
-
-def _sqrt_quadratic(s):
-    f = s.field
-    p, nu = f.p, f.nu
-    a, b = s.a, s.b
-    if not b:
-        r = sqrt_mod_p(a, p)
-        if r is not None:
-            root = f.arith.box((r, 0))
-        else:
-            # a = nu * t^2 for a nonresidue a, so the root is t*w
-            t = sqrt_mod_p(a * pow(nu, p - 2, p) % p, p)
-            root = f.arith.box((0, t))
-    else:
-        norm = (a * a - nu * b * b) % p
-        srn = sqrt_mod_p(norm, p)
-        if srn is None:
-            raise ExtensionNeeded(s)
-        half = pow(2, p - 2, p)
-        c2 = (a + srn) * half % p
-        c = sqrt_mod_p(c2, p)
-        if c is None or c == 0:
-            c2 = (a - srn) * half % p
-            c = sqrt_mod_p(c2, p)
-        if c is None or c == 0:
-            raise ExtensionNeeded(s)
-        d = b * half % p * pow(c, p - 2, p) % p
-        root = f.arith.box((c, d))
-    neg = -root
-    return root if (root.a, root.b) <= (neg.a, neg.b) else neg
+    ar = s.field.arith
+    r = ar.sqrt(ar.of(s))
+    if r is None:
+        raise ExtensionNeeded(s)
+    return ar.box(r)
 
 
 def is_square(s):
-    try:
-        sqrt_in_field(s)
-        return True
-    except ExtensionNeeded:
-        return False
+    ar = s.field.arith
+    return ar.sqrt(ar.of(s)) is not None

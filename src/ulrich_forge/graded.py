@@ -51,14 +51,14 @@ lives in ``linalg._rank_raw``, which takes the rows as built here:
 ``_macaulay_rows`` maps each row gamma * g from the columns of
 gamma * x^a to g's raw coefficients, and the square check reads the
 image rank alone, ``linalg._prime_rank``.  Monomials are coded as
-integers in base e + 1, so the code of gamma * x^a is the sum of the
-codes and its column is one dict lookup; the column map and the
-multipliers gamma are cached per shape (variables, degree e, generator
-degree, order), never per form.  The columns are ordered by the reversed
-exponent tuple (the last variable's exponent first), which keeps the
-fill-in of the elimination low: on a seeded octic over fp:32003 the
-square submatrix in this order takes under a third of the entry updates
-the full matrix takes in lex order.
+integers in base e + 1 (``poly._code``), so the code of gamma * x^a is
+the sum of the codes and its column is one dict lookup; the column map
+and the multipliers gamma are cached per shape (variables, degree e,
+generator degree, order), never per form.  The columns are ordered by
+the reversed exponent tuple (the last variable's exponent first), which
+keeps the fill-in of the elimination low: on a seeded octic over
+fp:32003 the square submatrix in this order takes under a third of the
+entry updates the full matrix takes in lex order.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from math import comb
 
 from .fields import GAUSSIAN, RATIONAL
 from .linalg import _prime_rank, _rank_raw
-from .poly import Poly, monomials_of_degree
+from .poly import _code, _strides, monomials_of_degree
 
 YES = "yes"
 NO = "no"
@@ -117,35 +117,28 @@ def graded_dimension(nvars, e):
     return comb(e + nvars - 1, nvars - 1)
 
 
-def _code(exps, base):
-    """The integer sum a_i * base^i of an exponent tuple a; base > every exponent."""
-    code = 0
-    for a in reversed(exps):
-        code = code * base + a
-    return code
-
-
 @lru_cache(maxsize=None)
 def _columns(nvars, e):
     """The column of each degree-e monomial, keyed by its code in base e + 1.
 
-    Columns go in increasing order of the code, which is the order of
+    The monomials are the multipliers of degree 0, and their columns go
+    in increasing order of the code, which is the order of
     the reversed exponent tuple (the last variable's exponent first).
     The product of two monomials whose degrees sum to e has the sum of
     their codes as its code, so a column is found with one addition.
     """
-    codes = sorted(_code(m, e + 1) for m in monomials_of_degree(nvars, e))
-    return {c: k for k, c in enumerate(codes)}
+    return {c: k for k, c in enumerate(sorted(_multipliers(nvars, e, 0, ())))}
 
 
 @lru_cache(maxsize=None)
 def _multipliers(nvars, e, degree, earlier):
-    """The codes in base e + 1 of the degree-(e - degree) multipliers gamma.
+    """The codes (``poly._code``) in base e + 1 of the degree-(e - degree) multipliers gamma.
 
     Only those with gamma_j < degree for every j in ``earlier`` are kept.
     """
+    strides = _strides((e + 1,) * nvars)
     return tuple(
-        _code(g, e + 1)
+        _code(g, strides)
         for g in monomials_of_degree(nvars, e - degree)
         if all(g[j] < degree for j in earlier)
     )
@@ -164,7 +157,7 @@ def _macaulay_rows(system, e, order=None):
     the socle bound.
     """
     nvars, gens = system.nvars, system.generators
-    column = _columns(nvars, e)
+    column, strides = _columns(nvars, e), _strides((e + 1,) * nvars)
     rows = []
     for k, i in enumerate(range(len(gens)) if order is None else order):
         raw = gens[i].raw
@@ -173,7 +166,7 @@ def _macaulay_rows(system, e, order=None):
         if degree > e:
             continue
         earlier = () if order is None else tuple(sorted(order[:k]))
-        terms = [(_code(a, e + 1), v) for a, v in raw.items()]
+        terms = [(_code(a, strides), v) for a, v in raw.items()]
         rows += [{column[g + c]: v for c, v in terms} for g in _multipliers(nvars, e, degree, earlier)]
     return rows
 

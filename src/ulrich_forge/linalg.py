@@ -57,7 +57,7 @@ from math import isqrt, lcm
 from struct import pack, unpack
 
 from .fields import GAUSSIAN, PRIME_QUADRATIC, sqrt_mod_p
-from .poly import Poly
+from .poly import Poly, _code, _decode, _strides
 
 # Word-size prime for the mod-p-first rank over q and qi; it is 1 mod 4,
 # so i maps to the square root _I of -1 there.
@@ -548,13 +548,11 @@ def poly_matrix_det(rows):
     if not bound:
         return Poly.zero(field, nvars)
     k = bound.bit_length() + 1
-    strides, stride = [], 1
-    for d in degrees:
-        strides.append(stride)
-        stride *= d + 1
+    radices = [d + 1 for d in degrees]
+    strides = _strides(radices)
 
     def pack(terms):
-        shifted = [(k * sum(x * s for x, s in zip(exps, strides)), c) for exps, c in terms]
+        shifted = [(k * _code(exps, strides), c) for exps, c in terms]
         if pairs:
             return sum(a << t for t, (a, _) in shifted), sum(b << t for t, (_, b) in shifted)
         return sum(c << t for t, c in shifted)
@@ -563,7 +561,6 @@ def poly_matrix_det(rows):
     if full < n:
         return Poly.zero(field, nvars)
     # Unpack: the balanced digits of each component.
-    radix = [(j, strides[j], d + 1) for j, d in enumerate(degrees) if d]
     acc, half, base = {}, 1 << (k - 1), 1 << k
     for t, part in enumerate(value if pairs else (value,)):
         position = 0
@@ -573,10 +570,7 @@ def poly_matrix_det(rows):
                 c -= base
             part = (part - c) >> k
             if c:
-                exps = [0] * nvars
-                for j, s, m in radix:
-                    exps[j] = position // s % m
-                acc.setdefault(tuple(exps), [0, 0])[t] = c
+                acc.setdefault(_decode(position, radices), [0, 0])[t] = c
             position += 1
     raw, zero = {}, field.arith.zero
     for exps, (a, b) in acc.items():

@@ -28,21 +28,25 @@ parenthesized coefficients, and each term enters one raw map through
 ``_accumulate`` as its coefficient (the product of its numeric factors,
 each distinct literal parsed once) and its summed exponents.
 
-``_recombines(pairs, target)`` is the one exact check that a sum of
-products l*m is a given polynomial (``quadform.SumOfProducts`` and
+The module owns exponent tuples: ``_units`` and ``_linear_form`` build
+the variables and linear forms, and ``_strides``/``_code``/``_decode``
+code a tuple as sum a_i * s_i in a mixed radix and back, for the
+Macaulay columns of ``graded`` and the packing of ``poly_matrix_det``
+too.  ``_recombines(pairs, target)`` is the one exact check that a sum
+of products l*m is a given polynomial (``quadform.SumOfProducts`` and
 ``veronese.FormDecomposition`` rest on it): every term product goes
-into one map keyed by integer monomial codes, never through a ``Poly``
-per pair.
+into one map keyed by monomial codes, never through a ``Poly`` per pair.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import accumulate
 from types import MappingProxyType
 
-from .fields import GAUSSIAN, raw_parts, scalar_text
+from .fields import GAUSSIAN, _power, raw_parts, scalar_text
 
 NEG_INF = float("-inf")
 
@@ -82,13 +86,44 @@ def _accumulate(ar, acc, pairs):
     return acc
 
 
-def _product_codes(pairs, field, nvars, top=0):
-    """(base, {code: raw}): sum(l * m) over a sequence of polynomial pairs, in one accumulation.
+@lru_cache(maxsize=None)
+def _units(n):
+    """The exponent tuples of x_0, ..., x_{n-1}."""
+    return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
 
-    A monomial a enters as its code, sum a_i * base^i (as ``graded._code``
-    does), so a product's code is the sum of its factors' codes.  base
-    exceeds deg l + deg m for every pair, and ``top``; it thus exceeds
-    every exponent of the products and of a polynomial of degree at most
+
+def _linear_form(field, row):
+    """The linear form sum row[i] * x_i of a row of raw values."""
+    zero = field.arith.zero
+    return Poly._make(field, len(row), {u: v for u, v in zip(_units(len(row)), row) if v != zero})
+
+
+def _strides(radices):
+    """The place values 1, r_0, r_0*r_1, ... of the mixed radix (r_0, r_1, ...)."""
+    return list(accumulate(radices[:-1], operator.mul, initial=1))
+
+
+def _code(exps, strides):
+    """The integer sum a_i * s_i of an exponent tuple a, one-to-one on parts below their radices."""
+    return sum(map(operator.mul, exps, strides))
+
+
+def _decode(code, radices):
+    """The exponent tuple whose code in the mixed radix (r_0, r_1, ...) is ``code``."""
+    exps = []
+    for r in radices:
+        code, a = divmod(code, r)
+        exps.append(a)
+    return tuple(exps)
+
+
+def _product_codes(pairs, field, nvars, top=0):
+    """(radices, {code: raw}): sum(l * m) over a sequence of polynomial pairs, in one accumulation.
+
+    A monomial a enters as its code in the radix base, base, ..., so a
+    product's code is the sum of its factors' codes.  base exceeds
+    deg l + deg m for every pair, and ``top``; it thus exceeds every
+    exponent of the products and of a polynomial of degree at most
     ``top``, and two such polynomials are equal exactly when their code
     maps are.  A factor from another ring is a ValueError.
     """
@@ -99,8 +134,8 @@ def _product_codes(pairs, field, nvars, top=0):
         if any(h.field != field or h.nvars != nvars for h in (l, m)):
             raise ValueError("polynomials from different rings")
         degree = max(degree, max(map(sum, l.raw), default=0) + max(map(sum, m.raw), default=0))
-    base = degree + 1
-    weights = [base**i for i in range(nvars)]
+    radices = (degree + 1,) * nvars
+    strides = _strides(radices)
     acc, codes = {}, {}
 
     def encoded(raw):
@@ -108,7 +143,7 @@ def _product_codes(pairs, field, nvars, top=0):
         for e, v in raw.items():
             code = codes.get(e)
             if code is None:
-                code = codes[e] = sum(map(operator.mul, e, weights))
+                code = codes[e] = _code(e, strides)
             out.append((code, v))
         return out
 
@@ -121,27 +156,20 @@ def _product_codes(pairs, field, nvars, top=0):
                     acc[c] = add(acc[c], mul(u, v))
                 else:
                     acc[c] = mul(u, v)
-    return base, {c: v for c, v in acc.items() if v != zero}
+    return radices, {c: v for c, v in acc.items() if v != zero}
 
 
 def _recombines(pairs, target):
     """Whether sum(l * m) over the pairs is exactly the polynomial target, compared on codes."""
-    base, acc = _product_codes(pairs, target.field, target.nvars, max(map(sum, target.raw), default=0))
-    weights = [base**i for i in range(target.nvars)]
-    return acc == {sum(map(operator.mul, e, weights)): v for e, v in target.raw.items()}
+    radices, acc = _product_codes(pairs, target.field, target.nvars, max(map(sum, target.raw), default=0))
+    strides = _strides(radices)
+    return acc == {_code(e, strides): v for e, v in target.raw.items()}
 
 
 def _product_sum(pairs, field, nvars):
     """The polynomial sum(l * m) over the pairs, its codes read back into exponents."""
-    base, acc = _product_codes(pairs, field, nvars)
-    raw = {}
-    for code, v in acc.items():
-        exps = []
-        for _ in range(nvars):
-            code, a = divmod(code, base)
-            exps.append(a)
-        raw[tuple(exps)] = v
-    return Poly._make(field, nvars, raw)
+    radices, acc = _product_codes(pairs, field, nvars)
+    return Poly._make(field, nvars, {_decode(code, radices): v for code, v in acc.items()})
 
 
 def _term_values(raw, coords, ar):
@@ -210,8 +238,7 @@ class Poly:
     def variable(cls, field, nvars, index):
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._make(field, nvars, {exps: field.arith.one})
+        return cls._make(field, nvars, {_units(nvars)[index]: field.arith.one})
 
     @classmethod
     def monomial(cls, field, exps, coeff=1):
@@ -223,10 +250,7 @@ class Poly:
     @classmethod
     def linear_form(cls, field, coeffs):
         """The linear form sum(coeffs[i] * x_i)."""
-        n = len(coeffs)
-        return cls(
-            field, n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)}
-        )
+        return _linear_form(field, [field.arith.of(field.coerce(c)) for c in coeffs])
 
     # -- basic queries ----------------------------------------------------
 
@@ -341,15 +365,7 @@ class Poly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take nonnegative integers")
-        result = Poly._make(self.field, self.nvars, {(0,) * self.nvars: self.field.arith.one})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # no square once the top bit is used
-                base = base * base
-        return result
+        return _power(operator.mul, Poly.constant(self.field, self.nvars, 1))(self, n)
 
     # -- calculus and maps --------------------------------------------------
 

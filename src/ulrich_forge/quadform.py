@@ -22,11 +22,11 @@ pairs' recombination is checked exactly, once, by ``poly._recombines``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .fields import PRIME, ExtensionNeeded, sqrt_in_field
+from .fields import PRIME, ExtensionNeeded
 from .linalg import _rank_raw, inverse, poly_matrix_det
-from .poly import Poly, _accumulate, _product_sum, _recombines
+from .poly import Poly, _accumulate, _linear_form, _product_sum, _recombines
 
 
 class QuadraticFormRecord:
@@ -124,19 +124,6 @@ class Diagonalization:
         return [row[:] for row in self._p_rows]
 
 
-def _linear_form(field, row):
-    """The linear form sum row[i] * x_i of a row of raw values."""
-    n, zero = len(row), field.arith.zero
-    units = _units(n)
-    return Poly._make(field, n, {units[i]: v for i, v in enumerate(row) if v != zero})
-
-
-@lru_cache(maxsize=None)
-def _units(n):
-    """The exponent tuples of x_0, ..., x_{n-1}."""
-    return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
-
-
 def diagonalize(record):
     """Congruence diagonalization P^T G P = D with invertible P, on raw values.
 
@@ -228,39 +215,37 @@ class SumOfProducts:
         return _product_sum(self.pairs, self.quadric.field, self.quadric.nvars)
 
 
-def _roots(field, values):
-    """Canonical raw roots c_i of d_i for even i and of -d_i for odd i, from raw values d_i."""
-    ar = field.arith
-    return [ar.of(sqrt_in_field(ar.box(ar.neg(d) if i % 2 else d))) for i, d in enumerate(values)]
-
-
 def sum_of_products(record):
     """Rewrite a quadratic form as ceil(rank/2) products of linear forms.
 
-    The record is diagonalized once, in its own field, and the roots are
-    taken there.  Only when a root is missing from a prime field fp:p are
-    the nonzero diagonal values, their rows of P^{-1} and the quadric
-    embedded into fp2:p and every root taken there; over the other
-    fields ExtensionNeeded propagates.  The products c_i * r_i of roots
-    and rows, and their sums and differences, are taken on raw rows, and
-    each factor becomes a ``Poly`` once, at the end.
+    The record is diagonalized once, in its own field, and the roots
+    c_i of d_i (even i) and -d_i (odd i), d_i the nonzero diagonal
+    values, are taken there.  Only when a root is missing from a prime
+    field fp:p are the rows of P^{-1}, the roots found and the quadric
+    embedded into fp2:p, where the missing roots are taken (the root of
+    (a, 0) there is (r, 0) for the root r of a in fp:p, so no root is
+    taken twice); elsewhere the first missing root raises
+    ExtensionNeeded.  The products c_i * r_i of roots and rows, and
+    their sums and differences, are taken on raw rows, and each factor
+    becomes a ``Poly`` once, at the end.
     """
     diag = diagonalize(record)
     field, quadric = record.field, record.poly
-    zero = field.arith.zero
-    items = [(d, row) for d, row in zip(diag.diagonal_raw, diag.p_inv_raw) if d != zero]
-    try:
-        roots = _roots(field, [d for d, _ in items])
-    except ExtensionNeeded:
-        if field.kind != PRIME:
-            raise
+    ar = field.arith
+    items = [(d, row) for d, row in zip(diag.diagonal_raw, diag.p_inv_raw) if d != ar.zero]
+    values = [ar.neg(d) if i % 2 else d for i, (d, _) in enumerate(items)]
+    rows = [row for _, row in items]
+    roots = list(map(ar.sqrt, values))
+    if None in roots and field.kind != PRIME:
+        raise ExtensionNeeded(ar.box(values[roots.index(None)]))
+    if None in roots:  # every value has a root in fp2:p
         field = field.extension()
-        pad = field.arith.zero[1]
-        items = [((d, pad), [(v, pad) for v in row]) for d, row in items]
+        ar, pad = field.arith, field.arith.zero[1]
+        rows = [[(v, pad) for v in row] for row in rows]
+        roots = [ar.sqrt((v, pad)) if c is None else (c, pad) for c, v in zip(roots, values)]
         quadric = quadric.embed(field)
-        roots = _roots(field, [d for d, _ in items])
-    add, neg, mul = field.arith.add, field.arith.neg, field.arith.mul
-    terms = [[mul(c, v) for v in row] for c, (_, row) in zip(roots, items)]
+    add, neg, mul = ar.add, ar.neg, ar.mul
+    terms = [[mul(c, v) for v in row] for c, row in zip(roots, rows)]
     sums = [
         (list(map(add, a, b)), [add(u, neg(v)) for u, v in zip(a, b)]) for a, b in zip(terms[0::2], terms[1::2])
     ]

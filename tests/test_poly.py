@@ -497,9 +497,9 @@ def test_pow_is_the_repeated_product_with_no_wasted_square(spec, monkeypatch):
     for n in range(10):
         calls.clear()
         assert p**n == products[n]
-        # square and multiply: one product per set bit and one square per
-        # bit below the top one, none after it
-        assert len(calls) == (n.bit_count() + n.bit_length() - 1 if n else 0)
+        # square and multiply: one product per set bit but the first and
+        # one square per bit below the top one, none after it
+        assert len(calls) == (n.bit_count() + n.bit_length() - 2 if n else 0)
 
 
 def test_evaluate_matches_naive():

@@ -227,14 +227,13 @@ def test_records_ranks_and_the_gcd_box_no_scalar(text, count_scalars):
     hilbert_value(system, 3)
     assert not is_squarefree_univariate(univariate)
     assert built == []
-    # sum_of_products boxes only the nonzero diagonal values and what follows from them
+    # sum_of_products takes its roots on raw values too, so it boxes nothing
     counts = []
     for rec in records:
         built.clear()
         sum_of_products(rec)
         counts.append(len(built))
-    assert counts[: len(forms)] == counts[len(forms) :]
-    assert all(counts)
+    assert counts == [0] * len(records)
 
 
 def test_sum_of_products_frozen_odd_rank(f13):
@@ -331,6 +330,23 @@ def test_sum_of_products_stays_in_fp_exactly_when_every_root_exists(p):
             assert all(h.field is sop.quadric.field for pair in sop.pairs for h in pair)
             outcomes.add((rank > 1, stays))
     assert {(True, True), (True, False)} <= outcomes
+
+
+def test_sum_of_products_takes_each_root_once():
+    # 1, -2, 3, -5 over fp:13: 1 and 3 have roots there and 11 and 8 do
+    # not, so the move to fp2:13 keeps the two roots found and takes two
+    fp, fp2 = FieldSpec.prime(13), FieldSpec.quadratic(13)
+    arith, calls = fp2.arith, []
+    counting = arith._replace(sqrt=lambda x: calls.append(x) or arith.sqrt(x))
+    object.__setattr__(fp2, "arith", counting)  # FieldSpec refuses setattr
+    try:
+        sop = sum_of_products(gram_from_poly(parse_poly("x^2 + 2*y^2 + 3*z^2 + 5*t^2", fp)))
+    finally:
+        object.__setattr__(fp2, "arith", arith)
+    assert calls == [(11, 0), (8, 0)]
+    assert sop.quadric.field is fp2
+    always = sum_of_products(gram_from_poly(parse_poly("x^2 + 2*y^2 + 3*z^2 + 5*t^2", fp2)))
+    assert sop.pairs == always.pairs
 
 
 def test_pencil_determinant_frozen(q):

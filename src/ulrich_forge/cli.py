@@ -5,10 +5,10 @@ Exit codes: 0 for a verified success, 1 for a mathematical failure
 internal self-check that fails), 2 for usage and parse errors,
 including a stray division by zero.  Reports carry {version, command, config, ok,
 result|error}; the same argv and seed always produce byte-identical
-output.  ULRICH_FORGE_SEED in the environment overrides --seed.  Each
-subcommand is one row of ``COMMANDS``: its handler, the polynomial texts
-it reads, its own options and its default --max-trials, which
-``config.max_trials`` carries in every envelope.
+output.  Each subcommand is one row of ``COMMANDS``, which gives it only
+the options its handler reads; any other is a usage error, and
+``config`` echoes all six in every envelope, an absent one at its
+default.  ULRICH_FORGE_SEED in the environment overrides the seed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .clifford import (
     MatrixFactorization,
+    _image_texts,
     build_clifford_factorization,
     determinant_certificate,
     verify_clifford,
@@ -157,7 +158,7 @@ def _cmd_mf_build(args, field, q):
         "working_field": str(mf.field),
         "quadric": str(mf.quadric),
         "pairs": [[str(l), str(m)] for l, m in sop.pairs],
-        "entries": [[str(e) for e in row] for row in mf.entries],
+        "entries": _image_texts(sop.pairs, None),
     }, True
 
 
@@ -355,8 +356,9 @@ def _cmd_cover_keem(args, field):
 
 class Command(NamedTuple):
     """A subcommand's ``handler(args, field, *polys)``, the ``_read_polys``
-    arguments for its texts (None if it reads none), the (flags, keywords)
-    of its own options and its default --max-trials.
+    arguments for its texts (None if it reads none, else it has --nvars and
+    --file), the (flags, keywords) of its own options, --seed and --e-max
+    among them, and its default --max-trials (None: it has no --max-trials).
     """
 
     handler: Callable
@@ -379,7 +381,9 @@ GROUPS = {
 }
 
 _ONE_TEXT = {"expected": 1}
-_FORM_DEGREE = (_option("--deg", type=int, default=None),)
+_SEED = _option("--seed", type=int, default=0)
+_E_MAX = _option("--e-max", dest="e_max", type=int, default=None)
+_FORM_DEGREE = _option("--deg", type=int, default=None)
 
 COMMANDS = {
     "quad rank": Command(_cmd_quad_rank, _ONE_TEXT),
@@ -388,36 +392,35 @@ COMMANDS = {
     "quad pencil-det": Command(_cmd_quad_pencil_det, {"expected": 2}),
     "mf build": Command(_cmd_mf_build, _ONE_TEXT),
     "mf verify": Command(_cmd_mf_verify, {"minimum": 2}),
-    "mf det-cert": Command(_cmd_mf_det_cert, {"minimum": 2}, budget=50),
-    "ulrich pipeline": Command(_cmd_ulrich_pipeline, _ONE_TEXT, _FORM_DEGREE),
-    "ulrich bounds": Command(_cmd_ulrich_bounds, _ONE_TEXT, _FORM_DEGREE),
-    "ulrich normalize": Command(_cmd_ulrich_normalize, {"expected": 5, "floor_nvars": 3}, budget=20),
+    "mf det-cert": Command(_cmd_mf_det_cert, {"minimum": 2}, (_SEED,), budget=50),
+    "ulrich pipeline": Command(_cmd_ulrich_pipeline, _ONE_TEXT, (_FORM_DEGREE, _SEED, _E_MAX)),
+    "ulrich bounds": Command(_cmd_ulrich_bounds, _ONE_TEXT, (_FORM_DEGREE, _SEED, _E_MAX)),
+    "ulrich normalize": Command(_cmd_ulrich_normalize, {"expected": 5, "floor_nvars": 3}, (_SEED,), budget=20),
     "hilbert value": Command(
         _cmd_hilbert_value, {"minimum": 1}, (_option("-e", "--degree", type=int, required=True),)
     ),
-    "smooth check": Command(_cmd_smooth_check, _ONE_TEXT),
+    "smooth check": Command(_cmd_smooth_check, _ONE_TEXT, (_SEED, _E_MAX)),
     "cover rh": Command(
         _cmd_cover_rh,
         options=(_option("--h", type=int, required=True), _option("--d", type=int, required=True)),
     ),
     "cover split-check": Command(_cmd_cover_split_check, {"expected": 5, "floor_nvars": 3}),
-    "cover transversal": Command(_cmd_cover_transversal, {"expected": 2, "floor_nvars": 3}, budget=8),
-    "cover keem-counterexample": Command(_cmd_cover_keem, budget=100),
+    "cover transversal": Command(_cmd_cover_transversal, {"expected": 2, "floor_nvars": 3}, (_SEED,), budget=8),
+    "cover keem-counterexample": Command(_cmd_cover_keem, options=(_SEED,), budget=100),
 }
 
 
 # ---------------------------------------------------------------- plumbing
 
 
-def _add_common(sub, reads_texts):
+def _add_common(sub, command):
     sub.add_argument("--field", default="q", help="q, qi, fp:P, or fp2:P")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--nvars", type=int, default=None)
-    sub.add_argument("--e-max", dest="e_max", type=int, default=None)
-    sub.add_argument("--max-trials", dest="max_trials", type=int, default=None)
-    if reads_texts:
+    if command.texts is not None:
+        sub.add_argument("--nvars", type=int, default=None)
         sub.add_argument("--file", default=None, help="one polynomial per line, # comments")
         sub.add_argument("poly", nargs="*", help="polynomial text")
+    if command.budget is not None:
+        sub.add_argument("--max-trials", dest="max_trials", type=int)
     sub.add_argument("--output", choices=("json", "text"), default="json")
 
 
@@ -434,10 +437,10 @@ def build_parser():
     for name, command in COMMANDS.items():
         group, verb = name.split(" ")
         sub = groups[group].add_parser(verb)
-        _add_common(sub, command.texts is not None)
+        _add_common(sub, command)
         for flags, kwargs in command.options:
             sub.add_argument(*flags, **kwargs)
-        sub.set_defaults(command=name, max_trials=command.budget)
+        sub.set_defaults(command=name, seed=0, nvars=None, e_max=None, max_trials=command.budget)
     return parser
 
 
@@ -546,10 +549,9 @@ def main(argv=None):
     envelope = {"version": __version__, "command": args.command, "config": config}
     command = COMMANDS[args.command]
     try:
-        if args.max_trials is not None and args.max_trials < 1:
-            raise ValueError(f"--max-trials must be at least 1, got {args.max_trials}")
-        if args.nvars is not None and args.nvars < 1:
-            raise ValueError(f"--nvars must be at least 1, got {args.nvars}")
+        for flag, value in (("--max-trials", args.max_trials), ("--nvars", args.nvars)):
+            if value is not None and value < 1:
+                raise ValueError(f"{flag} must be at least 1, got {value}")
         field = FieldSpec.parse(args.field)
         polys = () if command.texts is None else _read_polys(args, field, config, **command.texts)
         result, ok = command.handler(args, field, *polys)

@@ -47,7 +47,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 RATIONAL = "q"
@@ -100,6 +100,7 @@ def legendre(a, p):
     return 1 if t == 1 else -1
 
 
+@cache
 def smallest_nonresidue(p):
     n = 2
     while legendre(n, p) != -1:
@@ -473,7 +474,7 @@ def _build_arith(field):
             return x * y % p
 
         def inv(x):
-            return pow(x, p - 2, p)
+            return pow(x, -1, p)
 
         sqrt = partial(sqrt_mod_p, p=p)
 
@@ -506,7 +507,7 @@ def _build_arith(field):
 
         def inv(x):
             a, b = x
-            n = pow((a * a - nu * b * b) % p, p - 2, p)
+            n = pow((a * a - nu * b * b) % p, -1, p)
             return a * n % p, -b * n % p
 
         sqrt = _quadratic_sqrt(FieldSpec.prime(p).arith, nu)

@@ -152,7 +152,7 @@ def test_texts_starting_with_a_minus_are_polynomials(capsys, command, texts):
 
 
 def test_option_values_and_attached_short_options_stay_options(capsys):
-    code, payload = _run(capsys, ["quad", "rank", "--seed", "-3", "-x^2"])
+    code, payload = _run(capsys, ["smooth", "check", "--seed", "-3", "-x^2 - y^2 - z^2"])
     assert code == 0 and payload["config"]["seed"] == -3
     code, payload = _run(capsys, ["hilbert", "value", "-x^2", "-e2"])
     assert code == 0 and payload["result"]["degree"] == 2
@@ -810,7 +810,7 @@ def test_output_is_byte_identical_across_runs(capsys):
 
 def test_env_seed_overrides_flag(capsys, monkeypatch):
     monkeypatch.setenv("ULRICH_FORGE_SEED", "77")
-    code, payload = _run(capsys, ["quad", "rank", "x*y", "--field", "q", "--seed", "3"])
+    code, payload = _run(capsys, ["smooth", "check", "x^2 + y^2 + z^2", "--field", "q", "--seed", "3"])
     assert code == 0
     assert payload["config"]["seed"] == 77
 
@@ -881,9 +881,42 @@ _EVERY_SUBCOMMAND = [
 ]
 
 
+# the subcommands with a default --max-trials, and that default
+_BUDGETED = {"mf det-cert": 50, "ulrich normalize": 20, "cover transversal": 8, "cover keem-counterexample": 100}
+# the options each subcommand's handler reads, of those not every subcommand has
+_READS = {
+    "--seed": {
+        "mf det-cert",
+        "ulrich pipeline",
+        "ulrich bounds",
+        "ulrich normalize",
+        "smooth check",
+        "cover transversal",
+        "cover keem-counterexample",
+    },
+    "--e-max": {"ulrich pipeline", "ulrich bounds", "smooth check"},
+    "--max-trials": set(_BUDGETED),
+    # every subcommand that reads polynomial texts
+    "--nvars": {" ".join(argv[:2]) for argv in _EVERY_SUBCOMMAND} - {"cover rh", "cover keem-counterexample"},
+}
+_READS["--file"] = _READS["--nvars"]
+
+
+def _refused(capsys, argv, option):
+    """An option the subcommand lacks is argparse's usage error: exit 2, usage on stderr, no stdout."""
+    code, out, err = _call(capsys, argv)
+    assert (code, out) == (2, ""), argv
+    assert "unrecognized arguments: " + option in err
+
+
 @pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda a: " ".join(a[:2]))
 def test_max_trials_below_one_is_usage_error(capsys, argv):
+    # a subcommand without a budget has no --max-trials at all
+    budgeted = " ".join(argv[:2]) in _BUDGETED
     for trials in ("0", "-3"):
+        if not budgeted:
+            _refused(capsys, argv + ["--max-trials", trials], "--max-trials")
+            continue
         code, payload = _run(capsys, argv + ["--max-trials", trials])
         assert code == 2
         assert payload["ok"] is False
@@ -893,26 +926,46 @@ def test_max_trials_below_one_is_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda a: " ".join(a[:2]))
 def test_nvars_below_one_is_usage_error(capsys, argv):
+    # a subcommand that reads no text has no --nvars at all
+    reads_texts = " ".join(argv[:2]) in _READS["--nvars"]
     for nvars in ("0", "-1"):
+        if not reads_texts:
+            _refused(capsys, argv + ["--nvars", nvars], "--nvars")
+            continue
         code, payload = _run(capsys, argv + ["--nvars", nvars])
         assert code == 2
         assert payload["ok"] is False
         assert "--nvars must be at least 1" in payload["error"]
 
 
-# the subcommands with a default --max-trials, and that default
-_BUDGETED = {"mf det-cert": 50, "ulrich normalize": 20, "cover transversal": 8, "cover keem-counterexample": 100}
+@pytest.mark.parametrize("option", sorted(_READS))
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda a: " ".join(a[:2]))
+def test_each_subcommand_offers_exactly_the_options_it_reads(capsys, monkeypatch, tmp_path, argv, option):
+    monkeypatch.delenv("ULRICH_FORGE_SEED", raising=False)
+    # an empty --file adds no text, so an accepted option leaves the call as it was
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    value = str(empty) if option == "--file" else "3"
+    name = " ".join(argv[:2])
+    if name not in _READS[option]:
+        _refused(capsys, argv + [option, value], option)
+        return
+    code, payload = _run(capsys, argv + [option, value])
+    assert payload["command"] == name and payload["ok"] == (code == 0)
+    key = option[2:].replace("-", "_")
+    if key in payload["config"]:
+        assert payload["config"][key] == 3
 
 
 def _budget_errors():
-    """(argv, error) per budgeted subcommand: two errors before any text is read, two in a text."""
+    """(argv, error) per budgeted subcommand: errors before any text is read, and two in a text."""
     for argv in _EVERY_SUBCOMMAND:
         name = " ".join(argv[:2])
         if name not in _BUDGETED:
             continue
         yield pytest.param(argv + ["--field", "fp:4"], "is not prime", id=f"{name} field")
-        yield pytest.param(argv + ["--nvars", "0"], "--nvars must be at least 1", id=f"{name} nvars")
         if name != "cover keem-counterexample":
+            yield pytest.param(argv + ["--nvars", "0"], "--nvars must be at least 1", id=f"{name} nvars")
             *head, last = argv
             yield pytest.param(head + [last + " ;"], "cannot tokenize", id=f"{name} token")
             yield pytest.param(head + [last + " +"], "unexpected end", id=f"{name} grammar")
@@ -961,6 +1014,29 @@ def test_pipeline_lifts_once_and_reads_the_matrix_once(capsys, monkeypatch):
     # the entries' text is placed from the pencil's signed positions, so
     # the matrix is never expanded into polynomials
     assert code == 0 and calls == {"lift": 1, "entries": 0}
+
+
+@pytest.mark.parametrize(
+    "form, field",
+    [
+        ("x*y + z*t + x^2", "fp:13"),
+        ("x^2 + 2*y^2 - 3*z^2", "fp:13"),
+        ("x*y + 4*z^2 - t^2", "q"),
+        ("x^2 + y^2 + z^2", "qi"),
+    ],
+)
+def test_mf_build_renders_the_entries_without_expanding_the_matrix(capsys, monkeypatch, form, field):
+    from ulrich_forge import build_clifford_factorization, gram_from_poly, sum_of_products
+    from ulrich_forge.clifford import MatrixFactorization
+
+    reads, entries = [], MatrixFactorization.entries
+    counted = property(lambda mf: reads.append(mf) or entries.fget(mf))
+    monkeypatch.setattr(MatrixFactorization, "entries", counted)
+    code, payload = _run(capsys, ["mf", "build", form, "--field", field])
+    assert (code, reads) == (0, [])
+    # the texts are those of the built matrix's own entries
+    mf = build_clifford_factorization(sum_of_products(gram_from_poly(parse_poly(form, FieldSpec.parse(field)))))
+    assert payload["result"]["entries"] == [[str(e) for e in row] for row in entries.fget(mf)]
 
 
 def test_each_text_is_tokenized_and_parsed_once(capsys, monkeypatch):
@@ -1181,11 +1257,12 @@ def test_poly_commands_always_end_in_an_envelope(capsys):
         flaw = draw(st.sampled_from(flaws))
         if flaw == "field":
             field = draw(st.sampled_from(["fp:2", "fp:9", "fp2:1", "r", ""]))
-        elif flaw == "trials":
+        # each option only where the subcommand offers it
+        elif flaw == "trials" and command in _BUDGETED:
             extra += ["--max-trials", draw(st.sampled_from(["0", "-1", "1", "2"]))]
-        elif flaw == "nvars":
+        elif flaw == "nvars" and command in _READS["--nvars"]:
             extra += ["--nvars", draw(st.sampled_from(["-1", "0", "1", "2", "4"]))]
-        elif flaw == "e-max":
+        elif flaw == "e-max" and command in _READS["--e-max"]:
             extra += ["--e-max", draw(st.sampled_from(["-1", "0", "1"]))]
         elif flaw == "text" and polys:
             polys[draw(st.integers(0, len(polys) - 1))] = draw(loose | junk)
@@ -1233,12 +1310,13 @@ def test_mf_commands_always_end_in_an_envelope(capsys):
         field = draw(st.sampled_from(["q", "qi", "fp:3", "fp:13", "fp:101", "fp2:3", "fp2:13"]))
         side = draw(st.integers(1, 3)) if verb != "build" else 0
         texts = [draw(quadratic)] + [draw(linear) for _ in range(side * side)]
-        extra = []
+        # only det-cert has --max-trials
+        extra = ["--max-trials", "4"] if verb == "det-cert" else []
         flaw = draw(st.sampled_from([None, None, None, "field", "trials", "count", "entry", "text"]))
         if flaw == "field":
             field = draw(st.sampled_from(["fp:2", "fp:9", "fp2:1", "r", ""]))
-        elif flaw == "trials":
-            extra = ["--max-trials", draw(st.sampled_from(["0", "-1", "1", "3"]))]
+        elif flaw == "trials" and verb == "det-cert":
+            extra += ["--max-trials", draw(st.sampled_from(["0", "-1", "1", "3"]))]
         elif flaw == "count":
             texts = texts[: draw(st.sampled_from([0, 1, 3, len(texts) - 1]))]
         elif flaw == "entry":
@@ -1247,7 +1325,7 @@ def test_mf_commands_always_end_in_an_envelope(capsys):
             texts[draw(st.integers(0, len(texts) - 1))] = draw(junk)
         if draw(st.booleans()) or any(t.startswith("--") for t in texts):
             texts = ["--", *texts]
-        return ["mf", verb, "--field", field, "--max-trials", "4", *extra, *texts]
+        return ["mf", verb, "--field", field, *extra, *texts]
 
     @hypothesis.given(argvs())
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)

@@ -109,6 +109,21 @@ def test_smallest_nonresidue():
         assert legendre(smallest_nonresidue(p), p) == -1
 
 
+def test_the_nonresidue_is_searched_once_per_prime(monkeypatch):
+    # Tonelli-Shanks (every p here is 1 mod 8) needs a nonresidue; the
+    # search for the smallest one runs once per prime, however many roots
+    calls = []
+    monkeypatch.setattr(fields, "legendre", lambda a, p: calls.append(p) or legendre(a, p))
+    smallest_nonresidue.cache_clear()
+    for p, nonresidue in ((41, 3), (73, 5), (97, 5)):
+        squares = sorted({r * r % p for r in range(1, p)}) * 5
+        calls.clear()
+        assert [sqrt_mod_p(a, p) ** 2 % p for a in squares] == squares
+        # one symbol per root, and one per candidate 2, ..., nonresidue of the one search
+        assert len(calls) == len(squares) + nonresidue - 1
+    assert smallest_nonresidue.cache_info().misses == 3
+
+
 def test_sqrt_mod_p_against_brute_force():
     # every residue class, compared with the smaller explicit root
     for p in (3, 13, 17, 29):

@@ -20,15 +20,20 @@ the polynomial determinants: ``ulrich normalize`` over q, qi and
 fp:101, ``cover transversal`` of cubics over fp:5 and fp:7 (d*d >= p),
 and ``quad pencil-det`` in 8 to 12 variables over the six fields.  Then
 one fixed call of every subcommand with ``--field fp:4`` and once with
-``--nvars 0``: the errors raised before any handler runs.  Then, from
+``--nvars 0``: the errors raised before any handler runs (``cover rh``
+and ``cover keem-counterexample`` have no ``--nvars``).  Then, from
 ``random.Random(3)``, ``quad diag`` and ``quad sop`` over the six fields
 on random quadrics, quadrics of known rank, forms with mixed terms only
 and fixed forms with a zero diagonal such as ``x*y + z*t``.  After them,
 from ``random.Random(4)``, the subcommands no earlier line runs to a
 result: ``cover split-check`` on forms with and without a witness,
 ``mf verify`` on Clifford matrices, tampered ones and a wrong quadric,
-``quad rank`` and ``cover rh``.  The script takes no options and
-clears ULRICH_FORGE_SEED, which would override every seed.
+``quad rank`` and ``cover rh``.  Last, one fixed call of every
+subcommand with each option it does not read (``--seed``, ``--nvars``,
+``--e-max`` or ``--max-trials``), which argparse refuses: such a usage
+error prints nothing to stdout and is recorded as exit 2.  The script
+takes no options and clears ULRICH_FORGE_SEED, which would override
+every seed.
 
 ``tests/replay_digests.txt`` freezes the first two columns, one line per
 argv; after a deliberate change to an envelope, regenerate it with
@@ -363,6 +368,34 @@ def _pre_handler_argvs():
     return [argv + flag for argv in SUBCOMMANDS for flag in (["--field", "fp:4"], ["--nvars", "0"])]
 
 
+# the options each subcommand does not read, and so refuses as a usage
+# error; fixed here rather than read from the CLI, so that every
+# checkout replays the same argvs
+UNREAD_OPTIONS = {
+    "quad rank": ("--seed", "--e-max", "--max-trials"),
+    "quad diag": ("--seed", "--e-max", "--max-trials"),
+    "quad sop": ("--seed", "--e-max", "--max-trials"),
+    "quad pencil-det": ("--seed", "--e-max", "--max-trials"),
+    "mf build": ("--seed", "--e-max", "--max-trials"),
+    "mf verify": ("--seed", "--e-max", "--max-trials"),
+    "mf det-cert": ("--e-max",),
+    "ulrich pipeline": ("--max-trials",),
+    "ulrich bounds": ("--max-trials",),
+    "ulrich normalize": ("--e-max",),
+    "hilbert value": ("--seed", "--e-max", "--max-trials"),
+    "smooth check": ("--max-trials",),
+    "cover rh": ("--seed", "--nvars", "--e-max", "--max-trials"),
+    "cover split-check": ("--seed", "--e-max", "--max-trials"),
+    "cover transversal": ("--e-max",),
+    "cover keem-counterexample": ("--nvars", "--e-max"),
+}
+
+
+def _unread_option_argvs():
+    """Every subcommand of ``SUBCOMMANDS`` with each option of ``UNREAD_OPTIONS``."""
+    return [argv + [option, "1"] for argv in SUBCOMMANDS for option in UNREAD_OPTIONS[" ".join(argv[:2])]]
+
+
 def corpus():
     """The argvs, in a fixed order."""
     rng = random.Random(0)
@@ -393,15 +426,24 @@ def corpus():
         for seed in range(3):
             argvs.append(["cover", "keem-counterexample", "--max-trials", "20", "--seed", str(seed), *field])
     return (
-        argvs + _build_argvs() + _determinant_argvs() + _pre_handler_argvs() + _quadform_argvs() + _untested_argvs()
+        argvs
+        + _build_argvs()
+        + _determinant_argvs()
+        + _pre_handler_argvs()
+        + _quadform_argvs()
+        + _untested_argvs()
+        + _unread_option_argvs()
     )
 
 
 def digest(argv):
-    """Exit code and sha256 of stdout of one argv, as "exit sha256"."""
+    """Exit code and sha256 of stdout of one argv, as "exit sha256"; a usage error argparse raises exits 2."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main(argv)
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
 
 

@@ -530,7 +530,12 @@ def _mark_texts(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser().parse_args(_mark_texts(argv))
+    args, unknown = _parser().parse_known_args(_mark_texts(argv))
+    if unknown:
+        # reported with the usage of the subcommand, which names the options it takes
+        group, verb = args.command.split(" ")
+        subcommand = _subcommands(_subcommands(_parser())[group])[verb]
+        subcommand.error(f"unrecognized arguments: {' '.join(unknown)}")
     env_seed = os.environ.get("ULRICH_FORGE_SEED")
     if env_seed is not None:
         try:

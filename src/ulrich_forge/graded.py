@@ -44,13 +44,22 @@ proved smooth by its square instead of the 336 x 220 full matrix.
 
 The rank of a Macaulay matrix is exact in every field and is finished
 over a finite field where it can: always over fp and fp2, and over q a
-smooth F gives a full rank modulo a word-size prime, which already is
+smooth F gives a full rank modulo the check prime, which already is
 the rational rank, so smoothness over q is certified there; only a
 singular F goes on to Bareiss elimination over the integers.  That rule
 lives in ``linalg._rank_raw``, which takes the rows as built here:
 ``_macaulay_rows`` maps each row gamma * g from the columns of
-gamma * x^a to g's raw coefficients, and the square check reads the
-image rank alone, ``linalg._prime_rank``.  Monomials are coded as
+gamma * x^a to g's raw coefficients.  The square is built on the image
+of F over a finite field and ranked there alone (``linalg._prime_rank``):
+over fp and fp2 the image is F itself, and over q and qi it is F mod
+the check prime, in ``linalg._IMAGE_FIELD``, taken once from F's
+coefficients through ``linalg._residue_rows`` (``_image_system``).
+Reduction commutes with the derivative, so the square of the image's
+partials is the image of the exact square, and a full rank proves
+smoothness with no exact partial built.  The exact partials are built
+only when the image decides nothing: it is undefined (the prime divides
+a denominator), it has fewer than n+1 nonzero partials, or its square
+falls short.  Monomials are coded as
 integers in base e + 1 (``poly._code``), so the code of gamma * x^a is
 the sum of the codes and its column is one dict lookup; the column map
 and the multipliers gamma are cached per shape (variables, degree e,
@@ -70,8 +79,8 @@ from functools import lru_cache
 from math import comb
 
 from .fields import GAUSSIAN, RATIONAL
-from .linalg import _prime_rank, _rank_raw
-from .poly import _code, _strides, monomials_of_degree
+from .linalg import _IMAGE_FIELD, _prime_rank, _rank_raw, _residue_rows
+from .poly import Poly, _code, _strides, monomials_of_degree
 
 YES = "yes"
 NO = "no"
@@ -279,6 +288,22 @@ def jacobian_system(f):
     return GradedSystem([g for g in f.gradient() if g])
 
 
+def _image_system(f):
+    """The partials of f's image in ``linalg._IMAGE_FIELD``, f over q or qi; or None.
+
+    The image is taken once, coefficient by coefficient, through
+    ``linalg._residue_rows``, and differentiated there: reduction
+    commutes with the derivative.  None when the image is undefined (a
+    denominator divisible by the prime) or has fewer than n+1 nonzero
+    partials.
+    """
+    image = _residue_rows([f.raw], f.field)
+    if image is None:
+        return None
+    partials = [g for g in Poly._make(_IMAGE_FIELD, f.nvars, image[0]).gradient() if g]
+    return GradedSystem(partials) if len(partials) == f.nvars else None
+
+
 def is_smooth_hypersurface(f, e_max=None, seed=0):
     """Decide smoothness of the projective hypersurface f = 0.
 
@@ -288,15 +313,18 @@ def is_smooth_hypersurface(f, e_max=None, seed=0):
     point search finds one).  Passing a smaller e_max can only return
     smooth or inconclusive.
 
-    From the socle bound on, with all n+1 partials present, the square
-    Macaulay submatrix is ranked first over a finite field: a full rank
-    there proves the Hilbert value 0, as any full-rank subset of the
-    rows does, and so proves smoothness.  The variables whose pure power
-    x_i^D is missing from f go last in the square's order: its
+    From the socle bound on, the square Macaulay submatrix of the
+    partials of f's image over a finite field (f itself over fp and fp2,
+    f mod the check prime over q and qi) is ranked first, when all n+1 of
+    them are present: a full rank there proves the Hilbert value 0, as
+    any full-rank subset of the rows does, and so proves smoothness.
+    The variables whose pure power x_i^D is missing from f go last in
+    the square's order (taken from f, never from its image): its
     extraneous minor holds no multiple of the last partial, so a missing
     pure power there cannot make it vanish.  A deficiency decides nothing
-    (the extraneous minor, or over q and qi the prime, may be to blame);
-    then the full Macaulay matrix decides, as ``hilbert_value``.
+    (the extraneous minor, or over q and qi the prime, may be to blame),
+    nor does a missing image; then the full Macaulay matrix of the exact
+    partials decides, as ``hilbert_value``.
     """
     if f.is_zero or not f.is_homogeneous():
         raise ValueError("need a nonzero homogeneous polynomial")
@@ -314,17 +342,22 @@ def is_smooth_hypersurface(f, e_max=None, seed=0):
         return SmoothnessResult(SMOOTH)
     bound = f.nvars * (degree - 2) + 1
     e_used = bound if e_max is None else e_max
-    system = jacobian_system(f)
+    # over fp and fp2 f is its own image, and its partials serve both routes
+    system = jacobian_system(f) if f.field.p else None
+    if e_used >= bound:
+        image = _image_system(f) if system is None else system
+        if image is not None and len(image) == f.nvars:
+            width = graded_dimension(f.nvars, e_used)
+            square = _macaulay_rows(image, e_used, _square_order(f))
+            if _prime_rank(square, image.field, width) == width:
+                return SmoothnessResult(SMOOTH, e_used=e_used)
+    if system is None:
+        system = jacobian_system(f)
     if len(system) < f.nvars:
         # fewer than n+1 forms always share a projective zero, so a
         # vanishing partial derivative already forces a singular point
         witness = find_projective_zero(system, seed=seed, trials=200)
         return SmoothnessResult(SINGULAR, witness=witness)
-    if e_used >= bound:
-        width = graded_dimension(f.nvars, e_used)
-        square = _macaulay_rows(system, e_used, _square_order(f))
-        if _prime_rank(square, f.field, width) == width:
-            return SmoothnessResult(SMOOTH, e_used=e_used)
     value = hilbert_value(system, e_used)
     if value == 0:
         return SmoothnessResult(SMOOTH, e_used=e_used)

@@ -4,16 +4,19 @@ Four elimination kernels do all the work:
 
 - ``_rank_mod_p``, elimination mod a prime on packed rows, takes every
   fp and fp2 rank, and the first try over q and qi, whose rows are
-  reduced mod the word-size prime _CHECK_PRIME (i goes to a square root
-  of -1 there); a nonzero minor mod the prime lifts, so a full rank mod
-  the prime is the exact rank.  Each sparse row of residues is packed
-  into one integer, a slot of 64-bit words per column from its leading
-  column on, so a row update is one multiply-add of integers, reduced
-  mod p only when the row becomes a pivot (delayed reduction, as in
-  Dumas-Fousse-Salvy 2011); the pivot of each column is the row that
-  ends first, which limits fill-in.  ``_residue_rows`` alone maps raw
-  rows to their images (``resultants`` reads its one row through it),
-  and ``_prime_rank`` alone ranks them: every fp2 matrix is realified
+  reduced mod the prime _CHECK_PRIME = 2^26 - 27 (i goes to a square
+  root of -1 there); a nonzero minor mod the prime lifts, so a full rank
+  mod the prime is the exact rank.  Each sparse row of residues is
+  packed into one integer, a slot of 64-bit words per column from its
+  leading column on, so a row update is one multiply-add of integers,
+  reduced mod p only when the row becomes a pivot (delayed reduction, as
+  in Dumas-Fousse-Salvy 2011); the pivot of each column is the row that
+  ends first, which limits fill-in.  The check prime keeps every slot at
+  one word up to width 4096; a prime near 2^31 needs two past width 4.
+  ``_residue_rows`` alone maps raw values to their images in
+  _IMAGE_FIELD, the field of the check prime (``resultants`` reads its
+  one row through it, and ``graded`` the coefficients of a form), and
+  ``_prime_rank`` alone ranks them: every fp2 matrix is realified
   there, ranked over F_p at twice the size.  No routine here descends
   from an extension to its base field: a matrix is ranked in the field
   it is given in.
@@ -56,13 +59,16 @@ from heapq import heapify, heappop, heappush
 from math import isqrt, lcm
 from struct import pack, unpack
 
-from .fields import GAUSSIAN, PRIME_QUADRATIC, sqrt_mod_p
+from .fields import GAUSSIAN, PRIME_QUADRATIC, FieldSpec, sqrt_mod_p
 from .poly import Poly, _code, _decode, _strides
 
-# Word-size prime for the mod-p-first rank over q and qi; it is 1 mod 4,
-# so i maps to the square root _I of -1 there.
-_CHECK_PRIME = 2**31 - 19
+# Prime of the mod-p-first rank over q and qi, and _IMAGE_FIELD its
+# field.  It is 1 mod 4, so i maps to the square root _I of -1 there, and
+# the largest such prime with P + 4096 * (P - 1)^2 < 2^64: _rank_mod_p
+# packs its residues in one 64-bit word per slot up to width 4096.
+_CHECK_PRIME = 2**26 - 27
 _I = sqrt_mod_p(-1, _CHECK_PRIME)
+_IMAGE_FIELD = FieldSpec.prime(_CHECK_PRIME)
 
 # the packed rows of _rank_mod_p are read and written as 64-bit words
 _WORD = 2**64 - 1

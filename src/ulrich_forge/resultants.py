@@ -19,8 +19,9 @@ two chart polynomials, whose 2d x 2d determinant over K[y] is taken by
 coefficients decides squarefreeness.
 
 Over q and qi that gcd runs mod the prime P = ``linalg._CHECK_PRIME``
-first, on the image that ``linalg._residue_rows`` gives of the
-coefficients as one sparse row (i goes to a square root of -1 mod P).
+first, in ``linalg._IMAGE_FIELD``, on the image that
+``linalg._residue_rows`` gives of the coefficients as one sparse row (i
+goes to a square root of -1 mod P).
 A squarefree image of full degree proves the polynomial squarefree (see
 ``_squarefree``); any other image leaves the decision to Euclid on the
 exact coefficients, so no answer depends on the prime.
@@ -32,15 +33,12 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .fields import GAUSSIAN, RATIONAL, FieldSpec
-from .linalg import _CHECK_PRIME, _residue_rows, det, poly_matrix_det
+from .fields import GAUSSIAN, RATIONAL
+from .linalg import _IMAGE_FIELD, _residue_rows, det, poly_matrix_det
 from .poly import Poly
 
 TRANSVERSAL = "transversal"
 FAILED = "failed"
-
-# the prime field of the mod-P-first squarefree test over q and qi
-_IMAGE_FIELD = FieldSpec.prime(_CHECK_PRIME)
 
 
 def _coefficients_in(f, var):

@@ -793,6 +793,23 @@ def test_file_is_refused_where_no_text_is_read(capsys, argv, flag):
     assert f"unrecognized arguments: {flag} /nonexistent.txt" in err
 
 
+@pytest.mark.parametrize(
+    "argv, usage, unknown",
+    [
+        (["quad", "sop", "x*y", "--seed", "7"], "quad sop", "--seed 7"),
+        (["cover", "rh", "--h", "1", "--d", "3", "--bogus"], "cover rh", "--bogus"),
+        # an unknown option before the group is still the subcommand's error
+        (["--bogus", "smooth", "check", "x^3 + y^3 + z^3"], "smooth check", "--bogus"),
+    ],
+)
+def test_unknown_option_shows_the_usage_of_its_subcommand(capsys, argv, usage, unknown):
+    code, out, err = _call(capsys, argv)
+    assert (code, out) == (2, "")
+    # the subcommand's usage names the options it takes, the root's only the groups
+    assert err.startswith(f"usage: ulrich-forge {usage} [-h] [--field FIELD]")
+    assert err.endswith(f"ulrich-forge {usage}: error: unrecognized arguments: {unknown}\n")
+
+
 def test_output_is_byte_identical_across_runs(capsys):
     argv = ["ulrich", "pipeline", "x^4 + y^4 + z^4", "--field", "fp:13", "--seed", "3"]
     main(argv)

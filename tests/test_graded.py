@@ -23,7 +23,7 @@ from ulrich_forge import (
     random_homogeneous,
 )
 from ulrich_forge.graded import INCONCLUSIVE, NO, SINGULAR, SMOOTH, YES, find_projective_zero
-from ulrich_forge.linalg import _CHECK_PRIME, _I, _prime_rank, _rank_raw, _residue_rows
+from ulrich_forge.linalg import _CHECK_PRIME, _I, _IMAGE_FIELD, _prime_rank, _rank_raw, _residue_rows
 from ulrich_forge.poly import monomials_of_degree
 
 from oracles import macaulay_rows, rank_in_extension
@@ -374,6 +374,117 @@ def test_surface_missing_one_pure_power_is_proved_by_the_square(q, monkeypatch):
     assert elapsed < 0.5, f"quartic surface over q took {elapsed:.2f}s"
     # independent check: the full Macaulay matrix at the socle bound
     assert hilbert_value(jacobian_system(f), 9) == 0
+
+
+def _exact_route(f):
+    """Smoothness from the full Macaulay matrix ranked densely in f's field: (verdict, witness, e_used).
+
+    No prime enters: the reference for the image-first square.
+    """
+    system = jacobian_system(f)
+    e = f.nvars * (f.homogeneous_degree() - 2) + 1
+    dense = [[f.field.arith.box(v) for v in row] for row in macaulay_rows(system, e)]
+    if rank_in_extension(dense, f.field) == graded_dimension(f.nvars, e):
+        return SMOOTH, None, e
+    return SINGULAR, find_projective_zero(system, seed=0, trials=200), e
+
+
+def _hand_over_form(field, text):
+    """The form of a text, or one of the two singular forms built by products."""
+    x, y, z = (parse_poly(v, field, nvars=3) for v in "xyz")
+    if text == "singular at (1, 1, 1)":
+        # in the square of the ideal (x - y, y - z)
+        return (x - y) ** 4 + (y - z) ** 2 * (x * x + y * y + z * z)
+    if text == "singular at (i, 1, 0)":
+        i = field.scalar(0, 1)
+        return (x - i * y) ** 2 * (x * x + y * y) + i * z**4
+    return parse_poly(text, field, nvars=3)
+
+
+# a + b*i with a = -_I vanishes mod P, as P itself does over q
+_VANISHING_I = f"({-_I}+i)"
+
+_HAND_OVERS = [
+    # a denominator divisible by P: the image is undefined
+    ("q", f"1/{_CHECK_PRIME}*x^4 + y^4 + z^4", "no image", SMOOTH),
+    ("qi", f"1/{_CHECK_PRIME}*x^4 + (2+i)*y^4 + z^4", "no image", SMOOTH),
+    # x^4's coefficient vanishes mod P only, and with it the image's x partial
+    ("q", f"{_CHECK_PRIME}*x^4 + y^4 + z^4", "no image", SMOOTH),
+    ("qi", f"{_VANISHING_I}*x^4 + (i)*y^4 + z^4", "no image", SMOOTH),
+    # the pure power x^4 vanishes mod P and the x partial lives on: the
+    # square's order comes from F, so x goes first and the image falls short
+    ("q", f"{_CHECK_PRIME}*x^4 + x^3*y + y^4 + z^4", "short", SMOOTH),
+    ("qi", f"{_VANISHING_I}*x^4 + (1+i)*x^3*y + y^4 + (i)*z^4", "short", SMOOTH),
+    # singular, with a rational witness
+    ("q", "singular at (1, 1, 1)", "short", SINGULAR),
+    ("qi", "singular at (1, 1, 1)", "short", SINGULAR),
+    # imaginary coefficients, singular at a point the witness search does not try
+    ("qi", "singular at (i, 1, 0)", "short", SINGULAR),
+]
+
+
+@pytest.mark.parametrize("spec, text, hand_over, verdict", _HAND_OVERS)
+def test_image_square_hands_over_to_the_exact_route(spec, text, hand_over, verdict, monkeypatch):
+    field = FieldSpec.parse(spec)
+    f = _hand_over_form(field, text)
+    image = graded._image_system(f)
+    if hand_over == "no image":
+        assert image is None
+    else:
+        width = graded_dimension(3, 7)
+        square = graded._macaulay_rows(image, 7, graded._square_order(f))
+        assert image.field is _IMAGE_FIELD
+        assert _prime_rank(square, _IMAGE_FIELD, width) < width
+    calls = _count_hilbert_calls(monkeypatch)
+    res = is_smooth_hypersurface(f)
+    # the full matrix decides, once
+    assert len(calls) == 1
+    assert (res.verdict, res.witness, res.e_used) == _exact_route(f)
+    assert res.verdict == verdict
+    if text == "singular at (1, 1, 1)":
+        assert res.witness is not None and not f.evaluate(res.witness)
+
+
+@pytest.mark.parametrize("spec", ["q", "qi"])
+def test_full_image_square_builds_no_exact_partials(spec, monkeypatch):
+    field = FieldSpec.parse(spec)
+    rng = random.Random(23)
+    forms = [random_homogeneous(field, 3, degree, rng, span=3) for degree in (4, 6)]
+    forms.append(random_homogeneous(field, 4, 4, rng, span=2))
+    if field.kind == "qi":
+        forms.append(parse_poly("(1+2i)*x^4 + (i)*y^4 + z^4 + x*y*z^2", field))
+    # dense elimination over q and qi is slow past the quartic
+    reference = _exact_route(forms[0])
+    jacobians, gradients = [], []
+    exact, gradient = graded.jacobian_system, Poly.gradient
+    monkeypatch.setattr(graded, "jacobian_system", lambda f: jacobians.append(f) or exact(f))
+    monkeypatch.setattr(Poly, "gradient", lambda f: gradients.append(f.field) or gradient(f))
+    results = []
+    for f in forms:
+        gradients.clear()
+        results.append(is_smooth_hypersurface(f))
+        # one gradient, of the image in the check prime's field
+        assert gradients == [_IMAGE_FIELD]
+    assert jacobians == []
+    assert (results[0].verdict, results[0].witness, results[0].e_used) == reference
+    assert all(r.verdict == SMOOTH for r in results)
+
+
+@pytest.mark.parametrize("spec", ["fp:101", "fp2:101"])
+def test_finite_field_form_is_its_own_image(spec, monkeypatch):
+    field = FieldSpec.parse(spec)
+    rng = random.Random(41)
+    # seed 41 draws a quartic over fp:101 whose square falls short
+    forms = [random_homogeneous(field, 3, 4, rng), _singular_plane_form(field, 4, rng, True)]
+    references = [_exact_route(f) for f in forms]
+    gradients, gradient = [], Poly.gradient
+    monkeypatch.setattr(Poly, "gradient", lambda f: gradients.append(f.field) or gradient(f))
+    for f, reference in zip(forms, references):
+        gradients.clear()
+        res = is_smooth_hypersurface(f)
+        assert (res.verdict, res.witness, res.e_used) == reference
+        # one gradient, which the square and the full matrix share
+        assert gradients == [field]
 
 
 def _sparse(dense, field):

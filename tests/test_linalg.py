@@ -771,7 +771,8 @@ def test_sparse_kernel_matches_dense_reference():
 
 # -- the packed mod-p kernel against sympy -----------------------------------
 
-_KERNEL_PRIMES = (7, 101, 32003, P)
+# 2^31 - 19 keeps the two-word slots under test: its slots need two words past width 4
+_KERNEL_PRIMES = (7, 101, 32003, P, 2**31 - 19)
 
 
 def _sympy_rank_mod_p(rows, p, width):
@@ -813,8 +814,20 @@ def test_rank_kernel_worst_case_growth_matches_sympy(p):
     for width in (2, 5, 40, 250):
         rows = _growth_rows(p, width)
         assert _kernel_rank(rows, p, width) == _sympy_rank_mod_p(rows, p, width) == width - 1
-    # two-word slots: the last slot's sum passes 2^64 mod the check prime
-    assert 249 * (P - 1) ** 2 > 2**64 > 249 * (32003 - 1) ** 2
+    # two-word slots: the last slot's sum passes 2^64 mod 2^31 - 19
+    assert 249 * (2**31 - 19 - 1) ** 2 > 2**64 > 249 * (32003 - 1) ** 2
+
+
+def test_check_prime_packs_one_word_per_slot_up_to_width_4096():
+    sympy = pytest.importorskip("sympy")
+    # 1 mod 4, so i has an image; every slot of a 4096-wide matrix fits one word
+    assert sympy.isprime(P) and P % 4 == 1 and linalg._I**2 % P == P - 1
+    assert P + 4096 * (P - 1) ** 2 < 2**64
+    # and the largest such prime: every larger one overflows the word or is 3 mod 4
+    q = sympy.nextprime(P)
+    while q + 4096 * (q - 1) ** 2 < 2**64:
+        assert q % 4 == 3
+        q = sympy.nextprime(q)
 
 
 def _low_rank_rows(rng, p, m, n, density):

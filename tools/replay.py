@@ -28,10 +28,13 @@ and fixed forms with a zero diagonal such as ``x*y + z*t``.  After them,
 from ``random.Random(4)``, the subcommands no earlier line runs to a
 result: ``cover split-check`` on forms with and without a witness,
 ``mf verify`` on Clifford matrices, tampered ones and a wrong quadric,
-``quad rank`` and ``cover rh``.  Last, one fixed call of every
+``quad rank`` and ``cover rh``.  Then one fixed call of every
 subcommand with each option it does not read (``--seed``, ``--nvars``,
 ``--e-max`` or ``--max-trials``), which argparse refuses: such a usage
-error prints nothing to stdout and is recorded as exit 2.  The script
+error prints nothing to stdout and is recorded as exit 2.  Last,
+``smooth check`` and ``ulrich normalize`` over q and qi on fixed forms
+whose image mod the prime 2^26 - 27 is undefined, loses a partial or a
+pure power, or is singular, so that the exact route decides.  The script
 takes no options and clears ULRICH_FORGE_SEED, which would override
 every seed.
 
@@ -396,6 +399,71 @@ def _unread_option_argvs():
     return [argv + [option, "1"] for argv in SUBCOMMANDS for option in UNREAD_OPTIONS[" ".join(argv[:2])]]
 
 
+def _image_hand_over_argvs():
+    """``smooth check`` and ``ulrich normalize`` over q and qi on forms whose image mod 2^26 - 27 decides nothing.
+
+    With P = 2^26 - 27 and j the residue with j*j = -1 mod P, the
+    coefficients 1/P, P and -j + i have no image mod P, or a zero one.
+    One form each has no image, loses its x partial, or loses the pure
+    power x^4 while its x partial lives on; then come singular forms, one
+    with a rational singular point and one singular at (i, 1, 0) only.
+    Each ``normalize`` line presents its first text as f1*g1 + f2*g2.
+    """
+    p, j = 67108837, 11846621
+    vanishing = f"(-{j}+i)"
+    rational_singular = (
+        "x^4 - 4*x^3*y + 7*x^2*y^2 - 2*x^2*y*z + x^2*z^2 - 4*x*y^3 + 2*y^4 - 2*y^3*z + 2*y^2*z^2 - 2*y*z^3 + z^4"
+    )
+    checks = [
+        ("q", f"1/{p}*x^4 + y^4 + z^4"),
+        ("qi", f"1/{p}*x^4 + (2+i)*y^4 + z^4"),
+        ("q", f"{p}*x^4 + y^4 + z^4"),
+        ("qi", f"{vanishing}*x^4 + (i)*y^4 + z^4"),
+        ("q", f"{p}*x^4 + x^3*y + y^4 + z^4"),
+        ("qi", f"{vanishing}*x^4 + (1+i)*x^3*y + y^4 + (i)*z^4"),
+        ("q", rational_singular),
+        ("qi", rational_singular),
+        ("qi", "x^4 + (-2i)*x^3*y + (-2i)*x*y^3 - y^4 + (i)*z^4"),
+    ]
+    normalizes = [
+        ("q", f"1/{p}*x^4 + x^2*y^2 + y^4 - z^4", "x^2", f"1/{p}*x^2 + y^2", "y^2 + z^2", "y^2 - z^2"),
+        (
+            "qi",
+            f"1/{p}*x^4 + (2+i)*x^2*y^2 + (i)*y^4 + (-1+i)*y^2*z^2 - z^4",
+            "x^2",
+            f"1/{p}*x^2 + (2+i)*y^2",
+            "y^2 + z^2",
+            "(i)*y^2 - z^2",
+        ),
+        ("q", f"{p}*x^4 + y^4 - z^4", "x^2", f"{p}*x^2", "y^2 + z^2", "y^2 - z^2"),
+        (
+            "qi",
+            f"{vanishing}*x^4 + (i)*y^4 + (-1+i)*y^2*z^2 - z^4",
+            "x^2",
+            f"{vanishing}*x^2",
+            "y^2 + z^2",
+            "(i)*y^2 - z^2",
+        ),
+        ("q", f"{p}*x^4 + x^3*y + y^4 - z^4", "x^2", f"{p}*x^2 + x*y", "y^2 + z^2", "y^2 - z^2"),
+        (
+            "qi",
+            f"{vanishing}*x^4 + (1+i)*x^3*y + y^4 + (1-i)*y^2*z^2 + (-i)*z^4",
+            "x^2",
+            f"{vanishing}*x^2 + (1+i)*x*y",
+            "y^2 + z^2",
+            "y^2 - (i)*z^2",
+        ),
+    ]
+    singular = ("x^4 - x^2*y^2 + x^2*z^2 + x*y^2*z - y^2*z^2 + y*z^3", "x^2 - y^2", "x^2 + z^2", "y*z", "x*y + z^2")
+    normalizes += [("q", *singular), ("qi", *singular)]
+    normalizes.append(
+        ("qi", "x^4 + (-2i)*x^3*y + (-2i)*x*y^3 - y^4 + (i)*z^4", "x^2 + (-2i)*x*y - y^2", "x^2 + y^2", "z^2", "(i)*z^2")
+    )
+    return [["smooth", "check", text, "--field", spec] for spec, text in checks] + [
+        ["ulrich", "normalize", *texts, "--field", spec] for spec, *texts in normalizes
+    ]
+
+
 def corpus():
     """The argvs, in a fixed order."""
     rng = random.Random(0)
@@ -433,6 +501,7 @@ def corpus():
         + _quadform_argvs()
         + _untested_argvs()
         + _unread_option_argvs()
+        + _image_hand_over_argvs()
     )
 
 

@@ -225,19 +225,17 @@ def _bounds_result(bounds):
     }
 
 
-def _veronese_map(args, F):
+def _veronese_map(F):
     if F.is_zero or not F.is_homogeneous():
         raise ValueError("need a nonzero homogeneous form")
     deg = F.homogeneous_degree()
-    if args.deg is not None and args.deg != deg:
-        raise ValueError(f"--deg {args.deg} does not match the form degree {deg}")
     if deg % 2:
         raise ValueError("form degree must be even")
     return VeroneseMap(F.nvars - 1, deg // 2)
 
 
 def _cmd_ulrich_pipeline(args, field, F):
-    vmap = _veronese_map(args, F)
+    vmap = _veronese_map(F)
     lift = lift_form(F, vmap)
     decomp = decompose_form(F, vmap, lift)
     mf, report = ulrich_presentation(F, decomp)
@@ -264,7 +262,7 @@ def _cmd_ulrich_pipeline(args, field, F):
 
 
 def _cmd_ulrich_bounds(args, field, F):
-    decomp = decompose_form(F, _veronese_map(args, F))
+    decomp = decompose_form(F, _veronese_map(F))
     bounds = rank_bounds(F, decomp, e_max=args.e_max, seed=args.seed)
     ok = _lower_check_ok(bounds.lower_check)
     return {
@@ -383,7 +381,6 @@ GROUPS = {
 _ONE_TEXT = {"expected": 1}
 _SEED = _option("--seed", type=int, default=0)
 _E_MAX = _option("--e-max", dest="e_max", type=int, default=None)
-_FORM_DEGREE = _option("--deg", type=int, default=None)
 
 COMMANDS = {
     "quad rank": Command(_cmd_quad_rank, _ONE_TEXT),
@@ -393,8 +390,8 @@ COMMANDS = {
     "mf build": Command(_cmd_mf_build, _ONE_TEXT),
     "mf verify": Command(_cmd_mf_verify, {"minimum": 2}),
     "mf det-cert": Command(_cmd_mf_det_cert, {"minimum": 2}, (_SEED,), budget=50),
-    "ulrich pipeline": Command(_cmd_ulrich_pipeline, _ONE_TEXT, (_FORM_DEGREE, _SEED, _E_MAX)),
-    "ulrich bounds": Command(_cmd_ulrich_bounds, _ONE_TEXT, (_FORM_DEGREE, _SEED, _E_MAX)),
+    "ulrich pipeline": Command(_cmd_ulrich_pipeline, _ONE_TEXT, (_SEED, _E_MAX)),
+    "ulrich bounds": Command(_cmd_ulrich_bounds, _ONE_TEXT, (_SEED, _E_MAX)),
     "ulrich normalize": Command(_cmd_ulrich_normalize, {"expected": 5, "floor_nvars": 3}, (_SEED,), budget=20),
     "hilbert value": Command(
         _cmd_hilbert_value, {"minimum": 1}, (_option("-e", "--degree", type=int, required=True),)

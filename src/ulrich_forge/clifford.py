@@ -110,14 +110,15 @@ class MatrixFactorization:
     built matrix holds it from its build, which proved its generic
     shape once and substituted exactly recombining pairs (see the
     module docstring), so the check never runs on it; it holds the sign
-    of its determinant from the build as well.  ``entries``
-    gives the matrix back as polynomials, computed on each read from
-    the same raw values.
+    of its determinant from the build as well.  ``source`` is the
+    decomposition a built matrix came from, and None for one read as
+    entries.  ``entries`` gives the matrix back as polynomials, computed
+    on each read from the same raw values.
     """
 
     __slots__ = ("field", "nvars", "size", "pencil", "quadric", "source", "_squares", "_sign")
 
-    def __init__(self, entries, quadric, source=None):
+    def __init__(self, entries, quadric):
         size = len(entries)
         if size == 0 or any(len(row) != size for row in entries):
             raise ValueError("entries must form a square matrix")
@@ -126,7 +127,7 @@ class MatrixFactorization:
         if any(e.field != field or e.nvars != nvars for e in flat):
             raise ValueError("entry from the wrong ring")
         positions = [((i, j, False),) for i in range(size) for j in range(size)]
-        self._set(size, _substituted(positions, [e.raw for e in flat], field.arith, size), quadric, source)
+        self._set(size, _substituted(positions, [e.raw for e in flat], field.arith, size), quadric, None)
 
     @classmethod
     def _from_pencil(cls, size, pencil, quadric, source, sign=None):

@@ -50,9 +50,9 @@ singular F goes on to Bareiss elimination over the integers.  That rule
 lives in ``linalg._rank_raw``, which takes the rows as built here:
 ``_macaulay_rows`` maps each row gamma * g from the columns of
 gamma * x^a to g's raw coefficients.  The square is built on the image
-of F over a finite field and ranked there alone (``linalg._prime_rank``):
-over fp and fp2 the image is F itself, and over q and qi it is F mod
-the check prime, in ``linalg._IMAGE_FIELD``, taken once from F's
+of F over a finite field, where ``_rank_raw`` is elimination mod p alone:
+over fp and fp2 the image is F itself, and over q and qi it is F mod the
+check prime, in ``linalg._IMAGE_FIELD``, taken once from F's
 coefficients through ``linalg._residue_rows`` (``_image_system``).
 Reduction commutes with the derivative, so the square of the image's
 partials is the image of the exact square, and a full rank proves
@@ -79,7 +79,7 @@ from functools import lru_cache
 from math import comb
 
 from .fields import GAUSSIAN, RATIONAL
-from .linalg import _IMAGE_FIELD, _prime_rank, _rank_raw, _residue_rows
+from .linalg import _IMAGE_FIELD, _rank_raw, _residue_rows
 from .poly import Poly, _code, _strides, monomials_of_degree
 
 YES = "yes"
@@ -210,21 +210,24 @@ class ZeroDimResult:
         return self.verdict == YES
 
 
+def _sweep(values, nvars, one):
+    """The points with coordinates in ``values`` whose first nonzero coordinate is one."""
+    return (p for p in itertools.product(values, repeat=nvars) if next((v for v in p if v), None) == one)
+
+
 def _candidate_points(field, nvars, rng, trials):
     one, zero = field.one, field.zero
     for i in range(nvars):
         yield tuple(one if j == i else zero for j in range(nvars))
     if field.kind in (RATIONAL, GAUSSIAN):
-        small = [field.from_int(v) for v in (0, 1, -1, 2, -2)]
         if nvars <= 4:
-            for combo in itertools.product(range(len(small)), repeat=nvars):
-                point = tuple(small[c] for c in combo)
-                nz = [v for v in point if v]
-                if not nz or nz[0] != one:
-                    continue
-                yield point
+            yield from _sweep([field.from_int(v) for v in (0, 1, -1, 2, -2)], nvars, one)
         for _ in range(trials):
             yield tuple(field.from_int(rng.randint(-6, 6)) for _ in range(nvars))
+        if field.kind == GAUSSIAN and nvars <= 4:
+            i = field.scalar(0, 1)
+            units = (zero, one, -one, i, -i)
+            yield from (p for p in _sweep(units, nvars, one) if i in p or -i in p)
     else:
         for _ in range(trials):
             yield tuple(field.random_scalar(rng) for _ in range(nvars))
@@ -234,8 +237,9 @@ def find_projective_zero(system, seed=0, trials=300):
     """A verified common projective zero of the system, or None.
 
     Candidates are the coordinate points, a small-height sweep over the
-    infinite fields, and seeded random points; every hit is confirmed
-    by exact evaluation, so a returned point is a genuine witness.
+    infinite fields, seeded random points and, over qi, points with
+    coordinates 0, +-1, +-i, not all real; every hit is confirmed by
+    exact evaluation, so a returned point is a genuine witness.
     """
     rng = random.Random(seed)
     gens = system.generators
@@ -309,7 +313,7 @@ def is_smooth_hypersurface(f, e_max=None, seed=0):
 
     The default evaluation degree is the socle bound (n+1)(D-2)+1; at
     that degree a nonzero Hilbert value certifies a singular point over
-    the algebraic closure (reported with a rational witness when the
+    the algebraic closure (reported with a witness in f's field when the
     point search finds one).  Passing a smaller e_max can only return
     smooth or inconclusive.
 
@@ -349,7 +353,7 @@ def is_smooth_hypersurface(f, e_max=None, seed=0):
         if image is not None and len(image) == f.nvars:
             width = graded_dimension(f.nvars, e_used)
             square = _macaulay_rows(image, e_used, _square_order(f))
-            if _prime_rank(square, image.field, width) == width:
+            if _rank_raw(square, image.field, width) == width:
                 return SmoothnessResult(SMOOTH, e_used=e_used)
     if system is None:
         system = jacobian_system(f)

@@ -194,18 +194,21 @@ class SumOfProducts:
     ``poly._recombines``, and raises ValueError when it fails; the
     instance is frozen and its pairs a tuple, so
     ``clifford.build_clifford_factorization`` can rest its proof on that
-    identity.  ``square_term_flag`` records an equal pair l = m coming
-    from an odd rank; the factory below places that pair last.
+    identity.  ``square_term_flag`` is read from the pairs: true exactly
+    when the last pair is a square (l, l), as an odd rank gives it.
     """
 
     pairs: tuple
-    square_term_flag: bool
     quadric: Poly
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple((l, m) for l, m in self.pairs))
         if not _recombines(self.pairs, self.quadric):
             raise ValueError("pairs do not recombine to the quadric")
+
+    @property
+    def square_term_flag(self):
+        return bool(self.pairs) and self.pairs[-1][0] == self.pairs[-1][1]
 
     @property
     def s(self):
@@ -250,12 +253,11 @@ def sum_of_products(record):
         (list(map(add, a, b)), [add(u, neg(v)) for u, v in zip(a, b)]) for a, b in zip(terms[0::2], terms[1::2])
     ]
     pairs = [(_linear_form(field, s), _linear_form(field, d)) for s, d in sums]
-    square = bool(len(terms) % 2)
-    if square:
+    if len(terms) % 2:
         last = _linear_form(field, terms[-1])
         pairs.append((last, last))
     try:
-        return SumOfProducts(tuple(pairs), square, quadric)
+        return SumOfProducts(tuple(pairs), quadric)
     except ValueError as exc:  # the pairing is at fault, not the input
         raise AssertionError("sum-of-products recombination failed") from exc
 

@@ -35,7 +35,7 @@ from itertools import accumulate
 
 from .fields import GAUSSIAN, RATIONAL
 from .linalg import _IMAGE_FIELD, _residue_rows, det, poly_matrix_det
-from .poly import Poly
+from .poly import Poly, _accumulate
 
 TRANSVERSAL = "transversal"
 FAILED = "failed"
@@ -150,10 +150,10 @@ def _dense_squarefree(coeffs, ar):
 
 
 def apply_linear_change(f, matrix):
-    """Substitute x_i -> sum_j matrix[i][j] x_j everywhere in f."""
-    n = f.nvars
+    """Substitute x_i -> sum_j matrix[i][j] x_j everywhere in f, summing into one raw map."""
+    n, ar = f.nvars, f.field.arith
     images = [Poly.linear_form(f.field, matrix[i]) for i in range(n)]
-    result = Poly.zero(f.field, n)
+    raw = {}
     caches = [{} for _ in range(n)]
     for exps, coeff in f.raw.items():
         term = Poly._make(f.field, n, {(0,) * n: coeff})
@@ -165,8 +165,8 @@ def apply_linear_change(f, matrix):
                     pe = images[i] ** e
                     cache[e] = pe
                 term = term * pe
-        result = result + term
-    return result
+        _accumulate(ar, raw, term.raw.items())
+    return Poly._make(f.field, n, raw)
 
 
 def _random_change(field, rng):

@@ -116,13 +116,13 @@ class FormDecomposition:
 
     ``square_term_flag`` records that the last pair is (l, l); the
     secant index r is one less than the number of summands.  The
-    ``certificates`` dict is the one mutable slot, used to attach
-    smoothness / transversality / zero-dimensionality results.
+    ``certificates`` dict, empty at construction, is the one mutable
+    slot, where ``normalize_plane_decomposition`` puts its results.
     """
 
     __slots__ = ("F", "summands", "square_term_flag", "certificates")
 
-    def __init__(self, F, summands, certificates=None):
+    def __init__(self, F, summands):
         summands = tuple((l, m) for l, m in summands)
         if not summands:
             raise ValueError("decomposition needs at least one summand")
@@ -142,7 +142,7 @@ class FormDecomposition:
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "square_term_flag", summands[-1][0] == summands[-1][1])
-        object.__setattr__(self, "certificates", dict(certificates or {}))
+        object.__setattr__(self, "certificates", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("FormDecomposition fields are fixed at construction")
@@ -367,8 +367,11 @@ def normalize_plane_decomposition(F, decomp, seed=0, max_trials=20):
     Searches scalars alpha then beta, smallest first (0, 1, -1, 2, ...),
     so that F = F_a * G_b + F_b * G_a with F_a and F_b smooth and
     (F_b, G_a) meeting transversally in d^2 distinct points.  Every
-    rewrite is an exact identity.  On exhausted trials the best attempt
-    comes back with certificates naming the check that failed.
+    rewrite is an exact identity.  One record holds the deepest attempt,
+    by the checks in order (input smoothness, first factor, second
+    factor, transversality): the summands it leaves, the check that
+    failed it (``failed_certificate``, None once all pass) and the
+    certificates it earned.
     """
     if F.nvars != 3:
         raise ValueError("normalization works with plane forms only")
@@ -381,17 +384,13 @@ def normalize_plane_decomposition(F, decomp, seed=0, max_trials=20):
     (f1, g1), (f2, g2) = decomp.summands
     rng = random.Random(seed)
     input_smooth = is_smooth_hypersurface(F)
-    if input_smooth.verdict != SMOOTH:
-        out = FormDecomposition(F, decomp.summands)
-        out.certificates.update(
-            input_smooth=input_smooth, failed_certificate="input smoothness"
-        )
-        return out
-
+    summands, failed, earned = decomp.summands, "input smoothness", {"input_smooth": input_smooth}
+    alphas = ()
+    if input_smooth.verdict == SMOOTH:
+        failed, alphas = "first factor smoothness", _scalar_candidates(F.field, rng, max_trials)
     # a smooth F_alpha can still dead-end (every F_beta through a singular
     # point of G_alpha), so exhausting beta moves on to the next alpha
-    best_depth, best = -1, {}
-    for _, alpha in zip(range(max_trials), _scalar_candidates(F.field, rng, max_trials)):
+    for _, alpha in zip(range(max_trials), alphas):
         f_alpha = f1 + f2.scale(alpha)
         if f_alpha.is_zero:
             continue
@@ -399,12 +398,9 @@ def normalize_plane_decomposition(F, decomp, seed=0, max_trials=20):
         if first_smooth.verdict != SMOOTH:
             continue
         g_alpha = g2 - g1.scale(alpha)
-        if best_depth < 1:
-            best_depth, best = 1, dict(
-                alpha=alpha, f_alpha=f_alpha, g_alpha=g_alpha,
-                first_factor_smooth=first_smooth,
-                failed_certificate="second factor smoothness",
-            )
+        if failed == "first factor smoothness":
+            summands, failed = ((f_alpha, g1), (f2, g_alpha)), "second factor smoothness"
+            earned.update(alpha=alpha, first_factor_smooth=first_smooth)
         for _, beta in zip(range(max_trials), _scalar_candidates(F.field, rng, max_trials)):
             f_beta = f2 + f_alpha.scale(beta)
             if f_beta.is_zero:
@@ -413,41 +409,19 @@ def normalize_plane_decomposition(F, decomp, seed=0, max_trials=20):
             if second_smooth.verdict != SMOOTH:
                 continue
             cross = certify_transversal(f_beta, g_alpha, seed=seed)
-            if cross.verdict != TRANSVERSAL:
-                if best_depth < 2:
-                    best_depth, best = 2, dict(
-                        alpha=alpha, f_alpha=f_alpha, g_alpha=g_alpha,
-                        first_factor_smooth=first_smooth,
-                        second_factor_smooth=second_smooth,
-                        transversality=cross,
-                        failed_certificate="transversality",
-                    )
+            if cross.verdict != TRANSVERSAL and failed != "second factor smoothness":
                 continue
-            g_beta = g1 - g_alpha.scale(beta)
-            out = FormDecomposition(F, ((f_alpha, g_beta), (f_beta, g_alpha)))
-            out.certificates.update(
-                input_smooth=input_smooth,
-                first_factor_smooth=first_smooth,
-                second_factor_smooth=second_smooth,
-                transversality=cross,
-                alpha=alpha,
-                beta=beta,
-                failed_certificate=None,
+            earned.update(
+                alpha=alpha, first_factor_smooth=first_smooth, second_factor_smooth=second_smooth, transversality=cross
             )
-            return out
-
-    if best_depth < 1:
-        out = FormDecomposition(F, decomp.summands)
-        out.certificates.update(
-            input_smooth=input_smooth, failed_certificate="first factor smoothness"
-        )
-        return out
-    out = FormDecomposition(
-        F, ((best["f_alpha"], g1), (f2, best["g_alpha"]))
-    )
-    out.certificates.update(input_smooth=input_smooth)
-    out.certificates.update(
-        (k, v) for k, v in best.items() if k not in ("f_alpha", "g_alpha")
-    )
+            if cross.verdict != TRANSVERSAL:
+                summands, failed = ((f_alpha, g1), (f2, g_alpha)), "transversality"
+                continue
+            summands, failed = ((f_alpha, g1 - g_alpha.scale(beta)), (f_beta, g_alpha)), None
+            earned["beta"] = beta
+            break
+        if failed is None:
+            break
+    out = FormDecomposition(F, summands)
+    out.certificates.update(earned, failed_certificate=failed)
     return out
-

@@ -384,12 +384,11 @@ def test_ulrich_pipeline_rejects_odd_degree(capsys):
     assert "even" in payload["error"]
 
 
-def test_ulrich_pipeline_deg_flag_must_match(capsys):
-    code, payload = _run(
-        capsys,
-        ["ulrich", "pipeline", "x^4 + y^4 + z^4", "--field", "fp:13", "--deg", "2"],
-    )
-    assert code == 2
+def test_ulrich_pipeline_and_bounds_refuse_a_deg_flag(capsys):
+    # the degree is read from the form, so --deg, matching it or not, is refused
+    for verb in ("pipeline", "bounds"):
+        for deg in ("2", "4"):
+            _refused(capsys, ["ulrich", verb, "x^4 + y^4 + z^4", "--field", "fp:13", "--deg", deg], "--deg")
 
 
 def test_ulrich_pipeline_extension_needed_is_exit_one(capsys):
@@ -410,7 +409,7 @@ def test_ulrich_bounds(capsys):
 def test_pipeline_decides_smoothness_in_the_input_field(capsys, monkeypatch):
     # the branch form is ranked in its own field, fp:101, though its
     # decomposition lives in fp2:101; only genuine fp2 matrices reach fp2
-    from ulrich_forge import graded, linalg
+    from ulrich_forge import linalg
     from ulrich_forge.graded import graded_dimension
 
     calls, original = [], linalg._prime_rank
@@ -420,8 +419,7 @@ def test_pipeline_decides_smoothness_in_the_input_field(capsys, monkeypatch):
         calls.append((str(field), width, genuine))
         return original(rows, field, width)
 
-    for module in (linalg, graded):
-        monkeypatch.setattr(module, "_prime_rank", spying)
+    monkeypatch.setattr(linalg, "_prime_rank", spying)
     field, form = GOLDEN_PLANE_FORMS[0][:2]
     code, payload = _run(capsys, ["ulrich", "pipeline", "--field", field, form])
     assert code == 0
@@ -915,6 +913,9 @@ _READS = {
     "--max-trials": set(_BUDGETED),
     # every subcommand that reads polynomial texts
     "--nvars": {" ".join(argv[:2]) for argv in _EVERY_SUBCOMMAND} - {"cover rh", "cover keem-counterexample"},
+    # the degree of a form is read from the form; argparse takes --deg
+    # for an abbreviation of hilbert value's --degree
+    "--deg": {"hilbert value"},
 }
 _READS["--file"] = _READS["--nvars"]
 

@@ -103,12 +103,12 @@ def test_build_rejects_bad_pairs(q):
     quad = x * x
     with pytest.raises(ValueError):
         build_clifford_factorization(
-            SumOfProducts(((x, Poly.zero(q, 2)),), False, quad)
+            SumOfProducts(((x, Poly.zero(q, 2)),), quad)
         )
     with pytest.raises(ValueError):
-        build_clifford_factorization(SumOfProducts(((x * x, x),), False, quad * x))
+        build_clifford_factorization(SumOfProducts(((x * x, x),), quad * x))
     with pytest.raises(ValueError):
-        build_clifford_factorization(SumOfProducts((), False, quad))
+        build_clifford_factorization(SumOfProducts((), quad))
 
 
 def test_build_checks_its_own_output(q):
@@ -117,9 +117,9 @@ def test_build_checks_its_own_output(q):
     # build's proof rests on sum(l_i * m_i) = quadric
     x, y = Poly.variable(q, 2, 0), Poly.variable(q, 2, 1)
     with pytest.raises(ValueError, match="recombine"):
-        SumOfProducts(((x, y),), False, x * x)
+        SumOfProducts(((x, y),), x * x)
     pairs = [(x, y)]
-    sop = SumOfProducts(pairs, False, x * y)
+    sop = SumOfProducts(pairs, x * y)
     pairs.append((x, x))
     assert sop.pairs == ((x, y),)
     with pytest.raises(AttributeError):
@@ -253,7 +253,7 @@ def _random_sop(field, nvars, pairs, rng):
     quadric = Poly.zero(field, nvars)
     for l, m in chosen:
         quadric = quadric + l * m
-    return SumOfProducts(chosen, False, quadric)
+    return SumOfProducts(chosen, quadric)
 
 
 def test_entries_match_the_polynomial_block_recursion():
@@ -473,7 +473,7 @@ def test_a_proof_keeps_the_skip_budget_of_the_requested_trials(q):
     # sign holds, and its shape's sign is not reported
     zero = Poly.zero(q, 2)
     x, y = parse_poly("x", q, nvars=2), parse_poly("y", q, nvars=2)
-    cancelled = build_clifford_factorization(SumOfProducts(((x, y), (x, -y)), False, zero))
+    cancelled = build_clifford_factorization(SumOfProducts(((x, y), (x, -y)), zero))
     reason = "no sample point had q nonzero"
     for mf in (MatrixFactorization([[zero, zero], [zero, zero]], zero), cancelled):
         assert squares_to_quadric(mf)
@@ -570,7 +570,7 @@ def test_built_matrices_match_the_independent_oracles(spec):
         pairs = distinct_pairs(4, 1, s)
         l = form(4, 1)
         for chosen in (pairs, pairs[:-1] + [(l, l)]):
-            sop = SumOfProducts(chosen, chosen[-1][0] == chosen[-1][1], total(chosen))
+            sop = SumOfProducts(chosen, total(chosen))
             mf = build_clifford_factorization(sop)
             assert mf.size == 2**s and squares_to_quadric(mf)
             assert mf.entries == clifford_entries(sop.pairs)
@@ -660,7 +660,7 @@ def test_built_certificates_carry_the_shape_sign(monkeypatch, spec):
     for s in range(1, 6):
         pairs = [(form(4, 1), form(4, 1)) for _ in range(s)]
         quadric = sum((l * m for l, m in pairs), Poly.zero(field, 4))
-        built.append(build_clifford_factorization(SumOfProducts(pairs, False, quadric)))
+        built.append(build_clifford_factorization(SumOfProducts(pairs, quadric)))
         built.append(presentation(pairs, form(4, 1)))
     quartic_a = presentation([(form(3, 2), form(3, 2)) for _ in range(3)])
     quartic_b = presentation([(form(3, 2), form(3, 2)) for _ in range(2)], form(3, 2))

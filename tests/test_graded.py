@@ -418,7 +418,8 @@ _HAND_OVERS = [
     # singular, with a rational witness
     ("q", "singular at (1, 1, 1)", "short", SINGULAR),
     ("qi", "singular at (1, 1, 1)", "short", SINGULAR),
-    # imaginary coefficients, singular at a point the witness search does not try
+    # imaginary coefficients, singular at (i, 1, 0) only: the witness search
+    # finds it among its Gaussian points, as (1, -i, 0)
     ("qi", "singular at (i, 1, 0)", "short", SINGULAR),
 ]
 
@@ -441,8 +442,11 @@ def test_image_square_hands_over_to_the_exact_route(spec, text, hand_over, verdi
     assert len(calls) == 1
     assert (res.verdict, res.witness, res.e_used) == _exact_route(f)
     assert res.verdict == verdict
-    if text == "singular at (1, 1, 1)":
-        assert res.witness is not None and not f.evaluate(res.witness)
+    if verdict == SINGULAR:
+        assert res.witness is not None
+        assert all(not g.evaluate(res.witness) for g in f.gradient())
+    if text == "singular at (i, 1, 0)":
+        assert [str(c) for c in res.witness] == ["1", "-i", "0"]
 
 
 @pytest.mark.parametrize("spec", ["q", "qi"])

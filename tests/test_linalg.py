@@ -968,10 +968,20 @@ def test_dense_routines_match_oracles(spec, monkeypatch):
 
 
 def test_only_linalg_names_its_elimination_kernels():
-    # the choice of an exact elimination routine is made in linalg alone:
-    # no other module imports or names the kernels, the lift to integers,
-    # the way back or the choice between the Bareiss kernels
-    private = {"_bareiss", "_bareiss_quadratic", "_eliminate", "_lifted", "_dropped", "_fraction_free"}
+    # the choice of an elimination routine is made in linalg alone: no
+    # other module imports or names the kernels, the lift to integers,
+    # the way back, the choice between the Bareiss kernels or the rank
+    # of an image mod a prime; every other module ranks through _rank_raw
+    private = {
+        "_bareiss",
+        "_bareiss_quadratic",
+        "_eliminate",
+        "_lifted",
+        "_dropped",
+        "_fraction_free",
+        "_prime_rank",
+        "_rank_mod_p",
+    }
     modules = sorted(Path(linalg.__file__).parent.glob("*.py"))
     assert len(modules) > 5
     offenders = []

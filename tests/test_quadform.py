@@ -161,14 +161,14 @@ def test_sum_of_products_refuses_pairs_one_coefficient_off(q, f13):
             total = Poly.zero(field, 3)
             for l, m in pairs:
                 total = total + l * m
-            sop = SumOfProducts(pairs, False, total)
+            sop = SumOfProducts(pairs, total)
             assert sop.recombine() == total
             for exps in total.raw:
                 off = total + Poly.monomial(field, exps, 1)
                 with pytest.raises(ValueError, match="recombine"):
-                    SumOfProducts(pairs, False, off)
+                    SumOfProducts(pairs, off)
             with pytest.raises(ValueError, match="recombine"):
-                SumOfProducts(pairs, False, total + Poly.monomial(field, (0, 0, 2), 1))
+                SumOfProducts(pairs, total + Poly.monomial(field, (0, 0, 2), 1))
 
 
 def test_recombination_codes_do_not_collide_at_the_base(q):
@@ -177,16 +177,29 @@ def test_recombination_codes_do_not_collide_at_the_base(q):
     # (b = 3 from the products alone) and x^b against y for larger b
     x, y = Poly.variable(q, 2, 0), Poly.variable(q, 2, 1)
     with pytest.raises(ValueError, match="recombine"):
-        SumOfProducts(((x, x),), False, y)
+        SumOfProducts(((x, x),), y)
     with pytest.raises(ValueError, match="recombine"):
-        SumOfProducts(((x, y),), False, x**4)
+        SumOfProducts(((x, y),), x**4)
     for b in range(2, 7):
         with pytest.raises(ValueError, match="recombine"):
-            SumOfProducts(((x ** (b - 1), x),), False, y)
-        assert SumOfProducts(((x ** (b - 1), x),), False, x**b).recombine() == x**b
+            SumOfProducts(((x ** (b - 1), x),), y)
+        assert SumOfProducts(((x ** (b - 1), x),), x**b).recombine() == x**b
     # a factor from another ring is refused as before
     with pytest.raises(ValueError):
-        SumOfProducts(((x, Poly.variable(q, 3, 0)),), False, x * x)
+        SumOfProducts(((x, Poly.variable(q, 3, 0)),), x * x)
+
+
+def test_square_flag_is_true_exactly_when_the_last_pair_is_equal(q):
+    # the flag is read from the pairs, so no constructor input can contradict them
+    x, y = Poly.variable(q, 2, 0), Poly.variable(q, 2, 1)
+    assert SumOfProducts(((x, x),), x * x).square_term_flag is True
+    assert SumOfProducts(((x, y), (y, y)), x * y + y * y).square_term_flag is True
+    assert SumOfProducts(((y, y), (x, y)), x * y + y * y).square_term_flag is False
+    assert SumOfProducts(((x, y),), x * y).square_term_flag is False
+    # an equal pair whose factors are built apart is still a square
+    assert SumOfProducts(((x + y, y + x),), (x + y) ** 2).square_term_flag is True
+    with pytest.raises(TypeError):
+        SumOfProducts(((x, x),), False, x * x)
 
 
 def test_record_from_gram_checks_the_shape_and_coerces_entries(q, f13):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from math import comb
 
@@ -452,6 +453,41 @@ def test_normalize_reports_the_deepest_attempt(capsys):
     argv = ["ulrich", "normalize", *map(str, (F, f1, g1, f2, g2))]
     assert main([*argv, "--field", "fp:101", "--max-trials", "1"]) == 1
     assert '"failed_certificate": "second factor smoothness"' in capsys.readouterr().out
+
+
+def test_normalize_reports_a_failed_transversality(capsys):
+    # alpha = 0 and beta = 0 keep the smooth conics f1 and f2, but f2 and
+    # g1 meet with a repeated point: the deepest attempt ends there, and
+    # alpha = 0 leaves the input summands
+    f7 = FieldSpec.prime(7)
+    texts = [
+        "x^2 + 4*x*z + 5*y^2 + z^2",
+        "x^2 + 6*y^2 + 5*y*z + z^2",
+        "6*x^2 + 5*x*y + 2*x*z + y^2 + 2*z^2",
+        "3*x^2 + 5*x*y + 2*x*z + 2*y^2 + 3*y*z + 2*z^2",
+    ]
+    f1, g1, f2, g2 = (parse_poly(t, f7, nvars=3) for t in texts)
+    F = f1 * g1 + f2 * g2
+    out = normalize_plane_decomposition(F, FormDecomposition(F, ((f1, g1), (f2, g2))), seed=0, max_trials=1)
+    certs = out.certificates
+    assert certs["failed_certificate"] == "transversality"
+    assert certs["alpha"] == f7.zero and "beta" not in certs
+    assert certs["first_factor_smooth"].verdict == certs["second_factor_smooth"].verdict == "smooth"
+    assert out.summands == ((f1, g1), (f2, g2))
+    argv = ["ulrich", "normalize", str(F), *texts, "--field", "fp:7", "--max-trials", "1"]
+    assert main(argv) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result == {
+        "summands": [texts[:2], texts[2:]],
+        "alpha": "0",
+        "beta": None,
+        "failed_certificate": "transversality",
+        "transversality": {
+            "verdict": "failed",
+            "points": None,
+            "reason": "resultant has a repeated root; intersection not transversal",
+        },
+    }
 
 
 def test_normalize_rejects_mismatched_decomposition(q):

@@ -31,12 +31,14 @@ result: ``cover split-check`` on forms with and without a witness,
 ``quad rank`` and ``cover rh``.  Then one fixed call of every
 subcommand with each option it does not read (``--seed``, ``--nvars``,
 ``--e-max`` or ``--max-trials``), which argparse refuses: such a usage
-error prints nothing to stdout and is recorded as exit 2.  Last,
+error prints nothing to stdout and is recorded as exit 2.  Then
 ``smooth check`` and ``ulrich normalize`` over q and qi on fixed forms
 whose image mod the prime 2^26 - 27 is undefined, loses a partial or a
-pure power, or is singular, so that the exact route decides.  The script
-takes no options and clears ULRICH_FORGE_SEED, which would override
-every seed.
+pure power, or is singular, so that the exact route decides.  Last, the
+``ulrich pipeline`` and ``ulrich bounds`` calls of ``SUBCOMMANDS`` with
+``--deg 4``: the degree is read from the form, so argparse refuses the
+option, and the call is recorded as exit 2.  The script takes no
+options and clears ULRICH_FORGE_SEED, which would override every seed.
 
 ``tests/replay_digests.txt`` freezes the first two columns, one line per
 argv; after a deliberate change to an envelope, regenerate it with
@@ -464,6 +466,11 @@ def _image_hand_over_argvs():
     ]
 
 
+def _deg_argvs():
+    """The ``ulrich pipeline`` and ``ulrich bounds`` calls of ``SUBCOMMANDS`` with ``--deg 4``."""
+    return [argv + ["--deg", "4"] for argv in SUBCOMMANDS if argv[:2] in (["ulrich", "pipeline"], ["ulrich", "bounds"])]
+
+
 def corpus():
     """The argvs, in a fixed order."""
     rng = random.Random(0)
@@ -502,6 +509,7 @@ def corpus():
         + _untested_argvs()
         + _unread_option_argvs()
         + _image_hand_over_argvs()
+        + _deg_argvs()
     )
 
 

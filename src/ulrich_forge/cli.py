@@ -4,11 +4,11 @@ Exit codes: 0 for a verified success, 1 for a mathematical failure
 (a certificate that fails, a missing witness, a singular form, an
 internal self-check that fails), 2 for usage and parse errors,
 including a stray division by zero.  Reports carry {version, command, config, ok,
-result|error}; the same argv and seed always produce byte-identical
-output.  Each subcommand is one row of ``COMMANDS``, which gives it only
-the options its handler reads; any other is a usage error, and
-``config`` echoes all six in every envelope, an absent one at its
-default.  ULRICH_FORGE_SEED in the environment overrides the seed.
+result|error}; the same argv always produces byte-identical output.
+Each subcommand is one row of ``COMMANDS``, which gives it only the
+options its handler reads, spelled in full; any other is a usage error.
+``config`` echoes all six keys in every envelope, an absent option at
+its default and ``e_max`` always null: the form fixes every degree bound.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -40,7 +39,6 @@ from .quadform import diagonalize, gram_from_poly, pencil_determinant, sum_of_pr
 from .resultants import certify_transversal
 from .veronese import (
     FormDecomposition,
-    VeroneseMap,
     decompose_form,
     lift_form,
     normalize_plane_decomposition,
@@ -225,27 +223,17 @@ def _bounds_result(bounds):
     }
 
 
-def _veronese_map(F):
-    if F.is_zero or not F.is_homogeneous():
-        raise ValueError("need a nonzero homogeneous form")
-    deg = F.homogeneous_degree()
-    if deg % 2:
-        raise ValueError("form degree must be even")
-    return VeroneseMap(F.nvars - 1, deg // 2)
-
-
 def _cmd_ulrich_pipeline(args, field, F):
-    vmap = _veronese_map(F)
-    lift = lift_form(F, vmap)
-    decomp = decompose_form(F, vmap, lift)
+    lift = lift_form(F)
+    decomp = decompose_form(lift)
     mf, report = ulrich_presentation(F, decomp)
-    bounds = rank_bounds(F, decomp, e_max=args.e_max, seed=args.seed)
+    bounds = rank_bounds(F, decomp)
     ok = bounds.achieved == mf.ulrich_rank and _lower_check_ok(bounds.lower_check)
     return {
         "lift": {
-            "n": vmap.n,
-            "d": vmap.d,
-            "N": vmap.N,
+            "n": lift.vmap.n,
+            "d": lift.vmap.d,
+            "N": lift.vmap.N,
             "rank": lift.record.rank,
             "gram": _gram_strings(lift.record.gram),
         },
@@ -262,8 +250,8 @@ def _cmd_ulrich_pipeline(args, field, F):
 
 
 def _cmd_ulrich_bounds(args, field, F):
-    decomp = decompose_form(F, _veronese_map(F))
-    bounds = rank_bounds(F, decomp, e_max=args.e_max, seed=args.seed)
+    decomp = decompose_form(lift_form(F))
+    bounds = rank_bounds(F, decomp)
     ok = _lower_check_ok(bounds.lower_check)
     return {
         "decomposition": _decomposition_result(decomp),
@@ -295,7 +283,7 @@ def _cmd_hilbert_value(args, field, *gens):
 
 
 def _cmd_smooth_check(args, field, F):
-    res = is_smooth_hypersurface(F, e_max=args.e_max, seed=args.seed)
+    res = is_smooth_hypersurface(F, seed=args.seed)
     return {
         "verdict": res.verdict,
         "e_used": res.e_used,
@@ -355,8 +343,8 @@ def _cmd_cover_keem(args, field):
 class Command(NamedTuple):
     """A subcommand's ``handler(args, field, *polys)``, the ``_read_polys``
     arguments for its texts (None if it reads none, else it has --nvars and
-    --file), the (flags, keywords) of its own options, --seed and --e-max
-    among them, and its default --max-trials (None: it has no --max-trials).
+    --file), the (flags, keywords) of its own options, --seed among them,
+    and its default --max-trials (None: it has no --max-trials).
     """
 
     handler: Callable
@@ -380,7 +368,6 @@ GROUPS = {
 
 _ONE_TEXT = {"expected": 1}
 _SEED = _option("--seed", type=int, default=0)
-_E_MAX = _option("--e-max", dest="e_max", type=int, default=None)
 
 COMMANDS = {
     "quad rank": Command(_cmd_quad_rank, _ONE_TEXT),
@@ -390,13 +377,13 @@ COMMANDS = {
     "mf build": Command(_cmd_mf_build, _ONE_TEXT),
     "mf verify": Command(_cmd_mf_verify, {"minimum": 2}),
     "mf det-cert": Command(_cmd_mf_det_cert, {"minimum": 2}, (_SEED,), budget=50),
-    "ulrich pipeline": Command(_cmd_ulrich_pipeline, _ONE_TEXT, (_SEED, _E_MAX)),
-    "ulrich bounds": Command(_cmd_ulrich_bounds, _ONE_TEXT, (_SEED, _E_MAX)),
+    "ulrich pipeline": Command(_cmd_ulrich_pipeline, _ONE_TEXT),
+    "ulrich bounds": Command(_cmd_ulrich_bounds, _ONE_TEXT),
     "ulrich normalize": Command(_cmd_ulrich_normalize, {"expected": 5, "floor_nvars": 3}, (_SEED,), budget=20),
     "hilbert value": Command(
         _cmd_hilbert_value, {"minimum": 1}, (_option("-e", "--degree", type=int, required=True),)
     ),
-    "smooth check": Command(_cmd_smooth_check, _ONE_TEXT, (_SEED, _E_MAX)),
+    "smooth check": Command(_cmd_smooth_check, _ONE_TEXT, (_SEED,)),
     "cover rh": Command(
         _cmd_cover_rh,
         options=(_option("--h", type=int, required=True), _option("--d", type=int, required=True)),
@@ -425,19 +412,20 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="ulrich-forge",
         description="exact matrix factorizations of quadrics and double-cover pipelines",
+        allow_abbrev=False,
     )
     top = parser.add_subparsers(dest="group", required=True)
     groups = {
-        group: top.add_parser(group, help=text).add_subparsers(dest="verb", required=True)
+        group: top.add_parser(group, help=text, allow_abbrev=False).add_subparsers(dest="verb", required=True)
         for group, text in GROUPS.items()
     }
     for name, command in COMMANDS.items():
         group, verb = name.split(" ")
-        sub = groups[group].add_parser(verb)
+        sub = groups[group].add_parser(verb, allow_abbrev=False)
         _add_common(sub, command)
         for flags, kwargs in command.options:
             sub.add_argument(*flags, **kwargs)
-        sub.set_defaults(command=name, seed=0, nvars=None, e_max=None, max_trials=command.budget)
+        sub.set_defaults(command=name, seed=0, nvars=None, max_trials=command.budget)
     return parser
 
 
@@ -533,18 +521,11 @@ def main(argv=None):
         group, verb = args.command.split(" ")
         subcommand = _subcommands(_subcommands(_parser())[group])[verb]
         subcommand.error(f"unrecognized arguments: {' '.join(unknown)}")
-    env_seed = os.environ.get("ULRICH_FORGE_SEED")
-    if env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"ULRICH_FORGE_SEED is not an integer: {env_seed!r}", file=sys.stderr)
-            return 2
     config = {
         "field": args.field,
         "seed": args.seed,
         "nvars": args.nvars,
-        "e_max": args.e_max,
+        "e_max": None,
         "max_trials": args.max_trials,
         "output": args.output,
     }

@@ -308,20 +308,20 @@ def _image_system(f):
     return GradedSystem(partials) if len(partials) == f.nvars else None
 
 
-def is_smooth_hypersurface(f, e_max=None, seed=0):
+def is_smooth_hypersurface(f, seed=0):
     """Decide smoothness of the projective hypersurface f = 0.
 
-    The default evaluation degree is the socle bound (n+1)(D-2)+1; at
-    that degree a nonzero Hilbert value certifies a singular point over
-    the algebraic closure (reported with a witness in f's field when the
-    point search finds one).  Passing a smaller e_max can only return
-    smooth or inconclusive.
+    The evaluation degree is the socle bound (n+1)(D-2)+1, the only one
+    that decides: a smooth f's Jacobian ring is nonzero up to (n+1)(D-2).
+    There a nonzero Hilbert value certifies a singular point over the
+    algebraic closure (reported with a witness in f's field when the
+    point search, seeded by ``seed``, finds one).
 
-    From the socle bound on, the square Macaulay submatrix of the
-    partials of f's image over a finite field (f itself over fp and fp2,
-    f mod the check prime over q and qi) is ranked first, when all n+1 of
-    them are present: a full rank there proves the Hilbert value 0, as
-    any full-rank subset of the rows does, and so proves smoothness.
+    The square Macaulay submatrix of the partials of f's image over a
+    finite field (f itself over fp and fp2, f mod the check prime over q
+    and qi) is ranked first, when all n+1 of them are present: a full
+    rank there proves the Hilbert value 0, as any full-rank subset of
+    the rows does, and so proves smoothness.
     The variables whose pure power x_i^D is missing from f go last in
     the square's order (taken from f, never from its image): its
     extraneous minor holds no multiple of the last partial, so a missing
@@ -344,17 +344,15 @@ def is_smooth_hypersurface(f, e_max=None, seed=0):
         )
     if degree == 1:
         return SmoothnessResult(SMOOTH)
-    bound = f.nvars * (degree - 2) + 1
-    e_used = bound if e_max is None else e_max
+    e = f.nvars * (degree - 2) + 1
     # over fp and fp2 f is its own image, and its partials serve both routes
     system = jacobian_system(f) if f.field.p else None
-    if e_used >= bound:
-        image = _image_system(f) if system is None else system
-        if image is not None and len(image) == f.nvars:
-            width = graded_dimension(f.nvars, e_used)
-            square = _macaulay_rows(image, e_used, _square_order(f))
-            if _rank_raw(square, image.field, width) == width:
-                return SmoothnessResult(SMOOTH, e_used=e_used)
+    image = _image_system(f) if system is None else system
+    if image is not None and len(image) == f.nvars:
+        width = graded_dimension(f.nvars, e)
+        square = _macaulay_rows(image, e, _square_order(f))
+        if _rank_raw(square, image.field, width) == width:
+            return SmoothnessResult(SMOOTH, e_used=e)
     if system is None:
         system = jacobian_system(f)
     if len(system) < f.nvars:
@@ -362,10 +360,7 @@ def is_smooth_hypersurface(f, e_max=None, seed=0):
         # vanishing partial derivative already forces a singular point
         witness = find_projective_zero(system, seed=seed, trials=200)
         return SmoothnessResult(SINGULAR, witness=witness)
-    value = hilbert_value(system, e_used)
-    if value == 0:
-        return SmoothnessResult(SMOOTH, e_used=e_used)
-    if e_used >= bound:
-        witness = find_projective_zero(system, seed=seed, trials=200)
-        return SmoothnessResult(SINGULAR, witness=witness, e_used=e_used)
-    return SmoothnessResult(INCONCLUSIVE, e_used=e_used)
+    if hilbert_value(system, e) == 0:
+        return SmoothnessResult(SMOOTH, e_used=e)
+    witness = find_projective_zero(system, seed=seed, trials=200)
+    return SmoothnessResult(SINGULAR, witness=witness, e_used=e)

@@ -86,19 +86,28 @@ def _greedy_half(alpha, d):
     return tuple(beta)
 
 
-def lift_form(F, vmap):
+def _veronese_map(F):
+    """The embedding F's degree fixes: VeroneseMap(n, deg F / 2) for F in n+1 variables."""
+    if F.is_zero or not F.is_homogeneous():
+        raise ValueError("need a nonzero homogeneous form")
+    deg = F.homogeneous_degree()
+    if deg % 2:
+        raise ValueError("form degree must be even")
+    return VeroneseMap(F.nvars - 1, deg // 2)
+
+
+def lift_form(F):
     """Lift a degree-2d form to a quadric via greedy monomial splitting.
 
-    Each monomial x^alpha splits as x^beta * x^gamma with beta the
+    The embedding is F's degree-d one (``_veronese_map``), the only one
+    whose quadrics restrict to forms of degree 2d.  Each monomial x^alpha
+    splits as x^beta * x^gamma with beta the
     lexicographically largest half; its coefficient becomes that of
     y_beta * y_gamma (distinct alphas give distinct products) in the
     quadric, whose Gram matrix ``gram_from_poly`` builds.  The round
     trip back through the basis monomials is checked exactly.
     """
-    if F.nvars != vmap.n + 1:
-        raise ValueError(f"form lives in {F.nvars} variables, embedding wants {vmap.n + 1}")
-    if F.is_zero or not F.is_homogeneous() or F.homogeneous_degree() != 2 * vmap.d:
-        raise ValueError(f"form must be homogeneous of degree {2 * vmap.d}")
+    vmap = _veronese_map(F)
     size = vmap.N + 1
     raw = {}
     for alpha, v in F.raw.items():
@@ -179,25 +188,22 @@ def _check_presents(decomp, F):
         raise ValueError("decomposition does not present F")
 
 
-def decompose_form(F, vmap, lift=None):
-    """Decompose a degree-2d form into products of degree-d forms.
+def decompose_form(lift):
+    """Decompose the form of ``lift_form(F)`` into products of degree-d forms.
 
-    Lifts to a quadric, rewrites it as a sum of products and pulls each
-    linear factor back along the embedding.  The decomposition lives
+    The lift carries F and its embedding, the only one whose linear
+    forms pull back to degree d.  Its quadric is rewritten as a sum of
+    products and each linear factor pulled back.  The decomposition lives
     where ``sum_of_products`` finished: in F's field, or over fp2:p when
     a root is missing from fp:p.  The summand count is at most
-    ceil((N+1)/2).  A caller that already holds ``lift_form(F, vmap)``
-    passes it as ``lift``.
+    ceil((N+1)/2).
     """
-    if lift is None:
-        lift = lift_form(F, vmap)
-    elif lift.vmap is not vmap or lift.source != F:
-        raise ValueError("lift is not the lift of F along vmap")
+    vmap = lift.vmap
     sop = sum_of_products(lift.record)
     pairs = [(vmap.pullback(l), vmap.pullback(m)) for l, m in sop.pairs]
     if len(pairs) > (vmap.N + 2) // 2:
         raise AssertionError("summand count escaped the ceil((N+1)/2) bound")
-    return FormDecomposition(F.embed(sop.quadric.field), pairs)
+    return FormDecomposition(lift.source.embed(sop.quadric.field), pairs)
 
 
 @dataclass
@@ -240,14 +246,10 @@ def ulrich_presentation(F, decomp=None):
     the immutable ``FormDecomposition``.  A given decomposition must
     present F, over F's field or its extension.
     """
-    if F.is_zero or not F.is_homogeneous():
-        raise ValueError("need a nonzero homogeneous form")
-    deg = F.homogeneous_degree()
-    if deg % 2:
-        raise ValueError("form degree must be even")
     if decomp is None:
-        decomp = decompose_form(F, VeroneseMap(F.nvars - 1, deg // 2))
+        decomp = decompose_form(lift_form(F))
     else:
+        _veronese_map(F)
         _check_presents(decomp, F)
     pairs, start = _recursion_input(decomp)
     mf = _clifford_image(pairs, start, decomp.F, decomp)
@@ -281,7 +283,7 @@ class RankBounds:
     lower_check: LowerBoundCheck
 
 
-def rank_bounds(F, decomp, e_max=None, seed=0):
+def rank_bounds(F, decomp):
     """Upper bound, achieved rank, and the certified lower-bound check.
 
     The achieved rank is half the size of ``ulrich_presentation``'s N:
@@ -296,11 +298,13 @@ def rank_bounds(F, decomp, e_max=None, seed=0):
     equality for a full-rank lift.
     When F is smooth the factor ideal must be zero-dimensional and
     2k >= n+1 must hold; a singular F downgrades the check to
-    not-applicable with the witness attached.  Smoothness is decided in
-    the field of the F given, and the witness is a point there; rank is
-    unchanged by field extension, so F and its embedding get the same
-    verdict.  The decomposition must present F, over F's field or its
-    extension.
+    not-applicable with the witness attached.  The factor ideal is
+    searched up to (n+1)(d-1)+1, the only degree that decides: a smooth
+    F's factors share no zero, so their ideal vanishes from there on.
+    Smoothness is decided in the field of the F given, and the witness
+    is a point there; rank is unchanged by field extension, so F and its
+    embedding get the same verdict.  The decomposition must present F,
+    over F's field or its extension.
     """
     _check_presents(decomp, F)
     n = F.nvars - 1
@@ -313,8 +317,7 @@ def rank_bounds(F, decomp, e_max=None, seed=0):
     smooth = is_smooth_hypersurface(F)
     if smooth.verdict == SMOOTH:
         factors = [h for pair in decomp.summands for h in pair]
-        bound = (n + 1) * (d - 1) + 1 if e_max is None else e_max
-        zd = is_zero_dimensional(GradedSystem(factors), e_max=bound, seed=seed)
+        zd = is_zero_dimensional(GradedSystem(factors), e_max=(n + 1) * (d - 1) + 1)
         inequality = 2 * k >= n + 1
         if zd.verdict == YES and inequality:
             status = "certified"

@@ -93,8 +93,8 @@ def _quartic_pipelines():
             F = random_homogeneous(f101, 3, 4, rng)
             if is_smooth_hypersurface(F).verdict != "smooth":
                 continue
-            lift = lift_form(F, vmap)
-            decomp = decompose_form(F, vmap)
+            lift = lift_form(F)
+            decomp = decompose_form(lift)
             mf, report = ulrich_presentation(F, decomp)
             runs.append((F, vmap, lift, decomp, mf, report))
         _CACHE["pipelines"] = runs

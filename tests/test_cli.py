@@ -740,11 +740,10 @@ def test_quadric_texts_read_back_into_the_library_polynomials(capsys, field, for
 
 @pytest.mark.parametrize("field, form", [golden[:2] for golden in GOLDEN_PLANE_FORMS[:4]])
 def test_pipeline_texts_read_back_into_the_library_polynomials(capsys, field, form):
-    from ulrich_forge import VeroneseMap, decompose_form, lift_form, ulrich_presentation
+    from ulrich_forge import decompose_form, lift_form, ulrich_presentation
 
     F = parse_poly(form, FieldSpec.parse(field))
-    vmap = VeroneseMap(F.nvars - 1, F.homogeneous_degree() // 2)
-    decomp = decompose_form(F, vmap, lift_form(F, vmap))
+    decomp = decompose_form(lift_form(F))
     mf, _ = ulrich_presentation(F, decomp)
     code, payload = _run(capsys, ["ulrich", "pipeline", "--field", field, form])
     assert code == 0
@@ -809,7 +808,7 @@ def test_unknown_option_shows_the_usage_of_its_subcommand(capsys, argv, usage, u
 
 
 def test_output_is_byte_identical_across_runs(capsys):
-    argv = ["ulrich", "pipeline", "x^4 + y^4 + z^4", "--field", "fp:13", "--seed", "3"]
+    argv = ["ulrich", "pipeline", "x^4 + y^4 + z^4", "--field", "fp:13"]
     main(argv)
     first = capsys.readouterr().out
     main(argv)
@@ -823,20 +822,15 @@ def test_output_is_byte_identical_across_runs(capsys):
     assert third == fourth
 
 
-def test_env_seed_overrides_flag(capsys, monkeypatch):
+def test_the_environment_sets_no_seed(capsys, monkeypatch):
+    # the seed comes from the argv alone, so an environment variable changes no byte
+    argv = ["smooth", "check", "x^2 + y^2 + z^2", "--field", "q", "--seed", "3"]
+    monkeypatch.delenv("ULRICH_FORGE_SEED", raising=False)
+    bare = _call(capsys, argv)
     monkeypatch.setenv("ULRICH_FORGE_SEED", "77")
-    code, payload = _run(capsys, ["smooth", "check", "x^2 + y^2 + z^2", "--field", "q", "--seed", "3"])
-    assert code == 0
-    assert payload["config"]["seed"] == 77
-
-
-def test_env_seed_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("ULRICH_FORGE_SEED", "pi")
-    code = main(["quad", "rank", "x*y", "--field", "q"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "ULRICH_FORGE_SEED" in captured.err
+    code, out, err = _call(capsys, argv)
+    assert (code, out, err) == bare
+    assert code == 0 and json.loads(out)["config"]["seed"] == 3
 
 
 def test_file_input_with_comments(capsys, tmp_path):
@@ -902,20 +896,18 @@ _BUDGETED = {"mf det-cert": 50, "ulrich normalize": 20, "cover transversal": 8, 
 _READS = {
     "--seed": {
         "mf det-cert",
-        "ulrich pipeline",
-        "ulrich bounds",
         "ulrich normalize",
         "smooth check",
         "cover transversal",
         "cover keem-counterexample",
     },
-    "--e-max": {"ulrich pipeline", "ulrich bounds", "smooth check"},
+    # every degree bound is derived from the form
+    "--e-max": set(),
     "--max-trials": set(_BUDGETED),
     # every subcommand that reads polynomial texts
     "--nvars": {" ".join(argv[:2]) for argv in _EVERY_SUBCOMMAND} - {"cover rh", "cover keem-counterexample"},
-    # the degree of a form is read from the form; argparse takes --deg
-    # for an abbreviation of hilbert value's --degree
-    "--deg": {"hilbert value"},
+    # the degree of a form is read from the form
+    "--deg": set(),
 }
 _READS["--file"] = _READS["--nvars"]
 
@@ -958,8 +950,7 @@ def test_nvars_below_one_is_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("option", sorted(_READS))
 @pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda a: " ".join(a[:2]))
-def test_each_subcommand_offers_exactly_the_options_it_reads(capsys, monkeypatch, tmp_path, argv, option):
-    monkeypatch.delenv("ULRICH_FORGE_SEED", raising=False)
+def test_each_subcommand_offers_exactly_the_options_it_reads(capsys, tmp_path, argv, option):
     # an empty --file adds no text, so an accepted option leaves the call as it was
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -973,6 +964,29 @@ def test_each_subcommand_offers_exactly_the_options_it_reads(capsys, monkeypatch
     key = option[2:].replace("-", "_")
     if key in payload["config"]:
         assert payload["config"][key] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["hilbert", "value", "x^2", "y^2", "-e", "2", "--deg", "3"], "--deg"),
+        (["ulrich", "bounds", "x^4 + y^4 + z^4", "--field", "fp:13", "--e", "3"], "--e"),
+        (["cover", "transversal", "x^2 - y*z", "y^2 - x*z", "--max", "2"], "--max"),
+    ],
+)
+def test_an_option_is_never_taken_by_a_prefix(capsys, argv, option):
+    # a prefix of an option's name (--degree, --max-trials) names no option
+    _refused(capsys, argv, option)
+
+
+def test_a_prefix_of_a_required_option_does_not_supply_it(capsys):
+    code, out, err = _call(capsys, ["hilbert", "value", "x^2", "y^2", "--deg", "3"])
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: -e/--degree" in err
+    # a short option with its value attached and a long one with "=" still parse
+    for spelling in (["-e2"], ["--degree=2"]):
+        code, payload = _run(capsys, ["hilbert", "value", "x^2", "y^2", *spelling])
+        assert code == 0 and payload["result"] == {"degree": 2, "value": 1}
 
 
 def _budget_errors():
@@ -998,10 +1012,22 @@ def test_every_error_envelope_carries_the_default_budget(capsys, argv, error):
 
 
 @pytest.mark.parametrize("verb", ["pipeline", "bounds"])
-def test_inconclusive_lower_check_is_exit_one(capsys, verb):
-    # --e-max 0 leaves the factor ideal undecided, so the lower bound is unproven
+def test_inconclusive_lower_check_is_exit_one(capsys, monkeypatch, verb):
+    import ulrich_forge.cli as cli
+    from ulrich_forge.veronese import LowerBoundCheck
+
+    decided = cli.rank_bounds
+
+    # a factor ideal left undecided leaves the lower bound unproven
+    def undecided(F, decomp):
+        bounds = decided(F, decomp)
+        bounds.lower_check = LowerBoundCheck("inconclusive: factor ideal", zero_dimensional="inconclusive")
+        return bounds
+
     argv = ["ulrich", verb, "x^4 + y^4 + z^4", "--field", "fp:101"]
-    code, payload = _run(capsys, argv + ["--e-max", "0"])
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "rank_bounds", undecided)
+        code, payload = _run(capsys, argv)
     assert payload["result"]["rank_report"]["lower_check"]["status"] == "inconclusive: factor ideal"
     assert (code, payload["ok"]) == (1, False)
     code, payload = _run(capsys, argv)
@@ -1123,39 +1149,31 @@ def _call(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_parser_built_once_gives_the_same_envelopes(capsys, monkeypatch):
+def test_parser_built_once_gives_the_same_envelopes(capsys):
     import ulrich_forge.cli as cli
 
     calls = [
-        (["quad", "rank", "x*y - z^2", "--field", "fp:101"], None),
-        (["cover", "transversal", "x^2 - y*z", "y^2 - x*z", "--seed", "4"], "9"),
-        (["quad", "rank", "x^2", "--field", "fp:2"], None),
-        (["quad"], None),
-        (["quad", "pencil-det", "t^2", "x^2 + y^2 + z^2", "--nvars", "4"], "3"),
-        (["quad", "rank", "x*y", "--bogus"], "5"),
-        (["hilbert", "value", "x^2", "-e", "2", "--output", "text"], None),
-        (["quad", "rank", "x*y"], "pi"),
-        (["cover", "rh", "--h", "1", "--d", "3"], "12"),
-        (["mf", "build", "x*y + z*t", "--field", "fp:13"], None),
+        ["quad", "rank", "x*y - z^2", "--field", "fp:101"],
+        ["cover", "transversal", "x^2 - y*z", "y^2 - x*z", "--seed", "9"],
+        ["quad", "rank", "x^2", "--field", "fp:2"],
+        ["quad"],
+        ["quad", "pencil-det", "t^2", "x^2 + y^2 + z^2", "--nvars", "4"],
+        ["quad", "rank", "x*y", "--bogus"],
+        ["hilbert", "value", "x^2", "-e", "2", "--output", "text"],
+        ["cover", "rh", "--h", "1", "--d", "3"],
+        ["mf", "build", "x*y + z*t", "--field", "fp:13"],
     ]
 
-    def run(argv, seed):
-        if seed is None:
-            monkeypatch.delenv("ULRICH_FORGE_SEED", raising=False)
-        else:
-            monkeypatch.setenv("ULRICH_FORGE_SEED", seed)
-        return _call(capsys, argv)
-
     fresh = []
-    for argv, seed in calls:
+    for argv in calls:
         cli._parser.cache_clear()
-        fresh.append(run(argv, seed))
+        fresh.append(_call(capsys, argv))
     cli._parser.cache_clear()
     # alternate subcommands, usage errors and seeds, forwards then backwards
-    shared = [run(argv, seed) for argv, seed in calls + calls[::-1]]
+    shared = [_call(capsys, argv) for argv in calls + calls[::-1]]
     assert shared == fresh + fresh[::-1]
     assert cli._parser.cache_info().misses == 1
-    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 2, 0, 2, 0, 0]
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 2, 0, 0, 0]
     assert json.loads(fresh[1][1])["config"]["seed"] == 9
 
 
@@ -1271,7 +1289,7 @@ def test_poly_commands_always_end_in_an_envelope(capsys):
         elif command == "cover transversal":
             d = draw(st.integers(1, 3))
             polys = [draw(form(d)), draw(form(d))]
-        flaws = [None, None, None, "field", "trials", "nvars", "e-max", "text", "count"]
+        flaws = [None, None, None, "field", "trials", "nvars", "text", "count"]
         flaw = draw(st.sampled_from(flaws))
         if flaw == "field":
             field = draw(st.sampled_from(["fp:2", "fp:9", "fp2:1", "r", ""]))
@@ -1280,8 +1298,6 @@ def test_poly_commands_always_end_in_an_envelope(capsys):
             extra += ["--max-trials", draw(st.sampled_from(["0", "-1", "1", "2"]))]
         elif flaw == "nvars" and command in _READS["--nvars"]:
             extra += ["--nvars", draw(st.sampled_from(["-1", "0", "1", "2", "4"]))]
-        elif flaw == "e-max" and command in _READS["--e-max"]:
-            extra += ["--e-max", draw(st.sampled_from(["-1", "0", "1"]))]
         elif flaw == "text" and polys:
             polys[draw(st.integers(0, len(polys) - 1))] = draw(loose | junk)
         elif flaw == "count" and polys:

@@ -18,8 +18,7 @@ def _load():
     return module
 
 
-def test_replay_lines_repeat(monkeypatch):
-    monkeypatch.delenv("ULRICH_FORGE_SEED", raising=False)
+def test_replay_lines_repeat():
     replay = _load()
     corpus = replay.corpus()
     assert len(corpus) >= 300
@@ -32,10 +31,9 @@ def test_replay_lines_repeat(monkeypatch):
         assert code in {"0", "1", "2"} and len(digest) == 64 and json.loads(text) == argv
 
 
-def test_replay_matches_the_frozen_digests(monkeypatch):
+def test_replay_matches_the_frozen_digests():
     # each line of the digest file is "exit sha256(stdout)" of one argv,
     # in corpus order; a deliberate envelope change regenerates the file
-    monkeypatch.delenv("ULRICH_FORGE_SEED", raising=False)
     replay = _load()
     corpus = replay.corpus()
     frozen = DIGESTS.read_text(encoding="utf-8").splitlines()

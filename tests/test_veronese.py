@@ -65,11 +65,10 @@ def test_pullback_kills_the_conic_relation(q):
 
 
 def test_lift_form_frozen(q):
-    vm = VeroneseMap(2, 2)
-    fermat = lift_form(parse_poly("x^4 + y^4 + z^4", q), vm)
+    fermat = lift_form(parse_poly("x^4 + y^4 + z^4", q))
     assert str(fermat.record.poly) == "x0^2 + x3^2 + x5^2"
     assert fermat.record.rank == 3
-    cross = lift_form(parse_poly("x^3*y", q, nvars=3), vm)
+    cross = lift_form(parse_poly("x^3*y", q, nvars=3))
     assert str(cross.record.poly) == "x0*x1"
     assert cross.record.rank == 2
 
@@ -82,18 +81,19 @@ def test_lift_round_trip_random():
             vm = VeroneseMap(n, d)
             for _ in range(12):
                 F = random_homogeneous(field, n + 1, 2 * d, rng)
-                lift = lift_form(F, vm)
+                lift = lift_form(F)
                 assert vm.pullback(lift.record.poly) == F
                 assert lift.source is F
-                assert lift.vmap is vm
+                assert lift.vmap.basis == vm.basis
 
 
 def test_lift_form_degree_checks(q):
-    vm = VeroneseMap(2, 2)
-    with pytest.raises(ValueError):
-        lift_form(parse_poly("x^3", q, nvars=3), vm)
-    with pytest.raises(ValueError):
-        lift_form(parse_poly("x^4 + y^4", q), vm)
+    with pytest.raises(ValueError, match="form degree must be even"):
+        lift_form(parse_poly("x^3", q, nvars=3))
+    with pytest.raises(ValueError, match="need a nonzero homogeneous form"):
+        lift_form(Poly.zero(q, 3))
+    with pytest.raises(ValueError, match="need a nonzero homogeneous form"):
+        lift_form(parse_poly("x^4 + y^2", q, nvars=3))
 
 
 def test_form_decomposition_validation(q):
@@ -113,9 +113,8 @@ def test_form_decomposition_validation(q):
 
 
 def test_decompose_form_frozen_quartic(f13):
-    vm = VeroneseMap(2, 2)
     F = parse_poly("x^4 + y^4 + z^4", f13)
-    dec = decompose_form(F, vm)
+    dec = decompose_form(lift_form(F))
     assert [(str(l), str(m)) for l, m in dec.summands] == [
         ("x^2 + 5*y^2", "x^2 + 8*y^2"),
         ("z^2", "z^2"),
@@ -125,14 +124,11 @@ def test_decompose_form_frozen_quartic(f13):
 
 
 def test_decompose_form_reuses_a_given_lift(f13):
-    vm = VeroneseMap(2, 2)
     F = parse_poly("x^4 + y^4 + z^4", f13)
-    lift = lift_form(F, vm)
-    assert decompose_form(F, vm, lift).summands == decompose_form(F, vm).summands
-    with pytest.raises(ValueError, match="not the lift"):
-        decompose_form(parse_poly("x^4 + y^4 + 2*z^4", f13), vm, lift)
-    with pytest.raises(ValueError, match="not the lift"):
-        decompose_form(F, VeroneseMap(2, 2), lift)
+    lift = lift_form(F)
+    dec = decompose_form(lift)
+    assert dec.summands == decompose_form(lift_form(F)).summands
+    assert dec.F == F
 
 
 def test_decompose_form_descends_when_possible(f101):
@@ -141,7 +137,7 @@ def test_decompose_form_descends_when_possible(f101):
     for _ in range(10):
         F = random_homogeneous(f101, 3, 4, rng)
         try:
-            dec = decompose_form(F, vm)
+            dec = decompose_form(lift_form(F))
         except ExtensionNeeded:
             continue
         total = Poly.zero(dec.F.field, 3)
@@ -153,15 +149,15 @@ def test_decompose_form_descends_when_possible(f101):
 
 def test_decompose_form_sticks_to_the_extension_when_needed(f13):
     F = parse_poly("2*x^2", f13, nvars=3)
-    dec = decompose_form(F, VeroneseMap(2, 1))
+    dec = decompose_form(lift_form(F))
     assert str(dec.F.field) == "fp2:13"
     assert [(str(l), str(m)) for l, m in dec.summands] == [("(w)*x", "(w)*x")]
 
 
-def _decompose_over_fp2_then_descend(F, vm):
+def _decompose_over_fp2_then_descend(F):
     """The earlier route: decompose over fp2:p, map back to fp:p when no w part is left."""
     fp2 = F.field.extension()
-    dec = decompose_form(F.embed(fp2), vm)
+    dec = decompose_form(lift_form(F.embed(fp2)))
     factors = [h for pair in dec.summands for h in pair]
     if any(b for h in factors for _, b in h.raw.values()):
         return dec
@@ -175,14 +171,13 @@ def test_decompose_form_matches_the_fp2_then_descend_route(p):
     rng = random.Random(1000 + p)
     fields_seen = set()
     for deg in (4, 6):
-        vm = VeroneseMap(2, deg // 2)
         for _ in range(12):
             F = random_homogeneous(fp, 3, deg, rng)
             F = Poly(fp, 3, {e: c for e, c in F.terms.items() if rng.random() < 0.5})
             if F.is_zero:
                 continue
-            dec = decompose_form(F, vm)
-            old = _decompose_over_fp2_then_descend(F, vm)
+            dec = decompose_form(lift_form(F))
+            old = _decompose_over_fp2_then_descend(F)
             assert dec.F == old.F and dec.F.field is old.F.field
             assert dec.summands == old.summands
             fields_seen.add(dec.F.field)
@@ -191,7 +186,7 @@ def test_decompose_form_matches_the_fp2_then_descend_route(p):
 
 def test_presentation_and_bounds_reject_a_decomposition_of_another_form(f13):
     F = parse_poly("x^4 + y^4 + z^4", f13)
-    other = decompose_form(parse_poly("x^4 + 2*y^4 + z^4", f13), VeroneseMap(2, 2))
+    other = decompose_form(lift_form(parse_poly("x^4 + 2*y^4 + z^4", f13)))
     with pytest.raises(ValueError, match="does not present F"):
         ulrich_presentation(F, other)
     with pytest.raises(ValueError, match="does not present F"):
@@ -202,7 +197,7 @@ def test_presentation_and_bounds_reject_a_decomposition_of_another_form(f13):
         ulrich_presentation(F, fake)
     # a decomposition over the extension of F's field presents F
     G = parse_poly("x^4 + 2*y^4 + z^4", f13)
-    dec = decompose_form(G, VeroneseMap(2, 2))
+    dec = decompose_form(lift_form(G))
     assert dec.F.field is FieldSpec.quadratic(13)
     assert ulrich_presentation(G, dec)[1].summand_count == dec.k
     assert rank_bounds(G, dec).summand_count == dec.k
@@ -210,7 +205,7 @@ def test_presentation_and_bounds_reject_a_decomposition_of_another_form(f13):
 
 def test_decompose_form_extension_error_over_q(q):
     with pytest.raises(ExtensionNeeded):
-        decompose_form(parse_poly("x^4 + y^4", q, nvars=3), VeroneseMap(2, 2))
+        decompose_form(lift_form(parse_poly("x^4 + y^4", q, nvars=3)))
 
 
 def test_presentation_conic_frozen(f13):
@@ -244,7 +239,7 @@ def test_lone_square_keeps_the_plain_recursion(q):
     # folding the one square pair would leave the 1 x 1 matrix (l), of
     # rank 1/2; F = l^2 keeps [[0, l], [l, 0]] instead, size 2 and rank 1
     F = parse_poly("x^2", q, nvars=3)
-    dec = decompose_form(F, VeroneseMap(2, 1))
+    dec = decompose_form(lift_form(F))
     assert dec.k == 1 and dec.square_term_flag
     mf, rep = ulrich_presentation(F, dec)
     assert (rep.case, rep.size, rep.ulrich_rank) == ("b", 2, 1)
@@ -288,7 +283,7 @@ def test_presentation_rejects_odd_degree(q):
 
 def test_rank_bounds_certified(f13):
     F = parse_poly("x^4 + y^4 + z^4", f13)
-    dec = decompose_form(F, VeroneseMap(2, 2))
+    dec = decompose_form(lift_form(F))
     rb = rank_bounds(F, dec)
     assert rb.upper_bound == 4
     assert rb.achieved == 1
@@ -303,7 +298,7 @@ def test_rank_bounds_case_a_certified():
     f101 = FieldSpec.prime(101)
     F = random_homogeneous(f101, 3, 4, random.Random(0))
     assert is_smooth_hypersurface(F).verdict == "smooth"
-    dec = decompose_form(F, VeroneseMap(2, 2))
+    dec = decompose_form(lift_form(F))
     assert not dec.square_term_flag
     rb = rank_bounds(F, dec)
     assert rb.case == "a"
@@ -313,12 +308,42 @@ def test_rank_bounds_case_a_certified():
     assert rb.achieved == mf.ulrich_rank
 
 
-def test_rank_bounds_inconclusive_with_small_budget(f13):
-    F = parse_poly("x^4 + y^4 + z^4", f13)
-    dec = decompose_form(F, VeroneseMap(2, 2))
-    rb = rank_bounds(F, dec, e_max=2)
-    assert rb.lower_check.status == "inconclusive: factor ideal"
-    assert rb.lower_check.zero_dimensional == "inconclusive"
+@pytest.mark.parametrize("spec", ["fp:7", "fp:101", "fp2:13"])
+def test_the_form_decides_smoothness_and_the_lower_check(spec):
+    # at the socle bound a form is smooth or singular, never undecided, and
+    # the factors of a smooth form share no zero, so their ideal vanishes
+    # by (n+1)(d-1)+1 and the lower check is certified
+    field = FieldSpec.parse(spec)
+    rng = random.Random(38)
+    seen = set()
+    for nvars, degree in ((3, 2), (3, 4), (3, 6), (4, 2), (4, 4)):
+        for shape in ("random", "integer", "sparse", "reducible"):
+            F = random_homogeneous(field, nvars, degree, rng)
+            if shape == "integer":
+                # coefficients in the prime field, whose roots fp2 holds
+                G = random_homogeneous(FieldSpec.prime(7), nvars, degree, rng)
+                F = parse_poly(str(G), field, nvars=nvars)
+            elif shape == "sparse":
+                F = Poly(field, nvars, {e: c for e, c in F.terms.items() if rng.random() < 0.4})
+            elif shape == "reducible":
+                F = random_homogeneous(field, nvars, 1, rng) * random_homogeneous(field, nvars, degree - 1, rng)
+            if F.is_zero:
+                continue
+            smooth = is_smooth_hypersurface(F)
+            assert smooth.verdict in ("smooth", "singular")
+            try:
+                decomp = decompose_form(lift_form(F))
+            except ExtensionNeeded:
+                # over fp2 a missing root has no field to move to
+                continue
+            check = rank_bounds(F, decomp).lower_check
+            if smooth.verdict == "smooth":
+                assert check.status == "certified"
+                assert check.e_witness <= nvars * (degree // 2 - 1) + 1
+            else:
+                assert check.status == "not applicable: F singular"
+            seen.add(smooth.verdict)
+    assert seen == {"smooth", "singular"}
 
 
 def test_rank_bounds_singular_not_applicable(q):
@@ -344,12 +369,11 @@ def test_rank_bounds_degree_mismatch(q):
 
 def test_achieved_rank_matches_factorization_random(f101):
     rng = random.Random(127)
-    vm = VeroneseMap(2, 2)
     checked = 0
     while checked < 8:
         F = random_homogeneous(f101, 3, 4, rng)
         try:
-            dec = decompose_form(F, vm)
+            dec = decompose_form(lift_form(F))
         except ExtensionNeeded:
             continue
         mf, rep = ulrich_presentation(F, dec)
@@ -368,7 +392,7 @@ def test_conic_route_gives_the_rank_one_bundle(f13):
 
 def test_normalize_plane_decomposition_success(f13):
     F = parse_poly("x^4 + y^4 + z^4", f13)
-    dec = decompose_form(F, VeroneseMap(2, 2))
+    dec = decompose_form(lift_form(F))
     out = normalize_plane_decomposition(F, dec)
     certs = out.certificates
     assert certs["failed_certificate"] is None
@@ -425,7 +449,7 @@ def test_normalize_exhausted_trials_reports_best_attempt(q):
 def test_normalize_refuses_a_trial_count_below_one(f13, max_trials):
     # no alpha is tried, so no factor smoothness can be reported as failed
     F = parse_poly("x^4 + y^4 + z^4", f13)
-    dec = decompose_form(F, VeroneseMap(2, 2))
+    dec = decompose_form(lift_form(F))
     with pytest.raises(ValueError, match="max_trials must be at least 1"):
         normalize_plane_decomposition(F, dec, max_trials=max_trials)
 
@@ -507,7 +531,7 @@ def test_normalize_rejects_mismatched_decomposition(q):
 
 def test_normalize_singular_form_fails_fast(f13):
     F = parse_poly("x^2*y^2 + z^4", f13)
-    dec = decompose_form(F, VeroneseMap(2, 2))
+    dec = decompose_form(lift_form(F))
     if dec.k == 2:
         out = normalize_plane_decomposition(F, dec)
         assert out.certificates["failed_certificate"] == "input smoothness"
@@ -516,14 +540,14 @@ def test_normalize_singular_form_fails_fast(f13):
 
 def test_normalize_requires_two_summands(f13):
     F = parse_poly("2*x^2", f13, nvars=3)
-    dec = decompose_form(F, VeroneseMap(2, 1))
+    dec = decompose_form(lift_form(F))
     with pytest.raises(ValueError):
         normalize_plane_decomposition(dec.F, dec)
 
 
 def test_normalize_deterministic(f13):
     F = parse_poly("x^4 + y^4 + z^4", f13)
-    dec = decompose_form(F, VeroneseMap(2, 2))
+    dec = decompose_form(lift_form(F))
     a = normalize_plane_decomposition(F, dec, seed=7)
     b = normalize_plane_decomposition(F, dec, seed=7)
     assert [(str(l), str(m)) for l, m in a.summands] == [
@@ -544,15 +568,14 @@ def test_presentations_pass_the_hilbert_function_oracle():
     rng = random.Random(16)
     seen = set()
     for deg, count in ((4, 3), (6, 1)):
-        vm = VeroneseMap(2, deg // 2)
         for _ in range(count):
             F = random_homogeneous(f101, 3, deg, rng)
-            dec = decompose_form(F, vm)
+            dec = decompose_form(lift_form(F))
             mf, rep = ulrich_presentation(F, dec)
             assert is_ulrich_presentation(mf.entries, dec.F, deg // 2)
             seen.add((deg, rep.case, rep.size))
     assert seen == {(4, "a", 8), (6, "b", 16)}
-    quartic = decompose_form(random_homogeneous(f101, 3, 4, rng), VeroneseMap(2, 2))
+    quartic = decompose_form(lift_form(random_homogeneous(f101, 3, 4, rng)))
     mf, _ = ulrich_presentation(quartic.F, quartic)
     x2 = Poly.monomial(mf.field, (2, 0, 0))
     assert is_ulrich_presentation(mf.entries, quartic.F, 2)
@@ -590,9 +613,9 @@ def test_achieved_rank_stays_under_the_upper_bound(n, d):
     full = 0
     for _ in range(3):
         F = random_homogeneous(f101, n + 1, 2 * d, rng)
-        lift = lift_form(F, vm)
-        dec = decompose_form(F, vm, lift)
-        rb = rank_bounds(dec.F, dec, e_max=0)
+        lift = lift_form(F)
+        dec = decompose_form(lift)
+        rb = rank_bounds(dec.F, dec)
         assert rb.upper_bound == 2 ** ((vm.N + 1) // 2 - 1)
         assert rb.achieved <= rb.upper_bound
         if lift.record.rank == vm.N + 1:

@@ -34,11 +34,15 @@ subcommand with each option it does not read (``--seed``, ``--nvars``,
 error prints nothing to stdout and is recorded as exit 2.  Then
 ``smooth check`` and ``ulrich normalize`` over q and qi on fixed forms
 whose image mod the prime 2^26 - 27 is undefined, loses a partial or a
-pure power, or is singular, so that the exact route decides.  Last, the
+pure power, or is singular, so that the exact route decides.  Then the
 ``ulrich pipeline`` and ``ulrich bounds`` calls of ``SUBCOMMANDS`` with
 ``--deg 4``: the degree is read from the form, so argparse refuses the
-option, and the call is recorded as exit 2.  The script takes no
-options and clears ULRICH_FORGE_SEED, which would override every seed.
+option, and the call is recorded as exit 2.  Last, the options the form
+decides and the abbreviated options, all refused as usage errors: the
+``ulrich pipeline`` and ``ulrich bounds`` calls of ``SUBCOMMANDS`` once
+with ``--e-max 4`` and once with ``--seed 3``, the ``smooth check`` call
+with ``--e-max 4``, and three calls that name an option by a prefix
+(``--deg``, ``--e``, ``--max``).  The script takes no options.
 
 ``tests/replay_digests.txt`` freezes the first two columns, one line per
 argv; after a deliberate change to an envelope, regenerate it with
@@ -52,7 +56,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -471,6 +474,18 @@ def _deg_argvs():
     return [argv + ["--deg", "4"] for argv in SUBCOMMANDS if argv[:2] in (["ulrich", "pipeline"], ["ulrich", "bounds"])]
 
 
+def _decided_argvs():
+    """The calls with an option the form decides, then those with an abbreviated option."""
+    bounded = [argv for argv in SUBCOMMANDS if argv[:2] in (["ulrich", "pipeline"], ["ulrich", "bounds"])]
+    argvs = [argv + flag for argv in bounded for flag in (["--e-max", "4"], ["--seed", "3"])]
+    argvs += [argv + ["--e-max", "4"] for argv in SUBCOMMANDS if argv[:2] == ["smooth", "check"]]
+    return argvs + [
+        ["hilbert", "value", "x^2", "y^2", "--deg", "3"],
+        ["ulrich", "bounds", "x^4 + y^4 + z^4", "--field", "fp:13", "--e", "3"],
+        ["cover", "transversal", "x^2 - y*z", "y^2 - x*z", "--max", "2"],
+    ]
+
+
 def corpus():
     """The argvs, in a fixed order."""
     rng = random.Random(0)
@@ -510,6 +525,7 @@ def corpus():
         + _unread_option_argvs()
         + _image_hand_over_argvs()
         + _deg_argvs()
+        + _decided_argvs()
     )
 
 
@@ -530,7 +546,6 @@ def replay(argv):
 
 
 def main():
-    os.environ.pop("ULRICH_FORGE_SEED", None)
     for argv in corpus():
         print(replay(argv))
 

@@ -325,7 +325,7 @@ def _cmd_cover_transversal(args, field, f, g):
 
 
 def _cmd_cover_keem(args, field):
-    cert = keem_counterexample_certificate(field, trials=args.max_trials, seed=args.seed)
+    cert = keem_counterexample_certificate(field)
     return {
         "certified": cert.ok,
         "field": cert.field,
@@ -390,7 +390,7 @@ COMMANDS = {
     ),
     "cover split-check": Command(_cmd_cover_split_check, {"expected": 5, "floor_nvars": 3}),
     "cover transversal": Command(_cmd_cover_transversal, {"expected": 2, "floor_nvars": 3}, (_SEED,), budget=8),
-    "cover keem-counterexample": Command(_cmd_cover_keem, options=(_SEED,), budget=100),
+    "cover keem-counterexample": Command(_cmd_cover_keem),
 }
 
 

@@ -42,14 +42,14 @@ Every scalar determinant goes through ``_det_raw(rows, field)``, on raw
 rows, and every rank through ``_rank_raw(rows, field, width)``, on
 sparse raw rows: each row maps a column to a nonzero raw value.  ``det``
 and ``rank`` unwrap scalar rows once; ``clifford``'s point matrices,
-Gram records, Macaulay matrices and the Keem witnesses pass theirs
-directly.  ``_prime_rank``, named in no other module, gives the rank of
-the rows' image: exact over fp and fp2, a lower bound over q and qi, and
-None when a denominator is divisible by _CHECK_PRIME.  ``_rank_raw``
-keeps that answer when it is exact or full (always so for the square
-Macaulay submatrix ``graded`` builds over a finite field), and only
-otherwise fills the rows in densely for Bareiss over Z (q) or over Z[i]
-(qi).  All results are exact; nothing here is approximate.
+Gram records and Macaulay matrices pass theirs directly.
+``_prime_rank``, named in no other module, gives the rank of the rows'
+image: exact over fp and fp2, a lower bound over q and qi, and None
+when a denominator is divisible by _CHECK_PRIME.  ``_rank_raw`` keeps
+that answer when it is exact or full (always so for the square Macaulay
+submatrix ``graded`` builds over a finite field), and only otherwise
+fills the rows in densely for Bareiss over Z (q) or over Z[i] (qi).
+All results are exact; nothing here is approximate.
 """
 
 from __future__ import annotations

@@ -543,9 +543,10 @@ def test_cover_transversal(capsys):
 
 
 def test_cover_keem(capsys):
-    argv = ["cover", "keem-counterexample", "--field", "qi", "--max-trials", "20"]
-    code, payload = _run(capsys, argv)
+    code, payload = _run(capsys, ["cover", "keem-counterexample", "--field", "qi"])
     assert code == 0
+    # no option reaches the certificate, so config echoes the defaults
+    assert (payload["config"]["seed"], payload["config"]["max_trials"]) == (0, None)
     result = payload["result"]
     assert result["pencil_determinant"] == "1/16"
     assert [link["name"] for link in result["chain"]][-1] == "no-splitting"
@@ -556,26 +557,18 @@ def test_cover_keem(capsys):
     assert "square root of -1" in payload["error"]
 
 
-# sha256 of the ``cover keem-counterexample`` stdout per field, seed and
-# trial count; the witness ranks behind the "split-rank-bound" value are
-# exact, so these stay fixed however they are computed
+# sha256 of the ``cover keem-counterexample`` stdout per field; every link
+# of the chain is exact, so these stay fixed however they are computed
 @pytest.mark.parametrize(
-    "field, seed, trials, expected",
+    "field, expected",
     [
-        ("qi", 0, 1, "25ed9988de9e6385c2223c867f4b395f587ad676d306d4def2203d1ff0c8929a"),
-        ("qi", 3, 20, "a38bd194d962d87f50e7c02cdb15fb9569e9862ed638fb93401e42ebdd00dcb8"),
-        ("qi", 11, 100, "15171047ef18bb85b68c6f2294bb31ed49f8edb4fb7fcf59f1adf8878698a1e0"),
-        ("fp:13", 0, 1, "393d04380744ede592657e10cd419c3b0fa6dd4027f9f80e34dee98fca0ff0ff"),
-        ("fp:13", 3, 20, "72d43aced66e76c823823c3e8aaab76773f59a12c32259fc142f545505c824d6"),
-        ("fp:13", 11, 100, "c8449025e0c0afbf7117f3420692042d34199c9d24452a6cb036fe8e1bc22b03"),
-        ("fp2:7", 0, 1, "ebdebb26de829b0d6c1405e50dcdd82b6ae657740f877748cc5e620de096f5e9"),
-        ("fp2:7", 3, 20, "d522324c7d6b0c1aacefdcc611c672c38fc24dec44005fc48cf7a5f39779f7b8"),
-        ("fp2:7", 11, 100, "3f8d7c77d405342daf7ea961cbc79dd95a1a511b009d0fc5c970b2e091d1365e"),
+        ("qi", "e0ca47d28e38a721d073ebc1c6e535051b17042b5ca0d515bd970aeaef43cfa0"),
+        ("fp:13", "9d1ef26a127e1076480bb561a2d93acc76c6a17432cab27dbfdc245a6e2c47fb"),
+        ("fp2:7", "c9ad8bb9b8518ad6026effeffab94b96b4b87a4f041d30569505aa962276482c"),
     ],
 )
-def test_cover_keem_stdout_is_frozen(capsys, field, seed, trials, expected):
-    argv = ["cover", "keem-counterexample", "--field", field, "--seed", str(seed)]
-    assert main(argv + ["--max-trials", str(trials)]) == 0
+def test_cover_keem_stdout_is_frozen(capsys, field, expected):
+    assert main(["cover", "keem-counterexample", "--field", field]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
@@ -814,7 +807,7 @@ def test_output_is_byte_identical_across_runs(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
-    argv2 = ["cover", "keem-counterexample", "--field", "fp:13", "--max-trials", "30"]
+    argv2 = ["cover", "keem-counterexample", "--field", "fp:13"]
     main(argv2)
     third = capsys.readouterr().out
     main(argv2)
@@ -891,7 +884,7 @@ _EVERY_SUBCOMMAND = [
 
 
 # the subcommands with a default --max-trials, and that default
-_BUDGETED = {"mf det-cert": 50, "ulrich normalize": 20, "cover transversal": 8, "cover keem-counterexample": 100}
+_BUDGETED = {"mf det-cert": 50, "ulrich normalize": 20, "cover transversal": 8}
 # the options each subcommand's handler reads, of those not every subcommand has
 _READS = {
     "--seed": {
@@ -899,7 +892,6 @@ _READS = {
         "ulrich normalize",
         "smooth check",
         "cover transversal",
-        "cover keem-counterexample",
     },
     # every degree bound is derived from the form
     "--e-max": set(),
@@ -996,11 +988,10 @@ def _budget_errors():
         if name not in _BUDGETED:
             continue
         yield pytest.param(argv + ["--field", "fp:4"], "is not prime", id=f"{name} field")
-        if name != "cover keem-counterexample":
-            yield pytest.param(argv + ["--nvars", "0"], "--nvars must be at least 1", id=f"{name} nvars")
-            *head, last = argv
-            yield pytest.param(head + [last + " ;"], "cannot tokenize", id=f"{name} token")
-            yield pytest.param(head + [last + " +"], "unexpected end", id=f"{name} grammar")
+        yield pytest.param(argv + ["--nvars", "0"], "--nvars must be at least 1", id=f"{name} nvars")
+        *head, last = argv
+        yield pytest.param(head + [last + " ;"], "cannot tokenize", id=f"{name} token")
+        yield pytest.param(head + [last + " +"], "unexpected end", id=f"{name} grammar")
 
 
 @pytest.mark.parametrize("argv, error", _budget_errors())

@@ -18,8 +18,6 @@ from ulrich_forge import (
     riemann_hurwitz,
 )
 from ulrich_forge import cover
-from ulrich_forge.cover import _split_rank
-from ulrich_forge.linalg import _rank_raw
 from ulrich_forge.quadform import gram_from_poly
 
 from oracles import rank_in_extension
@@ -143,7 +141,6 @@ def test_keem_certificate_over_gaussian_rationals(qi):
     assert cert.profile.g == 8
     assert cert.profile.h == 2
     assert cert.profile.g == 4 * cert.profile.h
-    assert cert.trials == 25
     names = [link["name"] for link in cert.chain]
     assert names == [
         "square-root-of-minus-one",
@@ -199,13 +196,6 @@ def test_keem_refuses_fields_without_i():
         keem_counterexample_certificate(FieldSpec.prime(7))
 
 
-@pytest.mark.parametrize("trials", [0, -5])
-def test_keem_refuses_a_trial_count_below_one(qi, trials):
-    # with no witness, "rank(l*m + a^2) <= 3" would hold vacuously
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        keem_counterexample_certificate(qi, trials=trials)
-
-
 def test_keem_no_splitting_samples_are_exhaustive_failures(qi):
     cert = keem_counterexample_certificate(qi, trials=40, seed=3)
     final = cert.chain[-1]
@@ -214,7 +204,8 @@ def test_keem_no_splitting_samples_are_exhaustive_failures(qi):
     assert final["value"] == "contradiction"
     rank_link = cert.chain[2]
     assert rank_link["name"] == "split-rank-bound"
-    assert "40" in rank_link["statement"]
+    assert rank_link["statement"].endswith("rank(l*m + a^2) <= 3 for every l, m, a")
+    assert rank_link["value"] == "3"
 
 
 def test_keem_deterministic(qi):
@@ -225,20 +216,50 @@ def test_keem_deterministic(qi):
     assert [l["value"] for l in a.chain] == [l["value"] for l in b.chain]
 
 
-@pytest.mark.parametrize("spec", ["fp:13", "fp2:7", "qi", "q", "fp:3", "fp2:3"])
-def test_split_rank_from_vectors_matches_the_gram_of_the_product(spec, monkeypatch):
-    """Both routes of ``_split_rank`` agree with the Gram rank of the product polynomial.
+@pytest.mark.parametrize(
+    "spec, determinant",
+    [("qi", "1/16"), ("fp:13", "9"), ("fp:17", "16"), ("fp:101", "19"), ("fp2:7", "4"), ("fp2:13", "9")],
+)
+def test_keem_certificate_draws_no_random_scalar(spec, determinant, monkeypatch):
+    # the rank bound is a proof for every witness, so no witness is drawn
+    drawn = []
+    random_scalar = FieldSpec.random_scalar
+    monkeypatch.setattr(
+        FieldSpec, "random_scalar", lambda *args: drawn.append(args) or random_scalar(*args)
+    )
+    # trials and seed as bench/workloads.py passes them; neither is read
+    cert = keem_counterexample_certificate(FieldSpec.parse(spec), trials=100, seed=7)
+    assert (cert.ok, cert.pencil_determinant) == (True, determinant)
+    assert drawn == []
 
-    A spy on ``cover._rank_raw`` sees the three coefficient vectors
-    ranked for every witness, and the 4 x 4 Gram rows ranked exactly
-    when the vectors are dependent; in the small fields fp:3 and fp2:3
-    random witnesses are often dependent.
+
+def test_the_split_identity_is_checked_once_per_process():
+    cover._split_gram_identity.cache_clear()
+    for spec in ("qi", "fp:13", "fp2:7", "qi"):
+        assert keem_counterexample_certificate(FieldSpec.parse(spec)).ok
+    info = cover._split_gram_identity.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_a_failed_split_identity_fails_the_certificate(qi, monkeypatch):
+    monkeypatch.setattr(cover, "_split_gram_identity", lambda: False)
+    cert = keem_counterexample_certificate(qi)
+    links = {link["name"]: link["ok"] for link in cert.chain}
+    assert not cert.ok
+    assert not links["split-rank-bound"] and not links["no-splitting"]
+    assert links["square-root-of-minus-one"] and links["pencil-nonsingular"] and links["cover-profile"]
+
+
+@pytest.mark.parametrize("spec", ["fp:13", "fp2:7", "qi", "q", "fp:3", "fp2:3"])
+def test_split_rank_from_vectors_matches_the_gram_of_the_product(spec):
+    """The lemma behind "split-rank-bound", against the Gram rank of the product polynomial.
+
+    The rank the coefficient vectors give, at most 3 and 3 exactly when
+    l, m and a are linearly independent (2*Gram = V J V^T with J
+    invertible), is the Gram rank of l*m + a^2; in the small fields
+    fp:3 and fp2:3 random witnesses are often dependent.
     """
     field = FieldSpec.parse(spec)
-    calls = []
-    monkeypatch.setattr(
-        cover, "_rank_raw", lambda rows, *rest: calls.append(len(rows)) or _rank_raw(rows, *rest)
-    )
     rng = random.Random(19)
     zero = [field.zero] * 4
     witnesses = []
@@ -248,16 +269,14 @@ def test_split_rank_from_vectors_matches_the_gram_of_the_product(spec, monkeypat
         witnesses += [(l, m, a), (zero, m, a), (l, m, zero), (l, [c * v for v in l], a)]
     # l = a and m = -a: l*m + a^2 is the zero form
     witnesses += [(a, [-v for v in a], a) for _, _, a in witnesses[:5]] + [(zero, zero, zero)]
-    of = field.arith.of
-    ranks, routes = set(), set()
+    ranks, dependence = set(), set()
     for l, m, a in witnesses:
         lf, mf, af = (Poly.linear_form(field, v) for v in (l, m, a))
-        expected = gram_from_poly(lf * mf + af * af).rank
-        calls.clear()
-        assert _split_rank(field, *([of(v) for v in w] for w in (l, m, a))) == expected
-        dependent = rank_in_extension([l, m, a], field) < 3
-        assert calls == ([3, 4] if dependent else [3])
-        ranks.add(expected)
-        routes.add(dependent)
+        rank = gram_from_poly(lf * mf + af * af).rank
+        independent = rank_in_extension([l, m, a], field) == 3
+        assert rank <= 3
+        assert (rank == 3) == independent
+        ranks.add(rank)
+        dependence.add(independent)
     assert ranks == {0, 1, 2, 3}
-    assert routes == {False, True}
+    assert dependence == {False, True}

@@ -12,7 +12,9 @@ outputs lists exactly the calls whose exit code or stdout changed.  It
 covers ``ulrich pipeline``/``bounds`` on smooth, reducible and singular
 forms, ``smooth check``, ``hilbert value``, ``quad pencil-det``,
 ``mf det-cert``, ``cover transversal`` and ``cover keem-counterexample``
-over fp:13, fp:101, fp:32003, fp2:13, q and qi.  After them come
+over fp:13, fp:101, fp:32003, fp2:13, q and qi; the Keem calls pass
+``--max-trials`` and ``--seed``, which the subcommand does not take, so
+argparse refuses them and they are recorded as exit 2.  After them come
 ``mf build`` calls on quadrics of rank 1 to 6 over the same fields,
 drawn from their own ``random.Random(1)`` so that the earlier lines keep
 their argvs, and last, from ``random.Random(2)``, the calls that reach
@@ -37,12 +39,15 @@ whose image mod the prime 2^26 - 27 is undefined, loses a partial or a
 pure power, or is singular, so that the exact route decides.  Then the
 ``ulrich pipeline`` and ``ulrich bounds`` calls of ``SUBCOMMANDS`` with
 ``--deg 4``: the degree is read from the form, so argparse refuses the
-option, and the call is recorded as exit 2.  Last, the options the form
+option, and the call is recorded as exit 2.  Then the options the form
 decides and the abbreviated options, all refused as usage errors: the
 ``ulrich pipeline`` and ``ulrich bounds`` calls of ``SUBCOMMANDS`` once
 with ``--e-max 4`` and once with ``--seed 3``, the ``smooth check`` call
 with ``--e-max 4``, and three calls that name an option by a prefix
-(``--deg``, ``--e``, ``--max``).  The script takes no options.
+(``--deg``, ``--e``, ``--max``).  Last, ``cover keem-counterexample``
+over each of the six fields with no other option; over q and fp:32003
+it ends in the "field lacks a square root of -1" envelope.  The script
+takes no options.
 
 ``tests/replay_digests.txt`` freezes the first two columns, one line per
 argv; after a deliberate change to an envelope, regenerate it with
@@ -486,6 +491,11 @@ def _decided_argvs():
     ]
 
 
+def _keem_argvs():
+    """``cover keem-counterexample`` over each of the six fields, with no other option."""
+    return [["cover", "keem-counterexample", "--field", spec] for spec in FIELDS]
+
+
 def corpus():
     """The argvs, in a fixed order."""
     rng = random.Random(0)
@@ -526,6 +536,7 @@ def corpus():
         + _image_hand_over_argvs()
         + _deg_argvs()
         + _decided_argvs()
+        + _keem_argvs()
     )
 
 

@@ -14,8 +14,10 @@ Four elimination kernels do all the work:
   ends first, which limits fill-in.  The check prime keeps every slot at
   one word up to width 4096; a prime near 2^31 needs two past width 4.
   ``_residue_rows`` alone maps raw values to their images in
-  _IMAGE_FIELD, the field of the check prime (``resultants`` reads its
-  one row through it, and ``graded`` the coefficients of a form), and
+  _IMAGE_FIELD, the field of the check prime (``resultants`` reads the
+  two forms of a transversality certificate and the coefficients of a
+  chart resultant through it, and ``graded`` the coefficients of a
+  form), and
   ``_prime_rank`` alone ranks them: every fp2 matrix is realified
   there, ranked over F_p at twice the size.  No routine here descends
   from an extension to its base field: a matrix is ranked in the field
@@ -514,8 +516,10 @@ def poly_matrix_det(rows):
     is packed into one integer, over fp2 and qi one per component;
     ``_fraction_free`` takes the determinant, whose base-2**k digits are
     read back as coefficients through ``_dropped``.  It backs the Keem
-    pencil determinant and ``sylvester_resultant``, and with it every
-    transversality certificate.  The packing is dense in every variable
+    pencil determinant and ``sylvester_resultant``, and with it the
+    transversality certificates over fp2, over fp with p <= d*d, and
+    over q and qi when the image mod _CHECK_PRIME proves nothing.  The
+    packing is dense in every variable
     that occurs, so the integers grow with the product of the degree
     bounds.
     """

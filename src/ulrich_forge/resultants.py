@@ -13,27 +13,34 @@ The certificate works on the chart z = 1 from the start.  Once both
 x^d coefficients are nonzero constants, setting z = 1 commutes with the
 resultant, and a binary form vanishes exactly when its dehomogenization
 does, so the chart polynomial r(y) = Res_x(f, g)(y, 1), of degree at
-most d*d, decides everything.  It is the ``sylvester_resultant`` of the
-two chart polynomials, whose 2d x 2d determinant over K[y] is taken by
-``poly_matrix_det`` in every characteristic; Euclid's gcd on its raw
-coefficients decides squarefreeness.
+most d*d, decides everything.  Over fp with p > d*d, ``_chart_residues``
+takes r on plain integer residues: its values at the nodes y = 0..d*d,
+each one Euclid resultant mod p, then interpolation (Collins 1971).
+Every other field, and fp with p <= d*d (too few nodes), takes the
+``sylvester_resultant`` of the two chart polynomials, whose 2d x 2d
+determinant over K[y] is ``poly_matrix_det``.  Euclid's gcd on the
+raw coefficients of r decides squarefreeness.
 
-Over q and qi that gcd runs mod the prime P = ``linalg._CHECK_PRIME``
-first, in ``linalg._IMAGE_FIELD``, on the image that
-``linalg._residue_rows`` gives of the coefficients as one sparse row (i
-goes to a square root of -1 mod P).
-A squarefree image of full degree proves the polynomial squarefree (see
-``_squarefree``); any other image leaves the decision to Euclid on the
-exact coefficients, so no answer depends on the prime.
+Over q and qi the forms' image mod the prime P = ``linalg._CHECK_PRIME``
+is taken once per certificate by ``linalg._residue_rows`` (i goes to a
+square root of -1 mod P), and each trial first runs the fp route on it,
+in ``linalg._IMAGE_FIELD``: a full-degree squarefree image of r proves
+the trial (see ``certify_transversal``).  Otherwise the exact r
+decides, and its squarefree test again tries the image of its
+coefficients first (see ``_squarefree``); an image that proves nothing
+leaves the decision to the exact coefficients, so no answer depends on
+the prime.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 
-from .fields import GAUSSIAN, RATIONAL
+from .fields import GAUSSIAN, PRIME, RATIONAL
 from .linalg import _IMAGE_FIELD, _residue_rows, det, poly_matrix_det
 from .poly import Poly, _accumulate
 
@@ -179,6 +186,86 @@ def _random_change(field, rng):
             return m
 
 
+def _chart_residues(f_raw, g_raw, d, p):
+    """Res_x(f, g)(y, 1) mod p, ascending, d*d + 1 residues, from its values at y = 0..d*d.
+
+    f_raw and g_raw map the exponents of forms of degree d in (x, y, z)
+    to residues mod p, both with a nonzero x^d coefficient, and p > d*d.
+    """
+    n = d * d + 1
+    columns = []
+    for raw in (f_raw, g_raw):
+        # the coefficient of x^i on the chart, ascending in y, for i = d..0
+        column = [[0] * (d - i + 1) for i in range(d, -1, -1)]
+        for (i, j, _), c in raw.items():
+            column[d - i][j] = c
+        columns.append(column)
+    values = []
+    for t in range(n):
+        a, b = ([_horner(row, t) % p for row in column] for column in columns)
+        values.append(_euclid_resultant(a, b, p))
+    return [sum(map(mul, row, values)) % p for row in _lagrange(p, n)]
+
+
+def _horner(row, t):
+    """The ascending coefficient list row at t, unreduced."""
+    value = 0
+    for c in reversed(row):
+        value = value * t + c
+    return value
+
+
+def _euclid_resultant(a, b, p):
+    """Res(a, b) mod p of residue lists, top coefficient first and nonzero.
+
+    Res(a, b) = (-1)^(mn) Res(b, a) = (-1)^(mn) lc(b)^(m - k) Res(b, a mod b)
+    for deg a = m, deg b = n and deg(a mod b) = k; Res(a, c) = c^m for a
+    constant c.
+    """
+    result = 1
+    while len(b) > 1:
+        m, n = len(a) - 1, len(b) - 1
+        inv, r = pow(b[0], -1, p), a[:]
+        for i in range(m - n + 1):
+            c = r[i] * inv % p
+            if c:
+                for j in range(1, n + 1):
+                    r[i + j] = (r[i + j] - c * b[j]) % p
+        top = m - n + 1  # a mod b is r[top:] without its leading zeros
+        while top <= m and not r[top]:
+            top += 1
+        if top > m:
+            return 0
+        if m * n % 2:
+            result = -result
+        result = result * pow(b[0], top, p) % p
+        a, b = b, r[top:]
+    return result * pow(b[0], len(a) - 1, p) % p
+
+
+@lru_cache(maxsize=16)
+def _lagrange(p, n):
+    """Rows k = 0..n-1 of the inverse Vandermonde matrix of the nodes 0..n-1 mod p, p >= n.
+
+    Row k holds the y^k coefficients of the Lagrange basis polynomials
+    l_t(y) = prod_{s != t} (y - s) / (t - s), so its dot product with the
+    values at the nodes is the k-th coefficient of the interpolant.
+    """
+    master = [1]  # prod_s (y - s), ascending
+    for s in range(n):
+        master = [(up - s * c) % p for up, c in zip([0] + master, master + [0])]
+    basis = []
+    for t in range(n):
+        # master / (y - t) = prod_{s != t} (y - s) by synthetic division, from the top down
+        quotient, carry = [0] * n, 0
+        for k in range(n, 0, -1):
+            carry = (master[k] + carry * t) % p
+            quotient[k - 1] = carry
+        inv = pow(_horner(quotient, t), -1, p)
+        basis.append([c * inv % p for c in quotient])
+    return list(zip(*basis))
+
+
 @dataclass
 class TransversalityResult:
     verdict: str
@@ -198,6 +285,22 @@ def certify_transversal(f, g, seed=0, max_trials=8):
     each with intersection multiplicity one.  Failure names the reason:
     a shared component, or no projection with a squarefree full-degree
     resultant within the trial budget.
+
+    Each trial checks that both x^d coefficients are nonzero constants,
+    so that every specialisation y = t keeps both chart polynomials at
+    degree d and their resultant is r(t).  Over fp with p > d*d the
+    d*d + 1 nodes 0..d*d are distinct and deg r <= d*d, so interpolating
+    r(0), ..., r(d*d) (``_chart_residues``) gives r exactly.  Over q and
+    qi the change of coordinates is drawn on the exact field, so the
+    generator's stream and the reported change are the same on every
+    route, and applied to the forms' image mod P = _CHECK_PRIME.
+    Reduction mod P is the ring map of ``linalg._residue_rows``; when
+    both x^d coefficients survive it, it commutes with Res_x, so the
+    image's r is the image of the exact r.  A full-degree image of r
+    then gives an exact r of full degree, hence nonzero, and a
+    squarefree one proves r squarefree (see ``_squarefree``), so the
+    trial is transversal exactly; every other trial takes the exact
+    steps.
     """
     for h in (f, g):
         if h.is_zero or not h.is_homogeneous():
@@ -214,21 +317,28 @@ def certify_transversal(f, g, seed=0, max_trials=8):
     field = f.field
     rng = random.Random(seed)
     target = d * d
+    lead = (d, 0, 0)
+    zero = field.arith.zero
+    by_values = field.kind == PRIME and field.p > target
+    images = None if field.p or target >= _IMAGE_FIELD.p else _residue_rows([f.raw, g.raw], field)
     reason = "no change of coordinates gave a squarefree full-degree resultant"
     for trial in range(1, max_trials + 1):
         change = None if trial == 1 else _random_change(field, rng)
+        if images is not None and _image_proves(images, change, d, field):
+            return TransversalityResult(TRANSVERSAL, points=target, trials=trial, change=change)
         fc = f if change is None else apply_linear_change(f, change)
         gc = g if change is None else apply_linear_change(g, change)
-        lead = (d, 0, 0)
         if not fc.coefficient(lead) or not gc.coefficient(lead):
             continue
-        res = sylvester_resultant(fc.set_variable(2, 1), gc.set_variable(2, 1), 0)
-        coeffs = res.univariate_raw(1)
-        if res.is_zero:
+        if by_values:
+            coeffs = _chart_residues(fc.raw, gc.raw, d, field.p)
+        else:
+            coeffs = sylvester_resultant(fc.set_variable(2, 1), gc.set_variable(2, 1), 0).univariate_raw(1)
+        if all(c == zero for c in coeffs):
             return TransversalityResult(
                 FAILED, reason="curves share a component", trials=trial
             )
-        if len(coeffs) - 1 != target:
+        if len(coeffs) - 1 != target or coeffs[target] == zero:
             continue
         if _squarefree(coeffs, field):
             return TransversalityResult(
@@ -236,3 +346,16 @@ def certify_transversal(f, g, seed=0, max_trials=8):
             )
         reason = "resultant has a repeated root; intersection not transversal"
     return TransversalityResult(FAILED, reason=reason, trials=max_trials)
+
+
+def _image_proves(images, change, d, field):
+    """Whether the image mod P of one trial of ``certify_transversal`` over q or qi proves it transversal."""
+    if change is not None:
+        (entries,) = _residue_rows([{k: field.arith.of(c) for k, c in enumerate(sum(change, []))}], field)
+        matrix = [[entries.get(3 * i + j, 0) for j in range(3)] for i in range(3)]
+        images = [apply_linear_change(Poly._make(_IMAGE_FIELD, 3, raw), matrix).raw for raw in images]
+    lead = (d, 0, 0)
+    if not all(lead in raw for raw in images):
+        return False
+    residues = _chart_residues(*images, d, _IMAGE_FIELD.p)
+    return residues[-1] != 0 and _dense_squarefree(residues, _IMAGE_FIELD.arith)

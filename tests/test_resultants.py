@@ -23,6 +23,7 @@ from ulrich_forge.linalg import _CHECK_PRIME as P
 from ulrich_forge.resultants import (
     _IMAGE_FIELD,
     TRANSVERSAL,
+    _chart_residues,
     _dense_squarefree,
     _random_change,
     _sylvester_rows,
@@ -382,8 +383,8 @@ def test_shared_component_and_tangency(text, d):
     "text, d", [("fp:7", 3), ("fp:13", 4), ("fp2:13", 4), ("fp:5", 4), ("fp2:3", 3)]
 )
 def test_small_characteristic_matches_the_bivariate_route(text, d):
-    # characteristic <= d*d, where the deleted evaluation route lacked
-    # distinct nodes: the verdicts match the resultant of the forms
+    # characteristic <= d*d, too few distinct nodes for values and
+    # interpolation: the verdicts match the resultant of the forms
     field = FieldSpec.parse(text)
     verdicts = set()
     for k, (f, g) in enumerate(_seeded_pairs(field, d, 4, seed=d)):
@@ -405,7 +406,7 @@ def test_transversal_degree_eight_within_budget():
     res = certify_transversal(f, g)
     elapsed = time.perf_counter() - start
     assert res.verdict == TRANSVERSAL and res.points == 64
-    assert elapsed < 1.0, f"degree-8 certificate took {elapsed:.2f}s"
+    assert elapsed < 0.1, f"degree-8 certificate took {elapsed:.3f}s"
 
 
 def test_small_characteristic_degree_six_within_budget():
@@ -461,3 +462,164 @@ def test_degree_eight_agrees_with_sympy_mod_p():
     expected = _sympy_chart(f, g)
     assert _chart(f, g, 8) == expected
     assert len(expected) == 65 and _dense_squarefree(_raw(expected), field.arith)
+
+
+# -- the chart resultant from values mod p ---------------------------------
+
+
+def _without(h, exps):
+    """h without its term at exps."""
+    return h - Poly(h.field, 3, {exps: h.coefficient(exps)})
+
+
+def _edge_pairs(field, d, seed):
+    """Seeded pairs, a shared component, a pair both through (0:1:0), and a tangent pair."""
+    pairs = _seeded_pairs(field, d, 2, seed)
+    if d > 1:
+        pairs.append(_common_factor_pair(field, d, seed))
+    # no y^d term in either: r loses its top coefficient
+    f, g = pairs[0]
+    pairs.append((_without(f, (0, d, 0)), _without(g, (0, d, 0))))
+    if d > 1:
+        pairs.append(_tangent_pair(field, d, seed))
+    return pairs
+
+
+_WORD_PRIMES = ("fp:17", "fp:37", "fp:101", "fp:32003", "fp:2147483629")
+
+
+@pytest.mark.parametrize(
+    "text, d",
+    [(text, d) for text in _WORD_PRIMES for d in range(1, 7) if FieldSpec.parse(text).p > d * d],
+)
+def test_chart_residues_match_the_sylvester_route(text, d):
+    # values at y = 0..d*d, one Euclid resultant mod p each, then
+    # interpolation, against the polynomial determinant of the charts;
+    # fp:17 at d = 4 has exactly the d*d + 1 nodes it needs
+    field = FieldSpec.parse(text)
+    zero_seen = top_lost = False
+    for f, g in _edge_pairs(field, d, seed=7 * d + len(text)):
+        res = sylvester_resultant(f.set_variable(2, 1), g.set_variable(2, 1), 0)
+        expected = res.univariate_raw(1)
+        expected += [0] * (d * d + 1 - len(expected))
+        got = _chart_residues(f.raw, g.raw, d, field.p)
+        assert got == expected
+        zero_seen |= not any(got)
+        top_lost |= any(got) and not got[-1]
+    assert top_lost and (zero_seen or d == 1)
+
+
+@pytest.mark.parametrize("text, d", [("fp:17", 4), ("fp:37", 3), ("fp:101", 5), ("fp:2147483629", 4)])
+def test_chart_residues_agree_with_sympy_mod_p(text, d):
+    field = FieldSpec.parse(text)
+    for f, g in _edge_pairs(field, d, seed=d):
+        assert _chart_residues(f.raw, g.raw, d, field.p) == _raw(_padded(_sympy_chart(f, g), d, field))
+
+
+def test_tangent_chart_residues_have_a_repeated_root():
+    # g - f = (y + z)^2 * z has no x, so r = (y + 1)^6
+    field = FieldSpec.prime(32003)
+    f, g = _tangent_pair(field, 3, seed=3)
+    coeffs = _chart_residues(f.raw, g.raw, 3, field.p)
+    assert any(coeffs) and not _dense_squarefree(coeffs, field.arith)
+
+
+# -- q and qi: the image mod P first, the exact route on hand-over ----------
+
+
+def _transversal_cases(field, seed, top=4):
+    """Seeded pairs of degree 1..top: plain, with no x^d term, tangent, with a shared component."""
+    cases = []
+    for d in range(1, top + 1):
+        pairs = _seeded_pairs(field, d, 2 if d < 4 else 1, seed + d)
+        f, g = pairs[0]
+        pairs.append((_without(f, (d, 0, 0)), _without(g, (d, 0, 0))))
+        if d > 1:
+            pairs += [_tangent_pair(field, d, seed + d), _common_factor_pair(field, d, seed + d)]
+        cases += [(f, g, k) for k, (f, g) in enumerate(pairs)]
+    return cases
+
+
+def _exact_only(monkeypatch):
+    monkeypatch.setattr(resultants, "_image_proves", lambda images, change, d, field: False)
+
+
+@pytest.mark.parametrize("text", ["q", "qi"])
+def test_image_first_matches_the_exact_route(text, monkeypatch):
+    field = FieldSpec.parse(text)
+    cases = _transversal_cases(field, seed=40)
+    results = [certify_transversal(f, g, seed=k) for f, g, k in cases]
+    _exact_only(monkeypatch)
+    assert results == [certify_transversal(f, g, seed=k) for f, g, k in cases]
+    assert {res.reason for res in results} >= {
+        None,
+        "curves share a component",
+        "resultant has a repeated root; intersection not transversal",
+    }
+    assert any(res and res.change is not None for res in results)
+
+
+def _spy(monkeypatch, name):
+    """Count the calls of one function of ``resultants``."""
+    calls = []
+    original = getattr(resultants, name)
+    monkeypatch.setattr(resultants, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text, f_text, g_text",
+    [
+        # P divides a denominator: no image at all
+        ("q", f"1/{P}*x^2 + y^2 - z^2", "x^2 + x*y - y*z"),
+        ("qi", f"1/{P}*x^2 + (i)*y^2 - z^2", "x^2 + x*y - y*z"),
+        # the x^2 coefficient vanishes mod P
+        ("q", f"{P}*x^2 + y^2 - z^2", "x^2 + x*y - y*z"),
+        ("qi", f"(-{P}+{P}i)*x^2 + y^2 - z^2", "x^2 + (1+i)*x*y - y*z"),
+        # r = y(y - P)(y - 1)(y - 2): its image has the double root 0
+        ("q", "x^2 - z^2", f"x^2 - {(P - 3) // 2}*x*y - x*z + y^2 - {(P + 3) // 2}*y*z"),
+        ("qi", "x^2 - z^2", f"x^2 - {(P - 3) // 2}*x*y - x*z + y^2 - {(P + 3) // 2}*y*z"),
+    ],
+)
+def test_images_that_prove_nothing_hand_over_to_the_exact_route(text, f_text, g_text, monkeypatch):
+    field = FieldSpec.parse(text)
+    f, g = parse_poly(f_text, field), parse_poly(g_text, field)
+    calls = _spy(monkeypatch, "sylvester_resultant")
+    res = certify_transversal(f, g)
+    assert res.verdict == TRANSVERSAL and res.points == 4 and res.trials == 1
+    assert calls
+    _exact_only(monkeypatch)
+    assert certify_transversal(f, g) == res
+
+
+@pytest.mark.parametrize("text", ["q", "qi"])
+def test_an_image_forced_non_squarefree_hands_over(text, monkeypatch):
+    # every squarefree test then runs Euclid over q or qi, whose
+    # coefficients swell at d = 4
+    field = FieldSpec.parse(text)
+    cases = _transversal_cases(field, seed=50, top=3)
+    expected = [certify_transversal(f, g, seed=k) for f, g, k in cases]
+    original = resultants._dense_squarefree
+    monkeypatch.setattr(
+        resultants, "_dense_squarefree", lambda c, ar: ar is not _IMAGE_FIELD.arith and original(c, ar)
+    )
+    calls = _spy(monkeypatch, "sylvester_resultant")
+    assert [certify_transversal(f, g, seed=k) for f, g, k in cases] == expected
+    # each transversal verdict came from a Sylvester resultant
+    assert len(calls) >= sum(1 for res in expected if res) > 0
+
+
+def test_word_size_charts_skip_the_polynomial_determinant(monkeypatch):
+    calls = _spy(monkeypatch, "poly_matrix_det")
+    field = FieldSpec.prime(32003)
+    for d, seed in ((4, 4), (6, 6), (8, 8)):
+        ((f, g),) = _seeded_pairs(field, d, 1, seed=seed)
+        assert certify_transversal(f, g).points == d * d
+    q = FieldSpec.rationals()
+    assert certify_transversal(parse_poly("x^2 - y*z", q), parse_poly("y^2 - x*z", q)).points == 4
+    assert not calls
+    # fp:13 has 13 <= 16 = d*d elements: too few nodes for a quartic chart
+    field = FieldSpec.prime(13)
+    ((f, g),) = _seeded_pairs(field, 4, 1, seed=4)
+    certify_transversal(f, g)
+    assert calls

@@ -46,8 +46,12 @@ with ``--e-max 4`` and once with ``--seed 3``, the ``smooth check`` call
 with ``--e-max 4``, and three calls that name an option by a prefix
 (``--deg``, ``--e``, ``--max``).  Last, ``cover keem-counterexample``
 over each of the six fields with no other option; over q and fp:32003
-it ends in the "field lacks a square root of -1" envelope.  The script
-takes no options.
+it ends in the "field lacks a square root of -1" envelope.  After them,
+from ``random.Random(5)``, ``cover transversal`` at the edges of the
+chart resultant's routes (see ``_transversal_argvs``): quartics over
+fp:17 and fp:13, q and qi pairs whose image mod 2^26 - 27 decides
+nothing, qi pairs, pairs with no x^d term, a shared component and a
+tangent pair.  The script takes no options.
 
 ``tests/replay_digests.txt`` freezes the first two columns, one line per
 argv; after a deliberate change to an envelope, regenerate it with
@@ -496,6 +500,52 @@ def _keem_argvs():
     return [["cover", "keem-counterexample", "--field", spec] for spec in FIELDS]
 
 
+def _transversal_argvs():
+    """``cover transversal`` at the edges of the chart resultant's routes, from their own ``random.Random(5)``.
+
+    Integer quartic pairs read over fp:17 (17 > 16 = d*d, so values at
+    d*d + 1 nodes and interpolation) and over fp:13 (the polynomial
+    determinant); over q and qi, with P = 2^26 - 27, pairs whose image
+    mod P decides nothing: a denominator P, an x^2 coefficient that
+    vanishes mod P, and a chart resultant y(y - P)(y - 1)(y - 2) whose
+    image has a double root; random qi pairs; pairs with no x^d term,
+    so that a change of coordinates is drawn; a shared component; and a
+    pair of tangent conics.
+    """
+    rng = random.Random(5)
+    p, j = 67108837, 11846621
+    argvs = []
+    for _ in range(3):
+        pair = [_text(PRIME_13, _form(PRIME_13, rng, 3, 4)) for _ in range(2)]
+        seed = str(rng.randrange(100))
+        argvs += [["cover", "transversal", *pair, "--seed", seed, "--field", spec] for spec in ("fp:17", "fp:13")]
+    # x^2 - z^2 meets the second conic where y(y - P) = 0 (x = 1) and
+    # (y - 1)(y - 2) = 0 (x = -1)
+    double_image = ("x^2 - z^2", f"x^2 - {(p - 3) // 2}*x*y - x*z + y^2 - {(p + 3) // 2}*y*z")
+    hand_over = [
+        ("q", f"1/{p}*x^2 + y^2 - z^2", "x^2 + x*y - y*z"),
+        ("qi", f"1/{p}*x^2 + (i)*y^2 - z^2", "x^2 + x*y - y*z"),
+        ("q", f"{p}*x^2 + y^2 - z^2", "x^2 + x*y - y*z"),
+        ("qi", f"(-{j}+i)*x^2 + y^2 - z^2", "x^2 + (1+i)*x*y - y*z"),
+        ("q", *double_image),
+        ("qi", *double_image),
+    ]
+    argvs += [["cover", "transversal", *pair, "--field", spec] for spec, *pair in hand_over]
+    qi = Ring("qi")
+    for degree in (2, 3):
+        pair = [_text(qi, _form(qi, rng, 3, degree)) for _ in range(2)]
+        argvs.append(["cover", "transversal", *pair, "--seed", str(rng.randrange(100)), "--field", "qi"])
+    fixed = (
+        ("x*y + z^2", "y^2 - x*z"),
+        ("x^2*y + z^3", "x^2*z + y^3 + y*z^2"),
+        ("x^2 + x*z - x*y - y*z", "x^2 + x*y - 2*y^2"),
+        ("y*z - x^2", "y*z - x^2 + y^2"),
+    )
+    for spec in ("fp:17", "fp:32003", "q", "qi"):
+        argvs += [["cover", "transversal", *pair, "--field", spec] for pair in fixed]
+    return argvs
+
+
 def corpus():
     """The argvs, in a fixed order."""
     rng = random.Random(0)
@@ -537,6 +587,7 @@ def corpus():
         + _deg_argvs()
         + _decided_argvs()
         + _keem_argvs()
+        + _transversal_argvs()
     )
 
 
